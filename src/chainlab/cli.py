@@ -330,9 +330,10 @@ def _cmd_decay_fit(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .diagnostics import fit_decay_exponent, minimal_wrap_free_m, record_decay
+    from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
     from .evolution import make_plan
     from .operators import LatticeState2D, build_operator_1d, delta_state, sample_potential
+    from .verify import CheckFailure
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
@@ -367,10 +368,23 @@ def _cmd_decay_fit(cfg, args) -> int:
 
     trace = record_decay(plan, psi0, times)
     fit = fit_decay_exponent(trace, fit_lo, min(fit_hi, t_max))
+    l2_drift, energy_drift = conservation_defects(trace)
+    tol = cfg.tolerances.conservation
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))
-    datafiles.write_fit_json(fit, _out(cfg, "fit.json"))
+    datafiles.write_fit_json(
+        fit,
+        _out(cfg, "fit.json"),
+        l2_drift=l2_drift,
+        energy_drift=energy_drift,
+        tolerance=tol,
+        m_size=M,
+    )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")
+    if l2_drift > tol or energy_drift > tol:
+        raise CheckFailure(
+            f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}"
+        )
     return 0
 
 

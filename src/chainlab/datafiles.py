@@ -152,13 +152,15 @@ def write_trace_csv(trace: DecayTrace, path) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_fit_json(fit: DecayFit, path) -> None:
+def write_fit_json(fit: DecayFit, path, **extra) -> None:
+    """The fit, plus any extra keys describing the run (drifts, grid size)."""
     payload = {
         "exponent": fit.exponent,
         "prefactor": fit.prefactor,
         "residual": fit.residual,
         "window": [fit.t_lo, fit.t_hi],
         "n_samples": fit.n_samples,
+        **extra,
     }
     write_json(payload, path)
 

@@ -4,6 +4,12 @@ The dispersive measurement: record sup_{n,m} |psi(t)| along a trajectory on
 a grid sized so no wrapped or reflected amplitude re-enters the picture
 (group speed is 2, so the light cone at time t spans 2t sites plus a kernel
 tail), then fit log sup against log <t> with <t> = sqrt(1 + t^2).
+
+A decay trace needs a product initial state chi (x) phi, such as a delta.
+The propagator keeps the product form, e^{iHt}(chi (x) phi) =
+(e^{iA1 t} chi) (x) (e^{i(-Delta)t} phi), so every norm and the energy of
+psi(t) follow from the two 1D factors: a sample costs O(N^2 + M log M)
+(O(N^2 + M^2) for the eigen m-sweep) instead of a full O(N^2 M) step.
 """
 from __future__ import annotations
 
@@ -12,34 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    PropagatorPlan,
-    bessel_pad,
-    evolve_1d_eigen,
-    evolve_2d_factorized,
-    evolve_free_1d,
-    _support_range,
-)
-from .operators import (
-    LatticeState2D,
-    Operator1D,
-    PotentialSpec,
-    _freeze,
-    mixed_l2n_supm,
-    mixed_supm_l2n,
-    sample_potential,
-)
-
-try:  # optional accelerator; the numpy path below is the reference
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    _HAVE_NUMBA = False
+from .evolution import PropagatorPlan, bessel_pad, _support_range
+from .operators import LatticeState2D, PotentialSpec, _freeze, sample_potential
 
 RENORM_BLOCK = 32
 MIN_TRANSFER_LENGTH = 1000
 MIN_FIT_SAMPLES = 8
+PRODUCT_TOL = 1e-12  # relative to max |psi0|
 
 
 def time_bracket(t):
@@ -113,43 +98,58 @@ def _check_wrap_free(plan: PropagatorPlan, psi0: LatticeState2D, t_max: float) -
             )
 
 
-def _energy(amp: np.ndarray, a1: Operator1D | None, a2: Operator1D) -> float:
-    e = np.vdot(amp, a2.apply(amp.T).T).real
-    if a1 is not None:
-        e += np.vdot(amp, a1.apply(amp)).real
-    return float(e)
+def _product_factors(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, phi) with outer(chi, phi) = amp, from the pivot row and column at argmax |amp|."""
+    i, j = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
+    chi = amp[:, j] / amp[i, j]
+    phi = amp[i, :]
+    defect = np.abs(np.outer(chi, phi) - amp).max()
+    if defect > PRODUCT_TOL * abs(amp[i, j]):
+        raise ValueError(
+            f"decay traces need a product initial state chi (x) phi: the rank-1 fit at the pivot "
+            f"({i}, {j}) is off by {defect:.3e}, above {PRODUCT_TOL:g} x max |psi0|"
+        )
+    return chi, phi
 
 
 def record_decay(plan: PropagatorPlan, psi0: LatticeState2D, times) -> DecayTrace:
-    """Evolve psi0 under the plan and record norms at each time.
+    """Evolve the product state psi0 under the plan and record norms at each time.
 
     Times must be nonnegative and ascending.  The m-grid must be wrap-free
     for the last time per the light-cone rule; the error names the minimal
-    grid otherwise.
+    grid otherwise.  psi0 must be a product chi (x) phi to within
+    PRODUCT_TOL x max |psi0|; only its two factors are evolved.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("need a nonempty 1D array of times")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and ascending")
+    if psi0.shape != (plan.n_size, plan.m_size):
+        raise ValueError(f"state shape {psi0.shape} does not match plan ({plan.n_size}, {plan.m_size})")
     _check_wrap_free(plan, psi0, float(times[-1]))
+    chi, phi = _product_factors(psi0.amplitudes)
 
     a1 = plan.a1_operator()
     a2 = plan.a2_operator()
-    cols = {name: [] for name in ("sup", "l2n_supm", "supm_l2n", "l2", "energy")}
-    for t in times:
-        psi_t = evolve_2d_factorized(psi0, plan, float(t))
-        amp = psi_t.amplitudes
-        cols["sup"].append(np.abs(amp).max())
-        cols["l2n_supm"].append(mixed_l2n_supm(psi_t))
-        cols["supm_l2n"].append(mixed_supm_l2n(psi_t))
-        cols["l2"].append(np.linalg.norm(amp))
-        cols["energy"].append(_energy(amp, a1, a2))
+    cols = {name: [] for name in ("sup", "mixed", "l2", "energy")}
+    for t in map(float, times):
+        u = plan.n_sweep(chi, t)
+        w = plan.m_sweep(phi, t)
+        u_l2, w_l2 = np.linalg.norm(u), np.linalg.norm(w)
+        w_sup = np.abs(w).max()
+        energy = u_l2**2 * np.vdot(w, a2.apply(w)).real
+        if a1 is not None:
+            energy += np.vdot(u, a1.apply(u)).real * w_l2**2
+        cols["sup"].append(np.abs(u).max() * w_sup)
+        cols["mixed"].append(u_l2 * w_sup)
+        cols["l2"].append(u_l2 * w_l2)
+        cols["energy"].append(energy)
     return DecayTrace(
         times=times,
         sup_norms=cols["sup"],
-        l2n_supm=cols["l2n_supm"],
-        supm_l2n=cols["supm_l2n"],
+        l2n_supm=cols["mixed"],
+        supm_l2n=cols["mixed"],
         l2_norms=cols["l2"],
         energies=cols["energy"],
         psi0_l1=float(np.abs(psi0.amplitudes).sum()),
@@ -163,12 +163,8 @@ def n_fiber_isometry_defect(plan: PropagatorPlan, psi0: LatticeState2D, t: float
     The n-sweep is an isometry on every column, so the two column-norm
     profiles must coincide.
     """
-    amp = psi0.amplitudes
-    if plan.m_method == "eigen":
-        half = evolve_1d_eigen(plan.es2, amp.T, t).T
-    else:
-        half = evolve_free_1d(amp, t, method=plan.m_method, tail_tol=plan.tail_tol)
-    full = evolve_1d_eigen(plan.es1, half, t) if plan.es1 is not None else half
+    half = plan.m_sweep(psi0.amplitudes, t)
+    full = plan.n_sweep(half, t)
     return float(np.abs(np.linalg.norm(full, axis=0) - np.linalg.norm(half, axis=0)).max())
 
 
@@ -231,37 +227,6 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray, block: int) -> np.ndarray
     return (logsum + np.log(s)) / L
 
 
-if _HAVE_NUMBA:
-
-    @_njit(fastmath=False)
-    def _growth_scalar(V, E, block):  # pragma: no cover - exercised via lyapunov_scan
-        a = 1.0
-        b = 0.0
-        c = 0.0
-        d = 1.0
-        logsum = 0.0
-        count = 0
-        for n in range(V.size):
-            e = E - V[n]
-            na = e * a - c
-            nb = e * b - d
-            c = a
-            d = b
-            a = na
-            b = nb
-            count += 1
-            if count == block:
-                s = max(abs(a), abs(b), abs(c), abs(d))
-                logsum += math.log(s)
-                a /= s
-                b /= s
-                c /= s
-                d /= s
-                count = 0
-        s = max(abs(a), abs(b), abs(c), abs(d))
-        return (logsum + math.log(s)) / V.size
-
-
 def lyapunov_scan(
     spec: PotentialSpec,
     energies,
@@ -279,8 +244,6 @@ def lyapunov_scan(
     if not np.all(np.isfinite(energies)):
         raise ValueError("energies must be finite")
     V = sample_potential(spec, (0, int(L))).values
-    if _HAVE_NUMBA:
-        return np.array([_growth_scalar(V, float(E), block) for E in energies])
     return _growth_numpy(V, energies, block)
 
 

@@ -147,6 +147,16 @@ class PropagatorPlan:
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
         return build_operator_1d(size=self.m_size, boundary=boundary)
 
+    def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
+        """e^{iA1 t} along axis 0; the identity in free-chain mode."""
+        return evolve_1d_eigen(self.es1, a, t) if self.es1 is not None else a
+
+    def m_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
+        """e^{i(-Delta_m)t} along the last axis of a (M,) or (K, M) array."""
+        if self.m_method == "eigen":
+            return evolve_1d_eigen(self.es2, a.T, t).T
+        return evolve_free_1d(a, t, method=self.m_method, tail_tol=self.tail_tol)
+
 
 def make_plan(
     a1: Operator1D | None,
@@ -173,16 +183,10 @@ def evolve_2d_factorized(
         raise ValueError(f"state shape {amp.shape} does not match plan ({plan.n_size}, {plan.m_size})")
     if order not in ("nm", "mn"):
         raise ValueError("order must be 'nm' or 'mn'")
-
-    def n_sweep(a):
-        return evolve_1d_eigen(plan.es1, a, t) if plan.es1 is not None else a
-
-    def m_sweep(a):
-        if plan.m_method == "eigen":
-            return evolve_1d_eigen(plan.es2, a.T, t).T
-        return evolve_free_1d(a, t, method=plan.m_method, tail_tol=plan.tail_tol)
-
-    out = m_sweep(n_sweep(amp)) if order == "nm" else n_sweep(m_sweep(amp))
+    if order == "nm":
+        out = plan.m_sweep(plan.n_sweep(amp, t), t)
+    else:
+        out = plan.n_sweep(plan.m_sweep(amp, t), t)
     return state.with_amplitudes(out)
 
 

@@ -249,6 +249,20 @@ def test_cli_decay_fit_free_chain(tmp_path):
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy"
     assert len(trace_lines) == 26  # header + 25 samples
+    assert fit["m_size"] == 256  # wrap-free M for t = 40, rounded up to a power of two
+    assert fit["tolerance"] == 1e-9
+    assert 0.0 <= fit["l2_drift"] <= 1e-9 and 0.0 <= fit["energy_drift"] <= 1e-9
+
+
+def test_cli_decay_fit_fails_on_impossible_conservation_tolerance(tmp_path):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("[tolerances]\nconservation = 1e-30\n")
+    out = tmp_path / "d"
+    rc = cli.main(["decay-fit", "--config", str(cfg), "--tmax", "40", "--out", str(out)])
+    assert rc == 2
+    fit = _read_json(out / "fit.json")  # written before the check, for post-mortem
+    assert fit["tolerance"] == 1e-30
+    assert max(fit["l2_drift"], fit["energy_drift"]) > 1e-30
 
 
 def test_cli_lyapunov_scan(tmp_path):

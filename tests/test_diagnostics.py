@@ -16,7 +16,7 @@ from chainlab.diagnostics import (
     time_bracket,
     truncation_energies,
 )
-from chainlab.evolution import evolve_free_1d, make_plan
+from chainlab.evolution import evolve_2d_factorized, evolve_free_1d, make_plan
 from chainlab.operators import (
     LatticeState2D,
     PotentialSpec,
@@ -24,7 +24,12 @@ from chainlab.operators import (
     build_operator_1d,
     constant_potential,
     delta_state,
+    energy_expectation,
+    l2_norm,
+    mixed_l2n_supm,
+    mixed_supm_l2n,
     sample_potential,
+    sup_norm,
 )
 
 # growth rate of the free transfer matrix at E = 3: log((3 + sqrt 5) / 2)
@@ -76,6 +81,76 @@ def test_record_decay_requires_ascending_times():
         record_decay(plan, psi0, [1.0, 0.5])
     with pytest.raises(ValueError):
         record_decay(plan, psi0, [-1.0, 0.5])
+
+
+REFERENCE_TIMES = np.array([0.0, 0.5, 3.0, 20.0, 80.0])
+
+
+def _product_state(N, M, rng):
+    """A complex chi (x) phi with phi on 5 central sites, so the grid stays wrap-free."""
+    chi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    phi = np.zeros(M, dtype=complex)
+    phi[M // 2 - 2 : M // 2 + 3] = rng.normal(size=5) + 1j * rng.normal(size=5)
+    return LatticeState2D(np.outer(chi, phi), n0=-(N // 2), m0=-(M // 2))
+
+
+def _full_state_trace(plan, psi0, a1):
+    """Every trace column from the full N x M state, one factorized step per time."""
+    a2 = plan.a2_operator()
+    rows = []
+    for t in REFERENCE_TIMES:
+        psi_t = evolve_2d_factorized(psi0, plan, t)
+        if a1 is not None:
+            energy = energy_expectation(psi_t, a1, a2)
+        else:  # a single n-fiber carries only the m-fiber energy
+            row = psi_t.amplitudes[0]
+            energy = float(np.vdot(row, a2.apply(row)).real)
+        rows.append(
+            (sup_norm(psi_t), mixed_l2n_supm(psi_t), mixed_supm_l2n(psi_t), l2_norm(psi_t), energy)
+        )
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize(
+    "m_method, M, free_chain",
+    [
+        ("dft_multiplier", 1024, False),
+        ("bessel_kernel", 1024, False),
+        ("eigen", 512, False),
+        ("dft_multiplier", 1024, True),
+    ],
+)
+def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
+    rng = np.random.default_rng(5)
+    N = 1 if free_chain else 128
+    psi0 = _product_state(N, M, rng)
+    a1 = None
+    if not free_chain:
+        a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N)))
+    plan = make_plan(a1, m_method, M)
+    trace = record_decay(plan, psi0, REFERENCE_TIMES)
+    columns = (trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
+    names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
+    for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_record_decay_rejects_non_product_state():
+    M = 256
+    psi0 = delta_state(16, M)
+    amp = psi0.amplitudes.copy()
+    amp[3, M // 2 + 1] = 1.0  # a second delta in another row and column: rank 2
+    plan = make_plan(build_operator_1d(size=16), "dft_multiplier", M)
+    with pytest.raises(ValueError, match="product"):
+        record_decay(plan, psi0.with_amplitudes(amp), [0.0, 1.0])
+
+
+def test_record_decay_rejects_state_off_the_plan_grid():
+    plan = make_plan(None, "dft_multiplier", 256)
+    with pytest.raises(ValueError, match="does not match plan"):
+        record_decay(plan, delta_state(2, 256), [0.0, 1.0])
+    with pytest.raises(ValueError, match="does not match plan"):
+        record_decay(plan, _free_chain_state(512), [0.0, 1.0])
 
 
 def test_minimal_wrap_free_m_grows_with_time():

@@ -154,18 +154,6 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _chain_window(cfg, N: int) -> int:
-    return cfg.n0 if cfg.n0 is not None else -(N // 2)
-
-
-def _chain_operator(cfg, N: int):
-    from .operators import build_operator_1d, sample_potential
-
-    n0 = _chain_window(cfg, N)
-    pot = sample_potential(cfg.potential, (n0, n0 + N))
-    return pot, build_operator_1d(pot, boundary=cfg.boundary_n)
-
-
 def _origin_index(n0: int, size: int) -> int:
     # the physical origin when the window holds it, the middle site otherwise
     return -n0 if 0 <= -n0 < size else size // 2
@@ -182,7 +170,7 @@ def _cmd_spectrum(cfg, args) -> int:
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
     N = cfg.N or DEFAULT_SIZE
-    pot, a1 = _chain_operator(cfg, N)
+    pot, a1 = cfg.chain_operator(N)
     es = eigh_tridiagonal(a1)
     chi = np.zeros(N, dtype=complex)
     chi[_origin_index(pot.n0, N)] = 1.0
@@ -223,7 +211,7 @@ def _cmd_convolve(cfg, args) -> int:
     from .verify import CheckFailure
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
-    pot, a1 = _chain_operator(cfg, N)
+    pot, a1 = cfg.chain_operator(N)
     a2 = build_operator_1d(size=M, boundary=cfg.boundary_m)
     es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
     chi = np.zeros(N, dtype=complex)
@@ -278,27 +266,35 @@ def _evolve_times(cfg, args):
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
+def _check_conservation(l2_drift: float, energy_drift: float, tol: float) -> None:
+    from .verify import CheckFailure
+
+    if not (l2_drift <= tol and energy_drift <= tol):
+        raise CheckFailure(
+            f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}"
+        )
+
+
 def _cmd_evolve(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
+    from .diagnostics import conservation_defects
     from .evolution import evolve_2d_factorized, make_plan
-    from .operators import build_operator_1d, delta_state, energy_expectation, l2_norm, sample_potential
-    from .verify import CheckFailure
+    from .operators import delta_state, energy_expectation, l2_norm
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-    pot = sample_potential(cfg.potential, (psi0.n0, psi0.n0 + N))
-    a1 = build_operator_1d(pot, boundary=cfg.boundary_n)
+    _, a1 = cfg.chain_operator(N)
     plan = make_plan(a1, cfg.m_method, M)
     a2 = plan.a2_operator()
     times = _evolve_times(cfg, args)
 
     states = [evolve_2d_factorized(psi0, plan, t) for t in times]
-    l2s = np.array([l2_norm(s) for s in states])
-    energies = np.array([energy_expectation(s, a1, a2) for s in states])
-    l2_drift = float(np.abs(l2s - l2s[0]).max() / l2s[0])
-    energy_drift = float(np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])))
+    l2_drift, energy_drift = conservation_defects(
+        np.array([l2_norm(s) for s in states]),
+        np.array([energy_expectation(s, a1, a2) for s in states]),
+    )
 
     keep = slice(None, None, cfg.snapshot_every)
     if cfg.binary_snapshots:
@@ -319,10 +315,7 @@ def _cmd_evolve(cfg, args) -> int:
         _out(cfg, "conservation.json"),
     )
     print(f"evolve: {len(times)} steps to t={times[-1]:g}, l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e}")
-    if not passed:
-        raise CheckFailure(
-            f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}"
-        )
+    _check_conservation(l2_drift, energy_drift, tol)
     return 0
 
 
@@ -332,8 +325,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     from . import datafiles
     from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
     from .evolution import make_plan
-    from .operators import LatticeState2D, build_operator_1d, delta_state, sample_potential
-    from .verify import CheckFailure
+    from .operators import LatticeState2D, delta_state
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
@@ -362,13 +354,12 @@ def _cmd_decay_fit(cfg, args) -> int:
     else:
         N = cfg.N or DECAY_N_DEFAULT
         psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-        pot = sample_potential(cfg.potential, (psi0.n0, psi0.n0 + N))
-        a1 = build_operator_1d(pot, boundary=cfg.boundary_n)
+        _, a1 = cfg.chain_operator(N)
         plan = make_plan(a1, cfg.m_method, M, tail_tol=cfg.tolerances.tail_mass)
 
     trace = record_decay(plan, psi0, times)
     fit = fit_decay_exponent(trace, fit_lo, min(fit_hi, t_max))
-    l2_drift, energy_drift = conservation_defects(trace)
+    l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
     tol = cfg.tolerances.conservation
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))
     datafiles.write_fit_json(
@@ -381,10 +372,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")
-    if l2_drift > tol or energy_drift > tol:
-        raise CheckFailure(
-            f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}"
-        )
+    _check_conservation(l2_drift, energy_drift, tol)
     return 0
 
 

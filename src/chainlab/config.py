@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BOUNDARIES, GOLDEN_MEAN, PotentialSpec
+from .operators import BOUNDARIES, GOLDEN_MEAN, Operator1D, Potential1D, PotentialSpec
+from .operators import build_operator_1d, sample_potential
 from .evolution import M_METHODS
 
 
@@ -32,7 +33,6 @@ class Tolerances:
     conservation: float = 1e-9
     isometry: float = 1e-10
     tail_mass: float = 1e-10
-    chebyshev: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,12 @@ class ExperimentConfig:
             raise ConfigError("snapshot_every must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+    def chain_operator(self, N: int) -> tuple[Potential1D, Operator1D]:
+        """The potential sampled on N sites and its A1; the window starts at n0, or is centered."""
+        n0 = self.n0 if self.n0 is not None else -(N // 2)
+        pot = sample_potential(self.potential, (n0, n0 + N))
+        return pot, build_operator_1d(pot, boundary=self.boundary_n)
 
 
 _SECTION_KEYS = {

@@ -168,12 +168,12 @@ def n_fiber_isometry_defect(plan: PropagatorPlan, psi0: LatticeState2D, t: float
     return float(np.abs(np.linalg.norm(full, axis=0) - np.linalg.norm(half, axis=0)).max())
 
 
-def conservation_defects(trace: DecayTrace) -> tuple[float, float]:
-    """Relative l2-norm and energy drift along the trace."""
-    n0 = trace.l2_norms[0]
-    e0 = trace.energies[0]
-    norm_drift = float(np.abs(trace.l2_norms - n0).max() / n0)
-    energy_drift = float(np.abs(trace.energies - e0).max() / max(1.0, abs(e0)))
+def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray) -> tuple[float, float]:
+    """Relative l2-norm and energy drift of a series against its first sample."""
+    n0 = l2_norms[0]
+    e0 = energies[0]
+    norm_drift = float(np.abs(l2_norms - n0).max() / n0)
+    energy_drift = float(np.abs(energies - e0).max() / max(1.0, abs(e0)))
     return norm_drift, energy_drift
 
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .operators import LatticeState2D, Operator1D, build_operator_1d
-from .spectral import EigenSystem, eigh_tridiagonal
+from .operators import DENSE_SITE_CAP  # re-exported: the one dense cap lives in operators
+from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_dense
+from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 DEFAULT_TAIL_TOL = 1e-10
-DENSE_SITE_CAP = 4096
 CHEB_TOL = 1e-9
 
 
@@ -228,31 +228,20 @@ def evolve_2d_direct(
     a2: Operator1D,
     t: float,
     method: str = "dense",
-    site_cap: int = DENSE_SITE_CAP,
-    cheb_tol: float = CHEB_TOL,
 ) -> LatticeState2D:
     """Non-factorized e^{iHt}: the oracle route against which the product form is tested."""
-    from .operators import apply_h2d, hamiltonian_2d_dense
-
     N, M = state.shape
     if (N, M) != (a1.size, a2.size):
         raise ValueError(f"state shape {state.shape} does not match operators ({a1.size}, {a2.size})")
     if method == "dense":
-        if N * M > site_cap:
-            raise ValueError(
-                f"{N * M} sites exceed the dense cap {site_cap}; pass method='chebyshev' for large grids"
-            )
-        H = hamiltonian_2d_dense(a1, a2, site_cap=site_cap)
-        lam, vec = np.linalg.eigh(H)
-        c = vec.T @ state.amplitudes.ravel()
-        out = vec @ (np.exp(1j * lam * t) * c)
-        return state.with_amplitudes(out.reshape(N, M))
+        es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+        return state.with_amplitudes(evolve_1d_eigen(es, state.amplitudes.ravel(), t).reshape(N, M))
     if method == "chebyshev":
         radius = a1.norm_bound + a2.norm_bound
 
         def apply_h(arr):
             return apply_h2d(state.with_amplitudes(arr), a1, a2).amplitudes
 
-        out = _chebyshev_expiht(apply_h, state.amplitudes, t, radius, cheb_tol)
+        out = _chebyshev_expiht(apply_h, state.amplitudes, t, radius, CHEB_TOL)
         return state.with_amplitudes(out)
     raise ValueError(f"unknown method {method!r}, expected 'dense' or 'chebyshev'")

@@ -28,6 +28,7 @@ FAMILIES = ("constant", "quasiperiodic", "almost_mathieu", "random_iid", "explic
 BOUNDARIES = ("dirichlet", "periodic")
 
 _IID_BLOCK = 4096  # sites drawn per counter-based RNG block
+DENSE_SITE_CAP = 4096  # largest N*M the dense 2D oracle will form
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -293,19 +294,28 @@ def apply_h2d(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> LatticeS
     return state.with_amplitudes(out)
 
 
-def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D, site_cap: int = 4096) -> np.ndarray:
-    """Dense (N*M, N*M) matrix of H, columns assembled through apply_h2d."""
+def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
+    """Dense (N*M, N*M) matrix of H, filled straight from the five-point stencil.
+
+    Site (n, m) is row n*M + m.  The fill never calls apply_h2d, so each of
+    the two is an independent check of the other.
+    """
     N, M = a1.size, a2.size
     sites = N * M
-    if sites > site_cap:
-        raise ValueError(f"{N}x{M} = {sites} sites exceeds the dense cap of {site_cap}")
-    H = np.empty((sites, sites))
-    basis = np.zeros((N, M), dtype=complex)
-    for j in range(sites):
-        basis.flat[j] = 1.0
-        col = apply_h2d(LatticeState2D(basis.copy()), a1, a2).amplitudes
-        H[:, j] = col.real.ravel()
-        basis.flat[j] = 0.0
+    if sites > DENSE_SITE_CAP:
+        raise ValueError(
+            f"{N}x{M} = {sites} sites exceeds the dense cap of {DENSE_SITE_CAP}; "
+            "use the chebyshev route for large grids"
+        )
+    H = np.zeros((sites, sites))
+    site = np.arange(sites).reshape(N, M)
+    H[site.ravel(), site.ravel()] = np.add.outer(a1.diagonal, a2.diagonal).ravel()
+    for op, fibers in ((a1, site), (a2, site.T)):  # hopping along n, then along m
+        here, there = fibers[:-1].ravel(), fibers[1:].ravel()
+        H[here, there] = H[there, here] = -1.0
+        if op.boundary == "periodic":  # subtract, so a 2-site ring hops twice
+            H[fibers[0], fibers[-1]] -= 1.0
+            H[fibers[-1], fibers[0]] -= 1.0
     return H
 
 

@@ -221,28 +221,29 @@ class GridTooNarrowError(ValueError):
         )
 
 
-def _deposit(acc: np.ndarray, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray, masses: np.ndarray) -> complex:
-    """Spread each mass uniformly over [lo, hi) and bin it onto the grid.
+def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray) -> tuple[np.ndarray, complex]:
+    """Spread each mass uniformly over [lo, lo + span) and bin it onto the grid.
 
-    Returns the mass falling outside the grid.
+    Overlaps are exact per piece.  A piece meets at most ceil(span / width) + 1
+    bins counted from the bin holding lo, so the only loop runs over those
+    offsets.  Returns the binned masses and the mass falling outside the grid.
     """
-    width = edges[1] - edges[0]
-    lost = 0.0 + 0.0j
-    for a, b, m in zip(lo, hi, masses):
-        if b <= edges[0] or a >= edges[-1]:
-            lost += m
-            continue
-        span = b - a
-        ca, cb = max(a, edges[0]), min(b, edges[-1])
-        if span > 0:
-            lost += m * (1.0 - (cb - ca) / span)
-        i0 = int(np.floor((ca - edges[0]) / width))
-        i1 = min(int(np.ceil((cb - edges[0]) / width)), acc.size)
-        for i in range(i0, i1):
-            seg = min(cb, edges[i + 1]) - max(ca, edges[i])
-            if seg > 0:
-                acc[i] += m * (seg / span) if span > 0 else m
-    return lost
+    hi = lo + span
+    length = hi - lo  # not span: a piece wholly on the grid then loses exactly 0
+    inside = np.clip(hi, edges[0], edges[-1]) - np.clip(lo, edges[0], edges[-1])
+    lost = complex((masses * (1.0 - inside / length)).sum())
+    bins = edges.size - 1
+    first = np.searchsorted(edges, lo, side="right") - 1
+    binned = np.zeros(bins, dtype=complex)
+    for k in range(int(np.ceil(span / np.diff(edges).min())) + 1):
+        i = first + k
+        on = (i >= 0) & (i < bins)
+        i = i[on]
+        seg = np.maximum(np.minimum(hi[on], edges[i + 1]) - np.maximum(lo[on], edges[i]), 0.0)
+        part = masses[on] * (seg / length[on])
+        binned += np.bincount(i, weights=part.real, minlength=bins)
+        binned += 1j * np.bincount(i, weights=part.imag, minlength=bins)
+    return binned, lost
 
 
 def convolve_measures(
@@ -254,47 +255,38 @@ def convolve_measures(
 ) -> SpectralMeasure:
     """Convolution of two spectral measures.
 
-    Atom x atom products stay atoms (pairwise energy sums, product weights);
-    atom x density and density x density products land in the binned density
-    on ``grid`` (default grid when omitted).  Raises GridTooNarrowError when
-    more than mass_tol of |product mass| would fall outside the grid.
+    Atom x atom products stay atoms (pairwise energy sums, product weights).
+    Every other product is a piece of mass spread uniformly over an interval:
+    an atom at e times a density bin [a, a + h) covers [e + a, e + a + h), and
+    two density bins of widths h1 and h2 cover [a1 + a2, a1 + a2 + h1 + h2).
+    The pieces are binned with exact overlaps onto ``grid`` (the default grid
+    when omitted).  Raises GridTooNarrowError when more than mass_tol of
+    |product mass| would fall outside the grid.
     """
     e_atoms = np.add.outer(mu.energies, nu.energies).ravel()
     w_atoms = np.multiply.outer(mu.weights, nu.weights).ravel()
 
-    needs_density = mu.density is not None or nu.density is not None
-    if not needs_density:
+    if mu.density is None and nu.density is None:
         return SpectralMeasure.from_atoms(e_atoms, w_atoms, merge_tol)
+
+    pieces = []  # (lo, span, masses) per product kind
+    for atoms, dens in ((mu, nu), (nu, mu)):
+        if dens.density is not None and atoms.atom_count:
+            lo = np.add.outer(atoms.energies, dens.grid_edges[:-1]).ravel()
+            masses = np.multiply.outer(atoms.weights, dens.density).ravel() * dens.bin_width
+            pieces.append((lo, dens.bin_width, masses))
+    if mu.density is not None and nu.density is not None:
+        lo = np.add.outer(mu.grid_edges[:-1], nu.grid_edges[:-1]).ravel()
+        masses = np.multiply.outer(mu.density * mu.bin_width, nu.density * nu.bin_width).ravel()
+        pieces.append((lo, mu.bin_width + nu.bin_width, masses))
 
     edges = np.asarray(grid, dtype=float) if grid is not None else default_convolution_grid(mu, nu)
     acc = np.zeros(edges.size - 1, dtype=complex)
     lost = 0.0 + 0.0j
-
-    def atoms_times_density(atoms_e, atoms_w, other: SpectralMeasure):
-        nonlocal lost
-        if other.density is None or atoms_e.size == 0:
-            return
-        h = other.bin_width
-        for e, w in zip(atoms_e, atoms_w):
-            lo = other.grid_edges[:-1] + e
-            lost += _deposit(acc, edges, lo, lo + h, w * other.density * h)
-
-    atoms_times_density(mu.energies, mu.weights, nu)
-    atoms_times_density(nu.energies, nu.weights, mu)
-
-    if mu.density is not None and nu.density is not None:
-        h1, h2 = mu.bin_width, nu.bin_width
-        m1 = mu.density * h1
-        m2 = nu.density * h2
-        if abs(h1 - h2) <= 1e-12 * h1:
-            conv = np.convolve(m1, m2)
-            start = mu.grid_edges[0] + nu.grid_edges[0]
-            lo = start + np.arange(conv.size) * h1
-            lost += _deposit(acc, edges, lo, lo + 2 * h1, conv)
-        else:
-            for j, mj in enumerate(m1):
-                lo = nu.grid_edges[:-1] + mu.grid_edges[j]
-                lost += _deposit(acc, edges, lo, lo + h1 + h2, mj * m2)
+    for lo, span, masses in pieces:
+        binned, off_grid = _bin(edges, lo, span, masses)
+        acc += binned
+        lost += off_grid
 
     if abs(lost) > mass_tol:
         lo1, hi1 = mu.support_bounds()

@@ -170,7 +170,7 @@ def test_conservation_defects_on_flat_trace():
         psi0_l1=1.0,
         psi0_l2=1.0,
     )
-    norm_drift, energy_drift = conservation_defects(trace)
+    norm_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
     assert norm_drift == 0.0 and energy_drift == 0.0
 
 

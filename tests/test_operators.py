@@ -200,6 +200,30 @@ def test_apply_h2d_matches_dense_matrix():
     np.testing.assert_allclose(out.ravel(), H @ amp.ravel(), atol=1e-13)
 
 
+def _column_assembly(a1, a2):
+    """H one column at a time: apply_h2d to each basis state."""
+    N, M = a1.size, a2.size
+    H = np.empty((N * M, N * M))
+    for j in range(N * M):
+        basis = np.zeros(N * M, dtype=complex)
+        basis[j] = 1.0
+        H[:, j] = apply_h2d(LatticeState2D(basis.reshape(N, M)), a1, a2).amplitudes.real.ravel()
+    return H
+
+
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (9, 2), (8, 6)])
+def test_stencil_fill_equals_column_assembly(shape, boundary_n, boundary_m):
+    rng = np.random.default_rng(9)
+    N, M = shape
+    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (-(N // 2), N - N // 2)), boundary=boundary_n)
+    a2 = Operator1D(rng.uniform(-1.0, 1.0, M), boundary=boundary_m)
+    H = hamiltonian_2d_dense(a1, a2)
+    assert np.array_equal(H, _column_assembly(a1, a2))
+    assert np.array_equal(H, H.T)
+
+
 def test_apply_h2d_separates_on_tensor_states():
     rng = np.random.default_rng(3)
     a1 = build_operator_1d(sample_potential(constant_potential(1.0), (0, 5)))

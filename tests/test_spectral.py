@@ -199,6 +199,75 @@ def test_narrow_grid_raises_with_lost_mass():
     assert err.value.lost_mass > 0.4
 
 
+def _density_measure(rng, lo, hi, bins, atoms=0):
+    edges = np.linspace(lo, hi, bins + 1)
+    dens = rng.standard_normal(bins) + 1j * rng.standard_normal(bins)
+    e = rng.uniform(-2.0, 2.0, atoms)
+    w = rng.standard_normal(atoms) + 1j * rng.standard_normal(atoms)
+    return SpectralMeasure(e, w, grid_edges=edges, density=dens)
+
+
+def _loop_binning(mu, nu, edges):
+    """Reference: every product piece spread over the grid one mass and one bin at a time."""
+    pieces = []  # (lo, hi, mass)
+    for atoms, dens in ((mu, nu), (nu, mu)):
+        if dens.density is None:
+            continue
+        h = dens.bin_width
+        for e, w in zip(atoms.energies, atoms.weights):
+            for a, d in zip(dens.grid_edges[:-1], dens.density):
+                pieces.append((e + a, e + a + h, w * d * h))
+    if mu.density is not None and nu.density is not None:
+        h1, h2 = mu.bin_width, nu.bin_width
+        for a1, d1 in zip(mu.grid_edges[:-1], mu.density):
+            for a2, d2 in zip(nu.grid_edges[:-1], nu.density):
+                pieces.append((a1 + a2, a1 + a2 + h1 + h2, d1 * h1 * d2 * h2))
+    binned = np.zeros(edges.size - 1, dtype=complex)
+    lost = 0.0 + 0.0j
+    for a, b, m in pieces:
+        on_grid = 0.0
+        for i in range(edges.size - 1):
+            seg = min(b, edges[i + 1]) - max(a, edges[i])
+            if seg > 0:
+                binned[i] += m * seg / (b - a)
+                on_grid += seg
+        lost += m * (1.0 - on_grid / (b - a))
+    return binned, lost
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["atoms_x_density", "density_x_atoms", "equal_widths", "unequal_widths", "mixed", "off_grid"],
+)
+def test_binning_matches_per_mass_loop(case):
+    rng = np.random.default_rng(11)
+    atoms = SpectralMeasure.from_atoms(
+        rng.uniform(-2.0, 2.0, 5), rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    )
+    coarse = _density_measure(rng, -2.0, 2.0, 16)  # pieces 0.25 wide
+    fine_grid = np.linspace(-4.5, 4.5, 361)  # bins 0.025 wide: 10 per piece
+    mu, nu, grid = {
+        "atoms_x_density": (atoms, coarse, fine_grid),
+        "density_x_atoms": (coarse, atoms, fine_grid),
+        "equal_widths": (coarse, _density_measure(rng, -1.0, 1.0, 8), None),
+        "unequal_widths": (coarse, _density_measure(rng, -1.3, 1.7, 7), None),
+        "mixed": (_density_measure(rng, -1.0, 1.0, 6, atoms=3), _density_measure(rng, 0.0, 2.1, 5, atoms=4), None),
+        # pieces starting below, straddling and lying wholly beyond both grid ends
+        "off_grid": (atoms, coarse, np.linspace(-1.1, 2.3, 137)),
+    }[case]
+    edges = grid if grid is not None else default_convolution_grid(mu, nu)
+    ref_binned, ref_lost = _loop_binning(mu, nu, edges)
+    conv = convolve_measures(mu, nu, grid=grid, mass_tol=np.inf)
+    assert np.abs(conv.density * np.diff(edges) - ref_binned).max() <= 1e-14
+    if case == "off_grid":
+        assert abs(ref_lost) > 0.1
+        with pytest.raises(GridTooNarrowError) as err:
+            convolve_measures(mu, nu, grid=grid)
+        assert abs(err.value.lost_mass - abs(ref_lost)) <= 1e-14
+    else:
+        assert abs(ref_lost) <= 1e-14
+
+
 def test_default_convolution_grid_covers_minkowski_sum():
     mu = SpectralMeasure.from_atoms([-2.0, 1.0], [0.5, 0.5])
     edges = np.linspace(0.0, 2.0, 9)

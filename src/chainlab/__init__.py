@@ -41,6 +41,7 @@ _EXPORTS = {
         "EigenSystem",
         "eigh_tridiagonal",
         "dense_eigensystem",
+        "dense_measure",
         "eigen_residual",
         "gram_defect",
         "SpectralMeasure",

@@ -204,7 +204,7 @@ def _cmd_convolve(cfg, args) -> int:
     from .spectral import (
         atom_weight_discrepancy,
         convolve_measures,
-        dense_eigensystem,
+        dense_measure,
         eigh_tridiagonal,
         spectral_measure_1d,
     )
@@ -214,8 +214,9 @@ def _cmd_convolve(cfg, args) -> int:
     pot, a1 = cfg.chain_operator(N)
     a2 = build_operator_1d(size=M, boundary=cfg.boundary_m)
     es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
+    origin = _origin_index(pot.n0, N)
     chi = np.zeros(N, dtype=complex)
-    chi[_origin_index(pot.n0, N)] = 1.0
+    chi[origin] = 1.0
     phi = np.zeros(M, dtype=complex)
     phi[M // 2] = 1.0
     merge = cfg.tolerances.atom_merge
@@ -234,8 +235,7 @@ def _cmd_convolve(cfg, args) -> int:
     }
     discrepancy = None
     if N * M <= DENSE_SITE_CAP:
-        es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-        direct = spectral_measure_1d(es2d, np.outer(chi, phi).ravel(), merge_tol=merge)
+        direct = dense_measure(hamiltonian_2d_dense(a1, a2), origin * M + M // 2, merge_tol=merge)
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
         discrepancy = atom_weight_discrepancy(conv, direct)
         report["compared_to_direct"] = True

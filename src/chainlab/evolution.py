@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .operators import DENSE_SITE_CAP  # re-exported: the one dense cap lives in operators
 from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_dense
@@ -56,6 +55,8 @@ _PLUS_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i^k, exact
 
 def bessel_kernel(t: float, half_width: int) -> np.ndarray:
     """K_r(t) = (-i)^r J_r(2t) for r in [-half_width, half_width]."""
+    from scipy.special import jv  # deferred: slow to import, and most runs never call this
+
     r = np.arange(-half_width, half_width + 1)
     return _MINUS_I_POW[np.mod(r, 4)] * jv(r, 2.0 * t)
 
@@ -209,6 +210,8 @@ def _chebyshev_order(z: float, tol: float) -> int:
 
 def _chebyshev_expiht(apply_h, psi: np.ndarray, t: float, radius: float, tol: float) -> np.ndarray:
     """e^{iHt} psi by a Chebyshev expansion on [-radius, radius], truncation certified < tol."""
+    from scipy.special import jv
+
     z = radius * t
     K = _chebyshev_order(z, tol)
     k = np.arange(K + 1)

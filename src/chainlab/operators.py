@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -153,6 +152,8 @@ def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> Potential1
     elif spec.family == "almost_mathieu":
         vals = spec.amplitude * np.cos(2.0 * np.pi * spec.omega * n + spec.theta)
     elif spec.family == "quasiperiodic":
+        from scipy.interpolate import CubicSpline  # deferred: importing it takes longer than all of chainlab
+
         prof = np.asarray(spec.profile, dtype=float)
         period = 2.0 * np.pi
         x = np.linspace(0.0, period, prof.size + 1)

@@ -13,6 +13,7 @@ measure convolution; that identity is what the convolution tests pin down.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 PERIODIC_DENSE_CAP = 4096
+_SYM_ROWS = 256  # rows per block when a matrix is not exactly symmetric
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,63 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     return EigenSystem(lam, vec, source=op)
 
 
+def _check_symmetric(mat: np.ndarray) -> None:
+    """Reject a non-square matrix, or one with |H - H^T| above 1e-12 max(1, max|H|).
+
+    An exactly symmetric matrix passes on one scan with no temporaries; any
+    other is compared block by block of rows, so no n^2 array is allocated.
+    """
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if scipy.linalg.issymmetric(mat):
+        return
+    blocks = range(0, mat.shape[0], _SYM_ROWS)
+    asym = np.max([np.abs(mat[i : i + _SYM_ROWS] - mat[:, i : i + _SYM_ROWS].T).max() for i in blocks])
+    if asym > 1e-12 * max(1.0, mat.max(), -mat.min()):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+
+
 def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Eigendecomposition of an arbitrary dense real symmetric matrix."""
     mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    asym = np.abs(mat - mat.T).max()
-    if asym > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    _check_symmetric(mat)
     lam, vec = np.linalg.eigh(mat)
     return EigenSystem(lam, vec)
+
+
+def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a Householder tridiagonal T = Q^T P H P Q.
+
+    P swaps index 0 with ``site``.  Every lower reflector of dsytrd leaves
+    the first coordinate alone, so Q e_0 = e_0 and the measure of H at
+    e_site is the measure of T at e_0.  The caller's matrix is not touched;
+    the n^2 working copy is freed on return, before T's eigenvectors exist.
+    """
+    mat = np.array(matrix, dtype=float, order="F")
+    _check_symmetric(mat)
+    n = mat.shape[0]
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} is outside [0, {n})")
+    mat[[0, site]] = mat[[site, 0]]
+    mat[:, [0, site]] = mat[:, [site, 0]]
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)  # blocked reduction; the default is unblocked
+    _, diag, offdiag, _, info = scipy.linalg.lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info:  # pragma: no cover - only an illegal argument sets it
+        raise RuntimeError(f"dsytrd failed with info = {info}")
+    return diag, offdiag
+
+
+def dense_measure(matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+    """Spectral measure of a dense real symmetric H at the basis vector e_site.
+
+    Equal to spectral_measure_1d(dense_eigensystem(H), e_site) but forms no
+    eigenvector of H: H is reduced once to a tridiagonal T with T's first
+    basis vector at e_site, and the atoms are the eigenvalues of T weighted
+    by the squared first components of its eigenvectors (Golub and Welsch,
+    Math. Comp. 23, 1969).
+    """
+    lam, vec = scipy.linalg.eigh_tridiagonal(*_tridiagonal_from(matrix, operator.index(site)))
+    return SpectralMeasure.from_atoms(lam, vec[0] ** 2, merge_tol)
 
 
 def eigen_residual(es: EigenSystem, op: Operator1D) -> float:

@@ -29,6 +29,7 @@ from .spectral import (
     atom_weight_discrepancy,
     convolve_measures,
     dense_eigensystem,
+    dense_measure,
     eigen_residual,
     eigh_tridiagonal,
     gram_defect,
@@ -106,8 +107,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         mu1 = spectral_measure_1d(es1, delta_n, merge_tol=tol.atom_merge)
         mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
         conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
-        es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-        direct = spectral_measure_1d(es2d, np.outer(delta_n, delta_m).ravel(), merge_tol=tol.atom_merge)
+        direct = dense_measure(hamiltonian_2d_dense(a1, a2), (N // 2) * M + M // 2, merge_tol=tol.atom_merge)
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )

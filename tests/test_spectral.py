@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from chainlab.operators import (
+    BOUNDARIES,
+    Operator1D,
     almost_mathieu,
     build_operator_1d,
     free_operator,
@@ -16,6 +18,7 @@ from chainlab.spectral import (
     convolve_measures,
     default_convolution_grid,
     dense_eigensystem,
+    dense_measure,
     eigen_residual,
     eigh_tridiagonal,
     gram_defect,
@@ -63,9 +66,75 @@ def test_eigensystem_sorts_on_construction():
     np.testing.assert_array_equal(es.eigenvectors[:, 0], [0.0, 1.0, 0.0])
 
 
-def test_dense_eigensystem_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        dense_eigensystem(np.array([[0.0, 1.0], [0.5, 0.0]]))
+DENSE_ROUTES = [dense_eigensystem, lambda h: dense_measure(h, 0)]
+DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure"]
+
+
+def _off_by(asym: float, n: int = 300) -> np.ndarray:
+    # symmetric with max|H| = 10, then H[270, 290] - H[290, 270] = asym; both
+    # indices sit past the first block of rows scanned by the symmetry check
+    rng = np.random.default_rng(7)
+    h = rng.uniform(-1.0, 1.0, (n, n))
+    h = h + h.T
+    h[0, 0] = 10.0
+    h[270, 290] = h[290, 270] + asym
+    return h
+
+
+@pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
+def test_dense_eigensystem_rejects_nonsymmetric(route):
+    with pytest.raises(ValueError, match="not symmetric"):
+        route(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        route(_off_by(1.1e-11))  # bound is 1e-12 * max(1, max|H|) = 1e-11
+    with pytest.raises(ValueError, match="square"):
+        route(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
+def test_dense_routes_accept_asymmetry_inside_the_bound(route):
+    route(_off_by(0.9e-11))
+
+
+def _assert_dense_measure_matches_eigh(h: np.ndarray) -> None:
+    before = h.copy()
+    es = dense_eigensystem(h)
+    n = h.shape[0]
+    for site in (0, n // 2, n - 1):
+        ref = spectral_measure_1d(es, np.eye(n)[site])
+        mu = dense_measure(h, site)
+        assert atom_weight_discrepancy(mu, ref) <= 1e-12
+        assert abs(mu.total_mass() - 1.0) <= 1e-13
+        assert mu.atom_count == ref.atom_count
+    assert np.array_equal(h, before)
+
+
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("shape", [(2, 5), (7, 2), (6, 5)])
+def test_dense_measure_matches_full_eigh_on_lattices(shape, boundary_n, boundary_m):
+    # random A1 breaks the n-reflection symmetry; the free A2 keeps the
+    # degenerate pairs of a ring, so atoms merge on both routes
+    N, M = shape
+    a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
+    a2 = free_operator(M, boundary=boundary_m)
+    _assert_dense_measure_matches_eigh(hamiltonian_2d_dense(a1, a2))
+
+
+def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
+    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((9, 9)))
+    lam = np.array([-1.5, -0.2, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 3.1])
+    h = (q * lam) @ q.T
+    h = (h + h.T) / 2.0
+    _assert_dense_measure_matches_eigh(h)
+    assert dense_measure(h, 4).atom_count == 6
+
+
+def test_dense_measure_rejects_site_outside_matrix():
+    h = hamiltonian_2d_dense(free_operator(3), free_operator(2))
+    for site in (-1, 6):
+        with pytest.raises(ValueError, match="outside"):
+            dense_measure(h, site)
 
 
 def test_overlaps_are_plain_transposed_products():

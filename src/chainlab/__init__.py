@@ -58,6 +58,7 @@ _EXPORTS = {
         "DEFAULT_TAIL_TOL",
         "DENSE_SITE_CAP",
         "bessel_pad",
+        "light_cone_reach",
         "bessel_kernel",
         "evolve_1d_eigen",
         "evolve_free_1d",

@@ -13,12 +13,11 @@ psi(t) follow from the two 1D factors: a sample costs O(N^2 + M log M)
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import PropagatorPlan, bessel_pad, _support_range
+from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, _support_range, light_cone_reach
 from .operators import LatticeState2D, PotentialSpec, _freeze, sample_potential
 
 RENORM_BLOCK = 32
@@ -71,16 +70,15 @@ class SpreadingMoments:
     participation_ratio: float
 
 
-def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = 1e-10) -> int:
+def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest m-extent on which evolution up to t_max is faithful to the infinite lattice."""
-    reach = int(math.ceil(2.0 * abs(t_max))) + bessel_pad(t_max, tail_tol)
-    return support_width + 2 * reach
+    return support_width + 2 * light_cone_reach(t_max, tail_tol)
 
 
 def _check_wrap_free(plan: PropagatorPlan, psi0: LatticeState2D, t_max: float) -> None:
     amp = psi0.amplitudes
     lo, hi = _support_range(amp)
-    reach = int(math.ceil(2.0 * t_max)) + bessel_pad(t_max, plan.tail_tol)
+    reach = light_cone_reach(t_max, plan.tail_tol)
     width = hi - lo + 1
     M = amp.shape[1]
     need = width + 2 * reach

@@ -35,18 +35,32 @@ def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(1j * t * es.eigenvalues)
     if c.ndim > 1:
         phases = phases.reshape((-1,) + (1,) * (c.ndim - 1))
-    return es.eigenvectors @ (phases * c)
+    return es.combine(phases * c)
+
+
+def _airy_depth(tail_tol: float) -> float:
+    """x with exp(-(2/3) x^(3/2)) = tail_tol: Airy decay lengths past the turning point."""
+    return (1.5 * math.log(1.0 / tail_tol)) ** (2.0 / 3.0)
 
 
 def bessel_pad(t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < tail_tol.
 
-    Calibrated against the Airy falloff of J_m(2t) past the turning point;
-    the l1 tail below the returned pad is under 1e-10 for tail_tol = 1e-10.
+    Past the turning point J_m(2t) falls off like Ai(x) with x = (m - 2t) / t^(1/3),
+    so the pad is a number of Airy lengths t^(1/3).  The margin calibrated at
+    tail_tol = 1e-10 is scaled by the Airy depth of tail_tol against that of
+    1e-10; the two-sided l1 tail beyond the pad is under tail_tol.
     """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     z = max(2.0 * abs(t), 1.0)
-    scale = max(1.0, -math.log10(tail_tol) / 10.0)
+    scale = _airy_depth(tail_tol) / _airy_depth(DEFAULT_TAIL_TOL)
     return int(math.ceil(10.0 * scale * (z / 2.0) ** (1.0 / 3.0))) + 12
+
+
+def light_cone_reach(t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+    """Sites one site's amplitude can reach by time t: light cone 2|t| plus the kernel tail pad."""
+    return int(math.ceil(2.0 * abs(t))) + bessel_pad(t, tail_tol)
 
 
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])  # (-i)^r, exact
@@ -54,11 +68,15 @@ _PLUS_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i^k, exact
 
 
 def bessel_kernel(t: float, half_width: int) -> np.ndarray:
-    """K_r(t) = (-i)^r J_r(2t) for r in [-half_width, half_width]."""
+    """K_r(t) = (-i)^r J_r(2t) for r in [-half_width, half_width].
+
+    The kernel is even, K_{-r} = K_r, so J is evaluated only for r >= 0.
+    """
     from scipy.special import jv  # deferred: slow to import, and most runs never call this
 
-    r = np.arange(-half_width, half_width + 1)
-    return _MINUS_I_POW[np.mod(r, 4)] * jv(r, 2.0 * t)
+    r = np.arange(half_width + 1)
+    half = _MINUS_I_POW[r % 4] * jv(r, 2.0 * t)
+    return np.concatenate([half[:0:-1], half])
 
 
 def _support_range(arr: np.ndarray) -> tuple[int, int]:
@@ -91,7 +109,7 @@ def evolve_free_1d(
         mult = np.exp(-2j * t * np.cos(2.0 * np.pi * np.arange(M) / M))
         return np.fft.ifft(np.fft.fft(phi, axis=-1) * mult, axis=-1)
     if method == "bessel_kernel":
-        reach = int(math.ceil(2.0 * abs(t))) + bessel_pad(t, tail_tol)
+        reach = light_cone_reach(t, tail_tol)
         lo, hi = _support_range(phi)
         if lo - reach < 0 or hi + reach > M - 1:
             need = (hi - lo + 1) + 2 * reach

@@ -17,7 +17,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import Operator1D, _freeze
 
@@ -25,6 +24,7 @@ ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 PERIODIC_DENSE_CAP = 4096
+NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import
 _SYM_ROWS = 256  # rows per block when a matrix is not exactly symmetric
 
 
@@ -53,17 +53,39 @@ class EigenSystem:
 
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
         """Plain (unconjugated) eigenvector coefficients V^T vec along axis 0."""
-        return self.eigenvectors.T @ np.asarray(vec)
+        return _real_matmul(self.eigenvectors.T, vec)
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """V coeffs along axis 0: the vector with the given eigenvector coefficients."""
+        return _real_matmul(self.eigenvectors, coeffs)
+
+
+def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
+    """mat @ data for a real mat, along axis 0 of data.
+
+    Complex data goes through one real GEMM on its interleaved float64 view,
+    (n, 2K) for K complex columns, so mat is never cast to complex.
+    """
+    data = np.asarray(data)
+    if not np.iscomplexobj(data):
+        return mat @ data
+    cols = np.ascontiguousarray(data, dtype=complex)
+    out = mat @ cols.reshape(cols.shape[0], -1).view(np.float64)
+    return out.view(complex).reshape((mat.shape[0],) + cols.shape[1:])
 
 
 def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     """Full eigendecomposition of a 1D operator.
 
-    Dirichlet operators go through the banded solver; the periodic corner
-    makes the matrix non-tridiagonal, so those fall back to a dense solve
-    (capped, the dense fallback is O(N^3)).
+    Chains of at most NUMPY_EIGH_SITES sites take numpy's dense solver,
+    which at those sizes costs less than importing scipy.linalg.  Longer
+    dirichlet chains go through LAPACK's tridiagonal stemr; the periodic
+    corner makes the matrix non-tridiagonal, so long rings stay dense
+    (capped, the dense solve is O(N^3)).
     """
-    if op.boundary == "dirichlet":
+    if op.boundary == "dirichlet" and op.size > NUMPY_EIGH_SITES:
+        import scipy.linalg  # deferred: importing it costs more than a short chain's dense solve
+
         try:
             lam, vec = scipy.linalg.eigh_tridiagonal(op.diagonal, -np.ones(op.size - 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
@@ -80,12 +102,13 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
 def _check_symmetric(mat: np.ndarray) -> None:
     """Reject a non-square matrix, or one with |H - H^T| above 1e-12 max(1, max|H|).
 
-    An exactly symmetric matrix passes on one scan with no temporaries; any
-    other is compared block by block of rows, so no n^2 array is allocated.
+    An exactly symmetric matrix passes on one comparison, whose only
+    temporary is an n^2 boolean mask; any other is compared block by block
+    of rows, so no n^2 float array is allocated.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ValueError("matrix must be square and non-empty")
-    if scipy.linalg.issymmetric(mat):
+    if np.array_equal(mat, mat.T):
         return
     blocks = range(0, mat.shape[0], _SYM_ROWS)
     asym = np.max([np.abs(mat[i : i + _SYM_ROWS] - mat[:, i : i + _SYM_ROWS].T).max() for i in blocks])
@@ -109,6 +132,8 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
     e_site is the measure of T at e_0.  The caller's matrix is not touched;
     the n^2 working copy is freed on return, before T's eigenvectors exist.
     """
+    import scipy.linalg  # deferred: only the dense oracle needs LAPACK's dsytrd
+
     mat = np.array(matrix, dtype=float, order="F")
     _check_symmetric(mat)
     n = mat.shape[0]
@@ -132,6 +157,8 @@ def dense_measure(matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_T
     by the squared first components of its eigenvectors (Golub and Welsch,
     Math. Comp. 23, 1969).
     """
+    import scipy.linalg
+
     lam, vec = scipy.linalg.eigh_tridiagonal(*_tridiagonal_from(matrix, operator.index(site)))
     return SpectralMeasure.from_atoms(lam, vec[0] ** 2, merge_tol)
 

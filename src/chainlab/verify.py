@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import n_fiber_isometry_defect
-from .evolution import DENSE_SITE_CAP, evolve_1d_eigen, evolve_2d_factorized, make_plan
+from .diagnostics import minimal_wrap_free_m, n_fiber_isometry_defect
+from .evolution import DENSE_SITE_CAP, evolve_1d_eigen, evolve_2d_factorized, light_cone_reach, make_plan
 from .operators import (
     LatticeState2D,
     apply_h2d,
@@ -57,16 +57,38 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
+CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
+
+
 def _default_sizes(cfg: ExperimentConfig) -> tuple[int, int]:
     return cfg.N or 16, cfg.M or 16
 
 
 def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
-    """Run every invariant check on the configured model; order is fixed."""
+    """Run every invariant check on the configured model; order is fixed.
+
+    Under bessel_kernel the propagator checks evolve a state kept a light-cone
+    reach away from both ends of the m-window, so M must be at least
+    minimal_wrap_free_m(CHECK_TIMES[-1], 1); a smaller M raises ValueError.
+    """
     N, M = _default_sizes(cfg)
     _, a1 = cfg.chain_operator(N)
     a2 = build_operator_1d(size=M, boundary=cfg.boundary_m)
     tol = cfg.tolerances
+    plan = make_plan(a1, cfg.m_method, M, tail_tol=tol.tail_mass)
+    if cfg.m_method == "bessel_kernel":
+        t_last = CHECK_TIMES[-1]
+        reach = light_cone_reach(t_last, plan.tail_tol)
+        need = minimal_wrap_free_m(t_last, 1, plan.tail_tol)
+        if M < need:
+            raise ValueError(
+                f"verify under bessel_kernel needs M >= {need}: the evolved state keeps {reach} sites "
+                f"from both ends of the m-window up to t = {t_last:g} (have M = {M})"
+            )
+    # one dense eigendecomposition serves every propagator check, and the
+    # convolution check too when the plan's m-operator is the configured A2
+    has_dense = N * M <= DENSE_SITE_CAP and cfg.m_method != "bessel_kernel"
+    es_direct = dense_eigensystem(hamiltonian_2d_dense(a1, plan.a2_operator())) if has_dense else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(99,)))
     results: list[CheckResult] = []
 
@@ -107,7 +129,10 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         mu1 = spectral_measure_1d(es1, delta_n, merge_tol=tol.atom_merge)
         mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
         conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
-        direct = dense_measure(hamiltonian_2d_dense(a1, a2), (N // 2) * M + M // 2, merge_tol=tol.atom_merge)
+        if es_direct is not None and plan.a2_operator().boundary == a2.boundary:
+            direct = spectral_measure_1d(es_direct, np.outer(delta_n, delta_m).ravel(), merge_tol=tol.atom_merge)
+        else:
+            direct = dense_measure(hamiltonian_2d_dense(a1, a2), (N // 2) * M + M // 2, merge_tol=tol.atom_merge)
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )
@@ -130,16 +155,17 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("mass_multiplicativity_random", worst, tol.mass_conservation))
 
     # factorized against direct propagator, unitarity, energy conservation
-    plan = make_plan(a1, cfg.m_method, M)
-    psi0 = psi.with_amplitudes(psi.amplitudes / np.linalg.norm(psi.amplitudes))
+    amp0 = psi.amplitudes
+    if cfg.m_method == "bessel_kernel":  # the infinite-lattice kernel must not reach the window ends
+        amp0 = amp0.copy()
+        amp0[:, :reach] = 0.0
+        amp0[:, M - reach :] = 0.0
+    psi0 = psi.with_amplitudes(amp0 / np.linalg.norm(amp0))
     e0 = energy_expectation(psi0, a1, plan.a2_operator())
-    direct = N * M <= DENSE_SITE_CAP and cfg.m_method != "bessel_kernel"
-    if direct:  # one dense eigendecomposition serves every time
-        es_direct = dense_eigensystem(hamiltonian_2d_dense(a1, plan.a2_operator()))
     worst_fact = worst_unit = worst_energy = worst_swap = worst_chain = worst_iso = 0.0
-    for t in (0.5, 2.0, 5.0):
+    for t in CHECK_TIMES:
         psi_f = evolve_2d_factorized(psi0, plan, t)
-        if direct:
+        if es_direct is not None:
             psi_d = evolve_1d_eigen(es_direct, psi0.amplitudes.ravel(), t).reshape(N, M)
             worst_fact = max(worst_fact, float(np.linalg.norm(psi_f.amplitudes - psi_d)))
         worst_unit = max(worst_unit, abs(np.linalg.norm(psi_f.amplitudes) - 1.0))
@@ -152,7 +178,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         chain = (sup_norm(psi_f) - mixed_l2n_supm(psi_f), mixed_l2n_supm(psi_f) - mixed_supm_l2n(psi_f))
         worst_chain = max(worst_chain, *(max(0.0, v) for v in chain))
         worst_iso = max(worst_iso, n_fiber_isometry_defect(plan, psi0, t))
-    if direct:
+    if es_direct is not None:
         results.append(CheckResult("factorization_vs_direct", worst_fact, tol.factorization))
     results.append(CheckResult("unitarity", worst_unit, tol.conservation))
     results.append(CheckResult("energy_conservation", worst_energy, tol.conservation))

@@ -12,6 +12,7 @@ from chainlab.evolution import (
     evolve_2d_direct,
     evolve_2d_factorized,
     evolve_free_1d,
+    light_cone_reach,
     make_plan,
 )
 from chainlab.operators import (
@@ -54,13 +55,23 @@ def test_return_amplitude_is_bessel_j0():
 
 
 def test_pad_bounds_kernel_tail():
-    for t, tol in ((5.0, 1e-10), (50.0, 1e-10), (200.0, 1e-12)):
-        pad = bessel_pad(t, tol)
-        reach = int(np.ceil(2 * t)) + pad
-        # l1 mass of the kernel beyond the padded light cone
-        r = np.arange(reach, reach + 400)
-        tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
-        assert tail < tol
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        for t in (*np.geomspace(0.1, 1e4, 25), 5.0, 50.0, 200.0):
+            reach = light_cone_reach(t, tol)
+            assert reach == int(np.ceil(2 * t)) + bessel_pad(t, tol)
+            # two-sided l1 mass of the kernel beyond the padded light cone, over 40 Airy lengths and more
+            r = np.arange(reach, reach + 400 + int(40 * max(t, 1.0) ** (1 / 3)))
+            tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
+            assert tail < tol, (t, tol, tail)
+
+
+def test_pad_narrows_for_looser_tails_and_keeps_the_default():
+    pads = [bessel_pad(100.0, tol) for tol in (1e-4, 1e-6, 1e-10, 1e-14)]
+    assert pads[0] < pads[1] < pads[2] < pads[3]
+    # the default margin is the calibrated one: ceil(10 (z/2)^(1/3)) + 12
+    assert pads[2] == bessel_pad(100.0) == int(np.ceil(10.0 * 100.0 ** (1 / 3))) + 12
+    with pytest.raises(ValueError, match="tail_tol"):
+        bessel_pad(100.0, 1.0)
 
 
 def test_ballistic_second_moment_identity():

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from chainlab.evolution import evolve_1d_eigen
 from chainlab.operators import (
     BOUNDARIES,
     Operator1D,
@@ -137,11 +141,53 @@ def test_dense_measure_rejects_site_outside_matrix():
             dense_measure(h, site)
 
 
+def _unit_columns(rng, shape, complex_=True):
+    v = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+    return v / np.linalg.norm(v, axis=0)
+
+
 def test_overlaps_are_plain_transposed_products():
+    # complex data goes through a real GEMM on its float64 view; it must match
+    # the plain products for vectors, columns, an F-ordered block (m_sweep
+    # passes a.T) and real data
     rng = np.random.default_rng(0)
-    es = eigh_tridiagonal(free_operator(9))
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    np.testing.assert_allclose(es.overlaps(v), es.eigenvectors.T @ v, atol=1e-15)
+    es = eigh_tridiagonal(build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.3), (0, 64))))
+    inputs = [
+        _unit_columns(rng, 64),
+        _unit_columns(rng, (64, 5)),
+        _unit_columns(rng, (6, 64)).T,
+        _unit_columns(rng, 64, complex_=False),
+        _unit_columns(rng, (64, 3), complex_=False),
+    ]
+    for v in inputs:
+        for got, want in ((es.overlaps(v), es.eigenvectors.T @ v), (es.combine(v), es.eigenvectors @ v)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_eigenbasis_evolution_never_casts_the_basis_to_complex():
+    es = eigh_tridiagonal(free_operator(1024))
+    chi = np.zeros(1024, dtype=complex)
+    chi[512] = 1.0
+    evolve_1d_eigen(es, chi, 1.0)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        evolve_1d_eigen(es, chi, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a complex copy of the 1024^2 basis alone is 16 MiB
+
+
+@pytest.mark.parametrize("size", [512, 513])
+def test_eigh_tridiagonal_on_both_sides_of_the_numpy_size_rule(size):
+    pot = sample_potential(almost_mathieu(3.0, theta=0.7), (0, size))
+    op = build_operator_1d(pot)
+    es = eigh_tridiagonal(op)
+    ref = scipy.linalg.eigh_tridiagonal(op.diagonal, -np.ones(size - 1), eigvals_only=True)
+    np.testing.assert_allclose(es.eigenvalues, ref, rtol=0, atol=1e-13)
+    assert eigen_residual(es, op) <= 1e-12
+    assert gram_defect(es) <= 1e-12
 
 
 # -- 1D spectral measures -------------------------------------------------------

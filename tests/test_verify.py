@@ -1,0 +1,54 @@
+"""The verify suite: one dense solve, and the bessel_kernel m-window rule."""
+import json
+
+import pytest
+
+from chainlab import cli, verify
+from chainlab.config import ExperimentConfig
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m_method, eigensystems, measures",
+    [("dft_multiplier", 1, 0), ("eigen", 1, 1)],  # eigen's dirichlet A2 is not the periodic A2 of the check
+)
+def test_verify_solves_each_dense_h_once(monkeypatch, m_method, eigensystems, measures):
+    solves = _count_calls(monkeypatch, "dense_eigensystem")
+    reductions = _count_calls(monkeypatch, "dense_measure")
+    results = verify.run_verification(ExperimentConfig(m_method=m_method))
+    assert all(r.passed for r in results)
+    assert "convolution_identity" in [r.name for r in results]
+    assert (len(solves), len(reductions)) == (eigensystems, measures)
+
+
+def _bessel_config(tmp_path):
+    path = tmp_path / "bessel.cfg"
+    path.write_text("[lattice]\nm_method = bessel_kernel\n")
+    return str(path)
+
+
+def test_cli_verify_under_bessel_kernel_passes(tmp_path):
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", _bessel_config(tmp_path), "--N", "8", "--M", "96", "--out", str(out)]) == 0
+    with open(out / "verify.json") as fh:
+        report = json.load(fh)
+    assert report["all_passed"] is True
+    assert "unitarity" in [c["name"] for c in report["checks"]]
+
+
+def test_cli_verify_under_bessel_kernel_names_the_minimal_window(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", _bessel_config(tmp_path), "--N", "8", "--M", "16", "--out", str(out)]) == 1
+    assert "M >= 81" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()

@@ -78,7 +78,6 @@ _EXPORTS = {
         "fit_decay_exponent",
         "n_fiber_isometry_defect",
         "lyapunov_scan",
-        "lyapunov_exponent",
         "truncation_energies",
         "spreading_moments",
     ),

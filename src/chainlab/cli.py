@@ -154,9 +154,9 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _origin_index(n0: int, size: int) -> int:
-    # the physical origin when the window holds it, the middle site otherwise
-    return -n0 if 0 <= -n0 < size else size // 2
+def _origin_index(n0: int | None, size: int) -> int:
+    # the physical origin when the window holds it, the middle site otherwise (a centered window)
+    return -n0 if n0 is not None and 0 <= -n0 < size else size // 2
 
 
 def _out(cfg, name: str) -> str:
@@ -200,28 +200,21 @@ def _cmd_convolve(cfg, args) -> int:
 
     from . import datafiles
     from .evolution import DENSE_SITE_CAP
-    from .operators import build_operator_1d, hamiltonian_2d_dense
-    from .spectral import (
-        atom_weight_discrepancy,
-        convolve_measures,
-        dense_measure,
-        eigh_tridiagonal,
-        spectral_measure_1d,
-    )
+    from .operators import hamiltonian_2d_dense
+    from .spectral import atom_weight_discrepancy, convolve_measures, dense_measure, spectral_measure_1d
     from .verify import CheckFailure
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
-    pot, a1 = cfg.chain_operator(N)
-    a2 = build_operator_1d(size=M, boundary=cfg.boundary_m)
-    es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
-    origin = _origin_index(pot.n0, N)
+    plan = cfg.plan(N, M)
+    a1, a2 = plan.a1_operator(), plan.a2_operator()
+    origin = _origin_index(cfg.n0, N)
     chi = np.zeros(N, dtype=complex)
     chi[origin] = 1.0
     phi = np.zeros(M, dtype=complex)
     phi[M // 2] = 1.0
     merge = cfg.tolerances.atom_merge
-    mu1 = spectral_measure_1d(es1, chi, merge_tol=merge)
-    mu2 = spectral_measure_1d(es2, phi, merge_tol=merge)
+    mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge)
+    mu2 = spectral_measure_1d(plan.m_eigensystem(), phi, merge_tol=merge)
     conv = convolve_measures(mu1, mu2, merge_tol=merge)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
@@ -280,14 +273,13 @@ def _cmd_evolve(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects
-    from .evolution import evolve_2d_factorized, make_plan
+    from .evolution import evolve_2d_factorized
     from .operators import delta_state, energy_expectation, l2_norm
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-    _, a1 = cfg.chain_operator(N)
-    plan = make_plan(a1, cfg.m_method, M)
-    a2 = plan.a2_operator()
+    plan = cfg.plan(N, M)
+    a1, a2 = plan.a1_operator(), plan.a2_operator()
     times = _evolve_times(cfg, args)
 
     states = [evolve_2d_factorized(psi0, plan, t) for t in times]
@@ -324,7 +316,6 @@ def _cmd_decay_fit(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
-    from .evolution import make_plan
     from .operators import LatticeState2D, delta_state
 
     fit_lo, fit_hi = cfg.fit_window
@@ -350,15 +341,15 @@ def _cmd_decay_fit(cfg, args) -> int:
         amp = np.zeros((1, M), dtype=complex)
         amp[0, M // 2] = 1.0
         psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
-        plan = make_plan(None, cfg.m_method, M, tail_tol=cfg.tolerances.tail_mass)
+        plan = cfg.plan(None, M)
     else:
         N = cfg.N or DECAY_N_DEFAULT
         psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-        _, a1 = cfg.chain_operator(N)
-        plan = make_plan(a1, cfg.m_method, M, tail_tol=cfg.tolerances.tail_mass)
+        plan = cfg.plan(N, M)
 
     trace = record_decay(plan, psi0, times)
-    fit = fit_decay_exponent(trace, fit_lo, min(fit_hi, t_max))
+    # --tmax ends the fit window; otherwise the config's window, cut at the last sample
+    fit = fit_decay_exponent(trace, fit_lo, t_max if args.tmax is not None else min(fit_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
     tol = cfg.tolerances.conservation
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))

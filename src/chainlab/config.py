@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import BOUNDARIES, GOLDEN_MEAN, Operator1D, Potential1D, PotentialSpec
 from .operators import build_operator_1d, sample_potential
-from .evolution import M_METHODS
+from .evolution import M_METHODS, PropagatorPlan, make_plan
 
 
 class ConfigError(ValueError):
@@ -34,6 +35,14 @@ class Tolerances:
     isometry: float = 1e-10
     tail_mass: float = 1e-10
 
+    def __post_init__(self):
+        # a check against a zero, negative or non-finite tolerance fails on every run
+        for name, value in dataclasses.asdict(self).items():
+            floor_ok = value >= 0 if name == "atom_merge" else value > 0
+            if not (math.isfinite(value) and floor_ok and (name != "tail_mass" or value < 1)):
+                rule = {"atom_merge": ">= 0", "tail_mass": "in (0, 1)"}.get(name, "> 0")
+                raise ConfigError(f"[tolerances] {name} must be finite and {rule}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,7 +50,6 @@ class ExperimentConfig:
     N: int | None = None  # commands pick their own default when omitted
     M: int | None = None
     boundary_n: str = "dirichlet"
-    boundary_m: str = "periodic"
     n0: int | None = None  # None = centered window
     m0: int | None = None
     m_method: str = "dft_multiplier"
@@ -60,8 +68,8 @@ class ExperimentConfig:
             object.__setattr__(self, "seed", self.potential.seed)
         elif self.seed:
             object.__setattr__(self, "potential", dataclasses.replace(self.potential, seed=self.seed))
-        if self.boundary_n not in BOUNDARIES or self.boundary_m not in BOUNDARIES:
-            raise ConfigError(f"boundaries must be one of {BOUNDARIES}")
+        if self.boundary_n not in BOUNDARIES:
+            raise ConfigError(f"boundary_n must be one of {BOUNDARIES}")
         if self.m_method not in M_METHODS:
             raise ConfigError(f"m_method must be one of {M_METHODS}")
         if self.N is not None and self.N < 2:
@@ -86,10 +94,16 @@ class ExperimentConfig:
         pot = sample_potential(self.potential, (n0, n0 + N))
         return pot, build_operator_1d(pot, boundary=self.boundary_n)
 
+    def plan(self, N: int | None, M: int) -> PropagatorPlan:
+        """The model's propagator on N x M sites (N = None: the free chain); m_method alone
+        fixes A2, a periodic ring under dft_multiplier and a dirichlet window otherwise."""
+        a1 = self.chain_operator(N)[1] if N is not None else None
+        return make_plan(a1, self.m_method, M, tail_tol=self.tolerances.tail_mass)
+
 
 _SECTION_KEYS = {
     "potential": {"family", "amplitude", "omega", "theta", "seed", "values", "profile"},
-    "lattice": {"n", "m", "boundary_n", "boundary_m", "n0", "m0", "m_method"},
+    "lattice": {"n", "m", "boundary_n", "n0", "m0", "m_method"},
     "time": {"times", "t_lo", "t_hi", "samples", "spacing", "fit_lo", "fit_hi", "snapshot_every"},
     "output": {"directory", "binary_snapshots"},
     "tolerances": {f.name for f in dataclasses.fields(Tolerances)},
@@ -175,7 +189,6 @@ def parse_config(text: str) -> ExperimentConfig:
         N=_get(parser, "lattice", "n", int, None),
         M=_get(parser, "lattice", "m", int, None),
         boundary_n=_get(parser, "lattice", "boundary_n", str, "dirichlet"),
-        boundary_m=_get(parser, "lattice", "boundary_m", str, "periodic"),
         n0=_get(parser, "lattice", "n0", int, None),
         m0=_get(parser, "lattice", "m0", int, None),
         m_method=_get(parser, "lattice", "m_method", str, "dft_multiplier"),
@@ -227,7 +240,6 @@ def write_config(cfg: ExperimentConfig, path=None) -> str:
     if cfg.M is not None:
         lines.append(f"m = {cfg.M}")
     lines.append(f"boundary_n = {cfg.boundary_n}")
-    lines.append(f"boundary_m = {cfg.boundary_m}")
     if cfg.n0 is not None:
         lines.append(f"n0 = {cfg.n0}")
     if cfg.m0 is not None:

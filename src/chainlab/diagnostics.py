@@ -245,10 +245,6 @@ def lyapunov_scan(
     return _growth_numpy(V, energies, block)
 
 
-def lyapunov_exponent(spec: PotentialSpec, E: float, L: int = 10**6, block: int = RENORM_BLOCK) -> float:
-    return float(lyapunov_scan(spec, [E], L=L, block=block)[0])
-
-
 def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np.ndarray:
     """Mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling."""
     from .operators import build_operator_1d

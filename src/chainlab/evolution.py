@@ -166,6 +166,10 @@ class PropagatorPlan:
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
         return build_operator_1d(size=self.m_size, boundary=boundary)
 
+    def m_eigensystem(self) -> EigenSystem:
+        """Eigensystem of a2_operator(): the plan's own es2 under eigen, solved here otherwise."""
+        return self.es2 if self.es2 is not None else eigh_tridiagonal(self.a2_operator())
+
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{iA1 t} along axis 0; the identity in free-chain mode."""
         return evolve_1d_eigen(self.es1, a, t) if self.es1 is not None else a

@@ -12,11 +12,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import minimal_wrap_free_m, n_fiber_isometry_defect
-from .evolution import DENSE_SITE_CAP, evolve_1d_eigen, evolve_2d_factorized, light_cone_reach, make_plan
+from .evolution import DENSE_SITE_CAP, evolve_1d_eigen, evolve_2d_factorized, light_cone_reach
 from .operators import (
     LatticeState2D,
     apply_h2d,
-    build_operator_1d,
     energy_expectation,
     hamiltonian_2d_dense,
     mixed_l2n_supm,
@@ -29,9 +28,7 @@ from .spectral import (
     atom_weight_discrepancy,
     convolve_measures,
     dense_eigensystem,
-    dense_measure,
     eigen_residual,
-    eigh_tridiagonal,
     gram_defect,
     spectral_measure_1d,
     spectral_measure_2d,
@@ -60,22 +57,18 @@ class CheckResult:
 CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
 
 
-def _default_sizes(cfg: ExperimentConfig) -> tuple[int, int]:
-    return cfg.N or 16, cfg.M or 16
-
-
 def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every invariant check on the configured model; order is fixed.
 
-    Under bessel_kernel the propagator checks evolve a state kept a light-cone
-    reach away from both ends of the m-window, so M must be at least
+    The model is cfg.plan(N, M).  Under bessel_kernel the propagator checks
+    evolve a state kept a light-cone reach away from both ends of the m-window,
+    where the kernel matches the dirichlet window, so M must be at least
     minimal_wrap_free_m(CHECK_TIMES[-1], 1); a smaller M raises ValueError.
     """
-    N, M = _default_sizes(cfg)
-    _, a1 = cfg.chain_operator(N)
-    a2 = build_operator_1d(size=M, boundary=cfg.boundary_m)
+    N, M = cfg.N or 16, cfg.M or 16
     tol = cfg.tolerances
-    plan = make_plan(a1, cfg.m_method, M, tail_tol=tol.tail_mass)
+    plan = cfg.plan(N, M)
+    a1, a2 = plan.a1_operator(), plan.a2_operator()
     if cfg.m_method == "bessel_kernel":
         t_last = CHECK_TIMES[-1]
         reach = light_cone_reach(t_last, plan.tail_tol)
@@ -85,10 +78,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
                 f"verify under bessel_kernel needs M >= {need}: the evolved state keeps {reach} sites "
                 f"from both ends of the m-window up to t = {t_last:g} (have M = {M})"
             )
-    # one dense eigendecomposition serves every propagator check, and the
-    # convolution check too when the plan's m-operator is the configured A2
-    has_dense = N * M <= DENSE_SITE_CAP and cfg.m_method != "bessel_kernel"
-    es_direct = dense_eigensystem(hamiltonian_2d_dense(a1, plan.a2_operator())) if has_dense else None
+    # one dense eigendecomposition of H = A1 x I + I x A2 serves the convolution and propagator checks
+    es_direct = dense_eigensystem(hamiltonian_2d_dense(a1, a2)) if N * M <= DENSE_SITE_CAP else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(99,)))
     results: list[CheckResult] = []
 
@@ -110,7 +101,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("h2d_hermitian", abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)), 1e-12))
 
     # eigensystem residuals and orthonormality on both factors
-    es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
+    es1, es2 = plan.es1, plan.m_eigensystem()
     results.append(CheckResult("eigen_residual_n", eigen_residual(es1, a1) / a1.norm_bound, 1e-10))
     results.append(CheckResult("eigen_residual_m", eigen_residual(es2, a2) / a2.norm_bound, 1e-10))
     results.append(CheckResult("eigen_gram_n", gram_defect(es1), 1e-10))
@@ -125,14 +116,11 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("measure_mass_delta", abs(measure2d.total_mass() - 1.0), tol.mass_conservation))
 
     # convolution route against the dense 2D route
-    if N * M <= DENSE_SITE_CAP:
+    if es_direct is not None:
         mu1 = spectral_measure_1d(es1, delta_n, merge_tol=tol.atom_merge)
         mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
         conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
-        if es_direct is not None and plan.a2_operator().boundary == a2.boundary:
-            direct = spectral_measure_1d(es_direct, np.outer(delta_n, delta_m).ravel(), merge_tol=tol.atom_merge)
-        else:
-            direct = dense_measure(hamiltonian_2d_dense(a1, a2), (N // 2) * M + M // 2, merge_tol=tol.atom_merge)
+        direct = spectral_measure_1d(es_direct, np.outer(delta_n, delta_m).ravel(), merge_tol=tol.atom_merge)
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )
@@ -161,7 +149,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         amp0[:, :reach] = 0.0
         amp0[:, M - reach :] = 0.0
     psi0 = psi.with_amplitudes(amp0 / np.linalg.norm(amp0))
-    e0 = energy_expectation(psi0, a1, plan.a2_operator())
+    e0 = energy_expectation(psi0, a1, a2)
     worst_fact = worst_unit = worst_energy = worst_swap = worst_chain = worst_iso = 0.0
     for t in CHECK_TIMES:
         psi_f = evolve_2d_factorized(psi0, plan, t)
@@ -171,7 +159,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         worst_unit = max(worst_unit, abs(np.linalg.norm(psi_f.amplitudes) - 1.0))
         worst_energy = max(
             worst_energy,
-            abs(energy_expectation(psi_f, a1, plan.a2_operator()) - e0) / max(1.0, abs(e0)),
+            abs(energy_expectation(psi_f, a1, a2) - e0) / max(1.0, abs(e0)),
         )
         psi_swapped = evolve_2d_factorized(psi0, plan, t, order="mn")
         worst_swap = max(worst_swap, float(np.abs(psi_f.amplitudes - psi_swapped.amplitudes).max()))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from chainlab.config import (
     parse_config,
     write_config,
 )
-from chainlab.operators import PotentialSpec, delta_state, sample_potential
-from chainlab.spectral import SpectralMeasure
+from chainlab.operators import PotentialSpec, delta_state, free_operator, sample_potential
+from chainlab.spectral import SpectralMeasure, eigh_tridiagonal, spectral_measure_1d
 
 
 # -- config parsing -------------------------------------------------------------
@@ -28,7 +29,6 @@ def test_round_trip_rich_config():
         N=48,
         M=96,
         boundary_n="dirichlet",
-        boundary_m="periodic",
         n0=-10,
         m0=-48,
         m_method="dft_multiplier",
@@ -63,8 +63,43 @@ def test_unknown_section_is_named():
 
 
 def test_unknown_key_is_named():
-    with pytest.raises(ConfigError, match="walrus"):
-        parse_config("[lattice]\nwalrus = 1\n")
+    # boundary_m is gone: m_method alone fixes the m-operator
+    for key in ("walrus", "boundary_m"):
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[lattice\]"):
+            parse_config(f"[lattice]\n{key} = periodic\n")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert (cfg.potential.family, cfg.N, cfg.M, cfg.m_method) == ("almost_mathieu", 64, 256, "dft_multiplier")
+    assert cfg.tolerances.tail_mass == 1e-10
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("tail_mass", "2"), ("tail_mass", "0"), ("tail_mass", "nan"), ("conservation", "-1")],
+)
+def test_out_of_range_tolerance_is_named_before_any_artifact(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=rf"\[tolerances\] {key}"):
+        parse_config(f"[tolerances]\n{key} = {value}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[tolerances]\n{key} = {value}\n")
+    out = tmp_path / "d"
+    assert cli.main(["decay-fit", "--config", str(cfg), "--tmax", "40", "--out", str(out)]) == 1
+    assert f"[tolerances] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tolerance_ranges_keep_their_edges():
+    assert Tolerances(atom_merge=0.0).atom_merge == 0.0
+    with pytest.raises(ConfigError, match=r"\[tolerances\] atom_merge"):
+        Tolerances(atom_merge=-1e-9)
+    with pytest.raises(ConfigError, match=r"\[tolerances\] measure_match"):
+        Tolerances(measure_match=0.0)
+    with pytest.raises(ConfigError, match=r"\[tolerances\] factorization"):
+        Tolerances(factorization=float("inf"))
 
 
 def test_bad_value_names_section_and_key():
@@ -96,11 +131,27 @@ def test_config_invariants():
     with pytest.raises(ConfigError):
         ExperimentConfig(N=1)
     with pytest.raises(ConfigError):
-        ExperimentConfig(boundary_m="moebius")
+        ExperimentConfig(boundary_n="moebius")
     with pytest.raises(ConfigError):
         ExperimentConfig(snapshot_every=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(fit_window=(30.0, 20.0))
+
+
+@pytest.mark.parametrize(
+    "m_method, boundary", [("dft_multiplier", "periodic"), ("bessel_kernel", "dirichlet"), ("eigen", "dirichlet")]
+)
+def test_config_plan_takes_a2_from_m_method(m_method, boundary):
+    cfg = ExperimentConfig(
+        potential=PotentialSpec("almost_mathieu", amplitude=3.0),
+        m_method=m_method,
+        tolerances=Tolerances(tail_mass=1e-6),
+    )
+    plan = cfg.plan(8, 12)
+    assert plan.a2_operator().boundary == plan.m_eigensystem().source.boundary == boundary
+    np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8)[1].diagonal)
+    assert plan.tail_tol == 1e-6
+    assert cfg.plan(None, 12).es1 is None
 
 
 def test_seed_coherence():
@@ -185,16 +236,43 @@ def test_cli_verify_passes_on_free_lattice(tmp_path):
     assert len(report["checks"]) >= 14
 
 
-def test_cli_spectrum_artifacts_and_determinism(tmp_path):
-    args = ["spectrum", "--family", "almost_mathieu", "--amplitude", "3", "--N", "24"]
+def _assert_deterministic(args, tmp_path, capsys):
+    """Two runs of one command write the same files, byte for byte, and print the same lines."""
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--out", str(out1)]) == 0
+    stdout1 = capsys.readouterr().out
     assert cli.main(args + ["--out", str(out2)]) == 0
-    for name in ("potential.csv", "eigenvalues.csv", "measure_delta.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert capsys.readouterr().out == stdout1
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return out1
+
+
+def test_cli_spectrum_artifacts_and_determinism(tmp_path, capsys):
+    args = ["spectrum", "--family", "almost_mathieu", "--amplitude", "3", "--N", "24"]
+    out1 = _assert_deterministic(args, tmp_path, capsys)
+    assert sorted(p.name for p in out1.iterdir()) == [
+        "eigenvalues.csv", "measure_delta.csv", "potential.csv", "summary.json"
+    ]
     summary = _read_json(out1 / "summary.json")
     assert summary["N"] == 24
     assert abs(summary["total_mass"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["convolve", "--family", "random_iid", "--amplitude", "2", "--seed", "11", "--N", "12", "--M", "12"],
+        ["verify", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "8"],
+        ["evolve", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "16", "--tmax", "2"],
+        ["decay-fit", "--family", "almost_mathieu", "--amplitude", "3", "--N", "16", "--tmax", "40"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_artifacts_are_deterministic(tmp_path, capsys, args):
+    _assert_deterministic(args, tmp_path, capsys)
 
 
 def test_cli_convolve_checks_against_direct_route(tmp_path):
@@ -240,6 +318,35 @@ def test_cli_evolve_binary_snapshots(tmp_path):
     assert abs(np.linalg.norm(states[-1].amplitudes) - 1.0) < 1e-12
 
 
+def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
+    # a looser kernel tail narrows the bessel margin: 76 sites hold t = 5 at tail_mass = 1e-6,
+    # while the default 1e-10 needs more
+    cfg = tmp_path / "bessel.cfg"
+    cfg.write_text("[lattice]\nm_method = bessel_kernel\n[tolerances]\ntail_mass = 1e-6\n")
+    out = tmp_path / "e"
+    argv = ["evolve", "--config", str(cfg), "--N", "8", "--M", "76", "--tmax", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert _read_json(out / "conservation.json")["passed"] is True
+    cfg.write_text("[lattice]\nm_method = bessel_kernel\n")
+    assert cli.main(argv) == 1
+
+
+def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path):
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("[lattice]\nm_method = eigen\n")
+    out = tmp_path / "c"
+    assert cli.main(["convolve", "--config", str(cfg), "--N", "8", "--M", "12", "--out", str(out)]) == 0
+    phi = np.zeros(12, dtype=complex)
+    phi[6] = 1.0
+    want = spectral_measure_1d(eigh_tridiagonal(free_operator(12, "dirichlet")), phi)
+    got = datafiles.read_measure_csv(out / "measure_m.csv")
+    np.testing.assert_allclose(got.energies, want.energies, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-15)
+    report = _read_json(out / "report.json")
+    assert report["compared_to_direct"] is True
+    assert report["max_atom_weight_discrepancy"] <= report["tolerance"]
+
+
 def test_cli_decay_fit_free_chain(tmp_path):
     out = tmp_path / "d"
     rc = cli.main(["decay-fit", "--tmax", "40", "--out", str(out)])
@@ -252,6 +359,14 @@ def test_cli_decay_fit_free_chain(tmp_path):
     assert fit["m_size"] == 256  # wrap-free M for t = 40, rounded up to a power of two
     assert fit["tolerance"] == 1e-9
     assert 0.0 <= fit["l2_drift"] <= 1e-9 and 0.0 <= fit["energy_drift"] <= 1e-9
+
+
+def test_cli_decay_fit_tmax_ends_the_fit_window(tmp_path):
+    out = tmp_path / "d"
+    assert cli.main(["decay-fit", "--tmax", "1000", "--out", str(out)]) == 0
+    fit = _read_json(out / "fit.json")
+    assert (fit["window"], fit["n_samples"]) == ([20.0, 1000.0], 25)
+    assert -0.40 <= fit["exponent"] <= -0.28  # the free-chain band of criterion 4
 
 
 def test_cli_decay_fit_fails_on_impossible_conservation_tolerance(tmp_path):

@@ -7,7 +7,6 @@ from chainlab.diagnostics import (
     DecayTrace,
     conservation_defects,
     fit_decay_exponent,
-    lyapunov_exponent,
     lyapunov_scan,
     minimal_wrap_free_m,
     n_fiber_isometry_defect,
@@ -226,12 +225,12 @@ def test_n_fiber_isometry_defect_small():
 def test_free_transfer_growth_rate_closed_form():
     # outside the band the free cocycle grows like the larger root of
     # x^2 - E x + 1
-    gamma = lyapunov_exponent(constant_potential(0.0), 3.0, L=100_000)
+    gamma = lyapunov_scan(constant_potential(0.0), [3.0], L=100_000)[0]
     assert abs(gamma - FREE_GAMMA_AT_3) < 1e-3
 
 
 def test_inside_band_growth_rate_vanishes():
-    gamma = lyapunov_exponent(constant_potential(0.0), 0.7, L=100_000)
+    gamma = lyapunov_scan(constant_potential(0.0), [0.7], L=100_000)[0]
     assert abs(gamma) < 1e-3
 
 

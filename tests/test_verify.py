@@ -20,16 +20,17 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "m_method, eigensystems, measures",
-    [("dft_multiplier", 1, 0), ("eigen", 1, 1)],  # eigen's dirichlet A2 is not the periodic A2 of the check
+    "m_method, N, M",
+    [("dft_multiplier", 16, 16), ("eigen", 16, 16), ("bessel_kernel", 8, 96)],
 )
-def test_verify_solves_each_dense_h_once(monkeypatch, m_method, eigensystems, measures):
+def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
+    # the dense H is built from the plan's A2, so one solve serves both dense checks
     solves = _count_calls(monkeypatch, "dense_eigensystem")
-    reductions = _count_calls(monkeypatch, "dense_measure")
-    results = verify.run_verification(ExperimentConfig(m_method=m_method))
+    results = verify.run_verification(ExperimentConfig(N=N, M=M, m_method=m_method))
     assert all(r.passed for r in results)
-    assert "convolution_identity" in [r.name for r in results]
-    assert (len(solves), len(reductions)) == (eigensystems, measures)
+    names = [r.name for r in results]
+    assert "convolution_identity" in names and "factorization_vs_direct" in names
+    assert len(solves) == 1
 
 
 def _bessel_config(tmp_path):

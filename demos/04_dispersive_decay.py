@@ -9,12 +9,12 @@ m-propagator.
 import numpy as np
 
 from chainlab import (
-    LatticeState2D,
     almost_mathieu,
     build_operator_1d,
     conservation_defects,
     delta_state,
     fit_decay_exponent,
+    free_operator,
     make_plan,
     minimal_wrap_free_m,
     record_decay,
@@ -35,10 +35,8 @@ M = wrap_free_grid(T_MAX)
 print(f"m-grid: M = {M} (wrap-free out to t = {T_MAX} at light-cone speed 2)")
 
 print("\n== free chain (single fiber) ==")
-amp = np.zeros((1, M), dtype=complex)
-amp[0, M // 2] = 1.0
-psi0 = LatticeState2D(amp, n0=0, m0=-M // 2)
-plan = make_plan(None, "dft_multiplier", M)
+psi0 = delta_state(1, M)
+plan = make_plan(free_operator(1), "dft_multiplier", M)
 trace = record_decay(plan, psi0, TIMES)
 fit = fit_decay_exponent(trace, *FIT)
 print(f"  fitted sup-norm exponent: {fit.exponent:+.4f}  (one-third law: -0.3333)")

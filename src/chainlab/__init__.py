@@ -59,6 +59,7 @@ _EXPORTS = {
         "DENSE_SITE_CAP",
         "bessel_pad",
         "light_cone_reach",
+        "check_wrap_free",
         "bessel_kernel",
         "evolve_1d_eigen",
         "evolve_free_1d",

@@ -207,14 +207,14 @@ def _cmd_convolve(cfg, args) -> int:
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
-    origin = _origin_index(cfg.n0, N)
+    origin, m_index = _origin_index(cfg.n0, N), _origin_index(cfg.m0, M)
     chi = np.zeros(N, dtype=complex)
     chi[origin] = 1.0
     phi = np.zeros(M, dtype=complex)
-    phi[M // 2] = 1.0
+    phi[m_index] = 1.0
     merge = cfg.tolerances.atom_merge
     mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge)
-    mu2 = spectral_measure_1d(plan.m_eigensystem(), phi, merge_tol=merge)
+    mu2 = spectral_measure_1d(plan.m_eigensystem, phi, merge_tol=merge)
     conv = convolve_measures(mu1, mu2, merge_tol=merge)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
@@ -228,7 +228,7 @@ def _cmd_convolve(cfg, args) -> int:
     }
     discrepancy = None
     if N * M <= DENSE_SITE_CAP:
-        direct = dense_measure(hamiltonian_2d_dense(a1, a2), origin * M + M // 2, merge_tol=merge)
+        direct = dense_measure(hamiltonian_2d_dense(a1, a2), origin * M + m_index, merge_tol=merge)
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
         discrepancy = atom_weight_discrepancy(conv, direct)
         report["compared_to_direct"] = True
@@ -316,7 +316,7 @@ def _cmd_decay_fit(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
-    from .operators import LatticeState2D, delta_state
+    from .operators import delta_state
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
@@ -336,16 +336,11 @@ def _cmd_decay_fit(cfg, args) -> int:
         need = minimal_wrap_free_m(t_max, support_width=1, tail_tol=cfg.tolerances.tail_mass)
         M = 1 << (need - 1).bit_length()
 
+    # a zero potential and no N: the free chain, run as the one-site chain
     free_chain = cfg.potential.family == "constant" and cfg.potential.amplitude == 0.0 and cfg.N is None
-    if free_chain:
-        amp = np.zeros((1, M), dtype=complex)
-        amp[0, M // 2] = 1.0
-        psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
-        plan = cfg.plan(None, M)
-    else:
-        N = cfg.N or DECAY_N_DEFAULT
-        psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-        plan = cfg.plan(N, M)
+    N = 1 if free_chain else cfg.N or DECAY_N_DEFAULT
+    psi0 = delta_state(N, M, cfg.n0, cfg.m0)
+    plan = cfg.plan(N, M)
 
     trace = record_decay(plan, psi0, times)
     # --tmax ends the fit window; otherwise the config's window, cut at the last sample

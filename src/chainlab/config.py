@@ -94,11 +94,10 @@ class ExperimentConfig:
         pot = sample_potential(self.potential, (n0, n0 + N))
         return pot, build_operator_1d(pot, boundary=self.boundary_n)
 
-    def plan(self, N: int | None, M: int) -> PropagatorPlan:
-        """The model's propagator on N x M sites (N = None: the free chain); m_method alone
+    def plan(self, N: int, M: int) -> PropagatorPlan:
+        """The model's propagator on N x M sites (N = 1: the free chain); m_method alone
         fixes A2, a periodic ring under dft_multiplier and a dirichlet window otherwise."""
-        a1 = self.chain_operator(N)[1] if N is not None else None
-        return make_plan(a1, self.m_method, M, tail_tol=self.tolerances.tail_mass)
+        return make_plan(self.chain_operator(N)[1], self.m_method, M, tail_tol=self.tolerances.tail_mass)
 
 
 _SECTION_KEYS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, _support_range, light_cone_reach
+from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, check_wrap_free, light_cone_reach
 from .operators import LatticeState2D, PotentialSpec, _freeze, sample_potential
 
 RENORM_BLOCK = 32
@@ -75,27 +75,6 @@ def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = DEFA
     return support_width + 2 * light_cone_reach(t_max, tail_tol)
 
 
-def _check_wrap_free(plan: PropagatorPlan, psi0: LatticeState2D, t_max: float) -> None:
-    amp = psi0.amplitudes
-    lo, hi = _support_range(amp)
-    reach = light_cone_reach(t_max, plan.tail_tol)
-    width = hi - lo + 1
-    M = amp.shape[1]
-    need = width + 2 * reach
-    if plan.m_method == "dft_multiplier":
-        if M < need:
-            raise ValueError(
-                f"m-grid of {M} sites wraps before t = {t_max}: need at least {need} sites "
-                f"(support width {width} plus light cone and tail margin {reach} per side)"
-            )
-    else:
-        if lo - reach < 0 or hi + reach > M - 1:
-            raise ValueError(
-                f"m-window of {M} sites reflects or truncates before t = {t_max}: the support "
-                f"[{lo}, {hi}] needs {reach} sites of margin per side (at least {need} sites total)"
-            )
-
-
 def _product_factors(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(chi, phi) with outer(chi, phi) = amp, from the pivot row and column at argmax |amp|."""
     i, j = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
@@ -125,7 +104,7 @@ def record_decay(plan: PropagatorPlan, psi0: LatticeState2D, times) -> DecayTrac
         raise ValueError("times must be nonnegative and ascending")
     if psi0.shape != (plan.n_size, plan.m_size):
         raise ValueError(f"state shape {psi0.shape} does not match plan ({plan.n_size}, {plan.m_size})")
-    _check_wrap_free(plan, psi0, float(times[-1]))
+    check_wrap_free(psi0.amplitudes, float(times[-1]), plan.tail_tol, ring=plan.m_method == "dft_multiplier")
     chi, phi = _product_factors(psi0.amplitudes)
 
     a1 = plan.a1_operator()
@@ -136,9 +115,7 @@ def record_decay(plan: PropagatorPlan, psi0: LatticeState2D, times) -> DecayTrac
         w = plan.m_sweep(phi, t)
         u_l2, w_l2 = np.linalg.norm(u), np.linalg.norm(w)
         w_sup = np.abs(w).max()
-        energy = u_l2**2 * np.vdot(w, a2.apply(w)).real
-        if a1 is not None:
-            energy += np.vdot(u, a1.apply(u)).real * w_l2**2
+        energy = u_l2**2 * np.vdot(w, a2.apply(w)).real + np.vdot(u, a1.apply(u)).real * w_l2**2
         cols["sup"].append(np.abs(u).max() * w_sup)
         cols["mixed"].append(u_l2 * w_sup)
         cols["l2"].append(u_l2 * w_l2)
@@ -202,7 +179,7 @@ def fit_decay_exponent(trace: DecayTrace, t_lo: float = 20.0, t_hi: float = 200.
 # growth rate of the matrix product recovers the inverse localization length.
 
 
-def _growth_numpy(V: np.ndarray, energies: np.ndarray, block: int) -> np.ndarray:
+def _growth_numpy(V: np.ndarray, energies: np.ndarray) -> np.ndarray:
     E = np.asarray(energies, dtype=float)
     a = np.ones_like(E)
     b = np.zeros_like(E)
@@ -210,8 +187,8 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray, block: int) -> np.ndarray
     d = np.ones_like(E)
     logsum = np.zeros_like(E)
     L = V.size
-    for start in range(0, L, block):
-        for v in V[start : start + block]:
+    for start in range(0, L, RENORM_BLOCK):
+        for v in V[start : start + RENORM_BLOCK]:
             e = E - v
             a, c = e * a - c, a
             b, d = e * b - d, b
@@ -225,15 +202,10 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray, block: int) -> np.ndarray
     return (logsum + np.log(s)) / L
 
 
-def lyapunov_scan(
-    spec: PotentialSpec,
-    energies,
-    L: int = 10**6,
-    block: int = RENORM_BLOCK,
-) -> np.ndarray:
+def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
     """Transfer-matrix growth rate (1/L) log ||prod T_n(E)|| at each energy.
 
-    The product is renormalized by its sup-norm every ``block`` steps with
+    The product is renormalized by its sup-norm every RENORM_BLOCK steps with
     log accumulation, so products at L = 1e6 never overflow.
     """
     if L < MIN_TRANSFER_LENGTH:
@@ -242,7 +214,7 @@ def lyapunov_scan(
     if not np.all(np.isfinite(energies)):
         raise ValueError("energies must be finite")
     V = sample_potential(spec, (0, int(L))).values
-    return _growth_numpy(V, energies, block)
+    return _growth_numpy(V, energies)
 
 
 def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np.ndarray:

@@ -15,6 +15,7 @@ the infinite-lattice kernel is K_m(t) = (-i)^m J_m(2t).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,18 +91,39 @@ def _support_range(arr: np.ndarray) -> tuple[int, int]:
     return int(idx[0]), int(idx[-1])
 
 
+def check_wrap_free(amp: np.ndarray, t: float, tail_tol: float, ring: bool) -> int:
+    """The light-cone reach of amp's support by time t along the last axis.
+
+    On a ring (ring=True) the support width plus the reach on each side must
+    fit in the M sites, so nothing wraps onto itself; on a window the support
+    must keep the reach from both ends, so nothing reflects or is cut off.
+    Raises ValueError naming the sites needed otherwise.
+    """
+    lo, hi = _support_range(amp)
+    reach = light_cone_reach(t, tail_tol)
+    M = amp.shape[-1]
+    need = (hi - lo + 1) + 2 * reach
+    if not (M >= need if ring else reach <= lo and hi + reach <= M - 1):
+        kind, fault = ("ring", "wraps") if ring else ("window", "reflects or truncates")
+        raise ValueError(
+            f"m-{kind} of {M} sites {fault} before t = {t:g}: the support [{lo}, {hi}] needs "
+            f"{reach} sites of margin per side, so at least {need} sites"
+        )
+    return reach
+
+
 def evolve_free_1d(
     phi: np.ndarray,
     t: float,
     method: str = "dft_multiplier",
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> np.ndarray:
-    """Free propagator e^{i(-Delta)t} along the last axis.
+    """Free propagator e^{i(-Delta)t} along the last axis, in closed form.
 
     dft_multiplier treats the axis as a periodic ring; bessel_kernel treats
     it as a window of the infinite lattice and insists the light cone plus
-    kernel tail stays inside the window; eigen goes through the dirichlet
-    truncation eigenbasis (mainly a cross-check path).
+    kernel tail stays inside the window.  The dirichlet eigenbasis sweep is
+    PropagatorPlan.m_sweep under m_method = "eigen".
     """
     phi = np.asarray(phi, dtype=complex)
     M = phi.shape[-1]
@@ -109,37 +131,25 @@ def evolve_free_1d(
         mult = np.exp(-2j * t * np.cos(2.0 * np.pi * np.arange(M) / M))
         return np.fft.ifft(np.fft.fft(phi, axis=-1) * mult, axis=-1)
     if method == "bessel_kernel":
-        reach = light_cone_reach(t, tail_tol)
-        lo, hi = _support_range(phi)
-        if lo - reach < 0 or hi + reach > M - 1:
-            need = (hi - lo + 1) + 2 * reach
-            raise ValueError(
-                f"bessel window too small: support [{lo}, {hi}] needs {reach} sites of margin, "
-                f"so at least {need} sites (have {M})"
-            )
+        reach = check_wrap_free(phi, t, tail_tol, ring=False)
         kern = bessel_kernel(t, reach)
         n_fft = M + 2 * reach
         out = np.fft.ifft(np.fft.fft(phi, n_fft, axis=-1) * np.fft.fft(kern, n_fft), axis=-1)
         return out[..., reach : reach + M]
-    if method == "eigen":
-        es = eigh_tridiagonal(build_operator_1d(size=M, boundary="dirichlet"))
-        moved = np.moveaxis(phi, -1, 0)
-        return np.moveaxis(evolve_1d_eigen(es, moved, t), 0, -1)
-    raise ValueError(f"unknown free-propagator method {method!r}, expected one of {M_METHODS}")
+    raise ValueError(f"unknown free-propagator method {method!r}, expected 'dft_multiplier' or 'bessel_kernel'")
 
 
 @dataclass(frozen=True)
 class PropagatorPlan:
     """Precomputed pieces of the factorized propagator e^{iA1 t} e^{i(-Delta_m)t}.
 
-    es1 = None selects the pure free-chain mode (states with a single
-    n-fiber, no n-sweep).  es2 is only set for m_method = "eigen".
+    es1 is the eigensystem of A1; the free chain is the one-site chain
+    free_operator(1).  A2 follows from m_method alone (a2_operator).
     """
 
-    es1: EigenSystem | None
+    es1: EigenSystem
     m_method: str
     m_size: int
-    es2: EigenSystem | None = None
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
@@ -147,51 +157,45 @@ class PropagatorPlan:
             raise ValueError(f"unknown m_method {self.m_method!r}, expected one of {M_METHODS}")
         if self.m_size < 2:
             raise ValueError("m_size must be at least 2")
-        if self.m_method == "eigen" and self.es2 is None:
-            raise ValueError("eigen m_method needs es2")
-        if self.es2 is not None and self.es2.size != self.m_size:
-            raise ValueError("es2 size does not match m_size")
 
     @property
     def n_size(self) -> int:
-        return self.es1.size if self.es1 is not None else 1
+        return self.es1.size
 
-    def a1_operator(self) -> Operator1D | None:
-        return self.es1.source if self.es1 is not None else None
+    def a1_operator(self) -> Operator1D:
+        return self.es1.source
 
     def a2_operator(self) -> Operator1D:
         """The m-fiber operator the plan realizes (window proxy for bessel_kernel)."""
-        if self.m_method == "eigen":
-            return self.es2.source
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
         return build_operator_1d(size=self.m_size, boundary=boundary)
 
+    @functools.cached_property
     def m_eigensystem(self) -> EigenSystem:
-        """Eigensystem of a2_operator(): the plan's own es2 under eigen, solved here otherwise."""
-        return self.es2 if self.es2 is not None else eigh_tridiagonal(self.a2_operator())
+        """Eigensystem of a2_operator(), solved once, on first use (make_plan's under eigen)."""
+        return eigh_tridiagonal(self.a2_operator())
 
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
-        """e^{iA1 t} along axis 0; the identity in free-chain mode."""
-        return evolve_1d_eigen(self.es1, a, t) if self.es1 is not None else a
+        """e^{iA1 t} along axis 0."""
+        return evolve_1d_eigen(self.es1, a, t)
 
     def m_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{i(-Delta_m)t} along the last axis of a (M,) or (K, M) array."""
         if self.m_method == "eigen":
-            return evolve_1d_eigen(self.es2, a.T, t).T
+            return evolve_1d_eigen(self.m_eigensystem, a.T, t).T
         return evolve_free_1d(a, t, method=self.m_method, tail_tol=self.tail_tol)
 
 
 def make_plan(
-    a1: Operator1D | None,
+    a1: Operator1D,
     m_method: str,
     m_size: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> PropagatorPlan:
-    es1 = eigh_tridiagonal(a1) if a1 is not None else None
-    es2 = None
+    plan = PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
     if m_method == "eigen":
-        es2 = eigh_tridiagonal(build_operator_1d(size=m_size, boundary="dirichlet"))
-    return PropagatorPlan(es1, m_method, int(m_size), es2, tail_tol)
+        plan.m_eigensystem  # solve A2 at plan time: solving it in the first sweep raised peak RSS
+    return plan
 
 
 def evolve_2d_factorized(

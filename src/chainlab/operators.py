@@ -173,15 +173,19 @@ def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> Potential1
 
 @dataclass(frozen=True)
 class Operator1D:
-    """Tridiagonal -shift - shift^T + diag(diagonal), dirichlet or periodic ends."""
+    """Tridiagonal -shift - shift^T + diag(diagonal), dirichlet or periodic ends.
+
+    A ring hops across its seam on top of its interior bonds, so a one-site
+    ring acts as diagonal - 2 (the site is its own neighbour twice).
+    """
 
     diagonal: np.ndarray
     boundary: str = "dirichlet"
 
     def __post_init__(self):
         diag = np.array(self.diagonal, dtype=float, copy=True, order="C")
-        if diag.ndim != 1 or diag.size < 2:
-            raise ValueError("operator needs at least 2 sites")
+        if diag.ndim != 1 or diag.size == 0:
+            raise ValueError("operator needs at least one site")
         if not np.all(np.isfinite(diag)):
             raise ValueError("operator diagonal must be finite")
         if self.boundary not in BOUNDARIES:

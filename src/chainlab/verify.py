@@ -101,7 +101,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("h2d_hermitian", abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)), 1e-12))
 
     # eigensystem residuals and orthonormality on both factors
-    es1, es2 = plan.es1, plan.m_eigensystem()
+    es1, es2 = plan.es1, plan.m_eigensystem
     results.append(CheckResult("eigen_residual_n", eigen_residual(es1, a1) / a1.norm_bound, 1e-10))
     results.append(CheckResult("eigen_residual_m", eigen_residual(es2, a2) / a2.norm_bound, 1e-10))
     results.append(CheckResult("eigen_gram_n", gram_defect(es1), 1e-10))

@@ -98,7 +98,7 @@ def free_chain_run():
     amp = np.zeros((1, M), dtype=complex)
     amp[0, M // 2] = 1.0
     psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
-    plan = make_plan(None, "dft_multiplier", M)
+    plan = make_plan(free_operator(1), "dft_multiplier", M)
     trace = record_decay(plan, psi0, TRACE_TIMES)
     return plan, psi0, trace
 

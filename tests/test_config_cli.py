@@ -148,10 +148,10 @@ def test_config_plan_takes_a2_from_m_method(m_method, boundary):
         tolerances=Tolerances(tail_mass=1e-6),
     )
     plan = cfg.plan(8, 12)
-    assert plan.a2_operator().boundary == plan.m_eigensystem().source.boundary == boundary
+    assert plan.a2_operator().boundary == plan.m_eigensystem.source.boundary == boundary
     np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8)[1].diagonal)
     assert plan.tail_tol == 1e-6
-    assert cfg.plan(None, 12).es1 is None
+    assert cfg.plan(1, 12).n_size == 1
 
 
 def test_seed_coherence():
@@ -262,16 +262,23 @@ def test_cli_spectrum_artifacts_and_determinism(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, config",
     [
-        ["convolve", "--family", "random_iid", "--amplitude", "2", "--seed", "11", "--N", "12", "--M", "12"],
-        ["verify", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "8"],
-        ["evolve", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "16", "--tmax", "2"],
-        ["decay-fit", "--family", "almost_mathieu", "--amplitude", "3", "--N", "16", "--tmax", "40"],
+        (["convolve", "--family", "random_iid", "--amplitude", "2", "--seed", "11", "--N", "12", "--M", "12"], None),
+        (["verify", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "8"], None),
+        (["evolve", "--family", "almost_mathieu", "--amplitude", "3", "--N", "8", "--M", "16", "--tmax", "2"], None),
+        (["decay-fit", "--family", "almost_mathieu", "--amplitude", "3", "--N", "16", "--tmax", "40"], None),
+        (["decay-fit", "--tmax", "40"], None),
+        (["decay-fit", "--family", "almost_mathieu", "--amplitude", "3", "--N", "16", "--tmax", "40"],
+         "[lattice]\nm_method = eigen\n"),
     ],
-    ids=lambda args: args[0],
+    ids=["convolve", "verify", "evolve", "decay-fit", "decay-fit-free-chain", "decay-fit-eigen"],
 )
-def test_cli_artifacts_are_deterministic(tmp_path, capsys, args):
+def test_cli_artifacts_are_deterministic(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
     _assert_deterministic(args, tmp_path, capsys)
 
 
@@ -331,13 +338,14 @@ def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
     assert cli.main(argv) == 1
 
 
-def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path):
+def _assert_eigen_convolve_m_delta(tmp_path, lattice, index):
+    """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes."""
     cfg = tmp_path / "eigen.cfg"
-    cfg.write_text("[lattice]\nm_method = eigen\n")
+    cfg.write_text("[lattice]\nm_method = eigen\n" + lattice)
     out = tmp_path / "c"
     assert cli.main(["convolve", "--config", str(cfg), "--N", "8", "--M", "12", "--out", str(out)]) == 0
     phi = np.zeros(12, dtype=complex)
-    phi[6] = 1.0
+    phi[index] = 1.0
     want = spectral_measure_1d(eigh_tridiagonal(free_operator(12, "dirichlet")), phi)
     got = datafiles.read_measure_csv(out / "measure_m.csv")
     np.testing.assert_allclose(got.energies, want.energies, rtol=0, atol=1e-15)
@@ -345,6 +353,42 @@ def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path):
     report = _read_json(out / "report.json")
     assert report["compared_to_direct"] is True
     assert report["max_atom_weight_discrepancy"] <= report["tolerance"]
+
+
+def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path):
+    _assert_eigen_convolve_m_delta(tmp_path, "", 6)
+
+
+def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path):
+    _assert_eigen_convolve_m_delta(tmp_path, "m0 = -2\n", 2)
+
+
+def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path, monkeypatch):
+    from chainlab import diagnostics
+
+    starts = {}
+    record = diagnostics.record_decay
+
+    def spy(plan, psi0, times):
+        starts[plan.n_size] = psi0
+        return record(plan, psi0, times)
+
+    monkeypatch.setattr(diagnostics, "record_decay", spy)
+    cfg = tmp_path / "m0.cfg"
+    cfg.write_text("[lattice]\nm0 = -3\n")
+    run = ["decay-fit", "--config", str(cfg), "--tmax", "40", "--out"]
+    assert cli.main(run + [str(tmp_path / "free")]) == 0
+    assert cli.main(run + [str(tmp_path / "lattice"), "--N", "8"]) == 0
+    free, lattice = starts[1], starts[8]
+    assert free.m0 == lattice.m0 == -3
+    assert np.argmax(np.abs(free.amplitudes[0])) == np.argmax(np.abs(lattice.amplitudes).max(axis=0)) == 3
+    # on the ring a moved delta decays as the centred one does, up to rounding
+    assert cli.main(["decay-fit", "--tmax", "40", "--out", str(tmp_path / "centred")]) == 0
+    moved, centred = (np.loadtxt(tmp_path / d / "trace.csv", delimiter=",", skiprows=1) for d in ("free", "centred"))
+    np.testing.assert_allclose(moved, centred, rtol=0, atol=1e-14)
+    # the free chain is the one-site window [n0, n0 + 1), which must hold n = 0
+    cfg.write_text("[lattice]\nn0 = -3\n")
+    assert cli.main(run + [str(tmp_path / "bad")]) == 1
 
 
 def test_cli_decay_fit_free_chain(tmp_path):

@@ -24,6 +24,7 @@ from chainlab.operators import (
     constant_potential,
     delta_state,
     energy_expectation,
+    free_operator,
     l2_norm,
     mixed_l2n_supm,
     mixed_supm_l2n,
@@ -53,7 +54,7 @@ def test_time_bracket_values():
 def test_record_decay_free_chain_matches_kernel():
     M = 256
     psi0 = _free_chain_state(M)
-    plan = make_plan(None, "dft_multiplier", M)
+    plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.array([0.0, 1.0, 5.0, 10.0])
     trace = record_decay(plan, psi0, times)
     assert trace.psi0_l1 == 1.0 and trace.psi0_l2 == 1.0
@@ -68,14 +69,14 @@ def test_record_decay_free_chain_matches_kernel():
 
 def test_record_decay_rejects_wrapped_grid():
     psi0 = _free_chain_state(32)
-    plan = make_plan(None, "dft_multiplier", 32)
+    plan = make_plan(free_operator(1), "dft_multiplier", 32)
     with pytest.raises(ValueError, match=r"\d+"):
         record_decay(plan, psi0, [0.0, 50.0])
 
 
 def test_record_decay_requires_ascending_times():
     psi0 = _free_chain_state(64)
-    plan = make_plan(None, "dft_multiplier", 64)
+    plan = make_plan(free_operator(1), "dft_multiplier", 64)
     with pytest.raises(ValueError):
         record_decay(plan, psi0, [1.0, 0.5])
     with pytest.raises(ValueError):
@@ -99,11 +100,7 @@ def _full_state_trace(plan, psi0, a1):
     rows = []
     for t in REFERENCE_TIMES:
         psi_t = evolve_2d_factorized(psi0, plan, t)
-        if a1 is not None:
-            energy = energy_expectation(psi_t, a1, a2)
-        else:  # a single n-fiber carries only the m-fiber energy
-            row = psi_t.amplitudes[0]
-            energy = float(np.vdot(row, a2.apply(row)).real)
+        energy = energy_expectation(psi_t, a1, a2)
         rows.append(
             (sup_norm(psi_t), mixed_l2n_supm(psi_t), mixed_supm_l2n(psi_t), l2_norm(psi_t), energy)
         )
@@ -123,7 +120,7 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     rng = np.random.default_rng(5)
     N = 1 if free_chain else 128
     psi0 = _product_state(N, M, rng)
-    a1 = None
+    a1 = free_operator(1)
     if not free_chain:
         a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N)))
     plan = make_plan(a1, m_method, M)
@@ -132,6 +129,17 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_dft_record_decay_never_solves_a2(monkeypatch):
+    import chainlab.evolution as evolution
+
+    solved = []
+    solve = evolution.eigh_tridiagonal
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
+    plan = make_plan(build_operator_1d(size=16), "dft_multiplier", 256)
+    record_decay(plan, delta_state(16, 256), [0.0, 1.0, 10.0])
+    assert solved == [16]  # A1 only: the ring's m-sweep is the closed-form DFT multiplier
 
 
 def test_record_decay_rejects_non_product_state():
@@ -145,7 +153,7 @@ def test_record_decay_rejects_non_product_state():
 
 
 def test_record_decay_rejects_state_off_the_plan_grid():
-    plan = make_plan(None, "dft_multiplier", 256)
+    plan = make_plan(free_operator(1), "dft_multiplier", 256)
     with pytest.raises(ValueError, match="does not match plan"):
         record_decay(plan, delta_state(2, 256), [0.0, 1.0])
     with pytest.raises(ValueError, match="does not match plan"):
@@ -204,7 +212,7 @@ def test_fit_needs_enough_samples():
 def test_free_chain_decay_exponent_near_minus_third():
     M = 1024
     psi0 = _free_chain_state(M)
-    plan = make_plan(None, "dft_multiplier", M)
+    plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.geomspace(20.0, 200.0, 25)
     trace = record_decay(plan, psi0, times)
     fit = fit_decay_exponent(trace)
@@ -292,7 +300,7 @@ def test_spreading_moments_of_delta():
 def test_free_spreading_is_ballistic():
     M = 512
     psi0 = _free_chain_state(M)
-    plan = make_plan(None, "dft_multiplier", M)
+    plan = make_plan(free_operator(1), "dft_multiplier", M)
     t = 12.0
     out_amp = evolve_free_1d(psi0.amplitudes[0], t)
     psi_t = psi0.with_amplitudes(out_amp[None, :])

@@ -8,6 +8,7 @@ from chainlab.evolution import (
     PropagatorPlan,
     bessel_kernel,
     bessel_pad,
+    check_wrap_free,
     evolve_1d_eigen,
     evolve_2d_direct,
     evolve_2d_factorized,
@@ -103,7 +104,7 @@ def test_eigen_method_matches_dirichlet_expm():
     rng = np.random.default_rng(1)
     M, t = 24, 3.0
     phi = _random_state(rng, M)
-    out = evolve_free_1d(phi, t, method="eigen")
+    out = make_plan(free_operator(1), "eigen", M).m_sweep(phi, t)
     A = free_operator(M).matrix()
     expected = scipy.linalg.expm(1j * t * A) @ phi
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -114,7 +115,7 @@ def test_dirichlet_eigen_agrees_with_infinite_kernel_when_wrap_free():
     M, t = 256, 8.0
     phi = np.zeros(M, dtype=complex)
     phi[M // 2] = 1.0
-    a = evolve_free_1d(phi, t, method="eigen")
+    a = make_plan(free_operator(1), "eigen", M).m_sweep(phi, t)
     b = evolve_free_1d(phi, t, method="bessel_kernel")
     np.testing.assert_allclose(a, b, atol=1e-8)
 
@@ -124,6 +125,45 @@ def test_bessel_window_too_small_raises():
     phi[8] = 1.0
     with pytest.raises(ValueError, match="site"):
         evolve_free_1d(phi, 30.0, method="bessel_kernel")
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "window"])
+def test_check_wrap_free_is_tight(ring, width):
+    t, tol = 20.0, 1e-10
+    reach = light_cone_reach(t, tol)
+    need = width + 2 * reach
+
+    def state(M):  # two n-fibers, support [reach, reach + width) along m
+        amp = np.zeros((2, M), dtype=complex)
+        amp[1, reach : reach + width] = 1.0
+        return amp
+
+    with pytest.raises(ValueError, match=rf"site.* {reach} sites of margin.*at least {need} sites"):
+        check_wrap_free(state(need - 1), t, tol, ring)
+    assert check_wrap_free(state(need), t, tol, ring) == reach
+    # one site off centre: a ring does not mind, a window loses its left margin
+    off_centre = np.roll(state(need), -1, axis=-1)
+    if ring:
+        assert check_wrap_free(off_centre, t, tol, ring) == reach
+    else:
+        with pytest.raises(ValueError, match=rf"at least {need} sites"):
+            check_wrap_free(off_centre, t, tol, ring)
+
+
+def test_eigen_plan_solves_each_factor_once(monkeypatch):
+    import chainlab.evolution as evolution
+
+    solved = []
+    solve = evolution.eigh_tridiagonal
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
+    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), "eigen", 24)
+    assert solved == [8, 24]  # A1, then A2, both at plan time
+    phi = _random_state(np.random.default_rng(9), 24)
+    for t in (0.5, 1.0, 2.0):
+        plan.m_sweep(phi, t)
+    assert plan.m_eigensystem.source.boundary == "dirichlet"
+    assert solved == [8, 24]  # the sweeps and the property reuse the plan's A2 eigensystem
 
 
 def test_evolve_1d_eigen_matches_expm_with_potential():
@@ -188,8 +228,9 @@ def test_free_chain_plan_skips_n_sweep():
     amp = np.zeros((1, M), dtype=complex)
     amp[0, M // 2] = 1.0
     psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
-    plan = make_plan(None, "dft_multiplier", M)
-    assert plan.n_size == 1 and plan.a1_operator() is None
+    plan = make_plan(free_operator(1), "dft_multiplier", M)
+    assert plan.n_size == 1
+    np.testing.assert_array_equal(plan.n_sweep(amp, 1.0), amp)  # the one-site sweep is the identity
     out = evolve_2d_factorized(psi0, plan, 1.0)
     assert abs(out.amplitudes[0, M // 2] - J0_OF_2) < 1e-14
 
@@ -229,11 +270,9 @@ def test_dense_direct_enforces_site_cap():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        PropagatorPlan(None, "eigen", 8)  # eigen needs es2
-    with pytest.raises(ValueError):
         PropagatorPlan(None, "nonsense", 8)
     with pytest.raises(ValueError):
-        make_plan(None, "dft_multiplier", 1)
+        make_plan(free_operator(1), "dft_multiplier", 1)
 
 
 def test_t_zero_is_identity():

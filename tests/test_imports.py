@@ -33,11 +33,12 @@ def test_importing_every_module_defers_slow_scipy_packages():
 
 
 def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
-    # decay-fit (default m_method, dft_multiplier) and verify at these sizes need
-    # only chains of at most NUMPY_EIGH_SITES sites; convolve's dense oracle
-    # needs LAPACK's dsytrd
+    # decay-fit (default m_method, dft_multiplier; the free chain is a one-site
+    # chain) and verify at these sizes need only chains of at most
+    # NUMPY_EIGH_SITES sites; convolve's dense oracle needs LAPACK's dsytrd
     commands = {
         "decay-fit": ["decay-fit", "--N", "16", "--tmax", "40", "--out", "d"],
+        "decay-fit-free-chain": ["decay-fit", "--tmax", "40", "--out", "f"],
         "verify": ["verify", "--N", "16", "--M", "16", "--out", "v"],
         "convolve": ["convolve", "--N", "8", "--M", "8", "--out", "c"],
     }
@@ -45,4 +46,6 @@ def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
     for name, argv in commands.items():
         code = f"import sys\nfrom chainlab.cli import main\nrc = main({argv!r})\nprint(rc, 'scipy.linalg' in sys.modules)\n"
         loaded[name] = _run(code, tmp_path).splitlines()[-1]
-    assert loaded == {"decay-fit": "0 False", "verify": "0 False", "convolve": "0 True"}
+    assert loaded == {
+        "decay-fit": "0 False", "decay-fit-free-chain": "0 False", "verify": "0 False", "convolve": "0 True"
+    }

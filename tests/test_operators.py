@@ -166,9 +166,9 @@ def test_norm_bound_dominates_spectral_radius():
     assert np.abs(eig).max() <= op.norm_bound + 1e-12
 
 
-def test_operator_requires_two_sites():
+def test_operator_requires_a_site():
     with pytest.raises(ValueError):
-        Operator1D(np.zeros(1))
+        Operator1D(np.zeros(0))
 
 
 # -- 2D states and the split Hamiltonian --------------------------------------

@@ -39,6 +39,7 @@ _EXPORTS = {
     "spectral": (
         "ATOM_MERGE_TOL",
         "EigenSystem",
+        "free_eigensystem",
         "eigh_tridiagonal",
         "dense_eigensystem",
         "dense_measure",
@@ -60,6 +61,7 @@ _EXPORTS = {
         "bessel_pad",
         "light_cone_reach",
         "check_wrap_free",
+        "bessel_j",
         "bessel_kernel",
         "evolve_1d_eigen",
         "evolve_free_1d",

@@ -154,9 +154,14 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _origin_index(n0: int | None, size: int) -> int:
-    # the physical origin when the window holds it, the middle site otherwise (a centered window)
-    return -n0 if n0 is not None and 0 <= -n0 < size else size // 2
+def _origin_index(key: str, start: int | None, size: int) -> int:
+    """Index of the physical origin in a window of size sites from start; None centres the window."""
+    if start is None:
+        return size // 2
+    if not 0 <= -start < size:
+        window = f"[{start}, {start + size - 1}]"
+        raise ValueError(f"{key} = {start}: the window {window} of {size} sites misses the origin")
+    return -start
 
 
 def _out(cfg, name: str) -> str:
@@ -173,7 +178,7 @@ def _cmd_spectrum(cfg, args) -> int:
     pot, a1 = cfg.chain_operator(N)
     es = eigh_tridiagonal(a1)
     chi = np.zeros(N, dtype=complex)
-    chi[_origin_index(pot.n0, N)] = 1.0
+    chi[_origin_index("n0", cfg.n0, N)] = 1.0
     mu = spectral_measure_1d(es, chi, merge_tol=cfg.tolerances.atom_merge)
     datafiles.write_potential_csv(pot, _out(cfg, "potential.csv"))
     datafiles.write_eigenvalues_csv(es.eigenvalues, _out(cfg, "eigenvalues.csv"))
@@ -207,7 +212,7 @@ def _cmd_convolve(cfg, args) -> int:
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
-    origin, m_index = _origin_index(cfg.n0, N), _origin_index(cfg.m0, M)
+    origin, m_index = _origin_index("n0", cfg.n0, N), _origin_index("m0", cfg.m0, M)
     chi = np.zeros(N, dtype=complex)
     chi[origin] = 1.0
     phi = np.zeros(M, dtype=complex)

@@ -11,19 +11,25 @@ eigendecomposition, or a certified Chebyshev expansion above the dense cap).
 
 Free-propagator conventions (symbol of -Delta is -2 cos theta):
 the DFT multiplier on mode k of an M-ring is e^{-2it cos(2 pi k / M)} and
-the infinite-lattice kernel is K_m(t) = (-i)^m J_m(2t).
+the infinite-lattice kernel is K_m(t) = (-i)^m J_m(2t).  The m-factor is
+free, so its spectral data is explicit: the eigen sweep uses the closed-form
+sine (window) or Fourier (ring) basis of spectral.free_eigensystem, and the
+kernel and the Chebyshev coefficients take J_0..J_K from bessel_j, Miller's
+backward recurrence in numpy.  Only an A1 chain of more than
+spectral.NUMPY_EIGH_SITES dirichlet sites brings in scipy.linalg.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import DENSE_SITE_CAP  # re-exported: the one dense cap lives in operators
 from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_dense
-from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal
+from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal, free_eigensystem
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 DEFAULT_TAIL_TOL = 1e-10
@@ -64,6 +70,70 @@ def light_cone_reach(t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return int(math.ceil(2.0 * abs(t))) + bessel_pad(t, tail_tol)
 
 
+_MILLER_SHIFT = 512  # the recurrence rescales by 2^-512 whenever it passes 2^512
+_MILLER_LOG_TOL = -60.0 * math.log(2.0)  # log of the start's tail bound, relative to min(1, bound at order)
+_SERIES_X2 = 2.0**-52  # below this x^2, the leading power-series term is J_n(x) to double precision
+
+
+def _miller_start(order: int, x: float) -> int:
+    """Even start N > max(order, x) of Miller's recurrence for J_0(x)..J_order(x), x > 0.
+
+    Uses the bound |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4): N is the first
+    index where it falls below 2^-60 min(1, bound at order).  The error the
+    start leaves in J_n is about (J_N / J_n)^2 past the turning point and
+    about J_N^2 before it, far below the rounding of the recurrence itself.
+    """
+    log_half_x = math.log(x / 2.0)
+    target = _MILLER_LOG_TOL + min(0.0, order * log_half_x - math.lgamma(order + 1))
+    n = max(order, math.ceil(x)) + 1
+    log_bound = n * log_half_x - math.lgamma(n + 1)
+    while log_bound > target:
+        n += 1
+        log_bound += log_half_x - math.log(n)
+    return n + n % 2
+
+
+def bessel_j(order: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_order(x) for real x, by Miller's backward recurrence.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} runs down from _miller_start with
+    J_{N+1} = 0, J_N = 1 and is normalized by J_0 + 2 sum_k J_2k = 1; the
+    downward direction is the stable one for the minimal solution J
+    (Gautschi, SIAM Review 9, 1967).  Whenever the recurrence passes 2^512 it
+    is rescaled by 2^-512, and the values it had already stored take those
+    factors at the end through ldexp, so nothing overflows and orders far
+    above |x| underflow gracefully to 0.  J_n(-x) = (-1)^n J_n(x).
+    """
+    order = operator.index(order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    if x * x < _SERIES_X2:  # J_n(x) = (x/2)^n / n! (1 - x^2 / (4(n+1)) + ...): the correction is below an ulp
+        return np.cumprod(np.concatenate([[1.0], (x / 2.0) / np.arange(1, order + 1)]))
+    ax = abs(x)
+    start = _miller_start(order, ax)
+    vals = [0.0] * (start + 1)
+    rescaled_at = []  # the k of each rescale, descending; vals[k:] missed it
+    y_up, y, even_sum, big = 0.0, 1.0, 0.0, 2.0**_MILLER_SHIFT
+    for k in range(start, 0, -1):
+        vals[k] = y
+        if k % 2 == 0:
+            even_sum += y
+        y_up, y = y, (2.0 * k / ax) * y - y_up
+        if abs(y) > big:
+            y_up, y = math.ldexp(y_up, -_MILLER_SHIFT), math.ldexp(y, -_MILLER_SHIFT)
+            even_sum = math.ldexp(even_sum, -_MILLER_SHIFT)
+            rescaled_at.append(k)
+    vals[0] = y
+    missed = np.searchsorted(rescaled_at[::-1], np.arange(order + 1), side="right")
+    out = np.ldexp(np.array(vals[: order + 1]) / (y + 2.0 * even_sum), -_MILLER_SHIFT * missed)
+    if x < 0:
+        out[1::2] *= -1.0
+    return out
+
+
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])  # (-i)^r, exact
 _PLUS_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i^k, exact
 
@@ -73,10 +143,8 @@ def bessel_kernel(t: float, half_width: int) -> np.ndarray:
 
     The kernel is even, K_{-r} = K_r, so J is evaluated only for r >= 0.
     """
-    from scipy.special import jv  # deferred: slow to import, and most runs never call this
-
     r = np.arange(half_width + 1)
-    half = _MINUS_I_POW[r % 4] * jv(r, 2.0 * t)
+    half = _MINUS_I_POW[r % 4] * bessel_j(half_width, 2.0 * t)
     return np.concatenate([half[:0:-1], half])
 
 
@@ -172,8 +240,9 @@ class PropagatorPlan:
 
     @functools.cached_property
     def m_eigensystem(self) -> EigenSystem:
-        """Eigensystem of a2_operator(), solved once, on first use (make_plan's under eigen)."""
-        return eigh_tridiagonal(self.a2_operator())
+        """Eigensystem of the free a2_operator() in closed form, built once, on first use
+        (make_plan's under eigen); A2 is never handed to a numerical eigensolver."""
+        return free_eigensystem(self.a2_operator())
 
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{iA1 t} along axis 0."""
@@ -194,7 +263,7 @@ def make_plan(
 ) -> PropagatorPlan:
     plan = PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
     if m_method == "eigen":
-        plan.m_eigensystem  # solve A2 at plan time: solving it in the first sweep raised peak RSS
+        plan.m_eigensystem  # build A2's basis at plan time, not inside the first sweep
     return plan
 
 
@@ -236,12 +305,10 @@ def _chebyshev_order(z: float, tol: float) -> int:
 
 def _chebyshev_expiht(apply_h, psi: np.ndarray, t: float, radius: float, tol: float) -> np.ndarray:
     """e^{iHt} psi by a Chebyshev expansion on [-radius, radius], truncation certified < tol."""
-    from scipy.special import jv
-
     z = radius * t
     K = _chebyshev_order(z, tol)
     k = np.arange(K + 1)
-    coeffs = (2.0 - (k == 0)) * _PLUS_I_POW[k % 4] * jv(k, z)
+    coeffs = (2.0 - (k == 0)) * _PLUS_I_POW[k % 4] * bessel_j(K, z)
     tk_prev = psi
     tk = apply_h(psi) / radius
     acc = coeffs[0] * tk_prev + coeffs[1] * tk

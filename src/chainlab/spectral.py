@@ -9,10 +9,16 @@ the map (chi, phi) -> measure is conjugate-linear in chi and linear in phi.
 The 2D-operator measure at finite combinations sum_j alpha_j chi_j (x) phi_j
 is assembled as sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) where * is
 measure convolution; that identity is what the convolution tests pin down.
+
+Eigensystems come from three places: free_eigensystem writes down the free
+chain's sine or Fourier basis (the m-factor of every plan), eigh_tridiagonal
+solves a chain with a potential (the n-factor), and dense_eigensystem and
+dense_measure serve the 2D dense oracle.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 
@@ -74,14 +80,56 @@ def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
     return out.view(complex).reshape((mat.shape[0],) + cols.shape[1:])
 
 
+def free_eigensystem(op: Operator1D) -> EigenSystem:
+    """Eigensystem of a free chain (zero diagonal) in closed form, with no solver.
+
+    A dirichlet window of M sites has lambda_k = -2 cos(pi k / (M+1)) and
+    v_k(j) = sqrt(2/(M+1)) sin(pi j k / (M+1)) for j, k = 1..M.  A ring has
+    lambda_k = -2 cos(2 pi k / M) with the real basis: the constant for
+    k = 0, a cos and a sin column for each 0 < k < M/2 (one eigenvalue, so
+    the pair is bit-equal), and (-1)^j for k = M/2 when M is even.  Each
+    basis takes its values from a table over one period indexed by jk mod the
+    period, so the argument reduction is exact and no M^2 float argument is
+    formed.
+    """
+    if np.any(op.diagonal):
+        raise ValueError("free_eigensystem needs a free chain: the operator has a nonzero diagonal")
+    M = op.size
+    if op.boundary == "dirichlet":
+        k = np.arange(1, M + 1)
+        period = 2 * (M + 1)
+        table = math.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.arange(period) / (M + 1))
+        return EigenSystem(-2.0 * np.cos(np.pi * k / (M + 1)), _table_columns(table, k, k, period), source=op)
+    pairs = np.arange(1, (M + 1) // 2)
+    k = np.concatenate([[0], np.repeat(pairs, 2), [M // 2] * (1 - M % 2)]).astype(int)
+    angle = 2.0 * np.pi * np.arange(M) / M
+    table = math.sqrt(2.0 / M) * np.concatenate([np.cos(angle), np.sin(angle)])  # cos at r, sin at M + r
+    sine = np.zeros(k.size, dtype=int)
+    sine[2 : 2 * pairs.size + 1 : 2] = M  # the second column of each pair
+    vec = _table_columns(table, np.arange(M), k, M, sine)
+    vec[:, 0] /= math.sqrt(2.0)  # the constant and the alternating columns have norm sqrt(M), not sqrt(M/2)
+    if M % 2 == 0:
+        vec[:, -1] /= math.sqrt(2.0)
+    return EigenSystem(-2.0 * np.cos(2.0 * np.pi * k / M), vec, source=op)
+
+
+def _table_columns(table: np.ndarray, j: np.ndarray, k: np.ndarray, period: int, offset=0) -> np.ndarray:
+    """table[(j k) mod period + offset] as a (j.size, k.size) array; the index is exact integer arithmetic."""
+    index = np.multiply.outer(j, k)
+    np.remainder(index, period, out=index)
+    index += offset
+    return table[index]
+
+
 def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     """Full eigendecomposition of a 1D operator.
 
-    Chains of at most NUMPY_EIGH_SITES sites take numpy's dense solver,
-    which at those sizes costs less than importing scipy.linalg.  Longer
-    dirichlet chains go through LAPACK's tridiagonal stemr; the periodic
-    corner makes the matrix non-tridiagonal, so long rings stay dense
-    (capped, the dense solve is O(N^3)).
+    A plan's m-factor never comes here: it is free, and free_eigensystem
+    writes its basis down.  Chains of at most NUMPY_EIGH_SITES sites take
+    numpy's dense solver, which at those sizes costs less than importing
+    scipy.linalg.  Longer dirichlet chains go through LAPACK's tridiagonal
+    stemr; the periodic corner makes the matrix non-tridiagonal, so long
+    rings stay dense (capped, the dense solve is O(N^3)).
     """
     if op.boundary == "dirichlet" and op.size > NUMPY_EIGH_SITES:
         import scipy.linalg  # deferred: importing it costs more than a short chain's dense solve

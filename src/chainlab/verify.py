@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import minimal_wrap_free_m, n_fiber_isometry_defect
-from .evolution import DENSE_SITE_CAP, evolve_1d_eigen, evolve_2d_factorized, light_cone_reach
+from .diagnostics import n_fiber_isometry_defect
+from .evolution import DENSE_SITE_CAP, check_wrap_free, evolve_1d_eigen, evolve_2d_factorized
 from .operators import (
     LatticeState2D,
     apply_h2d,
@@ -62,22 +62,18 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
 
     The model is cfg.plan(N, M).  Under bessel_kernel the propagator checks
     evolve a state kept a light-cone reach away from both ends of the m-window,
-    where the kernel matches the dirichlet window, so M must be at least
-    minimal_wrap_free_m(CHECK_TIMES[-1], 1); a smaller M raises ValueError.
+    where the kernel matches the dirichlet window: check_wrap_free must pass
+    for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
+    the window needed.
     """
     N, M = cfg.N or 16, cfg.M or 16
     tol = cfg.tolerances
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     if cfg.m_method == "bessel_kernel":
-        t_last = CHECK_TIMES[-1]
-        reach = light_cone_reach(t_last, plan.tail_tol)
-        need = minimal_wrap_free_m(t_last, 1, plan.tail_tol)
-        if M < need:
-            raise ValueError(
-                f"verify under bessel_kernel needs M >= {need}: the evolved state keeps {reach} sites "
-                f"from both ends of the m-window up to t = {t_last:g} (have M = {M})"
-            )
+        centre = np.zeros(M)
+        centre[M // 2] = 1.0
+        reach = check_wrap_free(centre, CHECK_TIMES[-1], plan.tail_tol, ring=False)
     # one dense eigendecomposition of H = A1 x I + I x A2 serves the convolution and propagator checks
     es_direct = dense_eigensystem(hamiltonian_2d_dense(a1, a2)) if N * M <= DENSE_SITE_CAP else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(99,)))
@@ -144,7 +140,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # factorized against direct propagator, unitarity, energy conservation
     amp0 = psi.amplitudes
-    if cfg.m_method == "bessel_kernel":  # the infinite-lattice kernel must not reach the window ends
+    if cfg.m_method == "bessel_kernel":  # keep to the sites the kernel cannot carry to the window ends
         amp0 = amp0.copy()
         amp0[:, :reach] = 0.0
         amp0[:, M - reach :] = 0.0

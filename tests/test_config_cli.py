@@ -363,6 +363,22 @@ def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path):
     _assert_eigen_convolve_m_delta(tmp_path, "m0 = -2\n", 2)
 
 
+@pytest.mark.parametrize(
+    "command, lattice, window",
+    [
+        (["convolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
+        (["spectrum", "--N", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
+    ],
+)
+def test_cli_origin_outside_the_window_is_a_validation_error(tmp_path, capsys, command, lattice, window):
+    cfg = tmp_path / "origin.cfg"
+    cfg.write_text("[lattice]\n" + lattice)
+    out = tmp_path / "o"
+    assert cli.main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{window} misses the origin" in capsys.readouterr().err
+    assert not any(out.glob("*.json"))  # no centred measure written in its place
+
+
 def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path, monkeypatch):
     from chainlab import diagnostics
 

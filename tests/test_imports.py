@@ -2,14 +2,18 @@
 
 Every CLI command runs in a fresh process, and those scipy packages take
 longer to import than all of chainlab, so the code that needs them
-(quasiperiodic profiles, Bessel kernels, the Chebyshev propagator, chains
-longer than NUMPY_EIGH_SITES, the dense measure oracle) imports them where
-it uses them.
+(quasiperiodic profiles, dirichlet chains longer than NUMPY_EIGH_SITES, the
+dense measure oracle) imports them where it uses them.  The free m-factor
+needs none of them: its eigenbasis is closed form and its Bessel values come
+from a numpy recurrence, so decay-fit runs on numpy alone.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("operators", "spectral", "evolution", "diagnostics", "config", "datafiles", "verify", "cli")
@@ -26,26 +30,50 @@ def _run(code: str, cwd) -> str:
     return proc.stdout.strip()
 
 
+def _loaded_after(argv, cwd, modules) -> str:
+    """'<exit code> <modules among `modules` loaded>' after one CLI command in a fresh process."""
+    code = (
+        f"import sys\nfrom chainlab.cli import main\nrc = main({argv!r})\n"
+        f"print(rc, [m for m in {modules!r} if m in sys.modules])\n"
+    )
+    return _run(code, cwd).splitlines()[-1]
+
+
 def test_importing_every_module_defers_slow_scipy_packages():
     code = "".join(f"import chainlab.{m}\n" for m in MODULES)
     code += f"import sys\nprint(sorted(m for m in {DEFERRED!r} if m in sys.modules))\n"
     assert _run(code, ROOT) == "[]"
 
 
+def test_no_module_imports_scipy_special():
+    pattern = re.compile(r"^\s*(from|import)\s+scipy\.special\b|^\s*from\s+scipy\s+import\s+.*\bspecial\b", re.M)
+    hits = [p.name for p in sorted((ROOT / "src" / "chainlab").glob("*.py")) if pattern.search(p.read_text())]
+    assert hits == []
+
+
+@pytest.mark.parametrize(
+    "m_method, extra",
+    [("dft_multiplier", []), ("bessel_kernel", []), ("eigen", ["--M", "1024"])],
+    ids=["dft_multiplier", "bessel_kernel", "eigen"],
+)
+def test_decay_fit_runs_on_numpy_alone(tmp_path, m_method, extra):
+    # the eigen step at M = 1024 once solved the free window with LAPACK's stemr,
+    # and the bessel step took J from scipy.special.jv
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    argv = ["decay-fit", "--config", str(cfg), "--N", "16", "--tmax", "40", *extra, "--out", "d"]
+    assert _loaded_after(argv, tmp_path, ("scipy.linalg", "scipy.special")) == "0 []"
+
+
 def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
-    # decay-fit (default m_method, dft_multiplier; the free chain is a one-site
-    # chain) and verify at these sizes need only chains of at most
-    # NUMPY_EIGH_SITES sites; convolve's dense oracle needs LAPACK's dsytrd
+    # the free chain (a one-site chain) and verify at these sizes need only chains of
+    # at most NUMPY_EIGH_SITES sites; convolve's dense oracle needs LAPACK's dsytrd
     commands = {
-        "decay-fit": ["decay-fit", "--N", "16", "--tmax", "40", "--out", "d"],
         "decay-fit-free-chain": ["decay-fit", "--tmax", "40", "--out", "f"],
         "verify": ["verify", "--N", "16", "--M", "16", "--out", "v"],
         "convolve": ["convolve", "--N", "8", "--M", "8", "--out", "c"],
     }
-    loaded = {}
-    for name, argv in commands.items():
-        code = f"import sys\nfrom chainlab.cli import main\nrc = main({argv!r})\nprint(rc, 'scipy.linalg' in sys.modules)\n"
-        loaded[name] = _run(code, tmp_path).splitlines()[-1]
+    loaded = {name: _loaded_after(argv, tmp_path, ("scipy.linalg",)) for name, argv in commands.items()}
     assert loaded == {
-        "decay-fit": "0 False", "decay-fit-free-chain": "0 False", "verify": "0 False", "convolve": "0 True"
+        "decay-fit-free-chain": "0 []", "verify": "0 []", "convolve": "0 ['scipy.linalg']"
     }

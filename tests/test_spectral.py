@@ -25,6 +25,7 @@ from chainlab.spectral import (
     dense_measure,
     eigen_residual,
     eigh_tridiagonal,
+    free_eigensystem,
     gram_defect,
     max_atom_weight,
     spectral_measure_1d,
@@ -188,6 +189,57 @@ def test_eigh_tridiagonal_on_both_sides_of_the_numpy_size_rule(size):
     np.testing.assert_allclose(es.eigenvalues, ref, rtol=0, atol=1e-13)
     assert eigen_residual(es, op) <= 1e-12
     assert gram_defect(es) <= 1e-12
+
+
+FREE_SIZES = [2, 3, 48, 512, 513, 1024]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("M", FREE_SIZES)
+def test_free_eigensystem_is_the_free_chain_eigensystem(M, boundary):
+    op = free_operator(M, boundary)
+    es = free_eigensystem(op)
+    assert es.source is op
+    np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(op.matrix()), rtol=0, atol=1e-13)
+    assert eigen_residual(es, op) <= 1e-13
+    assert gram_defect(es) <= 1e-13
+    if boundary == "periodic":  # columns 2p - 1 and 2p are the cos and sin of one mode: bit-equal eigenvalues
+        pairs = (M + 1) // 2 - 1
+        np.testing.assert_array_equal(es.eigenvalues[1 : 2 * pairs : 2], es.eigenvalues[2 : 2 * pairs + 1 : 2])
+
+
+def _exact_delta_measure(M, boundary, site):
+    """The free chain's measure at e_site from 30-digit trigonometry: basis-free, as the
+    window's spectrum is simple and the ring's has weight 1/M per Fourier mode.  numpy's
+    eigh is no reference at 1e-14: its delta measure is 2.2e-14 off this one on the
+    1024-site ring."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        if boundary == "periodic":
+            atoms = [(-2 * mpmath.cos(2 * mpmath.pi * k / M), mpmath.mpf(1) / M) for k in range(M)]
+        else:
+            angle = mpmath.pi / (M + 1)
+            weight = 2 / mpmath.mpf(M + 1)
+            atoms = [(-2 * mpmath.cos(angle * k), weight * mpmath.sin(angle * (site + 1) * k) ** 2) for k in range(1, M + 1)]
+        energies, weights = zip(*((float(e), float(w)) for e, w in atoms))
+    return SpectralMeasure.from_atoms(energies, weights)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("M", FREE_SIZES)
+def test_free_eigensystem_delta_measure_is_basis_independent(M, boundary):
+    es = free_eigensystem(free_operator(M, boundary))
+    for site in sorted({0, M // 3, M // 2, M - 1}):
+        delta = np.zeros(M)
+        delta[site] = 1.0
+        got = spectral_measure_1d(es, delta)
+        assert atom_weight_discrepancy(got, _exact_delta_measure(M, boundary, site)) <= 1e-14, site
+
+
+def test_free_eigensystem_rejects_a_potential():
+    with pytest.raises(ValueError, match="free chain"):
+        free_eigensystem(build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 8))))
 
 
 # -- 1D spectral measures -------------------------------------------------------

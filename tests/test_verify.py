@@ -51,5 +51,6 @@ def test_cli_verify_under_bessel_kernel_passes(tmp_path):
 def test_cli_verify_under_bessel_kernel_names_the_minimal_window(tmp_path, capsys):
     out = tmp_path / "v"
     assert cli.main(["verify", "--config", _bessel_config(tmp_path), "--N", "8", "--M", "16", "--out", str(out)]) == 1
-    assert "M >= 81" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "m-window of 16 sites" in err and "at least 81 sites" in err
     assert not (out / "verify.json").exists()

@@ -12,7 +12,7 @@ from chainlab import (
     almost_mathieu,
     build_operator_1d,
     conservation_defects,
-    delta_state,
+    delta_vector,
     fit_decay_exponent,
     free_operator,
     make_plan,
@@ -35,20 +35,18 @@ M = wrap_free_grid(T_MAX)
 print(f"m-grid: M = {M} (wrap-free out to t = {T_MAX} at light-cone speed 2)")
 
 print("\n== free chain (single fiber) ==")
-psi0 = delta_state(1, M)
 plan = make_plan(free_operator(1), "dft_multiplier", M)
-trace = record_decay(plan, psi0, TIMES)
+trace = record_decay(plan, delta_vector(1), delta_vector(M), TIMES)
 fit = fit_decay_exponent(trace, *FIT)
 print(f"  fitted sup-norm exponent: {fit.exponent:+.4f}  (one-third law: -0.3333)")
 print(f"  log-log fit rms residual: {fit.residual:.3e}")
 
 print("\n== localized chain in n, free in m ==")
 N = 96
-psi0 = delta_state(N, M)
 spec = almost_mathieu(3.0, theta=0.42)
-a1 = build_operator_1d(sample_potential(spec, (psi0.n0, psi0.n0 + N)))
+a1 = build_operator_1d(sample_potential(spec, (-(N // 2), N - N // 2)))
 plan = make_plan(a1, "dft_multiplier", M)
-trace = record_decay(plan, psi0, TIMES)
+trace = record_decay(plan, delta_vector(N), delta_vector(M), TIMES)
 fit = fit_decay_exponent(trace, *FIT)
 print(f"  fitted sup-norm exponent: {fit.exponent:+.4f}")
 

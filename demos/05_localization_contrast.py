@@ -13,6 +13,7 @@ from chainlab import (
     almost_mathieu,
     build_operator_1d,
     delta_state,
+    delta_vector,
     eigh_tridiagonal,
     evolve_1d_eigen,
     evolve_2d_factorized,
@@ -61,7 +62,7 @@ psi0 = delta_state(96, M)
 a1 = build_operator_1d(sample_potential(spec, (psi0.n0, psi0.n0 + 96)))
 plan = make_plan(a1, "dft_multiplier", M)
 times = np.geomspace(2.0, T_MAX, 18)
-trace = record_decay(plan, psi0, times)
+trace = record_decay(plan, delta_vector(96), delta_vector(M), times)
 fit = fit_decay_exponent(trace, 10.0, T_MAX)
 print(f"  sup-norm exponent along the trajectory: {fit.exponent:+.4f} (free value -1/3)")
 

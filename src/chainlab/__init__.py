@@ -25,6 +25,7 @@ _EXPORTS = {
         "sample_potential",
         "build_operator_1d",
         "free_operator",
+        "delta_vector",
         "delta_state",
         "tensor_state",
         "apply_h2d",

@@ -154,32 +154,19 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _origin_index(key: str, start: int | None, size: int) -> int:
-    """Index of the physical origin in a window of size sites from start; None centres the window."""
-    if start is None:
-        return size // 2
-    if not 0 <= -start < size:
-        window = f"[{start}, {start + size - 1}]"
-        raise ValueError(f"{key} = {start}: the window {window} of {size} sites misses the origin")
-    return -start
-
-
 def _out(cfg, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
 def _cmd_spectrum(cfg, args) -> int:
-    import numpy as np
-
     from . import datafiles
+    from .operators import delta_vector
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
     N = cfg.N or DEFAULT_SIZE
     pot, a1 = cfg.chain_operator(N)
     es = eigh_tridiagonal(a1)
-    chi = np.zeros(N, dtype=complex)
-    chi[_origin_index("n0", cfg.n0, N)] = 1.0
-    mu = spectral_measure_1d(es, chi, merge_tol=cfg.tolerances.atom_merge)
+    mu = spectral_measure_1d(es, delta_vector(N, cfg.n0, "n0"), merge_tol=cfg.tolerances.atom_merge)
     datafiles.write_potential_csv(pot, _out(cfg, "potential.csv"))
     datafiles.write_eigenvalues_csv(es.eigenvalues, _out(cfg, "eigenvalues.csv"))
     datafiles.write_measure_csv(mu, _out(cfg, "measure_delta.csv"))
@@ -201,22 +188,15 @@ def _cmd_spectrum(cfg, args) -> int:
 
 
 def _cmd_convolve(cfg, args) -> int:
-    import numpy as np
-
     from . import datafiles
-    from .evolution import DENSE_SITE_CAP
-    from .operators import hamiltonian_2d_dense
+    from .operators import DENSE_SITE_CAP, delta_vector, hamiltonian_2d_dense, origin_index
     from .spectral import atom_weight_discrepancy, convolve_measures, dense_measure, spectral_measure_1d
     from .verify import CheckFailure
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
-    origin, m_index = _origin_index("n0", cfg.n0, N), _origin_index("m0", cfg.m0, M)
-    chi = np.zeros(N, dtype=complex)
-    chi[origin] = 1.0
-    phi = np.zeros(M, dtype=complex)
-    phi[m_index] = 1.0
+    chi, phi = delta_vector(N, cfg.n0, "n0"), delta_vector(M, cfg.m0, "m0")
     merge = cfg.tolerances.atom_merge
     mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge)
     mu2 = spectral_measure_1d(plan.m_eigensystem, phi, merge_tol=merge)
@@ -233,7 +213,8 @@ def _cmd_convolve(cfg, args) -> int:
     }
     discrepancy = None
     if N * M <= DENSE_SITE_CAP:
-        direct = dense_measure(hamiltonian_2d_dense(a1, a2), origin * M + m_index, merge_tol=merge)
+        site = origin_index("n0", cfg.n0, N) * M + origin_index("m0", cfg.m0, M)
+        direct = dense_measure(hamiltonian_2d_dense(a1, a2), site, merge_tol=merge)
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
         discrepancy = atom_weight_discrepancy(conv, direct)
         report["compared_to_direct"] = True
@@ -256,8 +237,8 @@ def _evolve_times(cfg, args):
     import numpy as np
 
     if args.tmax is not None:
-        if args.tmax <= 0:
-            raise ValueError("--tmax must be positive")
+        if not 0 < args.tmax < np.inf:
+            raise ValueError("--tmax must be positive and finite")
         return np.linspace(0.0, args.tmax, 11)
     if cfg.times is not None:
         return np.asarray(cfg.times, dtype=float)
@@ -321,15 +302,15 @@ def _cmd_decay_fit(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
-    from .operators import delta_state
+    from .operators import delta_vector
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if args.tmax is None and cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
     else:
-        if t_hi <= fit_lo:
-            raise ValueError(f"--tmax must exceed the fit window start {fit_lo:g}")
+        if not fit_lo < t_hi < np.inf:
+            raise ValueError(f"--tmax must be finite and exceed the fit window start {fit_lo:g}")
         if fit_lo <= 0:
             raise ValueError("geometric time grid needs a positive fit window start")
         times = np.geomspace(fit_lo, t_hi, DECAY_SAMPLES)
@@ -344,10 +325,10 @@ def _cmd_decay_fit(cfg, args) -> int:
     # a zero potential and no N: the free chain, run as the one-site chain
     free_chain = cfg.potential.family == "constant" and cfg.potential.amplitude == 0.0 and cfg.N is None
     N = 1 if free_chain else cfg.N or DECAY_N_DEFAULT
-    psi0 = delta_state(N, M, cfg.n0, cfg.m0)
+    chi, phi = delta_vector(N, cfg.n0, "n0"), delta_vector(M, cfg.m0, "m0")
     plan = cfg.plan(N, M)
 
-    trace = record_decay(plan, psi0, times)
+    trace = record_decay(plan, chi, phi, times)
     # --tmax ends the fit window; otherwise the config's window, cut at the last sample
     fit = fit_decay_exponent(trace, fit_lo, t_max if args.tmax is not None else min(fit_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)

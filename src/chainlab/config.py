@@ -78,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError("M must be at least 2")
         if self.times is not None:
             ts = np.asarray(self.times, dtype=float)
-            if ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) < 0):
-                raise ConfigError("times must be nonnegative and ascending")
+            if ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts < 0) or np.any(np.diff(ts) < 0):
+                raise ConfigError(f"[time] times must be finite, nonnegative and ascending, got {self.times}")
         lo, hi = self.fit_window
         if not 0 <= lo < hi:
             raise ConfigError("fit window must satisfy 0 <= lo < hi")

@@ -5,11 +5,12 @@ a grid sized so no wrapped or reflected amplitude re-enters the picture
 (group speed is 2, so the light cone at time t spans 2t sites plus a kernel
 tail), then fit log sup against log <t> with <t> = sqrt(1 + t^2).
 
-A decay trace needs a product initial state chi (x) phi, such as a delta.
-The propagator keeps the product form, e^{iHt}(chi (x) phi) =
-(e^{iA1 t} chi) (x) (e^{i(-Delta)t} phi), so every norm and the energy of
-psi(t) follow from the two 1D factors: a sample costs O(N^2 + M log M)
-(O(N^2 + M^2) for the eigen m-sweep) instead of a full O(N^2 M) step.
+A decay trace starts from a product state chi (x) phi, such as a delta, and
+takes its two 1D factors; no N x M array is ever formed.  The propagator
+keeps the product form, e^{iHt}(chi (x) phi) = (e^{iA1 t} chi) (x)
+(e^{i(-Delta)t} phi), so every norm and the energy of psi(t) follow from the
+two evolved factors: a sample costs O(N^2 + M log M) (O(N^2 + M^2) for the
+eigen m-sweep) instead of a full O(N^2 M) step.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .operators import LatticeState2D, PotentialSpec, _freeze, sample_potential
 RENORM_BLOCK = 32
 MIN_TRANSFER_LENGTH = 1000
 MIN_FIT_SAMPLES = 8
-PRODUCT_TOL = 1e-12  # relative to max |psi0|
 
 
 def time_bracket(t):
@@ -75,37 +75,25 @@ def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = DEFA
     return support_width + 2 * light_cone_reach(t_max, tail_tol)
 
 
-def _product_factors(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, phi) with outer(chi, phi) = amp, from the pivot row and column at argmax |amp|."""
-    i, j = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
-    chi = amp[:, j] / amp[i, j]
-    phi = amp[i, :]
-    defect = np.abs(np.outer(chi, phi) - amp).max()
-    if defect > PRODUCT_TOL * abs(amp[i, j]):
-        raise ValueError(
-            f"decay traces need a product initial state chi (x) phi: the rank-1 fit at the pivot "
-            f"({i}, {j}) is off by {defect:.3e}, above {PRODUCT_TOL:g} x max |psi0|"
-        )
-    return chi, phi
+def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
+    """Evolve psi0 = chi (x) phi under the plan and record norms at each time.
 
-
-def record_decay(plan: PropagatorPlan, psi0: LatticeState2D, times) -> DecayTrace:
-    """Evolve the product state psi0 under the plan and record norms at each time.
-
-    Times must be nonnegative and ascending.  The m-grid must be wrap-free
-    for the last time per the light-cone rule; the error names the minimal
-    grid otherwise.  psi0 must be a product chi (x) phi to within
-    PRODUCT_TOL x max |psi0|; only its two factors are evolved.
+    chi lives on the plan's N sites and phi on its M sites; only these two
+    factors are evolved.  Times must be finite, nonnegative and ascending.
+    The m-grid must be wrap-free for phi up to the last time per the
+    light-cone rule; the error names the minimal grid otherwise.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("need a nonempty 1D array of times")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be nonnegative and ascending")
-    if psi0.shape != (plan.n_size, plan.m_size):
-        raise ValueError(f"state shape {psi0.shape} does not match plan ({plan.n_size}, {plan.m_size})")
-    check_wrap_free(psi0.amplitudes, float(times[-1]), plan.tail_tol, ring=plan.m_method == "dft_multiplier")
-    chi, phi = _product_factors(psi0.amplitudes)
+    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, nonnegative and ascending")
+    chi, phi = np.asarray(chi, dtype=complex), np.asarray(phi, dtype=complex)
+    if chi.shape != (plan.n_size,) or phi.shape != (plan.m_size,):
+        raise ValueError(
+            f"factor shapes {chi.shape} and {phi.shape} do not match plan ({plan.n_size},) and ({plan.m_size},)"
+        )
+    check_wrap_free(phi, float(times[-1]), plan.tail_tol, ring=plan.m_method == "dft_multiplier")
 
     a1 = plan.a1_operator()
     a2 = plan.a2_operator()
@@ -127,8 +115,8 @@ def record_decay(plan: PropagatorPlan, psi0: LatticeState2D, times) -> DecayTrac
         supm_l2n=cols["mixed"],
         l2_norms=cols["l2"],
         energies=cols["energy"],
-        psi0_l1=float(np.abs(psi0.amplitudes).sum()),
-        psi0_l2=float(np.linalg.norm(psi0.amplitudes)),
+        psi0_l1=float(np.abs(chi).sum() * np.abs(phi).sum()),
+        psi0_l2=float(np.linalg.norm(chi) * np.linalg.norm(phi)),
     )
 
 

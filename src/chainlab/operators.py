@@ -27,7 +27,7 @@ FAMILIES = ("constant", "quasiperiodic", "almost_mathieu", "random_iid", "explic
 BOUNDARIES = ("dirichlet", "periodic")
 
 _IID_BLOCK = 4096  # sites drawn per counter-based RNG block
-DENSE_SITE_CAP = 4096  # largest N*M the dense 2D oracle will form
+DENSE_SITE_CAP = 4096  # largest dimension of a dense matrix the lab forms
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -274,15 +274,29 @@ class LatticeState2D:
         return np.arange(self.m0, self.m0 + self.shape[1])
 
 
+def origin_index(key: str, start: int | None, size: int) -> int:
+    """Index of the physical origin in a window of size sites from start; None centres the window."""
+    if start is None:
+        return size // 2
+    if not 0 <= -start < size:
+        window = f"[{start}, {start + size - 1}]"
+        raise ValueError(f"{key} = {start}: the window {window} of {size} sites misses the origin")
+    return -start
+
+
+def delta_vector(size: int, start: int | None = None, key: str = "start") -> np.ndarray:
+    """Unit mass at the physical origin of a window of size sites from start (None centres it)."""
+    vec = np.zeros(size, dtype=complex)
+    vec[origin_index(key, start, size)] = 1.0
+    return vec
+
+
 def delta_state(N: int, M: int, n0: int | None = None, m0: int | None = None) -> LatticeState2D:
-    """Unit mass at the physical site (0, 0) of a centered window."""
-    n0 = -(N // 2) if n0 is None else n0
-    m0 = -(M // 2) if m0 is None else m0
-    if not (n0 <= 0 < n0 + N and m0 <= 0 < m0 + M):
-        raise ValueError("window does not contain the site (0, 0)")
+    """Unit mass at the physical site (0, 0); an axis without a start is centred."""
+    i, j = origin_index("n0", n0, N), origin_index("m0", m0, M)
     amp = np.zeros((N, M), dtype=complex)
-    amp[-n0, -m0] = 1.0
-    return LatticeState2D(amp, n0=n0, m0=m0)
+    amp[i, j] = 1.0
+    return LatticeState2D(amp, n0=-i, m0=-j)
 
 
 def tensor_state(chi: np.ndarray, phi: np.ndarray, n0: int = 0, m0: int = 0) -> LatticeState2D:

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator1D, _freeze
+from .operators import DENSE_SITE_CAP, Operator1D, _freeze
 
 ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
-PERIODIC_DENSE_CAP = 4096
 NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import
 _SYM_ROWS = 256  # rows per block when a matrix is not exactly symmetric
 
@@ -139,10 +138,8 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
             raise RuntimeError(f"tridiagonal eigensolver did not converge: {exc}") from exc
         return EigenSystem(lam, vec, source=op)
-    if op.size > PERIODIC_DENSE_CAP:
-        raise ValueError(
-            f"periodic operator of size {op.size} exceeds the dense fallback cap {PERIODIC_DENSE_CAP}"
-        )
+    if op.size > DENSE_SITE_CAP:
+        raise ValueError(f"periodic operator of size {op.size} exceeds the dense cap of {DENSE_SITE_CAP}")
     lam, vec = np.linalg.eigh(op.matrix())
     return EigenSystem(lam, vec, source=op)
 

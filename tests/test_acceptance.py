@@ -19,12 +19,12 @@ from chainlab.diagnostics import (
 )
 from chainlab.evolution import evolve_1d_eigen, evolve_2d_factorized, make_plan
 from chainlab.operators import (
-    LatticeState2D,
     PotentialSpec,
     almost_mathieu,
     build_operator_1d,
     constant_potential,
     delta_state,
+    delta_vector,
     free_operator,
     hamiltonian_2d_dense,
     l1_norm,
@@ -95,12 +95,10 @@ def factorization_runs():
 def free_chain_run():
     """Free 1D chain decay trace on a wrap-free grid."""
     M = 1024
-    amp = np.zeros((1, M), dtype=complex)
-    amp[0, M // 2] = 1.0
-    psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
+    phi = delta_vector(M)
     plan = make_plan(free_operator(1), "dft_multiplier", M)
-    trace = record_decay(plan, psi0, TRACE_TIMES)
-    return plan, psi0, trace
+    trace = record_decay(plan, delta_vector(1), phi, TRACE_TIMES)
+    return plan, phi, trace
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +109,7 @@ def amo_2d_run():
     pot = sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, "dft_multiplier", M)
-    trace = record_decay(plan, psi0, TRACE_TIMES)
+    trace = record_decay(plan, delta_vector(N), delta_vector(M), TRACE_TIMES)
     return plan, psi0, trace
 
 

@@ -368,6 +368,8 @@ def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path):
     [
         (["convolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
         (["spectrum", "--N", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
+        (["evolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
+        (["decay-fit", "--N", "8", "--tmax", "40"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
     ],
 )
 def test_cli_origin_outside_the_window_is_a_validation_error(tmp_path, capsys, command, lattice, window):
@@ -385,9 +387,9 @@ def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path
     starts = {}
     record = diagnostics.record_decay
 
-    def spy(plan, psi0, times):
-        starts[plan.n_size] = psi0
-        return record(plan, psi0, times)
+    def spy(plan, chi, phi, times):
+        starts[plan.n_size] = chi, phi
+        return record(plan, chi, phi, times)
 
     monkeypatch.setattr(diagnostics, "record_decay", spy)
     cfg = tmp_path / "m0.cfg"
@@ -395,9 +397,9 @@ def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path
     run = ["decay-fit", "--config", str(cfg), "--tmax", "40", "--out"]
     assert cli.main(run + [str(tmp_path / "free")]) == 0
     assert cli.main(run + [str(tmp_path / "lattice"), "--N", "8"]) == 0
-    free, lattice = starts[1], starts[8]
-    assert free.m0 == lattice.m0 == -3
-    assert np.argmax(np.abs(free.amplitudes[0])) == np.argmax(np.abs(lattice.amplitudes).max(axis=0)) == 3
+    (free_chi, free_phi), (lattice_chi, lattice_phi) = starts[1], starts[8]
+    assert np.flatnonzero(free_chi).tolist() == [0] and np.flatnonzero(lattice_chi).tolist() == [4]
+    assert np.flatnonzero(free_phi).tolist() == np.flatnonzero(lattice_phi).tolist() == [3]  # m0 = -3
     # on the ring a moved delta decays as the centred one does, up to rounding
     assert cli.main(["decay-fit", "--tmax", "40", "--out", str(tmp_path / "centred")]) == 0
     moved, centred = (np.loadtxt(tmp_path / d / "trace.csv", delimiter=",", skiprows=1) for d in ("free", "centred"))
@@ -419,6 +421,46 @@ def test_cli_decay_fit_free_chain(tmp_path):
     assert fit["m_size"] == 256  # wrap-free M for t = 40, rounded up to a power of two
     assert fit["tolerance"] == 1e-9
     assert 0.0 <= fit["l2_drift"] <= 1e-9 and 0.0 <= fit["energy_drift"] <= 1e-9
+
+
+@pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel"])
+def test_cli_decay_fit_forms_no_n_by_m_array(tmp_path, m_method):
+    """decay-fit evolves the two 1D factors of its delta: its traced peak stays below one N x M array."""
+    import tracemalloc
+
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    run = ["decay-fit", "--config", str(cfg), "--N", "128", "--tmax", "800", "--out"]
+    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(run + [str(tmp_path / "d")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m_size = _read_json(tmp_path / "d" / "fit.json")["m_size"]
+    assert m_size == 4096
+    assert peak < 128 * m_size * np.dtype(complex).itemsize  # 8 MiB
+
+
+@pytest.mark.parametrize("command", ["evolve", "decay-fit"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_non_finite_times_are_a_config_error(tmp_path, capsys, command, bad):
+    cfg = tmp_path / "times.cfg"
+    cfg.write_text(f"[time]\ntimes = 0, 1, {bad}\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "[time] times must be finite" in capsys.readouterr().err
+    assert not out.exists()  # rejected at parse time, before the output directory
+
+
+@pytest.mark.parametrize("command", ["evolve", "decay-fit"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_non_finite_tmax_is_a_validation_error(tmp_path, capsys, command, bad):
+    out = tmp_path / "o"
+    assert cli.main([command, "--tmax", bad, "--out", str(out)]) == 1
+    assert "--tmax must be" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_cli_decay_fit_tmax_ends_the_fit_window(tmp_path):

@@ -17,12 +17,12 @@ from chainlab.diagnostics import (
 )
 from chainlab.evolution import evolve_2d_factorized, evolve_free_1d, make_plan
 from chainlab.operators import (
-    LatticeState2D,
     PotentialSpec,
     almost_mathieu,
     build_operator_1d,
     constant_potential,
     delta_state,
+    delta_vector,
     energy_expectation,
     free_operator,
     l2_norm,
@@ -30,16 +30,11 @@ from chainlab.operators import (
     mixed_supm_l2n,
     sample_potential,
     sup_norm,
+    tensor_state,
 )
 
 # growth rate of the free transfer matrix at E = 3: log((3 + sqrt 5) / 2)
 FREE_GAMMA_AT_3 = 0.9624236501192069
-
-
-def _free_chain_state(M):
-    amp = np.zeros((1, M), dtype=complex)
-    amp[0, M // 2] = 1.0
-    return LatticeState2D(amp, n0=0, m0=-(M // 2))
 
 
 def test_time_bracket_values():
@@ -53,12 +48,11 @@ def test_time_bracket_values():
 
 def test_record_decay_free_chain_matches_kernel():
     M = 256
-    psi0 = _free_chain_state(M)
+    phi = delta_vector(M)
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.array([0.0, 1.0, 5.0, 10.0])
-    trace = record_decay(plan, psi0, times)
+    trace = record_decay(plan, delta_vector(1), phi, times)
     assert trace.psi0_l1 == 1.0 and trace.psi0_l2 == 1.0
-    phi = psi0.amplitudes[0]
     for i, t in enumerate(times):
         out = evolve_free_1d(phi, t)
         assert abs(trace.sup_norms[i] - np.abs(out).max()) < 1e-14
@@ -68,30 +62,27 @@ def test_record_decay_free_chain_matches_kernel():
 
 
 def test_record_decay_rejects_wrapped_grid():
-    psi0 = _free_chain_state(32)
     plan = make_plan(free_operator(1), "dft_multiplier", 32)
     with pytest.raises(ValueError, match=r"\d+"):
-        record_decay(plan, psi0, [0.0, 50.0])
+        record_decay(plan, delta_vector(1), delta_vector(32), [0.0, 50.0])
 
 
 def test_record_decay_requires_ascending_times():
-    psi0 = _free_chain_state(64)
     plan = make_plan(free_operator(1), "dft_multiplier", 64)
-    with pytest.raises(ValueError):
-        record_decay(plan, psi0, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        record_decay(plan, psi0, [-1.0, 0.5])
+    for times in ([1.0, 0.5], [-1.0, 0.5], [0.0, 1.0, math.inf], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite, nonnegative and ascending"):
+            record_decay(plan, delta_vector(1), delta_vector(64), times)
 
 
 REFERENCE_TIMES = np.array([0.0, 0.5, 3.0, 20.0, 80.0])
 
 
-def _product_state(N, M, rng):
-    """A complex chi (x) phi with phi on 5 central sites, so the grid stays wrap-free."""
+def _product_factors(N, M, rng):
+    """A complex chi and phi, phi on 5 central sites, so the grid stays wrap-free."""
     chi = rng.normal(size=N) + 1j * rng.normal(size=N)
     phi = np.zeros(M, dtype=complex)
     phi[M // 2 - 2 : M // 2 + 3] = rng.normal(size=5) + 1j * rng.normal(size=5)
-    return LatticeState2D(np.outer(chi, phi), n0=-(N // 2), m0=-(M // 2))
+    return chi, phi
 
 
 def _full_state_trace(plan, psi0, a1):
@@ -119,12 +110,15 @@ def _full_state_trace(plan, psi0, a1):
 def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     rng = np.random.default_rng(5)
     N = 1 if free_chain else 128
-    psi0 = _product_state(N, M, rng)
+    chi, phi = _product_factors(N, M, rng)
+    psi0 = tensor_state(chi, phi, n0=-(N // 2), m0=-(M // 2))
     a1 = free_operator(1)
     if not free_chain:
         a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N)))
     plan = make_plan(a1, m_method, M)
-    trace = record_decay(plan, psi0, REFERENCE_TIMES)
+    trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
+    assert trace.psi0_l1 == pytest.approx(np.abs(psi0.amplitudes).sum(), rel=1e-14)
+    assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0.amplitudes), rel=1e-14)
     columns = (trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
@@ -138,26 +132,19 @@ def test_dft_record_decay_never_solves_a2(monkeypatch):
     solve = evolution.eigh_tridiagonal
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
     plan = make_plan(build_operator_1d(size=16), "dft_multiplier", 256)
-    record_decay(plan, delta_state(16, 256), [0.0, 1.0, 10.0])
+    record_decay(plan, delta_vector(16), delta_vector(256), [0.0, 1.0, 10.0])
     assert solved == [16]  # A1 only: the ring's m-sweep is the closed-form DFT multiplier
-
-
-def test_record_decay_rejects_non_product_state():
-    M = 256
-    psi0 = delta_state(16, M)
-    amp = psi0.amplitudes.copy()
-    amp[3, M // 2 + 1] = 1.0  # a second delta in another row and column: rank 2
-    plan = make_plan(build_operator_1d(size=16), "dft_multiplier", M)
-    with pytest.raises(ValueError, match="product"):
-        record_decay(plan, psi0.with_amplitudes(amp), [0.0, 1.0])
 
 
 def test_record_decay_rejects_state_off_the_plan_grid():
     plan = make_plan(free_operator(1), "dft_multiplier", 256)
-    with pytest.raises(ValueError, match="does not match plan"):
-        record_decay(plan, delta_state(2, 256), [0.0, 1.0])
-    with pytest.raises(ValueError, match="does not match plan"):
-        record_decay(plan, _free_chain_state(512), [0.0, 1.0])
+    for chi, phi in (
+        (delta_vector(2), delta_vector(256)),  # N off the plan
+        (delta_vector(1), delta_vector(512)),  # M off the plan
+        (delta_vector(1), delta_state(1, 256).amplitudes),  # a 2D state is not a factor
+    ):
+        with pytest.raises(ValueError, match="do not match plan"):
+            record_decay(plan, chi, phi, [0.0, 1.0])
 
 
 def test_minimal_wrap_free_m_grows_with_time():
@@ -211,10 +198,9 @@ def test_fit_needs_enough_samples():
 
 def test_free_chain_decay_exponent_near_minus_third():
     M = 1024
-    psi0 = _free_chain_state(M)
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.geomspace(20.0, 200.0, 25)
-    trace = record_decay(plan, psi0, times)
+    trace = record_decay(plan, delta_vector(1), delta_vector(M), times)
     fit = fit_decay_exponent(trace)
     assert -0.40 <= fit.exponent <= -0.28
 
@@ -299,7 +285,7 @@ def test_spreading_moments_of_delta():
 
 def test_free_spreading_is_ballistic():
     M = 512
-    psi0 = _free_chain_state(M)
+    psi0 = delta_state(1, M)
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     t = 12.0
     out_amp = evolve_free_1d(psi0.amplitudes[0], t)

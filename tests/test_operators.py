@@ -183,8 +183,10 @@ def test_delta_state_sits_at_physical_origin():
 
 
 def test_delta_state_window_must_contain_origin():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n0 = 1: the window \[1, 4\] of 4 sites misses the origin"):
         delta_state(4, 4, n0=1)
+    with pytest.raises(ValueError, match=r"m0 = -4: the window \[-4, -1\] of 4 sites misses the origin"):
+        delta_state(4, 4, m0=-4)
 
 
 def test_apply_h2d_matches_dense_matrix():

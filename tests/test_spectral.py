@@ -7,6 +7,7 @@ import scipy.linalg
 from chainlab.evolution import evolve_1d_eigen
 from chainlab.operators import (
     BOUNDARIES,
+    DENSE_SITE_CAP,
     Operator1D,
     almost_mathieu,
     build_operator_1d,
@@ -189,6 +190,15 @@ def test_eigh_tridiagonal_on_both_sides_of_the_numpy_size_rule(size):
     np.testing.assert_allclose(es.eigenvalues, ref, rtol=0, atol=1e-13)
     assert eigen_residual(es, op) <= 1e-12
     assert gram_defect(es) <= 1e-12
+
+
+def test_eigh_tridiagonal_caps_a_periodic_chain_before_forming_its_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("formed the dense matrix of a chain above the cap")
+
+    monkeypatch.setattr(Operator1D, "matrix", forbidden)
+    with pytest.raises(ValueError, match=f"size {DENSE_SITE_CAP + 1} exceeds the dense cap of {DENSE_SITE_CAP}"):
+        eigh_tridiagonal(free_operator(DENSE_SITE_CAP + 1, "periodic"))
 
 
 FREE_SIZES = [2, 3, 48, 512, 513, 1024]

@@ -46,9 +46,9 @@ print("\n== the convolution identity ==")
 # route 1: convolve the 1D measures
 conv = convolve_measures(mu1, mu2)
 # route 2: the measure of the full 2D operator at the site chi (x) phi, read
-# off one tridiagonal reduction of H (no 2D eigenvectors are formed)
-h2d = hamiltonian_2d_dense(a1, a2)
-direct = dense_measure(h2d, 16 * N + 16)
+# off one tridiagonal reduction of H (no 2D eigenvectors are formed); the
+# reduction overwrites its matrix, so it gets an H of its own
+direct = dense_measure(hamiltonian_2d_dense(a1, a2), 16 * N + 16)
 disc = atom_weight_discrepancy(conv, direct)
 print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")
 print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass().real:.12f}")
@@ -67,7 +67,8 @@ for alpha in (0.8, -0.6j):
     comps.append((alpha, c, p))
     vec += alpha * np.outer(c, p)
 mu2d = spectral_measure_2d(es1, es2, comps)
-direct2 = spectral_measure_1d(dense_eigensystem(h2d), vec.ravel())  # not a site: needs eigenvectors
+es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+direct2 = spectral_measure_1d(es2d, vec.ravel())  # not a site: needs eigenvectors
 print(f"two-term state discrepancy: {atom_weight_discrepancy(mu2d, direct2):.3e}")
 
 print("\n== arcsine limit of the free chain ==")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import BOUNDARIES, GOLDEN_MEAN, Operator1D, Potential1D, PotentialSpec
-from .operators import build_operator_1d, sample_potential
+from .operators import build_operator_1d, origin_index, sample_potential
 from .evolution import M_METHODS, PropagatorPlan, make_plan
 
 
@@ -80,6 +80,9 @@ class ExperimentConfig:
             ts = np.asarray(self.times, dtype=float)
             if ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts < 0) or np.any(np.diff(ts) < 0):
                 raise ConfigError(f"[time] times must be finite, nonnegative and ascending, got {self.times}")
+        for key, value in zip(("fit_lo", "fit_hi"), self.fit_window):
+            if not math.isfinite(value):
+                raise ConfigError(f"[time] {key} must be finite, got {value!r}")
         lo, hi = self.fit_window
         if not 0 <= lo < hi:
             raise ConfigError("fit window must satisfy 0 <= lo < hi")
@@ -89,8 +92,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
 
     def chain_operator(self, N: int) -> tuple[Potential1D, Operator1D]:
-        """The potential sampled on N sites and its A1; the window starts at n0, or is centered."""
-        n0 = self.n0 if self.n0 is not None else -(N // 2)
+        """The potential sampled on N sites and its A1; the window keeps the origin (operators.origin_index)."""
+        n0 = -origin_index("n0", self.n0, N)
         pot = sample_potential(self.potential, (n0, n0 + N))
         return pot, build_operator_1d(pot, boundary=self.boundary_n)
 

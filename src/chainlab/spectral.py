@@ -13,7 +13,9 @@ measure convolution; that identity is what the convolution tests pin down.
 Eigensystems come from three places: free_eigensystem writes down the free
 chain's sine or Fourier basis (the m-factor of every plan), eigh_tridiagonal
 solves a chain with a potential (the n-factor), and dense_eigensystem and
-dense_measure serve the 2D dense oracle.
+dense_measure serve the 2D dense oracle.  dense_measure reduces its matrix
+in place to a tridiagonal T (LAPACK dsytrd) and solves T with scipy's
+eigh_tridiagonal, so no eigenvector of the 2D operator is formed.
 """
 from __future__ import annotations
 
@@ -126,9 +128,10 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     A plan's m-factor never comes here: it is free, and free_eigensystem
     writes its basis down.  Chains of at most NUMPY_EIGH_SITES sites take
     numpy's dense solver, which at those sizes costs less than importing
-    scipy.linalg.  Longer dirichlet chains go through LAPACK's tridiagonal
-    stemr; the periodic corner makes the matrix non-tridiagonal, so long
-    rings stay dense (capped, the dense solve is O(N^3)).
+    scipy.linalg.  Longer dirichlet chains go through
+    scipy.linalg.eigh_tridiagonal and its default LAPACK routine (stevd in
+    current scipy); the periodic corner makes the matrix non-tridiagonal, so
+    long rings stay dense (capped, the dense solve is O(N^3)).
     """
     if op.boundary == "dirichlet" and op.size > NUMPY_EIGH_SITES:
         import scipy.linalg  # deferred: importing it costs more than a short chain's dense solve
@@ -174,12 +177,16 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
 
     P swaps index 0 with ``site``.  Every lower reflector of dsytrd leaves
     the first coordinate alone, so Q e_0 = e_0 and the measure of H at
-    e_site is the measure of T at e_0.  The caller's matrix is not touched;
-    the n^2 working copy is freed on return, before T's eigenvectors exist.
+    e_site is the measure of T at e_0.  The matrix is scratch space: once it
+    passes the symmetry and site checks, a float64 matrix has its rows and
+    columns 0 and ``site`` swapped in place, and a C-contiguous one is then
+    overwritten by dsytrd's reflectors.  dsytrd gets matrix.T, which for a
+    C-contiguous symmetric H is the F-contiguous H, so f2py makes no n^2 copy;
+    it copies any other layout.
     """
     import scipy.linalg  # deferred: only the dense oracle needs LAPACK's dsytrd
 
-    mat = np.array(matrix, dtype=float, order="F")
+    mat = np.asarray(matrix, dtype=float)
     _check_symmetric(mat)
     n = mat.shape[0]
     if not 0 <= site < n:
@@ -187,7 +194,7 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
     mat[[0, site]] = mat[[site, 0]]
     mat[:, [0, site]] = mat[:, [site, 0]]
     lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)  # blocked reduction; the default is unblocked
-    _, diag, offdiag, _, info = scipy.linalg.lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
+    _, diag, offdiag, _, info = scipy.linalg.lapack.dsytrd(mat.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info:  # pragma: no cover - only an illegal argument sets it
         raise RuntimeError(f"dsytrd failed with info = {info}")
     return diag, offdiag
@@ -201,10 +208,18 @@ def dense_measure(matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_T
     basis vector at e_site, and the atoms are the eigenvalues of T weighted
     by the squared first components of its eigenvectors (Golub and Welsch,
     Math. Comp. 23, 1969).
+
+    The reduction overwrites the matrix (see _tridiagonal_from), so hand
+    each call a matrix of its own.  The reference to it is dropped before T
+    is solved.  The n^2 saving needs the caller to hold no other reference,
+    as in dense_measure(hamiltonian_2d_dense(a1, a2), site): H is then freed
+    before the tridiagonal solver allocates its n^2 eigenvectors.
     """
     import scipy.linalg
 
-    lam, vec = scipy.linalg.eigh_tridiagonal(*_tridiagonal_from(matrix, operator.index(site)))
+    diag, offdiag = _tridiagonal_from(matrix, operator.index(site))
+    del matrix
+    lam, vec = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     return SpectralMeasure.from_atoms(lam, vec[0] ** 2, merge_tol)
 
 

@@ -304,6 +304,26 @@ def test_cli_convolve_fails_on_impossible_tolerance(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_cli_convolve_holds_at_most_two_dense_h_buffers(tmp_path):
+    """The dense oracle reduces H in place and drops it before T is solved.
+
+    Its tridiagonal solve allocates n^2 eigenvectors and an n^2 workspace, so
+    H must be gone by then: the traced peak stays near two n^2 buffers, not three.
+    """
+    import tracemalloc
+
+    run = ["convolve", "--N", "48", "--M", "48", "--family", "random_iid", "--out"]
+    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(run + [str(tmp_path / "c")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is True
+    assert peak <= 2.25 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 91.1 MiB
+
+
 def test_cli_evolve_conserves(tmp_path):
     out = tmp_path / "e"
     rc = cli.main(["evolve", "--tmax", "4", "--out", str(out)])
@@ -370,6 +390,7 @@ def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path):
         (["spectrum", "--N", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
         (["evolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
         (["decay-fit", "--N", "8", "--tmax", "40"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
+        (["verify", "--N", "8", "--M", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
     ],
 )
 def test_cli_origin_outside_the_window_is_a_validation_error(tmp_path, capsys, command, lattice, window):
@@ -451,6 +472,16 @@ def test_cli_non_finite_times_are_a_config_error(tmp_path, capsys, command, bad)
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "[time] times must be finite" in capsys.readouterr().err
+    assert not out.exists()  # rejected at parse time, before the output directory
+
+
+@pytest.mark.parametrize("key, bad", [("fit_hi", "inf"), ("fit_lo", "nan"), ("fit_hi", "nan")])
+def test_cli_non_finite_fit_window_is_a_config_error(tmp_path, capsys, key, bad):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"[time]\n{key} = {bad}\n")
+    out = tmp_path / "o"
+    assert cli.main(["decay-fit", "--config", str(cfg), "--N", "8", "--out", str(out)]) == 1
+    assert f"[time] {key} must be finite" in capsys.readouterr().err
     assert not out.exists()  # rejected at parse time, before the output directory
 
 

@@ -57,7 +57,7 @@ def test_no_module_imports_scipy_special():
     ids=["dft_multiplier", "bessel_kernel", "eigen"],
 )
 def test_decay_fit_runs_on_numpy_alone(tmp_path, m_method, extra):
-    # the eigen step at M = 1024 once solved the free window with LAPACK's stemr,
+    # the eigen step at M = 1024 once solved the free window with scipy's eigh_tridiagonal,
     # and the bessel step took J from scipy.special.jv
     cfg = tmp_path / "m.cfg"
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")

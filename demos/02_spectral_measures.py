@@ -57,16 +57,14 @@ print(f"max atom-weight discrepancy: {disc:.3e}")
 print("\n== beyond pure tensors ==")
 # the identity extends to finite combinations; here a two-term state
 rng = np.random.default_rng(1)
-comps = []
 vec = np.zeros((N, N), dtype=complex)
 for alpha in (0.8, -0.6j):
     c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     p = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     c /= np.linalg.norm(c)
     p /= np.linalg.norm(p)
-    comps.append((alpha, c, p))
     vec += alpha * np.outer(c, p)
-mu2d = spectral_measure_2d(es1, es2, comps)
+mu2d = spectral_measure_2d(es1, es2, vec)
 es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
 direct2 = spectral_measure_1d(es2d, vec.ravel())  # not a site: needs eigenvectors
 print(f"two-term state discrepancy: {atom_weight_discrepancy(mu2d, direct2):.3e}")

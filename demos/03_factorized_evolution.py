@@ -19,7 +19,6 @@ from chainlab import (
     evolve_2d_direct,
     evolve_2d_factorized,
     evolve_free_1d,
-    free_operator,
     make_plan,
     sample_potential,
 )
@@ -42,7 +41,7 @@ print(f"  return amplitude |<delta, psi(t)>| = {abs(out[M // 2]):.6f} = |J_0(2t)
 # the three m-sweep methods agree wherever wrap and boundary effects vanish
 a = evolve_free_1d(phi, t, method="dft_multiplier")
 b = evolve_free_1d(phi, t, method="bessel_kernel")
-c = make_plan(free_operator(1), "eigen", M).m_sweep(phi, t)  # the dirichlet eigenbasis sweep
+c = evolve_free_1d(phi, t, method="eigen")  # the dirichlet window, as a sine transform
 print(f"  dft vs bessel: {np.abs(a - b).max():.2e}   dft vs eigen: {np.abs(a - c).max():.2e}")
 
 print("\n== factorization against direct routes ==")

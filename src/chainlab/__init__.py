@@ -41,6 +41,7 @@ _EXPORTS = {
         "ATOM_MERGE_TOL",
         "EigenSystem",
         "free_eigensystem",
+        "free_delta_measure",
         "eigh_tridiagonal",
         "dense_eigensystem",
         "dense_measure",

@@ -190,16 +190,22 @@ def _cmd_spectrum(cfg, args) -> int:
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
     from .operators import DENSE_SITE_CAP, delta_vector, hamiltonian_2d_dense, origin_index
-    from .spectral import atom_weight_discrepancy, convolve_measures, dense_measure, spectral_measure_1d
+    from .spectral import (
+        atom_weight_discrepancy,
+        convolve_measures,
+        dense_measure,
+        free_delta_measure,
+        spectral_measure_1d,
+    )
     from .verify import CheckFailure
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
-    chi, phi = delta_vector(N, cfg.n0, "n0"), delta_vector(M, cfg.m0, "m0")
+    chi, j0 = delta_vector(N, cfg.n0, "n0"), origin_index("m0", cfg.m0, M)
     merge = cfg.tolerances.atom_merge
     mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge)
-    mu2 = spectral_measure_1d(plan.m_eigensystem, phi, merge_tol=merge)
+    mu2 = free_delta_measure(a2, j0, merge_tol=merge)  # one row of A2's basis, not the M x M table
     conv = convolve_measures(mu1, mu2, merge_tol=merge)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
@@ -213,7 +219,7 @@ def _cmd_convolve(cfg, args) -> int:
     }
     discrepancy = None
     if N * M <= DENSE_SITE_CAP:
-        site = origin_index("n0", cfg.n0, N) * M + origin_index("m0", cfg.m0, M)
+        site = origin_index("n0", cfg.n0, N) * M + j0
         direct = dense_measure(hamiltonian_2d_dense(a1, a2), site, merge_tol=merge)
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
         discrepancy = atom_weight_discrepancy(conv, direct)

@@ -9,8 +9,8 @@ A decay trace starts from a product state chi (x) phi, such as a delta, and
 takes its two 1D factors; no N x M array is ever formed.  The propagator
 keeps the product form, e^{iHt}(chi (x) phi) = (e^{iA1 t} chi) (x)
 (e^{i(-Delta)t} phi), so every norm and the energy of psi(t) follow from the
-two evolved factors: a sample costs O(N^2 + M log M) (O(N^2 + M^2) for the
-eigen m-sweep) instead of a full O(N^2 M) step.
+two evolved factors: a sample costs O(N^2 + M log M) under every m-sweep
+instead of a full O(N^2 M) step.
 """
 from __future__ import annotations
 

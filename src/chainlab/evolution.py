@@ -12,15 +12,14 @@ eigendecomposition, or a certified Chebyshev expansion above the dense cap).
 Free-propagator conventions (symbol of -Delta is -2 cos theta):
 the DFT multiplier on mode k of an M-ring is e^{-2it cos(2 pi k / M)} and
 the infinite-lattice kernel is K_m(t) = (-i)^m J_m(2t).  The m-factor is
-free, so its spectral data is explicit: the eigen sweep uses the closed-form
-sine (window) or Fourier (ring) basis of spectral.free_eigensystem, and the
-kernel and the Chebyshev coefficients take J_0..J_K from bessel_j, Miller's
-backward recurrence in numpy.  Only an A1 chain of more than
-spectral.NUMPY_EIGH_SITES dirichlet sites brings in scipy.linalg.
+free, so every m-sweep is one FFT and no M x M basis is formed (the eigen
+window sweeps its odd image on a ring), and the kernel and the Chebyshev
+coefficients take J_0..J_K from bessel_j, Miller's backward recurrence in
+numpy.  Only an A1 chain of more than spectral.NUMPY_EIGH_SITES dirichlet
+sites brings in scipy.linalg.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from .operators import DENSE_SITE_CAP  # re-exported: the one dense cap lives in operators
 from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_dense
-from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal, free_eigensystem
+from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 DEFAULT_TAIL_TOL = 1e-10
@@ -188,23 +187,33 @@ def evolve_free_1d(
 ) -> np.ndarray:
     """Free propagator e^{i(-Delta)t} along the last axis, in closed form.
 
-    dft_multiplier treats the axis as a periodic ring; bessel_kernel treats
-    it as a window of the infinite lattice and insists the light cone plus
-    kernel tail stays inside the window.  The dirichlet eigenbasis sweep is
-    PropagatorPlan.m_sweep under m_method = "eigen".
+    dft_multiplier treats the axis as a periodic ring; eigen treats it as a
+    dirichlet window, computed as a sine transform: the ring sweep of its odd
+    image [0, phi, 0, -phi reversed] on 2(M+1) sites (Martucci, IEEE Trans.
+    Signal Process. 42, 1994); bessel_kernel treats it as a window of the
+    infinite lattice and insists the light cone plus kernel tail stays inside.
     """
     phi = np.asarray(phi, dtype=complex)
     M = phi.shape[-1]
     if method == "dft_multiplier":
-        mult = np.exp(-2j * t * np.cos(2.0 * np.pi * np.arange(M) / M))
-        return np.fft.ifft(np.fft.fft(phi, axis=-1) * mult, axis=-1)
+        return _ring_sweep(phi, t)
+    if method == "eigen":
+        zero = np.zeros(phi.shape[:-1] + (1,), dtype=complex)
+        return _ring_sweep(np.concatenate([zero, phi, zero, -phi[..., ::-1]], axis=-1), t)[..., 1 : M + 1]
     if method == "bessel_kernel":
         reach = check_wrap_free(phi, t, tail_tol, ring=False)
         kern = bessel_kernel(t, reach)
         n_fft = M + 2 * reach
         out = np.fft.ifft(np.fft.fft(phi, n_fft, axis=-1) * np.fft.fft(kern, n_fft), axis=-1)
         return out[..., reach : reach + M]
-    raise ValueError(f"unknown free-propagator method {method!r}, expected 'dft_multiplier' or 'bessel_kernel'")
+    raise ValueError(f"unknown free-propagator method {method!r}, expected one of {M_METHODS}")
+
+
+def _ring_sweep(phi: np.ndarray, t: float) -> np.ndarray:
+    """e^{i(-Delta)t} on the ring of phi.shape[-1] sites: one FFT, the DFT multiplier, one inverse FFT."""
+    M = phi.shape[-1]
+    mult = np.exp(-2j * t * np.cos(2.0 * np.pi * np.arange(M) / M))
+    return np.fft.ifft(np.fft.fft(phi, axis=-1) * mult, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,7 @@ class PropagatorPlan:
     """Precomputed pieces of the factorized propagator e^{iA1 t} e^{i(-Delta_m)t}.
 
     es1 is the eigensystem of A1; the free chain is the one-site chain
-    free_operator(1).  A2 follows from m_method alone (a2_operator).
+    free_operator(1).  m_method alone fixes A2 (a2_operator) and the m-sweep.
     """
 
     es1: EigenSystem
@@ -238,21 +247,13 @@ class PropagatorPlan:
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
         return build_operator_1d(size=self.m_size, boundary=boundary)
 
-    @functools.cached_property
-    def m_eigensystem(self) -> EigenSystem:
-        """Eigensystem of the free a2_operator() in closed form, built once, on first use
-        (make_plan's under eigen); A2 is never handed to a numerical eigensolver."""
-        return free_eigensystem(self.a2_operator())
-
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{iA1 t} along axis 0."""
         return evolve_1d_eigen(self.es1, a, t)
 
     def m_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{i(-Delta_m)t} along the last axis of a (M,) or (K, M) array."""
-        if self.m_method == "eigen":
-            return evolve_1d_eigen(self.m_eigensystem, a.T, t).T
-        return evolve_free_1d(a, t, method=self.m_method, tail_tol=self.tail_tol)
+        return evolve_free_1d(a, t, self.m_method, self.tail_tol)
 
 
 def make_plan(
@@ -261,10 +262,7 @@ def make_plan(
     m_size: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> PropagatorPlan:
-    plan = PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
-    if m_method == "eigen":
-        plan.m_eigensystem  # build A2's basis at plan time, not inside the first sweep
-    return plan
+    return PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
 
 
 def evolve_2d_factorized(

@@ -6,16 +6,20 @@ eigenpairs (lambda_j, v_j) and vectors chi, phi the matrix element measure
 carries an atom at each lambda_j with weight conj(v_j . chi) (v_j . phi);
 the map (chi, phi) -> measure is conjugate-linear in chi and linear in phi.
 
-The 2D-operator measure at finite combinations sum_j alpha_j chi_j (x) phi_j
-is assembled as sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) where * is
-measure convolution; that identity is what the convolution tests pin down.
+The 2D-operator measure at an N x M state psi has an atom at each
+lambda1_j + lambda2_k with weight |(V1^T psi V2)_jk|^2.  At finite
+combinations sum_j alpha_j chi_j (x) phi_j that is
+sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) where * is measure
+convolution; that identity is what the convolution tests pin down.
 
 Eigensystems come from three places: free_eigensystem writes down the free
-chain's sine or Fourier basis (the m-factor of every plan), eigh_tridiagonal
-solves a chain with a potential (the n-factor), and dense_eigensystem and
-dense_measure serve the 2D dense oracle.  dense_measure reduces its matrix
-in place to a tridiagonal T (LAPACK dsytrd) and solves T with scipy's
-eigh_tridiagonal, so no eigenvector of the 2D operator is formed.
+chain's sine or Fourier basis (the m-factor's measures; propagators sweep
+the m-factor by FFT, and free_delta_measure reads a single row of the basis),
+eigh_tridiagonal solves a chain with a potential (the n-factor), and
+dense_eigensystem and dense_measure serve the 2D dense oracle.
+dense_measure reduces its matrix in place to a tridiagonal T (LAPACK dsytrd)
+and solves T with scipy's eigh_tridiagonal, so no eigenvector of the 2D
+operator is formed.
 """
 from __future__ import annotations
 
@@ -91,8 +95,27 @@ def free_eigensystem(op: Operator1D) -> EigenSystem:
     the pair is bit-equal), and (-1)^j for k = M/2 when M is even.  Each
     basis takes its values from a table over one period indexed by jk mod the
     period, so the argument reduction is exact and no M^2 float argument is
-    formed.
+    formed.  Only the measures need it: the plans sweep A2 by FFT.
     """
+    lam, vec = _free_basis_rows(op, np.arange(op.size))
+    return EigenSystem(lam, vec, source=op)
+
+
+def free_delta_measure(op: Operator1D, site: int, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+    """spectral_measure_1d(free_eigensystem(op), e_site), bit for bit, in O(M).
+
+    The weights are the squared entries of row ``site`` of the basis, the
+    only row formed.
+    """
+    site = operator.index(site)
+    if not 0 <= site < op.size:
+        raise ValueError(f"site {site} is outside [0, {op.size})")
+    lam, row = _free_basis_rows(op, np.array([site]))
+    return SpectralMeasure.from_atoms(lam, row[0] ** 2, merge_tol)
+
+
+def _free_basis_rows(op: Operator1D, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """free_eigensystem's eigenvalues and the given rows (0-based sites) of its basis."""
     if np.any(op.diagonal):
         raise ValueError("free_eigensystem needs a free chain: the operator has a nonzero diagonal")
     M = op.size
@@ -100,18 +123,18 @@ def free_eigensystem(op: Operator1D) -> EigenSystem:
         k = np.arange(1, M + 1)
         period = 2 * (M + 1)
         table = math.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.arange(period) / (M + 1))
-        return EigenSystem(-2.0 * np.cos(np.pi * k / (M + 1)), _table_columns(table, k, k, period), source=op)
+        return -2.0 * np.cos(np.pi * k / (M + 1)), _table_columns(table, rows + 1, k, period)
     pairs = np.arange(1, (M + 1) // 2)
     k = np.concatenate([[0], np.repeat(pairs, 2), [M // 2] * (1 - M % 2)]).astype(int)
     angle = 2.0 * np.pi * np.arange(M) / M
     table = math.sqrt(2.0 / M) * np.concatenate([np.cos(angle), np.sin(angle)])  # cos at r, sin at M + r
     sine = np.zeros(k.size, dtype=int)
     sine[2 : 2 * pairs.size + 1 : 2] = M  # the second column of each pair
-    vec = _table_columns(table, np.arange(M), k, M, sine)
+    vec = _table_columns(table, rows, k, M, sine)
     vec[:, 0] /= math.sqrt(2.0)  # the constant and the alternating columns have norm sqrt(M), not sqrt(M/2)
     if M % 2 == 0:
         vec[:, -1] /= math.sqrt(2.0)
-    return EigenSystem(-2.0 * np.cos(2.0 * np.pi * k / M), vec, source=op)
+    return -2.0 * np.cos(2.0 * np.pi * k / M), vec
 
 
 def _table_columns(table: np.ndarray, j: np.ndarray, k: np.ndarray, period: int, offset=0) -> np.ndarray:
@@ -125,13 +148,14 @@ def _table_columns(table: np.ndarray, j: np.ndarray, k: np.ndarray, period: int,
 def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     """Full eigendecomposition of a 1D operator.
 
-    A plan's m-factor never comes here: it is free, and free_eigensystem
-    writes its basis down.  Chains of at most NUMPY_EIGH_SITES sites take
-    numpy's dense solver, which at those sizes costs less than importing
-    scipy.linalg.  Longer dirichlet chains go through
-    scipy.linalg.eigh_tridiagonal and its default LAPACK routine (stevd in
-    current scipy); the periodic corner makes the matrix non-tridiagonal, so
-    long rings stay dense (capped, the dense solve is O(N^3)).
+    A plan's m-factor never comes here: it is free, swept by FFT, and
+    free_eigensystem writes its basis down for the measures.  Chains of at
+    most NUMPY_EIGH_SITES sites take numpy's dense solver, which at those
+    sizes costs less than importing scipy.linalg.  Longer dirichlet chains go
+    through scipy.linalg.eigh_tridiagonal and its default LAPACK routine
+    (stevd in current scipy); the periodic corner makes the matrix
+    non-tridiagonal, so long rings stay dense (capped, the dense solve is
+    O(N^3)).
     """
     if op.boundary == "dirichlet" and op.size > NUMPY_EIGH_SITES:
         import scipy.linalg  # deferred: importing it costs more than a short chain's dense solve
@@ -442,34 +466,23 @@ def _sorted(e: np.ndarray, w: np.ndarray):
 def spectral_measure_2d(
     es1: EigenSystem,
     es2: EigenSystem,
-    components: list[tuple[complex, np.ndarray, np.ndarray]],
+    psi: np.ndarray,
     merge_tol: float = ATOM_MERGE_TOL,
 ) -> SpectralMeasure:
-    """Measure of A1 (x) I + I (x) A2 at sum_j alpha_j chi_j (x) phi_j.
+    """Measure of A1 (x) I + I (x) A2 at the N x M state psi.
 
-    Built without ever forming the 2D operator: for every component pair the
-    1D matrix-element measures are convolved and combined sesquilinearly,
-    sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk).
+    Built without ever forming the 2D operator: the atom at
+    lambda1_j + lambda2_k weighs |(V1^T psi V2)_jk|^2, two GEMMs on psi.  For
+    psi = sum_j alpha_j chi_j (x) phi_j this is the sesquilinear sum
+    sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) of convolved 1D
+    matrix-element measures.
     """
-    if not components:
-        raise ValueError("need at least one tensor component")
-    coeff = []
-    chis = []
-    phis = []
-    for alpha, chi, phi in components:
-        coeff.append(complex(alpha))
-        chis.append(np.asarray(chi, dtype=complex))
-        phis.append(np.asarray(phi, dtype=complex))
-        if chis[-1].shape != (es1.size,) or phis[-1].shape != (es2.size,):
-            raise ValueError("component vector lengths do not match the eigensystems")
-    base = np.add.outer(es1.eigenvalues, es2.eigenvalues).ravel()
-    total_w = np.zeros(base.size, dtype=complex)
-    for j, (aj, cj, pj) in enumerate(zip(coeff, chis, phis)):
-        for k, (ak, ck, pk) in enumerate(zip(coeff, chis, phis)):
-            w1 = np.conj(es1.overlaps(cj)) * es1.overlaps(ck)
-            w2 = np.conj(es2.overlaps(pj)) * es2.overlaps(pk)
-            total_w += np.conj(aj) * ak * np.multiply.outer(w1, w2).ravel()
-    return SpectralMeasure.from_atoms(base, total_w, merge_tol)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (es1.size, es2.size):
+        raise ValueError(f"state shape {psi.shape} does not match the eigensystems ({es1.size}, {es2.size})")
+    coeffs = es2.overlaps(es1.overlaps(psi).T).T  # V1^T psi V2
+    energies = np.add.outer(es1.eigenvalues, es2.eigenvalues)
+    return SpectralMeasure.from_atoms(energies.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel(), merge_tol)
 
 
 def max_atom_weight(measure: SpectralMeasure, merge_tol: float = ATOM_MERGE_TOL) -> float:

@@ -129,16 +129,14 @@ def test_criterion_2_tensor_convolution_identity():
 
     def two_term(n, m):
         # unit-norm factors keep the state at the same scale as the delta tensors
-        comps = []
         vec = np.zeros((n, m), dtype=complex)
         for alpha in (0.7 - 0.2j, -0.35 + 0.6j):
             chi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             chi /= np.linalg.norm(chi)
             phi /= np.linalg.norm(phi)
-            comps.append((alpha, chi, phi))
             vec += alpha * np.outer(chi, phi)
-        return comps, vec
+        return vec
 
     for size in (16, 64):
         pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(size // 2), size // 2))
@@ -155,8 +153,8 @@ def test_criterion_2_tensor_convolution_identity():
         direct = spectral_measure_1d(es2d, np.outer(chi, phi).ravel())
         worst = max(worst, atom_weight_discrepancy(conv, direct))
 
-        comps, vec = two_term(size, size)
-        mu2d = spectral_measure_2d(es1, es2, comps)
+        vec = two_term(size, size)
+        mu2d = spectral_measure_2d(es1, es2, vec)
         direct = spectral_measure_1d(es2d, vec.ravel())
         worst = max(worst, atom_weight_discrepancy(mu2d, direct))
 

@@ -148,7 +148,7 @@ def test_config_plan_takes_a2_from_m_method(m_method, boundary):
         tolerances=Tolerances(tail_mass=1e-6),
     )
     plan = cfg.plan(8, 12)
-    assert plan.a2_operator().boundary == plan.m_eigensystem.source.boundary == boundary
+    assert plan.a2_operator().boundary == boundary
     np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8)[1].diagonal)
     assert plan.tail_tol == 1e-6
     assert cfg.plan(1, 12).n_size == 1
@@ -324,6 +324,25 @@ def test_cli_convolve_holds_at_most_two_dense_h_buffers(tmp_path):
     assert peak <= 2.25 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 91.1 MiB
 
 
+@pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
+def test_cli_convolve_builds_no_m_basis(tmp_path, m_method):
+    """Above the dense cap convolve reads its m-measure off one row of A2's basis, never the M x M table."""
+    import tracemalloc
+
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    run = ["convolve", "--config", str(cfg), "--N", "16", "--M", "4096", "--out"]
+    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(run + [str(tmp_path / "c")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is False
+    assert peak < 4096**2 * np.dtype(float).itemsize  # 128 MiB
+
+
 def test_cli_evolve_conserves(tmp_path):
     out = tmp_path / "e"
     rc = cli.main(["evolve", "--tmax", "4", "--out", str(out)])
@@ -444,9 +463,12 @@ def test_cli_decay_fit_free_chain(tmp_path):
     assert 0.0 <= fit["l2_drift"] <= 1e-9 and 0.0 <= fit["energy_drift"] <= 1e-9
 
 
-@pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel"])
+@pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
 def test_cli_decay_fit_forms_no_n_by_m_array(tmp_path, m_method):
-    """decay-fit evolves the two 1D factors of its delta: its traced peak stays below one N x M array."""
+    """decay-fit evolves the two 1D factors of its delta: its traced peak stays below one N x M array.
+
+    Under eigen no M x M basis is formed either: at M = 4096 one would be 128 MiB.
+    """
     import tracemalloc
 
     cfg = tmp_path / "m.cfg"

@@ -5,6 +5,7 @@ from scipy.special import jv
 
 from chainlab.evolution import (
     DENSE_SITE_CAP,
+    M_METHODS,
     PropagatorPlan,
     bessel_j,
     bessel_kernel,
@@ -161,14 +162,16 @@ def test_dft_and_bessel_agree_on_wrap_free_window():
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
-def test_eigen_method_matches_dirichlet_expm():
+@pytest.mark.parametrize("M", [2, 3, 24, 101])
+def test_eigen_method_matches_dirichlet_expm(M):
     rng = np.random.default_rng(1)
-    M, t = 24, 3.0
+    t = 3.0
     phi = _random_state(rng, M)
     out = make_plan(free_operator(1), "eigen", M).m_sweep(phi, t)
-    A = free_operator(M).matrix()
-    expected = scipy.linalg.expm(1j * t * A) @ phi
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    propagator = scipy.linalg.expm(1j * t * free_operator(M).matrix())
+    np.testing.assert_allclose(out, propagator @ phi, atol=1e-12)
+    block = np.array([_random_state(rng, M) for _ in range(3)])  # a (K, M) input: each row is swept
+    np.testing.assert_allclose(evolve_free_1d(block, t, method="eigen"), block @ propagator.T, atol=1e-12)
 
 
 def test_dirichlet_eigen_agrees_with_infinite_kernel_when_wrap_free():
@@ -212,21 +215,24 @@ def test_check_wrap_free_is_tight(ring, width):
             check_wrap_free(off_centre, t, tol, ring)
 
 
-def test_eigen_plan_solves_each_factor_once(monkeypatch):
+@pytest.mark.parametrize("m_method", M_METHODS)
+def test_plan_builds_no_m_basis(monkeypatch, m_method):
     import chainlab.evolution as evolution
+    import chainlab.spectral as spectral
 
     solved, written = [], []
-    solve, write = evolution.eigh_tridiagonal, evolution.free_eigensystem
+    solve, write = evolution.eigh_tridiagonal, spectral._free_basis_rows
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
-    monkeypatch.setattr(evolution, "free_eigensystem", lambda op: written.append(op.size) or write(op))
-    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), "eigen", 24)
-    assert solved == [8]  # A1 only: the free A2 is never handed to a solver
-    assert written == [24]  # its closed-form basis is built at plan time
-    phi = _random_state(np.random.default_rng(9), 24)
+    # every closed-form free basis, free_eigensystem's included, is built by _free_basis_rows
+    monkeypatch.setattr(spectral, "_free_basis_rows", lambda op, rows: written.append(op.size) or write(op, rows))
+    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), m_method, 96)
+    phi = np.zeros(96, dtype=complex)
+    phi[44:52] = _random_state(np.random.default_rng(9), 8)
     for t in (0.5, 1.0, 2.0):
         plan.m_sweep(phi, t)
-    assert plan.m_eigensystem.source.boundary == "dirichlet"
-    assert (solved, written) == ([8], [24])  # the sweeps and the property reuse the plan's A2 basis
+    assert solved == [8]  # A1 only: the free A2 is never handed to a solver
+    assert written == []  # nor written down as a basis: every m-sweep is an FFT
+    assert not hasattr(plan, "m_eigensystem")
 
 
 def test_evolve_1d_eigen_matches_expm_with_potential():

@@ -26,6 +26,7 @@ from chainlab.spectral import (
     dense_measure,
     eigen_residual,
     eigh_tridiagonal,
+    free_delta_measure,
     free_eigensystem,
     gram_defect,
     max_atom_weight,
@@ -245,17 +246,27 @@ def _exact_delta_measure(M, boundary, site):
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("M", FREE_SIZES)
 def test_free_eigensystem_delta_measure_is_basis_independent(M, boundary):
-    es = free_eigensystem(free_operator(M, boundary))
+    op = free_operator(M, boundary)
+    es = free_eigensystem(op)
     for site in sorted({0, M // 3, M // 2, M - 1}):
         delta = np.zeros(M)
         delta[site] = 1.0
         got = spectral_measure_1d(es, delta)
         assert atom_weight_discrepancy(got, _exact_delta_measure(M, boundary, site)) <= 1e-14, site
+        # one row of the basis gives the same measure, bit for bit, as the full table
+        row = free_delta_measure(op, site)
+        full = spectral_measure_1d(es, delta.astype(complex))
+        np.testing.assert_array_equal(row.energies, full.energies)
+        np.testing.assert_array_equal(row.weights, full.weights)
 
 
 def test_free_eigensystem_rejects_a_potential():
     with pytest.raises(ValueError, match="free chain"):
         free_eigensystem(build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 8))))
+    with pytest.raises(ValueError, match="free chain"):
+        free_delta_measure(build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 8))), 0)
+    with pytest.raises(ValueError, match=r"site 8 is outside \[0, 8\)"):
+        free_delta_measure(free_operator(8), 8)
 
 
 # -- 1D spectral measures -------------------------------------------------------
@@ -488,14 +499,12 @@ def test_two_term_component_measure_matches_dense_route():
     a1 = build_operator_1d(sample_potential(almost_mathieu(2.0), (0, 7)))
     a2 = free_operator(5)
     es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
-    comps = []
     vec = np.zeros((7, 5), dtype=complex)
     for alpha in (0.8 + 0.1j, -0.3 + 0.55j):
         chi = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        comps.append((alpha, chi, phi))
         vec += alpha * np.outer(chi, phi)
-    mu2d = spectral_measure_2d(es1, es2, comps)
+    mu2d = spectral_measure_2d(es1, es2, vec)
     direct = _dense_2d_measure(a1, a2, vec.ravel())
     assert atom_weight_discrepancy(mu2d, direct) < 1e-11
     assert abs(mu2d.total_mass() - np.vdot(vec, vec)) < 1e-11

@@ -1,4 +1,4 @@
-"""The verify suite: one dense solve, and the bessel_kernel m-window rule."""
+"""The verify suite: one dense solve, no silent drops above the cap, and the bessel_kernel m-window rule."""
 import json
 
 import pytest
@@ -31,6 +31,17 @@ def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
     names = [r.name for r in results]
     assert "convolution_identity" in names and "factorization_vs_direct" in names
     assert len(solves) == 1
+
+
+def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(tmp_path):
+    # 128 x 128 sites exceed DENSE_SITE_CAP: the Chebyshev route stands in for the dense propagator
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--N", "128", "--M", "128", "--out", str(out)]) == 0
+    with open(out / "verify.json") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert "convolution_identity" not in checks  # needs the dense 2D eigensystem
+    for name in ("factorization_vs_direct", "convolution_mass_product"):
+        assert checks[name]["passed"] is True
 
 
 def _bessel_config(tmp_path):

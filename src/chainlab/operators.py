@@ -338,6 +338,22 @@ def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
     return H
 
 
+def m_mirror_sites(N: int, a2: Operator1D, j0: int) -> np.ndarray | None:
+    """The reflection of the m-axis about j0 as a map of the N*M sites, or None.
+
+    Site n*M + m goes to n*M + ((2 j0 - m) mod M).  H commutes with it
+    whenever the map carries A2 to itself, since the potential is constant
+    along m: for a free A2, on every ring and on a dirichlet window only when
+    j0 is its centre (2 j0 = M - 1).  Elsewhere, or when A2's diagonal is not
+    mirror-even, there is no such map, and None says so.
+    """
+    M = a2.size
+    m = np.remainder(2 * j0 - np.arange(M), M)
+    if (a2.boundary == "dirichlet" and 2 * j0 != M - 1) or not np.array_equal(a2.diagonal[m], a2.diagonal):
+        return None
+    return (M * np.arange(N)[:, None] + m).ravel()
+
+
 def energy_expectation(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> float:
     """<psi, H psi>, real for Hermitian H."""
     hpsi = apply_h2d(state, a1, a2).amplitudes

@@ -19,7 +19,10 @@ eigh_tridiagonal solves a chain with a potential (the n-factor), and
 dense_eigensystem and dense_measure serve the 2D dense oracle.
 dense_measure reduces its matrix in place to a tridiagonal T (LAPACK dsytrd)
 and solves T with scipy's eigh_tridiagonal, so no eigenvector of the 2D
-operator is formed.
+operator is formed.  Given a mirror of the sites (an involution that fixes
+the site and that H is checked to commute with, such as the reflection of
+the m-axis about the delta's m0), it reduces only the mirror-even sector
+P^T H P, about half of H, reading H without overwriting it.
 """
 from __future__ import annotations
 
@@ -184,8 +187,13 @@ def _check_symmetric(mat: np.ndarray) -> None:
         return
     blocks = range(0, mat.shape[0], _SYM_ROWS)
     asym = np.max([np.abs(mat[i : i + _SYM_ROWS] - mat[:, i : i + _SYM_ROWS].T).max() for i in blocks])
-    if asym > 1e-12 * max(1.0, mat.max(), -mat.min()):
+    if asym > _defect_bound(mat):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+
+
+def _defect_bound(mat: np.ndarray) -> float:
+    """1e-12 max(1, max|H|): the largest entry a symmetry defect of H may reach."""
+    return 1e-12 * max(1.0, mat.max(), -mat.min())
 
 
 def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
@@ -202,11 +210,11 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
     P swaps index 0 with ``site``.  Every lower reflector of dsytrd leaves
     the first coordinate alone, so Q e_0 = e_0 and the measure of H at
     e_site is the measure of T at e_0.  The matrix is scratch space: once it
-    passes the symmetry and site checks, a float64 matrix has its rows and
-    columns 0 and ``site`` swapped in place, and a C-contiguous one is then
-    overwritten by dsytrd's reflectors.  dsytrd gets matrix.T, which for a
-    C-contiguous symmetric H is the F-contiguous H, so f2py makes no n^2 copy;
-    it copies any other layout.
+    passes the symmetry and site checks, a writeable float64 matrix has its
+    rows and columns 0 and ``site`` swapped in place, and a C-contiguous one
+    is then overwritten by dsytrd's reflectors.  A read-only matrix is copied
+    first.  dsytrd gets matrix.T, which for a C-contiguous symmetric H is the
+    F-contiguous H, so f2py makes no n^2 copy; it copies any other layout.
     """
     import scipy.linalg  # deferred: only the dense oracle needs LAPACK's dsytrd
 
@@ -215,6 +223,8 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
     n = mat.shape[0]
     if not 0 <= site < n:
         raise ValueError(f"site {site} is outside [0, {n})")
+    if not mat.flags.writeable:
+        mat = mat.copy()
     mat[[0, site]] = mat[[site, 0]]
     mat[:, [0, site]] = mat[:, [site, 0]]
     lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)  # blocked reduction; the default is unblocked
@@ -224,7 +234,60 @@ def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.nda
     return diag, offdiag
 
 
-def dense_measure(matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+def _mirror_sector(matrix: np.ndarray, site: int, mirror) -> tuple[np.ndarray, int]:
+    """P^T H P on the sector a site involution leaves even, and e_site's index in it.
+
+    P's columns are e_s at each fixed point s of the mirror and
+    (e_s + e_mirror(s)) / sqrt(2) at each pair s < mirror(s), in increasing
+    s.  The mirror is certified on H, never assumed: it must be an
+    involution, fix ``site``, and leave the odd-by-even block
+    P_odd^T H P_even within _check_symmetric's bound (_defect_bound).
+    Then H maps the even sector to itself, e_site lies in it, and the
+    measure of H at e_site is that of P^T H P at e_site's index.  H is only
+    read, block by block of _SYM_ROWS sector rows, so no n^2 temporary is
+    formed beside the sector.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    _check_symmetric(mat)
+    n = mat.shape[0]
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} is outside [0, {n})")
+    mirror = np.asarray(mirror)
+    sites = np.arange(n)
+    if (
+        mirror.shape != (n,)
+        or mirror.dtype.kind not in "iu"
+        or np.any((mirror < 0) | (mirror >= n))
+        or not np.array_equal(mirror[mirror], sites)
+    ):
+        raise ValueError(f"mirror is not an involution of the {n} sites")
+    if mirror[site] != site:
+        raise ValueError(f"mirror moves site {site} to {mirror[site]}, so e_site is not mirror-even")
+    reps = np.flatnonzero(mirror >= sites)  # one site of each orbit
+    twins = mirror[reps]
+    scale = np.where(twins == reps, 0.5, math.sqrt(0.5))  # the sums below count a fixed point twice
+    bound = _defect_bound(mat)
+    sector = np.empty((reps.size, reps.size))
+    for i in range(0, reps.size, _SYM_ROWS):
+        rows = slice(i, i + _SYM_ROWS)
+        head = np.take(mat, reps[rows], axis=0)  # rows of H, then their sums over each orbit of columns
+        head = np.take(head, reps, axis=1) + np.take(head, twins, axis=1)
+        tail = np.take(mat, twins[rows], axis=0)  # the same at the twin rows
+        tail = np.take(tail, reps, axis=1) + np.take(tail, twins, axis=1)
+        np.add(head, tail, out=sector[rows])
+        head -= tail  # sqrt(2) times the odd-by-even rows; zero at a fixed point
+        head *= scale
+        odd = math.sqrt(0.5) * float(np.abs(head).max())
+        if odd > bound:
+            raise ValueError(f"matrix does not commute with the mirror (odd-even coupling {odd:.3e})")
+        sector[rows] *= scale[rows, None]
+        sector[rows] *= scale
+    return sector, int(np.searchsorted(reps, site))
+
+
+def dense_measure(
+    matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_TOL, mirror: np.ndarray | None = None
+) -> SpectralMeasure:
     """Spectral measure of a dense real symmetric H at the basis vector e_site.
 
     Equal to spectral_measure_1d(dense_eigensystem(H), e_site) but forms no
@@ -233,15 +296,28 @@ def dense_measure(matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_T
     by the squared first components of its eigenvectors (Golub and Welsch,
     Math. Comp. 23, 1969).
 
-    The reduction overwrites the matrix (see _tridiagonal_from), so hand
-    each call a matrix of its own.  The reference to it is dropped before T
-    is solved.  The n^2 saving needs the caller to hold no other reference,
-    as in dense_measure(hamiltonian_2d_dense(a1, a2), site): H is then freed
-    before the tridiagonal solver allocates its n^2 eigenvectors.
+    ``mirror`` is an optional involution of the sites that fixes ``site``
+    and commutes with H, as the reflection of the m-axis about the site
+    does (operators.m_mirror_sites).  H is then first restricted to the
+    mirror-even sector, which holds e_site (see _mirror_sector, which
+    certifies the mirror on H and raises ValueError when it fails), and the
+    reduction runs on that smaller matrix.  The atoms H has only on the odd
+    sector carry zero weight at e_site and are not listed.
+
+    Without a mirror the reduction overwrites the matrix (see
+    _tridiagonal_from), so hand each call a matrix of its own; with one, the
+    matrix is only read, not overwritten.  The reference to it is dropped
+    before the reduction (mirror given) or before T is solved (no mirror).
+    The n^2 saving needs the caller to hold no other reference, as in
+    dense_measure(hamiltonian_2d_dense(a1, a2), site): H is then freed before
+    the tridiagonal solver allocates its eigenvectors.
     """
     import scipy.linalg
 
-    diag, offdiag = _tridiagonal_from(matrix, operator.index(site))
+    site = operator.index(site)
+    if mirror is not None:
+        matrix, site = _mirror_sector(matrix, site, mirror)
+    diag, offdiag = _tridiagonal_from(matrix, site)
     del matrix
     lam, vec = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     return SpectralMeasure.from_atoms(lam, vec[0] ** 2, merge_tol)

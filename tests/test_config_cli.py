@@ -304,11 +304,12 @@ def test_cli_convolve_fails_on_impossible_tolerance(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_cli_convolve_holds_at_most_two_dense_h_buffers(tmp_path):
-    """The dense oracle reduces H in place and drops it before T is solved.
+def test_cli_convolve_holds_one_dense_h_and_its_sector(tmp_path, capsys):
+    """On a ring the dense oracle reduces only H's mirror-even sector, and drops H once the sector is built.
 
-    Its tridiagonal solve allocates n^2 eigenvectors and an n^2 workspace, so
-    H must be gone by then: the traced peak stays near two n^2 buffers, not three.
+    The sector holds 1200 of the 2304 sites, so its matrix and the tridiagonal
+    solve's eigenvectors are 0.27 n^2 each: the traced peak stays near H
+    plus its sector, well under H plus one more n^2 buffer.
     """
     import tracemalloc
 
@@ -321,7 +322,8 @@ def test_cli_convolve_holds_at_most_two_dense_h_buffers(tmp_path):
     finally:
         tracemalloc.stop()
     assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is True
-    assert peak <= 2.25 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 91.1 MiB
+    assert "dense oracle on 1200 of 2304 sites (mirror-even sector)" in capsys.readouterr().out
+    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
 
 
 @pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
@@ -377,12 +379,16 @@ def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
     assert cli.main(argv) == 1
 
 
-def _assert_eigen_convolve_m_delta(tmp_path, lattice, index):
-    """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes."""
+def _assert_eigen_convolve_m_delta(tmp_path, capsys, lattice, index):
+    """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes.
+
+    An even window has no mirror about any of its sites, so the oracle reduces all of H.
+    """
     cfg = tmp_path / "eigen.cfg"
     cfg.write_text("[lattice]\nm_method = eigen\n" + lattice)
     out = tmp_path / "c"
     assert cli.main(["convolve", "--config", str(cfg), "--N", "8", "--M", "12", "--out", str(out)]) == 0
+    assert "dense oracle on all 96 sites" in capsys.readouterr().out
     phi = np.zeros(12, dtype=complex)
     phi[index] = 1.0
     want = spectral_measure_1d(eigh_tridiagonal(free_operator(12, "dirichlet")), phi)
@@ -394,12 +400,12 @@ def _assert_eigen_convolve_m_delta(tmp_path, lattice, index):
     assert report["max_atom_weight_discrepancy"] <= report["tolerance"]
 
 
-def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path):
-    _assert_eigen_convolve_m_delta(tmp_path, "", 6)
+def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path, capsys):
+    _assert_eigen_convolve_m_delta(tmp_path, capsys, "", 6)
 
 
-def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path):
-    _assert_eigen_convolve_m_delta(tmp_path, "m0 = -2\n", 2)
+def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path, capsys):
+    _assert_eigen_convolve_m_delta(tmp_path, capsys, "m0 = -2\n", 2)
 
 
 @pytest.mark.parametrize(

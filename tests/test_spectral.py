@@ -13,6 +13,7 @@ from chainlab.operators import (
     build_operator_1d,
     free_operator,
     hamiltonian_2d_dense,
+    m_mirror_sites,
     sample_potential,
 )
 from chainlab.spectral import (
@@ -135,12 +136,98 @@ def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
     assert dense_measure(h, 4).atom_count == 6
 
 
+def _read_only(h: np.ndarray) -> np.ndarray:
+    h.setflags(write=False)
+    return h
+
+
 def test_dense_measure_takes_any_layout():
-    # a C-contiguous float64 H is reduced in place; f2py copies any other layout
+    # a writeable C-contiguous float64 H is reduced in place; f2py copies any
+    # other layout, and a read-only H is copied before its rows are swapped
     h = hamiltonian_2d_dense(Operator1D(np.array([2.0, -1.0, 0.0, 1.0, -3.0, 1.0])), free_operator(5))
     ref = dense_measure(h.copy(), 7)
-    for other in (np.asfortranarray(h), np.kron(h, np.ones((2, 2)))[::2, ::2], h.astype(int)):
+    others = (np.asfortranarray(h), np.kron(h, np.ones((2, 2)))[::2, ::2], h.astype(int), _read_only(h.copy()))
+    for other in others:
         assert atom_weight_discrepancy(dense_measure(other, 7), ref) <= 1e-13
+    assert np.array_equal(others[-1], h)
+
+
+def _reflection(N: int, M: int, j0: int) -> np.ndarray:
+    """n*M + m -> n*M + (2 j0 - m) mod M, written out site by site."""
+    return np.array([n * M + (2 * j0 - m) % M for n in range(N) for m in range(M)])
+
+
+MIRROR_LATTICES = [  # (N, M, boundary_n, boundary_m, the j0 to reflect about)
+    *((3, M, "dirichlet", "periodic", range(M)) for M in (2, 3, 4, 5, 8)),
+    (4, 6, "periodic", "periodic", (0, 5)),
+    *((N, M, "dirichlet", "dirichlet", [(M - 1) // 2]) for N, M in ((5, 1), (4, 3), (3, 7))),
+    (4, 5, "periodic", "dirichlet", [2]),
+]
+
+
+@pytest.mark.parametrize("N, M, boundary_n, boundary_m, centres", MIRROR_LATTICES)
+def test_dense_measure_on_the_mirror_sector_matches_full_eigh(N, M, boundary_n, boundary_m, centres):
+    # rings of every small M (M = 2 hops twice across its seam), centred odd
+    # windows, and deltas at several n0; the odd sector's atoms carry no
+    # weight at a mirror-fixed site (a rounding error squared, ~1e-32), and
+    # the sector route does not list them
+    a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
+    a2 = free_operator(M, boundary=boundary_m)
+    h = _read_only(hamiltonian_2d_dense(a1, a2))  # with a mirror the matrix is only read
+    es = dense_eigensystem(h)
+    for j0 in centres:
+        mirror = _reflection(N, M, j0)
+        for n0 in sorted({0, N // 2, N - 1}):
+            site = n0 * M + j0
+            ref = spectral_measure_1d(es, np.eye(N * M)[site])
+            mu = dense_measure(h, site, mirror=mirror)
+            assert atom_weight_discrepancy(mu, ref) <= 1e-12
+            assert abs(mu.total_mass() - 1.0) <= 1e-13
+            assert mu.atom_count == np.count_nonzero(np.abs(ref.weights) > 1e-20)
+
+
+def test_dense_measure_rejects_a_map_that_is_not_an_involution():
+    h = hamiltonian_2d_dense(free_operator(3), free_operator(4, "periodic"))
+    shift = np.roll(np.arange(12), 1)
+    for bad in (shift, np.full(12, 12), np.arange(11), np.arange(12.0)):
+        with pytest.raises(ValueError, match="not an involution of the 12 sites"):
+            dense_measure(h, 0, mirror=bad)
+
+
+def test_dense_measure_rejects_a_mirror_that_moves_the_site():
+    h = hamiltonian_2d_dense(free_operator(3), free_operator(4, "periodic"))
+    with pytest.raises(ValueError, match="moves site 5 to 7"):
+        dense_measure(h, 5, mirror=_reflection(3, 4, 0))
+
+
+@pytest.mark.parametrize(
+    "a2, j0",
+    [
+        (free_operator(4), 2),  # an even window reflected mod M: the seam bond is not a bond of H
+        (Operator1D(np.random.default_rng(5).uniform(-1.0, 1.0, 5), "periodic"), 2),  # V varying along m
+    ],
+    ids=["even-window", "m-potential"],
+)
+def test_dense_measure_rejects_a_mirror_h_does_not_commute_with(a2, j0):
+    a1 = Operator1D(np.random.default_rng(6).uniform(-2.0, 2.0, 3))
+    h = hamiltonian_2d_dense(a1, a2)
+    with pytest.raises(ValueError, match="does not commute with the mirror"):
+        dense_measure(h, a2.size + j0, mirror=_reflection(3, a2.size, j0))
+
+
+@pytest.mark.parametrize("coupling, commutes", [(0.9e-11, True), (1.1e-11, False)])
+def test_dense_measure_mirror_check_has_the_symmetry_bound(coupling, commutes):
+    # max|H| = 10 puts the bound at 1e-12 * 10; a symmetric bump on the bond
+    # from the fixed site 1 to site 2, whose twin is site 0, couples the
+    # sectors by bump / sqrt(2)
+    h = hamiltonian_2d_dense(Operator1D(np.array([10.0])), free_operator(3, "periodic"))
+    h[1, 2] = h[2, 1] = h[1, 2] + coupling * np.sqrt(2.0)
+    mirror = _reflection(1, 3, 1)
+    if commutes:
+        assert abs(dense_measure(h, 1, mirror=mirror).total_mass() - 1.0) <= 1e-13
+    else:
+        with pytest.raises(ValueError, match="does not commute with the mirror"):
+            dense_measure(h, 1, mirror=mirror)
 
 
 def test_dense_measure_rejects_site_outside_matrix():

@@ -19,6 +19,7 @@ from chainlab import (
     eigh_tridiagonal,
     free_operator,
     hamiltonian_2d_dense,
+    m_mirror_sites,
     sample_potential,
     spectral_measure_1d,
     spectral_measure_2d,
@@ -45,10 +46,10 @@ print(f"free chain measure:  {mu2.atom_count} atoms, largest weight {np.abs(mu2.
 print("\n== the convolution identity ==")
 # route 1: convolve the 1D measures
 conv = convolve_measures(mu1, mu2)
-# route 2: the measure of the full 2D operator at the site chi (x) phi, read
-# off one tridiagonal reduction of H (no 2D eigenvectors are formed); the
-# reduction overwrites its matrix, so it gets an H of its own
-direct = dense_measure(hamiltonian_2d_dense(a1, a2), 16 * N + 16)
+# route 2: the measure of the full 2D operator at the site chi (x) phi, from
+# numpy's eigh on the blocks of H that the window's reflection m -> N-1-m
+# leaves even and odd (the delta at m = 16 is half in each)
+direct = dense_measure(hamiltonian_2d_dense(a1, a2), 16 * N + 16, mirror=m_mirror_sites(N, a2, 16))
 disc = atom_weight_discrepancy(conv, direct)
 print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")
 print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass().real:.12f}")

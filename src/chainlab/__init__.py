@@ -30,6 +30,7 @@ _EXPORTS = {
         "tensor_state",
         "apply_h2d",
         "hamiltonian_2d_dense",
+        "m_mirror_sites",
         "energy_expectation",
         "l2_norm",
         "l1_norm",

@@ -220,13 +220,13 @@ def _cmd_convolve(cfg, args) -> int:
     discrepancy = None
     if N * M <= DENSE_SITE_CAP:
         site = origin_index("n0", cfg.n0, N) * M + j0
-        mirror = m_mirror_sites(N, a2, j0)  # None: the oracle reduces all of H
+        mirror = m_mirror_sites(N, a2, j0)  # A2 is free, so the m-axis always has this reflection
         direct = dense_measure(hamiltonian_2d_dense(a1, a2), site, merge_tol=merge, mirror=mirror)
-        if mirror is None:
-            oracle = f"all {N * M} sites"
+        pairs = sum(s < t for s, t in enumerate(mirror.tolist()))  # the odd sector's size
+        if mirror[site] == site:
+            oracle = f"{N * M - pairs} of {N * M} sites (mirror-even sector)"
         else:
-            sector = sum(s <= t for s, t in enumerate(mirror.tolist()))  # one site per orbit
-            oracle = f"{sector} of {N * M} sites (mirror-even sector)"
+            oracle = f"sectors of {N * M - pairs} and {pairs} of {N * M} sites"
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
         discrepancy = atom_weight_discrepancy(conv, direct)
         report["compared_to_direct"] = True

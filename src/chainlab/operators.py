@@ -339,17 +339,17 @@ def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
 
 
 def m_mirror_sites(N: int, a2: Operator1D, j0: int) -> np.ndarray | None:
-    """The reflection of the m-axis about j0 as a map of the N*M sites, or None.
+    """The reflection of the m-axis that carries A2 to itself, as a map of the N*M sites, or None.
 
-    Site n*M + m goes to n*M + ((2 j0 - m) mod M).  H commutes with it
-    whenever the map carries A2 to itself, since the potential is constant
-    along m: for a free A2, on every ring and on a dirichlet window only when
-    j0 is its centre (2 j0 = M - 1).  Elsewhere, or when A2's diagonal is not
-    mirror-even, there is no such map, and None says so.
+    On a ring it is the reflection about j0, m -> (2 j0 - m) mod M; on a
+    dirichlet window it is the window's own, m -> M - 1 - m, which fixes j0
+    only at the centre of an odd window.  H commutes with it whenever A2's
+    diagonal is mirror-even, since the potential is constant along m: always
+    for the free A2.  Otherwise there is no such map, and None says so.
     """
     M = a2.size
-    m = np.remainder(2 * j0 - np.arange(M), M)
-    if (a2.boundary == "dirichlet" and 2 * j0 != M - 1) or not np.array_equal(a2.diagonal[m], a2.diagonal):
+    m = np.arange(M)[::-1] if a2.boundary == "dirichlet" else np.remainder(2 * j0 - np.arange(M), M)
+    if not np.array_equal(a2.diagonal[m], a2.diagonal):
         return None
     return (M * np.arange(N)[:, None] + m).ravel()
 

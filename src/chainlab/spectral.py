@@ -16,13 +16,12 @@ Eigensystems come from three places: free_eigensystem writes down the free
 chain's sine or Fourier basis (the m-factor's measures; propagators sweep
 the m-factor by FFT, and free_delta_measure reads a single row of the basis),
 eigh_tridiagonal solves a chain with a potential (the n-factor), and
-dense_eigensystem and dense_measure serve the 2D dense oracle.
-dense_measure reduces its matrix in place to a tridiagonal T (LAPACK dsytrd)
-and solves T with scipy's eigh_tridiagonal, so no eigenvector of the 2D
-operator is formed.  Given a mirror of the sites (an involution that fixes
-the site and that H is checked to commute with, such as the reflection of
-the m-axis about the delta's m0), it reduces only the mirror-even sector
-P^T H P, about half of H, reading H without overwriting it.
+dense_eigensystem and dense_measure serve the 2D dense oracle, on numpy's
+eigh alone.  Given a mirror of the sites (an involution that H is checked
+to commute with, such as the reflection of the m-axis), dense_measure
+splits H into its mirror-even and mirror-odd blocks, reading H without
+overwriting it, and solves only the blocks the site has a part in: the even
+one when the mirror fixes the site, both halves of H when it moves it.
 """
 from __future__ import annotations
 
@@ -39,7 +38,8 @@ ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import
-_SYM_ROWS = 256  # rows per block when a matrix is not exactly symmetric
+_TILE = 128  # side of the tiles the symmetry check compares
+_SECTOR_ROWS = 64  # sector rows formed per block from rows of H
 
 
 @dataclass(frozen=True)
@@ -174,26 +174,33 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     return EigenSystem(lam, vec, source=op)
 
 
-def _check_symmetric(mat: np.ndarray) -> None:
-    """Reject a non-square matrix, or one with |H - H^T| above 1e-12 max(1, max|H|).
+def _check_symmetric(mat: np.ndarray) -> float:
+    """Reject a non-square matrix, or one with |H - H^T| above _defect_bound(H); return that bound.
 
-    An exactly symmetric matrix passes on one comparison, whose only
-    temporary is an n^2 boolean mask; any other is compared block by block
-    of rows, so no n^2 float array is allocated.
+    One pass compares each _TILE x _TILE tile of the upper triangle with its
+    mirror tile, so the transposed read stays in cache and no temporary
+    outgrows a tile.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ValueError("matrix must be square and non-empty")
-    if np.array_equal(mat, mat.T):
-        return
-    blocks = range(0, mat.shape[0], _SYM_ROWS)
-    asym = np.max([np.abs(mat[i : i + _SYM_ROWS] - mat[:, i : i + _SYM_ROWS].T).max() for i in blocks])
-    if asym > _defect_bound(mat):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    bound = _defect_bound(mat)
+    n = mat.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            asym = float(np.abs(mat[i : i + _TILE, j : j + _TILE] - mat[j : j + _TILE, i : i + _TILE].T).max())
+            if asym > bound:
+                raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} above {bound:.1e})")
+    return bound
 
 
 def _defect_bound(mat: np.ndarray) -> float:
     """1e-12 max(1, max|H|): the largest entry a symmetry defect of H may reach."""
     return 1e-12 * max(1.0, mat.max(), -mat.min())
+
+
+def _check_site(site: int, n: int) -> None:
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} is outside [0, {n})")
 
 
 def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
@@ -204,54 +211,26 @@ def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(lam, vec)
 
 
-def _tridiagonal_from(matrix: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a Householder tridiagonal T = Q^T P H P Q.
+def _mirror_sectors(matrix: np.ndarray, site: int, mirror) -> list[tuple[np.ndarray, int]]:
+    """H on the sectors a site involution leaves even and odd, each with e_site's index in it.
 
-    P swaps index 0 with ``site``.  Every lower reflector of dsytrd leaves
-    the first coordinate alone, so Q e_0 = e_0 and the measure of H at
-    e_site is the measure of T at e_0.  The matrix is scratch space: once it
-    passes the symmetry and site checks, a writeable float64 matrix has its
-    rows and columns 0 and ``site`` swapped in place, and a C-contiguous one
-    is then overwritten by dsytrd's reflectors.  A read-only matrix is copied
-    first.  dsytrd gets matrix.T, which for a C-contiguous symmetric H is the
-    F-contiguous H, so f2py makes no n^2 copy; it copies any other layout.
-    """
-    import scipy.linalg  # deferred: only the dense oracle needs LAPACK's dsytrd
-
-    mat = np.asarray(matrix, dtype=float)
-    _check_symmetric(mat)
-    n = mat.shape[0]
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} is outside [0, {n})")
-    if not mat.flags.writeable:
-        mat = mat.copy()
-    mat[[0, site]] = mat[[site, 0]]
-    mat[:, [0, site]] = mat[:, [site, 0]]
-    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)  # blocked reduction; the default is unblocked
-    _, diag, offdiag, _, info = scipy.linalg.lapack.dsytrd(mat.T, lower=1, lwork=int(lwork), overwrite_a=1)
-    if info:  # pragma: no cover - only an illegal argument sets it
-        raise RuntimeError(f"dsytrd failed with info = {info}")
-    return diag, offdiag
-
-
-def _mirror_sector(matrix: np.ndarray, site: int, mirror) -> tuple[np.ndarray, int]:
-    """P^T H P on the sector a site involution leaves even, and e_site's index in it.
-
-    P's columns are e_s at each fixed point s of the mirror and
-    (e_s + e_mirror(s)) / sqrt(2) at each pair s < mirror(s), in increasing
-    s.  The mirror is certified on H, never assumed: it must be an
-    involution, fix ``site``, and leave the odd-by-even block
-    P_odd^T H P_even within _check_symmetric's bound (_defect_bound).
-    Then H maps the even sector to itself, e_site lies in it, and the
-    measure of H at e_site is that of P^T H P at e_site's index.  H is only
-    read, block by block of _SYM_ROWS sector rows, so no n^2 temporary is
-    formed beside the sector.
+    The even basis P has e_s at each fixed point s of the mirror and
+    (e_s + e_mirror(s)) / sqrt(2) at each pair s < mirror(s); the odd basis
+    Q has (e_s - e_mirror(s)) / sqrt(2) at each pair; both in increasing s.
+    The mirror is certified on H, never assumed: it must be an involution,
+    and the odd-by-even block Q^T H P must stay within _check_symmetric's
+    bound (_defect_bound).  Then H is P^T H P plus Q^T H Q.  When the mirror
+    fixes ``site``, e_site is even and only P^T H P is formed.  When it pairs
+    ``site`` with its twin, e_site is (p +- q) / sqrt(2) for the pair's even
+    and odd vectors, and Q^T H Q is formed too; the measure of H at e_site is
+    then the mean of the two sectors' measures at the pair's indices.  H is
+    only read, block by block of _SECTOR_ROWS sector rows, so no n^2
+    temporary is formed beside the sectors.
     """
     mat = np.asarray(matrix, dtype=float)
-    _check_symmetric(mat)
+    bound = _check_symmetric(mat)
     n = mat.shape[0]
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} is outside [0, {n})")
+    _check_site(site, n)
     mirror = np.asarray(mirror)
     sites = np.arange(n)
     if (
@@ -261,28 +240,41 @@ def _mirror_sector(matrix: np.ndarray, site: int, mirror) -> tuple[np.ndarray, i
         or not np.array_equal(mirror[mirror], sites)
     ):
         raise ValueError(f"mirror is not an involution of the {n} sites")
-    if mirror[site] != site:
-        raise ValueError(f"mirror moves site {site} to {mirror[site]}, so e_site is not mirror-even")
     reps = np.flatnonzero(mirror >= sites)  # one site of each orbit
     twins = mirror[reps]
-    scale = np.where(twins == reps, 0.5, math.sqrt(0.5))  # the sums below count a fixed point twice
-    bound = _defect_bound(mat)
-    sector = np.empty((reps.size, reps.size))
-    for i in range(0, reps.size, _SYM_ROWS):
-        rows = slice(i, i + _SYM_ROWS)
-        head = np.take(mat, reps[rows], axis=0)  # rows of H, then their sums over each orbit of columns
-        head = np.take(head, reps, axis=1) + np.take(head, twins, axis=1)
-        tail = np.take(mat, twins[rows], axis=0)  # the same at the twin rows
-        tail = np.take(tail, reps, axis=1) + np.take(tail, twins, axis=1)
-        np.add(head, tail, out=sector[rows])
-        head -= tail  # sqrt(2) times the odd-by-even rows; zero at a fixed point
-        head *= scale
-        odd = math.sqrt(0.5) * float(np.abs(head).max())
-        if odd > bound:
-            raise ValueError(f"matrix does not commute with the mirror (odd-even coupling {odd:.3e})")
-        sector[rows] *= scale[rows, None]
-        sector[rows] *= scale
-    return sector, int(np.searchsorted(reps, site))
+    paired = twins != reps
+    scale = np.where(paired, math.sqrt(0.5), 0.5)  # the sums below count a fixed point twice
+    rep = min(site, int(mirror[site]))
+    even = np.empty((reps.size, reps.size))
+    sectors = [(even, int(np.searchsorted(reps, rep)))]
+    if rep != mirror[rep]:
+        odd_reps, odd_twins = reps[paired], twins[paired]
+        odd = np.empty((odd_reps.size, odd_reps.size))
+        sectors.append((odd, int(np.searchsorted(odd_reps, rep))))
+    done = 0  # odd rows formed so far
+    for i in range(0, reps.size, _SECTOR_ROWS):
+        rows = slice(i, i + _SECTOR_ROWS)
+        head = np.take(mat, reps[rows], axis=0)  # rows of H at the representatives, then at their twins
+        tail = np.take(mat, twins[rows], axis=0)
+        np.add(np.take(head, reps, axis=1), np.take(head, twins, axis=1), out=even[rows])
+        even[rows] += np.take(tail, reps, axis=1)
+        even[rows] += np.take(tail, twins, axis=1)
+        even[rows] *= scale[rows, None]
+        even[rows] *= scale
+        head -= tail  # sqrt(2) times the odd rows; zero at a fixed point
+        del tail
+        coupling = np.take(head, reps, axis=1) + np.take(head, twins, axis=1)
+        coupling *= scale
+        defect = math.sqrt(0.5) * float(np.abs(coupling).max())
+        if defect > bound:
+            raise ValueError(f"matrix does not commute with the mirror (odd-even coupling {defect:.3e})")
+        if len(sectors) == 2:
+            head = head[paired[rows]]
+            block = odd[done : done + head.shape[0]]
+            np.subtract(np.take(head, odd_reps, axis=1), np.take(head, odd_twins, axis=1), out=block)
+            block *= 0.5
+            done += head.shape[0]
+    return sectors
 
 
 def dense_measure(
@@ -290,37 +282,43 @@ def dense_measure(
 ) -> SpectralMeasure:
     """Spectral measure of a dense real symmetric H at the basis vector e_site.
 
-    Equal to spectral_measure_1d(dense_eigensystem(H), e_site) but forms no
-    eigenvector of H: H is reduced once to a tridiagonal T with T's first
-    basis vector at e_site, and the atoms are the eigenvalues of T weighted
-    by the squared first components of its eigenvectors (Golub and Welsch,
-    Math. Comp. 23, 1969).
+    Equal to spectral_measure_1d(dense_eigensystem(H), e_site), from numpy's
+    eigh alone: the atoms are eigenvalues and their weights the squared
+    entries of e_site's row of the eigenvectors.  H is only read.
 
-    ``mirror`` is an optional involution of the sites that fixes ``site``
-    and commutes with H, as the reflection of the m-axis about the site
-    does (operators.m_mirror_sites).  H is then first restricted to the
-    mirror-even sector, which holds e_site (see _mirror_sector, which
-    certifies the mirror on H and raises ValueError when it fails), and the
-    reduction runs on that smaller matrix.  The atoms H has only on the odd
-    sector carry zero weight at e_site and are not listed.
+    ``mirror`` is an optional involution of the sites that commutes with H,
+    as the reflection of the m-axis does (operators.m_mirror_sites).  H is
+    then split into the blocks on the mirror's even and odd sectors (see
+    _mirror_sectors, which certifies the mirror on H and raises ValueError
+    when it fails), and each block is solved alone.  A site the mirror fixes
+    is even, so one block of about half of H serves, and the odd sector's
+    atoms, which carry no weight at e_site, are not listed.  A site the
+    mirror moves is half even and half odd: both blocks are solved and the
+    measure is the mean of their measures, with the union of their atoms.
 
-    Without a mirror the reduction overwrites the matrix (see
-    _tridiagonal_from), so hand each call a matrix of its own; with one, the
-    matrix is only read, not overwritten.  The reference to it is dropped
-    before the reduction (mirror given) or before T is solved (no mirror).
-    The n^2 saving needs the caller to hold no other reference, as in
-    dense_measure(hamiltonian_2d_dense(a1, a2), site): H is then freed before
-    the tridiagonal solver allocates its eigenvectors.
+    The reference to H is dropped once the blocks are formed.  The n^2
+    saving needs the caller to hold no other reference, as in
+    dense_measure(hamiltonian_2d_dense(a1, a2), site, mirror=...): H is then
+    freed before the first block is solved, and each block before the next.
     """
-    import scipy.linalg
-
     site = operator.index(site)
-    if mirror is not None:
-        matrix, site = _mirror_sector(matrix, site, mirror)
-    diag, offdiag = _tridiagonal_from(matrix, site)
+    if mirror is None:
+        mat = np.asarray(matrix, dtype=float)
+        _check_symmetric(mat)
+        _check_site(site, mat.shape[0])
+        blocks = [(mat, site)]
+    else:
+        blocks = _mirror_sectors(matrix, site, mirror)
     del matrix
-    lam, vec = scipy.linalg.eigh_tridiagonal(diag, offdiag)
-    return SpectralMeasure.from_atoms(lam, vec[0] ** 2, merge_tol)
+    share = 1.0 / len(blocks)
+    energies, weights = [], []
+    while blocks:
+        block, index = blocks.pop()
+        lam, vec = np.linalg.eigh(block)
+        del block
+        energies.append(lam)
+        weights.append(share * vec[index] ** 2)
+    return SpectralMeasure.from_atoms(np.concatenate(energies), np.concatenate(weights), merge_tol)
 
 
 def eigen_residual(es: EigenSystem, op: Operator1D) -> float:

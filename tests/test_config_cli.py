@@ -304,17 +304,13 @@ def test_cli_convolve_fails_on_impossible_tolerance(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_cli_convolve_holds_one_dense_h_and_its_sector(tmp_path, capsys):
-    """On a ring the dense oracle reduces only H's mirror-even sector, and drops H once the sector is built.
-
-    The sector holds 1200 of the 2304 sites, so its matrix and the tridiagonal
-    solve's eigenvectors are 0.27 n^2 each: the traced peak stays near H
-    plus its sector, well under H plus one more n^2 buffer.
-    """
+def _convolve_oracle_peak(tmp_path, capsys, argv) -> tuple[int, str]:
+    """tracemalloc's peak over a warm `convolve` run that compares to the dense oracle, and its stdout."""
     import tracemalloc
 
-    run = ["convolve", "--N", "48", "--M", "48", "--family", "random_iid", "--out"]
+    run = ["convolve", *argv, "--out"]
     assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
+    capsys.readouterr()
     tracemalloc.start()
     try:
         assert cli.main(run + [str(tmp_path / "c")]) == 0
@@ -322,7 +318,34 @@ def test_cli_convolve_holds_one_dense_h_and_its_sector(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is True
-    assert "dense oracle on 1200 of 2304 sites (mirror-even sector)" in capsys.readouterr().out
+    return peak, capsys.readouterr().out
+
+
+def test_cli_convolve_holds_one_dense_h_and_its_sector(tmp_path, capsys):
+    """On a ring the dense oracle solves only H's mirror-even sector, and drops H once the sector is built.
+
+    The sector holds 1200 of the 2304 sites, so its matrix and eigh's
+    eigenvectors are 0.27 n^2 each: the traced peak stays near H plus its
+    sector, well under H plus one more n^2 buffer.
+    """
+    peak, out = _convolve_oracle_peak(tmp_path, capsys, ["--N", "48", "--M", "48", "--family", "random_iid"])
+    assert "dense oracle on 1200 of 2304 sites (mirror-even sector)" in out
+    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
+
+
+def test_cli_convolve_holds_one_dense_h_and_both_sectors_on_an_even_window(tmp_path, capsys):
+    """On an even dirichlet window the oracle solves both mirror sectors of H, never H itself.
+
+    The window's reflection moves every site, so the delta is half even and
+    half odd.  H and its two sectors of 1152 sites (0.25 n^2 each) are the
+    peak, about 1.5 n^2; an eigh of all of H would add n^2 of eigenvectors.
+    LAPACK's eigh workspace is malloc'd outside tracemalloc's view, so the
+    bound speaks for numpy's arrays only.
+    """
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("[lattice]\nm_method = eigen\n")
+    peak, out = _convolve_oracle_peak(tmp_path, capsys, ["--config", str(cfg), "--N", "48", "--M", "48"])
+    assert "dense oracle on sectors of 1152 and 1152 of 2304 sites" in out
     assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
 
 
@@ -382,13 +405,13 @@ def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
 def _assert_eigen_convolve_m_delta(tmp_path, capsys, lattice, index):
     """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes.
 
-    An even window has no mirror about any of its sites, so the oracle reduces all of H.
+    An even window's reflection moves every site, so the oracle solves both of H's mirror sectors.
     """
     cfg = tmp_path / "eigen.cfg"
     cfg.write_text("[lattice]\nm_method = eigen\n" + lattice)
     out = tmp_path / "c"
     assert cli.main(["convolve", "--config", str(cfg), "--N", "8", "--M", "12", "--out", str(out)]) == 0
-    assert "dense oracle on all 96 sites" in capsys.readouterr().out
+    assert "dense oracle on sectors of 48 and 48 of 96 sites" in capsys.readouterr().out
     phi = np.zeros(12, dtype=complex)
     phi[index] = 1.0
     want = spectral_measure_1d(eigh_tridiagonal(free_operator(12, "dirichlet")), phi)

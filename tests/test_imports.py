@@ -2,10 +2,11 @@
 
 Every CLI command runs in a fresh process, and those scipy packages take
 longer to import than all of chainlab, so the code that needs them
-(quasiperiodic profiles, dirichlet chains longer than NUMPY_EIGH_SITES, the
-dense measure oracle) imports them where it uses them.  The free m-factor
-needs none of them: its eigenbasis is closed form and its Bessel values come
-from a numpy recurrence, so decay-fit runs on numpy alone.
+(quasiperiodic profiles, dirichlet chains longer than NUMPY_EIGH_SITES)
+imports them where it uses them.  The free m-factor needs none of them: its
+eigenbasis is closed form and its Bessel values come from a numpy
+recurrence, so decay-fit runs on numpy alone, and the dense measure oracle
+uses numpy's eigh.
 """
 import os
 import re
@@ -67,13 +68,14 @@ def test_decay_fit_runs_on_numpy_alone(tmp_path, m_method, extra):
 
 def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
     # the free chain (a one-site chain) and verify at these sizes need only chains of
-    # at most NUMPY_EIGH_SITES sites; convolve's dense oracle needs LAPACK's dsytrd
+    # at most NUMPY_EIGH_SITES sites; convolve's dense oracle solves H's mirror
+    # sectors with numpy's eigh, on a ring and on an even dirichlet window
+    (tmp_path / "eigen.cfg").write_text("[lattice]\nm_method = eigen\n")
     commands = {
         "decay-fit-free-chain": ["decay-fit", "--tmax", "40", "--out", "f"],
         "verify": ["verify", "--N", "16", "--M", "16", "--out", "v"],
         "convolve": ["convolve", "--N", "8", "--M", "8", "--out", "c"],
+        "convolve-eigen": ["convolve", "--config", "eigen.cfg", "--N", "8", "--M", "8", "--out", "e"],
     }
     loaded = {name: _loaded_after(argv, tmp_path, ("scipy.linalg",)) for name, argv in commands.items()}
-    assert loaded == {
-        "decay-fit-free-chain": "0 []", "verify": "0 []", "convolve": "0 ['scipy.linalg']"
-    }
+    assert loaded == dict.fromkeys(commands, "0 []")

@@ -230,23 +230,22 @@ def test_stencil_fill_equals_column_assembly(shape, boundary_n, boundary_m):
 @pytest.mark.parametrize("boundary_m", BOUNDARIES)
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
 def test_m_mirror_sites_commutes_with_h_where_it_exists(M, boundary_m):
+    # it exists for every free A2: a ring reflects about j0, a window about its centre whatever j0 is
     N = 3
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N))
     a2 = free_operator(M, boundary_m)
     H = hamiltonian_2d_dense(a1, a2)
     for j0 in range(M):
         mirror = m_mirror_sites(N, a2, j0)
-        if boundary_m == "dirichlet" and 2 * j0 != M - 1:  # an off-centre window has no mirror
-            assert mirror is None
-            continue
-        want = [n * M + (2 * j0 - m) % M for n in range(N) for m in range(M)]
-        assert mirror.tolist() == want
+        image = (lambda m: M - 1 - m) if boundary_m == "dirichlet" else (lambda m: (2 * j0 - m) % M)
+        assert mirror.tolist() == [n * M + image(m) for n in range(N) for m in range(M)]
         assert np.array_equal(H[np.ix_(mirror, mirror)], H)
 
 
 def test_m_mirror_sites_needs_a_mirror_even_m_diagonal():
     assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 0.0, 1.0]), "periodic"), 0) is None
-    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"), 1) is not None
+    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 0.0]), "dirichlet"), 0) is None
+    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"), 0) is not None
 
 
 def test_apply_h2d_separates_on_tensor_states():

@@ -78,14 +78,20 @@ DENSE_ROUTES = [dense_eigensystem, lambda h: dense_measure(h, 0)]
 DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure"]
 
 
-def _off_by(asym: float, n: int = 300) -> np.ndarray:
-    # symmetric with max|H| = 10, then H[270, 290] - H[290, 270] = asym; both
-    # indices sit past the first block of rows scanned by the symmetry check
+# sizes that are not multiples of the symmetry check's 128-wide tiles, with
+# the defect in a last, partial tile: on the diagonal, and in the lower
+# triangle of an off-diagonal pair
+DEFECTS = [(300, 270, 290), (200, 190, 10)]
+
+
+def _off_by(asym: float, defect: tuple[int, int, int]) -> np.ndarray:
+    # symmetric with max|H| = 10, then H[i, j] - H[j, i] = asym
+    n, i, j = defect
     rng = np.random.default_rng(7)
     h = rng.uniform(-1.0, 1.0, (n, n))
     h = h + h.T
     h[0, 0] = 10.0
-    h[270, 290] = h[290, 270] + asym
+    h[i, j] = h[j, i] + asym
     return h
 
 
@@ -93,23 +99,31 @@ def _off_by(asym: float, n: int = 300) -> np.ndarray:
 def test_dense_eigensystem_rejects_nonsymmetric(route):
     with pytest.raises(ValueError, match="not symmetric"):
         route(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError, match="not symmetric"):
-        route(_off_by(1.1e-11))  # bound is 1e-12 * max(1, max|H|) = 1e-11
+    for defect in DEFECTS:
+        with pytest.raises(ValueError, match="not symmetric"):
+            route(_off_by(1.1e-11, defect))  # bound is 1e-12 * max(1, max|H|) = 1e-11
     with pytest.raises(ValueError, match="square"):
         route(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
 def test_dense_routes_accept_asymmetry_inside_the_bound(route):
-    route(_off_by(0.9e-11))
+    for defect in DEFECTS:
+        route(_off_by(0.9e-11, defect))
+
+
+def _read_only(h: np.ndarray) -> np.ndarray:
+    h.setflags(write=False)
+    return h
 
 
 def _assert_dense_measure_matches_eigh(h: np.ndarray) -> None:
+    h = _read_only(h)  # the matrix is only read
     es = dense_eigensystem(h)
     n = h.shape[0]
     for site in (0, n // 2, n - 1):
         ref = spectral_measure_1d(es, np.eye(n)[site])
-        mu = dense_measure(h.copy(), site)  # the reduction overwrites its matrix
+        mu = dense_measure(h, site)
         assert atom_weight_discrepancy(mu, ref) <= 1e-12
         assert abs(mu.total_mass() - 1.0) <= 1e-13
         assert mu.atom_count == ref.atom_count
@@ -136,16 +150,10 @@ def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
     assert dense_measure(h, 4).atom_count == 6
 
 
-def _read_only(h: np.ndarray) -> np.ndarray:
-    h.setflags(write=False)
-    return h
-
-
 def test_dense_measure_takes_any_layout():
-    # a writeable C-contiguous float64 H is reduced in place; f2py copies any
-    # other layout, and a read-only H is copied before its rows are swapped
+    # F order, a strided view, integers and a read-only matrix, which is left as it was
     h = hamiltonian_2d_dense(Operator1D(np.array([2.0, -1.0, 0.0, 1.0, -3.0, 1.0])), free_operator(5))
-    ref = dense_measure(h.copy(), 7)
+    ref = dense_measure(h, 7)
     others = (np.asfortranarray(h), np.kron(h, np.ones((2, 2)))[::2, ::2], h.astype(int), _read_only(h.copy()))
     for other in others:
         assert atom_weight_discrepancy(dense_measure(other, 7), ref) <= 1e-13
@@ -194,10 +202,24 @@ def test_dense_measure_rejects_a_map_that_is_not_an_involution():
             dense_measure(h, 0, mirror=bad)
 
 
-def test_dense_measure_rejects_a_mirror_that_moves_the_site():
-    h = hamiltonian_2d_dense(free_operator(3), free_operator(4, "periodic"))
-    with pytest.raises(ValueError, match="moves site 5 to 7"):
-        dense_measure(h, 5, mirror=_reflection(3, 4, 0))
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 8])
+def test_dense_measure_on_two_sectors_matches_full_eigh(M, boundary_n):
+    # the window's reflection m -> M - 1 - m moves every site but the centre
+    # of an odd window; a moved site is half even and half odd, and its
+    # measure, the mean of both sectors' measures, lists the union of their atoms
+    N = 3
+    a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N), boundary=boundary_n)
+    h = _read_only(hamiltonian_2d_dense(a1, free_operator(M)))  # the matrix is only read
+    es = dense_eigensystem(h)
+    mirror = np.array([n * M + M - 1 - m for n in range(N) for m in range(M)])
+    for site in range(N * M):
+        ref = spectral_measure_1d(es, np.eye(N * M)[site])
+        mu = dense_measure(h, site, mirror=mirror)
+        assert atom_weight_discrepancy(mu, ref) <= 1e-12
+        assert abs(mu.total_mass() - 1.0) <= 1e-13
+        if mirror[site] != site:
+            assert mu.atom_count == ref.atom_count
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ constant along m, the full propagator splits exactly into commuting factors
     e^{iHt} = e^{i A1 t} . e^{i (-Delta_m) t}
 
 applied fiber by fiber; evolve_2d_factorized never forms a 2D matrix.
-evolve_2d_direct is the non-factorized reference route (dense
-eigendecomposition, or a certified Chebyshev expansion above the dense cap).
+evolve_2d_direct is the non-factorized reference route: ``method`` picks a
+dense eigensolve of H or a Chebyshev expansion certified to CHEB_TOL.
 
 Free-propagator conventions (symbol of -Delta is -2 cos theta):
 the DFT multiplier on mode k of an M-ring is e^{-2it cos(2 pi k / M)} and
@@ -32,7 +32,7 @@ from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 DEFAULT_TAIL_TOL = 1e-10
-CHEB_TOL = 1e-9
+CHEB_TOL = 1e-12
 
 
 def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:

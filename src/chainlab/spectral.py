@@ -15,13 +15,13 @@ convolution; that identity is what the convolution tests pin down.
 Eigensystems come from three places: free_eigensystem writes down the free
 chain's sine or Fourier basis (the m-factor's measures; propagators sweep
 the m-factor by FFT, and free_delta_measure reads a single row of the basis),
-eigh_tridiagonal solves a chain with a potential (the n-factor), and
-dense_eigensystem and dense_measure serve the 2D dense oracle, on numpy's
-eigh alone.  Given a mirror of the sites (an involution that H is checked
-to commute with, such as the reflection of the m-axis), dense_measure
-splits H into its mirror-even and mirror-odd blocks, reading H without
-overwriting it, and solves only the blocks the site has a part in: the even
-one when the mirror fixes the site, both halves of H when it moves it.
+eigh_tridiagonal solves a chain with a potential (the n-factor), and numpy's
+eigh alone serves the 2D dense routes: dense_measure is the commands' oracle,
+dense_eigensystem serves evolve_2d_direct's dense route and the tests.  Given
+a mirror of the sites (an involution that H is checked to commute with, such
+as the reflection of the m-axis), dense_measure splits H, only read, into its
+mirror-even and mirror-odd blocks and solves only the blocks the site has a
+part in: the even one when the mirror fixes the site, both when it moves it.
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
 
 
 def _check_symmetric(mat: np.ndarray) -> float:
-    """Reject a non-square matrix, or one with |H - H^T| above _defect_bound(H); return that bound.
+    """Reject a non-square matrix, a non-finite entry, or |H - H^T| above _defect_bound(H); return that bound.
 
     One pass compares each _TILE x _TILE tile of the upper triangle with its
     mirror tile, so the transposed read stays in cache and no temporary
@@ -194,8 +194,12 @@ def _check_symmetric(mat: np.ndarray) -> float:
 
 
 def _defect_bound(mat: np.ndarray) -> float:
-    """1e-12 max(1, max|H|): the largest entry a symmetry defect of H may reach."""
-    return 1e-12 * max(1.0, mat.max(), -mat.min())
+    """1e-12 max(1, max|H|): the largest entry a symmetry defect of H may reach; a non-finite H is refused."""
+    top = max(mat.max(), -mat.min())
+    if not np.isfinite(top):
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is {mat[i, j]}, not finite")
+    return 1e-12 * max(1.0, top)
 
 
 def _check_site(site: int, n: int) -> None:

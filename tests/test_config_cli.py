@@ -304,20 +304,28 @@ def test_cli_convolve_fails_on_impossible_tolerance(tmp_path):
     assert (out / "report.json").exists()
 
 
-def _convolve_oracle_peak(tmp_path, capsys, argv) -> tuple[int, str]:
-    """tracemalloc's peak over a warm `convolve` run that compares to the dense oracle, and its stdout."""
+def _warm_peak(tmp_path, argv) -> tuple[int, Path]:
+    """tracemalloc's peak over a second, warm run of a command, and that run's output directory.
+
+    The first run keeps imports and first-call setup out of the peak.
+    """
     import tracemalloc
 
-    run = ["convolve", *argv, "--out"]
-    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
-    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    out = tmp_path / "traced"
     tracemalloc.start()
     try:
-        assert cli.main(run + [str(tmp_path / "c")]) == 0
+        assert cli.main([*argv, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is True
+    return peak, out
+
+
+def _convolve_oracle_peak(tmp_path, capsys, argv) -> tuple[int, str]:
+    """_warm_peak of a `convolve` run that compares to the dense oracle, and the stdout of both runs."""
+    peak, out = _warm_peak(tmp_path, ["convolve", *argv])
+    assert _read_json(out / "report.json")["compared_to_direct"] is True
     return peak, capsys.readouterr().out
 
 
@@ -349,22 +357,25 @@ def test_cli_convolve_holds_one_dense_h_and_both_sectors_on_an_even_window(tmp_p
     assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
 
 
+def test_cli_verify_holds_one_dense_h_and_its_sector(tmp_path):
+    """verify's dense oracle is convolve's: H is dropped once its mirror-even sector is built.
+
+    No eigenvector matrix of H is formed, so the traced peak keeps to the
+    convolve guards' bound.
+    """
+    peak, out = _warm_peak(tmp_path, ["verify", "--N", "48", "--M", "48"])
+    checks = _read_json(out / "verify.json")["checks"]
+    assert "convolution_identity" in [c["name"] for c in checks]
+    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
+
+
 @pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
 def test_cli_convolve_builds_no_m_basis(tmp_path, m_method):
     """Above the dense cap convolve reads its m-measure off one row of A2's basis, never the M x M table."""
-    import tracemalloc
-
     cfg = tmp_path / "m.cfg"
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
-    run = ["convolve", "--config", str(cfg), "--N", "16", "--M", "4096", "--out"]
-    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
-    tracemalloc.start()
-    try:
-        assert cli.main(run + [str(tmp_path / "c")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert _read_json(tmp_path / "c" / "report.json")["compared_to_direct"] is False
+    peak, out = _warm_peak(tmp_path, ["convolve", "--config", str(cfg), "--N", "16", "--M", "4096"])
+    assert _read_json(out / "report.json")["compared_to_direct"] is False
     assert peak < 4096**2 * np.dtype(float).itemsize  # 128 MiB
 
 
@@ -498,19 +509,10 @@ def test_cli_decay_fit_forms_no_n_by_m_array(tmp_path, m_method):
 
     Under eigen no M x M basis is formed either: at M = 4096 one would be 128 MiB.
     """
-    import tracemalloc
-
     cfg = tmp_path / "m.cfg"
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
-    run = ["decay-fit", "--config", str(cfg), "--N", "128", "--tmax", "800", "--out"]
-    assert cli.main(run + [str(tmp_path / "warm")]) == 0  # imports and first-call setup stay out of the peak
-    tracemalloc.start()
-    try:
-        assert cli.main(run + [str(tmp_path / "d")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    m_size = _read_json(tmp_path / "d" / "fit.json")["m_size"]
+    peak, out = _warm_peak(tmp_path, ["decay-fit", "--config", str(cfg), "--N", "128", "--tmax", "800"])
+    m_size = _read_json(out / "fit.json")["m_size"]
     assert m_size == 4096
     assert peak < 128 * m_size * np.dtype(complex).itemsize  # 8 MiB
 

@@ -4,9 +4,11 @@ import scipy.linalg
 from scipy.special import jv
 
 from chainlab.evolution import (
+    CHEB_TOL,
     DENSE_SITE_CAP,
     M_METHODS,
     PropagatorPlan,
+    _chebyshev_order,
     bessel_j,
     bessel_kernel,
     bessel_pad,
@@ -316,16 +318,42 @@ def test_unitarity_of_factorized_evolution():
 
 
 def test_chebyshev_direct_matches_dense():
+    """The Chebyshev route, verify's propagator oracle, meets CHEB_TOL up to a rounding allowance.
+
+    With X = H / r, r = a1.norm_bound + a2.norm_bound and z = r t, the route
+    sums c_k T_k(X) psi for k <= K = _chebyshev_order(z, CHEB_TOL), with
+    c_0 = J_0(z) and c_k = 2 i^k J_k(z).  Truncation: ||T_k(X)|| <= 1, so the
+    dropped terms weigh at most 2 sum_{k>K} |J_k(z)| < CHEB_TOL.  Rounding,
+    with u the unit roundoff:
+    - each step of T_{k+1} = 2 X T_k - T_{k-1} adds an error of norm at most
+      16 u: apply_h2d sums five stencil terms, so it is within
+      gamma_5 || |H| || <= 5.01 u r of H T_k; the division by r adds u, the
+      doubling is exact, and the subtraction adds 3 u: 2 (6.01 u) + 3 u;
+    - an error added at step j reaches T_k as U_{k-j}(X) times it, and
+      ||U_n(X)|| <= n + 1, so T_k is off by at most 8 u k (k + 1);
+    - sum_k |c_k| <= sqrt(2 (K + 1)), from J_0^2 + 2 sum_k J_k^2 = 1, weighs
+      those errors and the (K + 3) u of the products and the running sum:
+      together at most 9 u (K + 1)^2 sqrt(2 (K + 1));
+    - bessel_j is within BESSEL_ABS_TOL of each J_k: 2 (K + 1) BESSEL_ABS_TOL.
+    The dense route is backward stable: V diag(lambda) V^T = H + E with
+    ||E|| <= n u ||H|| for n = N M sites moves e^{iHt} psi by at most
+    n u r t, and V's departure from orthogonality and the phases add 4 n u.
+    """
     rng = np.random.default_rng(7)
     N, M = 14, 9
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
     a2 = free_operator(M, boundary="periodic")
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     psi0 = LatticeState2D(amp / np.linalg.norm(amp))
+    u, radius = np.finfo(float).eps / 2, a1.norm_bound + a2.norm_bound
     for t in (0.5, 4.0):
         dense = evolve_2d_direct(psi0, a1, a2, t, method="dense")
         cheb = evolve_2d_direct(psi0, a1, a2, t, method="chebyshev")
-        np.testing.assert_allclose(cheb.amplitudes, dense.amplitudes, atol=1e-8)
+        K = _chebyshev_order(radius * t, CHEB_TOL)
+        rounding = 9 * u * (K + 1) ** 2 * np.sqrt(2 * (K + 1)) + 2 * (K + 1) * BESSEL_ABS_TOL
+        dense_error = N * M * u * (radius * t + 4)
+        bound = CHEB_TOL + rounding + dense_error  # 4.8e-11 at t = 4
+        assert np.linalg.norm(cheb.amplitudes - dense.amplitudes) <= bound
 
 
 def test_dense_direct_enforces_site_cap():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,8 +75,12 @@ def test_eigensystem_sorts_on_construction():
     np.testing.assert_array_equal(es.eigenvectors[:, 0], [0.0, 1.0, 0.0])
 
 
-DENSE_ROUTES = [dense_eigensystem, lambda h: dense_measure(h, 0)]
-DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure"]
+DENSE_ROUTES = [
+    dense_eigensystem,
+    lambda h: dense_measure(h, 0),
+    lambda h: dense_measure(h, 0, mirror=np.arange(h.shape[0])),  # the identity commutes with every H
+]
+DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure", "dense_measure_mirror"]
 
 
 # sizes that are not multiples of the symmetry check's 128-wide tiles, with
@@ -104,6 +109,24 @@ def test_dense_eigensystem_rejects_nonsymmetric(route):
             route(_off_by(1.1e-11, defect))  # bound is 1e-12 * max(1, max|H|) = 1e-11
     with pytest.raises(ValueError, match="square"):
         route(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
+@pytest.mark.parametrize(
+    "entries, value, where",
+    [
+        (((1, 2), (2, 1)), np.nan, "(1, 2) is nan"),  # a symmetric pair: H - H^T is NaN, not above the bound
+        (((3, 3),), np.inf, "(3, 3) is inf"),  # the bound itself would be inf
+        (((0, 1),), -np.inf, "(0, 1) is -inf"),  # alone: |H - H^T| = inf is not above an inf bound
+    ],
+    ids=["nan-pair", "inf-diagonal", "inf-off-diagonal"],
+)
+def test_dense_routes_reject_non_finite_entries(route, entries, value, where):
+    h = np.eye(4)
+    for entry in entries:
+        h[entry] = value
+    with pytest.raises(ValueError, match=f"matrix entry {re.escape(where)}, not finite"):
+        route(h)
 
 
 @pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)

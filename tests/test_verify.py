@@ -1,21 +1,29 @@
-"""The verify suite: one dense solve, no silent drops above the cap, and the bessel_kernel m-window rule."""
+"""The verify suite: one oracle per check and no eigh of all of H, no silent drops above the cap,
+and the bessel_kernel m-window rule."""
 import json
 
+import numpy as np
 import pytest
 
 from chainlab import cli, verify
 from chainlab.config import ExperimentConfig
 
 
-def _count_calls(monkeypatch, name):
+def _record_dense_solves(monkeypatch):
+    """Patch verify.dense_measure and np.linalg.eigh to log their calls: ("dense_measure",) and ("eigh", rows)."""
     calls = []
-    original = getattr(verify, name)
+    dense_measure, eigh = verify.dense_measure, np.linalg.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+    def counted_measure(*args, **kwargs):
+        calls.append(("dense_measure",))
+        return dense_measure(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, counted)
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(("eigh", np.shape(a)[0]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "dense_measure", counted_measure)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return calls
 
 
@@ -24,22 +32,28 @@ def _count_calls(monkeypatch, name):
     [("dft_multiplier", 16, 16), ("eigen", 16, 16), ("bessel_kernel", 8, 96)],
 )
 def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
-    # the dense H is built from the plan's A2, so one solve serves both dense checks
-    solves = _count_calls(monkeypatch, "dense_eigensystem")
+    # the convolution check reads H once through dense_measure, which solves
+    # only H's mirror sectors; the propagator check takes the Chebyshev route,
+    # so no eigh ever sees all N*M rows of H
+    calls = _record_dense_solves(monkeypatch)
     results = verify.run_verification(ExperimentConfig(N=N, M=M, m_method=m_method))
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert "convolution_identity" in names and "factorization_vs_direct" in names
-    assert len(solves) == 1
+    assert calls.count(("dense_measure",)) == 1
+    rows = [c[1] for c in calls if c[0] == "eigh"]  # A1 and H's sectors
+    assert rows and max(rows) < N * M
 
 
-def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(tmp_path):
-    # 128 x 128 sites exceed DENSE_SITE_CAP: the Chebyshev route stands in for the dense propagator
+def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(monkeypatch, tmp_path):
+    # 128 x 128 sites exceed DENSE_SITE_CAP: the Chebyshev route is the propagator oracle at every size
+    calls = _record_dense_solves(monkeypatch)
     out = tmp_path / "v"
     assert cli.main(["verify", "--N", "128", "--M", "128", "--out", str(out)]) == 0
+    assert calls and all(c[0] == "eigh" and c[1] < 128 * 128 for c in calls)  # A1 alone
     with open(out / "verify.json") as fh:
         checks = {c["name"]: c for c in json.load(fh)["checks"]}
-    assert "convolution_identity" not in checks  # needs the dense 2D eigensystem
+    assert "convolution_identity" not in checks  # needs the dense 2D operator
     for name in ("factorization_vs_direct", "convolution_mass_product"):
         assert checks[name]["passed"] is True
 

@@ -19,7 +19,8 @@ from chainlab import (
     eigh_tridiagonal,
     free_operator,
     hamiltonian_2d_dense,
-    m_mirror_sites,
+    hamiltonian_2d_entries,
+    m_symmetries,
     sample_potential,
     spectral_measure_1d,
     spectral_measure_2d,
@@ -48,8 +49,9 @@ print("\n== the convolution identity ==")
 conv = convolve_measures(mu1, mu2)
 # route 2: the measure of the full 2D operator at the site chi (x) phi, from
 # numpy's eigh on the blocks of H that the window's reflection m -> N-1-m
-# leaves even and odd (the delta at m = 16 is half in each)
-direct = dense_measure(hamiltonian_2d_dense(a1, a2), 16 * N + 16, mirror=m_mirror_sites(N, a2, 16))
+# leaves even and odd (the delta at m = 16 is half in each), each block
+# scattered straight from H's five-point stencil: H itself is never formed
+direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * N, 16 * N + 16, symmetries=m_symmetries(N, a2, 16))
 disc = atom_weight_discrepancy(conv, direct)
 print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")
 print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass().real:.12f}")

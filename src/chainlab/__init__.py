@@ -29,8 +29,9 @@ _EXPORTS = {
         "delta_state",
         "tensor_state",
         "apply_h2d",
+        "hamiltonian_2d_entries",
         "hamiltonian_2d_dense",
-        "m_mirror_sites",
+        "m_symmetries",
         "energy_expectation",
         "l2_norm",
         "l1_norm",
@@ -46,6 +47,7 @@ _EXPORTS = {
         "eigh_tridiagonal",
         "dense_eigensystem",
         "dense_measure",
+        "sector_sizes",
         "eigen_residual",
         "gram_defect",
         "SpectralMeasure",

@@ -313,12 +313,26 @@ def apply_h2d(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> LatticeS
     return state.with_amplitudes(out)
 
 
-def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
-    """Dense (N*M, N*M) matrix of H, filled straight from the five-point stencil.
+def hamiltonian_2d_entries(a1: Operator1D, a2: Operator1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H's five-point stencil as (rows, cols, values), about 5 N M entries; entries at one position add.
 
-    Site (n, m) is row n*M + m.  The fill never calls apply_h2d, so each of
-    the two is an independent check of the other.
+    Site (n, m) is row n*M + m.  A ring's seam is a bond of its own, so a
+    2-site ring hops twice.  Never calls apply_h2d: each checks the other.
     """
+    N, M = a1.size, a2.size
+    site = np.arange(N * M).reshape(N, M)
+    rows, cols, values = [site.ravel()], [site.ravel()], [np.add.outer(a1.diagonal, a2.diagonal).ravel()]
+    for op, fibers in ((a1, site), (a2, site.T)):  # hopping along n, then along m
+        bonds = [(fibers[:-1], fibers[1:])] + [(fibers[-1:], fibers[:1])] * (op.boundary == "periodic")
+        for here, there in bonds:
+            rows += [here.ravel(), there.ravel()]
+            cols += [there.ravel(), here.ravel()]
+            values.append(np.full(2 * here.size, -1.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
+    """Dense (N*M, N*M) matrix of H: the scatter of hamiltonian_2d_entries."""
     N, M = a1.size, a2.size
     sites = N * M
     if sites > DENSE_SITE_CAP:
@@ -326,32 +340,19 @@ def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
             f"{N}x{M} = {sites} sites exceeds the dense cap of {DENSE_SITE_CAP}; "
             "use the chebyshev route for large grids"
         )
-    H = np.zeros((sites, sites))
-    site = np.arange(sites).reshape(N, M)
-    H[site.ravel(), site.ravel()] = np.add.outer(a1.diagonal, a2.diagonal).ravel()
-    for op, fibers in ((a1, site), (a2, site.T)):  # hopping along n, then along m
-        here, there = fibers[:-1].ravel(), fibers[1:].ravel()
-        H[here, there] = H[there, here] = -1.0
-        if op.boundary == "periodic":  # subtract, so a 2-site ring hops twice
-            H[fibers[0], fibers[-1]] -= 1.0
-            H[fibers[-1], fibers[0]] -= 1.0
-    return H
+    rows, cols, values = hamiltonian_2d_entries(a1, a2)
+    return np.bincount(rows * sites + cols, values, sites * sites).reshape(sites, sites)
 
 
-def m_mirror_sites(N: int, a2: Operator1D, j0: int) -> np.ndarray | None:
-    """The reflection of the m-axis that carries A2 to itself, as a map of the N*M sites, or None.
+def m_symmetries(N: int, a2: Operator1D, j0: int) -> tuple[np.ndarray, ...]:
+    """Maps of the N*M sites along m that carry A2's diagonal to itself, so H commutes with them.
 
-    On a ring it is the reflection about j0, m -> (2 j0 - m) mod M; on a
-    dirichlet window it is the window's own, m -> M - 1 - m, which fixes j0
-    only at the centre of an odd window.  H commutes with it whenever A2's
-    diagonal is mirror-even, since the potential is constant along m: always
-    for the free A2.  Otherwise there is no such map, and None says so.
+    The reflection, m -> (2 j0 - m) mod M on a ring, m -> M - 1 - m on a
+    dirichlet window; and on a ring of even M the half-turn m -> m + M/2.
     """
-    M = a2.size
-    m = np.arange(M)[::-1] if a2.boundary == "dirichlet" else np.remainder(2 * j0 - np.arange(M), M)
-    if not np.array_equal(a2.diagonal[m], a2.diagonal):
-        return None
-    return (M * np.arange(N)[:, None] + m).ravel()
+    M, m = a2.size, np.arange(a2.size)
+    maps = [m[::-1]] if a2.boundary == "dirichlet" else [(2 * j0 - m) % M] + [(m + M // 2) % M] * (M % 2 == 0)
+    return tuple((M * np.arange(N)[:, None] + g).ravel() for g in maps if np.array_equal(a2.diagonal[g], a2.diagonal))
 
 
 def energy_expectation(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> float:

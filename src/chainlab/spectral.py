@@ -17,11 +17,9 @@ chain's sine or Fourier basis (the m-factor's measures; propagators sweep
 the m-factor by FFT, and free_delta_measure reads a single row of the basis),
 eigh_tridiagonal solves a chain with a potential (the n-factor), and numpy's
 eigh alone serves the 2D dense routes: dense_measure is the commands' oracle,
-dense_eigensystem serves evolve_2d_direct's dense route and the tests.  Given
-a mirror of the sites (an involution that H is checked to commute with, such
-as the reflection of the m-axis), dense_measure splits H, only read, into its
-mirror-even and mirror-odd blocks and solves only the blocks the site has a
-part in: the even one when the mirror fixes the site, both when it moves it.
+dense_eigensystem serves evolve_2d_direct's dense route and the tests.
+dense_measure never forms H: it solves, from H's entry list, only the
+sectors of certified site symmetries that the site has a part in.
 """
 from __future__ import annotations
 
@@ -38,8 +36,6 @@ ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import
-_TILE = 128  # side of the tiles the symmetry check compares
-_SECTOR_ROWS = 64  # sector rows formed per block from rows of H
 
 
 @dataclass(frozen=True)
@@ -174,154 +170,125 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     return EigenSystem(lam, vec, source=op)
 
 
-def _check_symmetric(mat: np.ndarray) -> float:
-    """Reject a non-square matrix, a non-finite entry, or |H - H^T| above _defect_bound(H); return that bound.
-
-    One pass compares each _TILE x _TILE tile of the upper triangle with its
-    mirror tile, so the transposed read stays in cache and no temporary
-    outgrows a tile.
-    """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-        raise ValueError("matrix must be square and non-empty")
-    bound = _defect_bound(mat)
-    n = mat.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            asym = float(np.abs(mat[i : i + _TILE, j : j + _TILE] - mat[j : j + _TILE, i : i + _TILE].T).max())
-            if asym > bound:
-                raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} above {bound:.1e})")
-    return bound
-
-
-def _defect_bound(mat: np.ndarray) -> float:
-    """1e-12 max(1, max|H|): the largest entry a symmetry defect of H may reach; a non-finite H is refused."""
-    top = max(mat.max(), -mat.min())
-    if not np.isfinite(top):
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"matrix entry ({i}, {j}) is {mat[i, j]}, not finite")
-    return 1e-12 * max(1.0, top)
-
-
-def _check_site(site: int, n: int) -> None:
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} is outside [0, {n})")
-
-
 def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Eigendecomposition of an arbitrary dense real symmetric matrix."""
     mat = np.asarray(matrix, dtype=float)
-    _check_symmetric(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError("matrix must be square and non-empty")
+    rows, cols = np.nonzero(mat)
+    _certified_entries((rows, cols, mat[rows, cols]), mat.shape[0])
     lam, vec = np.linalg.eigh(mat)
     return EigenSystem(lam, vec)
 
 
-def _mirror_sectors(matrix: np.ndarray, site: int, mirror) -> list[tuple[np.ndarray, int]]:
-    """H on the sectors a site involution leaves even and odd, each with e_site's index in it.
+def _certified_entries(entries, size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sorted positions row * size + col of H's entries, the summed values there, and the bound 1e-12 max(1, max|H|).
 
-    The even basis P has e_s at each fixed point s of the mirror and
-    (e_s + e_mirror(s)) / sqrt(2) at each pair s < mirror(s); the odd basis
-    Q has (e_s - e_mirror(s)) / sqrt(2) at each pair; both in increasing s.
-    The mirror is certified on H, never assumed: it must be an involution,
-    and the odd-by-even block Q^T H P must stay within _check_symmetric's
-    bound (_defect_bound).  Then H is P^T H P plus Q^T H Q.  When the mirror
-    fixes ``site``, e_site is even and only P^T H P is formed.  When it pairs
-    ``site`` with its twin, e_site is (p +- q) / sqrt(2) for the pair's even
-    and odd vectors, and Q^T H Q is formed too; the measure of H at e_site is
-    then the mean of the two sectors' measures at the pair's indices.  H is
-    only read, block by block of _SECTOR_ROWS sector rows, so no n^2
-    temporary is formed beside the sectors.
+    Refuses an entry off the matrix, a non-finite one, and |H - H^T| above the bound.
     """
-    mat = np.asarray(matrix, dtype=float)
-    bound = _check_symmetric(mat)
-    n = mat.shape[0]
-    _check_site(site, n)
-    mirror = np.asarray(mirror)
-    sites = np.arange(n)
-    if (
-        mirror.shape != (n,)
-        or mirror.dtype.kind not in "iu"
-        or np.any((mirror < 0) | (mirror >= n))
-        or not np.array_equal(mirror[mirror], sites)
-    ):
-        raise ValueError(f"mirror is not an involution of the {n} sites")
-    reps = np.flatnonzero(mirror >= sites)  # one site of each orbit
-    twins = mirror[reps]
-    paired = twins != reps
-    scale = np.where(paired, math.sqrt(0.5), 0.5)  # the sums below count a fixed point twice
-    rep = min(site, int(mirror[site]))
-    even = np.empty((reps.size, reps.size))
-    sectors = [(even, int(np.searchsorted(reps, rep)))]
-    if rep != mirror[rep]:
-        odd_reps, odd_twins = reps[paired], twins[paired]
-        odd = np.empty((odd_reps.size, odd_reps.size))
-        sectors.append((odd, int(np.searchsorted(odd_reps, rep))))
-    done = 0  # odd rows formed so far
-    for i in range(0, reps.size, _SECTOR_ROWS):
-        rows = slice(i, i + _SECTOR_ROWS)
-        head = np.take(mat, reps[rows], axis=0)  # rows of H at the representatives, then at their twins
-        tail = np.take(mat, twins[rows], axis=0)
-        np.add(np.take(head, reps, axis=1), np.take(head, twins, axis=1), out=even[rows])
-        even[rows] += np.take(tail, reps, axis=1)
-        even[rows] += np.take(tail, twins, axis=1)
-        even[rows] *= scale[rows, None]
-        even[rows] *= scale
-        head -= tail  # sqrt(2) times the odd rows; zero at a fixed point
-        del tail
-        coupling = np.take(head, reps, axis=1) + np.take(head, twins, axis=1)
-        coupling *= scale
-        defect = math.sqrt(0.5) * float(np.abs(coupling).max())
-        if defect > bound:
-            raise ValueError(f"matrix does not commute with the mirror (odd-even coupling {defect:.3e})")
-        if len(sectors) == 2:
-            head = head[paired[rows]]
-            block = odd[done : done + head.shape[0]]
-            np.subtract(np.take(head, odd_reps, axis=1), np.take(head, odd_twins, axis=1), out=block)
-            block *= 0.5
-            done += head.shape[0]
+    rows, cols, values = (np.asarray(part) for part in entries)
+    if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu" or not rows.shape == cols.shape == values.shape:
+        raise ValueError("entries must be integer rows and cols with one value each")
+    if np.any((rows < 0) | (rows >= size) | (cols < 0) | (cols >= size)):
+        raise ValueError(f"an entry lies outside the {size} x {size} matrix")
+    keys, slot = np.unique(rows.astype(np.intp) * size + cols.astype(np.intp), return_inverse=True)
+    values = np.bincount(slot, np.asarray(values, dtype=float), keys.size)
+    top = max(values.max(initial=0.0), -values.min(initial=0.0))
+    if not np.isfinite(top):
+        k = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"matrix entry {divmod(int(keys[k]), size)} is {values[k]}, not finite")
+    bound = 1e-12 * max(1.0, top)
+    asym = _mismatch(keys, values, keys % size * size + keys // size)
+    if asym > bound:
+        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} above {bound:.1e})")
+    return keys, values, bound
+
+
+def _mismatch(keys: np.ndarray, values: np.ndarray, images: np.ndarray) -> float:
+    """max |H at keys - H at images| for H given by its sorted positions keys and values there (0 elsewhere)."""
+    at = np.searchsorted(keys, images).clip(max=keys.size - 1)
+    there = np.where(keys[at] == images, values[at], 0.0)
+    return float(np.abs(values - there).max(initial=0.0))
+
+
+def _symmetry_group(symmetries, size: int) -> list[tuple[np.ndarray, int]]:
+    """The group of commuting involutions of the sites as (site map, bitmask over independent generators) pairs."""
+    sites, maps = np.arange(size), [np.asarray(sym) for sym in symmetries]
+    for k, sym in enumerate(maps):  # % size keeps the read in range; a site off it fails anyway
+        if sym.shape != (size,) or sym.dtype.kind not in "iu" or not np.array_equal(sym[sym % size], sites):
+            raise ValueError(f"symmetry {k} is not an involution of the {size} sites")
+        for j in range(k):
+            if not np.array_equal(sym[maps[j]], maps[j][sym]):
+                raise ValueError(f"symmetries {j} and {k} do not commute")
+    group = [(sites, 0)]
+    for sym in maps:
+        if not any(np.array_equal(sym, g) for g, _ in group):
+            bit = len(group)  # a power of two: the next generator's bit
+            group += [(g[sym], word | bit) for g, word in group]
+    return group
+
+
+def _sectors(group: list[tuple[np.ndarray, int]], site: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The sectors e_site has a part in: one per sign character chi of the group trivial on its stabiliser.
+
+    For each orbit O on whose stabiliser chi is trivial, the sector holds
+    sum_t chi(g_t) e_t / sqrt|O| over t in O, g_t carrying O's least site
+    to t.  Returned per sector: each site's index in it (-1 off it), each
+    site's coefficient chi(g_t) / sqrt|O|, and its size.  e_site has
+    squared norm 1 / |O_site| in each of the |O_site| sectors.
+    """
+    maps = np.stack([g for g, _ in group])
+    fixed = maps == maps[0]  # the stabiliser of each site
+    least = maps.min(axis=0)
+    to_least = np.argmax(maps == least, axis=0)
+    norm = np.sqrt(fixed.sum(axis=0) / len(group))  # 1 / sqrt|O|
+    sectors = []
+    for character in range(len(group)):
+        chi = np.array([1 - 2 * (bin(character & word).count("1") % 2) for _, word in group])
+        inside = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+        if inside[site]:
+            heads = np.flatnonzero(inside & (least == maps[0]))
+            index = np.where(inside, np.searchsorted(heads, least), -1)
+            sectors.append((index, chi[to_least] * norm, heads.size))
     return sectors
 
 
-def dense_measure(
-    matrix: np.ndarray, site: int, merge_tol: float = ATOM_MERGE_TOL, mirror: np.ndarray | None = None
-) -> SpectralMeasure:
-    """Spectral measure of a dense real symmetric H at the basis vector e_site.
+def sector_sizes(size: int, site: int, symmetries=()) -> list[int]:
+    """Sizes of the blocks dense_measure solves for e_site, in the order it solves them."""
+    return [dim for _, _, dim in _sectors(_symmetry_group(symmetries, size), site)]
 
-    Equal to spectral_measure_1d(dense_eigensystem(H), e_site), from numpy's
-    eigh alone: the atoms are eigenvalues and their weights the squared
-    entries of e_site's row of the eigenvectors.  H is only read.
 
-    ``mirror`` is an optional involution of the sites that commutes with H,
-    as the reflection of the m-axis does (operators.m_mirror_sites).  H is
-    then split into the blocks on the mirror's even and odd sectors (see
-    _mirror_sectors, which certifies the mirror on H and raises ValueError
-    when it fails), and each block is solved alone.  A site the mirror fixes
-    is even, so one block of about half of H serves, and the odd sector's
-    atoms, which carry no weight at e_site, are not listed.  A site the
-    mirror moves is half even and half odd: both blocks are solved and the
-    measure is the mean of their measures, with the union of their atoms.
+def dense_measure(entries, size: int, site: int, merge_tol: float = ATOM_MERGE_TOL, symmetries=()) -> SpectralMeasure:
+    """spectral_measure_1d(dense_eigensystem(H), e_site) for the symmetric H given by entries, from numpy's eigh.
 
-    The reference to H is dropped once the blocks are formed.  The n^2
-    saving needs the caller to hold no other reference, as in
-    dense_measure(hamiltonian_2d_dense(a1, a2), site, mirror=...): H is then
-    freed before the first block is solved, and each block before the next.
+    ``entries`` is (rows, cols, values) as hamiltonian_2d_entries gives it;
+    H is never formed.  ``symmetries`` (as m_symmetries gives them) are
+    certified, never assumed: finite symmetric entries, and integer
+    involutions that commute with each other and map the entries onto
+    themselves within 1e-12 max(1, max|H|), or ValueError names the fault.
+    Only the sectors e_site has a part in are solved (see _sectors), each
+    block P^T H P scattered just before its eigh and dropped after, so at
+    most one block is alive; the measure is the mean of theirs.
     """
-    site = operator.index(site)
-    if mirror is None:
-        mat = np.asarray(matrix, dtype=float)
-        _check_symmetric(mat)
-        _check_site(site, mat.shape[0])
-        blocks = [(mat, site)]
-    else:
-        blocks = _mirror_sectors(matrix, site, mirror)
-    del matrix
-    share = 1.0 / len(blocks)
+    site, size, symmetries = operator.index(site), operator.index(size), [np.asarray(sym) for sym in symmetries]
+    keys, values, bound = _certified_entries(entries, size)
+    if not 0 <= site < size:
+        raise ValueError(f"site {site} is outside [0, {size})")
+    sectors = _sectors(_symmetry_group(symmetries, size), site)
+    rows, cols = np.divmod(keys, size)
+    for k, sym in enumerate(symmetries):
+        defect = _mismatch(keys, values, sym[rows] * size + sym[cols])
+        if defect > bound:
+            raise ValueError(f"matrix does not commute with symmetry {k} (defect {defect:.3e} above {bound:.1e})")
     energies, weights = [], []
-    while blocks:
-        block, index = blocks.pop()
-        lam, vec = np.linalg.eigh(block)
-        del block
+    for index, coeff, dim in sectors:
+        i, j = index[rows], index[cols]
+        on = (i >= 0) & (j >= 0)
+        block = np.bincount(i[on] * dim + j[on], (coeff[rows] * coeff[cols] * values)[on], dim * dim)
+        lam, vec = np.linalg.eigh(block.reshape(dim, dim))
         energies.append(lam)
-        weights.append(share * vec[index] ** 2)
+        weights.append(vec[index[site]] ** 2 / len(sectors))
+        del block, vec  # before the next block is scattered
     return SpectralMeasure.from_atoms(np.concatenate(energies), np.concatenate(weights), merge_tol)
 
 

@@ -17,8 +17,8 @@ from .operators import (
     LatticeState2D,
     apply_h2d,
     energy_expectation,
-    hamiltonian_2d_dense,
-    m_mirror_sites,
+    hamiltonian_2d_entries,
+    m_symmetries,
     mixed_l2n_supm,
     mixed_supm_l2n,
     sup_norm,
@@ -69,8 +69,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     the window needed.  Each check takes one route at every size.  The
     factorized propagator is checked against evolve_2d_direct's Chebyshev
     route.  Up to DENSE_SITE_CAP sites the convolution is checked against
-    dense_measure on H's m-mirror sectors, the oracle convolve uses; above
-    the cap that check is left out.  No eigenvector matrix of H is formed.
+    dense_measure on sectors of H's m-axis symmetries, the oracle convolve
+    uses; above the cap that check is left out.  H is never formed.
     """
     N, M = cfg.N or 16, cfg.M or 16
     tol = cfg.tolerances
@@ -120,8 +120,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
     conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
     if N * M <= DENSE_SITE_CAP:
-        mirror = m_mirror_sites(N, a2, M // 2)
-        direct = dense_measure(hamiltonian_2d_dense(a1, a2), (N // 2) * M + M // 2, tol.atom_merge, mirror=mirror)
+        site, symmetries = (N // 2) * M + M // 2, m_symmetries(N, a2, M // 2)
+        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, site, tol.atom_merge, symmetries)
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )

@@ -322,51 +322,76 @@ def _warm_peak(tmp_path, argv) -> tuple[int, Path]:
     return peak, out
 
 
-def _convolve_oracle_peak(tmp_path, capsys, argv) -> tuple[int, str]:
-    """_warm_peak of a `convolve` run that compares to the dense oracle, and the stdout of both runs."""
-    peak, out = _warm_peak(tmp_path, ["convolve", *argv])
-    assert _read_json(out / "report.json")["compared_to_direct"] is True
-    return peak, capsys.readouterr().out
+def _sector_run(tmp_path, monkeypatch, argv) -> tuple[int, list[int], Path]:
+    """_warm_peak of a command, and the row count of every np.linalg.eigh input of its traced run, in order."""
+    rows = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    peak, out = _warm_peak(tmp_path, argv)
+    half = len(rows) // 2
+    assert rows[:half] == rows[half:]  # the warm run and the traced run solve the same blocks
+    return peak, rows[half:], out
 
 
-def test_cli_convolve_holds_one_dense_h_and_its_sector(tmp_path, capsys):
-    """On a ring the dense oracle solves only H's mirror-even sector, and drops H once the sector is built.
+def _sector_bound(sizes: list[int], N: int, M: int) -> int:
+    """A traced peak for a command whose dense oracle solves blocks of the given sizes one at a time.
 
-    The sector holds 1200 of the 2304 sites, so its matrix and eigh's
-    eigenvectors are 0.27 n^2 each: the traced peak stays near H plus its
-    sector, well under H plus one more n^2 buffer.
+    At most one block and its eigenvectors are alive, 2 d^2 float64 for the
+    largest d.  The margin is 64 complex N x M arrays for what the command
+    holds beside them: H's entry list (5 N M entries of 24 B, under two
+    such arrays), its sorted copy, the measures and the states.  An N*M x
+    N*M matrix alone would exceed the bound at 48 x 48 sizes.
     """
-    peak, out = _convolve_oracle_peak(tmp_path, capsys, ["--N", "48", "--M", "48", "--family", "random_iid"])
-    assert "dense oracle on 1200 of 2304 sites (mirror-even sector)" in out
-    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
+    return 2 * max(sizes) ** 2 * np.dtype(float).itemsize + 64 * N * M * np.dtype(complex).itemsize
 
 
-def test_cli_convolve_holds_one_dense_h_and_both_sectors_on_an_even_window(tmp_path, capsys):
-    """On an even dirichlet window the oracle solves both mirror sectors of H, never H itself.
+def test_cli_convolve_solves_two_quarter_sectors_of_h_on_a_ring(tmp_path, capsys, monkeypatch):
+    """On a ring the reflection about the delta and the half-turn split H; the delta has a part in two sectors.
 
-    The window's reflection moves every site, so the delta is half even and
-    half odd.  H and its two sectors of 1152 sites (0.25 n^2 each) are the
-    peak, about 1.5 n^2; an eigh of all of H would add n^2 of eigenvectors.
-    LAPACK's eigh workspace is malloc'd outside tracemalloc's view, so the
-    bound speaks for numpy's arrays only.
+    Per n the 48 m-sites form 11 orbits of four, {0, 24} (the delta's) and
+    {12, 36}, which the reflection times the half-turn fixes; the two
+    sectors take 13 and 12 orbits, 624 and 576 of the 2304 sites.  Each
+    block is scattered from H's entries and solved alone: H is never formed.
+    """
+    argv = ["convolve", "--N", "48", "--M", "48", "--family", "random_iid"]
+    peak, rows, out = _sector_run(tmp_path, monkeypatch, argv)
+    assert _read_json(out / "report.json")["compared_to_direct"] is True
+    assert "dense oracle on sectors of 624 and 576 of 2304 sites" in capsys.readouterr().out
+    assert rows == [48, 624, 576]  # A1, then the two sectors; nothing of 2304 rows
+    assert peak <= _sector_bound([624, 576], 48, 48)  # 8.2 MiB
+
+
+def test_cli_convolve_solves_one_sector_at_a_time_on_an_even_window(tmp_path, capsys, monkeypatch):
+    """On an even dirichlet window the reflection moves every site: the delta is half even and half odd.
+
+    Both sectors of 1152 sites are solved, each block built just before its
+    eigh and dropped after, so the peak holds one block and its
+    eigenvectors: holding both blocks at once would add a third d^2 and
+    break the bound.  LAPACK's eigh workspace is malloc'd outside
+    tracemalloc's view, so the bound speaks for numpy's arrays only.
     """
     cfg = tmp_path / "eigen.cfg"
     cfg.write_text("[lattice]\nm_method = eigen\n")
-    peak, out = _convolve_oracle_peak(tmp_path, capsys, ["--config", str(cfg), "--N", "48", "--M", "48"])
-    assert "dense oracle on sectors of 1152 and 1152 of 2304 sites" in out
-    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
+    peak, rows, out = _sector_run(tmp_path, monkeypatch, ["convolve", "--config", str(cfg), "--N", "48", "--M", "48"])
+    assert _read_json(out / "report.json")["compared_to_direct"] is True
+    assert "dense oracle on sectors of 1152 and 1152 of 2304 sites" in capsys.readouterr().out
+    assert rows == [48, 1152, 1152]
+    assert peak <= _sector_bound([1152, 1152], 48, 48)  # 22.5 MiB
 
 
-def test_cli_verify_holds_one_dense_h_and_its_sector(tmp_path):
-    """verify's dense oracle is convolve's: H is dropped once its mirror-even sector is built.
-
-    No eigenvector matrix of H is formed, so the traced peak keeps to the
-    convolve guards' bound.
-    """
-    peak, out = _warm_peak(tmp_path, ["verify", "--N", "48", "--M", "48"])
+@pytest.mark.parametrize("size, sectors", [(32, [288, 256]), (48, [624, 576])])
+def test_cli_verify_solves_only_sectors_of_h(tmp_path, monkeypatch, size, sectors):
+    """verify's dense oracle is convolve's: the two sectors of H's m-axis symmetries the centre site has a part in."""
+    peak, rows, out = _sector_run(tmp_path, monkeypatch, ["verify", "--N", str(size), "--M", str(size)])
     checks = _read_json(out / "verify.json")["checks"]
     assert "convolution_identity" in [c["name"] for c in checks]
-    assert peak <= 1.75 * (48 * 48) ** 2 * np.dtype(float).itemsize  # 70.9 MiB
+    assert rows == [size, *sectors]  # A1, then the sectors; nothing of N*M rows
+    assert peak <= _sector_bound(sectors, size, size)
 
 
 @pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
@@ -416,7 +441,7 @@ def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
 def _assert_eigen_convolve_m_delta(tmp_path, capsys, lattice, index):
     """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes.
 
-    An even window's reflection moves every site, so the oracle solves both of H's mirror sectors.
+    An even window's reflection moves every site, so the oracle solves both of its sectors.
     """
     cfg = tmp_path / "eigen.cfg"
     cfg.write_text("[lattice]\nm_method = eigen\n" + lattice)

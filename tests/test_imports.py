@@ -68,8 +68,8 @@ def test_decay_fit_runs_on_numpy_alone(tmp_path, m_method, extra):
 
 def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
     # the free chain (a one-site chain) and verify at these sizes need only chains of
-    # at most NUMPY_EIGH_SITES sites; convolve's dense oracle solves H's mirror
-    # sectors with numpy's eigh, on a ring and on an even dirichlet window
+    # at most NUMPY_EIGH_SITES sites; convolve's dense oracle solves sectors of
+    # H's m-axis symmetries with numpy's eigh, on a ring and on an even dirichlet window
     (tmp_path / "eigen.cfg").write_text("[lattice]\nm_method = eigen\n")
     commands = {
         "decay-fit-free-chain": ["decay-fit", "--tmax", "40", "--out", "f"],

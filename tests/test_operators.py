@@ -18,9 +18,10 @@ from chainlab.operators import (
     energy_expectation,
     free_operator,
     hamiltonian_2d_dense,
+    hamiltonian_2d_entries,
     l1_norm,
     l2_norm,
-    m_mirror_sites,
+    m_symmetries,
     mixed_l2n_supm,
     mixed_supm_l2n,
     sample_potential,
@@ -228,24 +229,59 @@ def test_stencil_fill_equals_column_assembly(shape, boundary_n, boundary_m):
 
 
 @pytest.mark.parametrize("boundary_m", BOUNDARIES)
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_dense_h_is_the_scatter_of_its_entries(N, boundary_n, boundary_m):
+    # 1- and 2-site rings included: a 1-site ring adds -2 to its diagonal, a 2-site ring hops twice.  On a
+    # 1-site ring apply_h2d adds the -2 to A1's diagonal before A2's, so it agrees to rounding only.
+    rng = np.random.default_rng(N)
+    for M in [*range(1, 9), 12, 13]:
+        a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
+        a2 = Operator1D(rng.uniform(-1.0, 1.0, M), boundary=boundary_m)
+        H = hamiltonian_2d_dense(a1, a2)
+        rows, cols, values = hamiltonian_2d_entries(a1, a2)
+        assert rows.size <= 5 * N * M
+        scattered = np.zeros_like(H)
+        np.add.at(scattered, (rows, cols), values)  # entries at one position add, in list order
+        assert np.array_equal(H, scattered)  # bit for bit
+        np.testing.assert_allclose(H, _column_assembly(a1, a2), rtol=0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
 def test_m_mirror_sites_commutes_with_h_where_it_exists(M, boundary_m):
-    # it exists for every free A2: a ring reflects about j0, a window about its centre whatever j0 is
+    # every free A2 has its reflection: a ring reflects about j0, a window about its centre whatever j0 is;
+    # an even ring also has its half-turn.  On 1- and 2-site rings the reflection is the identity.
     N = 3
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N))
     a2 = free_operator(M, boundary_m)
     H = hamiltonian_2d_dense(a1, a2)
     for j0 in range(M):
-        mirror = m_mirror_sites(N, a2, j0)
-        image = (lambda m: M - 1 - m) if boundary_m == "dirichlet" else (lambda m: (2 * j0 - m) % M)
-        assert mirror.tolist() == [n * M + image(m) for n in range(N) for m in range(M)]
-        assert np.array_equal(H[np.ix_(mirror, mirror)], H)
+        symmetries = m_symmetries(N, a2, j0)
+        images = [lambda m: M - 1 - m] if boundary_m == "dirichlet" else [lambda m: (2 * j0 - m) % M]
+        if boundary_m == "periodic" and M % 2 == 0:
+            images.append(lambda m: (m + M // 2) % M)
+        assert len(symmetries) == len(images)
+        for sym, image in zip(symmetries, images):
+            assert sym.tolist() == [n * M + image(m) for n in range(N) for m in range(M)]
+            assert np.array_equal(H[np.ix_(sym, sym)], H)
+        if boundary_m == "periodic" and M <= 2:
+            assert np.array_equal(symmetries[0], np.arange(N * M))
 
 
 def test_m_mirror_sites_needs_a_mirror_even_m_diagonal():
-    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 0.0, 1.0]), "periodic"), 0) is None
-    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 0.0]), "dirichlet"), 0) is None
-    assert m_mirror_sites(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"), 0) is not None
+    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 1.0]), "periodic"), 0) == ()
+    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0]), "dirichlet"), 0) == ()
+    assert len(m_symmetries(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"), 0)) == 1
+
+
+def test_m_symmetries_drop_the_half_turn_of_a_ring_whose_diagonal_is_not_translation_even():
+    # mirror-even about 0 but not translation-even: the reflection alone
+    (reflection,) = m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 0.0]), "periodic"), 0)
+    assert reflection.tolist() == [0, 3, 2, 1, 4, 7, 6, 5]
+    # translation-even but not mirror-even about 0: the half-turn alone
+    (half_turn,) = m_symmetries(1, Operator1D(np.array([1.0, 0.0, 2.0, 1.0, 0.0, 2.0]), "periodic"), 0)
+    assert half_turn.tolist() == [3, 4, 5, 0, 1, 2]
 
 
 def test_apply_h2d_separates_on_tensor_states():

@@ -14,7 +14,8 @@ from chainlab.operators import (
     build_operator_1d,
     free_operator,
     hamiltonian_2d_dense,
-    m_mirror_sites,
+    hamiltonian_2d_entries,
+    m_symmetries,
     sample_potential,
 )
 from chainlab.spectral import (
@@ -32,6 +33,7 @@ from chainlab.spectral import (
     free_eigensystem,
     gram_defect,
     max_atom_weight,
+    sector_sizes,
     spectral_measure_1d,
     spectral_measure_2d,
 )
@@ -75,17 +77,22 @@ def test_eigensystem_sorts_on_construction():
     np.testing.assert_array_equal(es.eigenvectors[:, 0], [0.0, 1.0, 0.0])
 
 
+def _entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry list of a dense matrix: its nonzero entries, NaN included."""
+    rows, cols = np.nonzero(h)
+    return rows, cols, h[rows, cols]
+
+
 DENSE_ROUTES = [
     dense_eigensystem,
-    lambda h: dense_measure(h, 0),
-    lambda h: dense_measure(h, 0, mirror=np.arange(h.shape[0])),  # the identity commutes with every H
+    lambda h: dense_measure(_entries(h), h.shape[0], 0),
+    lambda h: dense_measure(_entries(h), h.shape[0], 0, symmetries=[np.arange(h.shape[0])]),  # the identity commutes with every H
 ]
 DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure", "dense_measure_mirror"]
 
 
-# sizes that are not multiples of the symmetry check's 128-wide tiles, with
-# the defect in a last, partial tile: on the diagonal, and in the lower
-# triangle of an off-diagonal pair
+# dense matrices with one defect: next to the diagonal, and in the lower
+# triangle far from it
 DEFECTS = [(300, 270, 290), (200, 190, 10)]
 
 
@@ -104,11 +111,13 @@ def _off_by(asym: float, defect: tuple[int, int, int]) -> np.ndarray:
 def test_dense_eigensystem_rejects_nonsymmetric(route):
     with pytest.raises(ValueError, match="not symmetric"):
         route(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        route(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))  # an unpaired entry
     for defect in DEFECTS:
         with pytest.raises(ValueError, match="not symmetric"):
             route(_off_by(1.1e-11, defect))  # bound is 1e-12 * max(1, max|H|) = 1e-11
-    with pytest.raises(ValueError, match="square"):
-        route(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square|outside the 2 x 2 matrix"):
+        route(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
@@ -135,18 +144,28 @@ def test_dense_routes_accept_asymmetry_inside_the_bound(route):
         route(_off_by(0.9e-11, defect))
 
 
+def test_dense_measure_rejects_malformed_entry_lists():
+    rows, cols, values = hamiltonian_2d_entries(free_operator(3), free_operator(2))
+    with pytest.raises(ValueError, match="integer rows and cols with one value each"):
+        dense_measure((rows.astype(float), cols, values), 6, 0)
+    with pytest.raises(ValueError, match="integer rows and cols with one value each"):
+        dense_measure((rows, cols, values[:-1]), 6, 0)
+    with pytest.raises(ValueError, match="an entry lies outside the 5 x 5 matrix"):
+        dense_measure((rows, cols, values), 5, 0)
+
+
 def _read_only(h: np.ndarray) -> np.ndarray:
     h.setflags(write=False)
     return h
 
 
-def _assert_dense_measure_matches_eigh(h: np.ndarray) -> None:
-    h = _read_only(h)  # the matrix is only read
+def _assert_dense_measure_matches_eigh(h: np.ndarray, entries=None) -> None:
+    h = _read_only(h)
     es = dense_eigensystem(h)
     n = h.shape[0]
     for site in (0, n // 2, n - 1):
         ref = spectral_measure_1d(es, np.eye(n)[site])
-        mu = dense_measure(h, site)
+        mu = dense_measure(_entries(h) if entries is None else entries, n, site)
         assert atom_weight_discrepancy(mu, ref) <= 1e-12
         assert abs(mu.total_mass() - 1.0) <= 1e-13
         assert mu.atom_count == ref.atom_count
@@ -161,7 +180,7 @@ def test_dense_measure_matches_full_eigh_on_lattices(shape, boundary_n, boundary
     N, M = shape
     a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
     a2 = free_operator(M, boundary=boundary_m)
-    _assert_dense_measure_matches_eigh(hamiltonian_2d_dense(a1, a2))
+    _assert_dense_measure_matches_eigh(hamiltonian_2d_dense(a1, a2), hamiltonian_2d_entries(a1, a2))
 
 
 def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
@@ -170,17 +189,26 @@ def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
     h = (q * lam) @ q.T
     h = (h + h.T) / 2.0
     _assert_dense_measure_matches_eigh(h)
-    assert dense_measure(h, 4).atom_count == 6
+    assert dense_measure(_entries(h), 9, 4).atom_count == 6
 
 
 def test_dense_measure_takes_any_layout():
-    # F order, a strided view, integers and a read-only matrix, which is left as it was
+    # narrow and unsigned indices, Python lists, strided views, integer values,
+    # and read-only arrays, which are left as they were
     h = hamiltonian_2d_dense(Operator1D(np.array([2.0, -1.0, 0.0, 1.0, -3.0, 1.0])), free_operator(5))
-    ref = dense_measure(h, 7)
-    others = (np.asfortranarray(h), np.kron(h, np.ones((2, 2)))[::2, ::2], h.astype(int), _read_only(h.copy()))
+    rows, cols, values = _entries(h)
+    ref = dense_measure((rows, cols, values), 30, 7)
+    frozen = tuple(_read_only(part.copy()) for part in (rows, cols, values))
+    others = (
+        (rows.astype(np.int32), cols.astype(np.uint16), values),
+        (rows.tolist(), cols.tolist(), values.tolist()),
+        tuple(np.repeat(part, 2)[::2] for part in (rows, cols, values)),
+        (rows, cols, values.astype(int)),
+        frozen,
+    )
     for other in others:
-        assert atom_weight_discrepancy(dense_measure(other, 7), ref) <= 1e-13
-    assert np.array_equal(others[-1], h)
+        assert atom_weight_discrepancy(dense_measure(other, 30, 7), ref) <= 1e-13
+    assert all(np.array_equal(part, original) for part, original in zip(frozen, (rows, cols, values)))
 
 
 def _reflection(N: int, M: int, j0: int) -> np.ndarray:
@@ -204,25 +232,81 @@ def test_dense_measure_on_the_mirror_sector_matches_full_eigh(N, M, boundary_n, 
     # the sector route does not list them
     a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
     a2 = free_operator(M, boundary=boundary_m)
-    h = _read_only(hamiltonian_2d_dense(a1, a2))  # with a mirror the matrix is only read
-    es = dense_eigensystem(h)
+    entries = hamiltonian_2d_entries(a1, a2)
+    es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
     for j0 in centres:
         mirror = _reflection(N, M, j0)
         for n0 in sorted({0, N // 2, N - 1}):
             site = n0 * M + j0
             ref = spectral_measure_1d(es, np.eye(N * M)[site])
-            mu = dense_measure(h, site, mirror=mirror)
+            mu = dense_measure(entries, N * M, site, symmetries=[mirror])
             assert atom_weight_discrepancy(mu, ref) <= 1e-12
             assert abs(mu.total_mass() - 1.0) <= 1e-13
             assert mu.atom_count == np.count_nonzero(np.abs(ref.weights) > 1e-20)
 
 
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, boundary_n, boundary_m):
+    # the commands' oracle: m_symmetries about the site's own m, so a ring's
+    # reflection fixes the site and an even ring's half-turn moves it; the 1-
+    # and 2-site rings (reflection = identity, the 2-site ring hopping twice)
+    # included
+    rng = np.random.default_rng(N)
+    for M in [*range(1, 9), 12, 13]:
+        a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
+        a2 = free_operator(M, boundary=boundary_m)
+        entries = hamiltonian_2d_entries(a1, a2)
+        es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+        for site in range(N * M):
+            symmetries = m_symmetries(N, a2, site % M)
+            ref = spectral_measure_1d(es, np.eye(N * M)[site])
+            mu = dense_measure(entries, N * M, site, symmetries=symmetries)
+            assert atom_weight_discrepancy(mu, ref) <= 1e-12
+            assert abs(mu.total_mass() - 1.0) <= 1e-13
+            assert sum(sector_sizes(N * M, site, symmetries)) <= N * M
+
+
+@pytest.mark.parametrize(
+    "boundary_m, N, M, sizes",
+    [
+        ("periodic", 48, 48, [624, 576]),  # reflection and half-turn: per n, 11 orbits of 4, {0, 24} and {12, 36}
+        ("periodic", 32, 32, [288, 256]),
+        ("periodic", 5, 5, [15]),  # an odd ring: the reflection alone, which fixes the site
+        ("dirichlet", 48, 48, [1152, 1152]),  # the window's reflection moves every site
+    ],
+)
+def test_sector_sizes_of_the_commands_oracle(boundary_m, N, M, sizes):
+    symmetries = m_symmetries(N, free_operator(M, boundary_m), M // 2)
+    assert sector_sizes(N * M, (N // 2) * M + M // 2, symmetries) == sizes
+
+
+def test_dense_measure_ignores_a_symmetry_already_in_the_group():
+    a1, a2 = Operator1D(np.random.default_rng(3).uniform(-2.0, 2.0, 3)), free_operator(8, "periodic")
+    reflection, half_turn = m_symmetries(3, a2, 2)
+    entries, site = hamiltonian_2d_entries(a1, a2), 8 + 2
+    ref = dense_measure(entries, 24, site, symmetries=[reflection, half_turn])
+    for extra in (reflection[half_turn], np.arange(24), half_turn):
+        symmetries = [reflection, half_turn, extra]
+        assert sector_sizes(24, site, symmetries) == sector_sizes(24, site, [reflection, half_turn]) == [9, 6]
+        assert atom_weight_discrepancy(dense_measure(entries, 24, site, symmetries=symmetries), ref) <= 1e-13
+
+
 def test_dense_measure_rejects_a_map_that_is_not_an_involution():
-    h = hamiltonian_2d_dense(free_operator(3), free_operator(4, "periodic"))
+    entries = hamiltonian_2d_entries(free_operator(3), free_operator(4, "periodic"))
     shift = np.roll(np.arange(12), 1)
     for bad in (shift, np.full(12, 12), np.arange(11), np.arange(12.0)):
         with pytest.raises(ValueError, match="not an involution of the 12 sites"):
-            dense_measure(h, 0, mirror=bad)
+            dense_measure(entries, 12, 0, symmetries=[bad])
+
+
+def test_dense_measure_rejects_symmetries_that_do_not_commute():
+    # on a 3-site ring the reflections about 0 and about 1 each commute with H, but not with each other
+    a1, a2 = free_operator(2), free_operator(3, "periodic")
+    about_0, about_1 = m_symmetries(2, a2, 0)[0], m_symmetries(2, a2, 1)[0]
+    with pytest.raises(ValueError, match="symmetries 0 and 1 do not commute"):
+        dense_measure(hamiltonian_2d_entries(a1, a2), 6, 0, symmetries=[about_0, about_1])
 
 
 @pytest.mark.parametrize("boundary_n", BOUNDARIES)
@@ -233,12 +317,12 @@ def test_dense_measure_on_two_sectors_matches_full_eigh(M, boundary_n):
     # measure, the mean of both sectors' measures, lists the union of their atoms
     N = 3
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N), boundary=boundary_n)
-    h = _read_only(hamiltonian_2d_dense(a1, free_operator(M)))  # the matrix is only read
-    es = dense_eigensystem(h)
+    entries = hamiltonian_2d_entries(a1, free_operator(M))
+    es = dense_eigensystem(hamiltonian_2d_dense(a1, free_operator(M)))
     mirror = np.array([n * M + M - 1 - m for n in range(N) for m in range(M)])
     for site in range(N * M):
         ref = spectral_measure_1d(es, np.eye(N * M)[site])
-        mu = dense_measure(h, site, mirror=mirror)
+        mu = dense_measure(entries, N * M, site, symmetries=[mirror])
         assert atom_weight_discrepancy(mu, ref) <= 1e-12
         assert abs(mu.total_mass() - 1.0) <= 1e-13
         if mirror[site] != site:
@@ -255,31 +339,31 @@ def test_dense_measure_on_two_sectors_matches_full_eigh(M, boundary_n):
 )
 def test_dense_measure_rejects_a_mirror_h_does_not_commute_with(a2, j0):
     a1 = Operator1D(np.random.default_rng(6).uniform(-2.0, 2.0, 3))
-    h = hamiltonian_2d_dense(a1, a2)
-    with pytest.raises(ValueError, match="does not commute with the mirror"):
-        dense_measure(h, a2.size + j0, mirror=_reflection(3, a2.size, j0))
+    entries = hamiltonian_2d_entries(a1, a2)
+    with pytest.raises(ValueError, match="does not commute with symmetry 0"):
+        dense_measure(entries, 3 * a2.size, a2.size + j0, symmetries=[_reflection(3, a2.size, j0)])
 
 
 @pytest.mark.parametrize("coupling, commutes", [(0.9e-11, True), (1.1e-11, False)])
 def test_dense_measure_mirror_check_has_the_symmetry_bound(coupling, commutes):
     # max|H| = 10 puts the bound at 1e-12 * 10; a symmetric bump on the bond
-    # from the fixed site 1 to site 2, whose twin is site 0, couples the
-    # sectors by bump / sqrt(2)
+    # from the fixed site 1 to site 2, whose image is the bond to site 0,
+    # is itself the defect the check measures
     h = hamiltonian_2d_dense(Operator1D(np.array([10.0])), free_operator(3, "periodic"))
-    h[1, 2] = h[2, 1] = h[1, 2] + coupling * np.sqrt(2.0)
+    h[1, 2] = h[2, 1] = h[1, 2] + coupling
     mirror = _reflection(1, 3, 1)
     if commutes:
-        assert abs(dense_measure(h, 1, mirror=mirror).total_mass() - 1.0) <= 1e-13
+        assert abs(dense_measure(_entries(h), 3, 1, symmetries=[mirror]).total_mass() - 1.0) <= 1e-13
     else:
-        with pytest.raises(ValueError, match="does not commute with the mirror"):
-            dense_measure(h, 1, mirror=mirror)
+        with pytest.raises(ValueError, match="does not commute with symmetry 0"):
+            dense_measure(_entries(h), 3, 1, symmetries=[mirror])
 
 
 def test_dense_measure_rejects_site_outside_matrix():
-    h = hamiltonian_2d_dense(free_operator(3), free_operator(2))
+    entries = hamiltonian_2d_entries(free_operator(3), free_operator(2))
     for site in (-1, 6):
         with pytest.raises(ValueError, match="outside"):
-            dense_measure(h, site)
+            dense_measure(entries, 6, site)
 
 
 def _unit_columns(rng, shape, complex_=True):

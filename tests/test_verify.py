@@ -32,9 +32,9 @@ def _record_dense_solves(monkeypatch):
     [("dft_multiplier", 16, 16), ("eigen", 16, 16), ("bessel_kernel", 8, 96)],
 )
 def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
-    # the convolution check reads H once through dense_measure, which solves
-    # only H's mirror sectors; the propagator check takes the Chebyshev route,
-    # so no eigh ever sees all N*M rows of H
+    # the convolution check reads H's entry list once through dense_measure,
+    # which solves only sectors of H's m-axis symmetries; the propagator check
+    # takes the Chebyshev route, so no eigh ever sees all N*M rows of H
     calls = _record_dense_solves(monkeypatch)
     results = verify.run_verification(ExperimentConfig(N=N, M=M, m_method=m_method))
     assert all(r.passed for r in results)
@@ -45,11 +45,15 @@ def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
     assert rows and max(rows) < N * M
 
 
-def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(monkeypatch, tmp_path):
-    # 128 x 128 sites exceed DENSE_SITE_CAP: the Chebyshev route is the propagator oracle at every size
+def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(monkeypatch, tmp_path, capsys):
+    # 128 x 128 sites exceed DENSE_SITE_CAP: the Chebyshev route is the propagator oracle at every size,
+    # and stdout names the check left out, with N*M and the cap; verify.json only lists the checks run
     calls = _record_dense_solves(monkeypatch)
     out = tmp_path / "v"
     assert cli.main(["verify", "--N", "128", "--M", "128", "--out", str(out)]) == 0
+    skipped = [line for line in capsys.readouterr().out.splitlines() if line.startswith("skip")]
+    assert len(skipped) == 1 and skipped[0].startswith("skip  convolution_identity")
+    assert "N*M = 16384 above DENSE_SITE_CAP = 4096" in skipped[0]
     assert calls and all(c[0] == "eigh" and c[1] < 128 * 128 for c in calls)  # A1 alone
     with open(out / "verify.json") as fh:
         checks = {c["name"]: c for c in json.load(fh)["checks"]}

@@ -14,11 +14,9 @@ from chainlab import (
     atom_weight_discrepancy,
     build_operator_1d,
     convolve_measures,
-    dense_eigensystem,
     dense_measure,
     eigh_tridiagonal,
     free_operator,
-    hamiltonian_2d_dense,
     hamiltonian_2d_entries,
     m_symmetries,
     sample_potential,
@@ -51,7 +49,8 @@ conv = convolve_measures(mu1, mu2)
 # numpy's eigh on the blocks of H that the window's reflection m -> N-1-m
 # leaves even and odd (the delta at m = 16 is half in each), each block
 # scattered straight from H's five-point stencil: H itself is never formed
-direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * N, 16 * N + 16, symmetries=m_symmetries(N, a2, 16))
+entries, mirror = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2, 16)
+direct = dense_measure(entries, N * N, np.outer(chi, phi).ravel(), symmetries=mirror)
 disc = atom_weight_discrepancy(conv, direct)
 print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")
 print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass().real:.12f}")
@@ -68,8 +67,8 @@ for alpha in (0.8, -0.6j):
     p /= np.linalg.norm(p)
     vec += alpha * np.outer(c, p)
 mu2d = spectral_measure_2d(es1, es2, vec)
-es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-direct2 = spectral_measure_1d(es2d, vec.ravel())  # not a site: needs eigenvectors
+# the same sectors: the measure at vec sums each block's measure at vec's part in it
+direct2 = dense_measure(entries, N * N, vec.ravel(), symmetries=mirror)
 print(f"two-term state discrepancy: {atom_weight_discrepancy(mu2d, direct2):.3e}")
 
 print("\n== arcsine limit of the free chain ==")

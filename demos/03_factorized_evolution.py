@@ -3,7 +3,8 @@
 Because the two parts of H act on different coordinates they commute, and the
 2D propagator splits into an n-sweep (eigensolver of the 1D chain) and an
 m-sweep (free chain, three interchangeable methods).  This script checks the
-factorization against direct matrix routes and looks at the free kernel.
+factorization against the two direct routes, the dense solve of H's m-axis
+symmetry sectors and a Chebyshev expansion, and looks at the free kernel.
 """
 import time
 

@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "operators": (
         "GOLDEN_MEAN",
+        "DENSE_SITE_CAP",
         "FAMILIES",
         "BOUNDARIES",
         "PotentialSpec",
@@ -30,7 +31,6 @@ _EXPORTS = {
         "tensor_state",
         "apply_h2d",
         "hamiltonian_2d_entries",
-        "hamiltonian_2d_dense",
         "m_symmetries",
         "energy_expectation",
         "l2_norm",
@@ -45,7 +45,6 @@ _EXPORTS = {
         "free_eigensystem",
         "free_delta_measure",
         "eigh_tridiagonal",
-        "dense_eigensystem",
         "dense_measure",
         "sector_sizes",
         "eigen_residual",
@@ -62,7 +61,6 @@ _EXPORTS = {
     "evolution": (
         "M_METHODS",
         "DEFAULT_TAIL_TOL",
-        "DENSE_SITE_CAP",
         "bessel_pad",
         "light_cone_reach",
         "check_wrap_free",

@@ -189,7 +189,14 @@ def _cmd_spectrum(cfg, args) -> int:
 
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
-    from .operators import DENSE_SITE_CAP, delta_vector, hamiltonian_2d_entries, m_symmetries, origin_index
+    from .operators import (
+        DENSE_SITE_CAP,
+        delta_state,
+        delta_vector,
+        hamiltonian_2d_entries,
+        m_symmetries,
+        origin_index,
+    )
     from .spectral import (
         atom_weight_discrepancy,
         convolve_measures,
@@ -222,7 +229,8 @@ def _cmd_convolve(cfg, args) -> int:
     if N * M <= DENSE_SITE_CAP:
         site = origin_index("n0", cfg.n0, N) * M + j0
         symmetries = m_symmetries(N, a2, j0)  # A2 is free, so the m-axis always has its reflection
-        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, site, merge, symmetries)
+        delta = delta_state(N, M, cfg.n0, cfg.m0).amplitudes.ravel()
+        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, merge, symmetries)
         sizes = sector_sizes(N * M, site, symmetries)
         oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {' and '.join(map(str, sizes))} of {N * M} sites"
         datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
@@ -389,7 +397,8 @@ def _cmd_lyapunov(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     from . import datafiles
-    from .verify import DENSE_SITE_CAP, CheckFailure, run_verification, verification_report
+    from .operators import DENSE_SITE_CAP
+    from .verify import CheckFailure, run_verification, verification_report
 
     results = run_verification(cfg)
     datafiles.write_json(verification_report(results), _out(cfg, "verify.json"))

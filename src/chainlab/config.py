@@ -165,7 +165,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[potential]: {exc}") from None
 
     times = _get(parser, "time", "times", _float_list, None)
-    if times is None and parser.has_option("time", "t_lo"):
+    ranged = [key for key in ("t_lo", "t_hi", "samples", "spacing") if parser.has_option("time", key)]
+    if ranged and times is not None:  # a range key beside times, or without t_lo, would go unread
+        raise ConfigError(f"[time] {ranged[0]} cannot be combined with times: give times or the range t_lo/t_hi")
+    if ranged and ranged[0] != "t_lo":
+        raise ConfigError(f"[time] {ranged[0]} needs t_lo: the range is t_lo/t_hi/samples/spacing")
+    if ranged:
         t_lo = _get(parser, "time", "t_lo", float)
         t_hi = _get(parser, "time", "t_hi", float)
         samples = _get(parser, "time", "samples", int, 25)

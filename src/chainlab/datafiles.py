@@ -14,6 +14,7 @@ Binary trajectory layout (little endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -131,12 +132,22 @@ def write_trajectory_binary(times, states: list[LatticeState2D], path) -> None:
 
 
 def read_trajectory_binary(path) -> tuple[np.ndarray, list[LatticeState2D]]:
+    """The times and snapshots of a trajectory file.
+
+    ValueError unless the file has exactly the 56 + 8 T + 16 T N M bytes its header gives.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"trajectory file is cut: {size} bytes, fewer than the {_HEADER.size}-byte header")
         magic, version, dtype_tag, T, N, M, n0, m0 = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}")
         if version != 1 or dtype_tag != 1:
             raise ValueError(f"unsupported version/dtype ({version}, {dtype_tag})")
+        expected = _HEADER.size + 8 * T + 16 * T * N * M
+        if size != expected:
+            raise ValueError(f"trajectory file of {T} snapshots of {N}x{M} sites needs {expected} bytes, has {size}")
         times = np.frombuffer(fh.read(8 * T), dtype="<f8")
         states = []
         for _ in range(T):

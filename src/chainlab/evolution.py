@@ -7,7 +7,8 @@ constant along m, the full propagator splits exactly into commuting factors
 
 applied fiber by fiber; evolve_2d_factorized never forms a 2D matrix.
 evolve_2d_direct is the non-factorized reference route: ``method`` picks a
-dense eigensolve of H or a Chebyshev expansion certified to CHEB_TOL.
+dense eigensolve of H's symmetry sectors (the solver of spectral's dense
+oracle) or a Chebyshev expansion certified to CHEB_TOL.
 
 Free-propagator conventions (symbol of -Delta is -2 cos theta):
 the DFT multiplier on mode k of an M-ring is e^{-2it cos(2 pi k / M)} and
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DENSE_SITE_CAP  # re-exported: the one dense cap lives in operators
-from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_dense
-from .spectral import EigenSystem, dense_eigensystem, eigh_tridiagonal
+from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_entries, m_symmetries
+from .spectral import EigenSystem, _real_matmul, _sector_solves, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 DEFAULT_TAIL_TOL = 1e-10
@@ -323,13 +323,24 @@ def evolve_2d_direct(
     t: float,
     method: str = "dense",
 ) -> LatticeState2D:
-    """Non-factorized e^{iHt}: the oracle route against which the product form is tested."""
+    """Non-factorized e^{iHt}: the oracle route against which the product form is tested.
+
+    The dense route is sum_s P_s V_s e^{i Lambda_s t} V_s^T P_s^T psi over
+    the sectors of H's m-axis symmetries (m_symmetries about M // 2) that
+    psi has a part in, each solved by numpy's eigh with no 1D eigenbasis
+    (see spectral._sector_solves; its cap is DENSE_SITE_CAP sites).
+    """
     N, M = state.shape
     if (N, M) != (a1.size, a2.size):
         raise ValueError(f"state shape {state.shape} does not match operators ({a1.size}, {a2.size})")
     if method == "dense":
-        es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-        return state.with_amplitudes(evolve_1d_eigen(es, state.amplitudes.ravel(), t).reshape(N, M))
+        out = np.zeros(N * M, dtype=complex)
+        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2, M // 2)
+        for index, coeff, lam, vec, coeffs in _sector_solves(entries, N * M, state.amplitudes.ravel(), symmetries):
+            on = index >= 0
+            out[on] += coeff[on] * _real_matmul(vec, np.exp(1j * t * lam) * coeffs)[index[on]]  # P V e^{i Lambda t} c
+            del vec
+        return state.with_amplitudes(out.reshape(N, M))
     if method == "chebyshev":
         radius = a1.norm_bound + a2.norm_bound
 

@@ -27,7 +27,7 @@ FAMILIES = ("constant", "quasiperiodic", "almost_mathieu", "random_iid", "explic
 BOUNDARIES = ("dirichlet", "periodic")
 
 _IID_BLOCK = 4096  # sites drawn per counter-based RNG block
-DENSE_SITE_CAP = 4096  # largest dimension of a dense matrix the lab forms
+DENSE_SITE_CAP = 4096  # most sites of an operator the lab solves densely (2D sectors, periodic chains)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -329,19 +329,6 @@ def hamiltonian_2d_entries(a1: Operator1D, a2: Operator1D) -> tuple[np.ndarray, 
             cols += [there.ravel(), here.ravel()]
             values.append(np.full(2 * here.size, -1.0))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-
-
-def hamiltonian_2d_dense(a1: Operator1D, a2: Operator1D) -> np.ndarray:
-    """Dense (N*M, N*M) matrix of H: the scatter of hamiltonian_2d_entries."""
-    N, M = a1.size, a2.size
-    sites = N * M
-    if sites > DENSE_SITE_CAP:
-        raise ValueError(
-            f"{N}x{M} = {sites} sites exceeds the dense cap of {DENSE_SITE_CAP}; "
-            "use the chebyshev route for large grids"
-        )
-    rows, cols, values = hamiltonian_2d_entries(a1, a2)
-    return np.bincount(rows * sites + cols, values, sites * sites).reshape(sites, sites)
 
 
 def m_symmetries(N: int, a2: Operator1D, j0: int) -> tuple[np.ndarray, ...]:

@@ -15,11 +15,12 @@ convolution; that identity is what the convolution tests pin down.
 Eigensystems come from three places: free_eigensystem writes down the free
 chain's sine or Fourier basis (the m-factor's measures; propagators sweep
 the m-factor by FFT, and free_delta_measure reads a single row of the basis),
-eigh_tridiagonal solves a chain with a potential (the n-factor), and numpy's
-eigh alone serves the 2D dense routes: dense_measure is the commands' oracle,
-dense_eigensystem serves evolve_2d_direct's dense route and the tests.
-dense_measure never forms H: it solves, from H's entry list, only the
-sectors of certified site symmetries that the site has a part in.
+eigh_tridiagonal solves a chain with a potential (the n-factor), and one
+solver serves every dense 2D route: _sector_solves runs numpy's eigh on
+the sectors of certified site symmetries of H that a state has a part in,
+scattered from H's entry list, so H is never formed.  dense_measure, the
+commands' oracle, reads the measure at any vector off those sectors, and
+evolve_2d_direct's dense propagator sums e^{iHt} over them.
 """
 from __future__ import annotations
 
@@ -170,17 +171,6 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     return EigenSystem(lam, vec, source=op)
 
 
-def dense_eigensystem(matrix: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of an arbitrary dense real symmetric matrix."""
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-        raise ValueError("matrix must be square and non-empty")
-    rows, cols = np.nonzero(mat)
-    _certified_entries((rows, cols, mat[rows, cols]), mat.shape[0])
-    lam, vec = np.linalg.eigh(mat)
-    return EigenSystem(lam, vec)
-
-
 def _certified_entries(entries, size: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Sorted positions row * size + col of H's entries, the summed values there, and the bound 1e-12 max(1, max|H|).
 
@@ -228,14 +218,14 @@ def _symmetry_group(symmetries, size: int) -> list[tuple[np.ndarray, int]]:
     return group
 
 
-def _sectors(group: list[tuple[np.ndarray, int]], site: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The sectors e_site has a part in: one per sign character chi of the group trivial on its stabiliser.
+def _sectors(group: list[tuple[np.ndarray, int]], support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The sectors a site of support has a part in: one per sign character chi of the group trivial on its stabiliser.
 
     For each orbit O on whose stabiliser chi is trivial, the sector holds
     sum_t chi(g_t) e_t / sqrt|O| over t in O, g_t carrying O's least site
     to t.  Returned per sector: each site's index in it (-1 off it), each
     site's coefficient chi(g_t) / sqrt|O|, and its size.  e_site has
-    squared norm 1 / |O_site| in each of the |O_site| sectors.
+    squared norm 1 / |O_site| in each of the |O_site| sectors it has a part in.
     """
     maps = np.stack([g for g, _ in group])
     fixed = maps == maps[0]  # the stabiliser of each site
@@ -246,7 +236,7 @@ def _sectors(group: list[tuple[np.ndarray, int]], site: int) -> list[tuple[np.nd
     for character in range(len(group)):
         chi = np.array([1 - 2 * (bin(character & word).count("1") % 2) for _, word in group])
         inside = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-        if inside[site]:
+        if inside[support].any():
             heads = np.flatnonzero(inside & (least == maps[0]))
             index = np.where(inside, np.searchsorted(heads, least), -1)
             sectors.append((index, chi[to_least] * norm, heads.size))
@@ -255,40 +245,74 @@ def _sectors(group: list[tuple[np.ndarray, int]], site: int) -> list[tuple[np.nd
 
 def sector_sizes(size: int, site: int, symmetries=()) -> list[int]:
     """Sizes of the blocks dense_measure solves for e_site, in the order it solves them."""
-    return [dim for _, _, dim in _sectors(_symmetry_group(symmetries, size), site)]
+    return [dim for _, _, dim in _sectors(_symmetry_group(symmetries, size), [site])]
 
 
-def dense_measure(entries, size: int, site: int, merge_tol: float = ATOM_MERGE_TOL, symmetries=()) -> SpectralMeasure:
-    """spectral_measure_1d(dense_eigensystem(H), e_site) for the symmetric H given by entries, from numpy's eigh.
+def _sector_solves(entries, size: int, psi, symmetries=()):
+    """Solve H by its symmetry sectors: yields (index, coeff, eigenvalues, eigenvectors, V^T P^T psi) per sector.
 
     ``entries`` is (rows, cols, values) as hamiltonian_2d_entries gives it;
     H is never formed.  ``symmetries`` (as m_symmetries gives them) are
     certified, never assumed: finite symmetric entries, and integer
     involutions that commute with each other and map the entries onto
-    themselves within 1e-12 max(1, max|H|), or ValueError names the fault.
-    Only the sectors e_site has a part in are solved (see _sectors), each
-    block P^T H P scattered just before its eigh and dropped after, so at
-    most one block is alive; the measure is the mean of theirs.
+    themselves within 1e-12 max(1, max|H|), or ValueError names the fault;
+    so is a psi that is not a nonzero vector of ``size`` entries, or a size
+    above DENSE_SITE_CAP.  Only the sectors a site of psi's support has a
+    part in are solved (see _sectors: P's column for the sector coordinate
+    of orbit O holds coeff at O's sites, and index maps each site to its
+    coordinate), in the order _sectors lists them.  Each block P^T H P is
+    scattered just before its eigh and dropped after; a caller that drops
+    the eigenvectors before asking for the next sector keeps one block alive.
     """
-    site, size, symmetries = operator.index(site), operator.index(size), [np.asarray(sym) for sym in symmetries]
+    size, symmetries = operator.index(size), [np.asarray(sym) for sym in symmetries]
+    if size > DENSE_SITE_CAP:
+        raise ValueError(
+            f"{size} sites exceed the dense cap of {DENSE_SITE_CAP}; use the chebyshev route for large grids"
+        )
     keys, values, bound = _certified_entries(entries, size)
-    if not 0 <= site < size:
-        raise ValueError(f"site {site} is outside [0, {size})")
-    sectors = _sectors(_symmetry_group(symmetries, size), site)
+    psi = np.asarray(psi)
+    if psi.shape != (size,):
+        raise ValueError(f"state psi has shape {psi.shape}, not ({size},)")
+    support = np.flatnonzero(psi)
+    if support.size == 0:
+        raise ValueError("state psi is identically zero")
+    sectors = _sectors(_symmetry_group(symmetries, size), support)
     rows, cols = np.divmod(keys, size)
     for k, sym in enumerate(symmetries):
         defect = _mismatch(keys, values, sym[rows] * size + sym[cols])
         if defect > bound:
             raise ValueError(f"matrix does not commute with symmetry {k} (defect {defect:.3e} above {bound:.1e})")
-    energies, weights = [], []
     for index, coeff, dim in sectors:
         i, j = index[rows], index[cols]
         on = (i >= 0) & (j >= 0)
         block = np.bincount(i[on] * dim + j[on], (coeff[rows] * coeff[cols] * values)[on], dim * dim)
         lam, vec = np.linalg.eigh(block.reshape(dim, dim))
+        del block
+        on = index >= 0
+        part = coeff[on] * psi[on]  # P^T psi, gathered by sector coordinate
+        if np.iscomplexobj(part):
+            part = np.bincount(index[on], part.real, dim) + 1j * np.bincount(index[on], part.imag, dim)
+        else:
+            part = np.bincount(index[on], part, dim)
+        yield index, coeff, lam, vec, _real_matmul(vec.T, part)
+        del vec  # before the next block is scattered
+
+
+def dense_measure(entries, size: int, psi, merge_tol: float = ATOM_MERGE_TOL, symmetries=()) -> SpectralMeasure:
+    """The measure of the symmetric H given by entries at the vector psi, from numpy's eigh on H's sectors.
+
+    psi is a nonzero vector of ``size`` entries; the delta e_site gives the
+    local measure at the site.  See _sector_solves for ``entries``,
+    ``symmetries`` and the checks.  The sectors are orthogonal and
+    H-invariant, so the measure at psi is the sum of the blocks' measures at
+    P^T psi, with no cross terms: an atom at each block eigenvalue weighing
+    |V^T P^T psi|^2.
+    """
+    energies, weights = [], []
+    for _, _, lam, vec, coeffs in _sector_solves(entries, size, psi, symmetries):
+        del vec
         energies.append(lam)
-        weights.append(vec[index[site]] ** 2 / len(sectors))
-        del block, vec  # before the next block is scattered
+        weights.append(coeffs.real**2 + coeffs.imag**2)
     return SpectralMeasure.from_atoms(np.concatenate(energies), np.concatenate(weights), merge_tol)
 
 

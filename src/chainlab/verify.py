@@ -12,8 +12,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import n_fiber_isometry_defect
-from .evolution import DENSE_SITE_CAP, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
+from .evolution import check_wrap_free, evolve_2d_direct, evolve_2d_factorized
 from .operators import (
+    DENSE_SITE_CAP,
     LatticeState2D,
     apply_h2d,
     energy_expectation,
@@ -120,8 +121,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
     conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
     if N * M <= DENSE_SITE_CAP:
-        site, symmetries = (N // 2) * M + M // 2, m_symmetries(N, a2, M // 2)
-        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, site, tol.atom_merge, symmetries)
+        delta, symmetries = np.outer(delta_n, delta_m).ravel(), m_symmetries(N, a2, M // 2)
+        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, tol.atom_merge, symmetries)
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )

@@ -17,7 +17,7 @@ from chainlab.diagnostics import (
     time_bracket,
     truncation_energies,
 )
-from chainlab.evolution import evolve_1d_eigen, evolve_2d_factorized, make_plan
+from chainlab.evolution import evolve_2d_direct, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,
@@ -25,21 +25,24 @@ from chainlab.operators import (
     constant_potential,
     delta_state,
     delta_vector,
+    energy_expectation,
     free_operator,
-    hamiltonian_2d_dense,
+    hamiltonian_2d_entries,
     l1_norm,
+    m_symmetries,
     sample_potential,
 )
 from chainlab.spectral import (
     SpectralMeasure,
     atom_weight_discrepancy,
     convolve_measures,
-    dense_eigensystem,
+    dense_measure,
     eigh_tridiagonal,
     max_atom_weight,
     spectral_measure_1d,
     spectral_measure_2d,
 )
+from dense_reference import record_eigh_rows
 
 FIT_WINDOW = (20.0, 200.0)
 TRACE_TIMES = np.geomspace(20.0, 200.0, 25)
@@ -56,8 +59,9 @@ def _report(text):
 def factorization_runs():
     """32x32 factorized-vs-direct residuals for four potential families.
 
-    The direct route is the dense 2D eigendecomposition, solved once per
-    potential and evolved to every time.
+    The direct route is evolve_2d_direct's dense default: at every time it
+    solves the m-axis symmetry sectors of H that the delta has a part in.
+    The row count of every eigh input is kept, to show none is all of H.
     """
     specs = {
         "zero": constant_potential(0.0),
@@ -69,26 +73,25 @@ def factorization_runs():
     residuals = {}
     norm_drift = 0.0
     energy_drift = 0.0
-    for name, spec in specs.items():
-        pot = sample_potential(spec, (psi0.n0, psi0.n0 + 32))
-        a1 = build_operator_1d(pot)
-        plan = make_plan(a1, "dft_multiplier", 32)
-        a2 = plan.a2_operator()
-        from chainlab.operators import energy_expectation
-
-        e0 = energy_expectation(psi0, a1, a2)
-        es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-        worst = 0.0
-        for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-            fact = evolve_2d_factorized(psi0, plan, t)
-            direct = evolve_1d_eigen(es2d, psi0.amplitudes.ravel(), t).reshape(psi0.shape)
-            worst = max(worst, float(np.linalg.norm(fact.amplitudes - direct)))
-            norm_drift = max(norm_drift, abs(np.linalg.norm(fact.amplitudes) - 1.0))
-            energy_drift = max(
-                energy_drift, abs(energy_expectation(fact, a1, a2) - e0) / max(1.0, abs(e0))
-            )
-        residuals[name] = worst
-    return {"residuals": residuals, "norm_drift": norm_drift, "energy_drift": energy_drift}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        eigh_rows = record_eigh_rows(monkeypatch)
+        for name, spec in specs.items():
+            pot = sample_potential(spec, (psi0.n0, psi0.n0 + 32))
+            a1 = build_operator_1d(pot)
+            plan = make_plan(a1, "dft_multiplier", 32)
+            a2 = plan.a2_operator()
+            e0 = energy_expectation(psi0, a1, a2)
+            worst = 0.0
+            for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+                fact = evolve_2d_factorized(psi0, plan, t)
+                direct = evolve_2d_direct(psi0, a1, a2, t).amplitudes
+                worst = max(worst, float(np.linalg.norm(fact.amplitudes - direct)))
+                norm_drift = max(norm_drift, abs(np.linalg.norm(fact.amplitudes) - 1.0))
+                energy_drift = max(
+                    energy_drift, abs(energy_expectation(fact, a1, a2) - e0) / max(1.0, abs(e0))
+                )
+            residuals[name] = worst
+    return {"residuals": residuals, "norm_drift": norm_drift, "energy_drift": energy_drift, "eigh_rows": eigh_rows}
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +123,15 @@ def test_criterion_1_factorization_identity(factorization_runs):
     worst = max(factorization_runs["residuals"].values())
     for name, residual in factorization_runs["residuals"].items():
         assert residual <= 1e-8, f"{name}: factorization residual {residual:.3e} > 1e-8"
+    assert max(factorization_runs["eigh_rows"]) < 32 * 32, "an eigh was given all of H"
     _report(f"criterion 1 (factorization identity): PASS, max residual {worst:.3e} <= 1e-8")
 
 
-def test_criterion_2_tensor_convolution_identity():
+def test_criterion_2_tensor_convolution_identity(monkeypatch):
+    """The direct route is dense_measure on the sectors of the window's m-reflection, at both states."""
     rng = np.random.default_rng(21)
     worst = 0.0
+    eigh_rows = record_eigh_rows(monkeypatch)
 
     def two_term(n, m):
         # unit-norm factors keep the state at the same scale as the delta tensors
@@ -143,20 +149,21 @@ def test_criterion_2_tensor_convolution_identity():
         a1 = build_operator_1d(pot)
         a2 = free_operator(size)
         es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
-        es2d = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(size, a2, size // 2)
 
         chi = np.zeros(size)
         chi[size // 2] = 1.0
         phi = np.zeros(size)
         phi[size // 2] = 1.0
         conv = convolve_measures(spectral_measure_1d(es1, chi), spectral_measure_1d(es2, phi))
-        direct = spectral_measure_1d(es2d, np.outer(chi, phi).ravel())
+        direct = dense_measure(entries, size * size, np.outer(chi, phi).ravel(), symmetries=symmetries)
         worst = max(worst, atom_weight_discrepancy(conv, direct))
 
         vec = two_term(size, size)
         mu2d = spectral_measure_2d(es1, es2, vec)
-        direct = spectral_measure_1d(es2d, vec.ravel())
+        direct = dense_measure(entries, size * size, vec.ravel(), symmetries=symmetries)
         worst = max(worst, atom_weight_discrepancy(mu2d, direct))
+        assert max(eigh_rows) < size * size, "an eigh was given all of H"
 
     assert worst <= 1e-10, f"atom-weight discrepancy {worst:.3e} > 1e-10"
     _report(f"criterion 2 (tensor-convolution identity): PASS, max discrepancy {worst:.3e} <= 1e-10")

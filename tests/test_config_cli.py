@@ -14,6 +14,7 @@ from chainlab.config import (
 )
 from chainlab.operators import PotentialSpec, delta_state, free_operator, sample_potential
 from chainlab.spectral import SpectralMeasure, eigh_tridiagonal, spectral_measure_1d
+from dense_reference import record_eigh_rows
 
 
 # -- config parsing -------------------------------------------------------------
@@ -122,6 +123,32 @@ def test_geometric_grid_needs_positive_start():
         parse_config("[time]\nt_lo = 0.0\nt_hi = 4.0\n")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("t_hi = 50\nsamples = 5\n", "t_hi"),
+        ("samples = 5\n", "samples"),
+        ("spacing = linear\n", "spacing"),
+    ],
+)
+def test_time_range_keys_without_t_lo_rejected(text, key):
+    with pytest.raises(ConfigError, match=rf"\[time\] {key} needs t_lo"):
+        parse_config("[time]\n" + text)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("times = 1, 2\nt_lo = 3\nt_hi = 9\n", "t_lo"),
+        ("times = 1, 2\nsamples = 5\n", "samples"),
+        ("times = 1, 2\nspacing = linear\n", "spacing"),
+    ],
+)
+def test_time_range_keys_beside_times_rejected(text, key):
+    with pytest.raises(ConfigError, match=rf"\[time\] {key} cannot be combined with times"):
+        parse_config("[time]\n" + text)
+
+
 def test_descending_times_rejected():
     with pytest.raises(ConfigError):
         parse_config("[time]\ntimes = 2.0, 1.0\n")
@@ -210,6 +237,24 @@ def test_trajectory_binary_round_trip(tmp_path):
     for a, b in zip(states, s2):
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
         assert (a.n0, a.m0) == (b.n0, b.m0)
+
+
+@pytest.mark.parametrize("cut", ["header", "times", "last-snapshot", "trailing"])
+def test_binary_trajectory_reader_rejects_a_file_of_the_wrong_length(tmp_path, cut):
+    # 3 snapshots of 4 x 6 sites: 56 + 8 * 3 + 16 * 3 * 24 = 1232 bytes
+    states = [delta_state(4, 6)] * 3
+    path = tmp_path / "traj.bin"
+    datafiles.write_trajectory_binary([0.0, 0.5, 1.0], states, path)
+    whole = path.read_bytes()
+    assert len(whole) == 1232
+    data = {"header": whole[:10], "times": whole[:60], "last-snapshot": whole[:-5], "trailing": whole + b"junk"}[cut]
+    path.write_bytes(data)
+    if cut == "header":
+        message = "trajectory file is cut: 10 bytes, fewer than the 56-byte header"
+    else:
+        message = f"trajectory file of 3 snapshots of 4x6 sites needs 1232 bytes, has {len(data)}"
+    with pytest.raises(ValueError, match=message):
+        datafiles.read_trajectory_binary(path)
 
 
 def test_write_json_is_sorted_and_newline_terminated(tmp_path):
@@ -324,14 +369,7 @@ def _warm_peak(tmp_path, argv) -> tuple[int, Path]:
 
 def _sector_run(tmp_path, monkeypatch, argv) -> tuple[int, list[int], Path]:
     """_warm_peak of a command, and the row count of every np.linalg.eigh input of its traced run, in order."""
-    rows = []
-    eigh = np.linalg.eigh
-
-    def recorded(a, *args, **kwargs):
-        rows.append(np.shape(a)[0])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    rows = record_eigh_rows(monkeypatch)
     peak, out = _warm_peak(tmp_path, argv)
     half = len(rows) // 2
     assert rows[:half] == rows[half:]  # the warm run and the traced run solve the same blocks

@@ -5,7 +5,6 @@ from scipy.special import jv
 
 from chainlab.evolution import (
     CHEB_TOL,
-    DENSE_SITE_CAP,
     M_METHODS,
     PropagatorPlan,
     _chebyshev_order,
@@ -21,15 +20,18 @@ from chainlab.evolution import (
     make_plan,
 )
 from chainlab.operators import (
+    BOUNDARIES,
+    DENSE_SITE_CAP,
     LatticeState2D,
+    Operator1D,
     almost_mathieu,
     build_operator_1d,
     delta_state,
     free_operator,
-    hamiltonian_2d_dense,
     sample_potential,
 )
 from chainlab.spectral import eigh_tridiagonal
+from dense_reference import dense_hamiltonian, record_eigh_rows
 
 # series value of J_0(2), the t = 1 return amplitude of the free chain
 J0_OF_2 = 0.22389077914123562
@@ -288,7 +290,7 @@ def test_factorized_against_scipy_expm_oracle():
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     psi0 = LatticeState2D(amp)
     t = 1.3
-    U = scipy.linalg.expm(1j * t * hamiltonian_2d_dense(a1, a2))
+    U = scipy.linalg.expm(1j * t * dense_hamiltonian(a1, a2))
     expected = (U @ amp.ravel()).reshape(N, M)
     out = evolve_2d_factorized(psi0, plan, t)
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
@@ -335,9 +337,11 @@ def test_chebyshev_direct_matches_dense():
       those errors and the (K + 3) u of the products and the running sum:
       together at most 9 u (K + 1)^2 sqrt(2 (K + 1));
     - bessel_j is within BESSEL_ABS_TOL of each J_k: 2 (K + 1) BESSEL_ABS_TOL.
-    The dense route is backward stable: V diag(lambda) V^T = H + E with
-    ||E|| <= n u ||H|| for n = N M sites moves e^{iHt} psi by at most
-    n u r t, and V's departure from orthogonality and the phases add 4 n u.
+    The dense route solves H's symmetry sectors, each block P^T H P exact
+    to a few u (P's entries are +-1/sqrt|O|) and of at most n = N M rows.
+    Each solve is backward stable: V diag(lambda) V^T = P^T H P + E with
+    ||E|| <= n u ||H|| moves e^{iHt} psi by at most n u r t, and V's
+    departure from orthogonality, the phases and P^T, P add 4 n u.
     """
     rng = np.random.default_rng(7)
     N, M = 14, 9
@@ -354,6 +358,50 @@ def test_chebyshev_direct_matches_dense():
         dense_error = N * M * u * (radius * t + 4)
         bound = CHEB_TOL + rounding + dense_error  # 4.8e-11 at t = 4
         assert np.linalg.norm(cheb.amplitudes - dense.amplitudes) <= bound
+
+
+DENSE_PROPAGATOR_LATTICES = [
+    *((M, "periodic") for M in (1, 2, 3, 4, 5, 8)),
+    *((M, "dirichlet") for M in (1, 2, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("M, boundary_m", DENSE_PROPAGATOR_LATTICES)
+def test_dense_direct_matches_expm_at_any_state(M, boundary_m, boundary_n):
+    # the sector route sums P V e^{i Lambda t} V^T P^T psi over the sectors psi has a part in: a unit random
+    # complex state has a part in all of them, and a delta only in those its site has a part in (1- and
+    # 2-site rings, whose reflection is the identity, and the 2-site ring hopping twice, included)
+    N, t = 3, 1.7
+    rng = np.random.default_rng(M)
+    a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
+    a2 = free_operator(M, boundary=boundary_m)
+    U = scipy.linalg.expm(1j * t * dense_hamiltonian(a1, a2))
+    amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
+    amp /= np.linalg.norm(amp)
+    out = evolve_2d_direct(LatticeState2D(amp), a1, a2, t)  # dense is the default
+    assert np.abs(out.amplitudes.ravel() - U @ amp.ravel()).max() <= 1e-13
+    for site in range(N * M):
+        out = evolve_2d_direct(LatticeState2D(np.eye(N * M)[site].reshape(N, M)), a1, a2, t, method="dense")
+        assert np.abs(out.amplitudes.ravel() - U[:, site]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
+def test_dense_direct_never_gives_eigh_all_of_h(monkeypatch, boundary_m):
+    # 6 x 8 sites.  On the ring, per n, the reflection about 4 and the half-turn make the orbits {0, 4},
+    # {2, 6} and {1, 3, 5, 7}: four sectors of 3, 1, 2 and 2 orbits, and the delta at m = 4 has a part in
+    # the two with a trivial sign on the reflection.  The window's reflection makes two sectors of 4 orbits.
+    N, M = 6, 8
+    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
+    a2 = free_operator(M, boundary=boundary_m)
+    rng = np.random.default_rng(11)
+    psi0 = LatticeState2D(rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
+    rows = record_eigh_rows(monkeypatch)
+    evolve_2d_direct(psi0, a1, a2, 2.0)
+    assert rows == ([18, 6, 12, 12] if boundary_m == "periodic" else [24, 24])
+    rows.clear()
+    evolve_2d_direct(delta_state(N, M), a1, a2, 2.0, method="dense")  # the delta at m = M // 2
+    assert rows == ([18, 12] if boundary_m == "periodic" else [24, 24])
 
 
 def test_dense_direct_enforces_site_cap():

@@ -17,7 +17,6 @@ from chainlab.operators import (
     delta_state,
     energy_expectation,
     free_operator,
-    hamiltonian_2d_dense,
     hamiltonian_2d_entries,
     l1_norm,
     l2_norm,
@@ -28,6 +27,7 @@ from chainlab.operators import (
     sup_norm,
     tensor_state,
 )
+from dense_reference import dense_hamiltonian
 
 
 # -- potential specs and sampling --------------------------------------------
@@ -196,7 +196,7 @@ def test_apply_h2d_matches_dense_matrix():
     pot = sample_potential(almost_mathieu(3.0), (-4, 4))
     a1 = build_operator_1d(pot)
     a2 = free_operator(6, boundary="periodic")
-    H = hamiltonian_2d_dense(a1, a2)
+    H = dense_hamiltonian(a1, a2)
     np.testing.assert_allclose(H, H.T)
     amp = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
     psi = LatticeState2D(amp)
@@ -223,7 +223,7 @@ def test_stencil_fill_equals_column_assembly(shape, boundary_n, boundary_m):
     N, M = shape
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (-(N // 2), N - N // 2)), boundary=boundary_n)
     a2 = Operator1D(rng.uniform(-1.0, 1.0, M), boundary=boundary_m)
-    H = hamiltonian_2d_dense(a1, a2)
+    H = dense_hamiltonian(a1, a2)
     assert np.array_equal(H, _column_assembly(a1, a2))
     assert np.array_equal(H, H.T)
 
@@ -238,12 +238,11 @@ def test_dense_h_is_the_scatter_of_its_entries(N, boundary_n, boundary_m):
     for M in [*range(1, 9), 12, 13]:
         a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
         a2 = Operator1D(rng.uniform(-1.0, 1.0, M), boundary=boundary_m)
-        H = hamiltonian_2d_dense(a1, a2)
         rows, cols, values = hamiltonian_2d_entries(a1, a2)
         assert rows.size <= 5 * N * M
-        scattered = np.zeros_like(H)
-        np.add.at(scattered, (rows, cols), values)  # entries at one position add, in list order
-        assert np.array_equal(H, scattered)  # bit for bit
+        H = np.zeros((N * M, N * M))
+        np.add.at(H, (rows, cols), values)  # entries at one position add, in list order
+        assert np.array_equal(H, dense_hamiltonian(a1, a2))  # the tests' scatter, bit for bit
         np.testing.assert_allclose(H, _column_assembly(a1, a2), rtol=0, atol=4 * np.finfo(float).eps)
 
 
@@ -255,7 +254,7 @@ def test_m_mirror_sites_commutes_with_h_where_it_exists(M, boundary_m):
     N = 3
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N))
     a2 = free_operator(M, boundary_m)
-    H = hamiltonian_2d_dense(a1, a2)
+    H = dense_hamiltonian(a1, a2)
     for j0 in range(M):
         symmetries = m_symmetries(N, a2, j0)
         images = [lambda m: M - 1 - m] if boundary_m == "dirichlet" else [lambda m: (2 * j0 - m) % M]
@@ -295,19 +294,13 @@ def test_apply_h2d_separates_on_tensor_states():
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
-def test_dense_cap_enforced():
-    a = free_operator(70)
-    with pytest.raises(ValueError):
-        hamiltonian_2d_dense(a, a)  # 4900 sites > 4096
-
-
 def test_energy_expectation_is_real_quadratic_form():
     rng = np.random.default_rng(4)
     a1 = free_operator(5)
     a2 = free_operator(5, boundary="periodic")
     amp = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     psi = LatticeState2D(amp)
-    H = hamiltonian_2d_dense(a1, a2)
+    H = dense_hamiltonian(a1, a2)
     direct = np.vdot(amp.ravel(), H @ amp.ravel())
     assert abs(direct.imag) < 1e-12
     np.testing.assert_allclose(energy_expectation(psi, a1, a2), direct.real, atol=1e-12)

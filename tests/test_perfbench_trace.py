@@ -1,0 +1,59 @@
+"""The benchmark's span tracer still runs the commands it traces and binds their arguments by name.
+
+perfbench/traced_step.py wraps chainlab's layer functions and reads work
+counts off their bound arguments (``evolve_2d_direct``'s ``state`` and
+``method``), so a rename in the package fails here before it breaks a
+traced benchmark run.
+"""
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from chainlab.evolution import evolve_2d_direct
+from chainlab.operators import delta_state, free_operator
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_STEP = ROOT / "perfbench" / "traced_step.py"
+
+
+def _traced_spans(tmp_path, command: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", "--out", "out"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(spans.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, layer",
+    [("verify", "evolution.evolve_2d_direct"), ("convolve", "spectral.convolve_measures")],
+)
+def test_traced_command_exits_0_with_its_layer_spans(tmp_path, command, layer):
+    # verify's propagator check calls evolve_2d_direct; convolve calls no propagator, so its span is the convolution
+    result = _traced_spans(tmp_path, command)
+    assert result["exit_code"] == 0
+    names = [span[0] for span in result["spans"]]
+    assert names[0] == "cli.main" and layer in names
+    if command == "verify":
+        direct = [span for span in result["spans"] if span[0] == "evolution.evolve_2d_direct"]
+        assert len(direct) == 3  # one per check time, on the Chebyshev route
+
+
+def test_tracer_counts_the_dense_route_of_evolve_2d_direct(monkeypatch):
+    # no command takes the dense route, so its work count is read here: _attrs binds state and method by name
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no __pycache__ beside the benchmark
+    spec = importlib.util.spec_from_file_location("traced_step", TRACED_STEP)
+    traced_step = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_step)
+    tracer = traced_step.Tracer()
+    traced = tracer.wrap("evolution.evolve_2d_direct", evolve_2d_direct)
+    traced(delta_state(4, 4), free_operator(4), free_operator(4, "periodic"), 1.0)
+    traced(state=delta_state(4, 4), a1=free_operator(4), a2=free_operator(4), t=1.0, method="chebyshev")
+    assert [span[4] for span in tracer.spans] == [{"spectral.dense_eigh.n": 16}, None]

@@ -13,7 +13,6 @@ from chainlab.operators import (
     almost_mathieu,
     build_operator_1d,
     free_operator,
-    hamiltonian_2d_dense,
     hamiltonian_2d_entries,
     m_symmetries,
     sample_potential,
@@ -25,7 +24,6 @@ from chainlab.spectral import (
     atom_weight_discrepancy,
     convolve_measures,
     default_convolution_grid,
-    dense_eigensystem,
     dense_measure,
     eigen_residual,
     eigh_tridiagonal,
@@ -37,6 +35,7 @@ from chainlab.spectral import (
     spectral_measure_1d,
     spectral_measure_2d,
 )
+from dense_reference import dense_hamiltonian, full_eigensystem, unit_vector
 
 
 # -- eigensystems --------------------------------------------------------------
@@ -84,11 +83,11 @@ def _entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 DENSE_ROUTES = [
-    dense_eigensystem,
-    lambda h: dense_measure(_entries(h), h.shape[0], 0),
-    lambda h: dense_measure(_entries(h), h.shape[0], 0, symmetries=[np.arange(h.shape[0])]),  # the identity commutes with every H
+    lambda h: dense_measure(_entries(h), h.shape[0], unit_vector(h.shape[0], 0)),
+    # the identity commutes with every H
+    lambda h: dense_measure(_entries(h), h.shape[0], unit_vector(h.shape[0], 0), symmetries=[np.arange(h.shape[0])]),
 ]
-DENSE_ROUTE_IDS = ["dense_eigensystem", "dense_measure", "dense_measure_mirror"]
+DENSE_ROUTE_IDS = ["dense_measure", "dense_measure_mirror"]
 
 
 # dense matrices with one defect: next to the diagonal, and in the lower
@@ -108,7 +107,7 @@ def _off_by(asym: float, defect: tuple[int, int, int]) -> np.ndarray:
 
 
 @pytest.mark.parametrize("route", DENSE_ROUTES, ids=DENSE_ROUTE_IDS)
-def test_dense_eigensystem_rejects_nonsymmetric(route):
+def test_dense_routes_reject_nonsymmetric(route):
     with pytest.raises(ValueError, match="not symmetric"):
         route(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
@@ -116,7 +115,7 @@ def test_dense_eigensystem_rejects_nonsymmetric(route):
     for defect in DEFECTS:
         with pytest.raises(ValueError, match="not symmetric"):
             route(_off_by(1.1e-11, defect))  # bound is 1e-12 * max(1, max|H|) = 1e-11
-    with pytest.raises(ValueError, match="square|outside the 2 x 2 matrix"):
+    with pytest.raises(ValueError, match="outside the 2 x 2 matrix"):
         route(np.ones((2, 3)))
 
 
@@ -147,11 +146,11 @@ def test_dense_routes_accept_asymmetry_inside_the_bound(route):
 def test_dense_measure_rejects_malformed_entry_lists():
     rows, cols, values = hamiltonian_2d_entries(free_operator(3), free_operator(2))
     with pytest.raises(ValueError, match="integer rows and cols with one value each"):
-        dense_measure((rows.astype(float), cols, values), 6, 0)
+        dense_measure((rows.astype(float), cols, values), 6, unit_vector(6, 0))
     with pytest.raises(ValueError, match="integer rows and cols with one value each"):
-        dense_measure((rows, cols, values[:-1]), 6, 0)
+        dense_measure((rows, cols, values[:-1]), 6, unit_vector(6, 0))
     with pytest.raises(ValueError, match="an entry lies outside the 5 x 5 matrix"):
-        dense_measure((rows, cols, values), 5, 0)
+        dense_measure((rows, cols, values), 5, unit_vector(5, 0))
 
 
 def _read_only(h: np.ndarray) -> np.ndarray:
@@ -161,11 +160,11 @@ def _read_only(h: np.ndarray) -> np.ndarray:
 
 def _assert_dense_measure_matches_eigh(h: np.ndarray, entries=None) -> None:
     h = _read_only(h)
-    es = dense_eigensystem(h)
+    es = full_eigensystem(h)
     n = h.shape[0]
     for site in (0, n // 2, n - 1):
         ref = spectral_measure_1d(es, np.eye(n)[site])
-        mu = dense_measure(_entries(h) if entries is None else entries, n, site)
+        mu = dense_measure(_entries(h) if entries is None else entries, n, unit_vector(n, site))
         assert atom_weight_discrepancy(mu, ref) <= 1e-12
         assert abs(mu.total_mass() - 1.0) <= 1e-13
         assert mu.atom_count == ref.atom_count
@@ -180,7 +179,7 @@ def test_dense_measure_matches_full_eigh_on_lattices(shape, boundary_n, boundary
     N, M = shape
     a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
     a2 = free_operator(M, boundary=boundary_m)
-    _assert_dense_measure_matches_eigh(hamiltonian_2d_dense(a1, a2), hamiltonian_2d_entries(a1, a2))
+    _assert_dense_measure_matches_eigh(dense_hamiltonian(a1, a2), hamiltonian_2d_entries(a1, a2))
 
 
 def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
@@ -189,15 +188,15 @@ def test_dense_measure_matches_full_eigh_with_repeated_eigenvalue():
     h = (q * lam) @ q.T
     h = (h + h.T) / 2.0
     _assert_dense_measure_matches_eigh(h)
-    assert dense_measure(_entries(h), 9, 4).atom_count == 6
+    assert dense_measure(_entries(h), 9, unit_vector(9, 4)).atom_count == 6
 
 
 def test_dense_measure_takes_any_layout():
     # narrow and unsigned indices, Python lists, strided views, integer values,
     # and read-only arrays, which are left as they were
-    h = hamiltonian_2d_dense(Operator1D(np.array([2.0, -1.0, 0.0, 1.0, -3.0, 1.0])), free_operator(5))
+    h = dense_hamiltonian(Operator1D(np.array([2.0, -1.0, 0.0, 1.0, -3.0, 1.0])), free_operator(5))
     rows, cols, values = _entries(h)
-    ref = dense_measure((rows, cols, values), 30, 7)
+    ref = dense_measure((rows, cols, values), 30, unit_vector(30, 7))
     frozen = tuple(_read_only(part.copy()) for part in (rows, cols, values))
     others = (
         (rows.astype(np.int32), cols.astype(np.uint16), values),
@@ -207,7 +206,7 @@ def test_dense_measure_takes_any_layout():
         frozen,
     )
     for other in others:
-        assert atom_weight_discrepancy(dense_measure(other, 30, 7), ref) <= 1e-13
+        assert atom_weight_discrepancy(dense_measure(other, 30, unit_vector(30, 7)), ref) <= 1e-13
     assert all(np.array_equal(part, original) for part, original in zip(frozen, (rows, cols, values)))
 
 
@@ -233,13 +232,13 @@ def test_dense_measure_on_the_mirror_sector_matches_full_eigh(N, M, boundary_n, 
     a1 = Operator1D(np.random.default_rng(N * M).uniform(-2.0, 2.0, N), boundary=boundary_n)
     a2 = free_operator(M, boundary=boundary_m)
     entries = hamiltonian_2d_entries(a1, a2)
-    es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+    es = full_eigensystem(dense_hamiltonian(a1, a2))
     for j0 in centres:
         mirror = _reflection(N, M, j0)
         for n0 in sorted({0, N // 2, N - 1}):
             site = n0 * M + j0
             ref = spectral_measure_1d(es, np.eye(N * M)[site])
-            mu = dense_measure(entries, N * M, site, symmetries=[mirror])
+            mu = dense_measure(entries, N * M, unit_vector(N * M, site), symmetries=[mirror])
             assert atom_weight_discrepancy(mu, ref) <= 1e-12
             assert abs(mu.total_mass() - 1.0) <= 1e-13
             assert mu.atom_count == np.count_nonzero(np.abs(ref.weights) > 1e-20)
@@ -258,11 +257,11 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
         a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
         a2 = free_operator(M, boundary=boundary_m)
         entries = hamiltonian_2d_entries(a1, a2)
-        es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
+        es = full_eigensystem(dense_hamiltonian(a1, a2))
         for site in range(N * M):
             symmetries = m_symmetries(N, a2, site % M)
             ref = spectral_measure_1d(es, np.eye(N * M)[site])
-            mu = dense_measure(entries, N * M, site, symmetries=symmetries)
+            mu = dense_measure(entries, N * M, unit_vector(N * M, site), symmetries=symmetries)
             assert atom_weight_discrepancy(mu, ref) <= 1e-12
             assert abs(mu.total_mass() - 1.0) <= 1e-13
             assert sum(sector_sizes(N * M, site, symmetries)) <= N * M
@@ -286,11 +285,12 @@ def test_dense_measure_ignores_a_symmetry_already_in_the_group():
     a1, a2 = Operator1D(np.random.default_rng(3).uniform(-2.0, 2.0, 3)), free_operator(8, "periodic")
     reflection, half_turn = m_symmetries(3, a2, 2)
     entries, site = hamiltonian_2d_entries(a1, a2), 8 + 2
-    ref = dense_measure(entries, 24, site, symmetries=[reflection, half_turn])
+    ref = dense_measure(entries, 24, unit_vector(24, site), symmetries=[reflection, half_turn])
     for extra in (reflection[half_turn], np.arange(24), half_turn):
         symmetries = [reflection, half_turn, extra]
         assert sector_sizes(24, site, symmetries) == sector_sizes(24, site, [reflection, half_turn]) == [9, 6]
-        assert atom_weight_discrepancy(dense_measure(entries, 24, site, symmetries=symmetries), ref) <= 1e-13
+        mu = dense_measure(entries, 24, unit_vector(24, site), symmetries=symmetries)
+        assert atom_weight_discrepancy(mu, ref) <= 1e-13
 
 
 def test_dense_measure_rejects_a_map_that_is_not_an_involution():
@@ -298,7 +298,7 @@ def test_dense_measure_rejects_a_map_that_is_not_an_involution():
     shift = np.roll(np.arange(12), 1)
     for bad in (shift, np.full(12, 12), np.arange(11), np.arange(12.0)):
         with pytest.raises(ValueError, match="not an involution of the 12 sites"):
-            dense_measure(entries, 12, 0, symmetries=[bad])
+            dense_measure(entries, 12, unit_vector(12, 0), symmetries=[bad])
 
 
 def test_dense_measure_rejects_symmetries_that_do_not_commute():
@@ -306,7 +306,7 @@ def test_dense_measure_rejects_symmetries_that_do_not_commute():
     a1, a2 = free_operator(2), free_operator(3, "periodic")
     about_0, about_1 = m_symmetries(2, a2, 0)[0], m_symmetries(2, a2, 1)[0]
     with pytest.raises(ValueError, match="symmetries 0 and 1 do not commute"):
-        dense_measure(hamiltonian_2d_entries(a1, a2), 6, 0, symmetries=[about_0, about_1])
+        dense_measure(hamiltonian_2d_entries(a1, a2), 6, unit_vector(6, 0), symmetries=[about_0, about_1])
 
 
 @pytest.mark.parametrize("boundary_n", BOUNDARIES)
@@ -318,11 +318,11 @@ def test_dense_measure_on_two_sectors_matches_full_eigh(M, boundary_n):
     N = 3
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N), boundary=boundary_n)
     entries = hamiltonian_2d_entries(a1, free_operator(M))
-    es = dense_eigensystem(hamiltonian_2d_dense(a1, free_operator(M)))
+    es = full_eigensystem(dense_hamiltonian(a1, free_operator(M)))
     mirror = np.array([n * M + M - 1 - m for n in range(N) for m in range(M)])
     for site in range(N * M):
         ref = spectral_measure_1d(es, np.eye(N * M)[site])
-        mu = dense_measure(entries, N * M, site, symmetries=[mirror])
+        mu = dense_measure(entries, N * M, unit_vector(N * M, site), symmetries=[mirror])
         assert atom_weight_discrepancy(mu, ref) <= 1e-12
         assert abs(mu.total_mass() - 1.0) <= 1e-13
         if mirror[site] != site:
@@ -341,7 +341,8 @@ def test_dense_measure_rejects_a_mirror_h_does_not_commute_with(a2, j0):
     a1 = Operator1D(np.random.default_rng(6).uniform(-2.0, 2.0, 3))
     entries = hamiltonian_2d_entries(a1, a2)
     with pytest.raises(ValueError, match="does not commute with symmetry 0"):
-        dense_measure(entries, 3 * a2.size, a2.size + j0, symmetries=[_reflection(3, a2.size, j0)])
+        site = a2.size + j0
+        dense_measure(entries, 3 * a2.size, unit_vector(3 * a2.size, site), symmetries=[_reflection(3, a2.size, j0)])
 
 
 @pytest.mark.parametrize("coupling, commutes", [(0.9e-11, True), (1.1e-11, False)])
@@ -349,21 +350,52 @@ def test_dense_measure_mirror_check_has_the_symmetry_bound(coupling, commutes):
     # max|H| = 10 puts the bound at 1e-12 * 10; a symmetric bump on the bond
     # from the fixed site 1 to site 2, whose image is the bond to site 0,
     # is itself the defect the check measures
-    h = hamiltonian_2d_dense(Operator1D(np.array([10.0])), free_operator(3, "periodic"))
+    h = dense_hamiltonian(Operator1D(np.array([10.0])), free_operator(3, "periodic"))
     h[1, 2] = h[2, 1] = h[1, 2] + coupling
     mirror = _reflection(1, 3, 1)
     if commutes:
-        assert abs(dense_measure(_entries(h), 3, 1, symmetries=[mirror]).total_mass() - 1.0) <= 1e-13
+        assert abs(dense_measure(_entries(h), 3, unit_vector(3, 1), symmetries=[mirror]).total_mass() - 1.0) <= 1e-13
     else:
         with pytest.raises(ValueError, match="does not commute with symmetry 0"):
-            dense_measure(_entries(h), 3, 1, symmetries=[mirror])
+            dense_measure(_entries(h), 3, unit_vector(3, 1), symmetries=[mirror])
 
 
-def test_dense_measure_rejects_site_outside_matrix():
+def test_dense_measure_rejects_a_state_that_is_not_a_nonzero_vector_of_the_sites():
     entries = hamiltonian_2d_entries(free_operator(3), free_operator(2))
-    for site in (-1, 6):
-        with pytest.raises(ValueError, match="outside"):
-            dense_measure(entries, 6, site)
+    for psi in (np.ones(5), np.ones(7), np.ones((3, 2)), 2):
+        with pytest.raises(ValueError, match=rf"state psi has shape {re.escape(str(np.shape(psi)))}, not \(6,\)"):
+            dense_measure(entries, 6, psi)
+    for psi in (np.zeros(6), np.zeros(6, dtype=complex)):
+        with pytest.raises(ValueError, match="state psi is identically zero"):
+            dense_measure(entries, 6, psi)
+
+
+def test_dense_measure_rejects_more_sites_than_the_dense_cap():
+    # the cap comes first: no entry is certified and no block is scattered
+    entries = hamiltonian_2d_entries(free_operator(1), free_operator(DENSE_SITE_CAP + 1))
+    with pytest.raises(ValueError, match=f"{DENSE_SITE_CAP + 1} sites exceed the dense cap of {DENSE_SITE_CAP}"):
+        dense_measure(entries, DENSE_SITE_CAP + 1, unit_vector(DENSE_SITE_CAP + 1, 0))
+
+
+@pytest.mark.parametrize("boundary_m", BOUNDARIES)
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("N", [1, 3])
+def test_dense_measure_at_a_random_state_matches_full_eigh_at_every_j0(N, boundary_n, boundary_m):
+    # a complex state with full support has a part in every sector: the measure at psi is the sum of the
+    # sectors' measures at P^T psi, with no cross terms, whichever j0 the ring's reflection is about
+    rng = np.random.default_rng(10 * N + len(boundary_n + boundary_m))
+    for M in [*range(1, 9), 12]:
+        a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
+        a2 = free_operator(M, boundary=boundary_m)
+        entries = hamiltonian_2d_entries(a1, a2)
+        es = full_eigensystem(dense_hamiltonian(a1, a2))
+        psi = rng.standard_normal(N * M) + 1j * rng.standard_normal(N * M)
+        psi /= np.linalg.norm(psi)
+        ref = spectral_measure_1d(es, psi)
+        for j0 in range(M):
+            mu = dense_measure(entries, N * M, psi, symmetries=m_symmetries(N, a2, j0))
+            assert atom_weight_discrepancy(mu, ref) <= 1e-13
+            assert abs(mu.total_mass() - 1.0) <= 1e-13
 
 
 def _unit_columns(rng, shape, complex_=True):
@@ -690,8 +722,7 @@ def test_default_convolution_grid_covers_minkowski_sum():
 
 
 def _dense_2d_measure(a1, a2, vec):
-    es = dense_eigensystem(hamiltonian_2d_dense(a1, a2))
-    return spectral_measure_1d(es, vec)
+    return spectral_measure_1d(full_eigensystem(dense_hamiltonian(a1, a2)), vec)
 
 
 def test_convolution_identity_small_lattice():

@@ -24,7 +24,6 @@ _THREAD_VARS = (
 
 _COMMANDS = ("spectrum", "convolve", "evolve", "decay-fit", "lyapunov", "verify")
 
-DEFAULT_SIZE = 16
 DEFAULT_EVOLVE_TMAX = 10.0
 DECAY_N_DEFAULT = 128
 DECAY_SAMPLES = 25
@@ -160,6 +159,7 @@ def _out(cfg, name: str) -> str:
 
 def _cmd_spectrum(cfg, args) -> int:
     from . import datafiles
+    from .config import DEFAULT_SIZE
     from .operators import delta_vector
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
@@ -189,32 +189,15 @@ def _cmd_spectrum(cfg, args) -> int:
 
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
-    from .operators import (
-        DENSE_SITE_CAP,
-        delta_state,
-        delta_vector,
-        hamiltonian_2d_entries,
-        m_symmetries,
-        origin_index,
-    )
-    from .spectral import (
-        atom_weight_discrepancy,
-        convolve_measures,
-        dense_measure,
-        free_delta_measure,
-        sector_sizes,
-        spectral_measure_1d,
-    )
-    from .verify import CheckFailure
+    from .config import DEFAULT_SIZE
+    from .operators import origin_index
+    from .spectral import atom_weight_discrepancy
+    from .verify import CheckFailure, delta_crosscheck
 
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
-    a1, a2 = plan.a1_operator(), plan.a2_operator()
-    chi, j0 = delta_vector(N, cfg.n0, "n0"), origin_index("m0", cfg.m0, M)
-    merge = cfg.tolerances.atom_merge
-    mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge)
-    mu2 = free_delta_measure(a2, j0, merge_tol=merge)  # one row of A2's basis, not the M x M table
-    conv = convolve_measures(mu1, mu2, merge_tol=merge)
+    i, j = origin_index("n0", cfg.n0, N), origin_index("m0", cfg.m0, M)
+    mu1, mu2, conv, direct, sizes = delta_crosscheck(plan, i, j, cfg.tolerances.atom_merge)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
     datafiles.write_measure_csv(conv, _out(cfg, "convolution.csv"))
@@ -223,25 +206,18 @@ def _cmd_convolve(cfg, args) -> int:
         "M": M,
         "atoms": conv.atom_count,
         "mass_defect": float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass())),
-        "compared_to_direct": False,
+        "compared_to_direct": direct is not None,
     }
-    discrepancy = None
-    if N * M <= DENSE_SITE_CAP:
-        site = origin_index("n0", cfg.n0, N) * M + j0
-        symmetries = m_symmetries(N, a2, j0)  # A2 is free, so the m-axis always has its reflection
-        delta = delta_state(N, M, cfg.n0, cfg.m0).amplitudes.ravel()
-        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, merge, symmetries)
-        sizes = sector_sizes(N * M, site, symmetries)
-        oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {' and '.join(map(str, sizes))} of {N * M} sites"
-        datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
-        discrepancy = atom_weight_discrepancy(conv, direct)
-        report["compared_to_direct"] = True
-        report["max_atom_weight_discrepancy"] = discrepancy
-        report["tolerance"] = cfg.tolerances.measure_match
-    datafiles.write_json(report, _out(cfg, "report.json"))
-    if discrepancy is None:
+    if direct is None:
+        datafiles.write_json(report, _out(cfg, "report.json"))
         print(f"convolve: {conv.atom_count} atoms, lattice too large for the direct 2D route")
         return 0
+    datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
+    discrepancy = atom_weight_discrepancy(conv, direct)
+    report["max_atom_weight_discrepancy"] = discrepancy
+    report["tolerance"] = cfg.tolerances.measure_match
+    datafiles.write_json(report, _out(cfg, "report.json"))
+    oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {' and '.join(map(str, sizes))} of {N * M} sites"
     print(f"convolve: max atom-weight discrepancy vs direct route {discrepancy:.3e}, dense oracle on {oracle}")
     if discrepancy > cfg.tolerances.measure_match:
         raise CheckFailure(
@@ -276,6 +252,7 @@ def _cmd_evolve(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
+    from .config import DEFAULT_SIZE
     from .diagnostics import conservation_defects
     from .evolution import evolve_2d_factorized
     from .operators import delta_state, energy_expectation, l2_norm
@@ -397,6 +374,7 @@ def _cmd_lyapunov(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     from . import datafiles
+    from .config import DEFAULT_SIZE
     from .operators import DENSE_SITE_CAP
     from .verify import CheckFailure, run_verification, verification_report
 

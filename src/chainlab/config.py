@@ -21,6 +21,9 @@ from .operators import build_operator_1d, origin_index, sample_potential
 from .evolution import M_METHODS, PropagatorPlan, make_plan
 
 
+DEFAULT_SIZE = 16  # N and M of the lattice commands when the config gives none
+
+
 class ConfigError(ValueError):
     pass
 

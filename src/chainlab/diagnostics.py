@@ -206,10 +206,17 @@ def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
 
 
 def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np.ndarray:
-    """Mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling."""
+    """count distinct mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling.
+
+    The middle N - 2 (N // 12) eigenvalues are eligible; a larger count
+    raises ValueError rather than repeat one.
+    """
     from .operators import build_operator_1d
     from .spectral import eigh_tridiagonal
 
+    limit = N - 2 * (N // 12)
+    if count > limit:
+        raise ValueError(f"count = {count} exceeds the {limit} mid-spectrum eigenvalues of the {N}-site truncation")
     es = eigh_tridiagonal(build_operator_1d(sample_potential(spec, (0, N))))
     idx = np.linspace(N // 12, N - 1 - N // 12, count).astype(int)
     return es.eigenvalues[idx]

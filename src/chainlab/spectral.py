@@ -243,9 +243,24 @@ def _sectors(group: list[tuple[np.ndarray, int]], support: np.ndarray) -> list[t
     return sectors
 
 
-def sector_sizes(size: int, site: int, symmetries=()) -> list[int]:
-    """Sizes of the blocks dense_measure solves for e_site, in the order it solves them."""
-    return [dim for _, _, dim in _sectors(_symmetry_group(symmetries, size), [site])]
+def sector_sizes(size: int, psi, symmetries=()) -> list[int]:
+    """Sizes of the blocks dense_measure solves for psi, in the order it solves them.
+
+    psi is checked as dense_measure checks it: a nonzero vector of ``size``
+    entries, or ValueError.  No block is scattered or solved.
+    """
+    return [dim for _, _, dim in _sectors(_symmetry_group(symmetries, size), _support(size, psi))]
+
+
+def _support(size: int, psi: np.ndarray) -> np.ndarray:
+    """The sites where psi is nonzero; ValueError unless psi is a nonzero vector of size entries."""
+    psi = np.asarray(psi)
+    if psi.shape != (size,):
+        raise ValueError(f"state psi has shape {psi.shape}, not ({size},)")
+    support = np.flatnonzero(psi)
+    if support.size == 0:
+        raise ValueError("state psi is identically zero")
+    return support
 
 
 def _sector_solves(entries, size: int, psi, symmetries=()):
@@ -271,12 +286,7 @@ def _sector_solves(entries, size: int, psi, symmetries=()):
         )
     keys, values, bound = _certified_entries(entries, size)
     psi = np.asarray(psi)
-    if psi.shape != (size,):
-        raise ValueError(f"state psi has shape {psi.shape}, not ({size},)")
-    support = np.flatnonzero(psi)
-    if support.size == 0:
-        raise ValueError("state psi is identically zero")
-    sectors = _sectors(_symmetry_group(symmetries, size), support)
+    sectors = _sectors(_symmetry_group(symmetries, size), _support(size, psi))
     rows, cols = np.divmod(keys, size)
     for k, sym in enumerate(symmetries):
         defect = _mismatch(keys, values, sym[rows] * size + sym[cols])
@@ -425,11 +435,11 @@ def spectral_measure_1d(
     With phi = chi the weights are |v_j . chi|^2 >= 0 and the mass is
     ||chi||^2.
     """
-    chi = np.asarray(chi)
-    if chi.shape != (es.size,):
-        raise ValueError(f"vector length {chi.shape} does not match eigensystem size {es.size}")
+    for name, vec in (("chi", chi), ("phi", phi)):
+        if vec is not None and np.shape(vec) != (es.size,):
+            raise ValueError(f"{name}: vector length {np.shape(vec)} does not match eigensystem size {es.size}")
     c_chi = es.overlaps(chi)
-    c_phi = c_chi if phi is None else es.overlaps(np.asarray(phi))
+    c_phi = c_chi if phi is None else es.overlaps(phi)
     return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c_chi) * c_phi, merge_tol)
 
 

@@ -3,6 +3,8 @@
 Each check evaluates one structural identity of the model on the configured
 lattice and reports a residual against its tolerance; the suite is the
 machine-readable health report, the full evidence lives in the test suite.
+delta_crosscheck, the convolution identity at a site delta, is the one check
+``convolve`` also runs: both commands take it from here.
 """
 from __future__ import annotations
 
@@ -10,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import DEFAULT_SIZE, ExperimentConfig
 from .diagnostics import n_fiber_isometry_defect
-from .evolution import check_wrap_free, evolve_2d_direct, evolve_2d_factorized
+from .evolution import PropagatorPlan, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
 from .operators import (
     DENSE_SITE_CAP,
     LatticeState2D,
     apply_h2d,
+    delta_state,
     energy_expectation,
     hamiltonian_2d_entries,
     m_symmetries,
@@ -31,8 +34,10 @@ from .spectral import (
     convolve_measures,
     dense_measure,
     eigen_residual,
+    free_delta_measure,
     free_eigensystem,
     gram_defect,
+    sector_sizes,
     spectral_measure_1d,
     spectral_measure_2d,
 )
@@ -60,20 +65,52 @@ class CheckResult:
 CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
 
 
+def delta_crosscheck(plan: PropagatorPlan, i: int, j: int, merge_tol: float):
+    """The convolution identity at the site delta e_i (x) e_j: (mu1, mu2, mu1 * mu2, direct, sizes).
+
+    mu1 is A1's measure at e_i from the plan's eigensystem, mu2 is A2's at
+    e_j from row j of its closed-form basis (free_delta_measure), and mu1 * mu2
+    is H's measure at the delta.  Up to DENSE_SITE_CAP sites, direct is
+    dense_measure at the delta on the sectors of H's m-axis symmetries about
+    j, and sizes are the blocks it solved; above the cap both are None.
+    convolve and verify both run this one check.
+    """
+    a1, a2 = plan.a1_operator(), plan.a2_operator()
+    N, M = a1.size, a2.size
+    if not (0 <= i < N and 0 <= j < M):
+        raise ValueError(f"site ({i}, {j}) is outside the {N} x {M} lattice")
+    chi = np.zeros(N, dtype=complex)
+    chi[i] = 1.0
+    mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge_tol)
+    mu2 = free_delta_measure(a2, j, merge_tol)
+    conv = convolve_measures(mu1, mu2, merge_tol=merge_tol)
+    if N * M > DENSE_SITE_CAP:
+        return mu1, mu2, conv, None, None
+    delta = np.zeros(N * M, dtype=complex)
+    delta[i * M + j] = 1.0
+    symmetries = m_symmetries(N, a2, j)  # A2 is free, so the m-axis always has its reflection
+    direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, merge_tol, symmetries)
+    return mu1, mu2, conv, direct, sector_sizes(N * M, delta, symmetries)
+
+
 def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every invariant check on the configured model; order is fixed.
 
-    The model is cfg.plan(N, M).  Under bessel_kernel the propagator checks
+    The model is cfg.plan(N, M), with DEFAULT_SIZE for a size the config
+    leaves out.  Under bessel_kernel the propagator checks
     evolve a state kept a light-cone reach away from both ends of the m-window,
     where the kernel matches the dirichlet window: check_wrap_free must pass
     for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
     the window needed.  Each check takes one route at every size.  The
     factorized propagator is checked against evolve_2d_direct's Chebyshev
-    route.  Up to DENSE_SITE_CAP sites the convolution is checked against
-    dense_measure on sectors of H's m-axis symmetries, the oracle convolve
-    uses; above the cap that check is left out.  H is never formed.
+    route.  The convolution checks are delta_crosscheck at the centre site,
+    convolve's check at its default origin: A2's measure from one row of its
+    closed-form basis and, up to DENSE_SITE_CAP sites, dense_measure on
+    sectors of H's m-axis symmetries; above the cap convolution_identity is
+    left out.  H is never formed; A2's full basis (free_eigensystem) serves
+    only eigen_residual_m, eigen_gram_m and measure_mass_delta.
     """
-    N, M = cfg.N or 16, cfg.M or 16
+    N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     tol = cfg.tolerances
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
@@ -108,21 +145,13 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("eigen_gram_n", gram_defect(es1), 1e-10))
     results.append(CheckResult("eigen_gram_m", gram_defect(es2), 1e-10))
 
-    # measure mass at a normalized tensor state
-    delta_n = np.zeros(N, dtype=complex)
-    delta_n[N // 2] = 1.0
-    delta_m = np.zeros(M, dtype=complex)
-    delta_m[M // 2] = 1.0
-    measure2d = spectral_measure_2d(es1, es2, np.outer(delta_n, delta_m), merge_tol=tol.atom_merge)
+    # measure mass at the centre delta
+    measure2d = spectral_measure_2d(es1, es2, delta_state(N, M).amplitudes, merge_tol=tol.atom_merge)
     results.append(CheckResult("measure_mass_delta", abs(measure2d.total_mass() - 1.0), tol.mass_conservation))
 
     # convolution route against the dense 2D route, and its mass
-    mu1 = spectral_measure_1d(es1, delta_n, merge_tol=tol.atom_merge)
-    mu2 = spectral_measure_1d(es2, delta_m, merge_tol=tol.atom_merge)
-    conv = convolve_measures(mu1, mu2, merge_tol=tol.atom_merge)
-    if N * M <= DENSE_SITE_CAP:
-        delta, symmetries = np.outer(delta_n, delta_m).ravel(), m_symmetries(N, a2, M // 2)
-        direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, tol.atom_merge, symmetries)
+    mu1, mu2, conv, direct, _ = delta_crosscheck(plan, N // 2, M // 2, tol.atom_merge)
+    if direct is not None:
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )

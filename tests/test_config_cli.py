@@ -654,6 +654,13 @@ def test_cli_lyapunov_scan(tmp_path):
     assert summary["gamma_min"] > 0.3
 
 
+def test_cli_lyapunov_refuses_more_energies_than_it_can_sample(tmp_path, capsys):
+    out = tmp_path / "l"
+    assert cli.main(["lyapunov", "--length", "1000", "--count", "429", "--out", str(out)]) == 1
+    assert "count = 429 exceeds the 428 mid-spectrum eigenvalues" in capsys.readouterr().err
+    assert not (out / "lyapunov.csv").exists()
+
+
 def test_cli_seed_override_controls_random_potential(tmp_path):
     base = ["spectrum", "--family", "random_iid", "--amplitude", "1", "--N", "16"]
     out1, out2, out3 = (tmp_path / x for x in "abc")

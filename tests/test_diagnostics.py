@@ -266,6 +266,14 @@ def test_truncation_energies_sit_inside_spectrum():
     assert e[0] > -op.norm_bound and e[-1] < op.norm_bound
 
 
+def test_truncation_energies_never_repeat_an_eigenvalue():
+    # 512 sites leave 512 - 2 (512 // 12) = 428 mid-spectrum eigenvalues; a count of 600 once repeated them
+    spec = almost_mathieu(3.0)
+    assert np.unique(truncation_energies(spec, count=428)).size == 428
+    with pytest.raises(ValueError, match="count = 429 exceeds the 428 mid-spectrum eigenvalues of the 512-site"):
+        truncation_energies(spec, count=429)
+
+
 def test_random_potential_localizes():
     # iid coupling 3 gives a strictly positive growth rate at mid-band
     spec = PotentialSpec("random_iid", amplitude=3.0, seed=11)

@@ -46,6 +46,19 @@ def test_importing_every_module_defers_slow_scipy_packages():
     assert _run(code, ROOT) == "[]"
 
 
+def test_every_exported_name_resolves():
+    # a name dropped from its module but left in _EXPORTS fails here, not at a user's import
+    import chainlab
+
+    missing = []
+    for name in chainlab.__all__:
+        try:
+            getattr(chainlab, name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+
+
 def test_no_module_imports_scipy_special():
     pattern = re.compile(r"^\s*(from|import)\s+scipy\.special\b|^\s*from\s+scipy\s+import\s+.*\bspecial\b", re.M)
     hits = [p.name for p in sorted((ROOT / "src" / "chainlab").glob("*.py")) if pattern.search(p.read_text())]

@@ -264,7 +264,7 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
             mu = dense_measure(entries, N * M, unit_vector(N * M, site), symmetries=symmetries)
             assert atom_weight_discrepancy(mu, ref) <= 1e-12
             assert abs(mu.total_mass() - 1.0) <= 1e-13
-            assert sum(sector_sizes(N * M, site, symmetries)) <= N * M
+            assert sum(sector_sizes(N * M, unit_vector(N * M, site), symmetries)) <= N * M
 
 
 @pytest.mark.parametrize(
@@ -278,7 +278,7 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
 )
 def test_sector_sizes_of_the_commands_oracle(boundary_m, N, M, sizes):
     symmetries = m_symmetries(N, free_operator(M, boundary_m), M // 2)
-    assert sector_sizes(N * M, (N // 2) * M + M // 2, symmetries) == sizes
+    assert sector_sizes(N * M, unit_vector(N * M, (N // 2) * M + M // 2), symmetries) == sizes
 
 
 def test_dense_measure_ignores_a_symmetry_already_in_the_group():
@@ -288,7 +288,8 @@ def test_dense_measure_ignores_a_symmetry_already_in_the_group():
     ref = dense_measure(entries, 24, unit_vector(24, site), symmetries=[reflection, half_turn])
     for extra in (reflection[half_turn], np.arange(24), half_turn):
         symmetries = [reflection, half_turn, extra]
-        assert sector_sizes(24, site, symmetries) == sector_sizes(24, site, [reflection, half_turn]) == [9, 6]
+        delta = unit_vector(24, site)
+        assert sector_sizes(24, delta, symmetries) == sector_sizes(24, delta, [reflection, half_turn]) == [9, 6]
         mu = dense_measure(entries, 24, unit_vector(24, site), symmetries=symmetries)
         assert atom_weight_discrepancy(mu, ref) <= 1e-13
 
@@ -368,6 +369,23 @@ def test_dense_measure_rejects_a_state_that_is_not_a_nonzero_vector_of_the_sites
     for psi in (np.zeros(6), np.zeros(6, dtype=complex)):
         with pytest.raises(ValueError, match="state psi is identically zero"):
             dense_measure(entries, 6, psi)
+
+
+def test_sector_sizes_rejects_what_dense_measure_rejects():
+    # a site index in place of the state once answered for site 23 at -1 and raised a bare IndexError at 24
+    symmetries = m_symmetries(3, free_operator(8, "periodic"), 2)
+    for psi in (-1, 24, 3.0, np.ones(23), unit_vector(24, 3)[:, None]):
+        with pytest.raises(ValueError, match=rf"state psi has shape {re.escape(str(np.shape(psi)))}, not \(24,\)"):
+            sector_sizes(24, psi, symmetries)
+    with pytest.raises(ValueError, match="state psi is identically zero"):
+        sector_sizes(24, np.zeros(24), symmetries)
+
+
+def test_sector_sizes_of_a_spread_state_list_every_sector_it_has_a_part_in():
+    # a delta at a reflection-fixed site meets two of the four sectors, a full state all four
+    symmetries = m_symmetries(3, free_operator(8, "periodic"), 2)
+    assert sector_sizes(24, unit_vector(24, 2), symmetries) == [9, 6]
+    assert sorted(sector_sizes(24, np.ones(24), symmetries)) == [3, 6, 6, 9]
 
 
 def test_dense_measure_rejects_more_sites_than_the_dense_cap():
@@ -538,6 +556,14 @@ def test_cross_measure_conjugates_first_argument():
     mu = spectral_measure_1d(es, chi, phi, merge_tol=0.0)
     # mass is the inner product <chi, phi> with the first slot conjugated
     np.testing.assert_allclose(mu.total_mass(), np.vdot(chi, phi), atol=1e-13)
+
+
+@pytest.mark.parametrize("phi", [np.ones(5), np.ones((6, 2)), np.eye(6)], ids=["length-5", "6x2", "6x6"])
+def test_cross_measure_rejects_a_phi_of_the_wrong_shape(phi):
+    es = eigh_tridiagonal(free_operator(6))
+    shape = re.escape(str(phi.shape))
+    with pytest.raises(ValueError, match=rf"phi: vector length {shape} does not match eigensystem size 6"):
+        spectral_measure_1d(es, np.ones(6), phi)
 
 
 def test_free_chain_measure_approaches_arcsine_law():

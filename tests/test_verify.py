@@ -62,6 +62,29 @@ def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(monkeypatch
         assert checks[name]["passed"] is True
 
 
+@pytest.mark.parametrize("m_method, N, M", [("dft_multiplier", 16, 16), ("eigen", 12, 48)])
+def test_verify_and_convolve_run_one_crosscheck(tmp_path, m_method, N, M):
+    # both commands take the centred delta through verify.delta_crosscheck, so their residuals are the same floats
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    argv = ["--config", str(cfg), "--family", "almost_mathieu", "--amplitude", "3", "--N", str(N), "--M", str(M)]
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "v")]) == 0
+    assert cli.main(["convolve", *argv, "--out", str(tmp_path / "c")]) == 0
+    with open(tmp_path / "v" / "verify.json") as fh:
+        residuals = {c["name"]: c["residual"] for c in json.load(fh)["checks"]}
+    with open(tmp_path / "c" / "report.json") as fh:
+        report = json.load(fh)
+    assert residuals["convolution_identity"] == report["max_atom_weight_discrepancy"]
+    assert residuals["convolution_mass_product"] == report["mass_defect"]
+
+
+def test_delta_crosscheck_rejects_a_site_off_the_lattice():
+    plan = ExperimentConfig().plan(4, 6)
+    for i, j in ((-1, 0), (4, 0), (0, -1), (0, 6)):
+        with pytest.raises(ValueError, match=rf"site \({i}, {j}\) is outside the 4 x 6 lattice"):
+            verify.delta_crosscheck(plan, i, j, 1e-9)
+
+
 def _bessel_config(tmp_path):
     path = tmp_path / "bessel.cfg"
     path.write_text("[lattice]\nm_method = bessel_kernel\n")

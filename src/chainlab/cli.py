@@ -197,7 +197,7 @@ def _cmd_convolve(cfg, args) -> int:
     N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
     plan = cfg.plan(N, M)
     i, j = origin_index("n0", cfg.n0, N), origin_index("m0", cfg.m0, M)
-    mu1, mu2, conv, direct, sizes = delta_crosscheck(plan, i, j, cfg.tolerances.atom_merge)
+    mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(plan, i, j, cfg.tolerances.atom_merge)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
     datafiles.write_measure_csv(conv, _out(cfg, "convolution.csv"))
@@ -205,7 +205,7 @@ def _cmd_convolve(cfg, args) -> int:
         "N": N,
         "M": M,
         "atoms": conv.atom_count,
-        "mass_defect": float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass())),
+        "mass_defect": mass_defect,
         "compared_to_direct": direct is not None,
     }
     if direct is None:
@@ -351,8 +351,6 @@ def _cmd_lyapunov(cfg, args) -> int:
 
     if args.length < 1000:
         raise ValueError("--length must be at least 1000")
-    if args.count < 1:
-        raise ValueError("--count must be positive")
     energies = truncation_energies(cfg.potential, count=args.count)
     gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))

@@ -208,13 +208,15 @@ def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
 def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np.ndarray:
     """count distinct mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling.
 
-    The middle N - 2 (N // 12) eigenvalues are eligible; a larger count
-    raises ValueError rather than repeat one.
+    The middle N - 2 (N // 12) eigenvalues are eligible; a count below 1 or
+    above that raises ValueError rather than return none or repeat one.
     """
     from .operators import build_operator_1d
     from .spectral import eigh_tridiagonal
 
     limit = N - 2 * (N // 12)
+    if count < 1:
+        raise ValueError(f"count = {count} must be positive")
     if count > limit:
         raise ValueError(f"count = {count} exceeds the {limit} mid-spectrum eigenvalues of the {N}-site truncation")
     es = eigh_tridiagonal(build_operator_1d(sample_potential(spec, (0, N))))

@@ -37,6 +37,7 @@ ATOM_MERGE_TOL = 1e-9
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import
+BIN_BLOCK = 2**14  # convolve_measures bins at most this many pieces at once
 
 
 @dataclass(frozen=True)
@@ -380,9 +381,7 @@ class SpectralMeasure:
             dens = np.array(self.density, dtype=complex, copy=True)
             if edges.ndim != 1 or edges.size != dens.size + 1:
                 raise ValueError("need B+1 grid edges for B density bins")
-            widths = np.diff(edges)
-            if np.any(widths <= 0) or np.abs(widths - widths[0]).max() > 1e-9 * abs(widths[0]):
-                raise ValueError("density grid must be uniform and increasing")
+            _check_grid(edges, "density grid")
             object.__setattr__(self, "grid_edges", _freeze(edges))
             object.__setattr__(self, "density", _freeze(dens))
 
@@ -460,29 +459,39 @@ class GridTooNarrowError(ValueError):
         )
 
 
-def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Spread each mass uniformly over [lo, lo + span) and bin it onto the grid.
+def _check_grid(edges: np.ndarray, name: str) -> None:
+    """ValueError naming ``name`` unless edges is a finite, uniform and increasing 1D grid of at least 2 edges."""
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError(f"{name} must be a 1D array of at least 2 edges, not shape {edges.shape}")
+    widths = np.diff(edges)
+    if not np.all(np.isfinite(edges)) or np.any(widths <= 0) or np.abs(widths - widths[0]).max() > 1e-9 * widths[0]:
+        raise ValueError(f"{name} must be finite, uniform and increasing")
+
+
+def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray, acc: np.ndarray) -> float:
+    """Spread each mass uniformly over [lo, lo + span) and add its share of each grid bin into acc.
 
     Overlaps are exact per piece.  A piece meets at most ceil(span / width) + 1
     bins counted from the bin holding lo, so the only loop runs over those
-    offsets.  Returns the binned masses and the mass falling outside the grid.
+    offsets.  Returns the mass falling outside the grid as the sum of |mass|
+    times each piece's off-grid fraction, so off-grid pieces of opposite sign
+    or phase cannot cancel.
     """
     hi = lo + span
     length = hi - lo  # not span: a piece wholly on the grid then loses exactly 0
     inside = np.clip(hi, edges[0], edges[-1]) - np.clip(lo, edges[0], edges[-1])
-    lost = complex((masses * (1.0 - inside / length)).sum())
+    lost = float((np.abs(masses) * (1.0 - inside / length)).sum())
     bins = edges.size - 1
     first = np.searchsorted(edges, lo, side="right") - 1
-    binned = np.zeros(bins, dtype=complex)
     for k in range(int(np.ceil(span / np.diff(edges).min())) + 1):
         i = first + k
         on = (i >= 0) & (i < bins)
         i = i[on]
         seg = np.maximum(np.minimum(hi[on], edges[i + 1]) - np.maximum(lo[on], edges[i]), 0.0)
         part = masses[on] * (seg / length[on])
-        binned += np.bincount(i, weights=part.real, minlength=bins)
-        binned += 1j * np.bincount(i, weights=part.imag, minlength=bins)
-    return binned, lost
+        acc.real += np.bincount(i, weights=part.real, minlength=bins)
+        acc.imag += np.bincount(i, weights=part.imag, minlength=bins)
+    return lost
 
 
 def convolve_measures(
@@ -499,42 +508,53 @@ def convolve_measures(
     an atom at e times a density bin [a, a + h) covers [e + a, e + a + h), and
     two density bins of widths h1 and h2 cover [a1 + a2, a1 + a2 + h1 + h2).
     The pieces are binned with exact overlaps onto ``grid`` (the default grid
-    when omitted).  Raises GridTooNarrowError when more than mass_tol of
-    |product mass| would fall outside the grid.
+    when omitted), at most BIN_BLOCK pieces at a time: each product kind is
+    kept as its row of starts and masses against its column of bin starts and
+    bin masses, so the working memory does not grow with atoms x bins.
+    Raises ValueError naming ``grid`` unless it is a finite, uniform and
+    increasing 1D grid of at least 2 edges, and GridTooNarrowError when the
+    pieces' |mass| falling outside the grid sums to more than mass_tol.
     """
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        _check_grid(grid, "grid")
     e_atoms = np.add.outer(mu.energies, nu.energies).ravel()
     w_atoms = np.multiply.outer(mu.weights, nu.weights).ravel()
 
     if mu.density is None and nu.density is None:
         return SpectralMeasure.from_atoms(e_atoms, w_atoms, merge_tol)
 
-    pieces = []  # (lo, span, masses) per product kind
+    kinds = []  # (row starts, row masses, column starts, column masses, span): one piece per row and column
     for atoms, dens in ((mu, nu), (nu, mu)):
         if dens.density is not None and atoms.atom_count:
-            lo = np.add.outer(atoms.energies, dens.grid_edges[:-1]).ravel()
-            masses = np.multiply.outer(atoms.weights, dens.density).ravel() * dens.bin_width
-            pieces.append((lo, dens.bin_width, masses))
+            kinds.append((atoms.energies, atoms.weights, *_bin_pieces(dens), dens.bin_width))
     if mu.density is not None and nu.density is not None:
-        lo = np.add.outer(mu.grid_edges[:-1], nu.grid_edges[:-1]).ravel()
-        masses = np.multiply.outer(mu.density * mu.bin_width, nu.density * nu.bin_width).ravel()
-        pieces.append((lo, mu.bin_width + nu.bin_width, masses))
+        kinds.append((*_bin_pieces(mu), *_bin_pieces(nu), mu.bin_width + nu.bin_width))
 
-    edges = np.asarray(grid, dtype=float) if grid is not None else default_convolution_grid(mu, nu)
+    edges = grid if grid is not None else default_convolution_grid(mu, nu)
     acc = np.zeros(edges.size - 1, dtype=complex)
-    lost = 0.0 + 0.0j
-    for lo, span, masses in pieces:
-        binned, off_grid = _bin(edges, lo, span, masses)
-        acc += binned
-        lost += off_grid
+    lost = 0.0
+    for row_lo, row_mass, col_lo, col_mass, span in kinds:
+        rows = max(1, BIN_BLOCK // col_lo.size)  # a row longer than a block is cut into blocks along its columns
+        for r in range(0, row_lo.size, rows):
+            for c in range(0, col_lo.size, BIN_BLOCK):
+                lo = np.add.outer(row_lo[r : r + rows], col_lo[c : c + BIN_BLOCK]).ravel()
+                masses = np.multiply.outer(row_mass[r : r + rows], col_mass[c : c + BIN_BLOCK]).ravel()
+                lost += _bin(edges, lo, span, masses, acc)
 
-    if abs(lost) > mass_tol:
+    if lost > mass_tol:
         lo1, hi1 = mu.support_bounds()
         lo2, hi2 = nu.support_bounds()
-        raise GridTooNarrowError(abs(lost), lo1 + lo2, hi1 + hi2)
+        raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)
 
     width = edges[1] - edges[0]
     e_out, w_out = _merge_sorted(*_sorted(e_atoms, w_atoms), merge_tol)
     return SpectralMeasure(e_out, w_out, grid_edges=edges, density=acc / width)
+
+
+def _bin_pieces(dens: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and masses of a measure's density bins."""
+    return dens.grid_edges[:-1], dens.density * dens.bin_width
 
 
 def _sorted(e: np.ndarray, w: np.ndarray):

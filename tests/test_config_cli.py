@@ -661,6 +661,14 @@ def test_cli_lyapunov_refuses_more_energies_than_it_can_sample(tmp_path, capsys)
     assert not (out / "lyapunov.csv").exists()
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_cli_lyapunov_refuses_a_count_below_1(tmp_path, capsys, count):
+    out = tmp_path / "l"
+    assert cli.main(["lyapunov", "--length", "1000", "--count", str(count), "--out", str(out)]) == 1
+    assert f"count = {count} must be positive" in capsys.readouterr().err
+    assert not (out / "lyapunov.csv").exists()
+
+
 def test_cli_seed_override_controls_random_potential(tmp_path):
     base = ["spectrum", "--family", "random_iid", "--amplitude", "1", "--N", "16"]
     out1, out2, out3 = (tmp_path / x for x in "abc")

@@ -274,6 +274,13 @@ def test_truncation_energies_never_repeat_an_eigenvalue():
         truncation_energies(spec, count=429)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_truncation_energies_refuses_a_count_below_1(count):
+    # count = 0 once returned no energies and count = -1 failed in numpy's linspace
+    with pytest.raises(ValueError, match=f"^count = {count} must be positive$"):
+        truncation_energies(almost_mathieu(3.0), count=count)
+
+
 def test_random_potential_localizes():
     # iid coupling 3 gives a strictly positive growth rate at mid-band
     spec = PotentialSpec("random_iid", amplitude=3.0, seed=11)

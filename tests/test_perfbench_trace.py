@@ -1,9 +1,11 @@
-"""The benchmark's span tracer still runs the commands it traces and binds their arguments by name.
+"""The benchmark's span tracer and library step still run against the package.
 
 perfbench/traced_step.py wraps chainlab's layer functions and reads work
 counts off their bound arguments (``evolve_2d_direct``'s ``state`` and
-``method``), so a rename in the package fails here before it breaks a
-traced benchmark run.
+``method``), and perfbench/library_step.py calls ``convolve_measures``
+itself, so a rename in the package fails here before it breaks a benchmark
+run.  The steps run with bytecode writing off, leaving no __pycache__ beside
+the benchmark.
 """
 import importlib.util
 import json
@@ -19,16 +21,28 @@ from chainlab.operators import delta_state, free_operator
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_STEP = ROOT / "perfbench" / "traced_step.py"
+LIBRARY_STEP = ROOT / "perfbench" / "library_step.py"
+
+
+def _run_step(tmp_path, *argv: str) -> None:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _traced_spans(tmp_path, command: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     spans = tmp_path / "spans.json"
-    argv = [sys.executable, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", "--out", "out"]
-    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    _run_step(tmp_path, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", "--out", "out")
     return json.loads(spans.read_text())
+
+
+def test_library_step_runs_at_the_self_test_sizes(tmp_path):
+    sizes = ("--sites", "16", "--bins", "64", "--bins2", "40")  # the self-test's sizes
+    _run_step(tmp_path, str(LIBRARY_STEP), *sizes, "--seed", "1", "--out", "out")
+    report = json.loads((tmp_path / "out" / "library.json").read_text())
+    assert report["atom_density"]["atoms"] == 16 and report["density_density"]["atoms"] == 0
+    assert all(case["mass_defect"] <= 1e-10 for case in report.values())
 
 
 @pytest.mark.parametrize(

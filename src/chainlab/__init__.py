@@ -42,7 +42,6 @@ _EXPORTS = {
     "spectral": (
         "ATOM_MERGE_TOL",
         "EigenSystem",
-        "free_eigensystem",
         "free_delta_measure",
         "eigh_tridiagonal",
         "dense_measure",

@@ -12,15 +12,14 @@ combinations sum_j alpha_j chi_j (x) phi_j that is
 sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) where * is measure
 convolution; that identity is what the convolution tests pin down.
 
-Eigensystems come from three places: free_eigensystem writes down the free
-chain's sine or Fourier basis (the m-factor's measures; propagators sweep
-the m-factor by FFT, and free_delta_measure reads a single row of the basis),
-eigh_tridiagonal solves a chain with a potential (the n-factor), and one
-solver serves every dense 2D route: _sector_solves runs numpy's eigh on
-the sectors of certified site symmetries of H that a state has a part in,
-scattered from H's entry list, so H is never formed.  dense_measure, the
-commands' oracle, reads the measure at any vector off those sectors, and
-evolve_2d_direct's dense propagator sums e^{iHt} over them.
+The free m-factor has no eigensystem: propagators sweep it by FFT, and
+free_delta_measure reads its measure at a site off one row of its closed-form
+sine or Fourier basis.  eigh_tridiagonal solves a chain with a potential (the
+n-factor), and one solver serves every dense 2D route: _sector_solves runs
+numpy's eigh on the sectors of certified site symmetries of H that a state
+has a part in, scattered from H's entry list, so H is never formed.
+dense_measure, the commands' oracle, reads the measure at any vector off
+those sectors, and evolve_2d_direct's dense propagator sums e^{iHt} over them.
 """
 from __future__ import annotations
 
@@ -86,27 +85,12 @@ def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
     return out.view(complex).reshape((mat.shape[0],) + cols.shape[1:])
 
 
-def free_eigensystem(op: Operator1D) -> EigenSystem:
-    """Eigensystem of a free chain (zero diagonal) in closed form, with no solver.
-
-    A dirichlet window of M sites has lambda_k = -2 cos(pi k / (M+1)) and
-    v_k(j) = sqrt(2/(M+1)) sin(pi j k / (M+1)) for j, k = 1..M.  A ring has
-    lambda_k = -2 cos(2 pi k / M) with the real basis: the constant for
-    k = 0, a cos and a sin column for each 0 < k < M/2 (one eigenvalue, so
-    the pair is bit-equal), and (-1)^j for k = M/2 when M is even.  Each
-    basis takes its values from a table over one period indexed by jk mod the
-    period, so the argument reduction is exact and no M^2 float argument is
-    formed.  Only the measures need it: the plans sweep A2 by FFT.
-    """
-    lam, vec = _free_basis_rows(op, np.arange(op.size))
-    return EigenSystem(lam, vec, source=op)
-
-
 def free_delta_measure(op: Operator1D, site: int, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
-    """spectral_measure_1d(free_eigensystem(op), e_site), bit for bit, in O(M).
+    """The measure of the free chain op at e_site, in O(M) with no solver.
 
-    The weights are the squared entries of row ``site`` of the basis, the
-    only row formed.
+    The weights are the squared entries of row ``site`` of the closed-form
+    basis, the only row formed: bit for bit the measure that
+    spectral_measure_1d reads off the whole basis (tests/dense_reference.py).
     """
     site = operator.index(site)
     if not 0 <= site < op.size:
@@ -116,9 +100,18 @@ def free_delta_measure(op: Operator1D, site: int, merge_tol: float = ATOM_MERGE_
 
 
 def _free_basis_rows(op: Operator1D, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """free_eigensystem's eigenvalues and the given rows (0-based sites) of its basis."""
+    """A free chain's eigenvalues in closed form, and the given rows (0-based sites) of its basis.
+
+    A dirichlet window of M sites has lambda_k = -2 cos(pi k / (M+1)) and
+    v_k(j) = sqrt(2/(M+1)) sin(pi j k / (M+1)) for j, k = 1..M.  A ring has
+    lambda_k = -2 cos(2 pi k / M) with the real basis: the constant for
+    k = 0, a cos and a sin column for each 0 < k < M/2 (one eigenvalue, so
+    the pair is bit-equal), and (-1)^j for k = M/2 when M is even.  Each
+    basis takes its values from a table over one period indexed by jk mod the
+    period, so the argument reduction is exact.
+    """
     if np.any(op.diagonal):
-        raise ValueError("free_eigensystem needs a free chain: the operator has a nonzero diagonal")
+        raise ValueError("the closed-form basis needs a free chain: the operator has a nonzero diagonal")
     M = op.size
     if op.boundary == "dirichlet":
         k = np.arange(1, M + 1)
@@ -149,14 +142,13 @@ def _table_columns(table: np.ndarray, j: np.ndarray, k: np.ndarray, period: int,
 def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
     """Full eigendecomposition of a 1D operator.
 
-    A plan's m-factor never comes here: it is free, swept by FFT, and
-    free_eigensystem writes its basis down for the measures.  Chains of at
-    most NUMPY_EIGH_SITES sites take numpy's dense solver, which at those
-    sizes costs less than importing scipy.linalg.  Longer dirichlet chains go
-    through scipy.linalg.eigh_tridiagonal and its default LAPACK routine
-    (stevd in current scipy); the periodic corner makes the matrix
-    non-tridiagonal, so long rings stay dense (capped, the dense solve is
-    O(N^3)).
+    A plan's m-factor never comes here: it is free, swept by FFT, and its
+    measures come from free_delta_measure.  Chains of at most NUMPY_EIGH_SITES
+    sites take numpy's dense solver, which at those sizes costs less than
+    importing scipy.linalg.  Longer dirichlet chains go through
+    scipy.linalg.eigh_tridiagonal and its default LAPACK routine (stevd in
+    current scipy); the periodic corner makes the matrix non-tridiagonal, so
+    long rings stay dense (capped, the dense solve is O(N^3)).
     """
     if op.boundary == "dirichlet" and op.size > NUMPY_EIGH_SITES:
         import scipy.linalg  # deferred: importing it costs more than a short chain's dense solve
@@ -371,6 +363,8 @@ class SpectralMeasure:
             raise ValueError("energies and weights must be 1D arrays of equal length")
         if not np.all(np.isfinite(e)):
             raise ValueError("atom energies must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("atom weights must be finite")
         order = np.argsort(e, kind="stable")
         object.__setattr__(self, "energies", _freeze(e[order]))
         object.__setattr__(self, "weights", _freeze(w[order]))
@@ -382,6 +376,8 @@ class SpectralMeasure:
             if edges.ndim != 1 or edges.size != dens.size + 1:
                 raise ValueError("need B+1 grid edges for B density bins")
             _check_grid(edges, "density grid")
+            if not np.all(np.isfinite(dens)):
+                raise ValueError("density must be finite")
             object.__setattr__(self, "grid_edges", _freeze(edges))
             object.__setattr__(self, "density", _freeze(dens))
 
@@ -542,7 +538,7 @@ def convolve_measures(
                 masses = np.multiply.outer(row_mass[r : r + rows], col_mass[c : c + BIN_BLOCK]).ravel()
                 lost += _bin(edges, lo, span, masses, acc)
 
-    if lost > mass_tol:
+    if not lost <= mass_tol:  # a NaN lost mass fails too
         lo1, hi1 = mu.support_bounds()
         lo2, hi2 = nu.support_bounds()
         raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)

@@ -432,13 +432,17 @@ def test_cli_verify_solves_only_sectors_of_h(tmp_path, monkeypatch, size, sector
     assert peak <= _sector_bound(sectors, size, size)
 
 
+@pytest.mark.parametrize("command, N", [("convolve", 16), ("verify", 2)])
 @pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
-def test_cli_convolve_builds_no_m_basis(tmp_path, m_method):
-    """Above the dense cap convolve reads its m-measure off one row of A2's basis, never the M x M table."""
+def test_cli_convolve_and_verify_build_no_m_basis(tmp_path, m_method, command, N):
+    """Above the dense cap convolve and verify read the m-measure off one row of A2's basis, never the M x M table."""
     cfg = tmp_path / "m.cfg"
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
-    peak, out = _warm_peak(tmp_path, ["convolve", "--config", str(cfg), "--N", "16", "--M", "4096"])
-    assert _read_json(out / "report.json")["compared_to_direct"] is False
+    peak, out = _warm_peak(tmp_path, [command, "--config", str(cfg), "--N", str(N), "--M", "4096"])
+    if command == "convolve":
+        assert _read_json(out / "report.json")["compared_to_direct"] is False
+    else:
+        assert _read_json(out / "verify.json")["all_passed"] is True
     assert peak < 4096**2 * np.dtype(float).itemsize  # 128 MiB
 
 

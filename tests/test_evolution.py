@@ -227,7 +227,7 @@ def test_plan_builds_no_m_basis(monkeypatch, m_method):
     solved, written = [], []
     solve, write = evolution.eigh_tridiagonal, spectral._free_basis_rows
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
-    # every closed-form free basis, free_eigensystem's included, is built by _free_basis_rows
+    # every closed-form free basis, free_delta_measure's row included, is built by _free_basis_rows
     monkeypatch.setattr(spectral, "_free_basis_rows", lambda op, rows: written.append(op.size) or write(op, rows))
     plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), m_method, 96)
     phi = np.zeros(96, dtype=complex)

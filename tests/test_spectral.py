@@ -29,14 +29,13 @@ from chainlab.spectral import (
     eigen_residual,
     eigh_tridiagonal,
     free_delta_measure,
-    free_eigensystem,
     gram_defect,
     max_atom_weight,
     sector_sizes,
     spectral_measure_1d,
     spectral_measure_2d,
 )
-from dense_reference import dense_hamiltonian, full_eigensystem, unit_vector
+from dense_reference import dense_hamiltonian, free_eigensystem, full_eigensystem, unit_vector
 
 
 # -- eigensystems --------------------------------------------------------------
@@ -676,6 +675,32 @@ def test_off_grid_mass_of_opposite_signs_does_not_cancel():
     with pytest.raises(GridTooNarrowError) as err:
         convolve_measures(mu, nu, grid=np.linspace(-0.5, 0.5, 9))
     assert abs(err.value.lost_mass - 1.0) <= 1e-15
+
+
+def _nan_at_the_guard():
+    # finite but huge masses: the piece's |mass| overflows to inf, and inf times its off-grid fraction 0 is NaN
+    mu = SpectralMeasure.from_atoms([0.0], [1e200])
+    nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=np.full(4, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        convolve_measures(mu, nu)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: SpectralMeasure.from_atoms([0.0, 1.0], [0.5, np.nan]), ValueError, "^atom weights must be finite$"),
+        (
+            lambda: SpectralMeasure(np.empty(0), np.empty(0), grid_edges=[0.0, 1.0, 2.0], density=[1.0, np.inf]),
+            ValueError,
+            "^density must be finite$",
+        ),
+        (_nan_at_the_guard, GridTooNarrowError, "loses mass nan"),
+    ],
+    ids=["nan_weight", "inf_density", "nan_lost_mass"],
+)
+def test_non_finite_mass_fails_closed(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 @pytest.mark.parametrize(

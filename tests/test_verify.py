@@ -27,6 +27,25 @@ def _record_dense_solves(monkeypatch):
     return calls
 
 
+# verify.json's checks in order, at a lattice within DENSE_SITE_CAP
+VERIFY_CHECKS = [
+    "separability_pure_tensor",
+    "h2d_hermitian",
+    "eigen_residual_n",
+    "eigen_gram_n",
+    "measure_mass_delta",
+    "convolution_identity",
+    "convolution_mass_product",
+    "mass_multiplicativity_random",
+    "factorization_vs_direct",
+    "unitarity",
+    "energy_conservation",
+    "sweep_order_swap",
+    "mixed_norm_chain",
+    "n_fiber_isometry",
+]
+
+
 @pytest.mark.parametrize(
     "m_method, N, M",
     [("dft_multiplier", 16, 16), ("eigen", 16, 16), ("bessel_kernel", 8, 96)],
@@ -38,8 +57,7 @@ def test_verify_solves_each_dense_h_once(monkeypatch, m_method, N, M):
     calls = _record_dense_solves(monkeypatch)
     results = verify.run_verification(ExperimentConfig(N=N, M=M, m_method=m_method))
     assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert "convolution_identity" in names and "factorization_vs_direct" in names
+    assert [r.name for r in results] == VERIFY_CHECKS
     assert calls.count(("dense_measure",)) == 1
     rows = [c[1] for c in calls if c[0] == "eigh"]  # A1 and H's sectors
     assert rows and max(rows) < N * M

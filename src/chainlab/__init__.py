@@ -110,10 +110,10 @@ _EXPORTS = {
     ),
     "verify": (
         "CheckResult",
-        "CheckFailure",
         "run_verification",
         "verification_report",
     ),
+    "cli": ("CheckFailure",),
 }
 
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names}

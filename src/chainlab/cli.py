@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical check failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -24,9 +23,25 @@ _THREAD_VARS = (
 
 _COMMANDS = ("spectrum", "convolve", "evolve", "decay-fit", "lyapunov", "verify")
 
+# each flag is one config key, written over the --config file's
+_FLAG_KEYS = {
+    "family": ("potential", "family"),
+    "amplitude": ("potential", "amplitude"),
+    "omega": ("potential", "omega"),
+    "theta": ("potential", "theta"),
+    "seed": ("potential", "seed"),
+    "N": ("lattice", "n"),
+    "M": ("lattice", "m"),
+    "out": ("output", "directory"),
+}
+
 DEFAULT_EVOLVE_TMAX = 10.0
 DECAY_N_DEFAULT = 128
 DECAY_SAMPLES = 25
+
+
+class CheckFailure(RuntimeError):
+    """A numerical check came out above tolerance: exit 2, after the artifacts are written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,15 +95,12 @@ def main(argv=None) -> int:
             return 1
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
-    from .config import ConfigError
-    from .verify import CheckFailure
-
     try:
         return _run(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -97,10 +109,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    from .config import ExperimentConfig, parse_config_file
+    from .config import parse_config, parse_config_file
 
-    cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
-    cfg = _apply_overrides(cfg, args)
+    flags = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items() if getattr(args, flag) is not None}
+    cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
     os.makedirs(cfg.output_dir, exist_ok=True)
     handler = {
         "spectrum": _cmd_spectrum,
@@ -113,57 +125,16 @@ def _run(args) -> int:
     return handler(cfg, args)
 
 
-def _apply_overrides(cfg, args):
-    from .operators import PotentialSpec
-
-    pot = cfg.potential
-    wants = {
-        k: getattr(args, k)
-        for k in ("family", "amplitude", "omega", "theta")
-        if getattr(args, k) is not None
-    }
-    if wants:
-        family = wants.get("family", pot.family)
-        same_family = family == pot.family
-        seed = args.seed if args.seed is not None else pot.seed
-        if family == "random_iid" and seed is None:
-            seed = cfg.seed
-        pot = PotentialSpec(
-            family=family,
-            amplitude=wants.get("amplitude", pot.amplitude),
-            omega=wants.get("omega", pot.omega),
-            theta=wants.get("theta", pot.theta),
-            profile=pot.profile if same_family else None,
-            seed=seed,
-            values=pot.values if same_family else None,
-        )
-    elif args.seed is not None:
-        pot = dataclasses.replace(pot, seed=args.seed)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if pot is not cfg.potential:
-        updates["potential"] = pot
-    if args.N is not None:
-        updates["N"] = args.N
-    if args.M is not None:
-        updates["M"] = args.M
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _out(cfg, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
 def _cmd_spectrum(cfg, args) -> int:
     from . import datafiles
-    from .config import DEFAULT_SIZE
     from .operators import delta_vector
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
-    N = cfg.N or DEFAULT_SIZE
+    N, _ = cfg.lattice()
     pot, a1 = cfg.chain_operator(N)
     es = eigh_tridiagonal(a1)
     mu = spectral_measure_1d(es, delta_vector(N, cfg.n0, "n0"), merge_tol=cfg.tolerances.atom_merge)
@@ -189,12 +160,11 @@ def _cmd_spectrum(cfg, args) -> int:
 
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
-    from .config import DEFAULT_SIZE
     from .operators import origin_index
     from .spectral import atom_weight_discrepancy
-    from .verify import CheckFailure, delta_crosscheck
+    from .verify import delta_crosscheck
 
-    N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
+    N, M = cfg.lattice()
     plan = cfg.plan(N, M)
     i, j = origin_index("n0", cfg.n0, N), origin_index("m0", cfg.m0, M)
     mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(plan, i, j, cfg.tolerances.atom_merge)
@@ -239,25 +209,22 @@ def _evolve_times(cfg, args):
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
-def _check_conservation(l2_drift: float, energy_drift: float, tol: float) -> None:
-    from .verify import CheckFailure
-
-    if not (l2_drift <= tol and energy_drift <= tol):
-        raise CheckFailure(
-            f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}"
-        )
+def _conservation_failure(l2_drift: float, energy_drift: float, tol: float) -> CheckFailure | None:
+    """The one conservation verdict: None when both drifts are within tol, else the failure to raise."""
+    if l2_drift <= tol and energy_drift <= tol:
+        return None
+    return CheckFailure(f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}")
 
 
 def _cmd_evolve(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .config import DEFAULT_SIZE
     from .diagnostics import conservation_defects
     from .evolution import evolve_2d_factorized
     from .operators import delta_state, energy_expectation, l2_norm
 
-    N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
+    N, M = cfg.lattice()
     psi0 = delta_state(N, M, cfg.n0, cfg.m0)
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
@@ -275,20 +242,21 @@ def _cmd_evolve(cfg, args) -> int:
     else:
         datafiles.write_trajectory_csv(times[keep], states[keep], _out(cfg, "trajectory.csv"))
     tol = cfg.tolerances.conservation
-    passed = l2_drift <= tol and energy_drift <= tol
+    failure = _conservation_failure(l2_drift, energy_drift, tol)
     datafiles.write_json(
         {
             "l2_drift": l2_drift,
             "energy_drift": energy_drift,
             "tolerance": tol,
-            "passed": passed,
+            "passed": failure is None,
             "t_max": float(times[-1]),
             "snapshots": len(states[keep]),
         },
         _out(cfg, "conservation.json"),
     )
     print(f"evolve: {len(times)} steps to t={times[-1]:g}, l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e}")
-    _check_conservation(l2_drift, energy_drift, tol)
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -339,7 +307,9 @@ def _cmd_decay_fit(cfg, args) -> int:
     )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")
-    _check_conservation(l2_drift, energy_drift, tol)
+    failure = _conservation_failure(l2_drift, energy_drift, tol)
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -349,8 +319,6 @@ def _cmd_lyapunov(cfg, args) -> int:
     from . import datafiles
     from .diagnostics import lyapunov_scan, truncation_energies
 
-    if args.length < 1000:
-        raise ValueError("--length must be at least 1000")
     energies = truncation_energies(cfg.potential, count=args.count)
     gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))
@@ -372,9 +340,8 @@ def _cmd_lyapunov(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     from . import datafiles
-    from .config import DEFAULT_SIZE
     from .operators import DENSE_SITE_CAP
-    from .verify import CheckFailure, run_verification, verification_report
+    from .verify import run_verification, verification_report
 
     results = run_verification(cfg)
     datafiles.write_json(verification_report(results), _out(cfg, "verify.json"))
@@ -382,8 +349,8 @@ def _cmd_verify(cfg, args) -> int:
         status = "pass" if r.passed else "FAIL"
         print(f"{status}  {r.name:32s} residual {r.residual:.3e}  tol {r.tolerance:.1e}")
     if "convolution_identity" not in {r.name for r in results}:
-        sites = (cfg.N or DEFAULT_SIZE) * (cfg.M or DEFAULT_SIZE)
-        print(f"skip  {'convolution_identity':32s} N*M = {sites} above DENSE_SITE_CAP = {DENSE_SITE_CAP}")
+        N, M = cfg.lattice()
+        print(f"skip  {'convolution_identity':32s} N*M = {N * M} above DENSE_SITE_CAP = {DENSE_SITE_CAP}")
     failed = [r.name for r in results if not r.passed]
     if failed:
         raise CheckFailure("invariants failed: " + ", ".join(failed))

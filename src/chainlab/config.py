@@ -94,6 +94,10 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
+    def lattice(self) -> tuple[int, int]:
+        """N and M of the lattice commands: DEFAULT_SIZE for a size the config leaves out."""
+        return self.N or DEFAULT_SIZE, self.M or DEFAULT_SIZE
+
     def chain_operator(self, N: int) -> tuple[Potential1D, Operator1D]:
         """The potential sampled on N sites and its A1; the window keeps the origin (operators.origin_index)."""
         n0 = -origin_index("n0", self.n0, N)
@@ -139,12 +143,33 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _write_over(parser, overrides) -> None:
+    """Write the (section, key) -> value overrides over the parsed text's keys.
+
+    A family other than the text's drops the text's profile and values, and
+    a switch to random_iid with no seed in the text or the overrides runs seed 0.
+    """
+    for section, _ in overrides:
+        if not parser.has_section(section):
+            parser.add_section(section)
+    family = overrides.get(("potential", "family"))
+    if family is not None and family != parser.get("potential", "family", fallback="constant"):
+        parser.remove_option("potential", "profile")
+        parser.remove_option("potential", "values")
+        if family == "random_iid" and not parser.has_option("potential", "seed"):
+            parser.set("potential", "seed", "0")
+    for (section, key), value in overrides.items():
+        parser.set(section, key, str(value))
+
+
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """The config of an INI text, with ``overrides`` written over its keys (see _write_over)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    _write_over(parser, overrides or {})
 
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -221,9 +246,9 @@ def _get_seed(parser) -> int:
     return _get(parser, "potential", "seed", int, None) or 0
 
 
-def parse_config_file(path) -> ExperimentConfig:
+def parse_config_file(path, overrides=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def _fmt(x: float) -> str:

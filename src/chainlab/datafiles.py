@@ -1,7 +1,9 @@
 """On-disk formats: CSV for tables, JSON for reports, one binary snapshot format.
 
-All writers format floats with repr (shortest round-trip form) and sort rows
-deterministically, so identical inputs produce byte-identical files.
+Every CSV file goes through one row writer (stdlib csv, "\n" line ends)
+that takes its columns through .tolist(), so floats print by repr (the
+shortest round-trip form) and rows keep a fixed order: identical inputs
+produce byte-identical files.
 
 Binary trajectory layout (little endian):
     8s  magic  b"CHAINLB1"
@@ -13,6 +15,7 @@ Binary trajectory layout (little endian):
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
@@ -27,15 +30,21 @@ MAGIC = b"CHAINLB1"
 _HEADER = struct.Struct("<8sII3Q2q")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _rows(*columns):
+    """The rows of equal-length columns, as Python ints, floats and strings."""
+    return zip(*(np.asarray(c).tolist() for c in columns))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The one CSV row writer: the comma-separated header, then one line per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 def write_potential_csv(potential: Potential1D, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,V\n")
-        for n, v in zip(range(potential.n0, potential.n0 + potential.size), potential.values):
-            fh.write(f"{n},{_fmt(v)}\n")
+    _write_csv(path, "n,V", _rows(range(potential.n0, potential.n0 + potential.size), potential.values))
 
 
 def read_potential_csv(path) -> Potential1D:
@@ -57,10 +66,8 @@ def read_potential_csv(path) -> Potential1D:
 
 
 def write_eigenvalues_csv(eigenvalues: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,energy\n")
-        for k, lam in enumerate(np.asarray(eigenvalues, dtype=float)):
-            fh.write(f"{k},{_fmt(lam)}\n")
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    _write_csv(path, "k,energy", _rows(range(eigenvalues.size), eigenvalues))
 
 
 def write_measure_csv(measure: SpectralMeasure, path) -> None:
@@ -68,15 +75,12 @@ def write_measure_csv(measure: SpectralMeasure, path) -> None:
 
     Bin rows carry the integrated bin mass (density value times width).
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,energy,weight_re,weight_im\n")
-        for e, w in zip(measure.energies, measure.weights):
-            fh.write(f"atom,{_fmt(e)},{_fmt(w.real)},{_fmt(w.imag)}\n")
-        if measure.density is not None:
-            width = measure.bin_width
-            for left, value in zip(measure.grid_edges[:-1], measure.density):
-                mass = value * width
-                fh.write(f"bin,{_fmt(left)},{_fmt(mass.real)},{_fmt(mass.imag)}\n")
+    w = measure.weights
+    rows = list(_rows(np.full(w.size, "atom"), measure.energies, w.real, w.imag))
+    if measure.density is not None:
+        mass = measure.density * measure.bin_width
+        rows += _rows(np.full(mass.size, "bin"), measure.grid_edges[:-1], mass.real, mass.imag)
+    _write_csv(path, "kind,energy,weight_re,weight_im", rows)
 
 
 def read_measure_csv(path) -> SpectralMeasure:
@@ -106,14 +110,14 @@ def read_measure_csv(path) -> SpectralMeasure:
 
 
 def write_trajectory_csv(times, states: list[LatticeState2D], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,n,m,re,im\n")
+    def rows():  # one row per site of each snapshot, row-major (n, m)
         for t, state in zip(times, states):
-            amp = state.amplitudes
-            for i, n in enumerate(state.n_coords()):
-                for j, m in enumerate(state.m_coords()):
-                    a = amp[i, j]
-                    fh.write(f"{_fmt(t)},{n},{m},{_fmt(a.real)},{_fmt(a.imag)}\n")
+            N, M = state.shape
+            amp = state.amplitudes.ravel()
+            n, m = np.repeat(state.n_coords(), M), np.tile(state.m_coords(), N)
+            yield from _rows(np.full(N * M, t, dtype=float), n, m, amp.real, amp.imag)
+
+    _write_csv(path, "t,n,m,re,im", rows())
 
 
 def write_trajectory_binary(times, states: list[LatticeState2D], path) -> None:
@@ -157,10 +161,8 @@ def read_trajectory_binary(path) -> tuple[np.ndarray, list[LatticeState2D]]:
 
 
 def write_trace_csv(trace: DecayTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy\n")
-        for row in zip(trace.times, trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    columns = (trace.times, trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
+    _write_csv(path, "t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy", _rows(*columns))
 
 
 def write_fit_json(fit: DecayFit, path, **extra) -> None:
@@ -177,10 +179,8 @@ def write_fit_json(fit: DecayFit, path, **extra) -> None:
 
 
 def write_lyapunov_csv(energies, gammas, L: int, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("energy,gamma,L\n")
-        for e, g in zip(energies, gammas):
-            fh.write(f"{_fmt(e)},{_fmt(g)},{L}\n")
+    energies = np.asarray(energies, dtype=float)
+    _write_csv(path, "energy,gamma,L", _rows(energies, np.asarray(gammas, dtype=float), np.full(energies.size, L)))
 
 
 def write_json(payload, path) -> None:

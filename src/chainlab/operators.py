@@ -74,15 +74,6 @@ class PotentialSpec:
             if not all(np.isfinite(v) for v in self.values):
                 raise ValueError("explicit potential values must be finite")
 
-    @property
-    def sup_bound(self) -> float:
-        """An upper bound for sup_n |V_n| (used for spectral radius estimates)."""
-        if self.family == "explicit":
-            return float(np.max(np.abs(self.values)))
-        if self.family == "quasiperiodic":
-            return abs(self.amplitude) * float(np.max(np.abs(self.profile))) * 1.001
-        return abs(self.amplitude)
-
 
 def cosine_profile(samples: int = 512) -> tuple[float, ...]:
     """Samples of cos on [0, 2pi), for quasiperiodic specs."""
@@ -117,10 +108,6 @@ class Potential1D:
     @property
     def size(self) -> int:
         return self.values.size
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.n0, self.n0 + self.values.size)
 
 
 def _iid_uniform(seed: int, n_lo: int, n_hi: int) -> np.ndarray:

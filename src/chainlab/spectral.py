@@ -508,8 +508,9 @@ def convolve_measures(
     kept as its row of starts and masses against its column of bin starts and
     bin masses, so the working memory does not grow with atoms x bins.
     Raises ValueError naming ``grid`` unless it is a finite, uniform and
-    increasing 1D grid of at least 2 edges, and GridTooNarrowError when the
-    pieces' |mass| falling outside the grid sums to more than mass_tol.
+    increasing 1D grid of at least 2 edges, ValueError when a piece's mass
+    overflows, and GridTooNarrowError when the pieces' |mass| falling outside
+    the grid sums to more than mass_tol.
     """
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
@@ -536,6 +537,8 @@ def convolve_measures(
             for c in range(0, col_lo.size, BIN_BLOCK):
                 lo = np.add.outer(row_lo[r : r + rows], col_lo[c : c + BIN_BLOCK]).ravel()
                 masses = np.multiply.outer(row_mass[r : r + rows], col_mass[c : c + BIN_BLOCK]).ravel()
+                if not np.all(np.isfinite(masses)):
+                    raise ValueError("convolution piece mass overflows: a product of the two masses is not finite")
                 lost += _bin(edges, lo, span, masses, acc)
 
     if not lost <= mass_tol:  # a NaN lost mass fails too

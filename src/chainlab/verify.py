@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SIZE, ExperimentConfig
+from .config import ExperimentConfig
 from .diagnostics import n_fiber_isometry_defect
 from .evolution import PropagatorPlan, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
 from .operators import (
@@ -38,10 +38,6 @@ from .spectral import (
     sector_sizes,
     spectral_measure_1d,
 )
-
-
-class CheckFailure(RuntimeError):
-    """A numerical invariant came out above tolerance."""
 
 
 @dataclass(frozen=True)
@@ -95,9 +91,8 @@ def delta_crosscheck(plan: PropagatorPlan, i: int, j: int, merge_tol: float):
 def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every invariant check on the configured model; order is fixed.
 
-    The model is cfg.plan(N, M), with DEFAULT_SIZE for a size the config
-    leaves out.  Under bessel_kernel the propagator checks
-    evolve a state kept a light-cone reach away from both ends of the m-window,
+    The model is cfg.plan(N, M) on the sizes of cfg.lattice().  Under
+    bessel_kernel the propagator checks evolve a state kept a light-cone reach away from both ends of the m-window,
     where the kernel matches the dirichlet window: check_wrap_free must pass
     for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
     the window needed.  Each check takes one route at every size.  The
@@ -109,7 +104,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     left out.  measure_mass_delta is the mass of that same mu1 * mu2.  Neither
     H nor A2's M x M basis is formed, so the memory is O(N M) at every size.
     """
-    N, M = cfg.N or DEFAULT_SIZE, cfg.M or DEFAULT_SIZE
+    N, M = cfg.lattice()
     tol = cfg.tolerances
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()

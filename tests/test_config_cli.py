@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,33 @@ def test_seed_coherence():
     assert cfg.seed == 5
     cfg = ExperimentConfig(seed=9)
     assert cfg.potential.seed == 9
+
+
+_PROFILE = ", ".join(repr(0.1 * k) for k in range(16))
+_FAMILY, _SEED = ("potential", "family"), ("potential", "seed")
+
+
+@pytest.mark.parametrize(
+    "text, overrides, potential",
+    [
+        (f"[potential]\nfamily = quasiperiodic\namplitude = 1.5\nprofile = {_PROFILE}\n",
+         {_FAMILY: "almost_mathieu"}, PotentialSpec("almost_mathieu", amplitude=1.5)),
+        ("[potential]\nfamily = explicit\nvalues = 0.5, -1.0\n",
+         {_FAMILY: "constant", ("potential", "amplitude"): 2.0}, PotentialSpec("constant", amplitude=2.0)),
+        ("[potential]\nfamily = explicit\nvalues = 0.5, -1.0\n",
+         {_FAMILY: "explicit", ("potential", "theta"): 0.5}, PotentialSpec("explicit", theta=0.5, values=(0.5, -1.0))),
+        ("", {_FAMILY: "random_iid"}, PotentialSpec("random_iid", seed=0)),
+        ("[potential]\nseed = 4\n", {_FAMILY: "random_iid"}, PotentialSpec("random_iid", seed=4)),
+        ("", {_FAMILY: "random_iid", _SEED: 3}, PotentialSpec("random_iid", seed=3)),
+        ("[potential]\nfamily = random_iid\n", {_SEED: 5}, PotentialSpec("random_iid", seed=5)),
+    ],
+    ids=["switch-drops-profile", "switch-drops-values", "same-family-keeps-values", "iid-runs-seed-0",
+         "iid-keeps-the-text-seed", "iid-takes-the-override-seed", "overrides-complete-the-text"],
+)
+def test_overrides_are_keys_written_over_the_text(text, overrides, potential):
+    cfg = parse_config(text, overrides)
+    assert cfg.potential == potential
+    assert cfg.seed == (potential.seed or 0)
 
 
 # -- data files -----------------------------------------------------------------
@@ -683,6 +711,83 @@ def test_cli_seed_override_controls_random_potential(tmp_path):
     b = (out2 / "potential.csv").read_bytes()
     c = (out3 / "potential.csv").read_bytes()
     assert a != b and a == c
+
+
+def test_cli_seed_alone_reseeds_a_random_iid_config(tmp_path):
+    base = "[potential]\nfamily = random_iid\namplitude = 1\n"
+    for seed in (1, 2):
+        (tmp_path / f"s{seed}.cfg").write_text(base + f"seed = {seed}\n")
+    runs = {
+        "file1": ["--config", str(tmp_path / "s1.cfg")],
+        "file2": ["--config", str(tmp_path / "s2.cfg")],
+        "file1-seed2": ["--config", str(tmp_path / "s1.cfg"), "--seed", "2"],
+    }
+    for name, args in runs.items():
+        assert cli.main(["spectrum", "--N", "16", *args, "--out", str(tmp_path / name)]) == 0
+    potential = {name: (tmp_path / name / "potential.csv").read_bytes() for name in runs}
+    assert potential["file1-seed2"] == potential["file2"] != potential["file1"]
+
+
+def test_cli_refused_flag_names_its_key(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--amplitude", "inf", "--out", str(out)]) == 1
+    assert "error: [potential]: amplitude must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_threads_sets_the_five_thread_variables(tmp_path, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "1")  # restored after the test
+    assert cli.main(["spectrum", "--threads", "3", "--N", "8", "--out", str(tmp_path / "s")]) == 0
+    assert {name: os.environ[name] for name in names} == dict.fromkeys(names, "3")
+
+
+def test_cli_threads_below_1_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--threads", "0", "--out", str(out)]) == 1
+    assert "error: --threads must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_verify_failure_exits_2_after_writing_verify_json(tmp_path, capsys):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("[tolerances]\nconservation = 1e-30\n")
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg), "--N", "8", "--M", "8", "--out", str(out)]) == 2
+    report = _read_json(out / "verify.json")
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["all_passed"] is False and "energy_conservation" in failed
+    assert f"check failed: invariants failed: {', '.join(failed)}" in capsys.readouterr().err
+
+
+def test_cli_evolve_defaults_to_eleven_times_up_to_10(tmp_path):
+    out = tmp_path / "e"
+    assert cli.main(["evolve", "--N", "4", "--M", "8", "--out", str(out)]) == 0
+    report = _read_json(out / "conservation.json")
+    assert (report["t_max"], report["snapshots"]) == (10.0, 11)
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert sorted({float(row.split(",")[0]) for row in rows}) == np.linspace(0.0, 10.0, 11).tolist()
+
+
+def test_cli_decay_fit_samples_the_config_times_without_tmax(tmp_path):
+    # the dispersion benchmark's eigen step: [time] times and no --tmax
+    times = [20.0 * 1.2**k for k in range(10)]
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("[lattice]\nm_method = eigen\n[time]\ntimes = " + ", ".join(map(repr, times)) + "\n")
+    out = tmp_path / "d"
+    assert cli.main(["decay-fit", "--config", str(cfg), "--N", "16", "--out", str(out)]) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == times
+    fit = _read_json(out / "fit.json")
+    assert (fit["window"], fit["n_samples"]) == ([20.0, times[-1]], 10)
+
+
+def test_cli_lyapunov_length_below_the_minimum_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "l"
+    assert cli.main(["lyapunov", "--length", "999", "--count", "2", "--out", str(out)]) == 1
+    assert "transfer length 999 is below the minimum 1000" in capsys.readouterr().err
+    assert not (out / "lyapunov.csv").exists()
 
 
 def test_cli_validation_exit_codes(tmp_path):

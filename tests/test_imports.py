@@ -92,3 +92,18 @@ def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
     }
     loaded = {name: _loaded_after(argv, tmp_path, ("scipy.linalg",)) for name, argv in commands.items()}
     assert loaded == dict.fromkeys(commands, "0 []")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay-fit", "--N", "8", "--tmax", "40"],
+        ["spectrum", "--N", "8"],
+        ["evolve", "--N", "4", "--M", "8", "--tmax", "1"],
+        ["lyapunov", "--length", "1000", "--count", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_a_verify_check_leave_verify_unloaded(tmp_path, argv):
+    # CheckFailure lives in cli, so only convolve and verify load chainlab.verify
+    assert _loaded_after(argv + ["--out", "o"], tmp_path, ("chainlab.verify",)) == "0 []"

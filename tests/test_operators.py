@@ -105,18 +105,6 @@ def test_bad_specs_are_rejected(kwargs):
         PotentialSpec(**kwargs)
 
 
-def test_sup_bound_dominates_samples():
-    specs = [
-        constant_potential(-1.5),
-        almost_mathieu(3.0, theta=1.1),
-        PotentialSpec("random_iid", amplitude=0.5, seed=9),
-        PotentialSpec("quasiperiodic", amplitude=2.0, theta=0.3, profile=cosine_profile()),
-    ]
-    for spec in specs:
-        v = sample_potential(spec, (-300, 300)).values
-        assert np.abs(v).max() <= spec.sup_bound + 1e-12
-
-
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
         sample_potential(constant_potential(0.0), (5, 5))

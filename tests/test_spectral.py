@@ -677,8 +677,8 @@ def test_off_grid_mass_of_opposite_signs_does_not_cancel():
     assert abs(err.value.lost_mass - 1.0) <= 1e-15
 
 
-def _nan_at_the_guard():
-    # finite but huge masses: the piece's |mass| overflows to inf, and inf times its off-grid fraction 0 is NaN
+def _overflowing_product():
+    # finite but huge masses whose product overflows: refused by name, not as a grid that loses mass nan
     mu = SpectralMeasure.from_atoms([0.0], [1e200])
     nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=np.full(4, 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -694,7 +694,7 @@ def _nan_at_the_guard():
             ValueError,
             "^density must be finite$",
         ),
-        (_nan_at_the_guard, GridTooNarrowError, "loses mass nan"),
+        (_overflowing_product, ValueError, "^convolution piece mass overflows: a product of the two masses is not finite$"),
     ],
     ids=["nan_weight", "inf_density", "nan_lost_mass"],
 )

@@ -92,8 +92,9 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every invariant check on the configured model; order is fixed.
 
     The model is cfg.plan(N, M) on the sizes of cfg.lattice().  Under
-    bessel_kernel the propagator checks evolve a state kept a light-cone reach away from both ends of the m-window,
-    where the kernel matches the dirichlet window: check_wrap_free must pass
+    bessel_kernel the propagator checks evolve a state kept a light-cone
+    reach away from both ends of the m-window, where the kernel matches the
+    dirichlet window: check_wrap_free must pass
     for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
     the window needed.  Each check takes one route at every size.  The
     factorized propagator is checked against evolve_2d_direct's Chebyshev

@@ -736,7 +736,8 @@ def test_cli_refused_flag_names_its_key(tmp_path, capsys):
 
 
 def test_cli_threads_sets_the_five_thread_variables(tmp_path, monkeypatch):
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS")
     for name in names:
         monkeypatch.setenv(name, "1")  # restored after the test
     assert cli.main(["spectrum", "--threads", "3", "--N", "8", "--out", str(tmp_path / "s")]) == 0

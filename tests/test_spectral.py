@@ -694,7 +694,11 @@ def _overflowing_product():
             ValueError,
             "^density must be finite$",
         ),
-        (_overflowing_product, ValueError, "^convolution piece mass overflows: a product of the two masses is not finite$"),
+        (
+            _overflowing_product,
+            ValueError,
+            "^convolution piece mass overflows: a product of the two masses is not finite$",
+        ),
     ],
     ids=["nan_weight", "inf_density", "nan_lost_mass"],
 )

@@ -209,11 +209,14 @@ def _evolve_times(cfg, args):
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
-def _conservation_failure(l2_drift: float, energy_drift: float, tol: float) -> CheckFailure | None:
-    """The one conservation verdict: None when both drifts are within tol, else the failure to raise."""
-    if l2_drift <= tol and energy_drift <= tol:
-        return None
-    return CheckFailure(f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}")
+def _conserved(l2_drift: float, energy_drift: float, tol: float) -> bool:
+    """The one conservation verdict: both drifts within tol (a NaN drift fails)."""
+    return l2_drift <= tol and energy_drift <= tol
+
+
+def _check_conservation(l2_drift: float, energy_drift: float, tol: float) -> None:
+    if not _conserved(l2_drift, energy_drift, tol):
+        raise CheckFailure(f"conservation: l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e} exceed {tol:.1e}")
 
 
 def _cmd_evolve(cfg, args) -> int:
@@ -242,21 +245,19 @@ def _cmd_evolve(cfg, args) -> int:
     else:
         datafiles.write_trajectory_csv(times[keep], states[keep], _out(cfg, "trajectory.csv"))
     tol = cfg.tolerances.conservation
-    failure = _conservation_failure(l2_drift, energy_drift, tol)
     datafiles.write_json(
         {
             "l2_drift": l2_drift,
             "energy_drift": energy_drift,
             "tolerance": tol,
-            "passed": failure is None,
+            "passed": _conserved(l2_drift, energy_drift, tol),
             "t_max": float(times[-1]),
             "snapshots": len(states[keep]),
         },
         _out(cfg, "conservation.json"),
     )
     print(f"evolve: {len(times)} steps to t={times[-1]:g}, l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e}")
-    if failure is not None:
-        raise failure
+    _check_conservation(l2_drift, energy_drift, tol)
     return 0
 
 
@@ -307,9 +308,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")
-    failure = _conservation_failure(l2_drift, energy_drift, tol)
-    if failure is not None:
-        raise failure
+    _check_conservation(l2_drift, energy_drift, tol)
     return 0
 
 

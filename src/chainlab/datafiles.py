@@ -110,12 +110,12 @@ def read_measure_csv(path) -> SpectralMeasure:
 
 
 def write_trajectory_csv(times, states: list[LatticeState2D], path) -> None:
-    def rows():  # one row per site of each snapshot, row-major (n, m)
+    def rows():  # one row per site, row-major (n, m), one line of fixed n at a time
         for t, state in zip(times, states):
-            N, M = state.shape
-            amp = state.amplitudes.ravel()
-            n, m = np.repeat(state.n_coords(), M), np.tile(state.m_coords(), N)
-            yield from _rows(np.full(N * M, t, dtype=float), n, m, amp.real, amp.imag)
+            m = state.m_coords()
+            t_col = np.full(m.size, t, dtype=float)
+            for n, amp in zip(state.n_coords(), state.amplitudes):
+                yield from _rows(t_col, np.full(m.size, n), m, amp.real, amp.imag)
 
     _write_csv(path, "t,n,m,re,im", rows())
 

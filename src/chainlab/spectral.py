@@ -508,15 +508,15 @@ def convolve_measures(
     kept as its row of starts and masses against its column of bin starts and
     bin masses, so the working memory does not grow with atoms x bins.
     Raises ValueError naming ``grid`` unless it is a finite, uniform and
-    increasing 1D grid of at least 2 edges, ValueError when a piece's mass
-    overflows, and GridTooNarrowError when the pieces' |mass| falling outside
-    the grid sums to more than mass_tol.
+    increasing 1D grid of at least 2 edges, ValueError when a product of two
+    masses (atoms or pieces) overflows, and GridTooNarrowError when the
+    pieces' |mass| falling outside the grid sums to more than mass_tol.
     """
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         _check_grid(grid, "grid")
     e_atoms = np.add.outer(mu.energies, nu.energies).ravel()
-    w_atoms = np.multiply.outer(mu.weights, nu.weights).ravel()
+    w_atoms = _product_masses(mu.weights, nu.weights)
 
     if mu.density is None and nu.density is None:
         return SpectralMeasure.from_atoms(e_atoms, w_atoms, merge_tol)
@@ -536,12 +536,10 @@ def convolve_measures(
         for r in range(0, row_lo.size, rows):
             for c in range(0, col_lo.size, BIN_BLOCK):
                 lo = np.add.outer(row_lo[r : r + rows], col_lo[c : c + BIN_BLOCK]).ravel()
-                masses = np.multiply.outer(row_mass[r : r + rows], col_mass[c : c + BIN_BLOCK]).ravel()
-                if not np.all(np.isfinite(masses)):
-                    raise ValueError("convolution piece mass overflows: a product of the two masses is not finite")
+                masses = _product_masses(row_mass[r : r + rows], col_mass[c : c + BIN_BLOCK])
                 lost += _bin(edges, lo, span, masses, acc)
 
-    if not lost <= mass_tol:  # a NaN lost mass fails too
+    if not lost <= mass_tol:  # NaN, from piece energies beyond the float range, fails too
         lo1, hi1 = mu.support_bounds()
         lo2, hi2 = nu.support_bounds()
         raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)
@@ -549,6 +547,14 @@ def convolve_measures(
     width = edges[1] - edges[0]
     e_out, w_out = _merge_sorted(*_sorted(e_atoms, w_atoms), merge_tol)
     return SpectralMeasure(e_out, w_out, grid_edges=edges, density=acc / width)
+
+
+def _product_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The raveled products of two mass arrays; ValueError if one overflows."""
+    products = np.multiply.outer(a, b).ravel()
+    if not np.all(np.isfinite(products)):
+        raise ValueError("convolution piece mass overflows: a product of the two masses is not finite")
+    return products
 
 
 def _bin_pieces(dens: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:

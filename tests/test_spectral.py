@@ -677,12 +677,18 @@ def test_off_grid_mass_of_opposite_signs_does_not_cancel():
     assert abs(err.value.lost_mass - 1.0) <= 1e-15
 
 
-def _overflowing_product():
+def _convolve_overflowing(mu, nu):
     # finite but huge masses whose product overflows: refused by name, not as a grid that loses mass nan
-    mu = SpectralMeasure.from_atoms([0.0], [1e200])
-    nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=np.full(4, 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
         convolve_measures(mu, nu)
+
+
+_HUGE_ATOM = SpectralMeasure.from_atoms([0.0], [1e200])
+_HUGE_DENSITY = SpectralMeasure(
+    np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=np.full(4, 1e200)
+)
+_HUGE_ATOM_BESIDE_A_DENSITY = SpectralMeasure([1.0], [1e200], grid_edges=np.linspace(-1.0, 1.0, 5), density=np.ones(4))
+_OVERFLOW = "^convolution piece mass overflows: a product of the two masses is not finite$"
 
 
 @pytest.mark.parametrize(
@@ -694,13 +700,12 @@ def _overflowing_product():
             ValueError,
             "^density must be finite$",
         ),
-        (
-            _overflowing_product,
-            ValueError,
-            "^convolution piece mass overflows: a product of the two masses is not finite$",
-        ),
+        (lambda: _convolve_overflowing(_HUGE_ATOM, _HUGE_DENSITY), ValueError, _OVERFLOW),
+        (lambda: _convolve_overflowing(_HUGE_ATOM, _HUGE_ATOM), ValueError, _OVERFLOW),
+        (lambda: _convolve_overflowing(_HUGE_ATOM_BESIDE_A_DENSITY, _HUGE_ATOM), ValueError, _OVERFLOW),
+        (lambda: _convolve_overflowing(_HUGE_DENSITY, _HUGE_DENSITY), ValueError, _OVERFLOW),
     ],
-    ids=["nan_weight", "inf_density", "nan_lost_mass"],
+    ids=["nan_weight", "inf_density", "nan_lost_mass", "atom_by_atom", "atom_by_atom_beside_a_density", "bin_by_bin"],
 )
 def test_non_finite_mass_fails_closed(build, error, match):
     with pytest.raises(error, match=match):

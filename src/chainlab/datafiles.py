@@ -3,7 +3,8 @@
 Every CSV file goes through one row writer (stdlib csv, "\n" line ends)
 that takes its columns through .tolist(), so floats print by repr (the
 shortest round-trip form) and rows keep a fixed order: identical inputs
-produce byte-identical files.
+produce byte-identical files.  The readers parse through csv.reader, the
+writer's dialect, and name the line of any row they refuse.
 
 Binary trajectory layout (little endian):
     8s  magic  b"CHAINLB1"
@@ -47,20 +48,34 @@ def write_potential_csv(potential: Potential1D, path) -> None:
     _write_csv(path, "n,V", _rows(range(potential.n0, potential.n0 + potential.size), potential.values))
 
 
+def _read_csv(path, header: str, parse) -> list:
+    """parse(fields) of each row of a file the row writer wrote under header.
+
+    The rows go through csv.reader, the writer's dialect; a blank or short
+    row, or one that parse refuses, raises ValueError naming its line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        if found != header.split(","):
+            raise ValueError(f"unexpected header {','.join(found)!r} in {path}, expected {header!r}")
+        out = []
+        for fields in reader:
+            try:
+                if len(fields) != len(found):
+                    raise ValueError(f"{len(fields)} fields, expected {len(found)}")
+                out.append(parse(*fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return out
+
+
 def read_potential_csv(path) -> Potential1D:
-    ns = []
-    vs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "n,V":
-            raise ValueError(f"unexpected potential header {header!r}")
-        for line in fh:
-            n_str, v_str = line.strip().split(",")
-            ns.append(int(n_str))
-            vs.append(float(v_str))
-    if not ns:
+    rows = _read_csv(path, "n,V", lambda n, v: (int(n), float(v)))
+    if not rows:
         raise ValueError("empty potential file")
-    if ns != list(range(ns[0], ns[0] + len(ns))):
+    ns, vs = zip(*rows)
+    if ns != tuple(range(ns[0], ns[0] + len(ns))):
         raise ValueError("potential sites must be contiguous")
     return Potential1D(np.array(vs), n0=ns[0])
 
@@ -75,6 +90,8 @@ def write_measure_csv(measure: SpectralMeasure, path) -> None:
 
     Bin rows carry the integrated bin mass (density value times width).
     """
+    if measure.density is not None and measure.density.size < 2:
+        raise ValueError("cannot write a one-bin density: its bin row does not give the grid's width")
     w = measure.weights
     rows = list(_rows(np.full(w.size, "atom"), measure.energies, w.real, w.imag))
     if measure.density is not None:
@@ -83,22 +100,18 @@ def write_measure_csv(measure: SpectralMeasure, path) -> None:
     _write_csv(path, "kind,energy,weight_re,weight_im", rows)
 
 
+def _measure_row(kind, energy, re, im):
+    if kind not in ("atom", "bin"):
+        raise ValueError(f"unknown row kind {kind!r}")
+    return kind, float(energy), complex(float(re), float(im))
+
+
 def read_measure_csv(path) -> SpectralMeasure:
     atoms_e, atoms_w, bins_e, bins_m = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "kind,energy,weight_re,weight_im":
-            raise ValueError(f"unexpected measure header {header!r}")
-        for line in fh:
-            kind, e_str, re_str, im_str = line.strip().split(",")
-            if kind == "atom":
-                atoms_e.append(float(e_str))
-                atoms_w.append(complex(float(re_str), float(im_str)))
-            elif kind == "bin":
-                bins_e.append(float(e_str))
-                bins_m.append(complex(float(re_str), float(im_str)))
-            else:
-                raise ValueError(f"unknown row kind {kind!r}")
+    for kind, energy, weight in _read_csv(path, "kind,energy,weight_re,weight_im", _measure_row):
+        energies, weights = (atoms_e, atoms_w) if kind == "atom" else (bins_e, bins_m)
+        energies.append(energy)
+        weights.append(weight)
     edges = density = None
     if bins_e:
         if len(bins_e) < 2:

@@ -192,6 +192,10 @@ def evolve_free_1d(
     image [0, phi, 0, -phi reversed] on 2(M+1) sites (Martucci, IEEE Trans.
     Signal Process. 42, 1994); bessel_kernel treats it as a window of the
     infinite lattice and insists the light cone plus kernel tail stays inside.
+    The kernel of half-width reach is applied as a linear convolution by FFTs
+    at the smallest 2^a 3^b 5^c 7^d >= M + 2 reach: any length from
+    M + 2 reach on gives the same sites [reach, reach + M), and a 7-smooth
+    one keeps numpy's FFT off its slow generic-radix and Bluestein passes.
     """
     phi = np.asarray(phi, dtype=complex)
     M = phi.shape[-1]
@@ -203,10 +207,22 @@ def evolve_free_1d(
     if method == "bessel_kernel":
         reach = check_wrap_free(phi, t, tail_tol, ring=False)
         kern = bessel_kernel(t, reach)
-        n_fft = M + 2 * reach
+        n_fft = _smooth_length(M + 2 * reach)
         out = np.fft.ifft(np.fft.fft(phi, n_fft, axis=-1) * np.fft.fft(kern, n_fft), axis=-1)
         return out[..., reach : reach + M]
     raise ValueError(f"unknown free-propagator method {method!r}, expected one of {M_METHODS}")
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d >= n: a length numpy's FFT runs in fast radix passes only."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _ring_sweep(phi: np.ndarray, t: float) -> np.ndarray:

@@ -250,6 +250,60 @@ def test_binned_measure_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(again.energies, mu.energies)
 
 
+def test_csv_round_trip_of_every_row_kind(tmp_path):
+    pot = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=4), (-3, 5))
+    edges = np.linspace(-1.0, 3.0, 9)
+    density = np.arange(8) / 7.0 + 0.5j
+    mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25 + 0.5j, 1e-300 + 0j]), grid_edges=edges, density=density)
+    datafiles.write_potential_csv(pot, tmp_path / "potential.csv")
+    datafiles.write_measure_csv(mu, tmp_path / "measure.csv")
+    kinds = [line.split(",")[0] for line in (tmp_path / "measure.csv").read_text().splitlines()[1:]]
+    assert kinds == ["atom"] * 2 + ["bin"] * 8
+    pot_again = datafiles.read_potential_csv(tmp_path / "potential.csv")  # n,V rows
+    assert pot_again.n0 == -3
+    np.testing.assert_array_equal(pot_again.values, pot.values)
+    again = datafiles.read_measure_csv(tmp_path / "measure.csv")
+    np.testing.assert_array_equal(again.energies, mu.energies)  # atom rows
+    np.testing.assert_array_equal(again.weights, mu.weights)
+    np.testing.assert_array_equal(again.grid_edges[:-1], edges[:-1])  # bin rows: left edges and masses
+    np.testing.assert_allclose(again.density * again.bin_width, density * mu.bin_width, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("n,V\n0,1.5\n\n", 3, "0 fields, expected 2"),
+        ("n,V\n0,1.5\n1\n2,0.5\n", 3, "1 fields, expected 2"),
+        ("n,V\n0,1.5\n1,x\n", 3, "could not convert string to float"),
+        ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\nbin,0.0,1.0\n", 3, "3 fields, expected 4"),
+        ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\n\n", 3, "0 fields, expected 4"),
+        ("kind,energy,weight_re,weight_im\nmass,0.0,1.0,0.0\n", 2, "unknown row kind 'mass'"),
+    ],
+    ids=["potential-blank", "potential-short", "potential-float", "measure-short", "measure-blank", "measure-kind"],
+)
+def test_csv_readers_name_the_bad_line(tmp_path, body, line, message):
+    path = tmp_path / "table.csv"
+    path.write_text(body)
+    read = datafiles.read_potential_csv if body.startswith("n,V") else datafiles.read_measure_csv
+    with pytest.raises(ValueError, match=rf"line {line}: .*{message}"):
+        read(path)
+
+
+def test_csv_readers_refuse_a_wrong_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("n,W\n0,1.5\n")
+    with pytest.raises(ValueError, match="unexpected header 'n,W'.*expected 'n,V'"):
+        datafiles.read_potential_csv(path)
+
+
+def test_measure_writer_refuses_a_one_bin_density(tmp_path):
+    mu = SpectralMeasure(np.zeros(0), np.zeros(0), grid_edges=np.array([0.0, 1.0]), density=np.array([1.0]))
+    path = tmp_path / "measure.csv"
+    with pytest.raises(ValueError, match="one-bin density"):
+        datafiles.write_measure_csv(mu, path)
+    assert not path.exists()
+
+
 def test_trajectory_binary_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     states = []

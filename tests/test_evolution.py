@@ -166,6 +166,53 @@ def test_dft_and_bessel_agree_on_wrap_free_window():
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
+def _smallest_7_smooth_at_least(n):
+    """Brute force: the least product 2^a 3^b 5^c 7^d that is >= n."""
+    best = None
+    for a in range(n.bit_length() + 1):
+        for b in range(12):
+            for c in range(8):
+                for d in range(7):
+                    k = 2**a * 3**b * 5**c * 7**d
+                    if k >= n and (best is None or k < best):
+                        best = k
+    return best
+
+
+def test_bessel_route_transforms_at_smallest_7_smooth_length(monkeypatch):
+    # decay-fit's dispersion grid: at every one of these times M + 2 reach has a prime factor above 7
+    M = 4096
+    lengths = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def recording(a, n=None, axis=-1, _real=real, **kw):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return _real(a, n, axis, **kw)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    phi = np.zeros(M, dtype=complex)
+    phi[M // 2] = 1.0
+    for t in np.geomspace(20.0, 800.0, 25):
+        lengths.clear()
+        evolve_free_1d(phi, t, method="bessel_kernel")
+        want = _smallest_7_smooth_at_least(M + 2 * light_cone_reach(t))
+        assert lengths == [want, want, want], t
+
+
+def test_padded_bessel_route_is_the_linear_convolution():
+    rng = np.random.default_rng(3)
+    t = 6.0
+    reach = light_cone_reach(t)
+    M = 93  # M + 2 reach = 179 is prime, so the transforms run longer than the convolution
+    assert reach == 43 and _smallest_7_smooth_at_least(M + 2 * reach) > M + 2 * reach
+    block = np.zeros((3, M), dtype=complex)
+    block[:, reach : M - reach] = rng.standard_normal((3, M - 2 * reach)) + 1j * rng.standard_normal((3, M - 2 * reach))
+    kern = bessel_kernel(t, reach)
+    want = np.array([np.convolve(row, kern)[reach : reach + M] for row in block])
+    np.testing.assert_allclose(evolve_free_1d(block, t, method="bessel_kernel"), want, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("M", [2, 3, 24, 101])
 def test_eigen_method_matches_dirichlet_expm(M):
     rng = np.random.default_rng(1)

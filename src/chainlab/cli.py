@@ -272,6 +272,8 @@ def _cmd_decay_fit(cfg, args) -> int:
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if args.tmax is None and cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
+        if times[-1] <= fit_lo:
+            raise ValueError(f"[time] times end at {times[-1]:g}, at or before fit_lo = {fit_lo:g}: nothing to fit")
     else:
         if not fit_lo < t_hi < np.inf:
             raise ValueError(f"--tmax must be finite and exceed the fit window start {fit_lo:g}")

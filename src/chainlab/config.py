@@ -35,7 +35,6 @@ class Tolerances:
     measure_match: float = 1e-10
     factorization: float = 1e-8
     conservation: float = 1e-9
-    isometry: float = 1e-10
     tail_mass: float = 1e-10
 
     def __post_init__(self):
@@ -59,18 +58,11 @@ class ExperimentConfig:
     times: tuple[float, ...] | None = None
     fit_window: tuple[float, float] = (20.0, 200.0)
     snapshot_every: int = 1
-    seed: int = 0
     output_dir: str = "out"
     binary_snapshots: bool = False
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        # one seed: [potential] seed and the experiment seed are kept coherent,
-        # so a written config re-parses to an equal value
-        if self.potential.seed is not None:
-            object.__setattr__(self, "seed", self.potential.seed)
-        elif self.seed:
-            object.__setattr__(self, "potential", dataclasses.replace(self.potential, seed=self.seed))
         if self.boundary_n not in BOUNDARIES:
             raise ConfigError(f"boundary_n must be one of {BOUNDARIES}")
         if self.m_method not in M_METHODS:
@@ -91,8 +83,6 @@ class ExperimentConfig:
             raise ConfigError("fit window must satisfy 0 <= lo < hi")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
 
     def lattice(self) -> tuple[int, int]:
         """N and M of the lattice commands: DEFAULT_SIZE for a size the config leaves out."""
@@ -205,6 +195,12 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         spacing = _get(parser, "time", "spacing", str, "geometric")
         if t_hi is None:
             raise ConfigError("[time] t_hi is required with t_lo")
+        if samples < 1:
+            raise ConfigError(f"[time] samples must be at least 1, got {samples}")
+        if not (math.isfinite(t_lo) and t_lo >= 0):
+            raise ConfigError(f"[time] t_lo must be finite and nonnegative, got {t_lo!r}")
+        if not (math.isfinite(t_hi) and t_hi >= t_lo):
+            raise ConfigError(f"[time] t_hi must be finite and at least t_lo = {t_lo!r}, got {t_hi!r}")
         if spacing == "geometric":
             if t_lo <= 0:
                 raise ConfigError("[time] geometric spacing needs t_lo > 0")
@@ -233,17 +229,10 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             _get(parser, "time", "fit_hi", float, 200.0),
         ),
         snapshot_every=_get(parser, "time", "snapshot_every", int, 1),
-        seed=_get_seed(parser),
         output_dir=_get(parser, "output", "directory", str, "out"),
         binary_snapshots=_get(parser, "output", "binary_snapshots", _bool, False),
         tolerances=Tolerances(**tol_kwargs),
     )
-
-
-def _get_seed(parser) -> int:
-    # the experiment seed lives in [potential] seed when random_iid, else defaults to 0;
-    # a dedicated [output] key would couple unrelated concerns, the CLI --seed overrides anyway
-    return _get(parser, "potential", "seed", int, None) or 0
 
 
 def parse_config_file(path, overrides=None) -> ExperimentConfig:

@@ -281,23 +281,12 @@ def make_plan(
     return PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
 
 
-def evolve_2d_factorized(
-    state: LatticeState2D,
-    plan: PropagatorPlan,
-    t: float,
-    order: str = "nm",
-) -> LatticeState2D:
-    """Apply the factorized propagator; order only swaps the commuting sweeps."""
+def evolve_2d_factorized(state: LatticeState2D, plan: PropagatorPlan, t: float) -> LatticeState2D:
+    """Apply the factorized propagator: the n-sweep, then the m-sweep (the two commute)."""
     amp = state.amplitudes
     if amp.shape[0] != plan.n_size or amp.shape[1] != plan.m_size:
         raise ValueError(f"state shape {amp.shape} does not match plan ({plan.n_size}, {plan.m_size})")
-    if order not in ("nm", "mn"):
-        raise ValueError("order must be 'nm' or 'mn'")
-    if order == "nm":
-        out = plan.m_sweep(plan.n_sweep(amp, t), t)
-    else:
-        out = plan.n_sweep(plan.m_sweep(amp, t), t)
-    return state.with_amplitudes(out)
+    return state.with_amplitudes(plan.m_sweep(plan.n_sweep(amp, t), t))
 
 
 def _chebyshev_order(z: float, tol: float) -> int:

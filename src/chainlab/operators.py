@@ -68,6 +68,8 @@ class PotentialSpec:
                 raise ValueError("profile samples must be finite")
         if self.family == "random_iid" and self.seed is None:
             raise ValueError("random_iid needs an explicit seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.family == "explicit":
             if not self.values:
                 raise ValueError("explicit potential needs a nonempty values list")

@@ -3,8 +3,13 @@
 Each check evaluates one structural identity of the model on the configured
 lattice and reports a residual against its tolerance; the suite is the
 machine-readable health report, the full evidence lives in the test suite.
-delta_crosscheck, the convolution identity at a site delta, is the one check
-``convolve`` also runs: both commands take it from here.
+Nine checks run, eight above DENSE_SITE_CAP, where convolution_identity is
+left out.  The fault screen in tests/test_verify.py injects faults into the
+sweeps, A1's eigensystem, the measures and H's application: each fault fails
+at least one check, and each check is the only one to fail under some fault
+on some config.  delta_crosscheck, the convolution identity at a site delta,
+is the one check ``convolve`` also runs: both commands take it from here, and
+verify keeps of it measure_mass_delta and convolution_identity.
 """
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import n_fiber_isometry_defect
 from .evolution import PropagatorPlan, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
 from .operators import (
     DENSE_SITE_CAP,
@@ -22,13 +26,9 @@ from .operators import (
     energy_expectation,
     hamiltonian_2d_entries,
     m_symmetries,
-    mixed_l2n_supm,
-    mixed_supm_l2n,
-    sup_norm,
     tensor_state,
 )
 from .spectral import (
-    SpectralMeasure,
     atom_weight_discrepancy,
     convolve_measures,
     dense_measure,
@@ -113,7 +113,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         centre = np.zeros(M)
         centre[M // 2] = 1.0
         reach = check_wrap_free(centre, CHECK_TIMES[-1], plan.tail_tol, ring=False)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(99,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.potential.seed or 0, spawn_key=(99,)))
     results: list[CheckResult] = []
 
     def rand_vec(size):
@@ -138,23 +138,12 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("eigen_gram_n", gram_defect(plan.es1), 1e-10))
 
     # measure mass at the centre delta, and the convolution route against the dense 2D route
-    _, _, conv, mass_defect, direct, _ = delta_crosscheck(plan, N // 2, M // 2, tol.atom_merge)
+    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2, M // 2, tol.atom_merge)
     results.append(CheckResult("measure_mass_delta", abs(conv.total_mass() - 1.0), tol.mass_conservation))
     if direct is not None:
         results.append(
             CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
         )
-    results.append(CheckResult("convolution_mass_product", mass_defect, tol.mass_conservation))
-
-    # mass multiplicativity on random atomic measures
-    worst = 0.0
-    for _ in range(20):
-        e1, w1 = rng.uniform(-4, 4, 12), rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        e2, w2 = rng.uniform(-4, 4, 9), rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        m1, m2 = SpectralMeasure.from_atoms(e1, w1), SpectralMeasure.from_atoms(e2, w2)
-        conv = convolve_measures(m1, m2)
-        worst = max(worst, abs(conv.total_mass() - m1.total_mass() * m2.total_mass()))
-    results.append(CheckResult("mass_multiplicativity_random", worst, tol.mass_conservation))
 
     # factorized against direct propagator, unitarity, energy conservation
     amp0 = psi.amplitudes
@@ -164,7 +153,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         amp0[:, M - reach :] = 0.0
     psi0 = psi.with_amplitudes(amp0 / np.linalg.norm(amp0))
     e0 = energy_expectation(psi0, a1, a2)
-    worst_fact = worst_unit = worst_energy = worst_swap = worst_chain = worst_iso = 0.0
+    worst_fact = worst_unit = worst_energy = 0.0
     for t in CHECK_TIMES:
         psi_f = evolve_2d_factorized(psi0, plan, t)
         psi_d = evolve_2d_direct(psi0, a1, a2, t, "chebyshev").amplitudes
@@ -174,18 +163,9 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
             worst_energy,
             abs(energy_expectation(psi_f, a1, a2) - e0) / max(1.0, abs(e0)),
         )
-        psi_swapped = evolve_2d_factorized(psi0, plan, t, order="mn")
-        worst_swap = max(worst_swap, float(np.abs(psi_f.amplitudes - psi_swapped.amplitudes).max()))
-        chain = (sup_norm(psi_f) - mixed_l2n_supm(psi_f), mixed_l2n_supm(psi_f) - mixed_supm_l2n(psi_f))
-        worst_chain = max(worst_chain, *(max(0.0, v) for v in chain))
-        worst_iso = max(worst_iso, n_fiber_isometry_defect(plan, psi0, t))
     results.append(CheckResult("factorization_vs_direct", worst_fact, tol.factorization))
     results.append(CheckResult("unitarity", worst_unit, tol.conservation))
     results.append(CheckResult("energy_conservation", worst_energy, tol.conservation))
-    results.append(CheckResult("sweep_order_swap", worst_swap, tol.isometry))
-    results.append(CheckResult("mixed_norm_chain", worst_chain, 1e-12))
-    results.append(CheckResult("n_fiber_isometry", worst_iso, tol.isometry))
-
     return results
 
 

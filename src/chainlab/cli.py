@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, help="sites along the potential direction")
         p.add_argument("--M", type=int, help="sites along the free direction")
         p.add_argument("--tmax", type=float, help="largest evolution time")
-        p.add_argument("--family", choices=("constant", "quasiperiodic", "almost_mathieu", "random_iid"))
+        p.add_argument("--family", metavar="NAME", help="potential family: one of operators.FAMILIES but explicit")
         p.add_argument("--amplitude", type=float, help="potential coupling strength")
         p.add_argument("--omega", type=float, help="quasiperiodic frequency")
         p.add_argument("--theta", type=float, help="quasiperiodic phase")
@@ -88,13 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.threads is not None:
         if args.threads < 1:
             print("error: --threads must be positive", file=sys.stderr)
             return 1
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
+    from .operators import FAMILIES  # numpy loads here, once the thread variables are set
+
+    families = tuple(f for f in FAMILIES if f != "explicit")  # explicit takes its values from a file
+    if args.family not in (None, *families):
+        parser.error(f"argument --family: invalid choice: {args.family!r}, not one of {families}")
     try:
         return _run(args)
     except CheckFailure as exc:
@@ -265,20 +271,23 @@ def _cmd_decay_fit(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
+    from .diagnostics import MIN_FIT_SAMPLES, conservation_defects, fit_decay_exponent, fit_samples
+    from .diagnostics import minimal_wrap_free_m, record_decay
     from .operators import delta_vector
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if args.tmax is None and cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
-        if times[-1] <= fit_lo:
-            raise ValueError(f"[time] times end at {times[-1]:g}, at or before fit_lo = {fit_lo:g}: nothing to fit")
+        n_fit = fit_samples(times, fit_lo, fit_hi).size
+        if n_fit < MIN_FIT_SAMPLES:
+            window = f"[fit_lo = {fit_lo:g}, fit_hi = {fit_hi:g}]"
+            raise ValueError(f"[time] times: {n_fit} in the fit window {window}, the fit needs {MIN_FIT_SAMPLES}")
     else:
         if not fit_lo < t_hi < np.inf:
             raise ValueError(f"--tmax must be finite and exceed the fit window start {fit_lo:g}")
         if fit_lo <= 0:
-            raise ValueError("geometric time grid needs a positive fit window start")
+            raise ValueError(f"[time] fit_lo = {fit_lo:g}: the geometric time grid needs a positive fit window start")
         times = np.geomspace(fit_lo, t_hi, DECAY_SAMPLES)
     t_max = float(times[-1])
 

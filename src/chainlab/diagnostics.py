@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, check_wrap_free, light_cone_reach
-from .operators import LatticeState2D, PotentialSpec, _freeze, sample_potential
+from .operators import LatticeState2D, PotentialSpec, _freeze, build_operator_1d, sample_potential
+from .spectral import eigh_tridiagonal
 
 RENORM_BLOCK = 32
 MIN_TRANSFER_LENGTH = 1000
@@ -140,24 +141,28 @@ def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray) -> tuple[fl
     return norm_drift, energy_drift
 
 
+def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Indices of the sample times in the fit window [t_lo, t_hi]; a fit needs MIN_FIT_SAMPLES of them."""
+    return np.flatnonzero((times >= t_lo) & (times <= t_hi))
+
+
 def fit_decay_exponent(trace: DecayTrace, t_lo: float = 20.0, t_hi: float = 200.0) -> DecayFit:
     """Least-squares slope of log sup_norm against log <t> on [t_lo, t_hi]."""
     if not (0.0 <= t_lo < t_hi):
         raise ValueError("need 0 <= t_lo < t_hi")
-    mask = (trace.times >= t_lo) & (trace.times <= t_hi)
-    n = int(mask.sum())
-    if n < MIN_FIT_SAMPLES:
-        raise ValueError(f"only {n} samples in [{t_lo}, {t_hi}], need at least {MIN_FIT_SAMPLES}")
-    sups = trace.sup_norms[mask]
+    window = fit_samples(trace.times, t_lo, t_hi)
+    if window.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"only {window.size} samples in [{t_lo}, {t_hi}], need at least {MIN_FIT_SAMPLES}")
+    sups = trace.sup_norms[window]
     if np.any(sups <= 0):
         raise ValueError("sup norms must be positive on the fit window")
-    x = np.log(time_bracket(trace.times[mask]))
+    x = np.log(time_bracket(trace.times[window]))
     if x.max() - x.min() < 1e-9:
         raise ValueError("fit window is degenerate in log <t>")
     y = np.log(sups)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DecayFit(float(slope), float(np.exp(intercept)), resid, t_lo, t_hi, n)
+    return DecayFit(float(slope), float(np.exp(intercept)), resid, t_lo, t_hi, int(window.size))
 
 
 # -- transfer-matrix growth ---------------------------------------------------
@@ -211,9 +216,6 @@ def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np
     The middle N - 2 (N // 12) eigenvalues are eligible; a count below 1 or
     above that raises ValueError rather than return none or repeat one.
     """
-    from .operators import build_operator_1d
-    from .spectral import eigh_tridiagonal
-
     limit = N - 2 * (N // 12)
     if count < 1:
         raise ValueError(f"count = {count} must be positive")

@@ -14,7 +14,7 @@ from chainlab.config import (
     parse_config,
     write_config,
 )
-from chainlab.operators import PotentialSpec, delta_state, free_operator, sample_potential
+from chainlab.operators import PotentialSpec, cosine_profile, delta_state, free_operator, sample_potential
 from chainlab.spectral import SpectralMeasure, eigh_tridiagonal, spectral_measure_1d
 from dense_reference import record_eigh_rows
 
@@ -43,6 +43,90 @@ def test_round_trip_rich_config():
         tolerances=Tolerances(atom_merge=1e-8, conservation=1e-7),
     )
     assert parse_config(write_config(cfg)) == cfg
+
+
+RICH_TEXT = """\
+[potential]
+family = almost_mathieu
+amplitude = 3.0
+omega = 0.6180339887498949
+theta = 0.25
+seed = 7
+
+[lattice]
+n = 48
+m = 96
+boundary_n = dirichlet
+n0 = -10
+m0 = -48
+m_method = dft_multiplier
+
+[time]
+times = 0.0, 1.0, 2.5
+fit_lo = 10.0
+fit_hi = 150.0
+snapshot_every = 2
+
+[output]
+directory = artifacts
+binary_snapshots = true
+
+[tolerances]
+atom_merge = 1e-08
+mass_conservation = 1e-10
+measure_match = 1e-10
+factorization = 1e-08
+conservation = 1e-07
+tail_mass = 1e-10
+"""
+
+
+def test_write_config_text_of_the_rich_config_is_pinned():
+    cfg = ExperimentConfig(
+        potential=PotentialSpec("almost_mathieu", amplitude=3, theta=0.25, seed=7),  # amplitude 3 is written 3.0
+        N=48,
+        M=96,
+        n0=-10,
+        m0=-48,
+        times=(0, 1, 2.5),
+        fit_window=(10, 150),
+        snapshot_every=2,
+        output_dir="artifacts",
+        binary_snapshots=True,
+        tolerances=Tolerances(atom_merge=1e-8, conservation=1e-7),
+    )
+    assert write_config(cfg) == RICH_TEXT
+    assert write_config(parse_config(RICH_TEXT)) == RICH_TEXT
+
+
+def test_round_trip_sets_every_key_to_a_non_default_value():
+    cfg = ExperimentConfig(
+        potential=PotentialSpec(
+            "quasiperiodic", amplitude=1.5, omega=0.3, theta=-0.7, profile=cosine_profile(16), seed=11,
+            values=(1.0, -2.0),
+        ),
+        N=12,
+        M=20,
+        boundary_n="periodic",
+        n0=-3,
+        m0=-7,
+        m_method="eigen",
+        times=(0.5, 2.0),
+        fit_window=(1.0, 9.0),
+        snapshot_every=3,
+        output_dir="elsewhere",
+        binary_snapshots=True,
+        tolerances=Tolerances(
+            atom_merge=2e-9, mass_conservation=2e-10, measure_match=3e-10, factorization=4e-8, conservation=5e-9,
+            tail_mass=6e-10,
+        ),
+    )
+    text = write_config(cfg)
+    assert parse_config(text) == cfg
+    # every one of the 19 keys and 6 tolerances is written, none with its default line
+    lines = [line for line in text.splitlines() if " = " in line]
+    assert len(lines) == 25
+    assert not set(lines) & set(write_config(ExperimentConfig()).splitlines())
 
 
 def test_round_trip_explicit_values():
@@ -805,6 +889,52 @@ def test_cli_refused_flag_names_its_key(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, text, message",
+    [
+        ("spectrum", ["--N", "1"], "", "[lattice] n must be at least 2, got 1"),
+        ("spectrum", ["--M", "1"], "", "[lattice] m must be at least 2, got 1"),
+        ("spectrum", [], "[lattice]\nboundary_n = moebius\n", "[lattice] boundary_n must be one of"),
+        ("spectrum", [], "[lattice]\nm_method = fft\n", "[lattice] m_method must be one of"),
+        ("spectrum", [], "[time]\nfit_lo = 30\nfit_hi = 20\n", "[time] fit_lo = 30.0 and fit_hi = 20.0 must"),
+        ("spectrum", [], "[time]\nfit_lo = -1\n", "[time] fit_lo = -1.0 and fit_hi = 200.0 must"),
+        ("spectrum", [], "[time]\nsnapshot_every = 0\n", "[time] snapshot_every must be at least 1, got 0"),
+        ("decay-fit", ["--N", "8"], "[time]\nfit_lo = 0\n", "[time] fit_lo = 0: the geometric time grid"),
+    ],
+    ids=["n", "m", "boundary_n", "m_method", "fit_lo-above-fit_hi", "fit_lo-negative", "snapshot_every",
+         "fit_lo-zero-decay-fit"],
+)
+def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text, message):
+    # [time] times and a non-finite fit_lo or fit_hi are refused by name in the tests above
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_explicit_potential_outside_its_values_names_the_keys(tmp_path, capsys):
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text("[potential]\nfamily = explicit\nvalues = 1, 2, 3\n")
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: [potential] values cover n in [0, 3), but [lattice] n = 16 and n0 put the window at [-8, 7]" in err
+    assert not any(out.iterdir())
+    cfg.write_text("[potential]\nfamily = explicit\nvalues = 1, 2, 3\n[lattice]\nn = 3\nn0 = 0\n")
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_family_flag_refuses_explicit(tmp_path, capsys):
+    # explicit takes its values from a config file, which a family flag would drop
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--family", "explicit", "--out", str(tmp_path / "s")])
+    assert exc.value.code == 1
+    assert "invalid choice: 'explicit'" in capsys.readouterr().err
+    assert cli.main(["spectrum", "--family", "almost_mathieu", "--N", "8", "--out", str(tmp_path / "s")]) == 0
+
+
 def test_cli_threads_sets_the_five_thread_variables(tmp_path, monkeypatch):
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS")
@@ -854,9 +984,12 @@ def test_cli_decay_fit_samples_the_config_times_without_tmax(tmp_path):
     assert (fit["window"], fit["n_samples"]) == ([20.0, times[-1]], 10)
 
 
-@pytest.mark.parametrize("times", ["1, 2, 3, 4, 5, 6, 7, 8, 9, 10", "10, 20"], ids=["before", "at"])
+@pytest.mark.parametrize(
+    "times", ["1, 2, 3, 4, 5, 6, 7, 8, 9, 10", "10, 20", "1, 5, 10, 21"], ids=["before", "at", "one-inside"]
+)
 def test_cli_decay_fit_refuses_times_that_end_by_fit_lo(tmp_path, capsys, monkeypatch, times):
-    # the default fit window starts at fit_lo = 20: a grid ending there leaves nothing to fit
+    # the default fit window starts at fit_lo = 20: a grid with fewer than MIN_FIT_SAMPLES
+    # times from there on leaves too little to fit, and is refused before any trace
     calls = []
     monkeypatch.setattr(diagnostics, "record_decay", lambda *args: calls.append(args))
     cfg = tmp_path / "early.cfg"
@@ -864,7 +997,7 @@ def test_cli_decay_fit_refuses_times_that_end_by_fit_lo(tmp_path, capsys, monkey
     out = tmp_path / "d"
     assert cli.main(["decay-fit", "--config", str(cfg), "--N", "8", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "[time] times end at" in err and "fit_lo = 20" in err
+    assert "[time] times" in err and "fit_lo = 20" in err
     assert calls == [] and not any(out.iterdir())
 
 

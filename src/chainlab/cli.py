@@ -279,10 +279,10 @@ def _cmd_decay_fit(cfg, args) -> int:
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if args.tmax is None and cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
-        n_fit = fit_samples(times, fit_lo, fit_hi).size
+        n_fit = len(set(times[fit_samples(times, fit_lo, fit_hi)]))  # a repeated time adds no sample
         if n_fit < MIN_FIT_SAMPLES:
-            window = f"[fit_lo = {fit_lo:g}, fit_hi = {fit_hi:g}]"
-            raise ValueError(f"[time] times: {n_fit} in the fit window {window}, the fit needs {MIN_FIT_SAMPLES}")
+            window = f"the fit window [fit_lo = {fit_lo:g}, fit_hi = {fit_hi:g}]"
+            raise ValueError(f"[time] times: {n_fit} distinct in {window}, the fit needs {MIN_FIT_SAMPLES}")
     else:
         if not fit_lo < t_hi < np.inf:
             raise ValueError(f"--tmax must be finite and exceed the fit window start {fit_lo:g}")
@@ -327,8 +327,14 @@ def _cmd_lyapunov(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .diagnostics import lyapunov_scan, truncation_energies
+    from .diagnostics import TRUNCATION_SITES, lyapunov_scan, truncation_energies
 
+    need, values = max(args.length, TRUNCATION_SITES), cfg.potential.values
+    if cfg.potential.family == "explicit" and len(values) < need:
+        raise ValueError(
+            f"[potential] values cover n in [0, {len(values)}), but lyapunov reads [0, {need}): "
+            f"--length {args.length} sites and the {TRUNCATION_SITES}-site truncation"
+        )
     energies = truncation_energies(cfg.potential, count=args.count)
     gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))

@@ -25,6 +25,7 @@ from .spectral import eigh_tridiagonal
 RENORM_BLOCK = 32
 MIN_TRANSFER_LENGTH = 1000
 MIN_FIT_SAMPLES = 8
+TRUNCATION_SITES = 512  # sites of the dirichlet truncation whose eigenvalues the lyapunov scan samples
 
 
 def time_bracket(t):
@@ -210,7 +211,7 @@ def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
     return _growth_numpy(V, energies)
 
 
-def truncation_energies(spec: PotentialSpec, N: int = 512, count: int = 8) -> np.ndarray:
+def truncation_energies(spec: PotentialSpec, N: int = TRUNCATION_SITES, count: int = 8) -> np.ndarray:
     """count distinct mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling.
 
     The middle N - 2 (N // 12) eigenvalues are eligible; a count below 1 or

@@ -26,7 +26,6 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 FAMILIES = ("constant", "quasiperiodic", "almost_mathieu", "random_iid", "explicit")
 BOUNDARIES = ("dirichlet", "periodic")
 
-_IID_BLOCK = 4096  # sites drawn per counter-based RNG block
 DENSE_SITE_CAP = 4096  # most sites of an operator the lab solves densely (2D sectors, periodic chains)
 
 
@@ -41,7 +40,7 @@ class PotentialSpec:
 
     amplitude is the single numeric knob of each family: the value c for
     ``constant``, the prefactor a for the quasiperiodic families, and the
-    half-width w for ``random_iid`` (values uniform in [-w, w]).
+    half-width w for ``random_iid`` (values uniform in [-w, w), seed in [0, 2^64)).
     ``explicit`` potentials are anchored at n = 0.
     """
 
@@ -68,8 +67,8 @@ class PotentialSpec:
                 raise ValueError("profile samples must be finite")
         if self.family == "random_iid" and self.seed is None:
             raise ValueError("random_iid needs an explicit seed")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must {'be nonnegative' if self.seed < 0 else 'lie below 2^64'}, got {self.seed}")
         if self.family == "explicit":
             if not self.values:
                 raise ValueError("explicit potential needs a nonempty values list")
@@ -112,22 +111,23 @@ class Potential1D:
         return self.values.size
 
 
-def _iid_uniform(seed: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Uniform [-1, 1] values for sites n in [n_lo, n_hi), deterministic per (seed, n).
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place: a bijection of uint64 (Steele, Lea and Flood, 2014)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
-    Values are drawn in fixed blocks of _IID_BLOCK sites keyed by the block
-    index, so the sequence at a site does not depend on the requested window.
-    """
-    lo_block = math.floor(n_lo / _IID_BLOCK)
-    hi_block = math.floor((n_hi - 1) / _IID_BLOCK)
-    chunks = []
-    for block in range(lo_block, hi_block + 1):
-        key = 2 * block if block >= 0 else -2 * block - 1
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
-        chunks.append(np.random.default_rng(ss).uniform(-1.0, 1.0, _IID_BLOCK))
-    full = np.concatenate(chunks)
-    offset = n_lo - lo_block * _IID_BLOCK
-    return full[offset : offset + (n_hi - n_lo)]
+
+def _iid_uniform(seed: int, n_lo: int, n_hi: int) -> np.ndarray:
+    """Uniform [-1, 1) values at sites n in [n_lo, n_hi): step n of a SplitMix64 stream keyed by the
+    hashed seed.  All operands are uint64: numpy 1.x promotes uint64 with int to float64."""
+    gamma = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2^64 / golden ratio
+    key = _mix64(np.array([seed], dtype=np.uint64) + gamma)
+    z = _mix64(np.arange(n_lo, n_hi, dtype=np.int64).view(np.uint64) * gamma + key)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0  # the top 53 bits
 
 
 def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> Potential1D:

@@ -879,8 +879,12 @@ def test_cli_seed_alone_reseeds_a_random_iid_config(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--amplitude", "inf", "amplitude must be finite"), ("--seed", "-1", "seed must be nonnegative, got -1")],
-    ids=["amplitude", "seed"],
+    [
+        ("--amplitude", "inf", "amplitude must be finite"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--seed", str(2**64), f"seed must lie below 2^64, got {2**64}"),
+    ],
+    ids=["amplitude", "seed", "seed-2^64"],
 )
 def test_cli_refused_flag_names_its_key(tmp_path, capsys, flag, value, message):
     out = tmp_path / "s"
@@ -985,11 +989,13 @@ def test_cli_decay_fit_samples_the_config_times_without_tmax(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "times", ["1, 2, 3, 4, 5, 6, 7, 8, 9, 10", "10, 20", "1, 5, 10, 21"], ids=["before", "at", "one-inside"]
+    "times",
+    ["1, 2, 3, 4, 5, 6, 7, 8, 9, 10", "10, 20", "1, 5, 10, 21", "10, 20, 20, 20, 20, 20, 20, 20, 20"],
+    ids=["before", "at", "one-inside", "repeated"],
 )
 def test_cli_decay_fit_refuses_times_that_end_by_fit_lo(tmp_path, capsys, monkeypatch, times):
     # the default fit window starts at fit_lo = 20: a grid with fewer than MIN_FIT_SAMPLES
-    # times from there on leaves too little to fit, and is refused before any trace
+    # distinct times from there on leaves too little to fit, and is refused before any trace
     calls = []
     monkeypatch.setattr(diagnostics, "record_decay", lambda *args: calls.append(args))
     cfg = tmp_path / "early.cfg"
@@ -1006,6 +1012,26 @@ def test_cli_lyapunov_length_below_the_minimum_is_a_validation_error(tmp_path, c
     assert cli.main(["lyapunov", "--length", "999", "--count", "2", "--out", str(out)]) == 1
     assert "transfer length 999 is below the minimum 1000" in capsys.readouterr().err
     assert not (out / "lyapunov.csv").exists()
+
+
+def test_cli_lyapunov_refuses_explicit_values_short_of_its_window(tmp_path, capsys, monkeypatch):
+    # the scan reads [0, --length) and the energies come from a 512-site truncation;
+    # values short of either are refused by key before any eigensolve or scan
+    calls = []
+    monkeypatch.setattr(diagnostics, "truncation_energies", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(diagnostics, "lyapunov_scan", lambda *args, **kw: calls.append(args))
+    cfg = tmp_path / "explicit.cfg"
+    out = tmp_path / "l"
+    for values, need in ((3, 1000), (999, 1000), (1000, 1200)):
+        cfg.write_text("[potential]\nfamily = explicit\nvalues = " + ", ".join(["0.5"] * values) + "\n")
+        argv = ["lyapunov", "--config", str(cfg), "--length", str(need), "--count", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert f"error: [potential] values cover n in [0, {values}), but lyapunov reads [0, {need})" in (
+            capsys.readouterr().err
+        )
+    assert calls == [] and not any(out.iterdir())
+    monkeypatch.undo()
+    assert cli.main(["lyapunov", "--config", str(cfg), "--length", "1000", "--count", "2", "--out", str(out)]) == 0
 
 
 def test_cli_validation_exit_codes(tmp_path):

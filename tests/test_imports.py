@@ -107,3 +107,14 @@ def test_short_chain_commands_never_load_scipy_linalg(tmp_path):
 def test_commands_without_a_verify_check_leave_verify_unloaded(tmp_path, argv):
     # CheckFailure lives in cli, so only convolve and verify load chainlab.verify
     assert _loaded_after(argv + ["--out", "o"], tmp_path, ("chainlab.verify",)) == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--N", "16"], ["convolve", "--N", "8", "--M", "8"]],
+    ids=lambda argv: argv[0],
+)
+def test_random_iid_commands_leave_numpy_random_unloaded(tmp_path, argv):
+    # a random_iid value is a hash of (seed, n) in uint64 arithmetic, with no generator
+    argv = argv + ["--family", "random_iid", "--amplitude", "2", "--seed", "7", "--out", "o"]
+    assert _loaded_after(argv, tmp_path, ("numpy.random",)) == "0 []"

@@ -58,11 +58,61 @@ def test_quasiperiodic_cosine_profile_matches_almost_mathieu():
     np.testing.assert_allclose(vq, va, atol=1e-9)
 
 
-def test_random_iid_is_window_independent():
+@pytest.mark.parametrize(
+    "window", [(-7, 13), (4090, 4100), (-4100, -4090), (-4096, 4096)], ids=["cross-0", "cross+4096", "cross-4096", "wide"]
+)
+def test_random_iid_is_window_independent(window):
     spec = PotentialSpec("random_iid", amplitude=1.0, seed=42)
     wide = sample_potential(spec, (-5000, 5000)).values
-    narrow = sample_potential(spec, (-7, 13)).values
-    np.testing.assert_array_equal(narrow, wide[5000 - 7 : 5000 + 13])
+    narrow = sample_potential(spec, window).values
+    np.testing.assert_array_equal(narrow, wide[5000 + window[0] : 5000 + window[1]])
+
+
+_U64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64_reference(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _U64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _U64
+    return z ^ (z >> 31)
+
+
+def _iid_reference(seed: int, n: int) -> float:
+    """Site n's uniform value in Python integers: SplitMix64 step n, keyed by SplitMix64's first output for seed."""
+    key = _mix64_reference((seed + _GAMMA) & _U64)
+    return (_mix64_reference((key + n * _GAMMA) & _U64) >> 11) * 2.0**-52 - 1.0
+
+
+def test_random_iid_golden_values():
+    # pinned bits: a numpy that promotes or wraps uint64 otherwise (before NEP 50) moves them
+    assert _mix64_reference(_GAMMA) == 0xE220A8397B1DCDAF  # SplitMix64's published first output for seed 0
+    golden = {
+        -4097: 0.04561519617988097,
+        -1: -0.8302488905201273,
+        0: 0.3954726832315554,
+        1: -0.31341615580265314,
+        4096: -0.3150008739561849,
+        2**40: 0.16780343438954026,
+    }
+    spec = PotentialSpec("random_iid", amplitude=1.0, seed=42)
+    got = {n: sample_potential(spec, (n, n + 1)).values[0] for n in golden}
+    assert got == golden
+    assert got == {n: _iid_reference(42, n) for n in golden}
+    top = PotentialSpec("random_iid", amplitude=1.0, seed=2**64 - 1)
+    assert sample_potential(top, (-3, 3)).values.tolist() == [_iid_reference(2**64 - 1, n) for n in range(-3, 3)]
+
+
+def test_random_iid_moments_and_correlations_lie_within_six_sigma():
+    # iid uniform on [-1, 1): mean 0 (sd sqrt(1/3n)), mean square 1/3 (sd sqrt((1/5 - 1/9)/n)),
+    # and a lag-1 or cross-seed correlation with sd 1/sqrt(n) -- none read off a run
+    n = 1 << 20
+    x = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=0), (-n // 2, n // 2)).values
+    y = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=1), (-n // 2, n // 2)).values
+    assert abs(x.mean()) <= 6 * np.sqrt(1 / (3 * n))
+    assert abs(np.mean(x * x) - 1 / 3) <= 6 * np.sqrt((1 / 5 - 1 / 9) / n)
+    assert abs(np.mean(x[:-1] * x[1:]) * 3) <= 6 / np.sqrt(n - 1)
+    assert abs(np.mean(x * y) * 3) <= 6 / np.sqrt(n)
 
 
 def test_random_iid_amplitude_scales_and_bounds():
@@ -98,6 +148,8 @@ def test_explicit_window_must_fit():
         dict(family="explicit", amplitude=1.0),  # values required
         dict(family="quasiperiodic", amplitude=1.0, profile=(1.0, 2.0)),  # too few samples
         dict(family="constant", amplitude=float("nan")),
+        dict(family="random_iid", amplitude=1.0, seed=2**64),  # the hash keys on 64 bits: 2^64 would alias 0
+        dict(family="random_iid", amplitude=1.0, seed=2**128 + 1),
     ],
 )
 def test_bad_specs_are_rejected(kwargs):

@@ -8,7 +8,6 @@ builds the corresponding operators, and checks the split structure.
 import numpy as np
 
 from chainlab import (
-    LatticeState2D,
     PotentialSpec,
     almost_mathieu,
     apply_h2d,
@@ -19,7 +18,6 @@ from chainlab import (
     energy_expectation,
     free_operator,
     sample_potential,
-    tensor_state,
 )
 
 rng = np.random.default_rng(0)
@@ -67,8 +65,8 @@ print("\n== the split 2D Hamiltonian ==")
 # on a pure tensor chi (x) phi the two parts act independently
 chi = rng.standard_normal(32)
 phi = rng.standard_normal(24)
-psi = tensor_state(chi, phi)
-h_psi = apply_h2d(psi, a1, a2).amplitudes
+psi = np.outer(chi, phi)                           # a 2D state is a plain N x M array
+h_psi = apply_h2d(psi, a1, a2)
 split = np.outer(a1.apply(chi), phi) + np.outer(chi, a2.apply(phi))
 print(f"separability residual on a pure tensor: {np.abs(h_psi - split).max():.2e}")
 
@@ -76,7 +74,6 @@ delta = delta_state(32, 24)
 print(f"delta state energy <psi, H psi> = {energy_expectation(delta, a1, a2):.6f}"
       f" (equals V at the origin: {pot.values[16]:.6f})")
 
-amp = rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))
-psi = LatticeState2D(amp)
-quad = np.vdot(psi.amplitudes, apply_h2d(psi, a1, a2).amplitudes)
+psi = rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))
+quad = np.vdot(psi, apply_h2d(psi, a1, a2))
 print(f"hermiticity, imaginary part of <psi, H psi>: {abs(quad.imag):.2e}")

@@ -58,8 +58,8 @@ print("  (width saturates and the peak amplitude never decays)")
 print("\n== the 2D model with the same potential still disperses ==")
 T_MAX = 80.0
 M = 1 << (minimal_wrap_free_m(T_MAX, 1) - 1).bit_length()
-psi0 = delta_state(96, M)
-a1 = build_operator_1d(sample_potential(spec, (psi0.n0, psi0.n0 + 96)))
+psi0 = delta_state(96, M)  # the origin at index (48, M // 2)
+a1 = build_operator_1d(sample_potential(spec, (-48, 48)))
 plan = make_plan(a1, "dft_multiplier", M)
 times = np.geomspace(2.0, T_MAX, 18)
 trace = record_decay(plan, delta_vector(96), delta_vector(M), times)
@@ -67,7 +67,7 @@ fit = fit_decay_exponent(trace, 10.0, T_MAX)
 print(f"  sup-norm exponent along the trajectory: {fit.exponent:+.4f} (free value -1/3)")
 
 psi_late = evolve_2d_factorized(psi0, plan, T_MAX)
-mom = spreading_moments(psi_late, origin=(0.0, 0.0))
+mom = spreading_moments(psi_late, origin=(48, M // 2))  # index coordinates
 print(
     f"  at t = {T_MAX}: <m^2> = {mom.m_second_moment:9.1f} (ballistic 2t^2 = {2 * T_MAX**2:.0f}),  "
     f"<n^2> = {mom.n_second_moment:7.2f} (frozen)"

@@ -19,7 +19,6 @@ _EXPORTS = {
         "PotentialSpec",
         "Potential1D",
         "Operator1D",
-        "LatticeState2D",
         "cosine_profile",
         "constant_potential",
         "almost_mathieu",
@@ -28,16 +27,10 @@ _EXPORTS = {
         "free_operator",
         "delta_vector",
         "delta_state",
-        "tensor_state",
         "apply_h2d",
         "hamiltonian_2d_entries",
         "m_symmetries",
         "energy_expectation",
-        "l2_norm",
-        "l1_norm",
-        "sup_norm",
-        "mixed_l2n_supm",
-        "mixed_supm_l2n",
     ),
     "spectral": (
         "ATOM_MERGE_TOL",

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, metavar="K", help="BLAS/OpenMP thread count")
         p.add_argument("--N", type=int, help="sites along the potential direction")
         p.add_argument("--M", type=int, help="sites along the free direction")
-        p.add_argument("--tmax", type=float, help="largest evolution time")
+        p.add_argument("--tmax", type=float, help="largest evolution time, in place of [time] times")
         p.add_argument("--family", metavar="NAME", help="potential family: one of operators.FAMILIES but explicit")
         p.add_argument("--amplitude", type=float, help="potential coupling strength")
         p.add_argument("--omega", type=float, help="quasiperiodic frequency")
@@ -119,6 +119,8 @@ def _run(args) -> int:
 
     flags = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items() if getattr(args, flag) is not None}
     cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
+    if args.tmax is not None and cfg.times is not None and args.command in ("evolve", "decay-fit"):
+        raise ValueError("--tmax cannot be combined with [time] times: give one or the other")
     os.makedirs(cfg.output_dir, exist_ok=True)
     handler = {
         "spectrum": _cmd_spectrum,
@@ -206,12 +208,12 @@ def _cmd_convolve(cfg, args) -> int:
 def _evolve_times(cfg, args):
     import numpy as np
 
+    if cfg.times is not None:
+        return np.asarray(cfg.times, dtype=float)
     if args.tmax is not None:
         if not 0 < args.tmax < np.inf:
             raise ValueError("--tmax must be positive and finite")
         return np.linspace(0.0, args.tmax, 11)
-    if cfg.times is not None:
-        return np.asarray(cfg.times, dtype=float)
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
@@ -231,25 +233,26 @@ def _cmd_evolve(cfg, args) -> int:
     from . import datafiles
     from .diagnostics import conservation_defects
     from .evolution import evolve_2d_factorized
-    from .operators import delta_state, energy_expectation, l2_norm
+    from .operators import delta_state, energy_expectation, origin_index
 
     N, M = cfg.lattice()
     psi0 = delta_state(N, M, cfg.n0, cfg.m0)
+    start = (-origin_index("n0", cfg.n0, N), -origin_index("m0", cfg.m0, M))
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     times = _evolve_times(cfg, args)
 
     states = [evolve_2d_factorized(psi0, plan, t) for t in times]
     l2_drift, energy_drift = conservation_defects(
-        np.array([l2_norm(s) for s in states]),
+        np.array([np.linalg.norm(s) for s in states]),
         np.array([energy_expectation(s, a1, a2) for s in states]),
     )
 
     keep = slice(None, None, cfg.snapshot_every)
     if cfg.binary_snapshots:
-        datafiles.write_trajectory_binary(times[keep], states[keep], _out(cfg, "trajectory.bin"))
+        datafiles.write_trajectory_binary(times[keep], states[keep], start, _out(cfg, "trajectory.bin"))
     else:
-        datafiles.write_trajectory_csv(times[keep], states[keep], _out(cfg, "trajectory.csv"))
+        datafiles.write_trajectory_csv(times[keep], states[keep], start, _out(cfg, "trajectory.csv"))
     tol = cfg.tolerances.conservation
     datafiles.write_json(
         {
@@ -277,7 +280,7 @@ def _cmd_decay_fit(cfg, args) -> int:
 
     fit_lo, fit_hi = cfg.fit_window
     t_hi = args.tmax if args.tmax is not None else fit_hi
-    if args.tmax is None and cfg.times is not None:
+    if cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
         n_fit = len(set(times[fit_samples(times, fit_lo, fit_hi)]))  # a repeated time adds no sample
         if n_fit < MIN_FIT_SAMPLES:

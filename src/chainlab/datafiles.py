@@ -6,6 +6,12 @@ shortest round-trip form) and rows keep a fixed order: identical inputs
 produce byte-identical files.  The readers parse through csv.reader, the
 writer's dialect, and name the line of any row they refuse.
 
+A trajectory is a list of N x M state arrays, one per time, with the
+window start (n0, m0), the physical site of index (0, 0), passed beside
+them: the CSV rows and the binary header carry it, and
+read_trajectory_binary returns it.  Both writers check, before the file is
+opened, that there is one snapshot per time and that all share one shape.
+
 Binary trajectory layout (little endian):
     8s  magic  b"CHAINLB1"
     I   version (1)
@@ -24,7 +30,7 @@ import struct
 import numpy as np
 
 from .diagnostics import DecayFit, DecayTrace
-from .operators import LatticeState2D, Potential1D
+from .operators import Potential1D
 from .spectral import SpectralMeasure
 
 MAGIC = b"CHAINLB1"
@@ -122,34 +128,44 @@ def read_measure_csv(path) -> SpectralMeasure:
     return SpectralMeasure(np.array(atoms_e), np.array(atoms_w), grid_edges=edges, density=density)
 
 
-def write_trajectory_csv(times, states: list[LatticeState2D], path) -> None:
-    def rows():  # one row per site, row-major (n, m), one line of fixed n at a time
+def _snapshot_shape(times, states) -> tuple[int, int]:
+    """The (N, M) of a trajectory's snapshots: one per time, all of one 2D shape, or ValueError."""
+    if len(states) != len(times) or not states:
+        raise ValueError(f"need one state per time, got {len(states)} states for {len(times)} times")
+    shape = np.shape(states[0])
+    if len(shape) != 2 or any(np.shape(s) != shape for s in states):
+        raise ValueError("all snapshots must share one N x M shape")
+    return shape
+
+
+def write_trajectory_csv(times, states, start, path) -> None:
+    """One row per site of each N x M snapshot; start = (n0, m0) is the site of index (0, 0)."""
+    N, M = _snapshot_shape(times, states)
+    n0, m0 = start
+    m = np.arange(m0, m0 + M)
+
+    def rows():  # row-major (n, m), one line of fixed n at a time
         for t, state in zip(times, states):
-            m = state.m_coords()
-            t_col = np.full(m.size, t, dtype=float)
-            for n, amp in zip(state.n_coords(), state.amplitudes):
-                yield from _rows(t_col, np.full(m.size, n), m, amp.real, amp.imag)
+            t_col = np.full(M, t, dtype=float)
+            for n, amp in zip(range(n0, n0 + N), state):
+                yield from _rows(t_col, np.full(M, n), m, amp.real, amp.imag)
 
     _write_csv(path, "t,n,m,re,im", rows())
 
 
-def write_trajectory_binary(times, states: list[LatticeState2D], path) -> None:
+def write_trajectory_binary(times, states, start, path) -> None:
+    """The binary layout above; start = (n0, m0) is the site of index (0, 0)."""
     times = np.asarray(times, dtype=float)
-    if len(states) != times.size or not states:
-        raise ValueError("need one state per time")
-    N, M = states[0].shape
-    n0, m0 = states[0].n0, states[0].m0
-    if any(s.shape != (N, M) or (s.n0, s.m0) != (n0, m0) for s in states):
-        raise ValueError("all snapshots must share one window")
+    N, M = _snapshot_shape(times, states)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, 1, 1, times.size, N, M, n0, m0))
+        fh.write(_HEADER.pack(MAGIC, 1, 1, times.size, N, M, *start))
         fh.write(times.astype("<f8").tobytes())
         for state in states:
-            fh.write(state.amplitudes.astype("<c16").tobytes())
+            fh.write(np.asarray(state, dtype="<c16").tobytes())
 
 
-def read_trajectory_binary(path) -> tuple[np.ndarray, list[LatticeState2D]]:
-    """The times and snapshots of a trajectory file.
+def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[int, int]]:
+    """The times, the N x M snapshots and the start (n0, m0) of a trajectory file.
 
     ValueError unless the file has exactly the 56 + 8 T + 16 T N M bytes its header gives.
     """
@@ -166,11 +182,8 @@ def read_trajectory_binary(path) -> tuple[np.ndarray, list[LatticeState2D]]:
         if size != expected:
             raise ValueError(f"trajectory file of {T} snapshots of {N}x{M} sites needs {expected} bytes, has {size}")
         times = np.frombuffer(fh.read(8 * T), dtype="<f8")
-        states = []
-        for _ in range(T):
-            raw = np.frombuffer(fh.read(16 * N * M), dtype="<c16")
-            states.append(LatticeState2D(raw.reshape(N, M), n0=n0, m0=m0))
-    return times, states
+        states = list(np.frombuffer(fh.read(16 * T * N * M), dtype="<c16").reshape(T, N, M))
+    return times, states, (n0, m0)
 
 
 def write_trace_csv(trace: DecayTrace, path) -> None:

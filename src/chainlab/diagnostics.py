@@ -10,7 +10,12 @@ takes its two 1D factors; no N x M array is ever formed.  The propagator
 keeps the product form, e^{iHt}(chi (x) phi) = (e^{iA1 t} chi) (x)
 (e^{i(-Delta)t} phi), so every norm and the energy of psi(t) follow from the
 two evolved factors: a sample costs O(N^2 + M log M) under every m-sweep
-instead of a full O(N^2 M) step.
+instead of a full O(N^2 M) step.  On a product state the two mixed norms
+coincide, ||u||_2 ||w||_inf, so the trace's l2n_supm and supm_l2n columns
+hold the same value.
+
+n_fiber_isometry_defect and spreading_moments take a full state, a plain
+N x M array; spreading_moments works in index coordinates (row i, column j).
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, check_wrap_free, light_cone_reach
-from .operators import LatticeState2D, PotentialSpec, _freeze, build_operator_1d, sample_potential
+from .operators import PotentialSpec, _freeze, build_operator_1d, sample_potential
 from .spectral import eigh_tridiagonal
 
 RENORM_BLOCK = 32
@@ -122,13 +127,13 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
     )
 
 
-def n_fiber_isometry_defect(plan: PropagatorPlan, psi0: LatticeState2D, t: float) -> float:
-    """max_m | ||psi(t)[:, m]||_2 - ||(m-sweep only)[:, m]||_2 |.
+def n_fiber_isometry_defect(plan: PropagatorPlan, psi0: np.ndarray, t: float) -> float:
+    """max_m | ||psi(t)[:, m]||_2 - ||(m-sweep only)[:, m]||_2 | for an N x M state psi0.
 
     The n-sweep is an isometry on every column, so the two column-norm
     profiles must coincide.
     """
-    half = plan.m_sweep(psi0.amplitudes, t)
+    half = plan.m_sweep(psi0, t)
     full = plan.n_sweep(half, t)
     return float(np.abs(np.linalg.norm(full, axis=0) - np.linalg.norm(half, axis=0)).max())
 
@@ -148,7 +153,7 @@ def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
 
 
 def fit_decay_exponent(trace: DecayTrace, t_lo: float = 20.0, t_hi: float = 200.0) -> DecayFit:
-    """Least-squares slope of log sup_norm against log <t> on [t_lo, t_hi]."""
+    """Least-squares slope of log sup_norms against log <t> on [t_lo, t_hi]."""
     if not (0.0 <= t_lo < t_hi):
         raise ValueError("need 0 <= t_lo < t_hi")
     window = fit_samples(trace.times, t_lo, t_hi)
@@ -227,14 +232,18 @@ def truncation_energies(spec: PotentialSpec, N: int = TRUNCATION_SITES, count: i
     return es.eigenvalues[idx]
 
 
-def spreading_moments(state: LatticeState2D, origin: tuple[float, float] | None = None) -> SpreadingMoments:
-    """Second moments of |psi|^2 about ``origin`` (the state's centroid when omitted)."""
-    p = np.abs(state.amplitudes) ** 2
+def spreading_moments(state: np.ndarray, origin: tuple[float, float] | None = None) -> SpreadingMoments:
+    """Second moments of |psi|^2 of an N x M state about ``origin`` (its centroid when omitted).
+
+    Coordinates are array indices: row i is n = i and column j is m = j, so
+    a physical origin goes in as its index, origin_index's value.
+    """
+    p = np.abs(state) ** 2
     total = p.sum()
     if total <= 0:
         raise ValueError("state is identically zero")
-    n = state.n_coords().astype(float)
-    m = state.m_coords().astype(float)
+    n = np.arange(p.shape[0], dtype=float)
+    m = np.arange(p.shape[1], dtype=float)
     pn = p.sum(axis=1) / total
     pm = p.sum(axis=0) / total
     if origin is None:

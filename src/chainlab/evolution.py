@@ -8,7 +8,9 @@ constant along m, the full propagator splits exactly into commuting factors
 applied fiber by fiber; evolve_2d_factorized never forms a 2D matrix.
 evolve_2d_direct is the non-factorized reference route: ``method`` picks a
 dense eigensolve of H's symmetry sectors (the solver of spectral's dense
-oracle) or a Chebyshev expansion certified to CHEB_TOL.
+oracle) or a Chebyshev expansion certified to CHEB_TOL.  Both 2D routes
+take a state as a plain N x M array and return a new one; the input is
+never written to, so a read-only array will do.
 
 Free-propagator conventions (symbol of -Delta is -2 cos theta):
 the DFT multiplier on mode k of an M-ring is e^{-2it cos(2 pi k / M)} and
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LatticeState2D, Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_entries, m_symmetries
+from .operators import Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_entries, m_symmetries
 from .spectral import EigenSystem, _real_matmul, _sector_solves, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
@@ -281,12 +283,14 @@ def make_plan(
     return PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size), tail_tol)
 
 
-def evolve_2d_factorized(state: LatticeState2D, plan: PropagatorPlan, t: float) -> LatticeState2D:
-    """Apply the factorized propagator: the n-sweep, then the m-sweep (the two commute)."""
-    amp = state.amplitudes
-    if amp.shape[0] != plan.n_size or amp.shape[1] != plan.m_size:
-        raise ValueError(f"state shape {amp.shape} does not match plan ({plan.n_size}, {plan.m_size})")
-    return state.with_amplitudes(plan.m_sweep(plan.n_sweep(amp, t), t))
+def evolve_2d_factorized(state: np.ndarray, plan: PropagatorPlan, t: float) -> np.ndarray:
+    """Apply the factorized propagator to an N x M state: the n-sweep, then the m-sweep (the two commute).
+
+    The result is a new C-contiguous array, never a view of a sweep's padded work array.
+    """
+    if np.shape(state) != (plan.n_size, plan.m_size):
+        raise ValueError(f"state shape {np.shape(state)} does not match plan ({plan.n_size}, {plan.m_size})")
+    return np.ascontiguousarray(plan.m_sweep(plan.n_sweep(state, t), t))
 
 
 def _chebyshev_order(z: float, tol: float) -> int:
@@ -322,36 +326,31 @@ def _chebyshev_expiht(apply_h, psi: np.ndarray, t: float, radius: float, tol: fl
 
 
 def evolve_2d_direct(
-    state: LatticeState2D,
+    state: np.ndarray,
     a1: Operator1D,
     a2: Operator1D,
     t: float,
     method: str = "dense",
-) -> LatticeState2D:
-    """Non-factorized e^{iHt}: the oracle route against which the product form is tested.
+) -> np.ndarray:
+    """Non-factorized e^{iHt} of an N x M state: the oracle route against which the product form is tested.
 
     The dense route is sum_s P_s V_s e^{i Lambda_s t} V_s^T P_s^T psi over
     the sectors of H's m-axis symmetries (m_symmetries about M // 2) that
     psi has a part in, each solved by numpy's eigh with no 1D eigenbasis
     (see spectral._sector_solves; its cap is DENSE_SITE_CAP sites).
     """
-    N, M = state.shape
-    if (N, M) != (a1.size, a2.size):
-        raise ValueError(f"state shape {state.shape} does not match operators ({a1.size}, {a2.size})")
+    if np.shape(state) != (a1.size, a2.size):
+        raise ValueError(f"state shape {np.shape(state)} does not match operators ({a1.size}, {a2.size})")
+    N, M = a1.size, a2.size
     if method == "dense":
         out = np.zeros(N * M, dtype=complex)
         entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2, M // 2)
-        for index, coeff, lam, vec, coeffs in _sector_solves(entries, N * M, state.amplitudes.ravel(), symmetries):
+        for index, coeff, lam, vec, coeffs in _sector_solves(entries, N * M, np.ravel(state), symmetries):
             on = index >= 0
             out[on] += coeff[on] * _real_matmul(vec, np.exp(1j * t * lam) * coeffs)[index[on]]  # P V e^{i Lambda t} c
             del vec
-        return state.with_amplitudes(out.reshape(N, M))
+        return out.reshape(N, M)
     if method == "chebyshev":
         radius = a1.norm_bound + a2.norm_bound
-
-        def apply_h(arr):
-            return apply_h2d(state.with_amplitudes(arr), a1, a2).amplitudes
-
-        out = _chebyshev_expiht(apply_h, state.amplitudes, t, radius, CHEB_TOL)
-        return state.with_amplitudes(out)
+        return _chebyshev_expiht(lambda arr: apply_h2d(arr, a1, a2), state, t, radius, CHEB_TOL)
     raise ValueError(f"unknown method {method!r}, expected 'dense' or 'chebyshev'")

@@ -1,6 +1,10 @@
-"""Lattice model: 1D potentials, tridiagonal operators, 2D states.
+"""Lattice model: 1D potentials, tridiagonal operators, the 2D Hamiltonian.
 
-The 2D Hamiltonian acts on a state psi[n, m] as
+A 2D state is a plain N x M numpy array over a window [n0, n0 + N) x
+[m0, m0 + M) of the lattice: psi[i, j] is the amplitude at the site
+(n0 + i, m0 + j).  The array does not carry its window: origin_index places
+the physical origin in one, and the trajectory writers take the start
+(n0, m0) beside the snapshots.  The 2D Hamiltonian acts on a state as
 
     (H psi)[n, m] = -(psi[n+1,m] + psi[n-1,m] + psi[n,m+1] + psi[n,m-1]) + V[n] psi[n,m]
 
@@ -15,7 +19,6 @@ spectrum is [-4, 4].
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -235,34 +238,6 @@ def free_operator(size: int, boundary: str = "dirichlet") -> Operator1D:
     return build_operator_1d(size=size, boundary=boundary)
 
 
-@dataclass(frozen=True)
-class LatticeState2D:
-    """Complex amplitudes on the window [n0, n0+N) x [m0, m0+M), row-major (n, m)."""
-
-    amplitudes: np.ndarray
-    n0: int = 0
-    m0: int = 0
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex, copy=True, order="C")
-        if amp.ndim != 2 or amp.size == 0:
-            raise ValueError("amplitudes must be a nonempty 2D array")
-        object.__setattr__(self, "amplitudes", _freeze(amp))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.amplitudes.shape
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "LatticeState2D":
-        return dataclasses.replace(self, amplitudes=amplitudes)
-
-    def n_coords(self) -> np.ndarray:
-        return np.arange(self.n0, self.n0 + self.shape[0])
-
-    def m_coords(self) -> np.ndarray:
-        return np.arange(self.m0, self.m0 + self.shape[1])
-
-
 def origin_index(key: str, start: int | None, size: int) -> int:
     """Index of the physical origin in a window of size sites from start; None centres the window."""
     if start is None:
@@ -280,26 +255,20 @@ def delta_vector(size: int, start: int | None = None, key: str = "start") -> np.
     return vec
 
 
-def delta_state(N: int, M: int, n0: int | None = None, m0: int | None = None) -> LatticeState2D:
-    """Unit mass at the physical site (0, 0); an axis without a start is centred."""
-    i, j = origin_index("n0", n0, N), origin_index("m0", m0, M)
+def delta_state(N: int, M: int, n0: int | None = None, m0: int | None = None) -> np.ndarray:
+    """Unit mass at the physical site (0, 0) of an N x M window; an axis without a start is centred."""
     amp = np.zeros((N, M), dtype=complex)
-    amp[i, j] = 1.0
-    return LatticeState2D(amp, n0=-i, m0=-j)
+    amp[origin_index("n0", n0, N), origin_index("m0", m0, M)] = 1.0
+    return amp
 
 
-def tensor_state(chi: np.ndarray, phi: np.ndarray, n0: int = 0, m0: int = 0) -> LatticeState2D:
-    return LatticeState2D(np.outer(chi, phi), n0=n0, m0=m0)
-
-
-def apply_h2d(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> LatticeState2D:
-    """Matrix-free application of H = A1 (x) I + I (x) A2."""
-    amp = state.amplitudes
-    if amp.shape != (a1.size, a2.size):
-        raise ValueError(f"state shape {amp.shape} does not match operators ({a1.size}, {a2.size})")
-    out = a1.apply(amp)
-    out += a2.apply(amp.T).T
-    return state.with_amplitudes(out)
+def apply_h2d(state: np.ndarray, a1: Operator1D, a2: Operator1D) -> np.ndarray:
+    """Matrix-free application of H = A1 (x) I + I (x) A2 to an N x M state, into a new array."""
+    if np.shape(state) != (a1.size, a2.size):
+        raise ValueError(f"state shape {np.shape(state)} does not match operators ({a1.size}, {a2.size})")
+    out = a1.apply(state)
+    out += a2.apply(state.T).T
+    return out
 
 
 def hamiltonian_2d_entries(a1: Operator1D, a2: Operator1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,31 +300,6 @@ def m_symmetries(N: int, a2: Operator1D, j0: int) -> tuple[np.ndarray, ...]:
     return tuple((M * np.arange(N)[:, None] + g).ravel() for g in maps if np.array_equal(a2.diagonal[g], a2.diagonal))
 
 
-def energy_expectation(state: LatticeState2D, a1: Operator1D, a2: Operator1D) -> float:
+def energy_expectation(state: np.ndarray, a1: Operator1D, a2: Operator1D) -> float:
     """<psi, H psi>, real for Hermitian H."""
-    hpsi = apply_h2d(state, a1, a2).amplitudes
-    return float(np.vdot(state.amplitudes, hpsi).real)
-
-
-# -- norms ------------------------------------------------------------------
-
-def l2_norm(state: LatticeState2D) -> float:
-    return float(np.linalg.norm(state.amplitudes))
-
-
-def l1_norm(state: LatticeState2D) -> float:
-    return float(np.abs(state.amplitudes).sum())
-
-
-def sup_norm(state: LatticeState2D) -> float:
-    return float(np.abs(state.amplitudes).max())
-
-
-def mixed_l2n_supm(state: LatticeState2D) -> float:
-    """sup over m of the l2 norm along n."""
-    return float(np.linalg.norm(state.amplitudes, axis=0).max())
-
-
-def mixed_supm_l2n(state: LatticeState2D) -> float:
-    """l2 norm along n of the sup along m."""
-    return float(np.linalg.norm(np.abs(state.amplitudes).max(axis=1)))
+    return float(np.vdot(state, apply_h2d(state, a1, a2)).real)

@@ -5,7 +5,9 @@ H's symmetry sectors from the stencil entries.  Tests that want all of H,
 or numpy's eigh of all of it, to compare against build them here, and
 record_eigh_rows logs eigh's inputs to show that no route gives it all of H.
 Nor does it form the free chain's M x M basis: free_delta_measure reads one
-row of it, and free_eigensystem writes all of it down for the tests.
+row of it, and free_eigensystem writes all of it down for the tests.  And it
+takes the norms of a product state from its two factors (record_decay):
+norm_chain takes them from the full N x M array instead.
 """
 import numpy as np
 
@@ -29,6 +31,21 @@ def full_eigensystem(h: np.ndarray) -> EigenSystem:
 def free_eigensystem(op) -> EigenSystem:
     """The free chain op's whole closed-form eigensystem: every row of _free_basis_rows."""
     return EigenSystem(*_free_basis_rows(op, np.arange(op.size)), source=op)
+
+
+def norm_chain(psi) -> tuple[float, float, float, float, float]:
+    """Norms of an N x M state in the order of the chain sup <= l2n_supm <= supm_l2n <= l2 <= l1.
+
+    l2n_supm is the sup over m of the l2 norm along n, supm_l2n the l2 norm along n of the sup along m.
+    """
+    mod = np.abs(psi)
+    return (
+        float(mod.max()),
+        float(np.linalg.norm(psi, axis=0).max()),
+        float(np.linalg.norm(mod.max(axis=1))),
+        float(np.linalg.norm(psi)),
+        float(mod.sum()),
+    )
 
 
 def unit_vector(size: int, site: int) -> np.ndarray:

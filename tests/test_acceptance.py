@@ -28,7 +28,6 @@ from chainlab.operators import (
     energy_expectation,
     free_operator,
     hamiltonian_2d_entries,
-    l1_norm,
     m_symmetries,
     sample_potential,
 )
@@ -42,7 +41,7 @@ from chainlab.spectral import (
     spectral_measure_1d,
     spectral_measure_2d,
 )
-from dense_reference import record_eigh_rows
+from dense_reference import norm_chain, record_eigh_rows
 
 FIT_WINDOW = (20.0, 200.0)
 TRACE_TIMES = np.geomspace(20.0, 200.0, 25)
@@ -69,14 +68,14 @@ def factorization_runs():
         "amo_a3": almost_mathieu(3.0, theta=0.42),
         "random": PotentialSpec("random_iid", amplitude=2.0, seed=7),
     }
-    psi0 = delta_state(32, 32)
+    psi0 = delta_state(32, 32)  # the origin at index (16, 16)
     residuals = {}
     norm_drift = 0.0
     energy_drift = 0.0
     with pytest.MonkeyPatch.context() as monkeypatch:
         eigh_rows = record_eigh_rows(monkeypatch)
         for name, spec in specs.items():
-            pot = sample_potential(spec, (psi0.n0, psi0.n0 + 32))
+            pot = sample_potential(spec, (-16, 16))
             a1 = build_operator_1d(pot)
             plan = make_plan(a1, "dft_multiplier", 32)
             a2 = plan.a2_operator()
@@ -84,9 +83,9 @@ def factorization_runs():
             worst = 0.0
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):
                 fact = evolve_2d_factorized(psi0, plan, t)
-                direct = evolve_2d_direct(psi0, a1, a2, t).amplitudes
-                worst = max(worst, float(np.linalg.norm(fact.amplitudes - direct)))
-                norm_drift = max(norm_drift, abs(np.linalg.norm(fact.amplitudes) - 1.0))
+                direct = evolve_2d_direct(psi0, a1, a2, t)
+                worst = max(worst, float(np.linalg.norm(fact - direct)))
+                norm_drift = max(norm_drift, abs(np.linalg.norm(fact) - 1.0))
                 energy_drift = max(
                     energy_drift, abs(energy_expectation(fact, a1, a2) - e0) / max(1.0, abs(e0))
                 )
@@ -108,8 +107,8 @@ def free_chain_run():
 def amo_2d_run():
     """Coupled 2D lattice: localized AMO(a=3) along n, free along m."""
     N, M = 128, 1024
-    psi0 = delta_state(N, M)
-    pot = sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N))
+    psi0 = delta_state(N, M)  # the origin at index (N // 2, M // 2)
+    pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, "dft_multiplier", M)
     trace = record_decay(plan, delta_vector(N), delta_vector(M), TRACE_TIMES)
@@ -214,14 +213,19 @@ def test_criterion_5_mixed_norm_chain(free_chain_run, amo_2d_run):
     slack = 1e-12
     for _, _, trace in (free_chain_run, amo_2d_run):
         assert np.all(trace.sup_norms <= trace.l2n_supm + slack)
+        # record_decay writes one value, ||u||_2 ||w||_inf, to both mixed columns: exact on a product state,
+        # so this link of the chain cannot fail on a trace and is checked on the full states below
         assert np.all(trace.l2n_supm <= trace.supm_l2n + slack)
         assert np.all(trace.supm_l2n <= trace.l2_norms + slack)
     plan, psi0, _ = amo_2d_run
+    for t in (5.0, 50.0, 200.0):
+        chain = norm_chain(evolve_2d_factorized(psi0, plan, t))  # sup, l2n_supm, supm_l2n, l2, l1
+        assert all(low <= high + slack for low, high in zip(chain, chain[1:])), f"t = {t}: {chain}"
     worst_defect = max(n_fiber_isometry_defect(plan, psi0, t) for t in (5.0, 50.0, 200.0))
     assert worst_defect <= 1e-10, f"n-fiber isometry defect {worst_defect:.3e} > 1e-10"
     _report(
         "criterion 5 (mixed-norm chain): PASS on all "
-        f"{2 * TRACE_TIMES.size} snapshots, isometry defect {worst_defect:.3e} <= 1e-10"
+        f"{2 * TRACE_TIMES.size} trace samples and 3 full states, isometry defect {worst_defect:.3e} <= 1e-10"
     )
 
 

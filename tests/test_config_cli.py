@@ -401,19 +401,43 @@ def test_measure_writer_refuses_a_one_bin_density(tmp_path):
 
 def test_trajectory_binary_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    states = []
-    for _ in range(3):
-        amp = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        states.append(delta_state(4, 6).with_amplitudes(amp))
+    states = [rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)) for _ in range(3)]
     times = np.array([0.0, 0.5, 1.0])
     path = tmp_path / "traj.bin"
-    datafiles.write_trajectory_binary(times, states, path)
-    t2, s2 = datafiles.read_trajectory_binary(path)
+    datafiles.write_trajectory_binary(times, states, (-2, -3), path)
+    t2, s2, start = datafiles.read_trajectory_binary(path)
     np.testing.assert_array_equal(t2, times)
-    assert len(s2) == 3
+    assert len(s2) == 3 and start == (-2, -3)
     for a, b in zip(states, s2):
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-        assert (a.n0, a.m0) == (b.n0, b.m0)
+        np.testing.assert_array_equal(a, b)
+
+
+def test_trajectory_csv_rows_carry_the_window_start(tmp_path):
+    # the site of index (i, j) is (n0 + i, m0 + j)
+    state = np.arange(6).reshape(2, 3) * (1 + 2j)
+    path = tmp_path / "traj.csv"
+    datafiles.write_trajectory_csv([0.5], [state], (-1, 4), path)
+    sites = [(n, m) for n in (-1, 0) for m in (4, 5, 6)]
+    want = [f"0.5,{n},{m},{v.real!r},{v.imag!r}" for (n, m), v in zip(sites, state.ravel().tolist())]
+    assert path.read_text().splitlines() == ["t,n,m,re,im", *want]
+
+
+@pytest.mark.parametrize("write", ["write_trajectory_csv", "write_trajectory_binary"])
+@pytest.mark.parametrize(
+    "times, shapes, message",
+    [
+        ([0.0, 1.0, 2.0], [(4, 6)], "need one state per time, got 1 states for 3 times"),
+        ([0.0], [(4, 6), (4, 6)], "need one state per time, got 2 states for 1 times"),
+        ([], [], "need one state per time, got 0 states for 0 times"),
+        ([0.0, 1.0], [(4, 6), (4, 7)], "all snapshots must share one N x M shape"),
+        ([0.0], [(24,)], "all snapshots must share one N x M shape"),
+    ],
+)
+def test_trajectory_writers_refuse_mismatched_snapshots(tmp_path, write, times, shapes, message):
+    path = tmp_path / "traj"  # refused before the file is opened
+    with pytest.raises(ValueError, match=message):
+        getattr(datafiles, write)(times, [np.zeros(shape, dtype=complex) for shape in shapes], (0, 0), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("cut", ["header", "times", "last-snapshot", "trailing"])
@@ -421,7 +445,7 @@ def test_binary_trajectory_reader_rejects_a_file_of_the_wrong_length(tmp_path, c
     # 3 snapshots of 4 x 6 sites: 56 + 8 * 3 + 16 * 3 * 24 = 1232 bytes
     states = [delta_state(4, 6)] * 3
     path = tmp_path / "traj.bin"
-    datafiles.write_trajectory_binary([0.0, 0.5, 1.0], states, path)
+    datafiles.write_trajectory_binary([0.0, 0.5, 1.0], states, (-2, -3), path)
     whole = path.read_bytes()
     assert len(whole) == 1232
     data = {"header": whole[:10], "times": whole[:60], "last-snapshot": whole[:-5], "trailing": whole + b"junk"}[cut]
@@ -638,10 +662,10 @@ def test_cli_evolve_binary_snapshots(tmp_path):
     cfg.write_text("[output]\nbinary_snapshots = true\n[time]\ntimes = 0.0, 1.0, 2.0\n")
     out = tmp_path / "e"
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-    times, states = datafiles.read_trajectory_binary(out / "trajectory.bin")
+    times, states, start = datafiles.read_trajectory_binary(out / "trajectory.bin")
     np.testing.assert_array_equal(times, [0.0, 1.0, 2.0])
-    assert states[0].shape == (16, 16)
-    assert abs(np.linalg.norm(states[-1].amplitudes) - 1.0) < 1e-12
+    assert states[0].shape == (16, 16) and start == (-8, -8)  # the centred window
+    assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-12
 
 
 def test_cli_evolve_honours_tail_mass_under_bessel(tmp_path):
@@ -986,6 +1010,20 @@ def test_cli_decay_fit_samples_the_config_times_without_tmax(tmp_path):
     assert [float(row.split(",")[0]) for row in rows] == times
     fit = _read_json(out / "fit.json")
     assert (fit["window"], fit["n_samples"]) == ([20.0, times[-1]], 10)
+
+
+@pytest.mark.parametrize("command", ["evolve", "decay-fit"])
+@pytest.mark.parametrize(
+    "time_section", ["times = 0, 1, 2", "t_lo = 20\nt_hi = 200\nsamples = 9"], ids=["times", "range"]
+)
+def test_cli_refuses_tmax_beside_config_times(tmp_path, capsys, command, time_section):
+    # --tmax would replace the config's times unread: the pair is refused before the output directory is made
+    cfg = tmp_path / "times.cfg"
+    cfg.write_text(f"[time]\n{time_section}\n")
+    out = tmp_path / "d"
+    assert cli.main([command, "--config", str(cfg), "--N", "8", "--tmax", "4", "--out", str(out)]) == 1
+    assert "--tmax cannot be combined with [time] times" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

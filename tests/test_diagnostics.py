@@ -25,13 +25,9 @@ from chainlab.operators import (
     delta_vector,
     energy_expectation,
     free_operator,
-    l2_norm,
-    mixed_l2n_supm,
-    mixed_supm_l2n,
     sample_potential,
-    sup_norm,
-    tensor_state,
 )
+from dense_reference import norm_chain
 
 # growth rate of the free transfer matrix at E = 3: log((3 + sqrt 5) / 2)
 FREE_GAMMA_AT_3 = 0.9624236501192069
@@ -91,10 +87,7 @@ def _full_state_trace(plan, psi0, a1):
     rows = []
     for t in REFERENCE_TIMES:
         psi_t = evolve_2d_factorized(psi0, plan, t)
-        energy = energy_expectation(psi_t, a1, a2)
-        rows.append(
-            (sup_norm(psi_t), mixed_l2n_supm(psi_t), mixed_supm_l2n(psi_t), l2_norm(psi_t), energy)
-        )
+        rows.append((*norm_chain(psi_t)[:4], energy_expectation(psi_t, a1, a2)))
     return np.array(rows).T
 
 
@@ -111,14 +104,14 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     rng = np.random.default_rng(5)
     N = 1 if free_chain else 128
     chi, phi = _product_factors(N, M, rng)
-    psi0 = tensor_state(chi, phi, n0=-(N // 2), m0=-(M // 2))
+    psi0 = np.outer(chi, phi)
     a1 = free_operator(1)
     if not free_chain:
-        a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (psi0.n0, psi0.n0 + N)))
+        a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2)))
     plan = make_plan(a1, m_method, M)
     trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
-    assert trace.psi0_l1 == pytest.approx(np.abs(psi0.amplitudes).sum(), rel=1e-14)
-    assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0.amplitudes), rel=1e-14)
+    assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
+    assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0), rel=1e-14)
     columns = (trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
@@ -141,7 +134,7 @@ def test_record_decay_rejects_state_off_the_plan_grid():
     for chi, phi in (
         (delta_vector(2), delta_vector(256)),  # N off the plan
         (delta_vector(1), delta_vector(512)),  # M off the plan
-        (delta_vector(1), delta_state(1, 256).amplitudes),  # a 2D state is not a factor
+        (delta_vector(1), delta_state(1, 256)),  # a 2D state is not a factor
     ):
         with pytest.raises(ValueError, match="do not match plan"):
             record_decay(plan, chi, phi, [0.0, 1.0])
@@ -296,15 +289,15 @@ def test_spreading_moments_of_delta():
     assert mom.m_second_moment == 0.0
     assert mom.n_second_moment == 0.0
     assert abs(mom.participation_ratio - 1.0) < 1e-12
+    # coordinates are indices: the centred delta of an 8 x 6 window sits at (4, 3)
+    mom = spreading_moments(delta_state(8, 6), origin=(0.0, 0.0))
+    assert (mom.n_second_moment, mom.m_second_moment) == (16.0, 9.0)
 
 
 def test_free_spreading_is_ballistic():
     M = 512
-    psi0 = delta_state(1, M)
-    plan = make_plan(free_operator(1), "dft_multiplier", M)
     t = 12.0
-    out_amp = evolve_free_1d(psi0.amplitudes[0], t)
-    psi_t = psi0.with_amplitudes(out_amp[None, :])
-    mom = spreading_moments(psi_t, origin=(0.0, 0.0))
+    psi_t = evolve_free_1d(delta_state(1, M), t)  # the origin at index (0, M // 2)
+    mom = spreading_moments(psi_t, origin=(0.0, M // 2))
     assert abs(mom.m_second_moment - 2.0 * t * t) < 1e-6 * t * t
     assert mom.participation_ratio > 10.0

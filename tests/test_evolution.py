@@ -22,7 +22,6 @@ from chainlab.evolution import (
 from chainlab.operators import (
     BOUNDARIES,
     DENSE_SITE_CAP,
-    LatticeState2D,
     Operator1D,
     almost_mathieu,
     build_operator_1d,
@@ -309,11 +308,21 @@ def test_factorized_matches_dense_direct(m_method):
     plan = make_plan(a1, m_method, M)
     a2 = plan.a2_operator()
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
-    psi0 = LatticeState2D(amp / np.linalg.norm(amp), n0=-6, m0=-5)
+    psi0 = amp / np.linalg.norm(amp)
     for t in (0.4, 1.0, 3.0):
         fact = evolve_2d_factorized(psi0, plan, t)
         direct = evolve_2d_direct(psi0, a1, a2, t, method="dense")
-        np.testing.assert_allclose(fact.amplitudes, direct.amplitudes, atol=1e-11)
+        np.testing.assert_allclose(fact, direct, atol=1e-11)
+
+
+@pytest.mark.parametrize("m_method", M_METHODS)
+def test_factorized_state_owns_its_n_by_m_memory(m_method):
+    # the eigen and bessel_kernel m-sweeps end on a slice of a padded work array: the state returned is
+    # a compact copy, so a list of snapshots does not keep the padded arrays alive
+    N, M = 4, 64
+    plan = make_plan(build_operator_1d(size=N), m_method, M)
+    out = evolve_2d_factorized(delta_state(N, M), plan, 2.0)
+    assert out.shape == (N, M) and out.flags.c_contiguous and out.flags.owndata
 
 
 def test_factorized_sweep_order_is_immaterial():
@@ -334,24 +343,22 @@ def test_factorized_against_scipy_expm_oracle():
     plan = make_plan(a1, "dft_multiplier", M)
     a2 = plan.a2_operator()
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
-    psi0 = LatticeState2D(amp)
     t = 1.3
     U = scipy.linalg.expm(1j * t * dense_hamiltonian(a1, a2))
     expected = (U @ amp.ravel()).reshape(N, M)
-    out = evolve_2d_factorized(psi0, plan, t)
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+    out = evolve_2d_factorized(amp, plan, t)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_free_chain_plan_skips_n_sweep():
     M = 128
     amp = np.zeros((1, M), dtype=complex)
     amp[0, M // 2] = 1.0
-    psi0 = LatticeState2D(amp, n0=0, m0=-(M // 2))
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     assert plan.n_size == 1
     np.testing.assert_array_equal(plan.n_sweep(amp, 1.0), amp)  # the one-site sweep is the identity
-    out = evolve_2d_factorized(psi0, plan, 1.0)
-    assert abs(out.amplitudes[0, M // 2] - J0_OF_2) < 1e-14
+    out = evolve_2d_factorized(amp, plan, 1.0)
+    assert abs(out[0, M // 2] - J0_OF_2) < 1e-14
 
 
 def test_unitarity_of_factorized_evolution():
@@ -360,9 +367,8 @@ def test_unitarity_of_factorized_evolution():
     for m_method in ("dft_multiplier", "eigen"):
         plan = make_plan(a1, m_method, 12)
         amp = rng.standard_normal((10, 12)) + 1j * rng.standard_normal((10, 12))
-        psi0 = LatticeState2D(amp / np.linalg.norm(amp))
-        out = evolve_2d_factorized(psi0, plan, 7.3)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        out = evolve_2d_factorized(amp / np.linalg.norm(amp), plan, 7.3)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_chebyshev_direct_matches_dense():
@@ -394,7 +400,7 @@ def test_chebyshev_direct_matches_dense():
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
     a2 = free_operator(M, boundary="periodic")
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
-    psi0 = LatticeState2D(amp / np.linalg.norm(amp))
+    psi0 = amp / np.linalg.norm(amp)
     u, radius = np.finfo(float).eps / 2, a1.norm_bound + a2.norm_bound
     for t in (0.5, 4.0):
         dense = evolve_2d_direct(psi0, a1, a2, t, method="dense")
@@ -403,7 +409,7 @@ def test_chebyshev_direct_matches_dense():
         rounding = 9 * u * (K + 1) ** 2 * np.sqrt(2 * (K + 1)) + 2 * (K + 1) * BESSEL_ABS_TOL
         dense_error = N * M * u * (radius * t + 4)
         bound = CHEB_TOL + rounding + dense_error  # 4.8e-11 at t = 4
-        assert np.linalg.norm(cheb.amplitudes - dense.amplitudes) <= bound
+        assert np.linalg.norm(cheb - dense) <= bound
 
 
 DENSE_PROPAGATOR_LATTICES = [
@@ -425,11 +431,11 @@ def test_dense_direct_matches_expm_at_any_state(M, boundary_m, boundary_n):
     U = scipy.linalg.expm(1j * t * dense_hamiltonian(a1, a2))
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     amp /= np.linalg.norm(amp)
-    out = evolve_2d_direct(LatticeState2D(amp), a1, a2, t)  # dense is the default
-    assert np.abs(out.amplitudes.ravel() - U @ amp.ravel()).max() <= 1e-13
+    out = evolve_2d_direct(amp, a1, a2, t)  # dense is the default
+    assert np.abs(out.ravel() - U @ amp.ravel()).max() <= 1e-13
     for site in range(N * M):
-        out = evolve_2d_direct(LatticeState2D(np.eye(N * M)[site].reshape(N, M)), a1, a2, t, method="dense")
-        assert np.abs(out.amplitudes.ravel() - U[:, site]).max() <= 1e-13
+        out = evolve_2d_direct(np.eye(N * M)[site].reshape(N, M), a1, a2, t, method="dense")
+        assert np.abs(out.ravel() - U[:, site]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("boundary_m", BOUNDARIES)
@@ -441,7 +447,7 @@ def test_dense_direct_never_gives_eigh_all_of_h(monkeypatch, boundary_m):
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
     a2 = free_operator(M, boundary=boundary_m)
     rng = np.random.default_rng(11)
-    psi0 = LatticeState2D(rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
+    psi0 = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     rows = record_eigh_rows(monkeypatch)
     evolve_2d_direct(psi0, a1, a2, 2.0)
     assert rows == ([18, 6, 12, 12] if boundary_m == "periodic" else [24, 24])
@@ -471,6 +477,5 @@ def test_t_zero_is_identity():
     a1 = build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 5)))
     plan = make_plan(a1, "dft_multiplier", 6)
     amp = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    psi0 = LatticeState2D(amp)
-    out = evolve_2d_factorized(psi0, plan, 0.0)
-    np.testing.assert_allclose(out.amplitudes, amp, atol=1e-15)
+    out = evolve_2d_factorized(amp, plan, 0.0)
+    np.testing.assert_allclose(out, amp, atol=1e-15)

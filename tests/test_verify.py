@@ -214,8 +214,7 @@ def _a2_part_of_h(a2_part):
 
     def install(monkeypatch):
         def faulty(state, a1, a2):
-            amp = state.amplitudes
-            return state.with_amplitudes(a1.apply(amp) + a2_part(a2, amp))
+            return a1.apply(state) + a2_part(a2, state)
 
         for module in (operators, evolution, verify):  # each calls apply_h2d by its own name
             monkeypatch.setattr(module, "apply_h2d", faulty)

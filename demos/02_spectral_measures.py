@@ -10,6 +10,7 @@ limit law.
 import numpy as np
 
 from chainlab import (
+    SpectralMeasure,
     almost_mathieu,
     atom_weight_discrepancy,
     build_operator_1d,
@@ -21,7 +22,6 @@ from chainlab import (
     m_symmetries,
     sample_potential,
     spectral_measure_1d,
-    spectral_measure_2d,
 )
 
 print("== 1D measures ==")
@@ -66,7 +66,11 @@ for alpha in (0.8, -0.6j):
     c /= np.linalg.norm(c)
     p /= np.linalg.norm(p)
     vec += alpha * np.outer(c, p)
-mu2d = spectral_measure_2d(es1, es2, vec)
+# the measure at a whole N x N state: an atom at each lambda1_j + lambda2_k that
+# weighs |(V1^T vec V2)_jk|^2, two GEMMs on vec, with no 2D operator formed
+coeffs = es2.overlaps(es1.overlaps(vec).T).T
+sums = np.add.outer(es1.eigenvalues, es2.eigenvalues)
+mu2d = SpectralMeasure.from_atoms(sums.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel())
 # the same sectors: the measure at vec sums each block's measure at vec's part in it
 direct2 = dense_measure(entries, N * N, vec.ravel(), symmetries=mirror)
 print(f"two-term state discrepancy: {atom_weight_discrepancy(mu2d, direct2):.3e}")

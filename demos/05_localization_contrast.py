@@ -23,7 +23,6 @@ from chainlab import (
     minimal_wrap_free_m,
     record_decay,
     sample_potential,
-    spreading_moments,
     truncation_energies,
 )
 
@@ -67,9 +66,10 @@ fit = fit_decay_exponent(trace, 10.0, T_MAX)
 print(f"  sup-norm exponent along the trajectory: {fit.exponent:+.4f} (free value -1/3)")
 
 psi_late = evolve_2d_factorized(psi0, plan, T_MAX)
-mom = spreading_moments(psi_late, origin=(48, M // 2))  # index coordinates
-print(
-    f"  at t = {T_MAX}: <m^2> = {mom.m_second_moment:9.1f} (ballistic 2t^2 = {2 * T_MAX**2:.0f}),  "
-    f"<n^2> = {mom.n_second_moment:7.2f} (frozen)"
-)
-print(f"  participation ratio of |psi|^2: {mom.participation_ratio:.1f} sites")
+# second moments of |psi|^2 about the origin, from its marginals along n and m
+p = np.abs(psi_late) ** 2
+total = p.sum()
+n2 = float(((np.arange(96.0) - 48) ** 2) @ (p.sum(axis=1) / total))
+m2 = float(((np.arange(float(M)) - M // 2) ** 2) @ (p.sum(axis=0) / total))
+print(f"  at t = {T_MAX}: <m^2> = {m2:9.1f} (ballistic 2t^2 = {2 * T_MAX**2:.0f}),  <n^2> = {n2:7.2f} (frozen)")
+print(f"  participation ratio of |psi|^2: {total**2 / (p**2).sum():.1f} sites")

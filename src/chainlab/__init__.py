@@ -44,7 +44,6 @@ _EXPORTS = {
         "SpectralMeasure",
         "GridTooNarrowError",
         "spectral_measure_1d",
-        "spectral_measure_2d",
         "default_convolution_grid",
         "convolve_measures",
         "max_atom_weight",
@@ -68,16 +67,13 @@ _EXPORTS = {
     "diagnostics": (
         "DecayTrace",
         "DecayFit",
-        "SpreadingMoments",
         "time_bracket",
         "minimal_wrap_free_m",
         "record_decay",
         "conservation_defects",
         "fit_decay_exponent",
-        "n_fiber_isometry_defect",
         "lyapunov_scan",
         "truncation_energies",
-        "spreading_moments",
     ),
     "config": (
         "ConfigError",

@@ -21,7 +21,31 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-_COMMANDS = ("spectrum", "convolve", "evolve", "decay-fit", "lyapunov", "verify")
+# each command: its help line and the flags it takes beyond _COMMON_FLAGS; argparse refuses any other flag
+_COMMANDS = {
+    "spectrum": ("eigenvalues and the local spectral measure of the 1D chain", ("N",)),
+    "convolve": ("2D spectral measure via convolution, checked against the dense route", ("N", "M")),
+    "evolve": ("factorized time evolution with trajectory snapshots", ("N", "M", "tmax")),
+    "decay-fit": ("sup-norm decay trace and power-law fit", ("N", "M", "tmax")),
+    "lyapunov": ("transfer-matrix growth-rate scan over on-spectrum energies", ("length", "count")),
+    "verify": ("run the invariant suite and report per-check residuals", ("N", "M")),
+}
+_COMMON_FLAGS = ("config", "out", "seed", "threads", "family", "amplitude", "omega", "theta")
+_FLAGS = {  # flag: add_argument keywords
+    "config": dict(metavar="PATH", help="experiment config file"),
+    "out": dict(metavar="DIR", help="output directory (overrides config)"),
+    "seed": dict(type=int, metavar="U64", help="seed for random potentials"),
+    "threads": dict(type=int, metavar="K", help="BLAS/OpenMP thread count"),
+    "family": dict(metavar="NAME", help="potential family: one of operators.FAMILIES but explicit"),
+    "amplitude": dict(type=float, help="potential coupling strength"),
+    "omega": dict(type=float, help="quasiperiodic frequency"),
+    "theta": dict(type=float, help="quasiperiodic phase"),
+    "N": dict(type=int, help="sites along the potential direction"),
+    "M": dict(type=int, help="sites along the free direction"),
+    "tmax": dict(type=float, help="largest evolution time, in place of [time] times"),
+    "length": dict(type=int, default=10**6, help="transfer-matrix product length"),
+    "count": dict(type=int, default=8, help="number of sampled energies"),
+}
 
 # each flag is one config key, written over the --config file's
 _FLAG_KEYS = {
@@ -60,30 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         "with a potential constant along one direction.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "spectrum": "eigenvalues and the local spectral measure of the 1D chain",
-        "convolve": "2D spectral measure via convolution, checked against the dense route",
-        "evolve": "factorized time evolution with trajectory snapshots",
-        "decay-fit": "sup-norm decay trace and power-law fit",
-        "lyapunov": "transfer-matrix growth-rate scan over on-spectrum energies",
-        "verify": "run the invariant suite and report per-check residuals",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", metavar="PATH", help="experiment config file")
-        p.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, metavar="U64", help="seed for random potentials")
-        p.add_argument("--threads", type=int, metavar="K", help="BLAS/OpenMP thread count")
-        p.add_argument("--N", type=int, help="sites along the potential direction")
-        p.add_argument("--M", type=int, help="sites along the free direction")
-        p.add_argument("--tmax", type=float, help="largest evolution time, in place of [time] times")
-        p.add_argument("--family", metavar="NAME", help="potential family: one of operators.FAMILIES but explicit")
-        p.add_argument("--amplitude", type=float, help="potential coupling strength")
-        p.add_argument("--omega", type=float, help="quasiperiodic frequency")
-        p.add_argument("--theta", type=float, help="quasiperiodic phase")
-        if name == "lyapunov":
-            p.add_argument("--length", type=int, default=10**6, help="transfer-matrix product length")
-            p.add_argument("--count", type=int, default=8, help="number of sampled energies")
+    for name, (help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in (*_COMMON_FLAGS, *flags):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -117,9 +121,10 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     from .config import parse_config, parse_config_file
 
-    flags = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items() if getattr(args, flag) is not None}
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    flags = {key: given[flag] for flag, key in _FLAG_KEYS.items() if flag in given}
     cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
-    if args.tmax is not None and cfg.times is not None and args.command in ("evolve", "decay-fit"):
+    if "tmax" in given and cfg.times is not None:
         raise ValueError("--tmax cannot be combined with [time] times: give one or the other")
     os.makedirs(cfg.output_dir, exist_ok=True)
     handler = {
@@ -158,7 +163,7 @@ def _cmd_spectrum(cfg, args) -> int:
             "energy_max": float(es.eigenvalues[-1]),
             "atom_count": mu.atom_count,
             "total_mass": float(mu.total_mass().real),
-            "max_atom_weight": max_atom_weight(mu),
+            "max_atom_weight": max_atom_weight(mu, cfg.tolerances.atom_merge),
         },
         _out(cfg, "summary.json"),
     )

@@ -26,12 +26,15 @@ import csv
 import json
 import os
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import DecayFit, DecayTrace
 from .operators import Potential1D
 from .spectral import SpectralMeasure
+
+if TYPE_CHECKING:  # annotations only, so spectrum, convolve and verify never load diagnostics
+    from .diagnostics import DecayFit, DecayTrace
 
 MAGIC = b"CHAINLB1"
 _HEADER = struct.Struct("<8sII3Q2q")

@@ -1,4 +1,4 @@
-"""Decay traces, power-law fits, transfer-matrix growth, spreading moments.
+"""Decay traces, power-law fits, transfer-matrix growth.
 
 The dispersive measurement: record sup_{n,m} |psi(t)| along a trajectory on
 a grid sized so no wrapped or reflected amplitude re-enters the picture
@@ -13,9 +13,6 @@ two evolved factors: a sample costs O(N^2 + M log M) under every m-sweep
 instead of a full O(N^2 M) step.  On a product state the two mixed norms
 coincide, ||u||_2 ||w||_inf, so the trace's l2n_supm and supm_l2n columns
 hold the same value.
-
-n_fiber_isometry_defect and spreading_moments take a full state, a plain
-N x M array; spreading_moments works in index coordinates (row i, column j).
 """
 from __future__ import annotations
 
@@ -70,13 +67,6 @@ class DecayFit:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class SpreadingMoments:
-    m_second_moment: float
-    n_second_moment: float
-    participation_ratio: float
-
-
 def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest m-extent on which evolution up to t_max is faithful to the infinite lattice."""
     return support_width + 2 * light_cone_reach(t_max, tail_tol)
@@ -125,17 +115,6 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         psi0_l1=float(np.abs(chi).sum() * np.abs(phi).sum()),
         psi0_l2=float(np.linalg.norm(chi) * np.linalg.norm(phi)),
     )
-
-
-def n_fiber_isometry_defect(plan: PropagatorPlan, psi0: np.ndarray, t: float) -> float:
-    """max_m | ||psi(t)[:, m]||_2 - ||(m-sweep only)[:, m]||_2 | for an N x M state psi0.
-
-    The n-sweep is an isometry on every column, so the two column-norm
-    profiles must coincide.
-    """
-    half = plan.m_sweep(psi0, t)
-    full = plan.n_sweep(half, t)
-    return float(np.abs(np.linalg.norm(full, axis=0) - np.linalg.norm(half, axis=0)).max())
 
 
 def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray) -> tuple[float, float]:
@@ -230,27 +209,3 @@ def truncation_energies(spec: PotentialSpec, N: int = TRUNCATION_SITES, count: i
     es = eigh_tridiagonal(build_operator_1d(sample_potential(spec, (0, N))))
     idx = np.linspace(N // 12, N - 1 - N // 12, count).astype(int)
     return es.eigenvalues[idx]
-
-
-def spreading_moments(state: np.ndarray, origin: tuple[float, float] | None = None) -> SpreadingMoments:
-    """Second moments of |psi|^2 of an N x M state about ``origin`` (its centroid when omitted).
-
-    Coordinates are array indices: row i is n = i and column j is m = j, so
-    a physical origin goes in as its index, origin_index's value.
-    """
-    p = np.abs(state) ** 2
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("state is identically zero")
-    n = np.arange(p.shape[0], dtype=float)
-    m = np.arange(p.shape[1], dtype=float)
-    pn = p.sum(axis=1) / total
-    pm = p.sum(axis=0) / total
-    if origin is None:
-        origin = (float(n @ pn), float(m @ pm))
-    n_bar, m_bar = float(origin[0]), float(origin[1])
-    return SpreadingMoments(
-        m_second_moment=float(((m - m_bar) ** 2) @ pm),
-        n_second_moment=float(((n - n_bar) ** 2) @ pn),
-        participation_ratio=float(total**2 / (p**2).sum()),
-    )

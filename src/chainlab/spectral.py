@@ -567,28 +567,6 @@ def _sorted(e: np.ndarray, w: np.ndarray):
     return e[order], w[order]
 
 
-def spectral_measure_2d(
-    es1: EigenSystem,
-    es2: EigenSystem,
-    psi: np.ndarray,
-    merge_tol: float = ATOM_MERGE_TOL,
-) -> SpectralMeasure:
-    """Measure of A1 (x) I + I (x) A2 at the N x M state psi.
-
-    Built without ever forming the 2D operator: the atom at
-    lambda1_j + lambda2_k weighs |(V1^T psi V2)_jk|^2, two GEMMs on psi.  For
-    psi = sum_j alpha_j chi_j (x) phi_j this is the sesquilinear sum
-    sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) of convolved 1D
-    matrix-element measures.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (es1.size, es2.size):
-        raise ValueError(f"state shape {psi.shape} does not match the eigensystems ({es1.size}, {es2.size})")
-    coeffs = es2.overlaps(es1.overlaps(psi).T).T  # V1^T psi V2
-    energies = np.add.outer(es1.eigenvalues, es2.eigenvalues)
-    return SpectralMeasure.from_atoms(energies.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel(), merge_tol)
-
-
 def max_atom_weight(measure: SpectralMeasure, merge_tol: float = ATOM_MERGE_TOL) -> float:
     """Largest |atom weight| after merging near-coincident energies."""
     if measure.atom_count == 0:

@@ -9,7 +9,9 @@ sweeps, A1's eigensystem, the measures and H's application: each fault fails
 at least one check, and each check is the only one to fail under some fault
 on some config.  delta_crosscheck, the convolution identity at a site delta,
 is the one check ``convolve`` also runs: both commands take it from here, and
-verify keeps of it measure_mass_delta and convolution_identity.
+verify keeps of it measure_mass_delta and convolution_identity.  The
+random test vectors are values of the site hash that random_iid potentials
+read, keyed by the config's seed, so the suite has no other random source.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .evolution import PropagatorPlan, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
-from .operators import DENSE_SITE_CAP, apply_h2d, energy_expectation, hamiltonian_2d_entries, m_symmetries
+from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, energy_expectation, hamiltonian_2d_entries, m_symmetries
 from .spectral import (
     atom_weight_discrepancy,
     convolve_measures,
@@ -48,6 +50,7 @@ class CheckResult:
 
 
 CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
+VECTOR_SITES = 2**62  # the test vectors' first hash index: no potential window reaches it
 
 
 def delta_crosscheck(plan: PropagatorPlan, i: int, j: int, merge_tol: float):
@@ -96,6 +99,10 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     sectors of H's m-axis symmetries; above the cap convolution_identity is
     left out.  measure_mass_delta is the mass of that same mu1 * mu2.  Neither
     H nor A2's M x M basis is formed, so the memory is O(N M) at every size.
+    The random test vectors chi, phi, psi and eta come from random_iid's
+    SplitMix64 site hash (operators._iid_uniform), keyed by the potential's
+    seed (0 when it has none), at indices from VECTOR_SITES on, which no
+    potential window reaches: the same config gives the same residuals.
     """
     N, M = cfg.lattice()
     tol = cfg.tolerances
@@ -105,22 +112,21 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
         centre = np.zeros(M)
         centre[M // 2] = 1.0
         reach = check_wrap_free(centre, CHECK_TIMES[-1], plan.tail_tol, ring=False)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.potential.seed or 0, spawn_key=(99,)))
+
+    # the test vectors: real and imaginary parts are consecutive hash values from index VECTOR_SITES on
+    sizes = (N, M, N * M, N * M)
+    v = _iid_uniform(cfg.potential.seed or 0, VECTOR_SITES, VECTOR_SITES + 2 * sum(sizes))
+    chi, phi, psi, eta = np.split(v[::2] + 1j * v[1::2], np.cumsum(sizes[:-1]))
+    chi, phi = chi / np.linalg.norm(chi), phi / np.linalg.norm(phi)
+    psi, eta = psi.reshape(N, M), eta.reshape(N, M)
     results: list[CheckResult] = []
 
-    def rand_vec(size):
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return v / np.linalg.norm(v)
-
     # separability: H(chi x phi) = (A1 chi) x phi + chi x (A2 phi)
-    chi, phi = rand_vec(N), rand_vec(M)
     lhs = apply_h2d(np.outer(chi, phi), a1, a2)
     rhs = np.outer(a1.apply(chi), phi) + np.outer(chi, a2.apply(phi))
     results.append(CheckResult("separability_pure_tensor", float(np.abs(lhs - rhs).max()), 1e-13))
 
     # hermiticity of the 2D application: <psi, H eta> = <H psi, eta>
-    psi = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
-    eta = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     lhs_h = np.vdot(psi, apply_h2d(eta, a1, a2))
     rhs_h = np.vdot(apply_h2d(psi, a1, a2), eta)
     results.append(CheckResult("h2d_hermitian", abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)), 1e-12))

@@ -8,11 +8,18 @@ Nor does it form the free chain's M x M basis: free_delta_measure reads one
 row of it, and free_eigensystem writes all of it down for the tests.  And it
 takes the norms of a product state from its two factors (record_decay):
 norm_chain takes them from the full N x M array instead.
+
+No command needs the rest either, so it lives here: spectral_measure_2d is
+H's measure at a whole N x M state, n_fiber_isometry_defect compares column
+norms with and without the n-sweep, and spreading_moments reads the second
+moments of |psi|^2.  Each takes a plain N x M array and never writes to it.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from chainlab.operators import hamiltonian_2d_entries
-from chainlab.spectral import EigenSystem, _free_basis_rows
+from chainlab.spectral import ATOM_MERGE_TOL, EigenSystem, SpectralMeasure, _free_basis_rows
 
 
 def dense_hamiltonian(a1, a2) -> np.ndarray:
@@ -66,3 +73,62 @@ def record_eigh_rows(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     return rows
+
+
+def spectral_measure_2d(es1: EigenSystem, es2: EigenSystem, psi, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+    """Measure of A1 (x) I + I (x) A2 at the N x M state psi.
+
+    Built without ever forming the 2D operator: the atom at
+    lambda1_j + lambda2_k weighs |(V1^T psi V2)_jk|^2, two GEMMs on psi.  For
+    psi = sum_j alpha_j chi_j (x) phi_j this is the sesquilinear sum
+    sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) of convolved 1D
+    matrix-element measures.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (es1.size, es2.size):
+        raise ValueError(f"state shape {psi.shape} does not match the eigensystems ({es1.size}, {es2.size})")
+    coeffs = es2.overlaps(es1.overlaps(psi).T).T  # V1^T psi V2
+    energies = np.add.outer(es1.eigenvalues, es2.eigenvalues)
+    return SpectralMeasure.from_atoms(energies.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel(), merge_tol)
+
+
+def n_fiber_isometry_defect(plan, psi0, t: float) -> float:
+    """max_m | ||psi(t)[:, m]||_2 - ||(m-sweep only)[:, m]||_2 | for an N x M state psi0.
+
+    The n-sweep is an isometry on every column, so the two column-norm
+    profiles must coincide.
+    """
+    half = plan.m_sweep(psi0, t)
+    full = plan.n_sweep(half, t)
+    return float(np.abs(np.linalg.norm(full, axis=0) - np.linalg.norm(half, axis=0)).max())
+
+
+@dataclass(frozen=True)
+class SpreadingMoments:
+    m_second_moment: float
+    n_second_moment: float
+    participation_ratio: float
+
+
+def spreading_moments(state, origin: tuple[float, float] | None = None) -> SpreadingMoments:
+    """Second moments of |psi|^2 of an N x M state about ``origin`` (its centroid when omitted).
+
+    Coordinates are array indices: row i is n = i and column j is m = j, so
+    a physical origin goes in as its index, origin_index's value.
+    """
+    p = np.abs(state) ** 2
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("state is identically zero")
+    n = np.arange(p.shape[0], dtype=float)
+    m = np.arange(p.shape[1], dtype=float)
+    pn = p.sum(axis=1) / total
+    pm = p.sum(axis=0) / total
+    if origin is None:
+        origin = (float(n @ pn), float(m @ pm))
+    n_bar, m_bar = float(origin[0]), float(origin[1])
+    return SpreadingMoments(
+        m_second_moment=float(((m - m_bar) ** 2) @ pm),
+        n_second_moment=float(((n - n_bar) ** 2) @ pn),
+        participation_ratio=float(total**2 / (p**2).sum()),
+    )

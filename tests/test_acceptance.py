@@ -12,7 +12,6 @@ from chainlab.diagnostics import (
     conservation_defects,
     fit_decay_exponent,
     lyapunov_scan,
-    n_fiber_isometry_defect,
     record_decay,
     time_bracket,
     truncation_energies,
@@ -39,9 +38,8 @@ from chainlab.spectral import (
     eigh_tridiagonal,
     max_atom_weight,
     spectral_measure_1d,
-    spectral_measure_2d,
 )
-from dense_reference import norm_chain, record_eigh_rows
+from dense_reference import n_fiber_isometry_defect, norm_chain, record_eigh_rows, spectral_measure_2d
 
 FIT_WINDOW = (20.0, 200.0)
 TRACE_TIMES = np.geomspace(20.0, 200.0, 25)

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -507,6 +509,20 @@ def test_cli_spectrum_artifacts_and_determinism(tmp_path, capsys):
     assert abs(summary["total_mass"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("atom_merge", ["0", "1e-9"])
+def test_cli_spectrum_summary_reads_the_measure_it_writes(tmp_path, atom_merge):
+    # the free ring's eigenvalue pairs at +-sqrt(2) differ by rounding: at atom_merge = 0 they stay
+    # two atoms in measure_delta.csv, and the summary's largest weight must be one of its rows
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text(f"[lattice]\nboundary_n = periodic\n[tolerances]\natom_merge = {atom_merge}\n")
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--config", str(cfg), "--N", "8", "--out", str(out)]) == 0
+    mu = datafiles.read_measure_csv(out / "measure_delta.csv")
+    summary = _read_json(out / "summary.json")
+    assert summary["atom_count"] == mu.atom_count
+    assert summary["max_atom_weight"] == float(np.abs(mu.weights).max())
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -921,7 +937,7 @@ def test_cli_refused_flag_names_its_key(tmp_path, capsys, flag, value, message):
     "command, flags, text, message",
     [
         ("spectrum", ["--N", "1"], "", "[lattice] n must be at least 2, got 1"),
-        ("spectrum", ["--M", "1"], "", "[lattice] m must be at least 2, got 1"),
+        ("convolve", ["--M", "1"], "", "[lattice] m must be at least 2, got 1"),
         ("spectrum", [], "[lattice]\nboundary_n = moebius\n", "[lattice] boundary_n must be one of"),
         ("spectrum", [], "[lattice]\nm_method = fft\n", "[lattice] m_method must be one of"),
         ("spectrum", [], "[time]\nfit_lo = 30\nfit_hi = 20\n", "[time] fit_lo = 30.0 and fit_hi = 20.0 must"),
@@ -952,6 +968,54 @@ def test_cli_explicit_potential_outside_its_values_names_the_keys(tmp_path, caps
     assert not any(out.iterdir())
     cfg.write_text("[potential]\nfamily = explicit\nvalues = 1, 2, 3\n[lattice]\nn = 3\nn0 = 0\n")
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+# (command, flag): each command refuses the shared flags it does not read
+DROPPED_FLAGS = [
+    ("spectrum", "--M"),
+    ("spectrum", "--tmax"),
+    ("convolve", "--tmax"),
+    ("verify", "--tmax"),
+    ("lyapunov", "--tmax"),
+    ("lyapunov", "--N"),
+    ("lyapunov", "--M"),
+]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS, ids=lambda v: v.lstrip("-"))
+def test_cli_command_refuses_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "8", "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _load_workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ beside the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+def test_cli_parser_takes_every_benchmark_step(tmp_path, monkeypatch, smoke):
+    workloads = _load_workloads(monkeypatch)
+    parser = cli.build_parser()
+    parsed = []
+    for name, build in workloads.WORKLOADS.items():
+        inputs = tmp_path / name
+        inputs.mkdir()
+        steps, _ = build(workloads.params_for(1), inputs, tmp_path / "work", smoke)
+        for step in steps:
+            if step.kind == "cli":
+                parser.parse_args(step.argv())
+                parsed.append(step.name)
+    assert sorted(set(parsed)) == ["convolve", "decay-fit", "evolve", "lyapunov", "verify"]
 
 
 def test_cli_family_flag_refuses_explicit(tmp_path, capsys):

@@ -9,9 +9,7 @@ from chainlab.diagnostics import (
     fit_decay_exponent,
     lyapunov_scan,
     minimal_wrap_free_m,
-    n_fiber_isometry_defect,
     record_decay,
-    spreading_moments,
     time_bracket,
     truncation_energies,
 )
@@ -27,7 +25,7 @@ from chainlab.operators import (
     free_operator,
     sample_potential,
 )
-from dense_reference import norm_chain
+from dense_reference import n_fiber_isometry_defect, norm_chain, spreading_moments
 
 # growth rate of the free transfer matrix at E = 3: log((3 + sqrt 5) / 2)
 FREE_GAMMA_AT_3 = 0.9624236501192069

@@ -111,10 +111,30 @@ def test_commands_without_a_verify_check_leave_verify_unloaded(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["spectrum", "--N", "16"], ["convolve", "--N", "8", "--M", "8"]],
+    [["spectrum", "--N", "8"], ["convolve", "--N", "8", "--M", "8"], ["verify", "--N", "8", "--M", "8"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_a_decay_trace_leave_diagnostics_unloaded(tmp_path, argv):
+    # datafiles names DecayTrace and DecayFit in annotations only
+    assert _loaded_after(argv + ["--out", "o"], tmp_path, ("chainlab.diagnostics",)) == "0 []"
+
+
+IID = ["--family", "random_iid", "--amplitude", "2", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--N", "16", *IID],
+        ["convolve", "--N", "8", "--M", "8", *IID],
+        ["evolve", "--N", "4", "--M", "8", "--tmax", "1", *IID],
+        ["decay-fit", "--N", "8", "--tmax", "40", *IID],
+        ["lyapunov", "--length", "1000", "--count", "2", *IID],
+        ["verify", "--N", "8", "--M", "8", "--family", "almost_mathieu", "--amplitude", "3", "--seed", "7"],
+    ],
     ids=lambda argv: argv[0],
 )
 def test_random_iid_commands_leave_numpy_random_unloaded(tmp_path, argv):
-    # a random_iid value is a hash of (seed, n) in uint64 arithmetic, with no generator
-    argv = argv + ["--family", "random_iid", "--amplitude", "2", "--seed", "7", "--out", "o"]
-    assert _loaded_after(argv, tmp_path, ("numpy.random",)) == "0 []"
+    # a random_iid value is a hash of (seed, n) in uint64 arithmetic, with no generator; verify, run
+    # as the benchmark runs it, draws its random test vectors from the same hash, keyed by --seed
+    assert _loaded_after(argv + ["--out", "o"], tmp_path, ("numpy.random",)) == "0 []"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from chainlab.diagnostics import n_fiber_isometry_defect, spreading_moments
 from chainlab.evolution import evolve_2d_direct, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     BOUNDARIES,
@@ -20,7 +19,7 @@ from chainlab.operators import (
     m_symmetries,
     sample_potential,
 )
-from dense_reference import dense_hamiltonian, norm_chain
+from dense_reference import dense_hamiltonian, n_fiber_isometry_defect, norm_chain, spreading_moments
 
 
 # -- potential specs and sampling --------------------------------------------

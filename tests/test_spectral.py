@@ -33,9 +33,8 @@ from chainlab.spectral import (
     max_atom_weight,
     sector_sizes,
     spectral_measure_1d,
-    spectral_measure_2d,
 )
-from dense_reference import dense_hamiltonian, free_eigensystem, full_eigensystem, unit_vector
+from dense_reference import dense_hamiltonian, free_eigensystem, full_eigensystem, spectral_measure_2d, unit_vector
 
 
 # -- eigensystems --------------------------------------------------------------

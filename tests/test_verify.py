@@ -179,8 +179,8 @@ def _shift_one_eigenvalue(lam, vec):
 
 
 def _scale_two_columns(lam, vec):
-    vec[:, 0] *= 1 + 1e-8
-    vec[:, 1] *= 1 - 1e-8
+    vec[:, 0] *= 1 + 1e-9
+    vec[:, 1] *= 1 - 1e-9
 
 
 def _rotate_two_columns(pick, angle):
@@ -296,5 +296,5 @@ def test_fault_screen_every_check_is_alone_to_fail_on_some_fault(screen, check):
 
 
 def test_fault_screen_unnormalized_eigenvectors_fail_eigen_gram_n_on_the_ring(screen):
-    # two eigenvector columns off unit norm by 1e-8: on the 32 x 32 ring no other check sees it
+    # two eigenvector columns off unit norm by 1e-9: on the 32 x 32 ring no other check sees it
     assert screen["a1_eigenvector_norms"]["dft_multiplier-32x32"] == ["eigen_gram_n"]

@@ -54,7 +54,7 @@ bracket = np.sqrt(1.0 + trace.times**2)
 ratio = trace.sup_norms * bracket ** (1.0 / 4.0) / trace.psi0_l1
 print(f"  envelope constant sup_t |psi|_inf <t>^(1/4) / |psi_0|_1 = {ratio.max():.4f}")
 
-l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
+l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
 print(f"  l2 drift over the run: {l2_drift:.2e}   energy drift: {energy_drift:.2e}")
 
 print("\n== trace excerpt (localized chain) ==")

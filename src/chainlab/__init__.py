@@ -77,7 +77,6 @@ _EXPORTS = {
     ),
     "config": (
         "ConfigError",
-        "Tolerances",
         "ExperimentConfig",
         "parse_config",
         "parse_config_file",

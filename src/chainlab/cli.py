@@ -77,13 +77,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _CommandParser(_Parser):
+    """A command's parser refuses a flag the command does not take itself, so the usage it prints is the command's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return namespace, unread
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chainlab",
         description="Numerical laboratory for 2D lattice Schrodinger operators "
         "with a potential constant along one direction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_CommandParser)
     for name, (help_line, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag in (*_COMMON_FLAGS, *flags):
@@ -150,7 +160,7 @@ def _cmd_spectrum(cfg, args) -> int:
     N, _ = cfg.lattice()
     pot, a1 = cfg.chain_operator(N)
     es = eigh_tridiagonal(a1)
-    mu = spectral_measure_1d(es, delta_vector(N, cfg.n0, "n0"), merge_tol=cfg.tolerances.atom_merge)
+    mu = spectral_measure_1d(es, delta_vector(N, cfg.n0, "n0"))
     datafiles.write_potential_csv(pot, _out(cfg, "potential.csv"))
     datafiles.write_eigenvalues_csv(es.eigenvalues, _out(cfg, "eigenvalues.csv"))
     datafiles.write_measure_csv(mu, _out(cfg, "measure_delta.csv"))
@@ -163,7 +173,7 @@ def _cmd_spectrum(cfg, args) -> int:
             "energy_max": float(es.eigenvalues[-1]),
             "atom_count": mu.atom_count,
             "total_mass": float(mu.total_mass().real),
-            "max_atom_weight": max_atom_weight(mu, cfg.tolerances.atom_merge),
+            "max_atom_weight": max_atom_weight(mu),
         },
         _out(cfg, "summary.json"),
     )
@@ -174,13 +184,13 @@ def _cmd_spectrum(cfg, args) -> int:
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
     from .operators import origin_index
-    from .spectral import atom_weight_discrepancy
+    from .spectral import MEASURE_MATCH_TOL, atom_weight_discrepancy
     from .verify import delta_crosscheck
 
     N, M = cfg.lattice()
     plan = cfg.plan(N, M)
     i, j = origin_index("n0", cfg.n0, N), origin_index("m0", cfg.m0, M)
-    mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(plan, i, j, cfg.tolerances.atom_merge)
+    mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(plan, i, j)
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
     datafiles.write_measure_csv(conv, _out(cfg, "convolution.csv"))
@@ -198,14 +208,13 @@ def _cmd_convolve(cfg, args) -> int:
     datafiles.write_measure_csv(direct, _out(cfg, "direct_2d.csv"))
     discrepancy = atom_weight_discrepancy(conv, direct)
     report["max_atom_weight_discrepancy"] = discrepancy
-    report["tolerance"] = cfg.tolerances.measure_match
+    report["tolerance"] = MEASURE_MATCH_TOL
     datafiles.write_json(report, _out(cfg, "report.json"))
     oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {' and '.join(map(str, sizes))} of {N * M} sites"
     print(f"convolve: max atom-weight discrepancy vs direct route {discrepancy:.3e}, dense oracle on {oracle}")
-    if discrepancy > cfg.tolerances.measure_match:
+    if discrepancy > MEASURE_MATCH_TOL:
         raise CheckFailure(
-            f"convolution vs direct 2D measure: discrepancy {discrepancy:.3e} "
-            f"exceeds {cfg.tolerances.measure_match:.1e}"
+            f"convolution vs direct 2D measure: discrepancy {discrepancy:.3e} exceeds {MEASURE_MATCH_TOL:.1e}"
         )
     return 0
 
@@ -237,7 +246,7 @@ def _cmd_evolve(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects
-    from .evolution import evolve_2d_factorized
+    from .evolution import CONSERVATION_TOL, evolve_2d_factorized
     from .operators import delta_state, energy_expectation, origin_index
 
     N, M = cfg.lattice()
@@ -251,27 +260,27 @@ def _cmd_evolve(cfg, args) -> int:
     l2_drift, energy_drift = conservation_defects(
         np.array([np.linalg.norm(s) for s in states]),
         np.array([energy_expectation(s, a1, a2) for s in states]),
+        np.linalg.norm(psi0),
+        energy_expectation(psi0, a1, a2),
     )
 
-    keep = slice(None, None, cfg.snapshot_every)
     if cfg.binary_snapshots:
-        datafiles.write_trajectory_binary(times[keep], states[keep], start, _out(cfg, "trajectory.bin"))
+        datafiles.write_trajectory_binary(times, states, start, _out(cfg, "trajectory.bin"))
     else:
-        datafiles.write_trajectory_csv(times[keep], states[keep], start, _out(cfg, "trajectory.csv"))
-    tol = cfg.tolerances.conservation
+        datafiles.write_trajectory_csv(times, states, start, _out(cfg, "trajectory.csv"))
     datafiles.write_json(
         {
             "l2_drift": l2_drift,
             "energy_drift": energy_drift,
-            "tolerance": tol,
-            "passed": _conserved(l2_drift, energy_drift, tol),
+            "tolerance": CONSERVATION_TOL,
+            "passed": _conserved(l2_drift, energy_drift, CONSERVATION_TOL),
             "t_max": float(times[-1]),
-            "snapshots": len(states[keep]),
+            "snapshots": len(states),
         },
         _out(cfg, "conservation.json"),
     )
     print(f"evolve: {len(times)} steps to t={times[-1]:g}, l2 drift {l2_drift:.3e}, energy drift {energy_drift:.3e}")
-    _check_conservation(l2_drift, energy_drift, tol)
+    _check_conservation(l2_drift, energy_drift, CONSERVATION_TOL)
     return 0
 
 
@@ -281,6 +290,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     from . import datafiles
     from .diagnostics import MIN_FIT_SAMPLES, conservation_defects, fit_decay_exponent, fit_samples
     from .diagnostics import minimal_wrap_free_m, record_decay
+    from .evolution import CONSERVATION_TOL
     from .operators import delta_vector
 
     fit_lo, fit_hi = cfg.fit_window
@@ -302,7 +312,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     if cfg.M is not None:
         M = cfg.M
     else:
-        need = minimal_wrap_free_m(t_max, support_width=1, tail_tol=cfg.tolerances.tail_mass)
+        need = minimal_wrap_free_m(t_max, support_width=1)
         M = 1 << (need - 1).bit_length()
 
     # a zero potential and no N: the free chain, run as the one-site chain
@@ -314,20 +324,19 @@ def _cmd_decay_fit(cfg, args) -> int:
     trace = record_decay(plan, chi, phi, times)
     # --tmax ends the fit window; otherwise the config's window, cut at the last sample
     fit = fit_decay_exponent(trace, fit_lo, t_max if args.tmax is not None else min(fit_hi, t_max))
-    l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
-    tol = cfg.tolerances.conservation
+    l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))
     datafiles.write_fit_json(
         fit,
         _out(cfg, "fit.json"),
         l2_drift=l2_drift,
         energy_drift=energy_drift,
-        tolerance=tol,
+        tolerance=CONSERVATION_TOL,
         m_size=M,
     )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")
-    _check_conservation(l2_drift, energy_drift, tol)
+    _check_conservation(l2_drift, energy_drift, CONSERVATION_TOL)
     return 0
 
 

@@ -1,8 +1,10 @@
-"""Experiment configuration: INI-style text with five fixed sections.
+"""Experiment configuration: INI-style text with four fixed sections.
 
 [potential]  family and its knobs        [lattice]  sizes, windows, boundaries
 [time]       sample times and fit window [output]   directory and formats
-[tolerances] numerical check thresholds
+
+The config holds the model, not the checks: each numerical check's
+threshold is a constant of spectral or evolution, set in no config.
 
 One table, _KEYS, is the schema: it maps each "[section] key" to the config
 field it sets and to how its value is parsed and written.  Unknown sections
@@ -20,8 +22,7 @@ import numpy as np
 
 from .operators import BOUNDARIES, Operator1D, Potential1D, PotentialSpec
 from .operators import build_operator_1d, origin_index, sample_potential
-from .evolution import DEFAULT_TAIL_TOL, M_METHODS, PropagatorPlan, make_plan
-from .spectral import ATOM_MERGE_TOL
+from .evolution import M_METHODS, PropagatorPlan, make_plan
 
 
 DEFAULT_SIZE = 16  # N and M of the lattice commands when the config gives none
@@ -29,24 +30,6 @@ DEFAULT_SIZE = 16  # N and M of the lattice commands when the config gives none
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    atom_merge: float = ATOM_MERGE_TOL
-    mass_conservation: float = 1e-10
-    measure_match: float = 1e-10
-    factorization: float = 1e-8
-    conservation: float = 1e-9
-    tail_mass: float = DEFAULT_TAIL_TOL
-
-    def __post_init__(self):
-        # a check against a zero, negative or non-finite tolerance fails on every run
-        for name, value in dataclasses.asdict(self).items():
-            floor_ok = value >= 0 if name == "atom_merge" else value > 0
-            if not (math.isfinite(value) and floor_ok and (name != "tail_mass" or value < 1)):
-                rule = {"atom_merge": ">= 0", "tail_mass": "in (0, 1)"}.get(name, "> 0")
-                raise ConfigError(f"[tolerances] {name} must be finite and {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +43,8 @@ class ExperimentConfig:
     m_method: str = "dft_multiplier"
     times: tuple[float, ...] | None = None
     fit_window: tuple[float, float] = (20.0, 200.0)
-    snapshot_every: int = 1
     output_dir: str = "out"
     binary_snapshots: bool = False
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.boundary_n not in BOUNDARIES:
@@ -83,8 +64,6 @@ class ExperimentConfig:
         lo, hi = self.fit_window
         if not 0 <= lo < hi:
             raise ConfigError(f"[time] fit_lo = {lo!r} and fit_hi = {hi!r} must satisfy 0 <= fit_lo < fit_hi")
-        if self.snapshot_every < 1:
-            raise ConfigError(f"[time] snapshot_every must be at least 1, got {self.snapshot_every}")
 
     def lattice(self) -> tuple[int, int]:
         """N and M of the lattice commands: DEFAULT_SIZE for a size the config leaves out."""
@@ -105,7 +84,7 @@ class ExperimentConfig:
     def plan(self, N: int, M: int) -> PropagatorPlan:
         """The model's propagator on N x M sites (N = 1: the free chain); m_method alone
         fixes A2, a periodic ring under dft_multiplier and a dirichlet window otherwise."""
-        return make_plan(self.chain_operator(N)[1], self.m_method, M, tail_tol=self.tolerances.tail_mass)
+        return make_plan(self.chain_operator(N)[1], self.m_method, M)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -126,7 +105,7 @@ _FLOATS = (_floats, lambda xs: ", ".join(repr(float(x)) for x in xs))
 _BOOL = (_bool, lambda b: "true" if b else "false")
 
 # The schema: "[section] key" -> (the ExperimentConfig field it sets, its (parse, format)).
-# A dotted field is one of the potential or the tolerances, or an end of fit_window.
+# A dotted field is one of the potential, or an end of fit_window.
 # write_config writes the keys in this order and leaves out those whose value is None.
 _KEYS = {
     "[potential] family": ("potential.family", _TEXT),
@@ -145,13 +124,9 @@ _KEYS = {
     "[time] times": ("times", _FLOATS),
     "[time] fit_lo": ("fit_window.0", _FLOAT),
     "[time] fit_hi": ("fit_window.1", _FLOAT),
-    "[time] snapshot_every": ("snapshot_every", _INT),
     "[output] directory": ("output_dir", _TEXT),
     "[output] binary_snapshots": ("binary_snapshots", _BOOL),
-    **{f"[tolerances] {f.name}": (f"tolerances.{f.name}", _FLOAT) for f in dataclasses.fields(Tolerances)},
 }
-# parse-only: the range t_lo/t_hi/samples/spacing yields [time] times
-_TIME_RANGE = {"t_lo": float, "t_hi": float, "samples": int, "spacing": str}
 
 
 def _parse(name: str, parse, raw: str):
@@ -159,32 +134,6 @@ def _parse(name: str, parse, raw: str):
         return parse(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from None
-
-
-def _time_range(ranged: dict, beside_times: bool) -> tuple[float, ...]:
-    """[time] times from the range keys present in ranged."""
-    first = next(key for key in _TIME_RANGE if key in ranged)
-    if beside_times:  # a range key beside times, or without t_lo, would go unread
-        raise ConfigError(f"[time] {first} cannot be combined with times: give times or the range t_lo/t_hi")
-    if first != "t_lo":
-        raise ConfigError(f"[time] {first} needs t_lo: the range is t_lo/t_hi/samples/spacing")
-    t_lo, t_hi = ranged["t_lo"], ranged.get("t_hi")
-    samples, spacing = ranged.get("samples", 25), ranged.get("spacing", "geometric")
-    if t_hi is None:
-        raise ConfigError("[time] t_hi is required with t_lo")
-    if samples < 1:
-        raise ConfigError(f"[time] samples must be at least 1, got {samples}")
-    if not (math.isfinite(t_lo) and t_lo >= 0):
-        raise ConfigError(f"[time] t_lo must be finite and nonnegative, got {t_lo!r}")
-    if not (math.isfinite(t_hi) and t_hi >= t_lo):
-        raise ConfigError(f"[time] t_hi must be finite and at least t_lo = {t_lo!r}, got {t_hi!r}")
-    if spacing == "geometric":
-        if t_lo <= 0:
-            raise ConfigError("[time] geometric spacing needs t_lo > 0")
-        return tuple(np.geomspace(t_lo, t_hi, samples))
-    if spacing == "linear":
-        return tuple(np.linspace(t_lo, t_hi, samples))
-    raise ConfigError(f"[time] spacing: unknown value {spacing!r}")
 
 
 def _write_over(parser, overrides) -> None:
@@ -218,15 +167,12 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from None
     _write_over(parser, overrides or {})
 
-    kwargs, nested, ranged = {}, {}, {}  # ExperimentConfig fields, fields of its parts, range keys
+    kwargs, nested = {}, {}  # ExperimentConfig fields, fields of its parts
     for section in parser.sections():
         if not any(name.startswith(f"[{section}] ") for name in _KEYS):
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             name = f"[{section}] {key}"
-            if section == "time" and key in _TIME_RANGE:
-                ranged[key] = _parse(name, _TIME_RANGE[key], raw)
-                continue
             if name not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             path, (parse, _) = _KEYS[name]
@@ -236,8 +182,6 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
                 nested.setdefault(head, {})[attr] = value
             else:
                 kwargs[head] = value
-    if ranged:
-        kwargs["times"] = _time_range(ranged, beside_times="times" in kwargs)
 
     default = ExperimentConfig()
     for head, given in nested.items():
@@ -247,8 +191,6 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             continue
         try:
             kwargs[head] = dataclasses.replace(part, **given)
-        except ConfigError:
-            raise
         except ValueError as exc:  # PotentialSpec's refusals name no section
             raise ConfigError(f"[{head}]: {exc}") from None
     return ExperimentConfig(**kwargs)

@@ -48,6 +48,7 @@ class DecayTrace:
     energies: np.ndarray
     psi0_l1: float
     psi0_l2: float
+    psi0_energy: float
 
     def __post_init__(self):
         for name in ("times", "sup_norms", "l2n_supm", "supm_l2n", "l2_norms", "energies"):
@@ -67,9 +68,9 @@ class DecayFit:
     n_samples: int
 
 
-def minimal_wrap_free_m(t_max: float, support_width: int, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+def minimal_wrap_free_m(t_max: float, support_width: int) -> int:
     """Smallest m-extent on which evolution up to t_max is faithful to the infinite lattice."""
-    return support_width + 2 * light_cone_reach(t_max, tail_tol)
+    return support_width + 2 * light_cone_reach(t_max)
 
 
 def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
@@ -90,21 +91,25 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         raise ValueError(
             f"factor shapes {chi.shape} and {phi.shape} do not match plan ({plan.n_size},) and ({plan.m_size},)"
         )
-    check_wrap_free(phi, float(times[-1]), plan.tail_tol, ring=plan.m_method == "dft_multiplier")
+    check_wrap_free(phi, float(times[-1]), DEFAULT_TAIL_TOL, ring=plan.m_method == "dft_multiplier")
 
     a1 = plan.a1_operator()
     a2 = plan.a2_operator()
+
+    def energy(u, w):  # <psi, H psi> of psi = u (x) w, by the product formula
+        u_l2, w_l2 = np.linalg.norm(u), np.linalg.norm(w)
+        return u_l2**2 * np.vdot(w, a2.apply(w)).real + np.vdot(u, a1.apply(u)).real * w_l2**2
+
     cols = {name: [] for name in ("sup", "mixed", "l2", "energy")}
     for t in map(float, times):
         u = plan.n_sweep(chi, t)
         w = plan.m_sweep(phi, t)
         u_l2, w_l2 = np.linalg.norm(u), np.linalg.norm(w)
         w_sup = np.abs(w).max()
-        energy = u_l2**2 * np.vdot(w, a2.apply(w)).real + np.vdot(u, a1.apply(u)).real * w_l2**2
         cols["sup"].append(np.abs(u).max() * w_sup)
         cols["mixed"].append(u_l2 * w_sup)
         cols["l2"].append(u_l2 * w_l2)
-        cols["energy"].append(energy)
+        cols["energy"].append(energy(u, w))
     return DecayTrace(
         times=times,
         sup_norms=cols["sup"],
@@ -114,13 +119,16 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         energies=cols["energy"],
         psi0_l1=float(np.abs(chi).sum() * np.abs(phi).sum()),
         psi0_l2=float(np.linalg.norm(chi) * np.linalg.norm(phi)),
+        psi0_energy=float(energy(chi, phi)),
     )
 
 
-def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray) -> tuple[float, float]:
-    """Relative l2-norm and energy drift of a series against its first sample."""
-    n0 = l2_norms[0]
-    e0 = energies[0]
+def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray, n0: float, e0: float) -> tuple[float, float]:
+    """Relative l2-norm and energy drift of a series against the initial state's norm n0 and energy e0.
+
+    n0 and e0 are read off psi0 itself, not off a propagated sample, so a
+    fault that every propagated sample shares still shows as drift.
+    """
     norm_drift = float(np.abs(l2_norms - n0).max() / n0)
     energy_drift = float(np.abs(energies - e0).max() / max(1.0, abs(e0)))
     return norm_drift, energy_drift

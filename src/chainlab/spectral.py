@@ -33,6 +33,8 @@ import numpy as np
 from .operators import DENSE_SITE_CAP, Operator1D, _freeze
 
 ATOM_MERGE_TOL = 1e-9
+MEASURE_MATCH_TOL = 1e-10  # largest atom-weight gap between the convolution and the dense oracle
+MASS_CONSERVATION_TOL = 1e-10  # largest mass defect of the convolved measure at a unit delta
 DEFAULT_GRID_BINS = 512
 GRID_PAD = 1e-6
 NUMPY_EIGH_SITES = 512  # chains up to this size skip the scipy.linalg import

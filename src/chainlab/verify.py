@@ -20,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .evolution import PropagatorPlan, check_wrap_free, evolve_2d_direct, evolve_2d_factorized
+from .evolution import CONSERVATION_TOL, DEFAULT_TAIL_TOL, FACTORIZATION_TOL, PropagatorPlan, check_wrap_free
+from .evolution import evolve_2d_direct, evolve_2d_factorized
 from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, energy_expectation, hamiltonian_2d_entries, m_symmetries
 from .spectral import (
+    MASS_CONSERVATION_TOL,
+    MEASURE_MATCH_TOL,
     atom_weight_discrepancy,
     convolve_measures,
     dense_measure,
@@ -53,7 +56,7 @@ CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
 VECTOR_SITES = 2**62  # the test vectors' first hash index: no potential window reaches it
 
 
-def delta_crosscheck(plan: PropagatorPlan, i: int, j: int, merge_tol: float):
+def delta_crosscheck(plan: PropagatorPlan, i: int, j: int):
     """The convolution identity at the site delta e_i (x) e_j: (mu1, mu2, mu1 * mu2, mass_defect, direct, sizes).
 
     mu1 is A1's measure at e_i from the plan's eigensystem, mu2 is A2's at
@@ -70,16 +73,16 @@ def delta_crosscheck(plan: PropagatorPlan, i: int, j: int, merge_tol: float):
         raise ValueError(f"site ({i}, {j}) is outside the {N} x {M} lattice")
     chi = np.zeros(N, dtype=complex)
     chi[i] = 1.0
-    mu1 = spectral_measure_1d(plan.es1, chi, merge_tol=merge_tol)
-    mu2 = free_delta_measure(a2, j, merge_tol)
-    conv = convolve_measures(mu1, mu2, merge_tol=merge_tol)
+    mu1 = spectral_measure_1d(plan.es1, chi)
+    mu2 = free_delta_measure(a2, j)
+    conv = convolve_measures(mu1, mu2)
     mass_defect = float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass()))
     if N * M > DENSE_SITE_CAP:
         return mu1, mu2, conv, mass_defect, None, None
     delta = np.zeros(N * M, dtype=complex)
     delta[i * M + j] = 1.0
     symmetries = m_symmetries(N, a2, j)  # A2 is free, so the m-axis always has its reflection
-    direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, merge_tol, symmetries)
+    direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, symmetries=symmetries)
     return mu1, mu2, conv, mass_defect, direct, sector_sizes(N * M, delta, symmetries)
 
 
@@ -105,13 +108,12 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     potential window reaches: the same config gives the same residuals.
     """
     N, M = cfg.lattice()
-    tol = cfg.tolerances
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     if cfg.m_method == "bessel_kernel":
         centre = np.zeros(M)
         centre[M // 2] = 1.0
-        reach = check_wrap_free(centre, CHECK_TIMES[-1], plan.tail_tol, ring=False)
+        reach = check_wrap_free(centre, CHECK_TIMES[-1], DEFAULT_TAIL_TOL, ring=False)
 
     # the test vectors: real and imaginary parts are consecutive hash values from index VECTOR_SITES on
     sizes = (N, M, N * M, N * M)
@@ -136,12 +138,10 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("eigen_gram_n", gram_defect(plan.es1), 1e-10))
 
     # measure mass at the centre delta, and the convolution route against the dense 2D route
-    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2, M // 2, tol.atom_merge)
-    results.append(CheckResult("measure_mass_delta", abs(conv.total_mass() - 1.0), tol.mass_conservation))
+    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2, M // 2)
+    results.append(CheckResult("measure_mass_delta", abs(conv.total_mass() - 1.0), MASS_CONSERVATION_TOL))
     if direct is not None:
-        results.append(
-            CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), tol.measure_match)
-        )
+        results.append(CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), MEASURE_MATCH_TOL))
 
     # factorized against direct propagator, unitarity, energy conservation
     if cfg.m_method == "bessel_kernel":  # keep to the sites the kernel cannot carry to the window ends
@@ -159,9 +159,9 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
             worst_energy,
             abs(energy_expectation(psi_f, a1, a2) - e0) / max(1.0, abs(e0)),
         )
-    results.append(CheckResult("factorization_vs_direct", worst_fact, tol.factorization))
-    results.append(CheckResult("unitarity", worst_unit, tol.conservation))
-    results.append(CheckResult("energy_conservation", worst_energy, tol.conservation))
+    results.append(CheckResult("factorization_vs_direct", worst_fact, FACTORIZATION_TOL))
+    results.append(CheckResult("unitarity", worst_unit, CONSERVATION_TOL))
+    results.append(CheckResult("energy_conservation", worst_energy, CONSERVATION_TOL))
     return results
 
 

@@ -278,7 +278,9 @@ def test_criterion_8_conservation_suite(factorization_runs, free_chain_run, amo_
     worst_norm = factorization_runs["norm_drift"]
     worst_energy = factorization_runs["energy_drift"]
     for _, _, trace in (free_chain_run, amo_2d_run):
-        norm_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
+        norm_drift, energy_drift = conservation_defects(
+            trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy
+        )
         worst_norm = max(worst_norm, norm_drift)
         worst_energy = max(worst_energy, energy_drift)
     assert worst_norm <= 1e-9, f"l2 drift {worst_norm:.3e} > 1e-9"

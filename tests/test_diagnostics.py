@@ -110,6 +110,7 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
     assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
     assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0), rel=1e-14)
+    assert trace.psi0_energy == pytest.approx(energy_expectation(psi0, a1, plan.a2_operator()), rel=1e-12, abs=1e-12)
     columns = (trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
@@ -154,8 +155,9 @@ def test_conservation_defects_on_flat_trace():
         energies=[2.0, 2.0],
         psi0_l1=1.0,
         psi0_l2=1.0,
+        psi0_energy=2.0,
     )
-    norm_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies)
+    norm_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
     assert norm_drift == 0.0 and energy_drift == 0.0
 
 
@@ -171,6 +173,7 @@ def test_fit_recovers_exact_power_law():
         energies=np.zeros_like(times),
         psi0_l1=1.0,
         psi0_l2=1.0,
+        psi0_energy=0.0,
     )
     fit = fit_decay_exponent(trace)
     assert abs(fit.exponent + 1.0 / 3.0) < 1e-12
@@ -182,7 +185,7 @@ def test_fit_recovers_exact_power_law():
 def test_fit_needs_enough_samples():
     times = np.geomspace(20.0, 200.0, 4)
     ones = np.ones_like(times)
-    trace = DecayTrace(times, ones, ones, ones, ones, ones, 1.0, 1.0)
+    trace = DecayTrace(times, ones, ones, ones, ones, ones, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         fit_decay_exponent(trace)
 

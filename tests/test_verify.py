@@ -97,7 +97,7 @@ def test_delta_crosscheck_rejects_a_site_off_the_lattice():
     plan = ExperimentConfig().plan(4, 6)
     for i, j in ((-1, 0), (4, 0), (0, -1), (0, 6)):
         with pytest.raises(ValueError, match=rf"site \({i}, {j}\) is outside the 4 x 6 lattice"):
-            verify.delta_crosscheck(plan, i, j, 1e-9)
+            verify.delta_crosscheck(plan, i, j)
 
 
 def _bessel_config(tmp_path):

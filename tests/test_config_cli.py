@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -149,6 +150,16 @@ def test_unknown_key_is_named(section, key):
         unknown = rf"unknown key '{key}' in section \[{section}\]"
     with pytest.raises(ConfigError, match=unknown):
         parse_config(f"[{section}]\n{key} = 1\n")
+
+
+def test_config_keys_are_the_model_only():
+    # four sections and 18 keys; a check's threshold is a module constant, and the plan carries no tolerance
+    from chainlab import config
+    from chainlab.evolution import PropagatorPlan
+
+    assert len(config._KEYS) == 18
+    assert {name.partition("]")[0] + "]" for name in config._KEYS} == {"[potential]", "[lattice]", "[time]", "[output]"}
+    assert [f.name for f in dataclasses.fields(PropagatorPlan)] == ["es1", "m_method", "m_size"]
 
 
 def test_cli_refuses_a_removed_key_before_any_artifact(tmp_path, capsys):
@@ -861,8 +872,14 @@ def test_cli_refused_flag_names_its_key(tmp_path, capsys, flag, value, message):
         ("spectrum", [], "[time]\nfit_lo = 30\nfit_hi = 20\n", "[time] fit_lo = 30.0 and fit_hi = 20.0 must"),
         ("spectrum", [], "[time]\nfit_lo = -1\n", "[time] fit_lo = -1.0 and fit_hi = 200.0 must"),
         ("decay-fit", ["--N", "8"], "[time]\nfit_lo = 0\n", "[time] fit_lo = 0: the geometric time grid"),
+        # a removed key is refused by each command that used to read it
+        ("evolve", [], "[time]\nsnapshot_every = 2\n", "unknown key 'snapshot_every' in section [time]"),
+        ("decay-fit", [], "[time]\nt_lo = 1\nt_hi = 9\n", "unknown key 't_lo' in section [time]"),
+        ("convolve", [], "[tolerances]\nmeasure_match = 1e-22\n", "unknown section [tolerances]"),
+        ("verify", [], "[tolerances]\nfactorization = 1e-8\n", "unknown section [tolerances]"),
     ],
-    ids=["n", "m", "boundary_n", "m_method", "fit_lo-above-fit_hi", "fit_lo-negative", "fit_lo-zero-decay-fit"],
+    ids=["n", "m", "boundary_n", "m_method", "fit_lo-above-fit_hi", "fit_lo-negative", "fit_lo-zero-decay-fit",
+         "snapshot_every", "t_lo", "tolerances-convolve", "tolerances-verify"],
 )
 def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text, message):
     # [time] times and a non-finite fit_lo or fit_hi are refused by name in the tests above
@@ -971,6 +988,40 @@ def test_cli_verify_failure_exits_2_after_writing_verify_json(tmp_path, capsys, 
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert report["all_passed"] is False and "energy_conservation" in failed
     assert f"check failed: invariants failed: {', '.join(failed)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, name, value, checks",
+    [
+        ("spectral", "MASS_CONSERVATION_TOL", 1e-10, ["measure_mass_delta"]),
+        ("spectral", "MEASURE_MATCH_TOL", 1e-10, ["convolution_identity"]),
+        ("evolution", "FACTORIZATION_TOL", 1e-8, ["factorization_vs_direct"]),
+        ("evolution", "CONSERVATION_TOL", 1e-9, ["unitarity", "energy_conservation"]),
+    ],
+)
+def test_cli_verify_reads_each_threshold_constant(tmp_path, monkeypatch, source, name, value, checks):
+    # each threshold is one constant, with the value the config's default used to give it; at 1e-30, below
+    # every residual of the free 8 x 8 lattice, exactly the checks it names fail
+    from chainlab import verify
+
+    assert getattr(importlib.import_module(f"chainlab.{source}"), name) == getattr(verify, name) == value
+    monkeypatch.setattr(verify, name, 1e-30)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--N", "8", "--M", "8", "--out", str(out)]) == 2
+    report = _read_json(out / "verify.json")
+    assert [c["name"] for c in report["checks"] if c["tolerance"] == 1e-30] == checks
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == checks
+
+
+def test_cli_evolve_reads_the_conservation_constant(tmp_path, capsys, monkeypatch):
+    from chainlab import evolution
+
+    monkeypatch.setattr(evolution, "CONSERVATION_TOL", 1e-30)
+    out = tmp_path / "e"
+    assert cli.main(["evolve", "--N", "4", "--M", "8", "--tmax", "2", "--out", str(out)]) == 2
+    assert "check failed: conservation" in capsys.readouterr().err
+    report = _read_json(out / "conservation.json")  # written before the check, for post-mortem
+    assert (report["tolerance"], report["passed"]) == (1e-30, False)
 
 
 def test_cli_evolve_defaults_to_eleven_times_up_to_10(tmp_path):

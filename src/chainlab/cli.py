@@ -94,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with a potential constant along one direction.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_CommandParser)
+    parser.commands = sub.choices  # command name: its parser, whose usage lists the command's flags
     for name, (help_line, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag in (*_COMMON_FLAGS, *flags):
@@ -114,7 +115,8 @@ def main(argv=None) -> int:
 
     families = tuple(f for f in FAMILIES if f != "explicit")  # explicit takes its values from a file
     if args.family not in (None, *families):
-        parser.error(f"argument --family: invalid choice: {args.family!r}, not one of {families}")
+        message = f"argument --family: invalid choice: {args.family!r}, not one of {families}"
+        parser.commands[args.command].error(message)
     try:
         return _run(args)
     except CheckFailure as exc:

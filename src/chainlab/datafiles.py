@@ -190,7 +190,7 @@ def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[in
 
 
 def write_trace_csv(trace: DecayTrace, path) -> None:
-    columns = (trace.times, trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
+    columns = (trace.times, trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
     _write_csv(path, "t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy", _rows(*columns))
 
 

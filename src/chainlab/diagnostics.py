@@ -11,8 +11,8 @@ keeps the product form, e^{iHt}(chi (x) phi) = (e^{iA1 t} chi) (x)
 (e^{i(-Delta)t} phi), so every norm and the energy of psi(t) follow from the
 two evolved factors: a sample costs O(N^2 + M log M) under every m-sweep
 instead of a full O(N^2 M) step.  On a product state the two mixed norms
-coincide, ||u||_2 ||w||_inf, so the trace's l2n_supm and supm_l2n columns
-hold the same value.
+coincide, ||u||_2 ||w||_inf, so a trace holds it once, as mixed_norms, and
+trace.csv writes it under both of its headers, l2n_supm and supm_l2n.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DEFAULT_TAIL_TOL, PropagatorPlan, check_wrap_free, light_cone_reach
+from .evolution import PropagatorPlan, check_wrap_free, light_cone_reach
 from .operators import PotentialSpec, _freeze, build_operator_1d, sample_potential
 from .spectral import eigh_tridiagonal
 
@@ -42,8 +42,7 @@ class DecayTrace:
 
     times: np.ndarray
     sup_norms: np.ndarray
-    l2n_supm: np.ndarray  # sup over m of the l2 norm along n
-    supm_l2n: np.ndarray  # l2 norm along n of the sup along m
+    mixed_norms: np.ndarray  # sup over m of the l2 norm along n, and l2 norm along n of the sup along m
     l2_norms: np.ndarray
     energies: np.ndarray
     psi0_l1: float
@@ -51,7 +50,7 @@ class DecayTrace:
     psi0_energy: float
 
     def __post_init__(self):
-        for name in ("times", "sup_norms", "l2n_supm", "supm_l2n", "l2_norms", "energies"):
+        for name in ("times", "sup_norms", "mixed_norms", "l2_norms", "energies"):
             arr = np.array(getattr(self, name), dtype=float, copy=True)
             if arr.shape != (np.asarray(self.times).size,):
                 raise ValueError("trace columns must share one length")
@@ -91,7 +90,7 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         raise ValueError(
             f"factor shapes {chi.shape} and {phi.shape} do not match plan ({plan.n_size},) and ({plan.m_size},)"
         )
-    check_wrap_free(phi, float(times[-1]), DEFAULT_TAIL_TOL, ring=plan.m_method == "dft_multiplier")
+    check_wrap_free(phi, float(times[-1]), ring=plan.m_method == "dft_multiplier")
 
     a1 = plan.a1_operator()
     a2 = plan.a2_operator()
@@ -113,8 +112,7 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
     return DecayTrace(
         times=times,
         sup_norms=cols["sup"],
-        l2n_supm=cols["mixed"],
-        supm_l2n=cols["mixed"],
+        mixed_norms=cols["mixed"],
         l2_norms=cols["l2"],
         energies=cols["energy"],
         psi0_l1=float(np.abs(chi).sum() * np.abs(phi).sum()),

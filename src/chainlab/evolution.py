@@ -33,8 +33,8 @@ from .operators import Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_
 from .spectral import EigenSystem, _real_matmul, _sector_solves, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
-DEFAULT_TAIL_TOL = 1e-10
-CHEB_TOL = 1e-12
+DEFAULT_TAIL_TOL = 1e-10  # largest l1 mass of the Bessel kernel dropped beyond bessel_pad
+CHEB_TOL = 1e-12  # largest truncation of the Chebyshev expansion
 FACTORIZATION_TOL = 1e-8  # largest l2 gap between the factorized and the Chebyshev propagator
 CONSERVATION_TOL = 1e-9  # largest relative norm or energy drift from t = 0
 
@@ -48,29 +48,21 @@ def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:
     return es.combine(phases * c)
 
 
-def _airy_depth(tail_tol: float) -> float:
-    """x with exp(-(2/3) x^(3/2)) = tail_tol: Airy decay lengths past the turning point."""
-    return (1.5 * math.log(1.0 / tail_tol)) ** (2.0 / 3.0)
-
-
-def bessel_pad(t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < tail_tol.
+def bessel_pad(t: float) -> int:
+    """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < DEFAULT_TAIL_TOL.
 
     Past the turning point J_m(2t) falls off like Ai(x) with x = (m - 2t) / t^(1/3),
-    so the pad is a number of Airy lengths t^(1/3).  The margin calibrated at
-    tail_tol = 1e-10 is scaled by the Airy depth of tail_tol against that of
-    1e-10; the two-sided l1 tail beyond the pad is under tail_tol.
+    so the pad is a number of Airy lengths t^(1/3): the margin
+    ceil(10 (z/2)^(1/3)) + 12 at z = max(2|t|, 1) is calibrated so that the
+    two-sided l1 tail beyond it is under DEFAULT_TAIL_TOL = 1e-10.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     z = max(2.0 * abs(t), 1.0)
-    scale = _airy_depth(tail_tol) / _airy_depth(DEFAULT_TAIL_TOL)
-    return int(math.ceil(10.0 * scale * (z / 2.0) ** (1.0 / 3.0))) + 12
+    return int(math.ceil(10.0 * (z / 2.0) ** (1.0 / 3.0))) + 12
 
 
-def light_cone_reach(t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+def light_cone_reach(t: float) -> int:
     """Sites one site's amplitude can reach by time t: light cone 2|t| plus the kernel tail pad."""
-    return int(math.ceil(2.0 * abs(t))) + bessel_pad(t, tail_tol)
+    return int(math.ceil(2.0 * abs(t))) + bessel_pad(t)
 
 
 _MILLER_SHIFT = 512  # the recurrence rescales by 2^-512 whenever it passes 2^512
@@ -162,7 +154,7 @@ def _support_range(arr: np.ndarray) -> tuple[int, int]:
     return int(idx[0]), int(idx[-1])
 
 
-def check_wrap_free(amp: np.ndarray, t: float, tail_tol: float, ring: bool) -> int:
+def check_wrap_free(amp: np.ndarray, t: float, ring: bool) -> int:
     """The light-cone reach of amp's support by time t along the last axis.
 
     On a ring (ring=True) the support width plus the reach on each side must
@@ -171,7 +163,7 @@ def check_wrap_free(amp: np.ndarray, t: float, tail_tol: float, ring: bool) -> i
     Raises ValueError naming the sites needed otherwise.
     """
     lo, hi = _support_range(amp)
-    reach = light_cone_reach(t, tail_tol)
+    reach = light_cone_reach(t)
     M = amp.shape[-1]
     need = (hi - lo + 1) + 2 * reach
     if not (M >= need if ring else reach <= lo and hi + reach <= M - 1):
@@ -204,7 +196,7 @@ def evolve_free_1d(phi: np.ndarray, t: float, method: str = "dft_multiplier") ->
         zero = np.zeros(phi.shape[:-1] + (1,), dtype=complex)
         return _ring_sweep(np.concatenate([zero, phi, zero, -phi[..., ::-1]], axis=-1), t)[..., 1 : M + 1]
     if method == "bessel_kernel":
-        reach = check_wrap_free(phi, t, DEFAULT_TAIL_TOL, ring=False)
+        reach = check_wrap_free(phi, t, ring=False)
         kern = bessel_kernel(t, reach)
         n_fft = _smooth_length(M + 2 * reach)
         out = np.fft.ifft(np.fft.fft(phi, n_fft, axis=-1) * np.fft.fft(kern, n_fft), axis=-1)
@@ -284,8 +276,8 @@ def evolve_2d_factorized(state: np.ndarray, plan: PropagatorPlan, t: float) -> n
     return np.ascontiguousarray(plan.m_sweep(plan.n_sweep(state, t), t))
 
 
-def _chebyshev_order(z: float, tol: float) -> int:
-    """Smallest K with a certified bound 2 sum_{k>K} |J_k(z)| < tol.
+def _chebyshev_order(z: float) -> int:
+    """Smallest K with a certified bound 2 sum_{k>K} |J_k(z)| < CHEB_TOL.
 
     Uses |J_k(z)| <= (z/2)^k / k! and a geometric majorant for the tail.
     """
@@ -296,22 +288,26 @@ def _chebyshev_order(z: float, tol: float) -> int:
         if q < 0.5:
             log_first = (K + 1) * math.log(z / 2.0) - math.lgamma(K + 2.0) if z > 0 else -math.inf
             bound = 2.0 * math.exp(log_first) / (1.0 - q) if log_first > -700 else 0.0
-            if bound < tol:
+            if bound < CHEB_TOL:
                 return K
         K += max(4, K // 8)
 
 
-def _chebyshev_expiht(apply_h, psi: np.ndarray, t: float, radius: float, tol: float) -> np.ndarray:
-    """e^{iHt} psi by a Chebyshev expansion on [-radius, radius], truncation certified < tol."""
+def _chebyshev_expiht(psi: np.ndarray, a1: Operator1D, a2: Operator1D, t: float) -> np.ndarray:
+    """e^{iHt} psi by a Chebyshev expansion on [-r, r], r = a1.norm_bound + a2.norm_bound.
+
+    The truncation is certified below CHEB_TOL; H is applied by apply_h2d.
+    """
+    radius = a1.norm_bound + a2.norm_bound
     z = radius * t
-    K = _chebyshev_order(z, tol)
+    K = _chebyshev_order(z)
     k = np.arange(K + 1)
     coeffs = (2.0 - (k == 0)) * _PLUS_I_POW[k % 4] * bessel_j(K, z)
     tk_prev = psi
-    tk = apply_h(psi) / radius
+    tk = apply_h2d(psi, a1, a2) / radius
     acc = coeffs[0] * tk_prev + coeffs[1] * tk
     for k in range(2, K + 1):
-        tk_prev, tk = tk, 2.0 * apply_h(tk) / radius - tk_prev
+        tk_prev, tk = tk, 2.0 * apply_h2d(tk, a1, a2) / radius - tk_prev
         acc += coeffs[k] * tk
     return acc
 
@@ -342,6 +338,5 @@ def evolve_2d_direct(
             del vec
         return out.reshape(N, M)
     if method == "chebyshev":
-        radius = a1.norm_bound + a2.norm_bound
-        return _chebyshev_expiht(lambda arr: apply_h2d(arr, a1, a2), state, t, radius, CHEB_TOL)
+        return _chebyshev_expiht(state, a1, a2, t)
     raise ValueError(f"unknown method {method!r}, expected 'dense' or 'chebyshev'")

@@ -23,7 +23,6 @@ those sectors, and evolve_2d_direct's dense propagator sums e^{iHt} over them.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -87,7 +86,7 @@ def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
     return out.view(complex).reshape((mat.shape[0],) + cols.shape[1:])
 
 
-def free_delta_measure(op: Operator1D, site: int, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+def free_delta_measure(op: Operator1D, site: int) -> SpectralMeasure:
     """The measure of the free chain op at e_site, in O(M) with no solver.
 
     The weights are the squared entries of row ``site`` of the closed-form
@@ -98,7 +97,7 @@ def free_delta_measure(op: Operator1D, site: int, merge_tol: float = ATOM_MERGE_
     if not 0 <= site < op.size:
         raise ValueError(f"site {site} is outside [0, {op.size})")
     lam, row = _free_basis_rows(op, np.array([site]))
-    return SpectralMeasure.from_atoms(lam, row[0] ** 2, merge_tol)
+    return SpectralMeasure.from_atoms(lam, row[0] ** 2)
 
 
 def _free_basis_rows(op: Operator1D, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +302,7 @@ def _sector_solves(entries, size: int, psi, symmetries=()):
         del vec  # before the next block is scattered
 
 
-def dense_measure(entries, size: int, psi, merge_tol: float = ATOM_MERGE_TOL, symmetries=()) -> SpectralMeasure:
+def dense_measure(entries, size: int, psi, symmetries=()) -> SpectralMeasure:
     """The measure of the symmetric H given by entries at the vector psi, from numpy's eigh on H's sectors.
 
     psi is a nonzero vector of ``size`` entries; the delta e_site gives the
@@ -318,7 +317,7 @@ def dense_measure(entries, size: int, psi, merge_tol: float = ATOM_MERGE_TOL, sy
         del vec
         energies.append(lam)
         weights.append(coeffs.real**2 + coeffs.imag**2)
-    return SpectralMeasure.from_atoms(np.concatenate(energies), np.concatenate(weights), merge_tol)
+    return SpectralMeasure.from_atoms(np.concatenate(energies), np.concatenate(weights))
 
 
 def eigen_residual(es: EigenSystem, op: Operator1D) -> float:
@@ -384,11 +383,12 @@ class SpectralMeasure:
             object.__setattr__(self, "density", _freeze(dens))
 
     @classmethod
-    def from_atoms(cls, energies, weights, merge_tol: float = ATOM_MERGE_TOL) -> "SpectralMeasure":
+    def from_atoms(cls, energies, weights) -> "SpectralMeasure":
+        """The atoms at energies with weights, sorted, and merged where the energy gap is at most ATOM_MERGE_TOL."""
         e = np.asarray(energies, dtype=float)
         w = np.asarray(weights, dtype=complex)
         order = np.argsort(e, kind="stable")
-        e, w = _merge_sorted(e[order], w[order], merge_tol)
+        e, w = _merge_sorted(e[order], w[order], ATOM_MERGE_TOL)
         return cls(e, w)
 
     @property
@@ -404,10 +404,6 @@ class SpectralMeasure:
         if self.density is not None:
             mass += complex((self.density * np.diff(self.grid_edges)).sum())
         return mass
-
-    def merged(self, tol: float = ATOM_MERGE_TOL) -> "SpectralMeasure":
-        e, w = _merge_sorted(self.energies, self.weights, tol)
-        return dataclasses.replace(self, energies=e, weights=w)
 
     def support_bounds(self) -> tuple[float, float]:
         lo, hi = np.inf, -np.inf
@@ -425,7 +421,6 @@ def spectral_measure_1d(
     es: EigenSystem,
     chi: np.ndarray,
     phi: np.ndarray | None = None,
-    merge_tol: float = ATOM_MERGE_TOL,
 ) -> SpectralMeasure:
     """Matrix-element measure of the operator behind es between chi and phi.
 
@@ -437,14 +432,14 @@ def spectral_measure_1d(
             raise ValueError(f"{name}: vector length {np.shape(vec)} does not match eigensystem size {es.size}")
     c_chi = es.overlaps(chi)
     c_phi = c_chi if phi is None else es.overlaps(phi)
-    return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c_chi) * c_phi, merge_tol)
+    return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c_chi) * c_phi)
 
 
-def default_convolution_grid(mu: SpectralMeasure, nu: SpectralMeasure, bins: int = DEFAULT_GRID_BINS) -> np.ndarray:
-    """Uniform grid edges covering the Minkowski sum of the two supports."""
+def default_convolution_grid(mu: SpectralMeasure, nu: SpectralMeasure) -> np.ndarray:
+    """DEFAULT_GRID_BINS uniform bins covering the Minkowski sum of the two supports."""
     lo1, hi1 = mu.support_bounds()
     lo2, hi2 = nu.support_bounds()
-    return np.linspace(lo1 + lo2 - GRID_PAD, hi1 + hi2 + GRID_PAD, bins + 1)
+    return np.linspace(lo1 + lo2 - GRID_PAD, hi1 + hi2 + GRID_PAD, DEFAULT_GRID_BINS + 1)
 
 
 class GridTooNarrowError(ValueError):
@@ -496,7 +491,6 @@ def convolve_measures(
     mu: SpectralMeasure,
     nu: SpectralMeasure,
     grid: np.ndarray | None = None,
-    merge_tol: float = ATOM_MERGE_TOL,
     mass_tol: float = 1e-10,
 ) -> SpectralMeasure:
     """Convolution of two spectral measures.
@@ -521,7 +515,7 @@ def convolve_measures(
     w_atoms = _product_masses(mu.weights, nu.weights)
 
     if mu.density is None and nu.density is None:
-        return SpectralMeasure.from_atoms(e_atoms, w_atoms, merge_tol)
+        return SpectralMeasure.from_atoms(e_atoms, w_atoms)
 
     kinds = []  # (row starts, row masses, column starts, column masses, span): one piece per row and column
     for atoms, dens in ((mu, nu), (nu, mu)):
@@ -547,7 +541,7 @@ def convolve_measures(
         raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)
 
     width = edges[1] - edges[0]
-    e_out, w_out = _merge_sorted(*_sorted(e_atoms, w_atoms), merge_tol)
+    e_out, w_out = _merge_sorted(*_sorted(e_atoms, w_atoms), ATOM_MERGE_TOL)
     return SpectralMeasure(e_out, w_out, grid_edges=edges, density=acc / width)
 
 
@@ -569,18 +563,18 @@ def _sorted(e: np.ndarray, w: np.ndarray):
     return e[order], w[order]
 
 
-def max_atom_weight(measure: SpectralMeasure, merge_tol: float = ATOM_MERGE_TOL) -> float:
-    """Largest |atom weight| after merging near-coincident energies."""
+def max_atom_weight(measure: SpectralMeasure) -> float:
+    """Largest |atom weight| after merging atoms whose energy gap is at most ATOM_MERGE_TOL."""
     if measure.atom_count == 0:
         raise ValueError("measure has no atoms")
-    merged = measure.merged(merge_tol)
-    return float(np.abs(merged.weights).max())
+    _, weights = _merge_sorted(measure.energies, measure.weights, ATOM_MERGE_TOL)
+    return float(np.abs(weights).max())
 
 
-def atom_weight_discrepancy(mu: SpectralMeasure, nu: SpectralMeasure, energy_tol: float = 1e-8) -> float:
+def atom_weight_discrepancy(mu: SpectralMeasure, nu: SpectralMeasure) -> float:
     """max |mu - nu| over energy clusters of the union of the two atom sets.
 
-    Both atom lists are clustered together (gap clustering at energy_tol), so
+    Both atom lists are clustered together (gap clustering at 1e-8), so
     eigensolver jitter between two routes to the same measure cannot
     misalign atoms; within each cluster the signed weights must cancel.
     """
@@ -589,5 +583,5 @@ def atom_weight_discrepancy(mu: SpectralMeasure, nu: SpectralMeasure, energy_tol
     if e.size == 0:
         return 0.0
     e, w = _sorted(e, w)
-    _, resid = _merge_sorted(e, w, energy_tol)
+    _, resid = _merge_sorted(e, w, 1e-8)
     return float(np.abs(resid).max())

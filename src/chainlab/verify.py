@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .evolution import CONSERVATION_TOL, DEFAULT_TAIL_TOL, FACTORIZATION_TOL, PropagatorPlan, check_wrap_free
+from .evolution import CONSERVATION_TOL, FACTORIZATION_TOL, PropagatorPlan, check_wrap_free
 from .evolution import evolve_2d_direct, evolve_2d_factorized
 from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, energy_expectation, hamiltonian_2d_entries, m_symmetries
 from .spectral import (
@@ -113,7 +113,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     if cfg.m_method == "bessel_kernel":
         centre = np.zeros(M)
         centre[M // 2] = 1.0
-        reach = check_wrap_free(centre, CHECK_TIMES[-1], DEFAULT_TAIL_TOL, ring=False)
+        reach = check_wrap_free(centre, CHECK_TIMES[-1], ring=False)
 
     # the test vectors: real and imaginary parts are consecutive hash values from index VECTOR_SITES on
     sizes = (N, M, N * M, N * M)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chainlab.operators import hamiltonian_2d_entries
-from chainlab.spectral import ATOM_MERGE_TOL, EigenSystem, SpectralMeasure, _free_basis_rows
+from chainlab.spectral import EigenSystem, SpectralMeasure, _free_basis_rows
 
 
 def dense_hamiltonian(a1, a2) -> np.ndarray:
@@ -75,7 +75,7 @@ def record_eigh_rows(monkeypatch) -> list[int]:
     return rows
 
 
-def spectral_measure_2d(es1: EigenSystem, es2: EigenSystem, psi, merge_tol: float = ATOM_MERGE_TOL) -> SpectralMeasure:
+def spectral_measure_2d(es1: EigenSystem, es2: EigenSystem, psi) -> SpectralMeasure:
     """Measure of A1 (x) I + I (x) A2 at the N x M state psi.
 
     Built without ever forming the 2D operator: the atom at
@@ -89,7 +89,7 @@ def spectral_measure_2d(es1: EigenSystem, es2: EigenSystem, psi, merge_tol: floa
         raise ValueError(f"state shape {psi.shape} does not match the eigensystems ({es1.size}, {es2.size})")
     coeffs = es2.overlaps(es1.overlaps(psi).T).T  # V1^T psi V2
     energies = np.add.outer(es1.eigenvalues, es2.eigenvalues)
-    return SpectralMeasure.from_atoms(energies.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel(), merge_tol)
+    return SpectralMeasure.from_atoms(energies.ravel(), (coeffs.real**2 + coeffs.imag**2).ravel())
 
 
 def n_fiber_isometry_defect(plan, psi0, t: float) -> float:

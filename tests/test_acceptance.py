@@ -210,11 +210,10 @@ def test_criterion_4_dispersive_exponent(free_chain_run, amo_2d_run):
 def test_criterion_5_mixed_norm_chain(free_chain_run, amo_2d_run):
     slack = 1e-12
     for _, _, trace in (free_chain_run, amo_2d_run):
-        assert np.all(trace.sup_norms <= trace.l2n_supm + slack)
-        # record_decay writes one value, ||u||_2 ||w||_inf, to both mixed columns: exact on a product state,
-        # so this link of the chain cannot fail on a trace and is checked on the full states below
-        assert np.all(trace.l2n_supm <= trace.supm_l2n + slack)
-        assert np.all(trace.supm_l2n <= trace.l2_norms + slack)
+        # a trace holds one mixed norm, ||u||_2 ||w||_inf: both mixed norms are that on a product state,
+        # so the link between them cannot fail on a trace and is checked on the full states below
+        assert np.all(trace.sup_norms <= trace.mixed_norms + slack)
+        assert np.all(trace.mixed_norms <= trace.l2_norms + slack)
     plan, psi0, _ = amo_2d_run
     for t in (5.0, 50.0, 200.0):
         chain = norm_chain(evolve_2d_factorized(psi0, plan, t))  # sup, l2n_supm, supm_l2n, l2, l1

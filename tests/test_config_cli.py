@@ -953,12 +953,20 @@ def test_cli_parser_takes_every_benchmark_step(tmp_path, monkeypatch, smoke):
     assert sorted(set(parsed)) == ["convolve", "decay-fit", "evolve", "lyapunov", "verify"]
 
 
-def test_cli_family_flag_refuses_explicit(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "lyapunov"])
+def test_cli_family_flag_refuses_explicit(tmp_path, capsys, command):
     # explicit takes its values from a config file, which a family flag would drop
+    out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--family", "explicit", "--out", str(tmp_path / "s")])
+        cli.main([command, "--family", "explicit", "--out", str(out)])
     assert exc.value.code == 1
-    assert "invalid choice: 'explicit'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: chainlab {command} ")  # the usage of the command, which lists its flags
+    assert "argument --family: invalid choice: 'explicit'" in err
+    assert not out.exists()
+
+
+def test_cli_family_flag_takes_a_family(tmp_path):
     assert cli.main(["spectrum", "--family", "almost_mathieu", "--N", "8", "--out", str(tmp_path / "s")]) == 0
 
 

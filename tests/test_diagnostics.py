@@ -51,7 +51,7 @@ def test_record_decay_free_chain_matches_kernel():
         out = evolve_free_1d(phi, t)
         assert abs(trace.sup_norms[i] - np.abs(out).max()) < 1e-14
     # all four norms coincide on a single-fiber state up to the chain ordering
-    np.testing.assert_allclose(trace.l2n_supm, trace.sup_norms, atol=1e-14)
+    np.testing.assert_allclose(trace.mixed_norms, trace.sup_norms, atol=1e-14)
     np.testing.assert_allclose(trace.l2_norms, 1.0, atol=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
     assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0), rel=1e-14)
     assert trace.psi0_energy == pytest.approx(energy_expectation(psi0, a1, plan.a2_operator()), rel=1e-12, abs=1e-12)
-    columns = (trace.sup_norms, trace.l2n_supm, trace.supm_l2n, trace.l2_norms, trace.energies)
+    columns = (trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
@@ -149,8 +149,7 @@ def test_conservation_defects_on_flat_trace():
     trace = DecayTrace(
         times=[0.0, 1.0],
         sup_norms=[1.0, 0.5],
-        l2n_supm=[1.0, 0.6],
-        supm_l2n=[1.0, 0.7],
+        mixed_norms=[1.0, 0.6],
         l2_norms=[1.0, 1.0],
         energies=[2.0, 2.0],
         psi0_l1=1.0,
@@ -167,8 +166,7 @@ def test_fit_recovers_exact_power_law():
     trace = DecayTrace(
         times=times,
         sup_norms=sups,
-        l2n_supm=sups,
-        supm_l2n=sups,
+        mixed_norms=sups,
         l2_norms=np.ones_like(times),
         energies=np.zeros_like(times),
         psi0_l1=1.0,
@@ -185,7 +183,7 @@ def test_fit_recovers_exact_power_law():
 def test_fit_needs_enough_samples():
     times = np.geomspace(20.0, 200.0, 4)
     ones = np.ones_like(times)
-    trace = DecayTrace(times, ones, ones, ones, ones, ones, 1.0, 1.0, 0.0)
+    trace = DecayTrace(times, ones, ones, ones, ones, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         fit_decay_exponent(trace)
 

@@ -5,6 +5,7 @@ from scipy.special import jv
 
 from chainlab.evolution import (
     CHEB_TOL,
+    DEFAULT_TAIL_TOL,
     M_METHODS,
     PropagatorPlan,
     _chebyshev_order,
@@ -121,23 +122,16 @@ def test_return_amplitude_is_bessel_j0():
 
 
 def test_pad_bounds_kernel_tail():
-    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
-        for t in (*np.geomspace(0.1, 1e4, 25), 5.0, 50.0, 200.0):
-            reach = light_cone_reach(t, tol)
-            assert reach == int(np.ceil(2 * t)) + bessel_pad(t, tol)
-            # two-sided l1 mass of the kernel beyond the padded light cone, over 40 Airy lengths and more
-            r = np.arange(reach, reach + 400 + int(40 * max(t, 1.0) ** (1 / 3)))
-            tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
-            assert tail < tol, (t, tol, tail)
-
-
-def test_pad_narrows_for_looser_tails_and_keeps_the_default():
-    pads = [bessel_pad(100.0, tol) for tol in (1e-4, 1e-6, 1e-10, 1e-14)]
-    assert pads[0] < pads[1] < pads[2] < pads[3]
-    # the default margin is the calibrated one: ceil(10 (z/2)^(1/3)) + 12
-    assert pads[2] == bessel_pad(100.0) == int(np.ceil(10.0 * 100.0 ** (1 / 3))) + 12
-    with pytest.raises(ValueError, match="tail_tol"):
-        bessel_pad(100.0, 1.0)
+    assert DEFAULT_TAIL_TOL == 1e-10
+    for t in (*np.geomspace(0.1, 1e4, 25), 5.0, 50.0, 200.0):
+        reach = light_cone_reach(t)
+        assert reach == int(np.ceil(2 * t)) + bessel_pad(t)
+        # two-sided l1 mass of the kernel beyond the padded light cone, over 40 Airy lengths and more
+        r = np.arange(reach, reach + 400 + int(40 * max(t, 1.0) ** (1 / 3)))
+        tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
+        assert tail < DEFAULT_TAIL_TOL, (t, tail)
+    # the margin is the calibrated one: ceil(10 (z/2)^(1/3)) + 12 at z = 2|t|
+    assert bessel_pad(100.0) == int(np.ceil(10.0 * 100.0 ** (1 / 3))) + 12
 
 
 def test_ballistic_second_moment_identity():
@@ -244,8 +238,8 @@ def test_bessel_window_too_small_raises():
 @pytest.mark.parametrize("width", [1, 5])
 @pytest.mark.parametrize("ring", [True, False], ids=["ring", "window"])
 def test_check_wrap_free_is_tight(ring, width):
-    t, tol = 20.0, 1e-10
-    reach = light_cone_reach(t, tol)
+    t = 20.0
+    reach = light_cone_reach(t)
     need = width + 2 * reach
 
     def state(M):  # two n-fibers, support [reach, reach + width) along m
@@ -254,15 +248,15 @@ def test_check_wrap_free_is_tight(ring, width):
         return amp
 
     with pytest.raises(ValueError, match=rf"site.* {reach} sites of margin.*at least {need} sites"):
-        check_wrap_free(state(need - 1), t, tol, ring)
-    assert check_wrap_free(state(need), t, tol, ring) == reach
+        check_wrap_free(state(need - 1), t, ring)
+    assert check_wrap_free(state(need), t, ring) == reach
     # one site off centre: a ring does not mind, a window loses its left margin
     off_centre = np.roll(state(need), -1, axis=-1)
     if ring:
-        assert check_wrap_free(off_centre, t, tol, ring) == reach
+        assert check_wrap_free(off_centre, t, ring) == reach
     else:
         with pytest.raises(ValueError, match=rf"at least {need} sites"):
-            check_wrap_free(off_centre, t, tol, ring)
+            check_wrap_free(off_centre, t, ring)
 
 
 @pytest.mark.parametrize("m_method", M_METHODS)
@@ -375,7 +369,7 @@ def test_chebyshev_direct_matches_dense():
     """The Chebyshev route, verify's propagator oracle, meets CHEB_TOL up to a rounding allowance.
 
     With X = H / r, r = a1.norm_bound + a2.norm_bound and z = r t, the route
-    sums c_k T_k(X) psi for k <= K = _chebyshev_order(z, CHEB_TOL), with
+    sums c_k T_k(X) psi for k <= K = _chebyshev_order(z), with
     c_0 = J_0(z) and c_k = 2 i^k J_k(z).  Truncation: ||T_k(X)|| <= 1, so the
     dropped terms weigh at most 2 sum_{k>K} |J_k(z)| < CHEB_TOL.  Rounding,
     with u the unit roundoff:
@@ -405,7 +399,7 @@ def test_chebyshev_direct_matches_dense():
     for t in (0.5, 4.0):
         dense = evolve_2d_direct(psi0, a1, a2, t, method="dense")
         cheb = evolve_2d_direct(psi0, a1, a2, t, method="chebyshev")
-        K = _chebyshev_order(radius * t, CHEB_TOL)
+        K = _chebyshev_order(radius * t)
         rounding = 9 * u * (K + 1) ** 2 * np.sqrt(2 * (K + 1)) + 2 * (K + 1) * BESSEL_ABS_TOL
         dense_error = N * M * u * (radius * t + 4)
         bound = CHEB_TOL + rounding + dense_error  # 4.8e-11 at t = 4

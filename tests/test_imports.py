@@ -8,6 +8,7 @@ eigenbasis is closed form and its Bessel values come from a numpy
 recurrence, so decay-fit runs on numpy alone, and the dense measure oracle
 uses numpy's eigh.
 """
+import inspect
 import os
 import re
 import subprocess
@@ -57,6 +58,27 @@ def test_every_exported_name_resolves():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_public_api_takes_no_tolerance_but_three():
+    # each rule reads its one module constant (spectral.ATOM_MERGE_TOL, evolution.DEFAULT_TAIL_TOL, ...)
+    # at call time.  convolve_measures keeps grid, and mass_tol, which the benchmark's library step sets
+    # to 1e-12; CheckResult.tolerance is a field of verify's report, not a setting
+    import chainlab
+
+    found = []
+    for name in chainlab.__all__:
+        obj = getattr(chainlab, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj) if not attr.startswith("_")]
+        for label, member in members:
+            try:
+                params = inspect.signature(member).parameters
+            except (TypeError, ValueError):  # not callable, or a built-in exception's constructor
+                continue
+            found += [f"{label}({p})" for p in params if "tol" in p or p in ("bins", "grid")]
+    assert sorted(found) == ["CheckResult(tolerance)", "convolve_measures(grid)", "convolve_measures(mass_tol)"]
 
 
 def test_no_module_imports_scipy_special():

@@ -552,7 +552,7 @@ def test_cross_measure_conjugates_first_argument():
     es = eigh_tridiagonal(free_operator(8))
     chi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     phi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    mu = spectral_measure_1d(es, chi, phi, merge_tol=0.0)
+    mu = spectral_measure_1d(es, chi, phi)
     # mass is the inner product <chi, phi> with the first slot conjugated
     np.testing.assert_allclose(mu.total_mass(), np.vdot(chi, phi), atol=1e-13)
 
@@ -583,10 +583,32 @@ def test_free_chain_measure_approaches_arcsine_law():
 
 
 def test_measure_merges_close_atoms():
-    mu = SpectralMeasure.from_atoms([0.0, 1.0, 1.0 + 5e-10], [0.2, 0.3, 0.5], merge_tol=1e-9)
+    assert spectral.ATOM_MERGE_TOL == 1e-9
+    mu = SpectralMeasure.from_atoms([0.0, 1.0, 1.0 + 5e-10], [0.2, 0.3, 0.5])
     assert mu.atom_count == 2
     np.testing.assert_allclose(mu.weights, [0.2, 0.8])
     np.testing.assert_allclose(mu.energies[1], 1.0 + 2.5e-10)
+
+
+def test_every_measure_builder_reads_the_merge_constant_at_call_time(monkeypatch):
+    # near the band edge of a 200-site free window the atoms sit under 1e-3 apart; a builder that froze
+    # ATOM_MERGE_TOL as a default would give one atom count at both settings
+    window = free_operator(200)
+    pair = SpectralMeasure.from_atoms([0.0, 1e-4], [0.5, 0.5])
+    mixed = SpectralMeasure([0.0, 1.0], [0.25, 0.25], grid_edges=np.linspace(-1.0, 1.0, 5), density=np.full(4, 0.25))
+    builders = {
+        "from_atoms": lambda: SpectralMeasure.from_atoms([0.0, 1e-4, 1.0], [0.25, 0.25, 0.5]),
+        "spectral_measure_1d": lambda: spectral_measure_1d(eigh_tridiagonal(window), unit_vector(200, 0)),
+        "free_delta_measure": lambda: free_delta_measure(window, 0),
+        "dense_measure": lambda: dense_measure(_entries(window.matrix()), 200, unit_vector(200, 0)),
+        "convolve_measures": lambda: convolve_measures(pair, mixed),
+    }
+    for name, build in builders.items():
+        monkeypatch.setattr(spectral, "ATOM_MERGE_TOL", 0.0)
+        energies = build().energies
+        monkeypatch.setattr(spectral, "ATOM_MERGE_TOL", 1e-3)
+        clusters = 1 + int((np.diff(energies) > 1e-3).sum())
+        assert build().atom_count == clusters < energies.size, name
 
 
 def test_measure_support_bounds():
@@ -866,8 +888,9 @@ def test_two_term_component_measure_matches_dense_route():
 
 
 def test_max_atom_weight_and_merge():
-    mu = SpectralMeasure.from_atoms([0.0, 1.0, 1.0 + 1e-12], [0.1, 0.45, 0.45], merge_tol=0.0)
-    assert abs(max_atom_weight(mu, merge_tol=1e-9) - 0.9) < 1e-12
+    mu = SpectralMeasure([0.0, 1.0, 1.0 + 1e-12], [0.1, 0.45, 0.45])  # the bare constructor merges nothing
+    assert mu.atom_count == 3
+    assert abs(max_atom_weight(mu) - 0.9) < 1e-12
     with pytest.raises(ValueError):
         max_atom_weight(SpectralMeasure(np.empty(0), np.empty(0, dtype=complex)))
 

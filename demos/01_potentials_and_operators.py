@@ -7,7 +7,7 @@ builds the corresponding operators, and checks the split structure.
 """
 import numpy as np
 
-from chainlab import (
+from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,
     apply_h2d,

@@ -9,18 +9,20 @@ limit law.
 """
 import numpy as np
 
-from chainlab import (
-    SpectralMeasure,
+from chainlab.operators import (
     almost_mathieu,
-    atom_weight_discrepancy,
     build_operator_1d,
-    convolve_measures,
-    dense_measure,
-    eigh_tridiagonal,
     free_operator,
     hamiltonian_2d_entries,
     m_symmetries,
     sample_potential,
+)
+from chainlab.spectral import (
+    SpectralMeasure,
+    atom_weight_discrepancy,
+    convolve_measures,
+    dense_measure,
+    eigh_tridiagonal,
     spectral_measure_1d,
 )
 

@@ -11,17 +11,8 @@ import time
 import numpy as np
 from scipy.special import jv
 
-from chainlab import (
-    almost_mathieu,
-    bessel_kernel,
-    build_operator_1d,
-    delta_state,
-    evolve_2d_direct,
-    evolve_2d_factorized,
-    evolve_free_1d,
-    make_plan,
-    sample_potential,
-)
+from chainlab.evolution import bessel_kernel, evolve_2d_direct, evolve_2d_factorized, evolve_free_1d, make_plan
+from chainlab.operators import almost_mathieu, build_operator_1d, delta_state, sample_potential
 
 print("== free-chain kernel ==")
 # the infinite free chain evolves a delta into Bessel amplitudes:

@@ -8,18 +8,9 @@ m-propagator.
 """
 import numpy as np
 
-from chainlab import (
-    almost_mathieu,
-    build_operator_1d,
-    conservation_defects,
-    delta_vector,
-    fit_decay_exponent,
-    free_operator,
-    make_plan,
-    minimal_wrap_free_m,
-    record_decay,
-    sample_potential,
-)
+from chainlab.diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
+from chainlab.evolution import make_plan
+from chainlab.operators import almost_mathieu, build_operator_1d, delta_vector, free_operator, sample_potential
 
 T_MAX = 80.0
 FIT = (10.0, 80.0)

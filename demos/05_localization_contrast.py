@@ -8,23 +8,23 @@ dispersively.  This script shows both faces side by side.
 """
 import numpy as np
 
-from chainlab import (
+from chainlab.diagnostics import (
+    fit_decay_exponent,
+    lyapunov_scan,
+    minimal_wrap_free_m,
+    record_decay,
+    truncation_energies,
+)
+from chainlab.evolution import evolve_1d_eigen, evolve_2d_factorized, make_plan
+from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,
     build_operator_1d,
     delta_state,
     delta_vector,
-    eigh_tridiagonal,
-    evolve_1d_eigen,
-    evolve_2d_factorized,
-    fit_decay_exponent,
-    lyapunov_scan,
-    make_plan,
-    minimal_wrap_free_m,
-    record_decay,
     sample_potential,
-    truncation_energies,
 )
+from chainlab.spectral import eigh_tridiagonal
 
 L = 200_000
 print(f"== transfer-matrix growth rates (length {L}) ==")

@@ -90,10 +90,9 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         raise ValueError(
             f"factor shapes {chi.shape} and {phi.shape} do not match plan ({plan.n_size},) and ({plan.m_size},)"
         )
-    check_wrap_free(phi, float(times[-1]), ring=plan.m_method == "dft_multiplier")
-
     a1 = plan.a1_operator()
     a2 = plan.a2_operator()
+    check_wrap_free(phi, float(times[-1]), ring=a2.boundary == "periodic")
 
     def energy(u, w):  # <psi, H psi> of psi = u (x) w, by the product formula
         u_l2, w_l2 = np.linalg.norm(u), np.linalg.norm(w)
@@ -137,7 +136,7 @@ def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     return np.flatnonzero((times >= t_lo) & (times <= t_hi))
 
 
-def fit_decay_exponent(trace: DecayTrace, t_lo: float = 20.0, t_hi: float = 200.0) -> DecayFit:
+def fit_decay_exponent(trace: DecayTrace, t_lo: float, t_hi: float) -> DecayFit:
     """Least-squares slope of log sup_norms against log <t> on [t_lo, t_hi]."""
     if not (0.0 <= t_lo < t_hi):
         raise ValueError("need 0 <= t_lo < t_hi")
@@ -186,7 +185,7 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray) -> np.ndarray:
     return (logsum + np.log(s)) / L
 
 
-def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
+def lyapunov_scan(spec: PotentialSpec, energies, L: int) -> np.ndarray:
     """Transfer-matrix growth rate (1/L) log ||prod T_n(E)|| at each energy.
 
     The product is renormalized by its sup-norm every RENORM_BLOCK steps with
@@ -201,7 +200,7 @@ def lyapunov_scan(spec: PotentialSpec, energies, L: int = 10**6) -> np.ndarray:
     return _growth_numpy(V, energies)
 
 
-def truncation_energies(spec: PotentialSpec, N: int = TRUNCATION_SITES, count: int = 8) -> np.ndarray:
+def truncation_energies(spec: PotentialSpec, count: int, N: int = TRUNCATION_SITES) -> np.ndarray:
     """count distinct mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling.
 
     The middle N - 2 (N // 12) eigenvalues are eligible; a count below 1 or

@@ -33,7 +33,6 @@ from .operators import Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_
 from .spectral import EigenSystem, _real_matmul, _sector_solves, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
-DEFAULT_TAIL_TOL = 1e-10  # largest l1 mass of the Bessel kernel dropped beyond bessel_pad
 CHEB_TOL = 1e-12  # largest truncation of the Chebyshev expansion
 FACTORIZATION_TOL = 1e-8  # largest l2 gap between the factorized and the Chebyshev propagator
 CONSERVATION_TOL = 1e-9  # largest relative norm or energy drift from t = 0
@@ -49,12 +48,13 @@ def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:
 
 
 def bessel_pad(t: float) -> int:
-    """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < DEFAULT_TAIL_TOL.
+    """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < 1e-10.
 
     Past the turning point J_m(2t) falls off like Ai(x) with x = (m - 2t) / t^(1/3),
     so the pad is a number of Airy lengths t^(1/3): the margin
     ceil(10 (z/2)^(1/3)) + 12 at z = max(2|t|, 1) is calibrated so that the
-    two-sided l1 tail beyond it is under DEFAULT_TAIL_TOL = 1e-10.
+    two-sided l1 tail beyond it is under 1e-10; the literals set the
+    tail, so a smaller one needs a recalibrated margin.
     """
     z = max(2.0 * abs(t), 1.0)
     return int(math.ceil(10.0 * (z / 2.0) ** (1.0 / 3.0))) + 12

@@ -173,7 +173,7 @@ def test_fit_recovers_exact_power_law():
         psi0_l2=1.0,
         psi0_energy=0.0,
     )
-    fit = fit_decay_exponent(trace)
+    fit = fit_decay_exponent(trace, 20.0, 200.0)
     assert abs(fit.exponent + 1.0 / 3.0) < 1e-12
     assert abs(fit.prefactor - 1.7) < 1e-12
     assert fit.residual < 1e-12
@@ -185,7 +185,7 @@ def test_fit_needs_enough_samples():
     ones = np.ones_like(times)
     trace = DecayTrace(times, ones, ones, ones, ones, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        fit_decay_exponent(trace)
+        fit_decay_exponent(trace, 20.0, 200.0)
 
 
 def test_free_chain_decay_exponent_near_minus_third():
@@ -193,7 +193,7 @@ def test_free_chain_decay_exponent_near_minus_third():
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.geomspace(20.0, 200.0, 25)
     trace = record_decay(plan, delta_vector(1), delta_vector(M), times)
-    fit = fit_decay_exponent(trace)
+    fit = fit_decay_exponent(trace, 20.0, 200.0)
     assert -0.40 <= fit.exponent <= -0.28
 
 

@@ -5,7 +5,6 @@ from scipy.special import jv
 
 from chainlab.evolution import (
     CHEB_TOL,
-    DEFAULT_TAIL_TOL,
     M_METHODS,
     PropagatorPlan,
     _chebyshev_order,
@@ -122,14 +121,13 @@ def test_return_amplitude_is_bessel_j0():
 
 
 def test_pad_bounds_kernel_tail():
-    assert DEFAULT_TAIL_TOL == 1e-10
     for t in (*np.geomspace(0.1, 1e4, 25), 5.0, 50.0, 200.0):
         reach = light_cone_reach(t)
         assert reach == int(np.ceil(2 * t)) + bessel_pad(t)
         # two-sided l1 mass of the kernel beyond the padded light cone, over 40 Airy lengths and more
         r = np.arange(reach, reach + 400 + int(40 * max(t, 1.0) ** (1 / 3)))
         tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
-        assert tail < DEFAULT_TAIL_TOL, (t, tail)
+        assert tail < 1e-10, (t, tail)
     # the margin is the calibrated one: ceil(10 (z/2)^(1/3)) + 12 at z = 2|t|
     assert bessel_pad(100.0) == int(np.ceil(10.0 * 100.0 ** (1 / 3))) + 12
 

@@ -36,19 +36,19 @@ specs = {
 }
 for label, spec in specs.items():
     window = (0, 6)
-    v = sample_potential(spec, window).values
+    v = sample_potential(spec, window)
     print(f"  {label:32s} V[0:6] = {np.array2string(v, precision=3)}")
 
 # the quasiperiodic family interpolates a periodic profile; with a cosine
 # profile it reproduces the almost-Mathieu closed form
-va = sample_potential(specs["almost-Mathieu a=3"], (-100, 100)).values
-vq = sample_potential(specs["quasiperiodic (cosine profile)"], (-100, 100)).values
+va = sample_potential(specs["almost-Mathieu a=3"], (-100, 100))
+vq = sample_potential(specs["quasiperiodic (cosine profile)"], (-100, 100))
 print(f"\ncosine-profile vs closed form, max deviation: {np.abs(va - vq).max():.2e}")
 
 # iid sampling is window independent: the same site always draws the same value
 spec = specs["iid uniform, seed 7"]
-wide = sample_potential(spec, (-500, 500)).values
-narrow = sample_potential(spec, (3, 9)).values
+wide = sample_potential(spec, (-500, 500))
+narrow = sample_potential(spec, (3, 9))
 print(f"iid window independence: {np.array_equal(narrow, wide[503:509])}")
 
 print("\n== 1D operators ==")
@@ -72,7 +72,7 @@ print(f"separability residual on a pure tensor: {np.abs(h_psi - split).max():.2e
 
 delta = delta_state(32, 24)
 print(f"delta state energy <psi, H psi> = {energy_expectation(delta, a1, a2):.6f}"
-      f" (equals V at the origin: {pot.values[16]:.6f})")
+      f" (equals V at the origin: {pot[16]:.6f})")
 
 psi = rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))
 quad = np.vdot(psi, apply_h2d(psi, a1, a2))

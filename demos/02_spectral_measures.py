@@ -51,7 +51,7 @@ conv = convolve_measures(mu1, mu2)
 # numpy's eigh on the blocks of H that the window's reflection m -> N-1-m
 # leaves even and odd (the delta at m = 16 is half in each), each block
 # scattered straight from H's five-point stencil: H itself is never formed
-entries, mirror = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2, 16)
+entries, mirror = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2)
 direct = dense_measure(entries, N * N, np.outer(chi, phi).ravel(), symmetries=mirror)
 disc = atom_weight_discrepancy(conv, direct)
 print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")

@@ -138,7 +138,6 @@ def _run(args) -> int:
     cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
     if "tmax" in given and cfg.times is not None:
         raise ValueError("--tmax cannot be combined with [time] times: give one or the other")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     handler = {
         "spectrum": _cmd_spectrum,
         "convolve": _cmd_convolve,
@@ -151,6 +150,8 @@ def _run(args) -> int:
 
 
 def _out(cfg, name: str) -> str:
+    """The path of an artifact; the output directory is made at the first write, so a refusal leaves none."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
 
 
@@ -160,10 +161,10 @@ def _cmd_spectrum(cfg, args) -> int:
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
     N, _ = cfg.lattice()
-    pot, a1 = cfg.chain_operator(N)
+    a1, i = cfg.chain_operator(N), cfg.origin(N)
     es = eigh_tridiagonal(a1)
-    mu = spectral_measure_1d(es, delta_vector(N, cfg.n0, "n0"))
-    datafiles.write_potential_csv(pot, _out(cfg, "potential.csv"))
+    mu = spectral_measure_1d(es, delta_vector(N, i))
+    datafiles.write_potential_csv(a1.diagonal, -i, _out(cfg, "potential.csv"))
     datafiles.write_eigenvalues_csv(es.eigenvalues, _out(cfg, "eigenvalues.csv"))
     datafiles.write_measure_csv(mu, _out(cfg, "measure_delta.csv"))
     datafiles.write_json(
@@ -185,14 +186,11 @@ def _cmd_spectrum(cfg, args) -> int:
 
 def _cmd_convolve(cfg, args) -> int:
     from . import datafiles
-    from .operators import origin_index
     from .spectral import MEASURE_MATCH_TOL, atom_weight_discrepancy
     from .verify import delta_crosscheck
 
     N, M = cfg.lattice()
-    plan = cfg.plan(N, M)
-    i, j = origin_index("n0", cfg.n0, N), origin_index("m0", cfg.m0, M)
-    mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(plan, i, j)
+    mu1, mu2, conv, mass_defect, direct, sizes = delta_crosscheck(cfg.plan(N, M), cfg.origin(N))
     datafiles.write_measure_csv(mu1, _out(cfg, "measure_n.csv"))
     datafiles.write_measure_csv(mu2, _out(cfg, "measure_m.csv"))
     datafiles.write_measure_csv(conv, _out(cfg, "convolution.csv"))
@@ -249,12 +247,11 @@ def _cmd_evolve(cfg, args) -> int:
     from . import datafiles
     from .diagnostics import conservation_defects
     from .evolution import CONSERVATION_TOL, evolve_2d_factorized
-    from .operators import delta_state, energy_expectation, origin_index
+    from .operators import delta_state, energy_expectation
 
     N, M = cfg.lattice()
-    psi0 = delta_state(N, M, cfg.n0, cfg.m0)
-    start = (-origin_index("n0", cfg.n0, N), -origin_index("m0", cfg.m0, M))
-    plan = cfg.plan(N, M)
+    plan, i = cfg.plan(N, M), cfg.origin(N)
+    psi0 = delta_state(N, M, i)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     times = _evolve_times(cfg, args)
 
@@ -267,9 +264,9 @@ def _cmd_evolve(cfg, args) -> int:
     )
 
     if cfg.binary_snapshots:
-        datafiles.write_trajectory_binary(times, states, start, _out(cfg, "trajectory.bin"))
+        datafiles.write_trajectory_binary(times, states, (-i, -(M // 2)), _out(cfg, "trajectory.bin"))
     else:
-        datafiles.write_trajectory_csv(times, states, start, _out(cfg, "trajectory.csv"))
+        datafiles.write_trajectory_csv(times, states, (-i, -(M // 2)), _out(cfg, "trajectory.csv"))
     datafiles.write_json(
         {
             "l2_drift": l2_drift,
@@ -320,12 +317,11 @@ def _cmd_decay_fit(cfg, args) -> int:
     # a zero potential and no N: the free chain, run as the one-site chain
     free_chain = cfg.potential.family == "constant" and cfg.potential.amplitude == 0.0 and cfg.N is None
     N = 1 if free_chain else cfg.N or DECAY_N_DEFAULT
-    chi, phi = delta_vector(N, cfg.n0, "n0"), delta_vector(M, cfg.m0, "m0")
     plan = cfg.plan(N, M)
 
-    trace = record_decay(plan, chi, phi, times)
-    # --tmax ends the fit window; otherwise the config's window, cut at the last sample
-    fit = fit_decay_exponent(trace, fit_lo, t_max if args.tmax is not None else min(fit_hi, t_max))
+    trace = record_decay(plan, delta_vector(N, cfg.origin(N)), delta_vector(M), times)
+    # the fit window ends at --tmax or fit_hi, cut at the last sample
+    fit = fit_decay_exponent(trace, fit_lo, min(t_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))
     datafiles.write_fit_json(
@@ -354,8 +350,14 @@ def _cmd_lyapunov(cfg, args) -> int:
             f"[potential] values cover n in [0, {len(values)}), but lyapunov reads [0, {need}): "
             f"--length {args.length} sites and the {TRUNCATION_SITES}-site truncation"
         )
-    energies = truncation_energies(cfg.potential, count=args.count)
-    gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
+    try:  # the library's refusals name its parameters, the command's name its flags
+        energies = truncation_energies(cfg.potential, count=args.count)
+    except ValueError as exc:
+        raise ValueError(f"--count: {exc}") from None
+    try:
+        gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
+    except ValueError as exc:
+        raise ValueError(f"--length: {exc}") from None
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))
     datafiles.write_json(
         {

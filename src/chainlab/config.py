@@ -6,6 +6,9 @@
 The config holds the model, not the checks: each numerical check's
 threshold is a constant of spectral or evolution, set in no config.
 
+The config places the n-window: origin(N) alone reads [lattice] n0.  V is
+constant along m, so no key places the m-delta: it is the middle column.
+
 One table, _KEYS, is the schema: it maps each "[section] key" to the config
 field it sets and to how its value is parsed and written.  Unknown sections
 or keys are rejected with the offending name; a written config re-parses to
@@ -20,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BOUNDARIES, Operator1D, Potential1D, PotentialSpec
-from .operators import build_operator_1d, origin_index, sample_potential
+from .operators import BOUNDARIES, Operator1D, PotentialSpec, build_operator_1d, sample_potential
 from .evolution import M_METHODS, PropagatorPlan, make_plan
 
 
@@ -38,8 +40,7 @@ class ExperimentConfig:
     N: int | None = None  # commands pick their own default when omitted
     M: int | None = None
     boundary_n: str = "dirichlet"
-    n0: int | None = None  # None = centered window
-    m0: int | None = None
+    n0: int | None = None  # the n-window's first site; None centres it
     m_method: str = "dft_multiplier"
     times: tuple[float, ...] | None = None
     fit_window: tuple[float, float] = (20.0, 200.0)
@@ -69,22 +70,30 @@ class ExperimentConfig:
         """N and M of the lattice commands: DEFAULT_SIZE for a size the config leaves out."""
         return self.N or DEFAULT_SIZE, self.M or DEFAULT_SIZE
 
-    def chain_operator(self, N: int) -> tuple[Potential1D, Operator1D]:
-        """The potential sampled on N sites and its A1; the window keeps the origin (operators.origin_index)."""
-        n0 = -origin_index("n0", self.n0, N)
+    def origin(self, N: int) -> int:
+        """Index of the site n = 0 in the N-site window from [lattice] n0 (the middle, N // 2, when unset)."""
+        if self.n0 is None:
+            return N // 2
+        if not 0 <= -self.n0 < N:
+            window = f"[{self.n0}, {self.n0 + N - 1}]"
+            raise ConfigError(f"n0 = {self.n0}: the window {window} of {N} sites misses the origin")
+        return -self.n0
+
+    def chain_operator(self, N: int) -> Operator1D:
+        """A1: the potential sampled on the N-site window that origin(N) places."""
+        n0 = -self.origin(N)
         values = self.potential.values
         if self.potential.family == "explicit" and not 0 <= n0 <= len(values) - N:
             raise ConfigError(
                 f"[potential] values cover n in [0, {len(values)}), "
                 f"but [lattice] n = {N} and n0 put the window at [{n0}, {n0 + N - 1}]"
             )
-        pot = sample_potential(self.potential, (n0, n0 + N))
-        return pot, build_operator_1d(pot, boundary=self.boundary_n)
+        return build_operator_1d(sample_potential(self.potential, (n0, n0 + N)), boundary=self.boundary_n)
 
     def plan(self, N: int, M: int) -> PropagatorPlan:
         """The model's propagator on N x M sites (N = 1: the free chain); m_method alone
         fixes A2, a periodic ring under dft_multiplier and a dirichlet window otherwise."""
-        return make_plan(self.chain_operator(N)[1], self.m_method, M)
+        return make_plan(self.chain_operator(N), self.m_method, M)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -119,7 +128,6 @@ _KEYS = {
     "[lattice] m": ("M", _INT),
     "[lattice] boundary_n": ("boundary_n", _TEXT),
     "[lattice] n0": ("n0", _INT),
-    "[lattice] m0": ("m0", _INT),
     "[lattice] m_method": ("m_method", _TEXT),
     "[time] times": ("times", _FLOATS),
     "[time] fit_lo": ("fit_window.0", _FLOAT),

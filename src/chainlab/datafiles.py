@@ -6,6 +6,9 @@ shortest round-trip form) and rows keep a fixed order: identical inputs
 produce byte-identical files.  The readers parse through csv.reader, the
 writer's dialect, and name the line of any row they refuse.
 
+A potential is its values with n0, the site of the first, passed beside
+them; read_potential_csv returns the pair and refuses non-finite values.
+
 A trajectory is a list of N x M state arrays, one per time, with the
 window start (n0, m0), the physical site of index (0, 0), passed beside
 them: the CSV rows and the binary header carry it, and
@@ -30,7 +33,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .operators import Potential1D
 from .spectral import SpectralMeasure
 
 if TYPE_CHECKING:  # annotations only, so spectrum, convolve and verify never load diagnostics
@@ -53,8 +55,8 @@ def _write_csv(path, header: str, rows) -> None:
         writer.writerows(rows)
 
 
-def write_potential_csv(potential: Potential1D, path) -> None:
-    _write_csv(path, "n,V", _rows(range(potential.n0, potential.n0 + potential.size), potential.values))
+def write_potential_csv(values, n0: int, path) -> None:
+    _write_csv(path, "n,V", _rows(range(n0, n0 + len(values)), values))
 
 
 def _read_csv(path, header: str, parse) -> list:
@@ -79,14 +81,16 @@ def _read_csv(path, header: str, parse) -> list:
     return out
 
 
-def read_potential_csv(path) -> Potential1D:
+def read_potential_csv(path) -> tuple[np.ndarray, int]:
     rows = _read_csv(path, "n,V", lambda n, v: (int(n), float(v)))
     if not rows:
         raise ValueError("empty potential file")
     ns, vs = zip(*rows)
     if ns != tuple(range(ns[0], ns[0] + len(ns))):
         raise ValueError("potential sites must be contiguous")
-    return Potential1D(np.array(vs), n0=ns[0])
+    if not np.all(np.isfinite(vs)):
+        raise ValueError("potential values must be finite (l-infinity potentials only)")
+    return np.array(vs), ns[0]
 
 
 def write_eigenvalues_csv(eigenvalues: np.ndarray, path) -> None:

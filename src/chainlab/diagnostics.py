@@ -196,16 +196,17 @@ def lyapunov_scan(spec: PotentialSpec, energies, L: int) -> np.ndarray:
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(energies)):
         raise ValueError("energies must be finite")
-    V = sample_potential(spec, (0, int(L))).values
+    V = sample_potential(spec, (0, int(L)))
     return _growth_numpy(V, energies)
 
 
-def truncation_energies(spec: PotentialSpec, count: int, N: int = TRUNCATION_SITES) -> np.ndarray:
-    """count distinct mid-spectrum eigenvalues of the N-site dirichlet truncation, for on-spectrum sampling.
+def truncation_energies(spec: PotentialSpec, count: int) -> np.ndarray:
+    """count distinct mid-spectrum eigenvalues of the dirichlet truncation to N = TRUNCATION_SITES sites.
 
     The middle N - 2 (N // 12) eigenvalues are eligible; a count below 1 or
     above that raises ValueError rather than return none or repeat one.
     """
+    N = TRUNCATION_SITES
     limit = N - 2 * (N // 12)
     if count < 1:
         raise ValueError(f"count = {count} must be positive")

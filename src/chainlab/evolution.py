@@ -331,7 +331,7 @@ def evolve_2d_direct(
     N, M = a1.size, a2.size
     if method == "dense":
         out = np.zeros(N * M, dtype=complex)
-        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2, M // 2)
+        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2)
         for index, coeff, lam, vec, coeffs in _sector_solves(entries, N * M, np.ravel(state), symmetries):
             on = index >= 0
             out[on] += coeff[on] * _real_matmul(vec, np.exp(1j * t * lam) * coeffs)[index[on]]  # P V e^{i Lambda t} c

@@ -1,10 +1,10 @@
 """Lattice model: 1D potentials, tridiagonal operators, the 2D Hamiltonian.
 
-A 2D state is a plain N x M numpy array over a window [n0, n0 + N) x
-[m0, m0 + M) of the lattice: psi[i, j] is the amplitude at the site
-(n0 + i, m0 + j).  The array does not carry its window: origin_index places
-the physical origin in one, and the trajectory writers take the start
-(n0, m0) beside the snapshots.  The 2D Hamiltonian acts on a state as
+A 2D state is a plain N x M numpy array over a window of the lattice:
+psi[i, j] is the amplitude at site (n0 + i, j - M // 2).  The array does not
+carry its window: config places the n-window, the m-delta sits at the middle
+column, and the trajectory writers take the start (n0, -(M // 2)) beside the
+snapshots.  The 2D Hamiltonian acts on a state as
 
     (H psi)[n, m] = -(psi[n+1,m] + psi[n-1,m] + psi[n,m+1] + psi[n,m-1]) + V[n] psi[n,m]
 
@@ -94,26 +94,6 @@ def almost_mathieu(amplitude: float, omega: float = GOLDEN_MEAN, theta: float = 
     return PotentialSpec("almost_mathieu", amplitude=amplitude, omega=omega, theta=theta)
 
 
-@dataclass(frozen=True)
-class Potential1D:
-    """Sampled potential values on the window [n0, n0 + len(values))."""
-
-    values: np.ndarray
-    n0: int = 0
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True, order="C")
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("potential values must be a nonempty 1D array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("potential values must be finite (l-infinity potentials only)")
-        object.__setattr__(self, "values", _freeze(vals))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place: a bijection of uint64 (Steele, Lea and Flood, 2014)."""
     z ^= z >> np.uint64(30)
@@ -133,8 +113,8 @@ def _iid_uniform(seed: int, n_lo: int, n_hi: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-52 - 1.0  # the top 53 bits
 
 
-def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> Potential1D:
-    """Evaluate a potential spec on the half-open integer window [start, stop)."""
+def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> np.ndarray:
+    """The read-only values of a potential spec on the half-open integer window [start, stop)."""
     start, stop = int(window[0]), int(window[1])
     if stop <= start:
         raise ValueError(f"empty sampling window ({start}, {stop})")
@@ -159,8 +139,8 @@ def sample_potential(spec: PotentialSpec, window: tuple[int, int]) -> Potential1
             raise ValueError(
                 f"explicit potential covers n in [0, {len(spec.values)}), window ({start}, {stop}) is outside"
             )
-        vals = np.asarray(spec.values, dtype=float)[start:stop]
-    return Potential1D(vals, n0=start)
+        vals = np.array(spec.values[start:stop], dtype=float)
+    return _freeze(vals)
 
 
 @dataclass(frozen=True)
@@ -220,15 +200,15 @@ class Operator1D:
 
 
 def build_operator_1d(
-    potential: Potential1D | None = None,
+    potential: np.ndarray | None = None,
     size: int | None = None,
     boundary: str = "dirichlet",
 ) -> Operator1D:
-    """Tridiagonal operator from a sampled potential, or the free one for potential=None."""
+    """Tridiagonal operator on a sampled potential's values, or the free one for potential=None."""
     if potential is not None:
-        if size is not None and size != potential.size:
-            raise ValueError(f"size {size} does not match potential window of {potential.size} sites")
-        return Operator1D(potential.values.copy(), boundary)
+        if size is not None and size != len(potential):
+            raise ValueError(f"size {size} does not match potential window of {len(potential)} sites")
+        return Operator1D(potential, boundary)
     if size is None:
         raise ValueError("need a potential or an explicit size")
     return Operator1D(np.zeros(int(size)), boundary)
@@ -238,28 +218,19 @@ def free_operator(size: int, boundary: str = "dirichlet") -> Operator1D:
     return build_operator_1d(size=size, boundary=boundary)
 
 
-def origin_index(key: str, start: int | None, size: int) -> int:
-    """Index of the physical origin in a window of size sites from start; None centres the window."""
-    if start is None:
-        return size // 2
-    if not 0 <= -start < size:
-        window = f"[{start}, {start + size - 1}]"
-        raise ValueError(f"{key} = {start}: the window {window} of {size} sites misses the origin")
-    return -start
-
-
-def delta_vector(size: int, start: int | None = None, key: str = "start") -> np.ndarray:
-    """Unit mass at the physical origin of a window of size sites from start (None centres it)."""
+def delta_vector(size: int, index: int | None = None) -> np.ndarray:
+    """Unit mass at index of a window of size sites (None: the middle site, size // 2)."""
+    index = size // 2 if index is None else index
+    if not 0 <= index < size:
+        raise ValueError(f"index {index} is outside the window of {size} sites")
     vec = np.zeros(size, dtype=complex)
-    vec[origin_index(key, start, size)] = 1.0
+    vec[index] = 1.0
     return vec
 
 
-def delta_state(N: int, M: int, n0: int | None = None, m0: int | None = None) -> np.ndarray:
-    """Unit mass at the physical site (0, 0) of an N x M window; an axis without a start is centred."""
-    amp = np.zeros((N, M), dtype=complex)
-    amp[origin_index("n0", n0, N), origin_index("m0", m0, M)] = 1.0
-    return amp
+def delta_state(N: int, M: int, i: int | None = None) -> np.ndarray:
+    """Unit mass at row i (None: N // 2) of the middle column M // 2 of an N x M window."""
+    return np.outer(delta_vector(N, i), delta_vector(M))
 
 
 def apply_h2d(state: np.ndarray, a1: Operator1D, a2: Operator1D) -> np.ndarray:
@@ -289,14 +260,14 @@ def hamiltonian_2d_entries(a1: Operator1D, a2: Operator1D) -> tuple[np.ndarray, 
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
-def m_symmetries(N: int, a2: Operator1D, j0: int) -> tuple[np.ndarray, ...]:
+def m_symmetries(N: int, a2: Operator1D) -> tuple[np.ndarray, ...]:
     """Maps of the N*M sites along m that carry A2's diagonal to itself, so H commutes with them.
 
-    The reflection, m -> (2 j0 - m) mod M on a ring, m -> M - 1 - m on a
-    dirichlet window; and on a ring of even M the half-turn m -> m + M/2.
+    The reflection, about the middle column on a ring, m -> (2 (M // 2) - m) mod M,
+    and m -> M - 1 - m on a dirichlet window; and on a ring of even M the half-turn m -> m + M/2.
     """
     M, m = a2.size, np.arange(a2.size)
-    maps = [m[::-1]] if a2.boundary == "dirichlet" else [(2 * j0 - m) % M] + [(m + M // 2) % M] * (M % 2 == 0)
+    maps = [m[::-1]] if a2.boundary == "dirichlet" else [(2 * (M // 2) - m) % M] + [(m + M // 2) % M] * (M % 2 == 0)
     return tuple((M * np.arange(N)[:, None] + g).ravel() for g in maps if np.array_equal(a2.diagonal[g], a2.diagonal))
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .evolution import CONSERVATION_TOL, FACTORIZATION_TOL, PropagatorPlan, check_wrap_free
 from .evolution import evolve_2d_direct, evolve_2d_factorized
-from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, energy_expectation, hamiltonian_2d_entries, m_symmetries
+from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, delta_state, delta_vector, energy_expectation
+from .operators import hamiltonian_2d_entries, m_symmetries
 from .spectral import (
     MASS_CONSERVATION_TOL,
     MEASURE_MATCH_TOL,
@@ -56,32 +57,29 @@ CHECK_TIMES = (0.5, 2.0, 5.0)  # propagator check times
 VECTOR_SITES = 2**62  # the test vectors' first hash index: no potential window reaches it
 
 
-def delta_crosscheck(plan: PropagatorPlan, i: int, j: int):
+def delta_crosscheck(plan: PropagatorPlan, i: int):
     """The convolution identity at the site delta e_i (x) e_j: (mu1, mu2, mu1 * mu2, mass_defect, direct, sizes).
 
-    mu1 is A1's measure at e_i from the plan's eigensystem, mu2 is A2's at
-    e_j from row j of its closed-form basis (free_delta_measure), and mu1 * mu2
-    is H's measure at the delta, with mass_defect
+    j = M // 2 is the middle column.  mu1 is A1's measure at e_i from the
+    plan's eigensystem, mu2 is A2's at e_j from row j of its closed-form
+    basis (free_delta_measure), and mu1 * mu2 is H's measure at the delta, with mass_defect
     |mass(mu1 * mu2) - mass(mu1) mass(mu2)|.  Up to DENSE_SITE_CAP sites,
     direct is dense_measure at the delta on the sectors of H's m-axis
-    symmetries about j, and sizes are the blocks it solved; above the cap
+    symmetries, and sizes are the blocks it solved; above the cap
     both are None.  convolve and verify both run this one check.
     """
     a1, a2 = plan.a1_operator(), plan.a2_operator()
-    N, M = a1.size, a2.size
-    if not (0 <= i < N and 0 <= j < M):
+    N, M, j = a1.size, a2.size, a2.size // 2
+    if not 0 <= i < N:
         raise ValueError(f"site ({i}, {j}) is outside the {N} x {M} lattice")
-    chi = np.zeros(N, dtype=complex)
-    chi[i] = 1.0
-    mu1 = spectral_measure_1d(plan.es1, chi)
+    mu1 = spectral_measure_1d(plan.es1, delta_vector(N, i))
     mu2 = free_delta_measure(a2, j)
     conv = convolve_measures(mu1, mu2)
     mass_defect = float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass()))
     if N * M > DENSE_SITE_CAP:
         return mu1, mu2, conv, mass_defect, None, None
-    delta = np.zeros(N * M, dtype=complex)
-    delta[i * M + j] = 1.0
-    symmetries = m_symmetries(N, a2, j)  # A2 is free, so the m-axis always has its reflection
+    delta = delta_state(N, M, i).ravel()
+    symmetries = m_symmetries(N, a2)  # A2 is free, so the m-axis always has its reflection
     direct = dense_measure(hamiltonian_2d_entries(a1, a2), N * M, delta, symmetries=symmetries)
     return mu1, mu2, conv, mass_defect, direct, sector_sizes(N * M, delta, symmetries)
 
@@ -111,9 +109,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     if cfg.m_method == "bessel_kernel":
-        centre = np.zeros(M)
-        centre[M // 2] = 1.0
-        reach = check_wrap_free(centre, CHECK_TIMES[-1], ring=False)
+        reach = check_wrap_free(delta_vector(M), CHECK_TIMES[-1], ring=False)
 
     # the test vectors: real and imaginary parts are consecutive hash values from index VECTOR_SITES on
     sizes = (N, M, N * M, N * M)
@@ -138,7 +134,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("eigen_gram_n", gram_defect(plan.es1), 1e-10))
 
     # measure mass at the centre delta, and the convolution route against the dense 2D route
-    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2, M // 2)
+    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2)
     results.append(CheckResult("measure_mass_delta", abs(conv.total_mass() - 1.0), MASS_CONSERVATION_TOL))
     if direct is not None:
         results.append(CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), MEASURE_MATCH_TOL))

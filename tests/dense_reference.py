@@ -114,7 +114,7 @@ def spreading_moments(state, origin: tuple[float, float] | None = None) -> Sprea
     """Second moments of |psi|^2 of an N x M state about ``origin`` (its centroid when omitted).
 
     Coordinates are array indices: row i is n = i and column j is m = j, so
-    a physical origin goes in as its index, origin_index's value.
+    a physical origin goes in as its index (ExperimentConfig.origin's value, M // 2 along m).
     """
     p = np.abs(state) ** 2
     total = p.sum()

@@ -146,7 +146,7 @@ def test_criterion_2_tensor_convolution_identity(monkeypatch):
         a1 = build_operator_1d(pot)
         a2 = free_operator(size)
         es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
-        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(size, a2, size // 2)
+        entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(size, a2)
 
         chi = np.zeros(size)
         chi[size // 2] = 1.0

@@ -34,7 +34,6 @@ def test_round_trip_rich_config():
         M=96,
         boundary_n="dirichlet",
         n0=-10,
-        m0=-48,
         m_method="dft_multiplier",
         times=(0.0, 1.0, 2.5),
         fit_window=(10.0, 150.0),
@@ -57,7 +56,6 @@ n = 48
 m = 96
 boundary_n = dirichlet
 n0 = -10
-m0 = -48
 m_method = dft_multiplier
 
 [time]
@@ -77,7 +75,6 @@ def test_write_config_text_of_the_rich_config_is_pinned():
         N=48,
         M=96,
         n0=-10,
-        m0=-48,
         times=(0, 1, 2.5),
         fit_window=(10, 150),
         output_dir="artifacts",
@@ -97,7 +94,6 @@ def test_round_trip_sets_every_key_to_a_non_default_value():
         M=20,
         boundary_n="periodic",
         n0=-3,
-        m0=-7,
         m_method="eigen",
         times=(0.5, 2.0),
         fit_window=(1.0, 9.0),
@@ -106,9 +102,9 @@ def test_round_trip_sets_every_key_to_a_non_default_value():
     )
     text = write_config(cfg)
     assert parse_config(text) == cfg
-    # every one of the 18 keys is written, none with its default line
+    # every one of the 17 keys is written, none with its default line
     lines = [line for line in text.splitlines() if " = " in line]
-    assert len(lines) == 18
+    assert len(lines) == 17
     assert not set(lines) & set(write_config(ExperimentConfig()).splitlines())
 
 
@@ -133,8 +129,10 @@ def test_unknown_section_is_named():
 
 
 # keys that are gone: the [time] range t_lo/t_hi/samples/spacing (write times instead), snapshot_every
-# (evolve writes every state) and the [tolerances] section (each check's threshold is a module constant)
+# (evolve writes every state), the [tolerances] section (each check's threshold is a module constant)
+# and [lattice] m0 (the m-delta is the middle column: V is constant along m)
 REMOVED_KEYS = [
+    ("lattice", "m0"),
     *(("time", key) for key in ("t_lo", "t_hi", "samples", "spacing", "snapshot_every")),
     *(("tolerances", key) for key in
       ("atom_merge", "mass_conservation", "measure_match", "factorization", "conservation", "tail_mass")),
@@ -153,11 +151,11 @@ def test_unknown_key_is_named(section, key):
 
 
 def test_config_keys_are_the_model_only():
-    # four sections and 18 keys; a check's threshold is a module constant, and the plan carries no tolerance
+    # four sections and 17 keys; a check's threshold is a module constant, and the plan carries no tolerance
     from chainlab import config
     from chainlab.evolution import PropagatorPlan
 
-    assert len(config._KEYS) == 18
+    assert len(config._KEYS) == 17
     assert {name.partition("]")[0] + "]" for name in config._KEYS} == {"[potential]", "[lattice]", "[time]", "[output]"}
     assert [f.name for f in dataclasses.fields(PropagatorPlan)] == ["es1", "m_method", "m_size"]
 
@@ -207,7 +205,7 @@ def test_config_plan_takes_a2_from_m_method(m_method, boundary):
     )
     plan = cfg.plan(8, 12)
     assert plan.a2_operator().boundary == boundary
-    np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8)[1].diagonal)
+    np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8).diagonal)
     assert cfg.plan(1, 12).n_size == 1
 
 
@@ -243,10 +241,30 @@ def test_overrides_are_keys_written_over_the_text(text, overrides, potential):
 def test_potential_csv_round_trip(tmp_path):
     pot = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=2), (-5, 9))
     path = tmp_path / "potential.csv"
-    datafiles.write_potential_csv(pot, path)
-    again = datafiles.read_potential_csv(path)
-    assert again.n0 == -5
-    np.testing.assert_array_equal(again.values, pot.values)
+    datafiles.write_potential_csv(pot, -5, path)
+    values, n0 = datafiles.read_potential_csv(path)
+    assert n0 == -5
+    np.testing.assert_array_equal(values, pot)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_potential_csv_reader_refuses_a_non_finite_value(tmp_path, bad):
+    path = tmp_path / "potential.csv"
+    path.write_text(f"n,V\n-1,0.5\n0,{bad}\n")
+    with pytest.raises(ValueError, match=r"potential values must be finite"):
+        datafiles.read_potential_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("n,V\n", "empty potential file"), ("n,V\n0,1.5\n2,0.5\n", "potential sites must be contiguous")],
+    ids=["empty", "gap"],
+)
+def test_potential_csv_reader_refuses_an_empty_or_gapped_file(tmp_path, body, message):
+    path = tmp_path / "potential.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        datafiles.read_potential_csv(path)
 
 
 def test_atomic_measure_csv_round_trip(tmp_path):
@@ -275,13 +293,13 @@ def test_csv_round_trip_of_every_row_kind(tmp_path):
     edges = np.linspace(-1.0, 3.0, 9)
     density = np.arange(8) / 7.0 + 0.5j
     mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25 + 0.5j, 1e-300 + 0j]), grid_edges=edges, density=density)
-    datafiles.write_potential_csv(pot, tmp_path / "potential.csv")
+    datafiles.write_potential_csv(pot, -3, tmp_path / "potential.csv")
     datafiles.write_measure_csv(mu, tmp_path / "measure.csv")
     kinds = [line.split(",")[0] for line in (tmp_path / "measure.csv").read_text().splitlines()[1:]]
     assert kinds == ["atom"] * 2 + ["bin"] * 8
-    pot_again = datafiles.read_potential_csv(tmp_path / "potential.csv")  # n,V rows
-    assert pot_again.n0 == -3
-    np.testing.assert_array_equal(pot_again.values, pot.values)
+    pot_again, n0 = datafiles.read_potential_csv(tmp_path / "potential.csv")  # n,V rows
+    assert n0 == -3
+    np.testing.assert_array_equal(pot_again, pot)
     again = datafiles.read_measure_csv(tmp_path / "measure.csv")
     np.testing.assert_array_equal(again.energies, mu.energies)  # atom rows
     np.testing.assert_array_equal(again.weights, mu.weights)
@@ -632,27 +650,50 @@ def test_cli_convolve_under_eigen_uses_the_dirichlet_m_window(tmp_path, capsys):
     _assert_eigen_convolve_m_delta(tmp_path, capsys, "", 6)
 
 
-def test_cli_convolve_puts_the_m_delta_at_m0(tmp_path, capsys):
-    _assert_eigen_convolve_m_delta(tmp_path, capsys, "m0 = -2\n", 2)
+@pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
+def test_cli_puts_the_m_delta_in_the_middle_column(tmp_path, m_method):
+    # V is constant along m, so no key moves the m-delta: convolve's m-measure is A2's at column M // 2, and
+    # evolve's first snapshot is the delta at the site (0, 0), which is column M // 2 of the window
+    N, M = 4, 64  # the bessel kernel's window to t = 1 needs 49 sites
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    args = ["--config", str(cfg), "--N", str(N), "--M", str(M), "--out"]
+    assert cli.main(["convolve", *args, str(tmp_path / "c")]) == 0
+    a2 = ExperimentConfig(m_method=m_method).plan(N, M).a2_operator()
+    want = spectral_measure_1d(eigh_tridiagonal(a2), np.eye(M)[M // 2])
+    got = datafiles.read_measure_csv(tmp_path / "c" / "measure_m.csv")
+    np.testing.assert_allclose(got.energies, want.energies, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-14)
+    assert cli.main(["evolve", *args, str(tmp_path / "e"), "--tmax", "1"]) == 0
+    rows = np.loadtxt(tmp_path / "e" / "trajectory.csv", delimiter=",", skiprows=1)[: N * M]  # t = 0
+    assert rows[0, 1:3].tolist() == [-(N // 2), -(M // 2)]  # the window start
+    peak = np.argmax(np.hypot(rows[:, 3], rows[:, 4]))
+    assert peak == (N // 2) * M + M // 2 and rows[peak, 1:3].tolist() == [0, 0]
 
 
 @pytest.mark.parametrize(
-    "command, lattice, window",
-    [
-        (["convolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
-        (["spectrum", "--N", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
-        (["evolve", "--N", "8", "--M", "12"], "m0 = -20\n", "m0 = -20: the window [-20, -9] of 12 sites"),
-        (["decay-fit", "--N", "8", "--tmax", "40"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
-        (["verify", "--N", "8", "--M", "8"], "n0 = -20\n", "n0 = -20: the window [-20, -13] of 8 sites"),
-    ],
+    "command",
+    [["spectrum", "--N", "8"], ["convolve", "--N", "8", "--M", "12"], ["evolve", "--N", "8", "--M", "12"],
+     ["decay-fit", "--N", "8", "--tmax", "40"], ["verify", "--N", "8", "--M", "8"]],
+    ids=lambda argv: argv[0],
 )
-def test_cli_origin_outside_the_window_is_a_validation_error(tmp_path, capsys, command, lattice, window):
+@pytest.mark.parametrize("n0, window", [(-20, "[-20, -13]"), (1, "[1, 8]")])
+def test_cli_origin_outside_the_window_is_a_validation_error(tmp_path, capsys, command, n0, window):
+    # refused by ExperimentConfig.origin before any output, so no centred measure is written in its place
     cfg = tmp_path / "origin.cfg"
-    cfg.write_text("[lattice]\n" + lattice)
+    cfg.write_text(f"[lattice]\nn0 = {n0}\n")
     out = tmp_path / "o"
     assert cli.main(command + ["--config", str(cfg), "--out", str(out)]) == 1
-    assert f"{window} misses the origin" in capsys.readouterr().err
-    assert not any(out.glob("*.json"))  # no centred measure written in its place
+    assert f"error: n0 = {n0}: the window {window} of 8 sites misses the origin" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_origin_is_the_index_of_n_0():
+    assert [ExperimentConfig().origin(N) for N in (1, 2, 7, 8)] == [0, 1, 3, 4]
+    assert [ExperimentConfig(n0=n0).origin(8) for n0 in (0, -3, -7)] == [0, 3, 7]
+    for n0, window in ((1, r"\[1, 4\]"), (-4, r"\[-4, -1\]")):
+        with pytest.raises(ConfigError, match=rf"n0 = {n0}: the window {window} of 4 sites misses the origin"):
+            ExperimentConfig(n0=n0).origin(4)
 
 
 def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path, monkeypatch):
@@ -666,21 +707,17 @@ def test_cli_free_chain_decay_fit_places_its_delta_as_lattice_mode_does(tmp_path
         return record(plan, chi, phi, times)
 
     monkeypatch.setattr(diagnostics, "record_decay", spy)
-    cfg = tmp_path / "m0.cfg"
-    cfg.write_text("[lattice]\nm0 = -3\n")
-    run = ["decay-fit", "--config", str(cfg), "--tmax", "40", "--out"]
+    run = ["decay-fit", "--tmax", "40", "--out"]
     assert cli.main(run + [str(tmp_path / "free")]) == 0
     assert cli.main(run + [str(tmp_path / "lattice"), "--N", "8"]) == 0
     (free_chi, free_phi), (lattice_chi, lattice_phi) = starts[1], starts[8]
     assert np.flatnonzero(free_chi).tolist() == [0] and np.flatnonzero(lattice_chi).tolist() == [4]
-    assert np.flatnonzero(free_phi).tolist() == np.flatnonzero(lattice_phi).tolist() == [3]  # m0 = -3
-    # on the ring a moved delta decays as the centred one does, up to rounding
-    assert cli.main(["decay-fit", "--tmax", "40", "--out", str(tmp_path / "centred")]) == 0
-    moved, centred = (np.loadtxt(tmp_path / d / "trace.csv", delimiter=",", skiprows=1) for d in ("free", "centred"))
-    np.testing.assert_allclose(moved, centred, rtol=0, atol=1e-14)
+    assert np.flatnonzero(free_phi).tolist() == np.flatnonzero(lattice_phi).tolist() == [128]  # M // 2 of 256
     # the free chain is the one-site window [n0, n0 + 1), which must hold n = 0
+    cfg = tmp_path / "n0.cfg"
     cfg.write_text("[lattice]\nn0 = -3\n")
-    assert cli.main(run + [str(tmp_path / "bad")]) == 1
+    assert cli.main(["decay-fit", "--config", str(cfg), "--tmax", "40", "--out", str(tmp_path / "bad")]) == 1
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_decay_fit_free_chain(tmp_path):
@@ -738,7 +775,7 @@ def test_cli_non_finite_tmax_is_a_validation_error(tmp_path, capsys, command, ba
     out = tmp_path / "o"
     assert cli.main([command, "--tmax", bad, "--out", str(out)]) == 1
     assert "--tmax must be" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_decay_fit_tmax_ends_the_fit_window(tmp_path):
@@ -807,16 +844,16 @@ def test_cli_lyapunov_scan(tmp_path):
 def test_cli_lyapunov_refuses_more_energies_than_it_can_sample(tmp_path, capsys):
     out = tmp_path / "l"
     assert cli.main(["lyapunov", "--length", "1000", "--count", "429", "--out", str(out)]) == 1
-    assert "count = 429 exceeds the 428 mid-spectrum eigenvalues" in capsys.readouterr().err
-    assert not (out / "lyapunov.csv").exists()
+    assert "error: --count: count = 429 exceeds the 428 mid-spectrum eigenvalues" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_cli_lyapunov_refuses_a_count_below_1(tmp_path, capsys, count):
     out = tmp_path / "l"
     assert cli.main(["lyapunov", "--length", "1000", "--count", str(count), "--out", str(out)]) == 1
-    assert f"count = {count} must be positive" in capsys.readouterr().err
-    assert not (out / "lyapunov.csv").exists()
+    assert f"error: --count: count = {count} must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_seed_override_controls_random_potential(tmp_path):
@@ -877,9 +914,12 @@ def test_cli_refused_flag_names_its_key(tmp_path, capsys, flag, value, message):
         ("decay-fit", [], "[time]\nt_lo = 1\nt_hi = 9\n", "unknown key 't_lo' in section [time]"),
         ("convolve", [], "[tolerances]\nmeasure_match = 1e-22\n", "unknown section [tolerances]"),
         ("verify", [], "[tolerances]\nfactorization = 1e-8\n", "unknown section [tolerances]"),
+        *((command, [], "[lattice]\nm0 = -2\n", "unknown key 'm0' in section [lattice]")
+          for command in ("convolve", "evolve", "decay-fit")),
     ],
     ids=["n", "m", "boundary_n", "m_method", "fit_lo-above-fit_hi", "fit_lo-negative", "fit_lo-zero-decay-fit",
-         "snapshot_every", "t_lo", "tolerances-convolve", "tolerances-verify"],
+         "snapshot_every", "t_lo", "tolerances-convolve", "tolerances-verify", "m0-convolve", "m0-evolve",
+         "m0-decay-fit"],
 )
 def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text, message):
     # [time] times and a non-finite fit_lo or fit_hi are refused by name in the tests above
@@ -888,7 +928,29 @@ def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["lyapunov", "--length", "500"], "", "--length: transfer length 500 is below the minimum 1000"),
+        (["lyapunov", "--count", "500"], "", "--count: count = 500 exceeds the 428 mid-spectrum eigenvalues"),
+        (["evolve", "--tmax", "0"], "", "--tmax must be positive and finite"),
+        (["decay-fit", "--tmax", "10"], "", "--tmax must be finite and exceed the fit window start 20"),
+        (["decay-fit", "--N", "16", "--M", "32", "--tmax", "100"], "", "m-ring of 32 sites wraps before t = 100"),
+        (["lyapunov"], "[potential]\nfamily = explicit\nvalues = 1, 2, 3\n", "[potential] values cover n in [0, 3)"),
+    ],
+    ids=["lyapunov-length", "lyapunov-count", "evolve-tmax", "decay-fit-tmax", "decay-fit-wrap", "lyapunov-explicit"],
+)
+def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, argv, text, message):
+    # the directory is made at the first artifact write, so a command that refuses its input makes none
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_explicit_potential_outside_its_values_names_the_keys(tmp_path, capsys):
@@ -898,7 +960,7 @@ def test_cli_explicit_potential_outside_its_values_names_the_keys(tmp_path, caps
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: [potential] values cover n in [0, 3), but [lattice] n = 16 and n0 put the window at [-8, 7]" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
     cfg.write_text("[potential]\nfamily = explicit\nvalues = 1, 2, 3\n[lattice]\nn = 3\nn0 = 0\n")
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
 
@@ -1081,14 +1143,14 @@ def test_cli_decay_fit_refuses_times_that_end_by_fit_lo(tmp_path, capsys, monkey
     assert cli.main(["decay-fit", "--config", str(cfg), "--N", "8", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "[time] times" in err and "fit_lo = 20" in err
-    assert calls == [] and not any(out.iterdir())
+    assert calls == [] and not out.exists()
 
 
 def test_cli_lyapunov_length_below_the_minimum_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "l"
     assert cli.main(["lyapunov", "--length", "999", "--count", "2", "--out", str(out)]) == 1
-    assert "transfer length 999 is below the minimum 1000" in capsys.readouterr().err
-    assert not (out / "lyapunov.csv").exists()
+    assert "error: --length: transfer length 999 is below the minimum 1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_lyapunov_refuses_explicit_values_short_of_its_window(tmp_path, capsys, monkeypatch):
@@ -1106,7 +1168,7 @@ def test_cli_lyapunov_refuses_explicit_values_short_of_its_window(tmp_path, caps
         assert f"error: [potential] values cover n in [0, {values}), but lyapunov reads [0, {need})" in (
             capsys.readouterr().err
         )
-    assert calls == [] and not any(out.iterdir())
+    assert calls == [] and not out.exists()
     monkeypatch.undo()
     assert cli.main(["lyapunov", "--config", str(cfg), "--length", "1000", "--count", "2", "--out", str(out)]) == 0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainlab import diagnostics
 from chainlab.diagnostics import (
     DecayTrace,
     conservation_defects,
@@ -249,13 +250,16 @@ def test_scan_requires_minimum_length():
         lyapunov_scan(constant_potential(0.0), [0.0], L=10)
 
 
-def test_truncation_energies_sit_inside_spectrum():
+def test_truncation_energies_sit_inside_spectrum(monkeypatch):
+    monkeypatch.setattr(diagnostics, "TRUNCATION_SITES", 256)  # read at call time
     spec = almost_mathieu(3.0)
-    e = truncation_energies(spec, N=256, count=8)
+    e = truncation_energies(spec, count=8)
     assert e.shape == (8,)
     assert np.all(np.diff(e) >= 0)
     op = build_operator_1d(sample_potential(spec, (0, 256)))
     assert e[0] > -op.norm_bound and e[-1] < op.norm_bound
+    with pytest.raises(ValueError, match="count = 215 exceeds the 214 mid-spectrum eigenvalues of the 256-site"):
+        truncation_energies(spec, count=215)
 
 
 def test_truncation_energies_never_repeat_an_eigenvalue():

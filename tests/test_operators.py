@@ -13,6 +13,7 @@ from chainlab.operators import (
     constant_potential,
     cosine_profile,
     delta_state,
+    delta_vector,
     energy_expectation,
     free_operator,
     hamiltonian_2d_entries,
@@ -27,8 +28,8 @@ from dense_reference import dense_hamiltonian, n_fiber_isometry_defect, norm_cha
 
 def test_constant_potential_samples():
     pot = sample_potential(constant_potential(2.5), (-3, 4))
-    assert pot.n0 == -3 and pot.size == 7
-    np.testing.assert_allclose(pot.values, 2.5)
+    assert pot.shape == (7,)
+    np.testing.assert_allclose(pot, 2.5)
 
 
 def test_almost_mathieu_matches_closed_form():
@@ -36,7 +37,7 @@ def test_almost_mathieu_matches_closed_form():
     pot = sample_potential(spec, (-50, 50))
     n = np.arange(-50, 50)
     expected = 3.0 * np.cos(2.0 * np.pi * GOLDEN_MEAN * n + 0.7)
-    np.testing.assert_allclose(pot.values, expected, atol=1e-14)
+    np.testing.assert_allclose(pot, expected, atol=1e-14)
 
 
 def test_quasiperiodic_cosine_profile_matches_almost_mathieu():
@@ -45,8 +46,8 @@ def test_quasiperiodic_cosine_profile_matches_almost_mathieu():
         "quasiperiodic", amplitude=3.0, omega=GOLDEN_MEAN, theta=0.7, profile=cosine_profile()
     )
     spec_a = almost_mathieu(3.0, theta=0.7)
-    vq = sample_potential(spec_q, (-200, 200)).values
-    va = sample_potential(spec_a, (-200, 200)).values
+    vq = sample_potential(spec_q, (-200, 200))
+    va = sample_potential(spec_a, (-200, 200))
     np.testing.assert_allclose(vq, va, atol=1e-9)
 
 
@@ -55,8 +56,8 @@ def test_quasiperiodic_cosine_profile_matches_almost_mathieu():
 )
 def test_random_iid_is_window_independent(window):
     spec = PotentialSpec("random_iid", amplitude=1.0, seed=42)
-    wide = sample_potential(spec, (-5000, 5000)).values
-    narrow = sample_potential(spec, window).values
+    wide = sample_potential(spec, (-5000, 5000))
+    narrow = sample_potential(spec, window)
     np.testing.assert_array_equal(narrow, wide[5000 + window[0] : 5000 + window[1]])
 
 
@@ -88,19 +89,19 @@ def test_random_iid_golden_values():
         2**40: 0.16780343438954026,
     }
     spec = PotentialSpec("random_iid", amplitude=1.0, seed=42)
-    got = {n: sample_potential(spec, (n, n + 1)).values[0] for n in golden}
+    got = {n: sample_potential(spec, (n, n + 1))[0] for n in golden}
     assert got == golden
     assert got == {n: _iid_reference(42, n) for n in golden}
     top = PotentialSpec("random_iid", amplitude=1.0, seed=2**64 - 1)
-    assert sample_potential(top, (-3, 3)).values.tolist() == [_iid_reference(2**64 - 1, n) for n in range(-3, 3)]
+    assert sample_potential(top, (-3, 3)).tolist() == [_iid_reference(2**64 - 1, n) for n in range(-3, 3)]
 
 
 def test_random_iid_moments_and_correlations_lie_within_six_sigma():
     # iid uniform on [-1, 1): mean 0 (sd sqrt(1/3n)), mean square 1/3 (sd sqrt((1/5 - 1/9)/n)),
     # and a lag-1 or cross-seed correlation with sd 1/sqrt(n) -- none read off a run
     n = 1 << 20
-    x = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=0), (-n // 2, n // 2)).values
-    y = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=1), (-n // 2, n // 2)).values
+    x = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=0), (-n // 2, n // 2))
+    y = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=1), (-n // 2, n // 2))
     assert abs(x.mean()) <= 6 * np.sqrt(1 / (3 * n))
     assert abs(np.mean(x * x) - 1 / 3) <= 6 * np.sqrt((1 / 5 - 1 / 9) / n)
     assert abs(np.mean(x[:-1] * x[1:]) * 3) <= 6 / np.sqrt(n - 1)
@@ -109,21 +110,21 @@ def test_random_iid_moments_and_correlations_lie_within_six_sigma():
 
 def test_random_iid_amplitude_scales_and_bounds():
     spec = PotentialSpec("random_iid", amplitude=2.0, seed=3)
-    v = sample_potential(spec, (0, 10000)).values
+    v = sample_potential(spec, (0, 10000))
     assert np.abs(v).max() <= 2.0
     assert np.abs(v).max() > 1.5  # uniform on [-2, 2] fills its range
 
 
 def test_random_iid_different_seeds_differ():
-    a = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=1), (0, 64)).values
-    b = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=2), (0, 64)).values
+    a = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=1), (0, 64))
+    b = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=2), (0, 64))
     assert not np.array_equal(a, b)
 
 
 def test_explicit_values_anchor_at_origin():
     spec = PotentialSpec("explicit", amplitude=1.0, values=(1.0, 2.0, 3.0, 4.0))
     pot = sample_potential(spec, (0, 4))
-    np.testing.assert_array_equal(pot.values, [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(pot, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_explicit_window_must_fit():
@@ -208,19 +209,23 @@ def test_operator_requires_a_site():
 # -- 2D states and the split Hamiltonian --------------------------------------
 
 
-def test_delta_state_sits_at_physical_origin():
-    # a centred axis puts the origin at index N // 2; a start n0 puts it at index -n0
+def test_delta_state_sits_in_the_middle_column():
+    # row N // 2 unless a row i is given; the column is always M // 2
     psi = delta_state(8, 6)
     assert psi.shape == (8, 6) and psi.dtype == complex
     assert np.flatnonzero(psi).tolist() == [4 * 6 + 3] and psi[4, 3] == 1.0
-    assert np.flatnonzero(delta_state(8, 6, n0=-1, m0=-5)).tolist() == [1 * 6 + 5]
+    assert np.flatnonzero(delta_state(8, 6, 1)).tolist() == [1 * 6 + 3]
+    assert np.flatnonzero(delta_state(3, 7, 0)).tolist() == [3]
+    assert np.flatnonzero(delta_vector(5)).tolist() == [2] and np.flatnonzero(delta_vector(5, 4)).tolist() == [4]
 
 
-def test_delta_state_window_must_contain_origin():
-    with pytest.raises(ValueError, match=r"n0 = 1: the window \[1, 4\] of 4 sites misses the origin"):
-        delta_state(4, 4, n0=1)
-    with pytest.raises(ValueError, match=r"m0 = -4: the window \[-4, -1\] of 4 sites misses the origin"):
-        delta_state(4, 4, m0=-4)
+@pytest.mark.parametrize("index", [-1, 5])
+def test_delta_vector_refuses_an_index_off_the_window(index):
+    # a negative index would wrap to the window's far end
+    with pytest.raises(ValueError, match=rf"index {index} is outside the window of 5 sites"):
+        delta_vector(5, index)
+    with pytest.raises(ValueError, match=rf"index {index} is outside the window of 5 sites"):
+        delta_state(5, 3, index)
 
 
 def test_apply_h2d_matches_dense_matrix():
@@ -280,37 +285,36 @@ def test_dense_h_is_the_scatter_of_its_entries(N, boundary_n, boundary_m):
 @pytest.mark.parametrize("boundary_m", BOUNDARIES)
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
 def test_m_mirror_sites_commutes_with_h_where_it_exists(M, boundary_m):
-    # every free A2 has its reflection: a ring reflects about j0, a window about its centre whatever j0 is;
-    # an even ring also has its half-turn.  On 1- and 2-site rings the reflection is the identity.
-    N = 3
+    # every free A2 has its reflection: a ring reflects about its middle column M // 2, a window about
+    # its centre; an even ring also has its half-turn.  On 1- and 2-site rings the reflection is the identity.
+    N, j0 = 3, M // 2
     a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N))
     a2 = free_operator(M, boundary_m)
     H = dense_hamiltonian(a1, a2)
-    for j0 in range(M):
-        symmetries = m_symmetries(N, a2, j0)
-        images = [lambda m: M - 1 - m] if boundary_m == "dirichlet" else [lambda m: (2 * j0 - m) % M]
-        if boundary_m == "periodic" and M % 2 == 0:
-            images.append(lambda m: (m + M // 2) % M)
-        assert len(symmetries) == len(images)
-        for sym, image in zip(symmetries, images):
-            assert sym.tolist() == [n * M + image(m) for n in range(N) for m in range(M)]
-            assert np.array_equal(H[np.ix_(sym, sym)], H)
-        if boundary_m == "periodic" and M <= 2:
-            assert np.array_equal(symmetries[0], np.arange(N * M))
+    symmetries = m_symmetries(N, a2)
+    images = [lambda m: M - 1 - m] if boundary_m == "dirichlet" else [lambda m: (2 * j0 - m) % M]
+    if boundary_m == "periodic" and M % 2 == 0:
+        images.append(lambda m: (m + M // 2) % M)
+    assert len(symmetries) == len(images)
+    for sym, image in zip(symmetries, images):
+        assert sym.tolist() == [n * M + image(m) for n in range(N) for m in range(M)]
+        assert np.array_equal(H[np.ix_(sym, sym)], H)
+    if boundary_m == "periodic" and M <= 2:
+        assert np.array_equal(symmetries[0], np.arange(N * M))
 
 
 def test_m_mirror_sites_needs_a_mirror_even_m_diagonal():
-    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 1.0]), "periodic"), 0) == ()
-    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0]), "dirichlet"), 0) == ()
-    assert len(m_symmetries(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"), 0)) == 1
+    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 1.0]), "periodic")) == ()
+    assert m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0]), "dirichlet")) == ()
+    assert len(m_symmetries(2, Operator1D(np.array([1.0, 0.0, 1.0]), "dirichlet"))) == 1
 
 
 def test_m_symmetries_drop_the_half_turn_of_a_ring_whose_diagonal_is_not_translation_even():
-    # mirror-even about 0 but not translation-even: the reflection alone
-    (reflection,) = m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 0.0]), "periodic"), 0)
+    # mirror-even about the middle column 2 but not translation-even: the reflection alone
+    (reflection,) = m_symmetries(2, Operator1D(np.array([1.0, 0.0, 0.0, 0.0]), "periodic"))
     assert reflection.tolist() == [0, 3, 2, 1, 4, 7, 6, 5]
-    # translation-even but not mirror-even about 0: the half-turn alone
-    (half_turn,) = m_symmetries(1, Operator1D(np.array([1.0, 0.0, 2.0, 1.0, 0.0, 2.0]), "periodic"), 0)
+    # translation-even but not mirror-even about the middle column 3: the half-turn alone
+    (half_turn,) = m_symmetries(1, Operator1D(np.array([1.0, 0.0, 2.0, 1.0, 0.0, 2.0]), "periodic"))
     assert half_turn.tolist() == [3, 4, 5, 0, 1, 2]
 
 
@@ -348,7 +352,7 @@ def test_norm_chain_inequalities():
 
 def test_value_arrays_are_frozen():
     pot = sample_potential(constant_potential(1.0), (0, 4))
-    assert not pot.values.flags.writeable
+    assert not pot.flags.writeable
     op = build_operator_1d(pot)
     assert not op.diagonal.flags.writeable
 

@@ -214,6 +214,15 @@ def _reflection(N: int, M: int, j0: int) -> np.ndarray:
     return np.array([n * M + (2 * j0 - m) % M for n in range(N) for m in range(M)])
 
 
+def _symmetries_about(N: int, a2: Operator1D, j0: int) -> tuple[np.ndarray, ...]:
+    """A free A2's m-axis symmetries with a ring's reflection about any j0: m_symmetries' for j0 = M // 2."""
+    if a2.boundary == "dirichlet":
+        return m_symmetries(N, a2)
+    M = a2.size
+    half_turn = np.array([n * M + (m + M // 2) % M for n in range(N) for m in range(M)])
+    return (_reflection(N, M, j0),) + (half_turn,) * (M % 2 == 0)
+
+
 MIRROR_LATTICES = [  # (N, M, boundary_n, boundary_m, the j0 to reflect about)
     *((3, M, "dirichlet", "periodic", range(M)) for M in (2, 3, 4, 5, 8)),
     (4, 6, "periodic", "periodic", (0, 5)),
@@ -247,18 +256,19 @@ def test_dense_measure_on_the_mirror_sector_matches_full_eigh(N, M, boundary_n, 
 @pytest.mark.parametrize("boundary_n", BOUNDARIES)
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
 def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, boundary_n, boundary_m):
-    # the commands' oracle: m_symmetries about the site's own m, so a ring's
-    # reflection fixes the site and an even ring's half-turn moves it; the 1-
-    # and 2-site rings (reflection = identity, the 2-site ring hopping twice)
-    # included
+    # the commands' oracle, with a ring's reflection about the site's own m
+    # (m_symmetries' about M // 2), so the reflection fixes the site and an
+    # even ring's half-turn moves it; the 1- and 2-site rings (reflection =
+    # identity, the 2-site ring hopping twice) included
     rng = np.random.default_rng(N)
     for M in [*range(1, 9), 12, 13]:
         a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
         a2 = free_operator(M, boundary=boundary_m)
+        assert [g.tolist() for g in _symmetries_about(N, a2, M // 2)] == [g.tolist() for g in m_symmetries(N, a2)]
         entries = hamiltonian_2d_entries(a1, a2)
         es = full_eigensystem(dense_hamiltonian(a1, a2))
         for site in range(N * M):
-            symmetries = m_symmetries(N, a2, site % M)
+            symmetries = _symmetries_about(N, a2, site % M)
             ref = spectral_measure_1d(es, np.eye(N * M)[site])
             mu = dense_measure(entries, N * M, unit_vector(N * M, site), symmetries=symmetries)
             assert atom_weight_discrepancy(mu, ref) <= 1e-12
@@ -276,13 +286,13 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
     ],
 )
 def test_sector_sizes_of_the_commands_oracle(boundary_m, N, M, sizes):
-    symmetries = m_symmetries(N, free_operator(M, boundary_m), M // 2)
+    symmetries = m_symmetries(N, free_operator(M, boundary_m))
     assert sector_sizes(N * M, unit_vector(N * M, (N // 2) * M + M // 2), symmetries) == sizes
 
 
 def test_dense_measure_ignores_a_symmetry_already_in_the_group():
     a1, a2 = Operator1D(np.random.default_rng(3).uniform(-2.0, 2.0, 3)), free_operator(8, "periodic")
-    reflection, half_turn = m_symmetries(3, a2, 2)
+    reflection, half_turn = _symmetries_about(3, a2, 2)
     entries, site = hamiltonian_2d_entries(a1, a2), 8 + 2
     ref = dense_measure(entries, 24, unit_vector(24, site), symmetries=[reflection, half_turn])
     for extra in (reflection[half_turn], np.arange(24), half_turn):
@@ -304,7 +314,7 @@ def test_dense_measure_rejects_a_map_that_is_not_an_involution():
 def test_dense_measure_rejects_symmetries_that_do_not_commute():
     # on a 3-site ring the reflections about 0 and about 1 each commute with H, but not with each other
     a1, a2 = free_operator(2), free_operator(3, "periodic")
-    about_0, about_1 = m_symmetries(2, a2, 0)[0], m_symmetries(2, a2, 1)[0]
+    about_0, about_1 = _reflection(2, 3, 0), _reflection(2, 3, 1)
     with pytest.raises(ValueError, match="symmetries 0 and 1 do not commute"):
         dense_measure(hamiltonian_2d_entries(a1, a2), 6, unit_vector(6, 0), symmetries=[about_0, about_1])
 
@@ -372,7 +382,7 @@ def test_dense_measure_rejects_a_state_that_is_not_a_nonzero_vector_of_the_sites
 
 def test_sector_sizes_rejects_what_dense_measure_rejects():
     # a site index in place of the state once answered for site 23 at -1 and raised a bare IndexError at 24
-    symmetries = m_symmetries(3, free_operator(8, "periodic"), 2)
+    symmetries = _symmetries_about(3, free_operator(8, "periodic"), 2)
     for psi in (-1, 24, 3.0, np.ones(23), unit_vector(24, 3)[:, None]):
         with pytest.raises(ValueError, match=rf"state psi has shape {re.escape(str(np.shape(psi)))}, not \(24,\)"):
             sector_sizes(24, psi, symmetries)
@@ -382,7 +392,7 @@ def test_sector_sizes_rejects_what_dense_measure_rejects():
 
 def test_sector_sizes_of_a_spread_state_list_every_sector_it_has_a_part_in():
     # a delta at a reflection-fixed site meets two of the four sectors, a full state all four
-    symmetries = m_symmetries(3, free_operator(8, "periodic"), 2)
+    symmetries = _symmetries_about(3, free_operator(8, "periodic"), 2)
     assert sector_sizes(24, unit_vector(24, 2), symmetries) == [9, 6]
     assert sorted(sector_sizes(24, np.ones(24), symmetries)) == [3, 6, 6, 9]
 
@@ -410,7 +420,7 @@ def test_dense_measure_at_a_random_state_matches_full_eigh_at_every_j0(N, bounda
         psi /= np.linalg.norm(psi)
         ref = spectral_measure_1d(es, psi)
         for j0 in range(M):
-            mu = dense_measure(entries, N * M, psi, symmetries=m_symmetries(N, a2, j0))
+            mu = dense_measure(entries, N * M, psi, symmetries=_symmetries_about(N, a2, j0))
             assert atom_weight_discrepancy(mu, ref) <= 1e-13
             assert abs(mu.total_mass() - 1.0) <= 1e-13
 

@@ -62,17 +62,15 @@ def delta_crosscheck(plan: PropagatorPlan, i: int):
 
     j = M // 2 is the middle column.  mu1 is A1's measure at e_i from the
     plan's eigensystem, mu2 is A2's at e_j from row j of its closed-form
-    basis (free_delta_measure), and mu1 * mu2 is H's measure at the delta, with mass_defect
-    |mass(mu1 * mu2) - mass(mu1) mass(mu2)|.  Up to DENSE_SITE_CAP sites,
+    basis (free_delta_measure), and mu1 * mu2 is H's measure at the delta,
+    with mass_defect |mass(mu1 * mu2) - mass(mu1) mass(mu2)|.  Up to DENSE_SITE_CAP sites,
     direct is dense_measure at the delta on the sectors of H's m-axis
     symmetries, and sizes are the blocks it solved; above the cap
     both are None.  convolve and verify both run this one check.
     """
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     N, M, j = a1.size, a2.size, a2.size // 2
-    if not 0 <= i < N:
-        raise ValueError(f"site ({i}, {j}) is outside the {N} x {M} lattice")
-    mu1 = spectral_measure_1d(plan.es1, delta_vector(N, i))
+    mu1 = spectral_measure_1d(plan.es1, delta_vector(N, i))  # refuses an i off the n-window
     mu2 = free_delta_measure(a2, j)
     conv = convolve_measures(mu1, mu2)
     mass_defect = float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass()))

@@ -96,7 +96,7 @@ def test_verify_and_convolve_run_one_crosscheck(tmp_path, m_method, N, M):
 def test_delta_crosscheck_rejects_a_site_off_the_lattice():
     plan = ExperimentConfig().plan(4, 6)
     for i in (-1, 4):
-        with pytest.raises(ValueError, match=rf"site \({i}, 3\) is outside the 4 x 6 lattice"):
+        with pytest.raises(ValueError, match=rf"index {i} is outside the window of 4 sites"):
             verify.delta_crosscheck(plan, i)
 
 

@@ -18,8 +18,11 @@ the infinite-lattice kernel is K_m(t) = (-i)^m J_m(2t).  The m-factor is
 free, so every m-sweep is one FFT and no M x M basis is formed (the eigen
 window sweeps its odd image on a ring), and the kernel and the Chebyshev
 coefficients take J_0..J_K from bessel_j, Miller's backward recurrence in
-numpy.  Only an A1 chain of more than spectral.NUMPY_EIGH_SITES dirichlet
-sites brings in scipy.linalg.
+numpy.  One certified rule cuts both series: K is the smallest order whose
+Kapteyn bound on the tail 2 sum_{k>K} |J_k| is below TAIL_TOL for the
+kernel's reach and below CHEB_TOL for the Chebyshev order.  Only an A1
+chain of more than spectral.NUMPY_EIGH_SITES dirichlet sites brings in
+scipy.linalg.
 """
 from __future__ import annotations
 
@@ -29,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator1D, apply_h2d, build_operator_1d, hamiltonian_2d_entries, m_symmetries
+from .operators import Operator1D, apply_h2d, free_operator, hamiltonian_2d_entries, m_symmetries
 from .spectral import EigenSystem, _real_matmul, _sector_solves, eigh_tridiagonal
 
 M_METHODS = ("dft_multiplier", "bessel_kernel", "eigen")
 CHEB_TOL = 1e-12  # largest truncation of the Chebyshev expansion
+TAIL_TOL = 1e-10  # largest two-sided l1 tail of the free kernel beyond the light-cone reach
 FACTORIZATION_TOL = 1e-8  # largest l2 gap between the factorized and the Chebyshev propagator
 CONSERVATION_TOL = 1e-9  # largest relative norm or energy drift from t = 0
 
@@ -47,22 +51,38 @@ def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:
     return es.combine(phases * c)
 
 
-def bessel_pad(t: float) -> int:
-    """Sites beyond the light cone |m| = 2|t| kept so the dropped kernel tail is < 1e-10.
+def _bessel_tail_order(x: float, tol: float) -> int:
+    """Smallest K with a certified bound 2 sum_{k>K} |J_k(x)| < tol.
 
-    Past the turning point J_m(2t) falls off like Ai(x) with x = (m - 2t) / t^(1/3),
-    so the pad is a number of Airy lengths t^(1/3): the margin
-    ceil(10 (z/2)^(1/3)) + 12 at z = max(2|t|, 1) is calibrated so that the
-    two-sided l1 tail beyond it is under 1e-10; the literals set the
-    tail, so a smaller one needs a recalibrated margin.
+    Past the turning point, k > |x|, Kapteyn's inequality bounds each term:
+    |J_k(x)| <= b_k = (x/k)^k e^{k s} / (1 + s)^k with s = sqrt(1 - (x/k)^2)
+    (Watson, A Treatise on the Theory of Bessel Functions, 8.7; DLMF 10.14).
+    log b_k is concave in k, with slope log(z / (1 + s)) at z = x/k, so the
+    ratios of successive terms fall and past a block of orders the rest is
+    under a geometric series.  The bound is summed in log space over blocks
+    of orders from floor(|x|) on, so it cannot overflow at any x.
     """
-    z = max(2.0 * abs(t), 1.0)
-    return int(math.ceil(10.0 * (z / 2.0) ** (1.0 / 3.0))) + 12
+    x = abs(x)
+    if x == 0.0:
+        return 0
+    lo, width = math.floor(x), 64
+    while True:
+        k = np.arange(lo + 1, lo + width + 1, dtype=float)
+        z = x / k
+        s = np.sqrt((1.0 - z) * (1.0 + z))
+        log_b = k * (np.log(z) + s - np.log1p(s))
+        q = z[-1] / (1.0 + s[-1])  # bounds every ratio b_{k+1} / b_k past the block
+        rest = math.exp(log_b[-1]) * q / (1.0 - q)
+        tails = 2.0 * (np.cumsum(np.exp(log_b[::-1]))[::-1] + rest)  # tails[i] bounds the tail past lo + i
+        passing = np.nonzero(tails < tol)[0]
+        if passing.size:
+            return lo + int(passing[0])
+        lo, width = lo + width // 2, 2 * width  # the overlap rechecks orders the geometric rest failed
 
 
 def light_cone_reach(t: float) -> int:
-    """Sites one site's amplitude can reach by time t: light cone 2|t| plus the kernel tail pad."""
-    return int(math.ceil(2.0 * abs(t))) + bessel_pad(t)
+    """Sites one site's amplitude can reach by time t: light cone 2|t| plus a kernel tail certified below TAIL_TOL."""
+    return _bessel_tail_order(2.0 * t, TAIL_TOL)
 
 
 _MILLER_SHIFT = 512  # the recurrence rescales by 2^-512 whenever it passes 2^512
@@ -251,7 +271,7 @@ class PropagatorPlan:
     def a2_operator(self) -> Operator1D:
         """The m-fiber operator the plan realizes (window proxy for bessel_kernel)."""
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
-        return build_operator_1d(size=self.m_size, boundary=boundary)
+        return free_operator(self.m_size, boundary)
 
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{iA1 t} along axis 0."""
@@ -269,38 +289,24 @@ def make_plan(a1: Operator1D, m_method: str, m_size: int) -> PropagatorPlan:
 def evolve_2d_factorized(state: np.ndarray, plan: PropagatorPlan, t: float) -> np.ndarray:
     """Apply the factorized propagator to an N x M state: the n-sweep, then the m-sweep (the two commute).
 
-    The result is a new C-contiguous array, never a view of a sweep's padded work array.
+    The result is a new C-contiguous array, never a view of a sweep's padded work array;
+    at t = 0 it is a copy of the state, with no sweep and so no rounding.
     """
     if np.shape(state) != (plan.n_size, plan.m_size):
         raise ValueError(f"state shape {np.shape(state)} does not match plan ({plan.n_size}, {plan.m_size})")
+    if t == 0:
+        return np.array(state, dtype=complex)
     return np.ascontiguousarray(plan.m_sweep(plan.n_sweep(state, t), t))
-
-
-def _chebyshev_order(z: float) -> int:
-    """Smallest K with a certified bound 2 sum_{k>K} |J_k(z)| < CHEB_TOL.
-
-    Uses |J_k(z)| <= (z/2)^k / k! and a geometric majorant for the tail.
-    """
-    z = abs(z)
-    K = max(int(math.ceil(z)), 8)
-    while True:
-        q = (z / 2.0) / (K + 2.0)
-        if q < 0.5:
-            log_first = (K + 1) * math.log(z / 2.0) - math.lgamma(K + 2.0) if z > 0 else -math.inf
-            bound = 2.0 * math.exp(log_first) / (1.0 - q) if log_first > -700 else 0.0
-            if bound < CHEB_TOL:
-                return K
-        K += max(4, K // 8)
 
 
 def _chebyshev_expiht(psi: np.ndarray, a1: Operator1D, a2: Operator1D, t: float) -> np.ndarray:
     """e^{iHt} psi by a Chebyshev expansion on [-r, r], r = a1.norm_bound + a2.norm_bound.
 
-    The truncation is certified below CHEB_TOL; H is applied by apply_h2d.
+    The truncation is certified below CHEB_TOL by _bessel_tail_order; H is applied by apply_h2d.
     """
     radius = a1.norm_bound + a2.norm_bound
     z = radius * t
-    K = _chebyshev_order(z)
+    K = max(_bessel_tail_order(z, CHEB_TOL), 1)  # the recurrence below starts from T_1
     k = np.arange(K + 1)
     coeffs = (2.0 - (k == 0)) * _PLUS_I_POW[k % 4] * bessel_j(K, z)
     tk_prev = psi

@@ -199,23 +199,14 @@ class Operator1D:
         return mat
 
 
-def build_operator_1d(
-    potential: np.ndarray | None = None,
-    size: int | None = None,
-    boundary: str = "dirichlet",
-) -> Operator1D:
-    """Tridiagonal operator on a sampled potential's values, or the free one for potential=None."""
-    if potential is not None:
-        if size is not None and size != len(potential):
-            raise ValueError(f"size {size} does not match potential window of {len(potential)} sites")
-        return Operator1D(potential, boundary)
-    if size is None:
-        raise ValueError("need a potential or an explicit size")
-    return Operator1D(np.zeros(int(size)), boundary)
+def build_operator_1d(potential: np.ndarray, boundary: str = "dirichlet") -> Operator1D:
+    """Tridiagonal operator on a sampled potential's values."""
+    return Operator1D(potential, boundary)
 
 
 def free_operator(size: int, boundary: str = "dirichlet") -> Operator1D:
-    return build_operator_1d(size=size, boundary=boundary)
+    """The free chain of size sites: the tridiagonal operator on a zero potential."""
+    return Operator1D(np.zeros(int(size)), boundary)
 
 
 def delta_vector(size: int, index: int | None = None) -> np.ndarray:

@@ -92,8 +92,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
     the window needed.  Each check takes one route at every size.  The
     factorized propagator is checked against evolve_2d_direct's Chebyshev
-    route.  The convolution checks are delta_crosscheck at the centre site,
-    convolve's check at its default origin: A2's measure from one row of its
+    route.  The convolution checks are delta_crosscheck at row cfg.origin(N),
+    the check convolve runs on the same config: A2's measure from one row of its
     closed-form basis and, up to DENSE_SITE_CAP sites, dense_measure on
     sectors of H's m-axis symmetries; above the cap convolution_identity is
     left out.  measure_mass_delta is the mass of that same mu1 * mu2.  Neither
@@ -131,8 +131,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     results.append(CheckResult("eigen_residual_n", eigen_residual(plan.es1, a1) / a1.norm_bound, 1e-10))
     results.append(CheckResult("eigen_gram_n", gram_defect(plan.es1), 1e-10))
 
-    # measure mass at the centre delta, and the convolution route against the dense 2D route
-    _, _, conv, _, direct, _ = delta_crosscheck(plan, N // 2)
+    # measure mass at convolve's delta, and the convolution route against the dense 2D route
+    _, _, conv, _, direct, _ = delta_crosscheck(plan, cfg.origin(N))
     results.append(CheckResult("measure_mass_delta", abs(conv.total_mass() - 1.0), MASS_CONSERVATION_TOL))
     if direct is not None:
         results.append(CheckResult("convolution_identity", atom_weight_discrepancy(conv, direct), MEASURE_MATCH_TOL))

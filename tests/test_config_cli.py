@@ -625,6 +625,25 @@ def test_cli_evolve_binary_snapshots(tmp_path):
     assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["csv", "binary"])
+def test_cli_evolve_first_snapshot_is_the_delta(tmp_path, binary):
+    # t = 0 runs no sweep, so the free lattice's first snapshot is the delta itself, with no rounding noise
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"[output]\nbinary_snapshots = {str(binary).lower()}\n")
+    out = tmp_path / "e"
+    assert cli.main(["evolve", "--config", str(cfg), "--N", "4", "--M", "48", "--tmax", "1", "--out", str(out)]) == 0
+    if binary:
+        times, states, _ = datafiles.read_trajectory_binary(out / "trajectory.bin")
+        first = states[0]
+    else:
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        times, first = np.unique(rows[:, 0]), rows[rows[:, 0] == 0.0]
+        assert first[0, 1:3].tolist() == [-2, -24]  # row-major from the start site (-2, -24)
+        first = (first[:, 3] + 1j * first[:, 4]).reshape(4, 48)
+    assert times[0] == 0.0
+    np.testing.assert_array_equal(first, delta_state(4, 48))
+
+
 def _assert_eigen_convolve_m_delta(tmp_path, capsys, lattice, index):
     """convolve under eigen at 8 x 12: the m-measure is the dirichlet chain's at the index, and the dense check passes.
 

@@ -124,7 +124,7 @@ def test_dft_record_decay_never_solves_a2(monkeypatch):
     solved = []
     solve = evolution.eigh_tridiagonal
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
-    plan = make_plan(build_operator_1d(size=16), "dft_multiplier", 256)
+    plan = make_plan(free_operator(16), "dft_multiplier", 256)
     record_decay(plan, delta_vector(16), delta_vector(256), [0.0, 1.0, 10.0])
     assert solved == [16]  # A1 only: the ring's m-sweep is the closed-form DFT multiplier
 

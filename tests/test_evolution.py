@@ -6,11 +6,11 @@ from scipy.special import jv
 from chainlab.evolution import (
     CHEB_TOL,
     M_METHODS,
+    TAIL_TOL,
     PropagatorPlan,
-    _chebyshev_order,
+    _bessel_tail_order,
     bessel_j,
     bessel_kernel,
-    bessel_pad,
     check_wrap_free,
     evolve_1d_eigen,
     evolve_2d_direct,
@@ -120,16 +120,48 @@ def test_return_amplitude_is_bessel_j0():
     assert abs(out[32] - J0_OF_2) < 1e-14
 
 
+def _bessel_tail(K, x):
+    """2 sum_{k>K} |J_k(x)|, summed over 400 orders and 40 Airy lengths past K."""
+    k = np.arange(K + 1, K + 400 + int(40 * max(abs(x), 1.0) ** (1 / 3)))
+    return 2.0 * np.abs(jv(k, x)).sum()
+
+
 def test_pad_bounds_kernel_tail():
-    for t in (*np.geomspace(0.1, 1e4, 25), 5.0, 50.0, 200.0):
+    # the two-sided l1 mass of the kernel beyond the reach: the dropped part of bessel_kernel(t, reach)
+    for t in (0.0, *np.geomspace(1e-3, 1e4, 25), 5.0, 50.0, 200.0):
         reach = light_cone_reach(t)
-        assert reach == int(np.ceil(2 * t)) + bessel_pad(t)
-        # two-sided l1 mass of the kernel beyond the padded light cone, over 40 Airy lengths and more
-        r = np.arange(reach, reach + 400 + int(40 * max(t, 1.0) ** (1 / 3)))
-        tail = 2.0 * np.abs(jv(r, 2 * t)).sum()
-        assert tail < 1e-10, (t, tail)
-    # the margin is the calibrated one: ceil(10 (z/2)^(1/3)) + 12 at z = 2|t|
-    assert bessel_pad(100.0) == int(np.ceil(10.0 * 100.0 ** (1 / 3))) + 12
+        assert reach == _bessel_tail_order(2 * t, TAIL_TOL) >= 2 * t
+        assert _bessel_tail(reach, 2 * t) < TAIL_TOL, t
+    # Kapteyn's bound keeps the reach within a few Airy lengths of the exact one, which is
+    # 10 / 28 / 67 / 246 / 2099 / 20213 sites (the tail summed from bessel_j)
+    assert [light_cone_reach(t) for t in (0.5, 5.0, 20.0, 100.0, 1e3, 1e4)] == [11, 29, 70, 251, 2112, 20245]
+
+
+def test_chebyshev_order_bounds_its_tail():
+    for z in (0.0, *np.geomspace(1e-3, 1e4, 25), 3.5, 14.0, 35.0):
+        assert _bessel_tail(_bessel_tail_order(z, CHEB_TOL), z) < CHEB_TOL, z
+    assert _bessel_tail_order(-35.0, CHEB_TOL) == _bessel_tail_order(35.0, CHEB_TOL) == 67
+    # the sum runs in log space: the factorial bound it replaced overflowed from z = 2331 on
+    assert 1e5 < _bessel_tail_order(1e5, CHEB_TOL) < 1e5 + 1000
+
+
+def test_tail_rules_read_their_constants(monkeypatch):
+    import chainlab.evolution as evolution
+
+    a1, a2 = free_operator(3), free_operator(4)
+
+    def chebyshev_order():  # the Chebyshev route applies H once per order
+        applied = []
+        apply = evolution.apply_h2d
+        monkeypatch.setattr(evolution, "apply_h2d", lambda *args: applied.append(1) or apply(*args))
+        evolve_2d_direct(delta_state(3, 4), a1, a2, 5.0, "chebyshev")
+        monkeypatch.setattr(evolution, "apply_h2d", apply)
+        return len(applied)
+
+    reach, order = light_cone_reach(5.0), chebyshev_order()
+    monkeypatch.setattr(evolution, "TAIL_TOL", 1e-14)
+    monkeypatch.setattr(evolution, "CHEB_TOL", 1e-15)
+    assert light_cone_reach(5.0) > reach and chebyshev_order() > order
 
 
 def test_ballistic_second_moment_identity():
@@ -147,14 +179,19 @@ def test_ballistic_second_moment_identity():
 # -- method cross-agreement ------------------------------------------------------
 
 
-def test_dft_and_bessel_agree_on_wrap_free_window():
+def test_dft_and_bessel_agree_on_wrap_free_window(monkeypatch):
+    import chainlab.evolution as evolution
+
     rng = np.random.default_rng(0)
     M, t = 256, 10.0
     phi = np.zeros(M, dtype=complex)
     phi[M // 2 - 2 : M // 2 + 3] = _random_state(rng, 5)
     a = evolve_free_1d(phi, t, method="dft_multiplier")
     b = evolve_free_1d(phi, t, method="bessel_kernel")
-    np.testing.assert_allclose(a, b, atol=1e-13)
+    # the kernel drops a tail of l1 mass below TAIL_TOL, which moves each site by at most ||phi||_1 TAIL_TOL
+    np.testing.assert_allclose(a, b, rtol=0, atol=np.abs(phi).sum() * TAIL_TOL)
+    monkeypatch.setattr(evolution, "TAIL_TOL", 1e-15)  # a kernel cut past its rounding level: the routes agree to it
+    np.testing.assert_allclose(a, evolve_free_1d(phi, t, method="bessel_kernel"), atol=1e-13)
 
 
 def _smallest_7_smooth_at_least(n):
@@ -195,8 +232,8 @@ def test_padded_bessel_route_is_the_linear_convolution():
     rng = np.random.default_rng(3)
     t = 6.0
     reach = light_cone_reach(t)
-    M = 93  # M + 2 reach = 179 is prime, so the transforms run longer than the convolution
-    assert reach == 43 and _smallest_7_smooth_at_least(M + 2 * reach) > M + 2 * reach
+    M = 93  # M + 2 reach = 157 is prime, so the transforms run longer than the convolution
+    assert reach == 32 and _smallest_7_smooth_at_least(M + 2 * reach) > M + 2 * reach
     block = np.zeros((3, M), dtype=complex)
     block[:, reach : M - reach] = rng.standard_normal((3, M - 2 * reach)) + 1j * rng.standard_normal((3, M - 2 * reach))
     kern = bessel_kernel(t, reach)
@@ -312,7 +349,7 @@ def test_factorized_state_owns_its_n_by_m_memory(m_method):
     # the eigen and bessel_kernel m-sweeps end on a slice of a padded work array: the state returned is
     # a compact copy, so a list of snapshots does not keep the padded arrays alive
     N, M = 4, 64
-    plan = make_plan(build_operator_1d(size=N), m_method, M)
+    plan = make_plan(free_operator(N), m_method, M)
     out = evolve_2d_factorized(delta_state(N, M), plan, 2.0)
     assert out.shape == (N, M) and out.flags.c_contiguous and out.flags.owndata
 
@@ -367,7 +404,7 @@ def test_chebyshev_direct_matches_dense():
     """The Chebyshev route, verify's propagator oracle, meets CHEB_TOL up to a rounding allowance.
 
     With X = H / r, r = a1.norm_bound + a2.norm_bound and z = r t, the route
-    sums c_k T_k(X) psi for k <= K = _chebyshev_order(z), with
+    sums c_k T_k(X) psi for k <= K = _bessel_tail_order(z, CHEB_TOL), with
     c_0 = J_0(z) and c_k = 2 i^k J_k(z).  Truncation: ||T_k(X)|| <= 1, so the
     dropped terms weigh at most 2 sum_{k>K} |J_k(z)| < CHEB_TOL.  Rounding,
     with u the unit roundoff:
@@ -397,10 +434,10 @@ def test_chebyshev_direct_matches_dense():
     for t in (0.5, 4.0):
         dense = evolve_2d_direct(psi0, a1, a2, t, method="dense")
         cheb = evolve_2d_direct(psi0, a1, a2, t, method="chebyshev")
-        K = _chebyshev_order(radius * t)
+        K = _bessel_tail_order(radius * t, CHEB_TOL)
         rounding = 9 * u * (K + 1) ** 2 * np.sqrt(2 * (K + 1)) + 2 * (K + 1) * BESSEL_ABS_TOL
         dense_error = N * M * u * (radius * t + 4)
-        bound = CHEB_TOL + rounding + dense_error  # 4.8e-11 at t = 4
+        bound = CHEB_TOL + rounding + dense_error  # 3.9e-11 at t = 4
         assert np.linalg.norm(cheb - dense) <= bound
 
 
@@ -470,4 +507,5 @@ def test_t_zero_is_identity():
     plan = make_plan(a1, "dft_multiplier", 6)
     amp = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     out = evolve_2d_factorized(amp, plan, 0.0)
-    np.testing.assert_allclose(out, amp, atol=1e-15)
+    np.testing.assert_array_equal(out, amp)  # no sweep runs, so no rounding
+    assert not np.shares_memory(out, amp)

@@ -9,7 +9,7 @@ import pytest
 from chainlab import cli, evolution, operators, verify
 from chainlab.config import ExperimentConfig
 from chainlab.evolution import PropagatorPlan
-from chainlab.operators import Operator1D, PotentialSpec, build_operator_1d
+from chainlab.operators import Operator1D, PotentialSpec, free_operator
 from chainlab.spectral import EigenSystem
 
 
@@ -78,11 +78,16 @@ def test_cli_verify_above_the_dense_cap_keeps_its_oracle_free_checks(monkeypatch
     assert all(c["passed"] for c in checks.values())
 
 
-@pytest.mark.parametrize("m_method, N, M", [("dft_multiplier", 16, 16), ("eigen", 12, 48)])
-def test_verify_and_convolve_run_one_crosscheck(tmp_path, m_method, N, M):
-    # both commands take the centred delta through verify.delta_crosscheck, so their residuals are the same floats
+@pytest.mark.parametrize(
+    "m_method, N, M, n0",
+    [("dft_multiplier", 16, 16, None), ("eigen", 12, 48, None), ("dft_multiplier", 8, 8, 0)],
+    ids=["dft_multiplier-16-16", "eigen-12-48", "dft_multiplier-8-8-n0"],
+)
+def test_verify_and_convolve_run_one_crosscheck(tmp_path, m_method, N, M, n0):
+    # both commands take the delta at the configured origin through verify.delta_crosscheck, so their
+    # residuals are the same floats, also off the centre (n0 = 0 puts the origin at row 0)
     cfg = tmp_path / "lattice.cfg"
-    cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
+    cfg.write_text(f"[lattice]\nm_method = {m_method}\n" + (f"n0 = {n0}\n" if n0 is not None else ""))
     argv = ["--config", str(cfg), "--family", "almost_mathieu", "--amplitude", "3", "--N", str(N), "--M", str(M)]
     assert cli.main(["verify", *argv, "--out", str(tmp_path / "v")]) == 0
     assert cli.main(["convolve", *argv, "--out", str(tmp_path / "c")]) == 0
@@ -115,11 +120,20 @@ def test_cli_verify_under_bessel_kernel_passes(tmp_path):
     assert "unitarity" in [c["name"] for c in report["checks"]]
 
 
+def test_cli_verify_survives_a_large_chebyshev_argument(tmp_path):
+    # at amplitude 500 the Chebyshev argument r t reaches 2520: the order rule must not overflow
+    out = tmp_path / "v"
+    argv = ["verify", "--family", "constant", "--amplitude", "500", "--N", "4", "--M", "4", "--out", str(out)]
+    assert cli.main(argv) in (0, 2)
+    with open(out / "verify.json") as fh:
+        assert "factorization_vs_direct" in [c["name"] for c in json.load(fh)["checks"]]
+
+
 def test_cli_verify_under_bessel_kernel_names_the_minimal_window(tmp_path, capsys):
     out = tmp_path / "v"
     assert cli.main(["verify", "--config", _bessel_config(tmp_path), "--N", "8", "--M", "16", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "m-window of 16 sites" in err and "at least 81 sites" in err
+    assert "m-window of 16 sites" in err and "at least 59 sites" in err
     assert not (out / "verify.json").exists()
 
 
@@ -254,7 +268,7 @@ FAULTS = {
     "convolution_masses_by_5e-10": _measure("convolve_measures", weights=lambda w: (1 + 5e-10) * w),
     "h_a2_part": _a2_part_of_h(lambda a2, amp: (1 + 1e-8) * a2.apply(amp.T).T),
     "h_m_hop_wraps": _a2_part_of_h(  # a ring's stencil on every m-axis, so a dirichlet window wraps
-        lambda a2, amp: build_operator_1d(size=a2.size, boundary="periodic").apply(amp.T).T
+        lambda a2, amp: free_operator(a2.size, "periodic").apply(amp.T).T
     ),
     "one_way_ring_seam": _one_way_ring_seam,
 }

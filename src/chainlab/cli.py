@@ -255,7 +255,10 @@ def _cmd_evolve(cfg, args) -> int:
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     times = _evolve_times(cfg, args)
 
-    states = [evolve_2d_factorized(psi0, plan, t) for t in times]
+    try:  # the bessel_kernel sweep refuses an m-window the light cone outgrows
+        states = [evolve_2d_factorized(psi0, plan, t) for t in times]
+    except ValueError as exc:
+        raise ValueError(f"[lattice] m: {exc}") from None
     l2_drift, energy_drift = conservation_defects(
         np.array([np.linalg.norm(s) for s in states]),
         np.array([energy_expectation(s, a1, a2) for s in states]),
@@ -296,7 +299,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
-        n_fit = len(set(times[fit_samples(times, fit_lo, fit_hi)]))  # a repeated time adds no sample
+        _, n_fit = fit_samples(times, fit_lo, fit_hi)
         if n_fit < MIN_FIT_SAMPLES:
             window = f"the fit window [fit_lo = {fit_lo:g}, fit_hi = {fit_hi:g}]"
             raise ValueError(f"[time] times: {n_fit} distinct in {window}, the fit needs {MIN_FIT_SAMPLES}")
@@ -319,7 +322,11 @@ def _cmd_decay_fit(cfg, args) -> int:
     N = 1 if free_chain else cfg.N or DECAY_N_DEFAULT
     plan = cfg.plan(N, M)
 
-    trace = record_decay(plan, delta_vector(N, cfg.origin(N)), delta_vector(M), times)
+    chi = delta_vector(N, cfg.origin(N))
+    try:  # an m-extent the light cone outgrows by t_max is refused
+        trace = record_decay(plan, chi, delta_vector(M), times)
+    except ValueError as exc:
+        raise ValueError(f"[lattice] m: {exc}") from None
     # the fit window ends at --tmax or fit_hi, cut at the last sample
     fit = fit_decay_exponent(trace, fit_lo, min(t_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)

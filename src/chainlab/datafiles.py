@@ -9,6 +9,11 @@ writer's dialect, and name the line of any row they refuse.
 A potential is its values with n0, the site of the first, passed beside
 them; read_potential_csv returns the pair and refuses non-finite values.
 
+A measure file holds one "atom" row per atom (energy, weight re/im) under
+the header kind,energy,weight_re,weight_im: every measure a command writes
+is atomic, so write_measure_csv refuses a measure with a density and
+read_measure_csv refuses a row of any other kind.
+
 A trajectory is a list of N x M state arrays, one per time, with the
 window start (n0, m0), the physical site of index (0, 0), passed beside
 them: the CSV rows and the binary header carry it, and
@@ -99,40 +104,23 @@ def write_eigenvalues_csv(eigenvalues: np.ndarray, path) -> None:
 
 
 def write_measure_csv(measure: SpectralMeasure, path) -> None:
-    """Rows: kind (atom|bin), energy (atom energy or bin left edge), weight re/im.
-
-    Bin rows carry the integrated bin mass (density value times width).
-    """
-    if measure.density is not None and measure.density.size < 2:
-        raise ValueError("cannot write a one-bin density: its bin row does not give the grid's width")
-    w = measure.weights
-    rows = list(_rows(np.full(w.size, "atom"), measure.energies, w.real, w.imag))
+    """One row per atom: kind ("atom"), energy, weight re/im; a measure with a density is refused."""
     if measure.density is not None:
-        mass = measure.density * measure.bin_width
-        rows += _rows(np.full(mass.size, "bin"), measure.grid_edges[:-1], mass.real, mass.imag)
+        raise ValueError("cannot write a measure with a density: a measure file holds atom rows only")
+    w = measure.weights
+    rows = _rows(np.full(w.size, "atom"), measure.energies, w.real, w.imag)
     _write_csv(path, "kind,energy,weight_re,weight_im", rows)
 
 
-def _measure_row(kind, energy, re, im):
-    if kind not in ("atom", "bin"):
-        raise ValueError(f"unknown row kind {kind!r}")
-    return kind, float(energy), complex(float(re), float(im))
+def _atom_row(kind, energy, re, im):
+    if kind != "atom":
+        raise ValueError(f"row kind {kind!r}: a measure file holds atom rows only")
+    return float(energy), complex(float(re), float(im))
 
 
 def read_measure_csv(path) -> SpectralMeasure:
-    atoms_e, atoms_w, bins_e, bins_m = [], [], [], []
-    for kind, energy, weight in _read_csv(path, "kind,energy,weight_re,weight_im", _measure_row):
-        energies, weights = (atoms_e, atoms_w) if kind == "atom" else (bins_e, bins_m)
-        energies.append(energy)
-        weights.append(weight)
-    edges = density = None
-    if bins_e:
-        if len(bins_e) < 2:
-            raise ValueError("cannot infer the grid from a single bin")
-        width = bins_e[1] - bins_e[0]
-        edges = np.array(bins_e + [bins_e[-1] + width])
-        density = np.array(bins_m) / width
-    return SpectralMeasure(np.array(atoms_e), np.array(atoms_w), grid_edges=edges, density=density)
+    rows = _read_csv(path, "kind,energy,weight_re,weight_im", _atom_row)
+    return SpectralMeasure(np.array([e for e, _ in rows]), np.array([w for _, w in rows]))
 
 
 def _snapshot_shape(times, states) -> tuple[int, int]:

@@ -131,18 +131,22 @@ def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray, n0: float, 
     return norm_drift, energy_drift
 
 
-def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
-    """Indices of the sample times in the fit window [t_lo, t_hi]; a fit needs MIN_FIT_SAMPLES of them."""
-    return np.flatnonzero((times >= t_lo) & (times <= t_hi))
+def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> tuple[np.ndarray, int]:
+    """Indices of the sample times in the fit window [t_lo, t_hi], and how many distinct times they hold.
+
+    A fit needs MIN_FIT_SAMPLES distinct times: a repeated time adds no sample.
+    """
+    window = np.flatnonzero((times >= t_lo) & (times <= t_hi))
+    return window, len(set(times[window].tolist()))  # not np.unique, which loads numpy.ma (2 MB)
 
 
 def fit_decay_exponent(trace: DecayTrace, t_lo: float, t_hi: float) -> DecayFit:
     """Least-squares slope of log sup_norms against log <t> on [t_lo, t_hi]."""
     if not (0.0 <= t_lo < t_hi):
         raise ValueError("need 0 <= t_lo < t_hi")
-    window = fit_samples(trace.times, t_lo, t_hi)
-    if window.size < MIN_FIT_SAMPLES:
-        raise ValueError(f"only {window.size} samples in [{t_lo}, {t_hi}], need at least {MIN_FIT_SAMPLES}")
+    window, distinct = fit_samples(trace.times, t_lo, t_hi)
+    if distinct < MIN_FIT_SAMPLES:
+        raise ValueError(f"only {distinct} distinct times in [{t_lo}, {t_hi}], need at least {MIN_FIT_SAMPLES}")
     sups = trace.sup_norms[window]
     if np.any(sups <= 0):
         raise ValueError("sup norms must be positive on the fit window")

@@ -2,15 +2,16 @@
 
 A SpectralMeasure holds finitely many atoms plus an optional piecewise
 constant density on a uniform grid.  For a self-adjoint operator with
-eigenpairs (lambda_j, v_j) and vectors chi, phi the matrix element measure
-carries an atom at each lambda_j with weight conj(v_j . chi) (v_j . phi);
-the map (chi, phi) -> measure is conjugate-linear in chi and linear in phi.
+eigenpairs (lambda_j, v_j) the measure at a vector chi carries an atom at
+each lambda_j with weight |v_j . chi|^2, so its mass is ||chi||^2; at a
+delta it is the local measure at the site.
 
 The 2D-operator measure at an N x M state psi has an atom at each
-lambda1_j + lambda2_k with weight |(V1^T psi V2)_jk|^2.  At finite
-combinations sum_j alpha_j chi_j (x) phi_j that is
-sum_{j,k} conj(alpha_j) alpha_k (mu1_jk * mu2_jk) where * is measure
-convolution; that identity is what the convolution tests pin down.
+lambda1_j + lambda2_k with weight |(V1^T psi V2)_jk|^2.  At a product state
+chi (x) phi that is mu1 * mu2, the convolution of the factor measures at chi
+and at phi; that identity is what the convolution tests pin down.
+convolve_measures forms it, and bins any density part of the product on
+DEFAULT_GRID_BINS uniform bins over the Minkowski sum of the two supports.
 
 The free m-factor has no eigensystem: propagators sweep it by FFT, and
 free_delta_measure reads its measure at a site off one row of its closed-form
@@ -374,9 +375,9 @@ class SpectralMeasure:
         if self.grid_edges is not None:
             edges = np.array(self.grid_edges, dtype=float, copy=True)
             dens = np.array(self.density, dtype=complex, copy=True)
-            if edges.ndim != 1 or edges.size != dens.size + 1:
+            _check_grid(edges)
+            if edges.size != dens.size + 1:
                 raise ValueError("need B+1 grid edges for B density bins")
-            _check_grid(edges, "density grid")
             if not np.all(np.isfinite(dens)):
                 raise ValueError("density must be finite")
             object.__setattr__(self, "grid_edges", _freeze(edges))
@@ -417,33 +418,16 @@ class SpectralMeasure:
         return lo, hi
 
 
-def spectral_measure_1d(
-    es: EigenSystem,
-    chi: np.ndarray,
-    phi: np.ndarray | None = None,
-) -> SpectralMeasure:
-    """Matrix-element measure of the operator behind es between chi and phi.
-
-    With phi = chi the weights are |v_j . chi|^2 >= 0 and the mass is
-    ||chi||^2.
-    """
-    for name, vec in (("chi", chi), ("phi", phi)):
-        if vec is not None and np.shape(vec) != (es.size,):
-            raise ValueError(f"{name}: vector length {np.shape(vec)} does not match eigensystem size {es.size}")
-    c_chi = es.overlaps(chi)
-    c_phi = c_chi if phi is None else es.overlaps(phi)
-    return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c_chi) * c_phi)
-
-
-def default_convolution_grid(mu: SpectralMeasure, nu: SpectralMeasure) -> np.ndarray:
-    """DEFAULT_GRID_BINS uniform bins covering the Minkowski sum of the two supports."""
-    lo1, hi1 = mu.support_bounds()
-    lo2, hi2 = nu.support_bounds()
-    return np.linspace(lo1 + lo2 - GRID_PAD, hi1 + hi2 + GRID_PAD, DEFAULT_GRID_BINS + 1)
+def spectral_measure_1d(es: EigenSystem, chi: np.ndarray) -> SpectralMeasure:
+    """The measure of the operator behind es at chi: weights |v_j . chi|^2 >= 0, mass ||chi||^2."""
+    if np.shape(chi) != (es.size,):
+        raise ValueError(f"chi: vector length {np.shape(chi)} does not match eigensystem size {es.size}")
+    c = es.overlaps(chi)
+    return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c) * c)
 
 
 class GridTooNarrowError(ValueError):
-    """Convolution mass fell outside the requested grid."""
+    """Convolution mass fell outside the convolution grid."""
 
     def __init__(self, lost_mass: float, lo: float, hi: float):
         self.lost_mass = lost_mass
@@ -452,13 +436,13 @@ class GridTooNarrowError(ValueError):
         )
 
 
-def _check_grid(edges: np.ndarray, name: str) -> None:
-    """ValueError naming ``name`` unless edges is a finite, uniform and increasing 1D grid of at least 2 edges."""
+def _check_grid(edges: np.ndarray) -> None:
+    """ValueError unless a density grid's edges are finite, uniform and increasing, in 1D, and at least 2."""
     if edges.ndim != 1 or edges.size < 2:
-        raise ValueError(f"{name} must be a 1D array of at least 2 edges, not shape {edges.shape}")
+        raise ValueError(f"density grid must be a 1D array of at least 2 edges, not shape {edges.shape}")
     widths = np.diff(edges)
     if not np.all(np.isfinite(edges)) or np.any(widths <= 0) or np.abs(widths - widths[0]).max() > 1e-9 * widths[0]:
-        raise ValueError(f"{name} must be finite, uniform and increasing")
+        raise ValueError("density grid must be finite, uniform and increasing")
 
 
 def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray, acc: np.ndarray) -> float:
@@ -487,30 +471,22 @@ def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray, acc
     return lost
 
 
-def convolve_measures(
-    mu: SpectralMeasure,
-    nu: SpectralMeasure,
-    grid: np.ndarray | None = None,
-    mass_tol: float = 1e-10,
-) -> SpectralMeasure:
+def convolve_measures(mu: SpectralMeasure, nu: SpectralMeasure, mass_tol: float = 1e-10) -> SpectralMeasure:
     """Convolution of two spectral measures.
 
     Atom x atom products stay atoms (pairwise energy sums, product weights).
     Every other product is a piece of mass spread uniformly over an interval:
     an atom at e times a density bin [a, a + h) covers [e + a, e + a + h), and
     two density bins of widths h1 and h2 cover [a1 + a2, a1 + a2 + h1 + h2).
-    The pieces are binned with exact overlaps onto ``grid`` (the default grid
-    when omitted), at most BIN_BLOCK pieces at a time: each product kind is
-    kept as its row of starts and masses against its column of bin starts and
-    bin masses, so the working memory does not grow with atoms x bins.
-    Raises ValueError naming ``grid`` unless it is a finite, uniform and
-    increasing 1D grid of at least 2 edges, ValueError when a product of two
-    masses (atoms or pieces) overflows, and GridTooNarrowError when the
-    pieces' |mass| falling outside the grid sums to more than mass_tol.
+    The pieces are binned with exact overlaps onto DEFAULT_GRID_BINS uniform
+    bins over the Minkowski sum of the two supports, padded by GRID_PAD at
+    each end, at most BIN_BLOCK pieces at a time: each product kind is kept
+    as its row of starts and masses against its column of bin starts and bin
+    masses, so the working memory does not grow with atoms x bins.  Raises
+    ValueError when a product of two masses (atoms or pieces) overflows, and
+    GridTooNarrowError when the pieces' |mass| falling outside the grid sums
+    to more than mass_tol.
     """
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        _check_grid(grid, "grid")
     e_atoms = np.add.outer(mu.energies, nu.energies).ravel()
     w_atoms = _product_masses(mu.weights, nu.weights)
 
@@ -524,7 +500,9 @@ def convolve_measures(
     if mu.density is not None and nu.density is not None:
         kinds.append((*_bin_pieces(mu), *_bin_pieces(nu), mu.bin_width + nu.bin_width))
 
-    edges = grid if grid is not None else default_convolution_grid(mu, nu)
+    lo1, hi1 = mu.support_bounds()
+    lo2, hi2 = nu.support_bounds()
+    edges = np.linspace(lo1 + lo2 - GRID_PAD, hi1 + hi2 + GRID_PAD, DEFAULT_GRID_BINS + 1)
     acc = np.zeros(edges.size - 1, dtype=complex)
     lost = 0.0
     for row_lo, row_mass, col_lo, col_mass, span in kinds:
@@ -536,8 +514,6 @@ def convolve_measures(
                 lost += _bin(edges, lo, span, masses, acc)
 
     if not lost <= mass_tol:  # NaN, from piece energies beyond the float range, fails too
-        lo1, hi1 = mu.support_bounds()
-        lo2, hi2 = nu.support_bounds()
         raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)
 
     width = edges[1] - edges[0]

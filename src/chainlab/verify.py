@@ -90,7 +90,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     reach away from both ends of the m-window, where the kernel matches the
     dirichlet window: check_wrap_free must pass
     for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
-    the window needed.  Each check takes one route at every size.  The
+    [lattice] m and the window needed.  Each check takes one route at every size.  The
     factorized propagator is checked against evolve_2d_direct's Chebyshev
     route.  The convolution checks are delta_crosscheck at row cfg.origin(N),
     the check convolve runs on the same config: A2's measure from one row of its
@@ -107,7 +107,10 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     if cfg.m_method == "bessel_kernel":
-        reach = check_wrap_free(delta_vector(M), CHECK_TIMES[-1], ring=False)
+        try:
+            reach = check_wrap_free(delta_vector(M), CHECK_TIMES[-1], ring=False)
+        except ValueError as exc:
+            raise ValueError(f"[lattice] m: {exc}") from None
 
     # the test vectors: real and imaginary parts are consecutive hash values from index VECTOR_SITES on
     sizes = (N, M, N * M, N * M)

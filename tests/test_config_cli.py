@@ -15,8 +15,9 @@ from chainlab.config import (
     parse_config,
     write_config,
 )
-from chainlab.operators import PotentialSpec, cosine_profile, delta_state, free_operator, sample_potential
+from chainlab.operators import PotentialSpec, cosine_profile, delta_state, delta_vector, free_operator, sample_potential
 from chainlab.spectral import SpectralMeasure, eigh_tridiagonal, spectral_measure_1d
+from chainlab.verify import delta_crosscheck
 from dense_reference import record_eigh_rows
 
 
@@ -276,35 +277,20 @@ def test_atomic_measure_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(again.weights, mu.weights)
 
 
-def test_binned_measure_csv_round_trip(tmp_path):
-    edges = np.linspace(-2.0, 2.0, 17)
-    dens = np.arange(16, dtype=float) / 16.0
-    mu = SpectralMeasure(np.array([0.5]), np.array([0.25 + 0j]), grid_edges=edges, density=dens)
-    path = tmp_path / "measure.csv"
-    datafiles.write_measure_csv(mu, path)
-    again = datafiles.read_measure_csv(path)
-    np.testing.assert_allclose(again.grid_edges, edges, atol=1e-15)
-    np.testing.assert_allclose(again.density, dens, atol=1e-15)
-    np.testing.assert_array_equal(again.energies, mu.energies)
-
-
 def test_csv_round_trip_of_every_row_kind(tmp_path):
     pot = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=4), (-3, 5))
-    edges = np.linspace(-1.0, 3.0, 9)
-    density = np.arange(8) / 7.0 + 0.5j
-    mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25 + 0.5j, 1e-300 + 0j]), grid_edges=edges, density=density)
+    mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25 + 0.5j, 1e-300 + 0j]))
     datafiles.write_potential_csv(pot, -3, tmp_path / "potential.csv")
     datafiles.write_measure_csv(mu, tmp_path / "measure.csv")
     kinds = [line.split(",")[0] for line in (tmp_path / "measure.csv").read_text().splitlines()[1:]]
-    assert kinds == ["atom"] * 2 + ["bin"] * 8
+    assert kinds == ["atom"] * 2
     pot_again, n0 = datafiles.read_potential_csv(tmp_path / "potential.csv")  # n,V rows
     assert n0 == -3
     np.testing.assert_array_equal(pot_again, pot)
-    again = datafiles.read_measure_csv(tmp_path / "measure.csv")
-    np.testing.assert_array_equal(again.energies, mu.energies)  # atom rows
+    again = datafiles.read_measure_csv(tmp_path / "measure.csv")  # atom rows
+    np.testing.assert_array_equal(again.energies, mu.energies)
     np.testing.assert_array_equal(again.weights, mu.weights)
-    np.testing.assert_array_equal(again.grid_edges[:-1], edges[:-1])  # bin rows: left edges and masses
-    np.testing.assert_allclose(again.density * again.bin_width, density * mu.bin_width, rtol=1e-15)
+    assert again.density is None
 
 
 @pytest.mark.parametrize(
@@ -315,9 +301,13 @@ def test_csv_round_trip_of_every_row_kind(tmp_path):
         ("n,V\n0,1.5\n1,x\n", 3, "could not convert string to float"),
         ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\nbin,0.0,1.0\n", 3, "3 fields, expected 4"),
         ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\n\n", 3, "0 fields, expected 4"),
-        ("kind,energy,weight_re,weight_im\nmass,0.0,1.0,0.0\n", 2, "unknown row kind 'mass'"),
+        ("kind,energy,weight_re,weight_im\nmass,0.0,1.0,0.0\n", 2, "row kind 'mass': a measure file holds atom rows"),
+        ("kind,energy,weight_re,weight_im\natom,0.0,0.5,0.0\nbin,0.0,1.0,0.0\n", 3, "row kind 'bin': a measure"),
     ],
-    ids=["potential-blank", "potential-short", "potential-float", "measure-short", "measure-blank", "measure-kind"],
+    ids=[
+        "potential-blank", "potential-short", "potential-float", "measure-short", "measure-blank", "measure-kind",
+        "measure-bin",
+    ],
 )
 def test_csv_readers_name_the_bad_line(tmp_path, body, line, message):
     path = tmp_path / "table.csv"
@@ -334,10 +324,10 @@ def test_csv_readers_refuse_a_wrong_header(tmp_path):
         datafiles.read_potential_csv(path)
 
 
-def test_measure_writer_refuses_a_one_bin_density(tmp_path):
-    mu = SpectralMeasure(np.zeros(0), np.zeros(0), grid_edges=np.array([0.0, 1.0]), density=np.array([1.0]))
+def test_measure_writer_refuses_a_density(tmp_path):
+    mu = SpectralMeasure([0.5], [0.5], grid_edges=np.linspace(0.0, 1.0, 5), density=np.full(4, 0.5))
     path = tmp_path / "measure.csv"
-    with pytest.raises(ValueError, match="one-bin density"):
+    with pytest.raises(ValueError, match="^cannot write a measure with a density: a measure file holds atom rows"):
         datafiles.write_measure_csv(mu, path)
     assert not path.exists()
 
@@ -461,6 +451,49 @@ def test_cli_spectrum_summary_reads_the_measure_it_writes(tmp_path):
     summary = _read_json(out / "summary.json")
     assert summary["atom_count"] == mu.atom_count
     assert summary["max_atom_weight"] == float(np.abs(mu.weights).max())
+
+
+_MEASURE_CONFIG = "[potential]\nfamily = almost_mathieu\namplitude = 3.0\n\n[lattice]\nn = 12\nm = 12\n"
+
+
+@pytest.fixture(scope="module")
+def measure_artifacts(tmp_path_factory):
+    """The measure CSVs spectrum and convolve write on one config, and the same measures built in memory."""
+    tmp = tmp_path_factory.mktemp("measures")
+    (tmp / "m.cfg").write_text(_MEASURE_CONFIG)
+    for command in ("spectrum", "convolve"):
+        assert cli.main([command, "--config", str(tmp / "m.cfg"), "--out", str(tmp / command)]) == 0
+    cfg = parse_config(_MEASURE_CONFIG)
+    N, M = cfg.lattice()
+    i = cfg.origin(N)
+    mu1, mu2, conv, _, direct, _ = delta_crosscheck(cfg.plan(N, M), i)
+    return tmp, {
+        "spectrum/measure_delta.csv": spectral_measure_1d(eigh_tridiagonal(cfg.chain_operator(N)), delta_vector(N, i)),
+        "convolve/measure_n.csv": mu1,
+        "convolve/measure_m.csv": mu2,
+        "convolve/convolution.csv": conv,
+        "convolve/direct_2d.csv": direct,
+    }
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    [
+        "spectrum/measure_delta.csv",
+        "convolve/measure_n.csv",
+        "convolve/measure_m.csv",
+        "convolve/convolution.csv",
+        "convolve/direct_2d.csv",
+    ],
+)
+def test_read_measure_csv_reads_back_every_measure_artifact(measure_artifacts, artifact):
+    # floats are written by repr, so the file holds the measure in memory bit for bit
+    tmp, measures = measure_artifacts
+    want, got = measures[artifact], datafiles.read_measure_csv(tmp / artifact)
+    assert got.atom_count == want.atom_count > 1
+    np.testing.assert_array_equal(got.energies, want.energies)
+    np.testing.assert_array_equal(got.weights, want.weights)
+    assert got.density is None and want.density is None
 
 
 @pytest.mark.parametrize(
@@ -950,6 +983,9 @@ def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text
     assert not out.exists()
 
 
+_BESSEL = "[lattice]\nm_method = bessel_kernel\n"
+
+
 @pytest.mark.parametrize(
     "argv, text, message",
     [
@@ -957,10 +993,15 @@ def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text
         (["lyapunov", "--count", "500"], "", "--count: count = 500 exceeds the 428 mid-spectrum eigenvalues"),
         (["evolve", "--tmax", "0"], "", "--tmax must be positive and finite"),
         (["decay-fit", "--tmax", "10"], "", "--tmax must be finite and exceed the fit window start 20"),
-        (["decay-fit", "--N", "16", "--M", "32", "--tmax", "100"], "", "m-ring of 32 sites wraps before t = 100"),
+        (["decay-fit", "--N", "16", "--M", "32", "--tmax", "100"], "", "[lattice] m: m-ring of 32 sites wraps"),
+        (["evolve", "--N", "4", "--M", "16", "--tmax", "10"], _BESSEL, "[lattice] m: m-window of 16 sites reflects"),
+        (["verify", "--N", "8", "--M", "40"], _BESSEL, "[lattice] m: m-window of 40 sites reflects or truncates"),
         (["lyapunov"], "[potential]\nfamily = explicit\nvalues = 1, 2, 3\n", "[potential] values cover n in [0, 3)"),
     ],
-    ids=["lyapunov-length", "lyapunov-count", "evolve-tmax", "decay-fit-tmax", "decay-fit-wrap", "lyapunov-explicit"],
+    ids=[
+        "lyapunov-length", "lyapunov-count", "evolve-tmax", "decay-fit-tmax", "decay-fit-wrap", "evolve-wrap",
+        "verify-wrap", "lyapunov-explicit",
+    ],
 )
 def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, argv, text, message):
     # the directory is made at the first artifact write, so a command that refuses its input makes none

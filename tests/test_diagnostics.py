@@ -8,6 +8,7 @@ from chainlab.diagnostics import (
     DecayTrace,
     conservation_defects,
     fit_decay_exponent,
+    fit_samples,
     lyapunov_scan,
     minimal_wrap_free_m,
     record_decay,
@@ -182,11 +183,19 @@ def test_fit_recovers_exact_power_law():
 
 
 def test_fit_needs_enough_samples():
-    times = np.geomspace(20.0, 200.0, 4)
-    ones = np.ones_like(times)
-    trace = DecayTrace(times, ones, ones, ones, ones, 1.0, 1.0, 0.0)
+    def fit(times):
+        ones = np.ones_like(times)
+        return fit_decay_exponent(DecayTrace(times, ones, ones, ones, ones, 1.0, 1.0, 0.0), 20.0, 200.0)
+
+    assert diagnostics.MIN_FIT_SAMPLES == 8
     with pytest.raises(ValueError):
-        fit_decay_exponent(trace, 20.0, 200.0)
+        fit(np.geomspace(20.0, 200.0, 4))
+    # seven distinct times and a repeat are eight samples but seven distinct: refused, as decay-fit refuses them
+    repeated = np.sort(np.append(np.geomspace(20.0, 200.0, 7), 200.0))
+    assert fit_samples(repeated, 20.0, 200.0)[1] == 7
+    with pytest.raises(ValueError, match=r"^only 7 distinct times in \[20.0, 200.0\], need at least 8$"):
+        fit(repeated)
+    assert fit(np.geomspace(20.0, 200.0, 8)).n_samples == 8
 
 
 def test_free_chain_decay_exponent_near_minus_third():

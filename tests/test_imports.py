@@ -54,10 +54,10 @@ def test_importing_the_package_loads_no_module():
     assert _run(code, ROOT) == "[]"
 
 
-def test_public_api_takes_no_tolerance_but_three():
+def test_public_api_takes_no_tolerance_but_two():
     # each rule reads its one module constant (spectral.ATOM_MERGE_TOL, evolution.CHEB_TOL, ...)
-    # at call time.  convolve_measures keeps grid, and mass_tol, which the benchmark's library step sets
-    # to 1e-12; CheckResult.tolerance is a field of verify's report, not a setting
+    # at call time, and convolve_measures always bins on its default grid.  It keeps mass_tol, which the
+    # benchmark's library step sets to 1e-12; CheckResult.tolerance is a field of verify's report, not a setting
     found = []
     for module in MODULES:
         mod = importlib.import_module(f"chainlab.{module}")
@@ -73,7 +73,7 @@ def test_public_api_takes_no_tolerance_but_three():
                 except (TypeError, ValueError):  # not callable, or a built-in exception's constructor
                     continue
                 found += [f"{label}({p})" for p in params if "tol" in p or p in ("bins", "grid")]
-    assert sorted(found) == ["CheckResult(tolerance)", "convolve_measures(grid)", "convolve_measures(mass_tol)"]
+    assert sorted(found) == ["CheckResult(tolerance)", "convolve_measures(mass_tol)"]
 
 
 def test_no_module_imports_scipy_special():

@@ -24,7 +24,6 @@ from chainlab.spectral import (
     SpectralMeasure,
     atom_weight_discrepancy,
     convolve_measures,
-    default_convolution_grid,
     dense_measure,
     eigen_residual,
     eigh_tridiagonal,
@@ -557,22 +556,12 @@ def test_delta_measure_mass_and_positivity():
     assert np.abs(mu.weights.imag).max() < 1e-15
 
 
-def test_cross_measure_conjugates_first_argument():
-    rng = np.random.default_rng(1)
-    es = eigh_tridiagonal(free_operator(8))
-    chi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    phi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    mu = spectral_measure_1d(es, chi, phi)
-    # mass is the inner product <chi, phi> with the first slot conjugated
-    np.testing.assert_allclose(mu.total_mass(), np.vdot(chi, phi), atol=1e-13)
-
-
-@pytest.mark.parametrize("phi", [np.ones(5), np.ones((6, 2)), np.eye(6)], ids=["length-5", "6x2", "6x6"])
-def test_cross_measure_rejects_a_phi_of_the_wrong_shape(phi):
+@pytest.mark.parametrize("chi", [np.ones(5), np.ones((6, 2)), np.eye(6)], ids=["length-5", "6x2", "6x6"])
+def test_measure_1d_rejects_a_chi_of_the_wrong_shape(chi):
     es = eigh_tridiagonal(free_operator(6))
-    shape = re.escape(str(phi.shape))
-    with pytest.raises(ValueError, match=rf"phi: vector length {shape} does not match eigensystem size 6"):
-        spectral_measure_1d(es, np.ones(6), phi)
+    shape = re.escape(str(chi.shape))
+    with pytest.raises(ValueError, match=rf"^chi: vector length {shape} does not match eigensystem size 6$"):
+        spectral_measure_1d(es, chi)
 
 
 def test_free_chain_measure_approaches_arcsine_law():
@@ -680,31 +669,34 @@ def test_mixed_atom_density_convolution_shifts_density():
     dens = np.ones(32)
     mu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=dens)
     shift = SpectralMeasure.from_atoms([2.0], [1.0])
-    grid = np.linspace(1.5, 3.5, 257)
-    conv = convolve_measures(mu, shift, grid=grid)
+    conv = convolve_measures(mu, shift)
     assert abs(conv.total_mass() - 1.0) < 1e-12
     mids = 0.5 * (conv.grid_edges[:-1] + conv.grid_edges[1:])
     inside = (mids > 2.05) & (mids < 2.95)
     np.testing.assert_allclose(conv.density[inside], 1.0, atol=1e-9)
 
 
-def test_narrow_grid_raises_with_lost_mass():
+def test_narrow_grid_raises_with_lost_mass(monkeypatch):
+    # a pad of -0.5 cuts the default grid to [-0.5, 0.5]
+    monkeypatch.setattr(spectral, "GRID_PAD", -0.5)
     mu = SpectralMeasure.from_atoms([0.0], [1.0])
     edges = np.linspace(-1.0, 1.0, 33)
     dens = np.full(32, 0.5)
     nu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=dens)
     with pytest.raises(GridTooNarrowError) as err:
-        convolve_measures(mu, nu, grid=np.linspace(-0.5, 0.5, 65))
+        convolve_measures(mu, nu)
     assert err.value.lost_mass > 0.4
 
 
-def test_off_grid_mass_of_opposite_signs_does_not_cancel():
-    # +1 on [-1, -0.5) and -1 on [0.5, 1] fall wholly off the grid: 1.0 of |mass| is lost, 0 of signed mass
+def test_off_grid_mass_of_opposite_signs_does_not_cancel(monkeypatch):
+    # +1 on [-1, -0.5) and -1 on [0.5, 1] fall wholly off the grid [-0.5, 0.5] that a pad of -0.5 leaves:
+    # 1.0 of |mass| is lost, 0 of signed mass
+    monkeypatch.setattr(spectral, "GRID_PAD", -0.5)
     mu = SpectralMeasure.from_atoms([0.0], [1.0])
     dens = np.array([1.0, 0.0, 0.0, -1.0])
     nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=dens)
     with pytest.raises(GridTooNarrowError) as err:
-        convolve_measures(mu, nu, grid=np.linspace(-0.5, 0.5, 9))
+        convolve_measures(mu, nu)
     assert abs(err.value.lost_mass - 1.0) <= 1e-15
 
 
@@ -755,10 +747,11 @@ def test_non_finite_mass_fails_closed(build, error, match):
     ],
 )
 def test_convolve_refuses_a_bad_grid_before_binning(grid, fault):
+    # the grid is checked where a density is built, so no convolution ever bins onto it
     mu = SpectralMeasure.from_atoms([0.0], [1.0])
-    nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=np.linspace(-1.0, 1.0, 5), density=np.ones(4))
-    with pytest.raises(ValueError, match=f"^grid must be {fault}$"):
-        convolve_measures(mu, nu, grid=grid)
+    bins = max(np.size(grid) - 1, 0)
+    with pytest.raises(ValueError, match=f"^density grid must be {fault}$"):
+        convolve_measures(mu, SpectralMeasure(np.empty(0), np.empty(0), grid_edges=grid, density=np.ones(bins)))
 
 
 @pytest.mark.parametrize("atoms, bins", [(2048, 512), (1, 2**17)])
@@ -826,25 +819,25 @@ def test_binning_matches_per_mass_loop(monkeypatch, case, block):
     atoms = SpectralMeasure.from_atoms(
         rng.uniform(-2.0, 2.0, 5), rng.standard_normal(5) + 1j * rng.standard_normal(5)
     )
-    coarse = _density_measure(rng, -2.0, 2.0, 16)  # pieces 0.25 wide
-    fine_grid = np.linspace(-4.5, 4.5, 361)  # bins 0.025 wide: 10 per piece
-    mu, nu, grid = {
-        "atoms_x_density": (atoms, coarse, fine_grid),
-        "density_x_atoms": (coarse, atoms, fine_grid),
-        "equal_widths": (coarse, _density_measure(rng, -1.0, 1.0, 8), None),
-        "unequal_widths": (coarse, _density_measure(rng, -1.3, 1.7, 7), None),
-        "mixed": (_density_measure(rng, -1.0, 1.0, 6, atoms=3), _density_measure(rng, 0.0, 2.1, 5, atoms=4), None),
-        # pieces starting below, straddling and lying wholly beyond both grid ends
-        "off_grid": (atoms, coarse, np.linspace(-1.1, 2.3, 137)),
+    coarse = _density_measure(rng, -2.0, 2.0, 16)  # pieces 0.25 wide, over more than 10 bins of the default grid
+    mu, nu = {
+        "atoms_x_density": (atoms, coarse),
+        "density_x_atoms": (coarse, atoms),
+        "equal_widths": (coarse, _density_measure(rng, -1.0, 1.0, 8)),
+        "unequal_widths": (coarse, _density_measure(rng, -1.3, 1.7, 7)),
+        "mixed": (_density_measure(rng, -1.0, 1.0, 6, atoms=3), _density_measure(rng, 0.0, 2.1, 5, atoms=4)),
+        "off_grid": (atoms, coarse),
     }[case]
-    edges = grid if grid is not None else default_convolution_grid(mu, nu)
+    if case == "off_grid":  # the grid stops 1.5 inside each end of the Minkowski sum, so pieces start below,
+        monkeypatch.setattr(spectral, "GRID_PAD", -1.5)  # straddle and lie wholly beyond both grid ends
+    conv = convolve_measures(mu, nu, mass_tol=np.inf)
+    edges = conv.grid_edges
     ref_binned, ref_lost = _loop_binning(mu, nu, edges)
-    conv = convolve_measures(mu, nu, grid=grid, mass_tol=np.inf)
     assert np.abs(conv.density * np.diff(edges) - ref_binned).max() <= 1e-14
     if case == "off_grid":
         assert ref_lost > 0.1
         with pytest.raises(GridTooNarrowError) as err:
-            convolve_measures(mu, nu, grid=grid)
+            convolve_measures(mu, nu)
         assert abs(err.value.lost_mass - ref_lost) <= 1e-14
     else:
         assert ref_lost <= 1e-14
@@ -854,7 +847,7 @@ def test_default_convolution_grid_covers_minkowski_sum():
     mu = SpectralMeasure.from_atoms([-2.0, 1.0], [0.5, 0.5])
     edges = np.linspace(0.0, 2.0, 9)
     nu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=np.ones(8) / 2.0)
-    grid = default_convolution_grid(mu, nu)
+    grid = convolve_measures(mu, nu).grid_edges
     assert grid[0] <= -2.0 and grid[-1] >= 3.0
 
 

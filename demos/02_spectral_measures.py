@@ -34,7 +34,7 @@ es1 = eigh_tridiagonal(a1)
 chi = np.zeros(N)
 chi[16] = 1.0  # delta at the origin
 mu1 = spectral_measure_1d(es1, chi)
-print(f"measure at delta_0:  {mu1.atom_count} atoms, mass {mu1.total_mass().real:.12f}")
+print(f"measure at delta_0:  {mu1.atom_count} atoms, mass {mu1.total_mass():.12f}")
 print(f"largest atom weight: {np.abs(mu1.weights).max():.4f} (localized chain piles mass on few atoms)")
 
 a2 = free_operator(N)
@@ -54,8 +54,8 @@ conv = convolve_measures(mu1, mu2)
 entries, mirror = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2)
 direct = dense_measure(entries, N * N, np.outer(chi, phi).ravel(), symmetries=mirror)
 disc = atom_weight_discrepancy(conv, direct)
-print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass().real:.12f}")
-print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass().real:.12f}")
+print(f"convolution route:   {conv.atom_count} atoms, mass {conv.total_mass():.12f}")
+print(f"direct 2D route:     {direct.atom_count} atoms, mass {direct.total_mass():.12f}")
 print(f"max atom-weight discrepancy: {disc:.3e}")
 
 print("\n== beyond pure tensors ==")
@@ -85,6 +85,6 @@ for n in (101, 401, 1601):
     d = np.zeros(n)
     d[n // 2] = 1.0
     mu = spectral_measure_1d(es, d)
-    cdf = np.cumsum(mu.weights.real)
+    cdf = np.cumsum(mu.weights)
     limit = 0.5 + np.arcsin(np.clip(mu.energies / 2.0, -1, 1)) / np.pi
     print(f"  N = {n:5d}: sup |CDF - arcsine| = {np.abs(cdf - limit).max():.4e}")

@@ -175,7 +175,7 @@ def _cmd_spectrum(cfg, args) -> int:
             "energy_min": float(es.eigenvalues[0]),
             "energy_max": float(es.eigenvalues[-1]),
             "atom_count": mu.atom_count,
-            "total_mass": float(mu.total_mass().real),
+            "total_mass": mu.total_mass(),
             "max_atom_weight": max_atom_weight(mu),
         },
         _out(cfg, "summary.json"),
@@ -231,6 +231,16 @@ def _evolve_times(cfg, args):
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
+def _check_reach(t_max: float, time_key: str) -> None:
+    """ValueError naming time_key, the key that set t_max, if the light-cone reach at t_max cannot be counted."""
+    from .evolution import light_cone_reach
+
+    try:
+        light_cone_reach(t_max)
+    except ValueError as exc:
+        raise ValueError(f"{time_key}: {exc}") from None
+
+
 def _conserved(l2_drift: float, energy_drift: float, tol: float) -> bool:
     """The one conservation verdict: both drifts within tol (a NaN drift fails)."""
     return l2_drift <= tol and energy_drift <= tol
@@ -246,7 +256,7 @@ def _cmd_evolve(cfg, args) -> int:
 
     from . import datafiles
     from .diagnostics import conservation_defects
-    from .evolution import CONSERVATION_TOL, evolve_2d_factorized
+    from .evolution import CONSERVATION_TOL, check_wrap_free, evolve_2d_factorized
     from .operators import delta_state, energy_expectation
 
     N, M = cfg.lattice()
@@ -255,10 +265,13 @@ def _cmd_evolve(cfg, args) -> int:
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     times = _evolve_times(cfg, args)
 
-    try:  # the bessel_kernel sweep refuses an m-window the light cone outgrows
-        states = [evolve_2d_factorized(psi0, plan, t) for t in times]
-    except ValueError as exc:
-        raise ValueError(f"[lattice] m: {exc}") from None
+    if plan.m_method == "bessel_kernel":  # the m-window must hold the light cone at the last time, before any sweep
+        _check_reach(times[-1], "[time] times" if cfg.times is not None else "--tmax")
+        try:
+            check_wrap_free(psi0, times[-1], ring=False)
+        except ValueError as exc:
+            raise ValueError(f"[lattice] m: {exc}") from None
+    states = [evolve_2d_factorized(psi0, plan, t) for t in times]
     l2_drift, energy_drift = conservation_defects(
         np.array([np.linalg.norm(s) for s in states]),
         np.array([energy_expectation(s, a1, a2) for s in states]),
@@ -310,6 +323,8 @@ def _cmd_decay_fit(cfg, args) -> int:
             raise ValueError(f"[time] fit_lo = {fit_lo:g}: the geometric time grid needs a positive fit window start")
         times = np.geomspace(fit_lo, t_hi, DECAY_SAMPLES)
     t_max = float(times[-1])
+    time_key = "[time] times" if cfg.times is not None else "--tmax" if args.tmax is not None else "[time] fit_hi"
+    _check_reach(t_max, time_key)
 
     if cfg.M is not None:
         M = cfg.M
@@ -365,6 +380,8 @@ def _cmd_lyapunov(cfg, args) -> int:
         gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
     except ValueError as exc:
         raise ValueError(f"--length: {exc}") from None
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("[potential] amplitude: |E - V_n| passes the float64 range, so no growth rate is finite")
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))
     datafiles.write_json(
         {

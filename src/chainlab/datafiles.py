@@ -9,10 +9,9 @@ writer's dialect, and name the line of any row they refuse.
 A potential is its values with n0, the site of the first, passed beside
 them; read_potential_csv returns the pair and refuses non-finite values.
 
-A measure file holds one "atom" row per atom (energy, weight re/im) under
-the header kind,energy,weight_re,weight_im: every measure a command writes
-is atomic, so write_measure_csv refuses a measure with a density and
-read_measure_csv refuses a row of any other kind.
+A measure file holds one row per atom under the header energy,weight: every
+measure a command writes is atomic and real, so write_measure_csv refuses a
+measure with a density, and read_measure_csv refuses any other header.
 
 A trajectory is a list of N x M state arrays, one per time, with the
 window start (n0, m0), the physical site of index (0, 0), passed beside
@@ -104,23 +103,15 @@ def write_eigenvalues_csv(eigenvalues: np.ndarray, path) -> None:
 
 
 def write_measure_csv(measure: SpectralMeasure, path) -> None:
-    """One row per atom: kind ("atom"), energy, weight re/im; a measure with a density is refused."""
+    """One energy,weight row per atom; a measure with a density is refused."""
     if measure.density is not None:
         raise ValueError("cannot write a measure with a density: a measure file holds atom rows only")
-    w = measure.weights
-    rows = _rows(np.full(w.size, "atom"), measure.energies, w.real, w.imag)
-    _write_csv(path, "kind,energy,weight_re,weight_im", rows)
-
-
-def _atom_row(kind, energy, re, im):
-    if kind != "atom":
-        raise ValueError(f"row kind {kind!r}: a measure file holds atom rows only")
-    return float(energy), complex(float(re), float(im))
+    _write_csv(path, "energy,weight", _rows(measure.energies, measure.weights))
 
 
 def read_measure_csv(path) -> SpectralMeasure:
-    rows = _read_csv(path, "kind,energy,weight_re,weight_im", _atom_row)
-    return SpectralMeasure(np.array([e for e, _ in rows]), np.array([w for _, w in rows]))
+    rows = _read_csv(path, "energy,weight", lambda energy, weight: (float(energy), float(weight)))
+    return SpectralMeasure(*np.reshape(rows, (-1, 2)).T)
 
 
 def _snapshot_shape(times, states) -> tuple[int, int]:

@@ -16,6 +16,7 @@ trace.csv writes it under both of its headers, l2n_supm and supm_l2n.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,15 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray) -> np.ndarray:
     d = np.ones_like(E)
     logsum = np.zeros_like(E)
     L = V.size
-    for start in range(0, L, RENORM_BLOCK):
-        for v in V[start : start + RENORM_BLOCK]:
+    # a step grows the largest entry by at most 1 + max|E - V_n| (|E - V| is largest at V's min or max),
+    # so a block of steps from entries at most 1 stays below the float64 maximum
+    with np.errstate(over="ignore"):
+        step = 1.0 + np.abs(np.subtract.outer(E, (V.min(), V.max()))).max(initial=0.0)
+    if not np.isfinite(step):  # no step fits: there is no finite growth rate to give
+        return np.full_like(E, np.nan)
+    block = int(min(RENORM_BLOCK, max(1.0, math.log(np.finfo(float).max) // math.log(step))))
+    for start in range(0, L, block):
+        for v in V[start : start + block]:
             e = E - v
             a, c = e * a - c, a
             b, d = e * b - d, b
@@ -185,15 +193,16 @@ def _growth_numpy(V: np.ndarray, energies: np.ndarray) -> np.ndarray:
         b /= s
         c /= s
         d /= s
-    s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    return (logsum + np.log(s)) / L
+    return logsum / L  # the last block ends renormalized: the product's largest entry is s / s = 1
 
 
 def lyapunov_scan(spec: PotentialSpec, energies, L: int) -> np.ndarray:
     """Transfer-matrix growth rate (1/L) log ||prod T_n(E)|| at each energy.
 
-    The product is renormalized by its sup-norm every RENORM_BLOCK steps with
-    log accumulation, so products at L = 1e6 never overflow.
+    The product is renormalized by its sup-norm, with log accumulation, every
+    RENORM_BLOCK steps, or fewer where 1 + max|E - V_n| raised to the block
+    would pass the float64 maximum, so no product overflows.  Where |E - V_n|
+    itself passes that maximum every rate is NaN.
     """
     if L < MIN_TRANSFER_LENGTH:
         raise ValueError(f"transfer length {L} is below the minimum {MIN_TRANSFER_LENGTH}")

@@ -60,9 +60,13 @@ def _bessel_tail_order(x: float, tol: float) -> int:
     log b_k is concave in k, with slope log(z / (1 + s)) at z = x/k, so the
     ratios of successive terms fall and past a block of orders the rest is
     under a geometric series.  The bound is summed in log space over blocks
-    of orders from floor(|x|) on, so it cannot overflow at any x.
+    of orders from floor(|x|) on, so it cannot overflow at any x.  From
+    |x| = 2^53 on, consecutive orders are no longer distinct float64 values
+    and no block could end the sum, so ValueError.
     """
     x = abs(x)
+    if not x < 2.0**53:  # NaN too
+        raise ValueError(f"Bessel tail order at argument {x:g}: float64 tells orders apart only below 2^53")
     if x == 0.0:
         return 0
     lo, width = math.floor(x), 64

@@ -1,10 +1,10 @@
 """Spectral measures of separable lattice operators.
 
 A SpectralMeasure holds finitely many atoms plus an optional piecewise
-constant density on a uniform grid.  For a self-adjoint operator with
-eigenpairs (lambda_j, v_j) the measure at a vector chi carries an atom at
-each lambda_j with weight |v_j . chi|^2, so its mass is ||chi||^2; at a
-delta it is the local measure at the site.
+constant density on a uniform grid, all of real mass.  For a self-adjoint
+operator with eigenpairs (lambda_j, v_j) the measure at a vector chi carries
+an atom at each lambda_j with weight |v_j . chi|^2, so its mass is
+||chi||^2; at a delta it is the local measure at the site.
 
 The 2D-operator measure at an N x M state psi has an atom at each
 lambda1_j + lambda2_k with weight |(V1^T psi V2)_jk|^2.  At a product state
@@ -14,8 +14,8 @@ convolve_measures forms it, and bins any density part of the product on
 DEFAULT_GRID_BINS uniform bins over the Minkowski sum of the two supports.
 
 The free m-factor has no eigensystem: propagators sweep it by FFT, and
-free_delta_measure reads its measure at a site off one row of its closed-form
-sine or Fourier basis.  eigh_tridiagonal solves a chain with a potential (the
+free_delta_measure writes its measure at a site down in closed form, with no
+basis.  eigh_tridiagonal solves a chain with a potential (the
 n-factor), and one solver serves every dense 2D route: _sector_solves runs
 numpy's eigh on the sectors of certified site symmetries of H that a state
 has a part in, scattered from H's entry list, so H is never formed.
@@ -88,57 +88,30 @@ def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
 
 
 def free_delta_measure(op: Operator1D, site: int) -> SpectralMeasure:
-    """The measure of the free chain op at e_site, in O(M) with no solver.
+    """The measure of the free chain op at e_site, in closed form: O(M), with no solver and no basis.
 
-    The weights are the squared entries of row ``site`` of the closed-form
-    basis, the only row formed: bit for bit the measure that
-    spectral_measure_1d reads off the whole basis (tests/dense_reference.py).
+    A ring of M sites has an atom at -2 cos(2 pi k / M) for k = 0..M//2, of
+    weight 2/M, or 1/M at k = 0 and k = M/2: by translation invariance each
+    Fourier mode weighs 1/M at every site, and modes k and M - k share an
+    energy.  A dirichlet window has lambda_k = -2 cos(pi k / (M+1)) with
+    weight (2/(M+1)) sin^2(pi (site+1) k / (M+1)) for k = 1..M; the sine
+    comes from a table over one period indexed by (site+1) k mod 2(M+1), so
+    the argument reduction is exact.
     """
     site = operator.index(site)
     if not 0 <= site < op.size:
         raise ValueError(f"site {site} is outside [0, {op.size})")
-    lam, row = _free_basis_rows(op, np.array([site]))
-    return SpectralMeasure.from_atoms(lam, row[0] ** 2)
-
-
-def _free_basis_rows(op: Operator1D, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A free chain's eigenvalues in closed form, and the given rows (0-based sites) of its basis.
-
-    A dirichlet window of M sites has lambda_k = -2 cos(pi k / (M+1)) and
-    v_k(j) = sqrt(2/(M+1)) sin(pi j k / (M+1)) for j, k = 1..M.  A ring has
-    lambda_k = -2 cos(2 pi k / M) with the real basis: the constant for
-    k = 0, a cos and a sin column for each 0 < k < M/2 (one eigenvalue, so
-    the pair is bit-equal), and (-1)^j for k = M/2 when M is even.  Each
-    basis takes its values from a table over one period indexed by jk mod the
-    period, so the argument reduction is exact.
-    """
     if np.any(op.diagonal):
-        raise ValueError("the closed-form basis needs a free chain: the operator has a nonzero diagonal")
+        raise ValueError("the closed form needs a free chain: the operator has a nonzero diagonal")
     M = op.size
-    if op.boundary == "dirichlet":
-        k = np.arange(1, M + 1)
-        period = 2 * (M + 1)
-        table = math.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.arange(period) / (M + 1))
-        return -2.0 * np.cos(np.pi * k / (M + 1)), _table_columns(table, rows + 1, k, period)
-    pairs = np.arange(1, (M + 1) // 2)
-    k = np.concatenate([[0], np.repeat(pairs, 2), [M // 2] * (1 - M % 2)]).astype(int)
-    angle = 2.0 * np.pi * np.arange(M) / M
-    table = math.sqrt(2.0 / M) * np.concatenate([np.cos(angle), np.sin(angle)])  # cos at r, sin at M + r
-    sine = np.zeros(k.size, dtype=int)
-    sine[2 : 2 * pairs.size + 1 : 2] = M  # the second column of each pair
-    vec = _table_columns(table, rows, k, M, sine)
-    vec[:, 0] /= math.sqrt(2.0)  # the constant and the alternating columns have norm sqrt(M), not sqrt(M/2)
-    if M % 2 == 0:
-        vec[:, -1] /= math.sqrt(2.0)
-    return -2.0 * np.cos(2.0 * np.pi * k / M), vec
-
-
-def _table_columns(table: np.ndarray, j: np.ndarray, k: np.ndarray, period: int, offset=0) -> np.ndarray:
-    """table[(j k) mod period + offset] as a (j.size, k.size) array; the index is exact integer arithmetic."""
-    index = np.multiply.outer(j, k)
-    np.remainder(index, period, out=index)
-    index += offset
-    return table[index]
+    if op.boundary == "periodic":
+        k = np.arange(M // 2 + 1)
+        weights = np.where((k == 0) | (2 * k == M), 1.0, 2.0) / M
+        return SpectralMeasure.from_atoms(-2.0 * np.cos(2.0 * np.pi * k / M), weights)
+    k = np.arange(1, M + 1)
+    period = 2 * (M + 1)
+    table = math.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.arange(period) / (M + 1))
+    return SpectralMeasure.from_atoms(-2.0 * np.cos(np.pi * k / (M + 1)), table[(site + 1) * k % period] ** 2)
 
 
 def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
@@ -336,21 +309,28 @@ def _merge_sorted(energies: np.ndarray, weights: np.ndarray, tol: float):
     """Gap-based clustering of sorted atoms; weights summed, energies averaged."""
     if energies.size == 0:
         return energies, weights
-    cuts = np.nonzero(np.diff(energies) > tol)[0] + 1
-    counts = np.diff(np.concatenate([[0], cuts, [energies.size]]))
-    idx = np.concatenate([[0], np.cumsum(counts)])
-    e_out = np.add.reduceat(energies, idx[:-1]) / counts
-    w_out = np.add.reduceat(weights, idx[:-1])
-    return e_out, w_out
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(energies) > tol) + 1])
+    counts = np.diff(np.append(starts, energies.size))
+    return np.add.reduceat(energies, starts) / counts, np.add.reduceat(weights, starts)
+
+
+def _real_values(values, name: str) -> np.ndarray:
+    """A float64 copy of values; ValueError, naming them, if they are complex or not finite."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, not complex")
+    values = np.array(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Atoms (energies, complex weights) plus an optional binned density.
+    """Atoms (energies, real weights) plus an optional binned density.
 
     grid_edges are the B+1 edges of a uniform grid and density holds the B
-    piecewise-constant complex values on it (so each bin carries mass
-    value * width).
+    piecewise-constant real values on it (so each bin carries mass
+    value * width).  A complex weight or density is refused, never cast.
     """
 
     energies: np.ndarray
@@ -359,14 +339,9 @@ class SpectralMeasure:
     density: np.ndarray | None = None
 
     def __post_init__(self):
-        e = np.array(self.energies, dtype=float, copy=True)
-        w = np.array(self.weights, dtype=complex, copy=True)
+        e, w = _real_values(self.energies, "atom energies"), _real_values(self.weights, "atom weights")
         if e.shape != w.shape or e.ndim != 1:
             raise ValueError("energies and weights must be 1D arrays of equal length")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("atom energies must be finite")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("atom weights must be finite")
         order = np.argsort(e, kind="stable")
         object.__setattr__(self, "energies", _freeze(e[order]))
         object.__setattr__(self, "weights", _freeze(w[order]))
@@ -374,23 +349,18 @@ class SpectralMeasure:
             raise ValueError("grid_edges and density must be given together")
         if self.grid_edges is not None:
             edges = np.array(self.grid_edges, dtype=float, copy=True)
-            dens = np.array(self.density, dtype=complex, copy=True)
             _check_grid(edges)
+            dens = _real_values(self.density, "density")
             if edges.size != dens.size + 1:
                 raise ValueError("need B+1 grid edges for B density bins")
-            if not np.all(np.isfinite(dens)):
-                raise ValueError("density must be finite")
             object.__setattr__(self, "grid_edges", _freeze(edges))
             object.__setattr__(self, "density", _freeze(dens))
 
     @classmethod
     def from_atoms(cls, energies, weights) -> "SpectralMeasure":
         """The atoms at energies with weights, sorted, and merged where the energy gap is at most ATOM_MERGE_TOL."""
-        e = np.asarray(energies, dtype=float)
-        w = np.asarray(weights, dtype=complex)
-        order = np.argsort(e, kind="stable")
-        e, w = _merge_sorted(e[order], w[order], ATOM_MERGE_TOL)
-        return cls(e, w)
+        atoms = cls(energies, weights)  # checked, and sorted by energy
+        return cls(*_merge_sorted(atoms.energies, atoms.weights, ATOM_MERGE_TOL))
 
     @property
     def atom_count(self) -> int:
@@ -400,10 +370,10 @@ class SpectralMeasure:
     def bin_width(self) -> float:
         return float(self.grid_edges[1] - self.grid_edges[0]) if self.grid_edges is not None else 0.0
 
-    def total_mass(self) -> complex:
-        mass = complex(self.weights.sum())
+    def total_mass(self) -> float:
+        mass = float(self.weights.sum())
         if self.density is not None:
-            mass += complex((self.density * np.diff(self.grid_edges)).sum())
+            mass += float((self.density * np.diff(self.grid_edges)).sum())
         return mass
 
     def support_bounds(self) -> tuple[float, float]:
@@ -423,7 +393,7 @@ def spectral_measure_1d(es: EigenSystem, chi: np.ndarray) -> SpectralMeasure:
     if np.shape(chi) != (es.size,):
         raise ValueError(f"chi: vector length {np.shape(chi)} does not match eigensystem size {es.size}")
     c = es.overlaps(chi)
-    return SpectralMeasure.from_atoms(es.eigenvalues, np.conj(c) * c)
+    return SpectralMeasure.from_atoms(es.eigenvalues, c.real**2 + c.imag**2)
 
 
 class GridTooNarrowError(ValueError):
@@ -452,7 +422,7 @@ def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray, acc
     bins counted from the bin holding lo, so the only loop runs over those
     offsets.  Returns the mass falling outside the grid as the sum of |mass|
     times each piece's off-grid fraction, so off-grid pieces of opposite sign
-    or phase cannot cancel.
+    cannot cancel.
     """
     hi = lo + span
     length = hi - lo  # not span: a piece wholly on the grid then loses exactly 0
@@ -465,9 +435,7 @@ def _bin(edges: np.ndarray, lo: np.ndarray, span: float, masses: np.ndarray, acc
         on = (i >= 0) & (i < bins)
         i = i[on]
         seg = np.maximum(np.minimum(hi[on], edges[i + 1]) - np.maximum(lo[on], edges[i]), 0.0)
-        part = masses[on] * (seg / length[on])
-        acc.real += np.bincount(i, weights=part.real, minlength=bins)
-        acc.imag += np.bincount(i, weights=part.imag, minlength=bins)
+        acc += np.bincount(i, weights=masses[on] * (seg / length[on]), minlength=bins)
     return lost
 
 
@@ -487,11 +455,10 @@ def convolve_measures(mu: SpectralMeasure, nu: SpectralMeasure, mass_tol: float 
     GridTooNarrowError when the pieces' |mass| falling outside the grid sums
     to more than mass_tol.
     """
-    e_atoms = np.add.outer(mu.energies, nu.energies).ravel()
-    w_atoms = _product_masses(mu.weights, nu.weights)
-
+    energies = np.add.outer(mu.energies, nu.energies).ravel()
+    atomic = SpectralMeasure.from_atoms(energies, _product_masses(mu.weights, nu.weights))  # the atom x atom part
     if mu.density is None and nu.density is None:
-        return SpectralMeasure.from_atoms(e_atoms, w_atoms)
+        return atomic
 
     kinds = []  # (row starts, row masses, column starts, column masses, span): one piece per row and column
     for atoms, dens in ((mu, nu), (nu, mu)):
@@ -503,7 +470,7 @@ def convolve_measures(mu: SpectralMeasure, nu: SpectralMeasure, mass_tol: float 
     lo1, hi1 = mu.support_bounds()
     lo2, hi2 = nu.support_bounds()
     edges = np.linspace(lo1 + lo2 - GRID_PAD, hi1 + hi2 + GRID_PAD, DEFAULT_GRID_BINS + 1)
-    acc = np.zeros(edges.size - 1, dtype=complex)
+    acc = np.zeros(edges.size - 1)
     lost = 0.0
     for row_lo, row_mass, col_lo, col_mass, span in kinds:
         rows = max(1, BIN_BLOCK // col_lo.size)  # a row longer than a block is cut into blocks along its columns
@@ -516,9 +483,7 @@ def convolve_measures(mu: SpectralMeasure, nu: SpectralMeasure, mass_tol: float 
     if not lost <= mass_tol:  # NaN, from piece energies beyond the float range, fails too
         raise GridTooNarrowError(lost, lo1 + lo2, hi1 + hi2)
 
-    width = edges[1] - edges[0]
-    e_out, w_out = _merge_sorted(*_sorted(e_atoms, w_atoms), ATOM_MERGE_TOL)
-    return SpectralMeasure(e_out, w_out, grid_edges=edges, density=acc / width)
+    return SpectralMeasure(atomic.energies, atomic.weights, grid_edges=edges, density=acc / (edges[1] - edges[0]))
 
 
 def _product_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -532,11 +497,6 @@ def _product_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _bin_pieces(dens: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
     """The starts and masses of a measure's density bins."""
     return dens.grid_edges[:-1], dens.density * dens.bin_width
-
-
-def _sorted(e: np.ndarray, w: np.ndarray):
-    order = np.argsort(e, kind="stable")
-    return e[order], w[order]
 
 
 def max_atom_weight(measure: SpectralMeasure) -> float:
@@ -555,9 +515,6 @@ def atom_weight_discrepancy(mu: SpectralMeasure, nu: SpectralMeasure) -> float:
     misalign atoms; within each cluster the signed weights must cancel.
     """
     e = np.concatenate([mu.energies, nu.energies])
-    w = np.concatenate([mu.weights, -nu.weights])
-    if e.size == 0:
-        return 0.0
-    e, w = _sorted(e, w)
-    _, resid = _merge_sorted(e, w, 1e-8)
-    return float(np.abs(resid).max())
+    order = np.argsort(e, kind="stable")
+    _, resid = _merge_sorted(e[order], np.concatenate([mu.weights, -nu.weights])[order], 1e-8)
+    return float(np.abs(resid).max(initial=0.0))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .evolution import CONSERVATION_TOL, FACTORIZATION_TOL, PropagatorPlan, check_wrap_free
-from .evolution import evolve_2d_direct, evolve_2d_factorized
+from .evolution import CHEB_TOL, CONSERVATION_TOL, FACTORIZATION_TOL, PropagatorPlan, _bessel_tail_order
+from .evolution import check_wrap_free, evolve_2d_direct, evolve_2d_factorized
 from .operators import DENSE_SITE_CAP, _iid_uniform, apply_h2d, delta_state, delta_vector, energy_expectation
 from .operators import hamiltonian_2d_entries, m_symmetries
 from .spectral import (
@@ -61,19 +61,19 @@ def delta_crosscheck(plan: PropagatorPlan, i: int):
     """The convolution identity at the site delta e_i (x) e_j: (mu1, mu2, mu1 * mu2, mass_defect, direct, sizes).
 
     j = M // 2 is the middle column.  mu1 is A1's measure at e_i from the
-    plan's eigensystem, mu2 is A2's at e_j from row j of its closed-form
-    basis (free_delta_measure), and mu1 * mu2 is H's measure at the delta,
-    with mass_defect |mass(mu1 * mu2) - mass(mu1) mass(mu2)|.  Up to DENSE_SITE_CAP sites,
+    plan's eigensystem, mu2 is A2's at e_j in closed form (free_delta_measure),
+    and mu1 * mu2 is H's measure at the delta, with mass_defect
+    |mass(mu1 * mu2) - mass(mu1) mass(mu2)|.  Up to DENSE_SITE_CAP sites,
     direct is dense_measure at the delta on the sectors of H's m-axis
-    symmetries, and sizes are the blocks it solved; above the cap
-    both are None.  convolve and verify both run this one check.
+    symmetries, and sizes are the blocks it solved; above the cap both are
+    None.  convolve and verify both run this one check.
     """
     a1, a2 = plan.a1_operator(), plan.a2_operator()
     N, M, j = a1.size, a2.size, a2.size // 2
     mu1 = spectral_measure_1d(plan.es1, delta_vector(N, i))  # refuses an i off the n-window
     mu2 = free_delta_measure(a2, j)
     conv = convolve_measures(mu1, mu2)
-    mass_defect = float(abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass()))
+    mass_defect = abs(conv.total_mass() - mu1.total_mass() * mu2.total_mass())
     if N * M > DENSE_SITE_CAP:
         return mu1, mu2, conv, mass_defect, None, None
     delta = delta_state(N, M, i).ravel()
@@ -88,16 +88,18 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     The model is cfg.plan(N, M) on the sizes of cfg.lattice().  Under
     bessel_kernel the propagator checks evolve a state kept a light-cone
     reach away from both ends of the m-window, where the kernel matches the
-    dirichlet window: check_wrap_free must pass
-    for the centre site up to CHECK_TIMES[-1], or it raises ValueError naming
-    [lattice] m and the window needed.  Each check takes one route at every size.  The
-    factorized propagator is checked against evolve_2d_direct's Chebyshev
-    route.  The convolution checks are delta_crosscheck at row cfg.origin(N),
-    the check convolve runs on the same config: A2's measure from one row of its
-    closed-form basis and, up to DENSE_SITE_CAP sites, dense_measure on
-    sectors of H's m-axis symmetries; above the cap convolution_identity is
-    left out.  measure_mass_delta is the mass of that same mu1 * mu2.  Neither
-    H nor A2's M x M basis is formed, so the memory is O(N M) at every size.
+    dirichlet window: check_wrap_free must pass for the centre site up to
+    CHECK_TIMES[-1], or it raises ValueError naming [lattice] m and the window
+    needed.  A Chebyshev order at CHECK_TIMES[-1] that float64 cannot count
+    raises ValueError naming [potential] amplitude, before any check runs.
+    Each check takes one route at every size.  The factorized propagator is
+    checked against evolve_2d_direct's Chebyshev route.  The convolution
+    checks are delta_crosscheck at row cfg.origin(N), the check convolve runs
+    on the same config: A2's measure in closed form and, up to DENSE_SITE_CAP
+    sites, dense_measure on sectors of H's m-axis symmetries; above the cap
+    convolution_identity is left out.  measure_mass_delta is the mass of that
+    same mu1 * mu2.  Neither H nor A2's M x M basis is formed, so the memory
+    is O(N M) at every size.
     The random test vectors chi, phi, psi and eta come from random_iid's
     SplitMix64 site hash (operators._iid_uniform), keyed by the potential's
     seed (0 when it has none), at indices from VECTOR_SITES on, which no
@@ -106,6 +108,10 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     N, M = cfg.lattice()
     plan = cfg.plan(N, M)
     a1, a2 = plan.a1_operator(), plan.a2_operator()
+    try:  # the Chebyshev order at the last check time, whose argument the potential's amplitude sets
+        _bessel_tail_order((a1.norm_bound + a2.norm_bound) * CHECK_TIMES[-1], CHEB_TOL)
+    except ValueError as exc:
+        raise ValueError(f"[potential] amplitude: {exc}") from None
     if cfg.m_method == "bessel_kernel":
         try:
             reach = check_wrap_free(delta_vector(M), CHECK_TIMES[-1], ring=False)

@@ -4,9 +4,7 @@ The package never forms the N*M x N*M matrix of H: its dense routes solve
 H's symmetry sectors from the stencil entries.  Tests that want all of H,
 or numpy's eigh of all of it, to compare against build them here, and
 record_eigh_rows logs eigh's inputs to show that no route gives it all of H.
-Nor does it form the free chain's M x M basis: free_delta_measure reads one
-row of it, and free_eigensystem writes all of it down for the tests.  And it
-takes the norms of a product state from its two factors (record_decay):
+And it takes the norms of a product state from its two factors (record_decay):
 norm_chain takes them from the full N x M array instead.
 
 No command needs the rest either, so it lives here: spectral_measure_2d is
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chainlab.operators import hamiltonian_2d_entries
-from chainlab.spectral import EigenSystem, SpectralMeasure, _free_basis_rows
+from chainlab.spectral import EigenSystem, SpectralMeasure
 
 
 def dense_hamiltonian(a1, a2) -> np.ndarray:
@@ -33,11 +31,6 @@ def full_eigensystem(h: np.ndarray) -> EigenSystem:
     """numpy's eigh of the whole symmetric matrix h."""
     lam, vec = np.linalg.eigh(h)
     return EigenSystem(lam, vec)
-
-
-def free_eigensystem(op) -> EigenSystem:
-    """The free chain op's whole closed-form eigensystem: every row of _free_basis_rows."""
-    return EigenSystem(*_free_basis_rows(op, np.arange(op.size)), source=op)
 
 
 def norm_chain(psi) -> tuple[float, float, float, float, float]:

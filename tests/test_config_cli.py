@@ -269,25 +269,24 @@ def test_potential_csv_reader_refuses_an_empty_or_gapped_file(tmp_path, body, me
 
 
 def test_atomic_measure_csv_round_trip(tmp_path):
-    mu = SpectralMeasure.from_atoms([-1.0, 0.25], [0.5, 0.5 + 0.125j])
+    mu = SpectralMeasure.from_atoms([-1.0, 0.25], [0.5, -0.125])
     path = tmp_path / "measure.csv"
     datafiles.write_measure_csv(mu, path)
+    assert path.read_text() == "energy,weight\n-1.0,0.5\n0.25,-0.125\n"
     again = datafiles.read_measure_csv(path)
     np.testing.assert_array_equal(again.energies, mu.energies)
     np.testing.assert_array_equal(again.weights, mu.weights)
 
 
-def test_csv_round_trip_of_every_row_kind(tmp_path):
+def test_csv_round_trip_of_a_potential_and_a_measure(tmp_path):
     pot = sample_potential(PotentialSpec("random_iid", amplitude=1.0, seed=4), (-3, 5))
-    mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25 + 0.5j, 1e-300 + 0j]))
+    mu = SpectralMeasure(np.array([-2.5, 0.1]), np.array([0.25, 1e-300]))
     datafiles.write_potential_csv(pot, -3, tmp_path / "potential.csv")
     datafiles.write_measure_csv(mu, tmp_path / "measure.csv")
-    kinds = [line.split(",")[0] for line in (tmp_path / "measure.csv").read_text().splitlines()[1:]]
-    assert kinds == ["atom"] * 2
     pot_again, n0 = datafiles.read_potential_csv(tmp_path / "potential.csv")  # n,V rows
     assert n0 == -3
     np.testing.assert_array_equal(pot_again, pot)
-    again = datafiles.read_measure_csv(tmp_path / "measure.csv")  # atom rows
+    again = datafiles.read_measure_csv(tmp_path / "measure.csv")  # energy,weight rows
     np.testing.assert_array_equal(again.energies, mu.energies)
     np.testing.assert_array_equal(again.weights, mu.weights)
     assert again.density is None
@@ -299,14 +298,14 @@ def test_csv_round_trip_of_every_row_kind(tmp_path):
         ("n,V\n0,1.5\n\n", 3, "0 fields, expected 2"),
         ("n,V\n0,1.5\n1\n2,0.5\n", 3, "1 fields, expected 2"),
         ("n,V\n0,1.5\n1,x\n", 3, "could not convert string to float"),
-        ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\nbin,0.0,1.0\n", 3, "3 fields, expected 4"),
-        ("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\n\n", 3, "0 fields, expected 4"),
-        ("kind,energy,weight_re,weight_im\nmass,0.0,1.0,0.0\n", 2, "row kind 'mass': a measure file holds atom rows"),
-        ("kind,energy,weight_re,weight_im\natom,0.0,0.5,0.0\nbin,0.0,1.0,0.0\n", 3, "row kind 'bin': a measure"),
+        ("energy,weight\n0.0,1.0\n0.5\n", 3, "1 fields, expected 2"),
+        ("energy,weight\n0.0,1.0\n\n", 3, "0 fields, expected 2"),
+        ("energy,weight\n0.0,1.0\n0.5,0.25,0.0\n", 3, "3 fields, expected 2"),
+        ("energy,weight\n0.0,1.0\n0.5,0.25j\n", 3, "could not convert string to float"),
     ],
     ids=[
-        "potential-blank", "potential-short", "potential-float", "measure-short", "measure-blank", "measure-kind",
-        "measure-bin",
+        "potential-blank", "potential-short", "potential-float", "measure-short", "measure-blank", "measure-long",
+        "measure-complex",
     ],
 )
 def test_csv_readers_name_the_bad_line(tmp_path, body, line, message):
@@ -322,6 +321,10 @@ def test_csv_readers_refuse_a_wrong_header(tmp_path):
     path.write_text("n,W\n0,1.5\n")
     with pytest.raises(ValueError, match="unexpected header 'n,W'.*expected 'n,V'"):
         datafiles.read_potential_csv(path)
+    # the four-column measure file of earlier versions, whose weight_im column was always 0.0
+    path.write_text("kind,energy,weight_re,weight_im\natom,0.0,1.0,0.0\n")
+    with pytest.raises(ValueError, match="unexpected header 'kind,energy,weight_re,weight_im'.*expected 'energy,weight'"):
+        datafiles.read_measure_csv(path)
 
 
 def test_measure_writer_refuses_a_density(tmp_path):
@@ -489,6 +492,7 @@ def measure_artifacts(tmp_path_factory):
 def test_read_measure_csv_reads_back_every_measure_artifact(measure_artifacts, artifact):
     # floats are written by repr, so the file holds the measure in memory bit for bit
     tmp, measures = measure_artifacts
+    assert (tmp / artifact).read_text().startswith("energy,weight\n")
     want, got = measures[artifact], datafiles.read_measure_csv(tmp / artifact)
     assert got.atom_count == want.atom_count > 1
     np.testing.assert_array_equal(got.energies, want.energies)
@@ -626,7 +630,7 @@ def test_cli_verify_solves_only_sectors_of_h(tmp_path, monkeypatch, size, sector
 @pytest.mark.parametrize("command, N", [("convolve", 16), ("verify", 2)])
 @pytest.mark.parametrize("m_method", ["dft_multiplier", "bessel_kernel", "eigen"])
 def test_cli_convolve_and_verify_build_no_m_basis(tmp_path, m_method, command, N):
-    """Above the dense cap convolve and verify read the m-measure off one row of A2's basis, never the M x M table."""
+    """Above the dense cap convolve and verify write the m-measure down in closed form, with no M x M table."""
     cfg = tmp_path / "m.cfg"
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
     peak, out = _warm_peak(tmp_path, [command, "--config", str(cfg), "--N", str(N), "--M", "4096"])
@@ -984,6 +988,7 @@ def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text
 
 
 _BESSEL = "[lattice]\nm_method = bessel_kernel\n"
+_REACH_REFUSAL = "Bessel tail order at argument 2e+16: float64 tells orders apart only below 2^53"
 
 
 @pytest.mark.parametrize(
@@ -994,13 +999,33 @@ _BESSEL = "[lattice]\nm_method = bessel_kernel\n"
         (["evolve", "--tmax", "0"], "", "--tmax must be positive and finite"),
         (["decay-fit", "--tmax", "10"], "", "--tmax must be finite and exceed the fit window start 20"),
         (["decay-fit", "--N", "16", "--M", "32", "--tmax", "100"], "", "[lattice] m: m-ring of 32 sites wraps"),
-        (["evolve", "--N", "4", "--M", "16", "--tmax", "10"], _BESSEL, "[lattice] m: m-window of 16 sites reflects"),
+        (
+            ["evolve", "--N", "4", "--M", "16", "--tmax", "10"],
+            _BESSEL,
+            "[lattice] m: m-window of 16 sites reflects or truncates before t = 10: the support [8, 8] needs 44 sites "
+            "of margin per side, so at least 89 sites",
+        ),
         (["verify", "--N", "8", "--M", "40"], _BESSEL, "[lattice] m: m-window of 40 sites reflects or truncates"),
         (["lyapunov"], "[potential]\nfamily = explicit\nvalues = 1, 2, 3\n", "[potential] values cover n in [0, 3)"),
+        (["evolve", "--N", "4", "--M", "16", "--tmax", "1e16"], _BESSEL, f"--tmax: {_REACH_REFUSAL}"),
+        (["decay-fit", "--N", "4", "--tmax", "1e16"], "", f"--tmax: {_REACH_REFUSAL}"),
+        (["decay-fit", "--N", "4"], "[time]\ntimes = 20, 30, 40, 50, 60, 70, 80, 90, 1e16\n", f"[time] times: {_REACH_REFUSAL}"),
+        (["decay-fit", "--N", "4"], "[time]\nfit_hi = 1e16\n", f"[time] fit_hi: {_REACH_REFUSAL}"),
+        (
+            ["verify", "--N", "4", "--M", "4", "--amplitude", "1e200"],
+            "",
+            "[potential] amplitude: Bessel tail order at argument 5e+200: float64 tells orders apart only below 2^53",
+        ),
+        (
+            ["lyapunov", "--family", "almost_mathieu", "--amplitude", "1e308", "--length", "1000", "--count", "2"],
+            "",
+            "[potential] amplitude: |E - V_n| passes the float64 range, so no growth rate is finite",
+        ),
     ],
     ids=[
         "lyapunov-length", "lyapunov-count", "evolve-tmax", "decay-fit-tmax", "decay-fit-wrap", "evolve-wrap",
-        "verify-wrap", "lyapunov-explicit",
+        "verify-wrap", "lyapunov-explicit", "evolve-tmax-reach", "decay-fit-tmax-reach", "decay-fit-times-reach",
+        "decay-fit-fit_hi-reach", "verify-amplitude-chebyshev", "lyapunov-amplitude-overflow",
     ],
 )
 def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, argv, text, message):
@@ -1011,6 +1036,18 @@ def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, a
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_evolve_checks_the_bessel_window_once_at_the_last_time(tmp_path, capsys):
+    # the light cone at t = 10 needs 1 + 2 light_cone_reach(10) = 89 sites; earlier times need fewer, and the
+    # refusal names the window the whole run needs, before any sweep
+    cfg = tmp_path / "bessel.cfg"
+    cfg.write_text(_BESSEL)
+    for M, code in ((88, 1), (89, 0)):
+        out = tmp_path / f"m{M}"
+        assert cli.main(["evolve", "--config", str(cfg), "--N", "4", "--M", str(M), "--tmax", "10", "--out", str(out)]) == code
+        assert ("at least 89 sites" in capsys.readouterr().err) == (code == 1)
+        assert out.exists() == (code == 0)
 
 
 def test_cli_explicit_potential_outside_its_values_names_the_keys(tmp_path, capsys):

@@ -238,6 +238,19 @@ def test_almost_mathieu_supercritical_growth():
     np.testing.assert_allclose(gammas, math.log(1.5), rtol=2e-2)
 
 
+@pytest.mark.parametrize("amplitude", [1e10, 1e100])
+def test_almost_mathieu_growth_at_huge_coupling(amplitude):
+    # 32 steps of size 1e10 pass the float64 maximum: the renormalization block shrinks with max|E - V_n|
+    spec = almost_mathieu(amplitude)
+    gammas = lyapunov_scan(spec, truncation_energies(spec, count=2), L=1000)
+    np.testing.assert_allclose(gammas, math.log(amplitude / 2.0), rtol=1e-2)
+
+
+def test_growth_rate_past_the_float_range_is_nan():
+    # |E - V_n| itself overflows: no step fits, and the scan says so with NaN rather than a warning
+    assert np.isnan(lyapunov_scan(almost_mathieu(1e308), [1e308], L=1000)).all()
+
+
 def test_almost_mathieu_growth_is_phase_stable():
     spec1 = almost_mathieu(3.0, theta=0.1)
     spec2 = almost_mathieu(3.0, theta=2.0)

@@ -145,6 +145,13 @@ def test_chebyshev_order_bounds_its_tail():
     assert 1e5 < _bessel_tail_order(1e5, CHEB_TOL) < 1e5 + 1000
 
 
+@pytest.mark.parametrize("x", [2.0**53, -(2.0**53), 1e200, np.inf, np.nan])
+def test_tail_order_refuses_an_argument_float64_cannot_count_orders_at(x):
+    # from 2^53 on consecutive orders are one float64: z = x / k reads 1 and no block of orders ends the sum
+    with pytest.raises(ValueError, match=r"float64 tells orders apart only below 2\^53$"):
+        _bessel_tail_order(x, TAIL_TOL)
+
+
 def test_tail_rules_read_their_constants(monkeypatch):
     import chainlab.evolution as evolution
 
@@ -297,20 +304,16 @@ def test_check_wrap_free_is_tight(ring, width):
 @pytest.mark.parametrize("m_method", M_METHODS)
 def test_plan_builds_no_m_basis(monkeypatch, m_method):
     import chainlab.evolution as evolution
-    import chainlab.spectral as spectral
 
-    solved, written = [], []
-    solve, write = evolution.eigh_tridiagonal, spectral._free_basis_rows
+    solved = []
+    solve = evolution.eigh_tridiagonal
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
-    # every closed-form free basis, free_delta_measure's row included, is built by _free_basis_rows
-    monkeypatch.setattr(spectral, "_free_basis_rows", lambda op, rows: written.append(op.size) or write(op, rows))
     plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), m_method, 96)
     phi = np.zeros(96, dtype=complex)
     phi[44:52] = _random_state(np.random.default_rng(9), 8)
     for t in (0.5, 1.0, 2.0):
         plan.m_sweep(phi, t)
-    assert solved == [8]  # A1 only: the free A2 is never handed to a solver
-    assert written == []  # nor written down as a basis: every m-sweep is an FFT
+    assert solved == [8]  # A1 only: the free A2 is never handed to a solver, and every m-sweep is an FFT
     assert not hasattr(plan, "m_eigensystem")
 
 

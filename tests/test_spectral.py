@@ -33,7 +33,7 @@ from chainlab.spectral import (
     sector_sizes,
     spectral_measure_1d,
 )
-from dense_reference import dense_hamiltonian, free_eigensystem, full_eigensystem, spectral_measure_2d, unit_vector
+from dense_reference import dense_hamiltonian, full_eigensystem, spectral_measure_2d, unit_vector
 
 
 # -- eigensystems --------------------------------------------------------------
@@ -485,20 +485,6 @@ def test_eigh_tridiagonal_caps_a_periodic_chain_before_forming_its_matrix(monkey
 FREE_SIZES = [2, 3, 48, 512, 513, 1024]
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-@pytest.mark.parametrize("M", FREE_SIZES)
-def test_free_eigensystem_is_the_free_chain_eigensystem(M, boundary):
-    op = free_operator(M, boundary)
-    es = free_eigensystem(op)
-    assert es.source is op
-    np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(op.matrix()), rtol=0, atol=1e-13)
-    assert eigen_residual(es, op) <= 1e-13
-    assert gram_defect(es) <= 1e-13
-    if boundary == "periodic":  # columns 2p - 1 and 2p are the cos and sin of one mode: bit-equal eigenvalues
-        pairs = (M + 1) // 2 - 1
-        np.testing.assert_array_equal(es.eigenvalues[1 : 2 * pairs : 2], es.eigenvalues[2 : 2 * pairs + 1 : 2])
-
-
 def _exact_delta_measure(M, boundary, site):
     """The free chain's measure at e_site from 30-digit trigonometry: basis-free, as the
     window's spectrum is simple and the ring's has weight 1/M per Fourier mode.  numpy's
@@ -519,24 +505,16 @@ def _exact_delta_measure(M, boundary, site):
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("M", FREE_SIZES)
-def test_free_eigensystem_delta_measure_is_basis_independent(M, boundary):
+def test_free_delta_measure_is_the_exact_measure(M, boundary):
+    # the 30-digit truth, rounded: 1/M per Fourier mode on a ring, the squared sine on a window
     op = free_operator(M, boundary)
-    es = free_eigensystem(op)
     for site in sorted({0, M // 3, M // 2, M - 1}):
-        delta = np.zeros(M)
-        delta[site] = 1.0
-        got = spectral_measure_1d(es, delta)
-        assert atom_weight_discrepancy(got, _exact_delta_measure(M, boundary, site)) <= 1e-14, site
-        # one row of the basis gives the same measure, bit for bit, as the full table
-        row = free_delta_measure(op, site)
-        full = spectral_measure_1d(es, delta.astype(complex))
-        np.testing.assert_array_equal(row.energies, full.energies)
-        np.testing.assert_array_equal(row.weights, full.weights)
+        got = free_delta_measure(op, site)
+        assert got.weights.dtype == np.float64
+        assert atom_weight_discrepancy(got, _exact_delta_measure(M, boundary, site)) <= 2.3e-16, site
 
 
-def test_free_eigensystem_rejects_a_potential():
-    with pytest.raises(ValueError, match="free chain"):
-        free_eigensystem(build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 8))))
+def test_free_delta_measure_rejects_a_potential_and_a_site_off_the_chain():
     with pytest.raises(ValueError, match="free chain"):
         free_delta_measure(build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 8))), 0)
     with pytest.raises(ValueError, match=r"site 8 is outside \[0, 8\)"):
@@ -551,9 +529,39 @@ def test_delta_measure_mass_and_positivity():
     chi = np.zeros(21)
     chi[10] = 1.0
     mu = spectral_measure_1d(es, chi)
-    assert abs(mu.total_mass() - 1.0) < 1e-13
-    assert np.all(mu.weights.real >= -1e-15)
-    assert np.abs(mu.weights.imag).max() < 1e-15
+    assert isinstance(mu.total_mass(), float) and abs(mu.total_mass() - 1.0) < 1e-13
+    assert mu.weights.dtype == np.float64 and np.all(mu.weights >= 0.0)
+
+
+def test_measure_1d_at_a_complex_vector_has_real_weights():
+    # |c|^2 as c.real^2 + c.imag^2; numpy's complex product conj(c) c may round its real part once, by FMA
+    rng = np.random.default_rng(6)
+    es = eigh_tridiagonal(build_operator_1d(sample_potential(almost_mathieu(2.0), (0, 24))))
+    chi = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    mu = spectral_measure_1d(es, chi)
+    c = es.overlaps(chi)
+    assert mu.weights.dtype == np.float64
+    np.testing.assert_allclose(mu.weights, (np.conj(c) * c).real, rtol=4.5e-16, atol=0)
+    assert abs(mu.total_mass() - np.vdot(chi, chi).real) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: SpectralMeasure([0.0, 1.0], [0.5, 0.5 + 0j]), "atom weights"),
+        (lambda: SpectralMeasure.from_atoms([0.0, 1.0], np.array([0.5, 0.5], dtype=complex)), "atom weights"),
+        (lambda: SpectralMeasure.from_atoms([0.0 + 0j], [1.0]), "atom energies"),
+        (
+            lambda: SpectralMeasure(np.empty(0), np.empty(0), grid_edges=[0.0, 1.0, 2.0], density=[0.5, 0.5j]),
+            "density",
+        ),
+    ],
+    ids=["weights", "from_atoms_weights", "energies", "density"],
+)
+def test_measure_refuses_complex_masses(build, what):
+    # a measure is real: a complex input, even one of zero imaginary part, is refused, never cast
+    with pytest.raises(ValueError, match=f"^{what} must be real, not complex$"):
+        build()
 
 
 @pytest.mark.parametrize("chi", [np.ones(5), np.ones((6, 2)), np.eye(6)], ids=["length-5", "6x2", "6x6"])
@@ -572,7 +580,7 @@ def test_free_chain_measure_approaches_arcsine_law():
         chi = np.zeros(N)
         chi[N // 2] = 1.0
         mu = spectral_measure_1d(es, chi)
-        cdf = np.cumsum(mu.weights.real)
+        cdf = np.cumsum(mu.weights)
         arcsine = 0.5 + np.arcsin(np.clip(mu.energies / 2.0, -1, 1)) / np.pi
         return np.abs(cdf - arcsine).max()
 
@@ -640,12 +648,8 @@ def test_atomic_convolution_commutes():
 def test_atomic_convolution_mass_multiplies():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        mu = SpectralMeasure.from_atoms(
-            rng.uniform(-4, 4, 11), rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        )
-        nu = SpectralMeasure.from_atoms(
-            rng.uniform(-4, 4, 6), rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        )
+        mu = SpectralMeasure.from_atoms(rng.uniform(-4, 4, 11), rng.standard_normal(11))
+        nu = SpectralMeasure.from_atoms(rng.uniform(-4, 4, 6), rng.standard_normal(6))
         conv = convolve_measures(mu, nu)
         assert abs(conv.total_mass() - mu.total_mass() * nu.total_mass()) < 1e-12
 
@@ -654,7 +658,7 @@ def test_density_convolution_conserves_mass():
     # uniform density on [-1, 1] convolved with itself: triangular on [-2, 2]
     edges = np.linspace(-1.0, 1.0, 65)
     dens = np.full(64, 0.5)
-    mu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=dens)
+    mu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=edges, density=dens)
     conv = convolve_measures(mu, mu)
     assert conv.atom_count == 0
     assert abs(conv.total_mass() - 1.0) < 1e-12
@@ -667,7 +671,7 @@ def test_density_convolution_conserves_mass():
 def test_mixed_atom_density_convolution_shifts_density():
     edges = np.linspace(0.0, 1.0, 33)
     dens = np.ones(32)
-    mu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=dens)
+    mu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=edges, density=dens)
     shift = SpectralMeasure.from_atoms([2.0], [1.0])
     conv = convolve_measures(mu, shift)
     assert abs(conv.total_mass() - 1.0) < 1e-12
@@ -682,7 +686,7 @@ def test_narrow_grid_raises_with_lost_mass(monkeypatch):
     mu = SpectralMeasure.from_atoms([0.0], [1.0])
     edges = np.linspace(-1.0, 1.0, 33)
     dens = np.full(32, 0.5)
-    nu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=dens)
+    nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=edges, density=dens)
     with pytest.raises(GridTooNarrowError) as err:
         convolve_measures(mu, nu)
     assert err.value.lost_mass > 0.4
@@ -773,10 +777,9 @@ def test_convolve_binning_memory_is_bounded_by_the_block(atoms, bins):
 
 def _density_measure(rng, lo, hi, bins, atoms=0):
     edges = np.linspace(lo, hi, bins + 1)
-    dens = rng.standard_normal(bins) + 1j * rng.standard_normal(bins)
+    dens = rng.standard_normal(bins)
     e = rng.uniform(-2.0, 2.0, atoms)
-    w = rng.standard_normal(atoms) + 1j * rng.standard_normal(atoms)
-    return SpectralMeasure(e, w, grid_edges=edges, density=dens)
+    return SpectralMeasure(e, rng.standard_normal(atoms), grid_edges=edges, density=dens)
 
 
 def _loop_binning(mu, nu, edges):
@@ -794,7 +797,7 @@ def _loop_binning(mu, nu, edges):
         for a1, d1 in zip(mu.grid_edges[:-1], mu.density):
             for a2, d2 in zip(nu.grid_edges[:-1], nu.density):
                 pieces.append((a1 + a2, a1 + a2 + h1 + h2, d1 * h1 * d2 * h2))
-    binned = np.zeros(edges.size - 1, dtype=complex)
+    binned = np.zeros(edges.size - 1)
     lost = 0.0
     for a, b, m in pieces:
         on_grid = 0.0
@@ -816,9 +819,7 @@ def test_binning_matches_per_mass_loop(monkeypatch, case, block):
     # a block of 7 cuts each row of more than 7 bins into blocks ending in a partial one; 40 holds several rows
     monkeypatch.setattr(spectral, "BIN_BLOCK", block)
     rng = np.random.default_rng(11)
-    atoms = SpectralMeasure.from_atoms(
-        rng.uniform(-2.0, 2.0, 5), rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    )
+    atoms = SpectralMeasure.from_atoms(rng.uniform(-2.0, 2.0, 5), rng.standard_normal(5))
     coarse = _density_measure(rng, -2.0, 2.0, 16)  # pieces 0.25 wide, over more than 10 bins of the default grid
     mu, nu = {
         "atoms_x_density": (atoms, coarse),
@@ -846,7 +847,7 @@ def test_binning_matches_per_mass_loop(monkeypatch, case, block):
 def test_default_convolution_grid_covers_minkowski_sum():
     mu = SpectralMeasure.from_atoms([-2.0, 1.0], [0.5, 0.5])
     edges = np.linspace(0.0, 2.0, 9)
-    nu = SpectralMeasure(np.empty(0), np.empty(0, dtype=complex), grid_edges=edges, density=np.ones(8) / 2.0)
+    nu = SpectralMeasure(np.empty(0), np.empty(0), grid_edges=edges, density=np.ones(8) / 2.0)
     grid = convolve_measures(mu, nu).grid_edges
     assert grid[0] <= -2.0 and grid[-1] >= 3.0
 
@@ -895,7 +896,7 @@ def test_max_atom_weight_and_merge():
     assert mu.atom_count == 3
     assert abs(max_atom_weight(mu) - 0.9) < 1e-12
     with pytest.raises(ValueError):
-        max_atom_weight(SpectralMeasure(np.empty(0), np.empty(0, dtype=complex)))
+        max_atom_weight(SpectralMeasure(np.empty(0), np.empty(0)))
 
 
 def test_atom_weight_discrepancy_detects_perturbation():

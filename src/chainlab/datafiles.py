@@ -13,11 +13,11 @@ A measure file holds one row per atom under the header energy,weight: every
 measure a command writes is atomic and real, so write_measure_csv refuses a
 measure with a density, and read_measure_csv refuses any other header.
 
-A trajectory is a list of N x M state arrays, one per time, with the
-window start (n0, m0), the physical site of index (0, 0), passed beside
-them: the CSV rows and the binary header carry it, and
-read_trajectory_binary returns it.  Both writers check, before the file is
-opened, that there is one snapshot per time and that all share one shape.
+A trajectory is written as it is computed: the writers call state_at(t)
+once per time, in order, write each N x M state before they ask for the
+next, and refuse one not of the first one's shape as it arrives.  The
+window start (n0, m0), the site of index (0, 0), is passed beside them: the
+CSV rows and the binary header carry it, and read_trajectory_binary returns it.
 
 Binary trajectory layout (little endian):
     8s  magic  b"CHAINLB1"
@@ -114,40 +114,40 @@ def read_measure_csv(path) -> SpectralMeasure:
     return SpectralMeasure(*np.reshape(rows, (-1, 2)).T)
 
 
-def _snapshot_shape(times, states) -> tuple[int, int]:
-    """The (N, M) of a trajectory's snapshots: one per time, all of one 2D shape, or ValueError."""
-    if len(states) != len(times) or not states:
-        raise ValueError(f"need one state per time, got {len(states)} states for {len(times)} times")
-    shape = np.shape(states[0])
-    if len(shape) != 2 or any(np.shape(s) != shape for s in states):
-        raise ValueError("all snapshots must share one N x M shape")
-    return shape
+def _snapshots(times, state_at):
+    """(t, state_at(t)) for each time, in order; ValueError, as it arrives, for one not N x M like the first."""
+    shape = None
+    for t in times:
+        state = np.asarray(state_at(t), dtype="<c16")
+        shape = shape or state.shape
+        if len(shape) != 2 or state.shape != shape:
+            raise ValueError(f"all snapshots must share one N x M shape: {state.shape} at t = {t:g}")
+        yield t, state
 
 
-def write_trajectory_csv(times, states, start, path) -> None:
-    """One row per site of each N x M snapshot; start = (n0, m0) is the site of index (0, 0)."""
-    N, M = _snapshot_shape(times, states)
+def write_trajectory_csv(times, state_at, start, path) -> None:
+    """One row per site of each N x M snapshot state_at(t); start = (n0, m0) is the site of index (0, 0)."""
     n0, m0 = start
-    m = np.arange(m0, m0 + M)
 
     def rows():  # row-major (n, m), one line of fixed n at a time
-        for t, state in zip(times, states):
-            t_col = np.full(M, t, dtype=float)
+        for t, state in _snapshots(times, state_at):
+            N, M = state.shape
+            m, t_col = np.arange(m0, m0 + M), np.full(M, t, dtype=float)
             for n, amp in zip(range(n0, n0 + N), state):
                 yield from _rows(t_col, np.full(M, n), m, amp.real, amp.imag)
 
     _write_csv(path, "t,n,m,re,im", rows())
 
 
-def write_trajectory_binary(times, states, start, path) -> None:
-    """The binary layout above; start = (n0, m0) is the site of index (0, 0)."""
+def write_trajectory_binary(times, state_at, start, path) -> None:
+    """The binary layout above, N x M from the first snapshot; start = (n0, m0) is the site of index (0, 0)."""
     times = np.asarray(times, dtype=float)
-    N, M = _snapshot_shape(times, states)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, 1, 1, times.size, N, M, *start))
-        fh.write(times.astype("<f8").tobytes())
-        for state in states:
-            fh.write(np.asarray(state, dtype="<c16").tobytes())
+        for k, (_, state) in enumerate(_snapshots(times, state_at)):
+            if k == 0:
+                fh.write(_HEADER.pack(MAGIC, 1, 1, times.size, *state.shape, *start))
+                fh.write(times.astype("<f8").tobytes())
+            fh.write(state.tobytes())
 
 
 def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[int, int]]:

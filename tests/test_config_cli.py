@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,6 +169,23 @@ def test_cli_refuses_a_removed_key_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "d"
     assert cli.main(["decay-fit", "--config", str(cfg), "--tmax", "40", "--out", str(out)]) == 1
     assert "unknown section [tolerances]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["verify", "--N", "4", "--M", "4", "--amplitude", "1e15"], "3.55 PiB"),  # a Chebyshev order of 5e14
+        (["decay-fit", "--N", "4", "--tmax", "1e15"], "64.0 PiB"),  # a default M of 2^52
+    ],
+    ids=["verify", "decay-fit"],
+)
+def test_cli_refuses_a_size_too_large_to_allocate(tmp_path, capsys, argv, size):
+    # the allocation fails at once, so no memory limit is needed: one error line, exit 1, no output directory
+    out = tmp_path / "d"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Unable to allocate {size}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -340,7 +359,7 @@ def test_trajectory_binary_round_trip(tmp_path):
     states = [rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)) for _ in range(3)]
     times = np.array([0.0, 0.5, 1.0])
     path = tmp_path / "traj.bin"
-    datafiles.write_trajectory_binary(times, states, (-2, -3), path)
+    datafiles.write_trajectory_binary(times, dict(zip(times, states)).get, (-2, -3), path)
     t2, s2, start = datafiles.read_trajectory_binary(path)
     np.testing.assert_array_equal(t2, times)
     assert len(s2) == 3 and start == (-2, -3)
@@ -352,36 +371,55 @@ def test_trajectory_csv_rows_carry_the_window_start(tmp_path):
     # the site of index (i, j) is (n0 + i, m0 + j)
     state = np.arange(6).reshape(2, 3) * (1 + 2j)
     path = tmp_path / "traj.csv"
-    datafiles.write_trajectory_csv([0.5], [state], (-1, 4), path)
+    datafiles.write_trajectory_csv([0.5], lambda t: state, (-1, 4), path)
     sites = [(n, m) for n in (-1, 0) for m in (4, 5, 6)]
     want = [f"0.5,{n},{m},{v.real!r},{v.imag!r}" for (n, m), v in zip(sites, state.ravel().tolist())]
     assert path.read_text().splitlines() == ["t,n,m,re,im", *want]
 
 
 @pytest.mark.parametrize("write", ["write_trajectory_csv", "write_trajectory_binary"])
+def test_trajectory_writers_ask_for_each_time_once_in_order(tmp_path, write):
+    # one state per time holds by construction: a repeated time is one more snapshot, asked for again
+    asked = []
+
+    def state_at(t):
+        asked.append(t)
+        return np.full((2, 3), t, dtype=complex)
+
+    times = [0.0, 0.0, 2.0, 0.5]
+    getattr(datafiles, write)(times, state_at, (0, 0), tmp_path / "traj")
+    assert asked == times
+
+
+@pytest.mark.parametrize("write", ["write_trajectory_csv", "write_trajectory_binary"])
 @pytest.mark.parametrize(
     "times, shapes, message",
     [
-        ([0.0, 1.0, 2.0], [(4, 6)], "need one state per time, got 1 states for 3 times"),
-        ([0.0], [(4, 6), (4, 6)], "need one state per time, got 2 states for 1 times"),
-        ([], [], "need one state per time, got 0 states for 0 times"),
-        ([0.0, 1.0], [(4, 6), (4, 7)], "all snapshots must share one N x M shape"),
-        ([0.0], [(24,)], "all snapshots must share one N x M shape"),
+        ([0.0, 1.0], [(4, 6), (4, 7)], "all snapshots must share one N x M shape: (4, 7) at t = 1"),
+        ([0.0], [(24,)], "all snapshots must share one N x M shape: (24,) at t = 0"),
     ],
 )
 def test_trajectory_writers_refuse_mismatched_snapshots(tmp_path, write, times, shapes, message):
-    path = tmp_path / "traj"  # refused before the file is opened
-    with pytest.raises(ValueError, match=message):
-        getattr(datafiles, write)(times, [np.zeros(shape, dtype=complex) for shape in shapes], (0, 0), path)
-    assert not path.exists()
+    # refused as it arrives: the file holds what was written before it, the CSV header line or the binary
+    # header and times, then the snapshots before the refused one; nothing in the binary file if it is the first
+    path = tmp_path / "traj"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(datafiles, write)(times, lambda t: np.ones(shapes[times.index(t)], dtype=complex), (0, 0), path)
+    kept = len(times) - 1  # the snapshots before the refused one
+    if write == "write_trajectory_csv":
+        assert len(path.read_text().splitlines()) == 1 + kept * 24
+    elif kept:
+        header = datafiles._HEADER.pack(datafiles.MAGIC, 1, 1, len(times), 4, 6, 0, 0)
+        assert path.read_bytes() == header + np.array(times).tobytes() + np.ones((kept, 4, 6), complex).tobytes()
+    else:
+        assert path.read_bytes() == b""
 
 
 @pytest.mark.parametrize("cut", ["header", "times", "last-snapshot", "trailing"])
 def test_binary_trajectory_reader_rejects_a_file_of_the_wrong_length(tmp_path, cut):
     # 3 snapshots of 4 x 6 sites: 56 + 8 * 3 + 16 * 3 * 24 = 1232 bytes
-    states = [delta_state(4, 6)] * 3
     path = tmp_path / "traj.bin"
-    datafiles.write_trajectory_binary([0.0, 0.5, 1.0], states, (-2, -3), path)
+    datafiles.write_trajectory_binary([0.0, 0.5, 1.0], lambda t: delta_state(4, 6), (-2, -3), path)
     whole = path.read_bytes()
     assert len(whole) == 1232
     data = {"header": whole[:10], "times": whole[:60], "last-snapshot": whole[:-5], "trailing": whole + b"junk"}[cut]
@@ -679,6 +717,37 @@ def test_cli_evolve_first_snapshot_is_the_delta(tmp_path, binary):
         first = (first[:, 3] + 1j * first[:, 4]).reshape(4, 48)
     assert times[0] == 0.0
     np.testing.assert_array_equal(first, delta_state(4, 48))
+
+
+def _evolve_peak_rss(tmp_path, name, time_config, *args) -> int:
+    """ru_maxrss, in bytes, of one evolve at 128 x 2048 with binary snapshots, in a fresh process on one BLAS thread.
+
+    os.wait4 reads the child's own peak: RUSAGE_CHILDREN keeps the largest over every child this process reaped.
+    """
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"[output]\nbinary_snapshots = true\n[time]\n{time_config}")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    argv = ["evolve", "--threads", "1", "--config", str(cfg), "--N", "128", "--M", "2048", *args]
+    with open(tmp_path / f"{name}.err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "chainlab.cli", *argv, "--out", str(tmp_path / name)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read()[-2000:]
+    return usage.ru_maxrss * 1024  # kilobytes on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_cli_evolve_holds_one_state_at_a_time(tmp_path):
+    # 11 snapshots, each written as it is made, peak within two states of a single snapshot's run;
+    # a run that kept the trajectory would hold 10 more states, 42 MB at 128 x 2048
+    N, M = 128, 2048
+    one = _evolve_peak_rss(tmp_path, "one", "times = 400\n")
+    eleven = _evolve_peak_rss(tmp_path, "eleven", "", "--tmax", "400")
+    assert (tmp_path / "eleven" / "trajectory.bin").stat().st_size == 56 + 11 * (8 + 16 * N * M)
+    assert eleven - one <= 2 * N * M * 16, (one, eleven)
 
 
 def _assert_eigen_convolve_m_delta(tmp_path, capsys, lattice, index):

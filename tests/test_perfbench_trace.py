@@ -2,10 +2,10 @@
 
 perfbench/traced_step.py wraps chainlab's layer functions and reads work
 counts off their bound arguments (``evolve_2d_direct``'s ``state`` and
-``method``), and perfbench/library_step.py calls ``convolve_measures``
-itself, so a rename in the package fails here before it breaks a benchmark
-run.  The steps run with bytecode writing off, leaving no __pycache__ beside
-the benchmark.
+``method``, and each ``datafiles.write_*``'s ``path``), and
+perfbench/library_step.py calls ``convolve_measures`` itself, so a rename
+in the package fails here before it breaks a benchmark run.  The steps run
+with bytecode writing off, leaving no __pycache__ beside the benchmark.
 """
 import importlib.util
 import json
@@ -31,9 +31,9 @@ def _run_step(tmp_path, *argv: str) -> None:
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def _traced_spans(tmp_path, command: str) -> dict:
+def _traced_spans(tmp_path, command: str, *args: str) -> dict:
     spans = tmp_path / "spans.json"
-    _run_step(tmp_path, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", "--out", "out")
+    _run_step(tmp_path, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", *args, "--out", "out")
     return json.loads(spans.read_text())
 
 
@@ -58,6 +58,17 @@ def test_traced_command_exits_0_with_its_layer_spans(tmp_path, command, layer):
     if command == "verify":
         direct = [span for span in result["spans"] if span[0] == "evolution.evolve_2d_direct"]
         assert len(direct) == 3  # one per check time, on the Chebyshev route
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["csv", "binary"])
+def test_traced_evolve_counts_the_bytes_of_its_trajectory(tmp_path, binary):
+    # the tracer reads each datafiles.write_* call's `path` argument, so a renamed one fails here
+    (tmp_path / "evolve.cfg").write_text(f"[output]\nbinary_snapshots = {str(binary).lower()}\n")
+    result = _traced_spans(tmp_path, "evolve", "--config", "evolve.cfg", "--tmax", "1")
+    assert result["exit_code"] == 0
+    written = [span[4]["datafiles.bytes"] for span in result["spans"] if span[0] == "datafiles.write"]
+    files = ("trajectory.bin" if binary else "trajectory.csv", "conservation.json")
+    assert written == [(tmp_path / "out" / name).stat().st_size for name in files]
 
 
 def test_tracer_counts_the_dense_route_of_evolve_2d_direct(monkeypatch):

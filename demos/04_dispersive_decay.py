@@ -8,8 +8,8 @@ m-propagator.
 """
 import numpy as np
 
-from chainlab.diagnostics import conservation_defects, fit_decay_exponent, minimal_wrap_free_m, record_decay
-from chainlab.evolution import make_plan
+from chainlab.diagnostics import fit_decay_exponent, minimal_wrap_free_m, record_decay
+from chainlab.evolution import conservation_defects, make_plan
 from chainlab.operators import almost_mathieu, build_operator_1d, delta_vector, free_operator, sample_potential
 
 T_MAX = 80.0

@@ -21,15 +21,6 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-# each command: its help line and the flags it takes beyond _COMMON_FLAGS; argparse refuses any other flag
-_COMMANDS = {
-    "spectrum": ("eigenvalues and the local spectral measure of the 1D chain", ("N",)),
-    "convolve": ("2D spectral measure via convolution, checked against the dense route", ("N", "M")),
-    "evolve": ("factorized time evolution with trajectory snapshots", ("N", "M", "tmax")),
-    "decay-fit": ("sup-norm decay trace and power-law fit", ("N", "M", "tmax")),
-    "lyapunov": ("transfer-matrix growth-rate scan over on-spectrum energies", ("length", "count")),
-    "verify": ("run the invariant suite and report per-check residuals", ("N", "M")),
-}
 _COMMON_FLAGS = ("config", "out", "seed", "threads", "family", "amplitude", "omega", "theta")
 _FLAGS = {  # flag: add_argument keywords
     "config": dict(metavar="PATH", help="experiment config file"),
@@ -95,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_CommandParser)
     parser.commands = sub.choices  # command name: its parser, whose usage lists the command's flags
-    for name, (help_line, flags) in _COMMANDS.items():
+    for name, (help_line, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag in (*_COMMON_FLAGS, *flags):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -138,14 +129,7 @@ def _run(args) -> int:
     cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
     if "tmax" in given and cfg.times is not None:
         raise ValueError("--tmax cannot be combined with [time] times: give one or the other")
-    handler = {
-        "spectrum": _cmd_spectrum,
-        "convolve": _cmd_convolve,
-        "evolve": _cmd_evolve,
-        "decay-fit": _cmd_decay_fit,
-        "lyapunov": _cmd_lyapunov,
-        "verify": _cmd_verify,
-    }[args.command]
+    _, _, handler = _COMMANDS[args.command]
     return handler(cfg, args)
 
 
@@ -231,16 +215,6 @@ def _evolve_times(cfg, args):
     return np.linspace(0.0, DEFAULT_EVOLVE_TMAX, 11)
 
 
-def _check_reach(t_max: float, time_key: str) -> None:
-    """ValueError naming time_key, the key that set t_max, if the light-cone reach at t_max cannot be counted."""
-    from .evolution import light_cone_reach
-
-    try:
-        light_cone_reach(t_max)
-    except ValueError as exc:
-        raise ValueError(f"{time_key}: {exc}") from None
-
-
 def _conserved(l2_drift: float, energy_drift: float, tol: float) -> bool:
     """The one conservation verdict: both drifts within tol (a NaN drift fails)."""
     return l2_drift <= tol and energy_drift <= tol
@@ -255,8 +229,9 @@ def _cmd_evolve(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .diagnostics import conservation_defects
-    from .evolution import CONSERVATION_TOL, check_wrap_free, evolve_2d_factorized
+    from .config import naming
+    from .evolution import CONSERVATION_TOL, check_wrap_free, conservation_defects, evolve_2d_factorized
+    from .evolution import light_cone_reach
     from .operators import delta_state, energy_expectation
 
     N, M = cfg.lattice()
@@ -266,11 +241,10 @@ def _cmd_evolve(cfg, args) -> int:
     times = _evolve_times(cfg, args)
 
     if plan.m_method == "bessel_kernel":  # the m-window must hold the light cone at the last time, before any sweep
-        _check_reach(times[-1], "[time] times" if cfg.times is not None else "--tmax")
-        try:
+        with naming("[time] times" if cfg.times is not None else "--tmax"):
+            light_cone_reach(times[-1])
+        with naming("[lattice] m"):
             check_wrap_free(psi0, times[-1], ring=False)
-        except ValueError as exc:
-            raise ValueError(f"[lattice] m: {exc}") from None
     samples = []  # the norm and energy of each state, for the conservation audit
 
     def state_at(t):  # the writer calls it once per time, in order, and writes each state before the next
@@ -303,12 +277,12 @@ def _cmd_decay_fit(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
-    from .diagnostics import MIN_FIT_SAMPLES, conservation_defects, fit_decay_exponent, fit_samples
-    from .diagnostics import minimal_wrap_free_m, record_decay
-    from .evolution import CONSERVATION_TOL
+    from .config import naming
+    from .diagnostics import MIN_FIT_SAMPLES, fit_decay_exponent, fit_samples, minimal_wrap_free_m, record_decay
+    from .evolution import CONSERVATION_TOL, conservation_defects, light_cone_reach
     from .operators import delta_vector
 
-    fit_lo, fit_hi = cfg.fit_window
+    fit_lo, fit_hi = cfg.fit_lo, cfg.fit_hi
     t_hi = args.tmax if args.tmax is not None else fit_hi
     if cfg.times is not None:
         times = np.asarray(cfg.times, dtype=float)
@@ -324,7 +298,8 @@ def _cmd_decay_fit(cfg, args) -> int:
         times = np.geomspace(fit_lo, t_hi, DECAY_SAMPLES)
     t_max = float(times[-1])
     time_key = "[time] times" if cfg.times is not None else "--tmax" if args.tmax is not None else "[time] fit_hi"
-    _check_reach(t_max, time_key)
+    with naming(time_key):
+        light_cone_reach(t_max)
 
     if cfg.M is not None:
         M = cfg.M
@@ -338,10 +313,8 @@ def _cmd_decay_fit(cfg, args) -> int:
     plan = cfg.plan(N, M)
 
     chi = delta_vector(N, cfg.origin(N))
-    try:  # an m-extent the light cone outgrows by t_max is refused
+    with naming("[lattice] m"):  # an m-extent the light cone outgrows by t_max is refused
         trace = record_decay(plan, chi, delta_vector(M), times)
-    except ValueError as exc:
-        raise ValueError(f"[lattice] m: {exc}") from None
     # the fit window ends at --tmax or fit_hi, cut at the last sample
     fit = fit_decay_exponent(trace, fit_lo, min(t_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
@@ -364,6 +337,7 @@ def _cmd_lyapunov(cfg, args) -> int:
     import numpy as np
 
     from . import datafiles
+    from .config import naming
     from .diagnostics import TRUNCATION_SITES, lyapunov_scan, truncation_energies
 
     need, values = max(args.length, TRUNCATION_SITES), cfg.potential.values
@@ -372,14 +346,10 @@ def _cmd_lyapunov(cfg, args) -> int:
             f"[potential] values cover n in [0, {len(values)}), but lyapunov reads [0, {need}): "
             f"--length {args.length} sites and the {TRUNCATION_SITES}-site truncation"
         )
-    try:  # the library's refusals name its parameters, the command's name its flags
+    with naming("--count"):  # the library's refusals name its parameters, the command's name its flags
         energies = truncation_energies(cfg.potential, count=args.count)
-    except ValueError as exc:
-        raise ValueError(f"--count: {exc}") from None
-    try:
+    with naming("--length"):
         gammas = lyapunov_scan(cfg.potential, energies, L=args.length)
-    except ValueError as exc:
-        raise ValueError(f"--length: {exc}") from None
     if not np.all(np.isfinite(gammas)):
         raise ValueError("[potential] amplitude: |E - V_n| passes the float64 range, so no growth rate is finite")
     datafiles.write_lyapunov_csv(energies, gammas, args.length, _out(cfg, "lyapunov.csv"))
@@ -416,6 +386,17 @@ def _cmd_verify(cfg, args) -> int:
     if failed:
         raise CheckFailure("invariants failed: " + ", ".join(failed))
     return 0
+
+
+# each command: its help line, the flags it takes beyond _COMMON_FLAGS (argparse refuses any other) and its handler
+_COMMANDS = {
+    "spectrum": ("eigenvalues and the local spectral measure of the 1D chain", ("N",), _cmd_spectrum),
+    "convolve": ("2D spectral measure via convolution, checked against the dense route", ("N", "M"), _cmd_convolve),
+    "evolve": ("factorized time evolution with trajectory snapshots", ("N", "M", "tmax"), _cmd_evolve),
+    "decay-fit": ("sup-norm decay trace and power-law fit", ("N", "M", "tmax"), _cmd_decay_fit),
+    "lyapunov": ("transfer-matrix growth-rate scan over on-spectrum energies", ("length", "count"), _cmd_lyapunov),
+    "verify": ("run the invariant suite and report per-check residuals", ("N", "M"), _cmd_verify),
+}
 
 
 if __name__ == "__main__":

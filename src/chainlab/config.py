@@ -12,14 +12,16 @@ constant along m, so no key places the m-delta: it is the middle column.
 One table, _KEYS, is the schema: it maps each "[section] key" to the config
 field it sets and to how its value is parsed and written.  Unknown sections
 or keys are rejected with the offending name; a written config re-parses to
-an equal in-memory value.
+an equal in-memory value.  naming(key) makes a refusal name its key.
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -34,6 +36,15 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def naming(key: str):
+    """Re-raise a ValueError from the block as a ConfigError that starts with ``key: ``; others pass unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     potential: PotentialSpec = field(default_factory=lambda: PotentialSpec("constant", amplitude=0.0))
@@ -43,7 +54,8 @@ class ExperimentConfig:
     n0: int | None = None  # the n-window's first site; None centres it
     m_method: str = "dft_multiplier"
     times: tuple[float, ...] | None = None
-    fit_window: tuple[float, float] = (20.0, 200.0)
+    fit_lo: float = 20.0
+    fit_hi: float = 200.0
     output_dir: str = "out"
     binary_snapshots: bool = False
 
@@ -59,10 +71,10 @@ class ExperimentConfig:
             ts = np.asarray(self.times, dtype=float)
             if ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts < 0) or np.any(np.diff(ts) < 0):
                 raise ConfigError(f"[time] times must be finite, nonnegative and ascending, got {self.times}")
-        for key, value in zip(("fit_lo", "fit_hi"), self.fit_window):
+        lo, hi = self.fit_lo, self.fit_hi
+        for key, value in (("fit_lo", lo), ("fit_hi", hi)):
             if not math.isfinite(value):
                 raise ConfigError(f"[time] {key} must be finite, got {value!r}")
-        lo, hi = self.fit_window
         if not 0 <= lo < hi:
             raise ConfigError(f"[time] fit_lo = {lo!r} and fit_hi = {hi!r} must satisfy 0 <= fit_lo < fit_hi")
 
@@ -114,7 +126,7 @@ _FLOATS = (_floats, lambda xs: ", ".join(repr(float(x)) for x in xs))
 _BOOL = (_bool, lambda b: "true" if b else "false")
 
 # The schema: "[section] key" -> (the ExperimentConfig field it sets, its (parse, format)).
-# A dotted field is one of the potential, or an end of fit_window.
+# A dotted field is one of the potential's.
 # write_config writes the keys in this order and leaves out those whose value is None.
 _KEYS = {
     "[potential] family": ("potential.family", _TEXT),
@@ -130,8 +142,8 @@ _KEYS = {
     "[lattice] n0": ("n0", _INT),
     "[lattice] m_method": ("m_method", _TEXT),
     "[time] times": ("times", _FLOATS),
-    "[time] fit_lo": ("fit_window.0", _FLOAT),
-    "[time] fit_hi": ("fit_window.1", _FLOAT),
+    "[time] fit_lo": ("fit_lo", _FLOAT),
+    "[time] fit_hi": ("fit_hi", _FLOAT),
     "[output] directory": ("output_dir", _TEXT),
     "[output] binary_snapshots": ("binary_snapshots", _BOOL),
 }
@@ -191,28 +203,15 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             else:
                 kwargs[head] = value
 
-    default = ExperimentConfig()
     for head, given in nested.items():
-        part = getattr(default, head)
-        if head == "fit_window":
-            kwargs[head] = tuple(given.get(str(i), end) for i, end in enumerate(part))
-            continue
-        try:
-            kwargs[head] = dataclasses.replace(part, **given)
-        except ValueError as exc:  # PotentialSpec's refusals name no section
-            raise ConfigError(f"[{head}]: {exc}") from None
+        with naming(f"[{head}]"):  # PotentialSpec's refusals name no section
+            kwargs[head] = dataclasses.replace(getattr(ExperimentConfig(), head), **given)
     return ExperimentConfig(**kwargs)
 
 
 def parse_config_file(path, overrides=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), overrides)
-
-
-def _value(cfg: ExperimentConfig, path: str):
-    for attr in path.split("."):
-        cfg = cfg[int(attr)] if attr.isdigit() else getattr(cfg, attr)
-    return cfg
 
 
 def write_config(cfg: ExperimentConfig, path=None) -> str:
@@ -222,7 +221,7 @@ def write_config(cfg: ExperimentConfig, path=None) -> str:
         header, key = name.split()
         if header not in lines:
             lines += ["", header] if lines else [header]
-        value = _value(cfg, field_path)
+        value = reduce(getattr, field_path.split("."), cfg)
         if value is not None:
             lines.append(f"{key} = {fmt(value)}")
     text = "\n".join(lines) + "\n"

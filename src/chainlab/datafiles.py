@@ -13,11 +13,12 @@ A measure file holds one row per atom under the header energy,weight: every
 measure a command writes is atomic and real, so write_measure_csv refuses a
 measure with a density, and read_measure_csv refuses any other header.
 
-A trajectory is written as it is computed: the writers call state_at(t)
-once per time, in order, write each N x M state before they ask for the
-next, and refuse one not of the first one's shape as it arrives.  The
-window start (n0, m0), the site of index (0, 0), is passed beside them: the
-CSV rows and the binary header carry it, and read_trajectory_binary returns it.
+A trajectory is written as it is computed: the writers refuse no times
+before they open the file, call state_at(t) once per time, in order, write
+each N x M state and drop it before they ask for the next, and refuse one
+not of the first one's shape as it arrives.  The window start (n0, m0), the
+site of index (0, 0), is passed beside them: the CSV rows and the binary
+header carry it, and read_trajectory_binary returns it.
 
 Binary trajectory layout (little endian):
     8s  magic  b"CHAINLB1"
@@ -114,40 +115,51 @@ def read_measure_csv(path) -> SpectralMeasure:
     return SpectralMeasure(*np.reshape(rows, (-1, 2)).T)
 
 
+def _times(times) -> np.ndarray:
+    """The times as float64; ValueError for none, as a trajectory holds at least one snapshot."""
+    if len(times) == 0:
+        raise ValueError("a trajectory needs at least one time")
+    return np.asarray(times, dtype=float)
+
+
 def _snapshots(times, state_at):
     """(t, state_at(t)) for each time, in order; ValueError, as it arrives, for one not N x M like the first."""
     shape = None
     for t in times:
-        state = np.asarray(state_at(t), dtype="<c16")
+        state = np.asarray(state_at(t), dtype="<c16", order="C")
         shape = shape or state.shape
         if len(shape) != 2 or state.shape != shape:
             raise ValueError(f"all snapshots must share one N x M shape: {state.shape} at t = {t:g}")
         yield t, state
+        del state
 
 
 def write_trajectory_csv(times, state_at, start, path) -> None:
     """One row per site of each N x M snapshot state_at(t); start = (n0, m0) is the site of index (0, 0)."""
     n0, m0 = start
+    times = _times(times)
 
     def rows():  # row-major (n, m), one line of fixed n at a time
         for t, state in _snapshots(times, state_at):
             N, M = state.shape
             m, t_col = np.arange(m0, m0 + M), np.full(M, t, dtype=float)
-            for n, amp in zip(range(n0, n0 + N), state):
-                yield from _rows(t_col, np.full(M, n), m, amp.real, amp.imag)
+            for n in range(N):
+                yield from _rows(t_col, np.full(M, n0 + n), m, state[n].real, state[n].imag)
+            del state
 
     _write_csv(path, "t,n,m,re,im", rows())
 
 
 def write_trajectory_binary(times, state_at, start, path) -> None:
     """The binary layout above, N x M from the first snapshot; start = (n0, m0) is the site of index (0, 0)."""
-    times = np.asarray(times, dtype=float)
+    times = _times(times)
     with open(path, "wb") as fh:
-        for k, (_, state) in enumerate(_snapshots(times, state_at)):
-            if k == 0:
+        for _, state in _snapshots(times, state_at):
+            if fh.tell() == 0:  # the header, once the first state gives N x M
                 fh.write(_HEADER.pack(MAGIC, 1, 1, times.size, *state.shape, *start))
-                fh.write(times.astype("<f8").tobytes())
-            fh.write(state.tobytes())
+                fh.write(times.astype("<f8").data)
+            fh.write(state.data)  # C-contiguous <c16: written with no copy
+            del state
 
 
 def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[int, int]]:

@@ -39,7 +39,7 @@ def time_bracket(t):
 
 @dataclass(frozen=True)
 class DecayTrace:
-    """Norms of a trajectory, one row per requested time."""
+    """Norms of a trajectory, one row per requested time; their drift from psi0's is evolution.conservation_defects."""
 
     times: np.ndarray
     sup_norms: np.ndarray
@@ -119,17 +119,6 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         psi0_l2=float(np.linalg.norm(chi) * np.linalg.norm(phi)),
         psi0_energy=float(energy(chi, phi)),
     )
-
-
-def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray, n0: float, e0: float) -> tuple[float, float]:
-    """Relative l2-norm and energy drift of a series against the initial state's norm n0 and energy e0.
-
-    n0 and e0 are read off psi0 itself, not off a propagated sample, so a
-    fault that every propagated sample shares still shows as drift.
-    """
-    norm_drift = float(np.abs(l2_norms - n0).max() / n0)
-    energy_drift = float(np.abs(energies - e0).max() / max(1.0, abs(e0)))
-    return norm_drift, energy_drift
 
 
 def fit_samples(times: np.ndarray, t_lo: float, t_hi: float) -> tuple[np.ndarray, int]:

@@ -22,7 +22,7 @@ numpy.  One certified rule cuts both series: K is the smallest order whose
 Kapteyn bound on the tail 2 sum_{k>K} |J_k| is below TAIL_TOL for the
 kernel's reach and below CHEB_TOL for the Chebyshev order.  Only an A1
 chain of more than spectral.NUMPY_EIGH_SITES dirichlet sites brings in
-scipy.linalg.
+scipy.linalg.  conservation_defects is the one norm and energy drift rule.
 """
 from __future__ import annotations
 
@@ -40,6 +40,17 @@ CHEB_TOL = 1e-12  # largest truncation of the Chebyshev expansion
 TAIL_TOL = 1e-10  # largest two-sided l1 tail of the free kernel beyond the light-cone reach
 FACTORIZATION_TOL = 1e-8  # largest l2 gap between the factorized and the Chebyshev propagator
 CONSERVATION_TOL = 1e-9  # largest relative norm or energy drift from t = 0
+
+
+def conservation_defects(l2_norms: np.ndarray, energies: np.ndarray, n0: float, e0: float) -> tuple[float, float]:
+    """Relative l2-norm and energy drift of a series against the initial state's norm n0 and energy e0.
+
+    n0 and e0 are read off psi0 itself, not off a propagated sample, so a
+    fault that every propagated sample shares still shows as drift.
+    """
+    norm_drift = float(np.abs(l2_norms - n0).max() / n0)
+    energy_drift = float(np.abs(energies - e0).max() / max(1.0, abs(e0)))
+    return norm_drift, energy_drift
 
 
 def evolve_1d_eigen(es: EigenSystem, chi: np.ndarray, t: float) -> np.ndarray:

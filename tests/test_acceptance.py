@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from chainlab.diagnostics import (
-    conservation_defects,
     fit_decay_exponent,
     lyapunov_scan,
     record_decay,
     time_bracket,
     truncation_energies,
 )
-from chainlab.evolution import evolve_2d_direct, evolve_2d_factorized, make_plan
+from chainlab.evolution import conservation_defects, evolve_2d_direct, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,

@@ -6,7 +6,6 @@ import pytest
 from chainlab import diagnostics
 from chainlab.diagnostics import (
     DecayTrace,
-    conservation_defects,
     fit_decay_exponent,
     fit_samples,
     lyapunov_scan,
@@ -15,7 +14,7 @@ from chainlab.diagnostics import (
     time_bracket,
     truncation_energies,
 )
-from chainlab.evolution import evolve_2d_factorized, evolve_free_1d, make_plan
+from chainlab.evolution import conservation_defects, evolve_2d_factorized, evolve_free_1d, make_plan
 from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,

@@ -274,6 +274,16 @@ FAULTS = {
 }
 
 
+def test_a_nan_state_fails_every_propagator_check(monkeypatch):
+    # a NaN state at one check time, not the first: each check that reads it reports NaN and fails
+    run = verify.evolve_2d_factorized
+    nan_at = lambda psi0, plan, t: run(psi0, plan, t) * (np.nan if t == verify.CHECK_TIMES[1] else 1.0)
+    monkeypatch.setattr(verify, "evolve_2d_factorized", nan_at)
+    results = {r.name: r for r in verify.run_verification(ExperimentConfig(N=8, M=8))}
+    for name in ("factorization_vs_direct", "unitarity", "energy_conservation"):
+        assert np.isnan(results[name].residual) and not results[name].passed, name
+
+
 def _failed_checks(cfg):
     """The names of the checks that fail on cfg, or None when run_verification raises."""
     try:

@@ -41,7 +41,7 @@ psi0 = delta_state(N, M)  # the origin at index (N // 2, M // 2): the window sta
 pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2))
 a1 = build_operator_1d(pot)
 plan = make_plan(a1, "dft_multiplier", M)
-a2 = plan.a2_operator()
+a2 = plan.a2
 
 for t in (0.5, 2.0, 10.0):
     fact = evolve_2d_factorized(psi0, plan, t)

@@ -141,12 +141,14 @@ def _out(cfg, name: str) -> str:
 
 def _cmd_spectrum(cfg, args) -> int:
     from . import datafiles
+    from .config import naming
     from .operators import delta_vector
     from .spectral import eigh_tridiagonal, max_atom_weight, spectral_measure_1d
 
     N, _ = cfg.lattice()
     a1, i = cfg.chain_operator(N), cfg.origin(N)
-    es = eigh_tridiagonal(a1)
+    with naming("[lattice] n"):  # a ring above DENSE_SITE_CAP has no eigensolve
+        es = eigh_tridiagonal(a1)
     mu = spectral_measure_1d(es, delta_vector(N, i))
     datafiles.write_potential_csv(a1.diagonal, -i, _out(cfg, "potential.csv"))
     datafiles.write_eigenvalues_csv(es.eigenvalues, _out(cfg, "eigenvalues.csv"))
@@ -237,7 +239,7 @@ def _cmd_evolve(cfg, args) -> int:
     N, M = cfg.lattice()
     plan, i = cfg.plan(N, M), cfg.origin(N)
     psi0 = delta_state(N, M, i)
-    a1, a2 = plan.a1_operator(), plan.a2_operator()
+    a1, a2 = plan.a1, plan.a2
     times = _evolve_times(cfg, args)
 
     if plan.m_method == "bessel_kernel":  # the m-window must hold the light cone at the last time, before any sweep
@@ -305,7 +307,7 @@ def _cmd_decay_fit(cfg, args) -> int:
         M = cfg.M
     else:
         need = minimal_wrap_free_m(t_max, support_width=1)
-        M = 1 << (need - 1).bit_length()
+        M = max(2, 1 << (need - 1).bit_length())  # the floor of [lattice] m
 
     # a zero potential and no N: the free chain, run as the one-site chain
     free_chain = cfg.potential.family == "constant" and cfg.potential.amplitude == 0.0 and cfg.N is None
@@ -315,17 +317,23 @@ def _cmd_decay_fit(cfg, args) -> int:
     chi = delta_vector(N, cfg.origin(N))
     with naming("[lattice] m"):  # an m-extent the light cone outgrows by t_max is refused
         trace = record_decay(plan, chi, delta_vector(M), times)
-    # the fit window ends at --tmax or fit_hi, cut at the last sample
-    fit = fit_decay_exponent(trace, fit_lo, min(t_hi, t_max))
+    with naming(time_key):  # the fit window ends at --tmax or fit_hi, cut at the last sample
+        fit = fit_decay_exponent(trace, fit_lo, min(t_hi, t_max))
     l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)
     datafiles.write_trace_csv(trace, _out(cfg, "trace.csv"))
-    datafiles.write_fit_json(
-        fit,
+    datafiles.write_json(
+        {
+            "exponent": fit.exponent,
+            "prefactor": fit.prefactor,
+            "residual": fit.residual,
+            "window": [fit.t_lo, fit.t_hi],
+            "n_samples": fit.n_samples,
+            "l2_drift": l2_drift,
+            "energy_drift": energy_drift,
+            "tolerance": CONSERVATION_TOL,
+            "m_size": M,
+        },
         _out(cfg, "fit.json"),
-        l2_drift=l2_drift,
-        energy_drift=energy_drift,
-        tolerance=CONSERVATION_TOL,
-        m_size=M,
     )
     mode = "free chain" if free_chain else f"{plan.n_size} x {M} lattice"
     print(f"decay-fit: {mode}, exponent {fit.exponent:+.4f} over [{fit.t_lo:g}, {fit.t_hi:g}]")

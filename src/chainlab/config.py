@@ -103,9 +103,11 @@ class ExperimentConfig:
         return build_operator_1d(sample_potential(self.potential, (n0, n0 + N)), boundary=self.boundary_n)
 
     def plan(self, N: int, M: int) -> PropagatorPlan:
-        """The model's propagator on N x M sites (N = 1: the free chain); m_method alone
-        fixes A2, a periodic ring under dft_multiplier and a dirichlet window otherwise."""
-        return make_plan(self.chain_operator(N), self.m_method, M)
+        """The model's propagator on N x M sites with A1 = chain_operator(N) (N = 1: the free chain); m_method
+        alone fixes A2.  A ring A1 above DENSE_SITE_CAP has no eigensolve: refused naming [lattice] n."""
+        a1 = self.chain_operator(N)
+        with naming("[lattice] n"):
+            return make_plan(a1, self.m_method, M)
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -41,7 +41,7 @@ import numpy as np
 from .spectral import SpectralMeasure
 
 if TYPE_CHECKING:  # annotations only, so spectrum, convolve and verify never load diagnostics
-    from .diagnostics import DecayFit, DecayTrace
+    from .diagnostics import DecayTrace
 
 MAGIC = b"CHAINLB1"
 _HEADER = struct.Struct("<8sII3Q2q")
@@ -187,19 +187,6 @@ def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[in
 def write_trace_csv(trace: DecayTrace, path) -> None:
     columns = (trace.times, trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
     _write_csv(path, "t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy", _rows(*columns))
-
-
-def write_fit_json(fit: DecayFit, path, **extra) -> None:
-    """The fit, plus any extra keys describing the run (drifts, grid size)."""
-    payload = {
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "residual": fit.residual,
-        "window": [fit.t_lo, fit.t_hi],
-        "n_samples": fit.n_samples,
-        **extra,
-    }
-    write_json(payload, path)
 
 
 def write_lyapunov_csv(energies, gammas, L: int, path) -> None:

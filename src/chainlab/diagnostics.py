@@ -91,8 +91,7 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         raise ValueError(
             f"factor shapes {chi.shape} and {phi.shape} do not match plan ({plan.n_size},) and ({plan.m_size},)"
         )
-    a1 = plan.a1_operator()
-    a2 = plan.a2_operator()
+    a1, a2 = plan.a1, plan.a2
     check_wrap_free(phi, float(times[-1]), ring=a2.boundary == "periodic")
 
     def energy(u, w):  # <psi, H psi> of psi = u (x) w, by the product formula

@@ -5,7 +5,8 @@ constant along m, the full propagator splits exactly into commuting factors
 
     e^{iHt} = e^{i A1 t} . e^{i (-Delta_m) t}
 
-applied fiber by fiber; evolve_2d_factorized never forms a 2D matrix.
+applied fiber by fiber by a PropagatorPlan, which holds A1 and builds A2,
+and whose two sweeps own t = 0; evolve_2d_factorized never forms a 2D matrix.
 evolve_2d_direct is the non-factorized reference route: ``method`` picks a
 dense eigensolve of H's symmetry sectors (the solver of spectral's dense
 oracle) or a Chebyshev expansion certified to CHEB_TOL.  Both 2D routes
@@ -260,12 +261,13 @@ def _ring_sweep(phi: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Precomputed pieces of the factorized propagator e^{iA1 t} e^{i(-Delta_m)t}.
+    """The factorized propagator e^{iA1 t} e^{i(-Delta_m)t}: the chain a1 and its eigensystem es1.
 
-    es1 is the eigensystem of A1; the free chain is the one-site chain
-    free_operator(1).  m_method alone fixes A2 (a2_operator) and the m-sweep.
+    The free chain is free_operator(1).  m_method alone fixes A2 (a2, built at each read) and the
+    m-sweep.  t = 0 is the identity: each sweep then returns a complex copy of its input, unswept.
     """
 
+    a1: Operator1D
     es1: EigenSystem
     m_method: str
     m_size: int
@@ -280,37 +282,32 @@ class PropagatorPlan:
     def n_size(self) -> int:
         return self.es1.size
 
-    def a1_operator(self) -> Operator1D:
-        return self.es1.source
-
-    def a2_operator(self) -> Operator1D:
+    @property
+    def a2(self) -> Operator1D:
         """The m-fiber operator the plan realizes (window proxy for bessel_kernel)."""
         boundary = "periodic" if self.m_method == "dft_multiplier" else "dirichlet"
         return free_operator(self.m_size, boundary)
 
     def n_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{iA1 t} along axis 0."""
-        return evolve_1d_eigen(self.es1, a, t)
+        return np.array(a, dtype=complex) if t == 0 else evolve_1d_eigen(self.es1, a, t)
 
     def m_sweep(self, a: np.ndarray, t: float) -> np.ndarray:
         """e^{i(-Delta_m)t} along the last axis of a (M,) or (K, M) array."""
-        return evolve_free_1d(a, t, self.m_method)
+        return np.array(a, dtype=complex) if t == 0 else evolve_free_1d(a, t, self.m_method)
 
 
 def make_plan(a1: Operator1D, m_method: str, m_size: int) -> PropagatorPlan:
-    return PropagatorPlan(eigh_tridiagonal(a1), m_method, int(m_size))
+    return PropagatorPlan(a1, eigh_tridiagonal(a1), m_method, int(m_size))
 
 
 def evolve_2d_factorized(state: np.ndarray, plan: PropagatorPlan, t: float) -> np.ndarray:
     """Apply the factorized propagator to an N x M state: the n-sweep, then the m-sweep (the two commute).
 
-    The result is a new C-contiguous array, never a view of a sweep's padded work array;
-    at t = 0 it is a copy of the state, with no sweep and so no rounding.
+    The result is a new C-contiguous array, never a view of a sweep's padded work array.
     """
     if np.shape(state) != (plan.n_size, plan.m_size):
         raise ValueError(f"state shape {np.shape(state)} does not match plan ({plan.n_size}, {plan.m_size})")
-    if t == 0:
-        return np.array(state, dtype=complex)
     return np.ascontiguousarray(plan.m_sweep(plan.n_sweep(state, t), t))
 
 

@@ -47,7 +47,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: Operator1D | None = None
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=float, copy=True)
@@ -132,11 +131,11 @@ def eigh_tridiagonal(op: Operator1D) -> EigenSystem:
             lam, vec = scipy.linalg.eigh_tridiagonal(op.diagonal, -np.ones(op.size - 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
             raise RuntimeError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-        return EigenSystem(lam, vec, source=op)
+        return EigenSystem(lam, vec)
     if op.size > DENSE_SITE_CAP:
         raise ValueError(f"periodic operator of size {op.size} exceeds the dense cap of {DENSE_SITE_CAP}")
     lam, vec = np.linalg.eigh(op.matrix())
-    return EigenSystem(lam, vec, source=op)
+    return EigenSystem(lam, vec)
 
 
 def _certified_entries(entries, size: int) -> tuple[np.ndarray, np.ndarray, float]:

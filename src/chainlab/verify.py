@@ -68,7 +68,7 @@ def delta_crosscheck(plan: PropagatorPlan, i: int):
     symmetries, and sizes are the blocks it solved; above the cap both are
     None.  convolve and verify both run this one check.
     """
-    a1, a2 = plan.a1_operator(), plan.a2_operator()
+    a1, a2 = plan.a1, plan.a2
     N, M, j = a1.size, a2.size, a2.size // 2
     mu1 = spectral_measure_1d(plan.es1, delta_vector(N, i))  # refuses an i off the n-window
     mu2 = free_delta_measure(a2, j)
@@ -107,7 +107,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     """
     N, M = cfg.lattice()
     plan = cfg.plan(N, M)
-    a1, a2 = plan.a1_operator(), plan.a2_operator()
+    a1, a2 = plan.a1, plan.a2
     with naming("[potential] amplitude"):  # the Chebyshev order at the last check time, set by the amplitude
         _bessel_tail_order((a1.norm_bound + a2.norm_bound) * CHECK_TIMES[-1], CHEB_TOL)
     if cfg.m_method == "bessel_kernel":

@@ -75,7 +75,7 @@ def factorization_runs():
             pot = sample_potential(spec, (-16, 16))
             a1 = build_operator_1d(pot)
             plan = make_plan(a1, "dft_multiplier", 32)
-            a2 = plan.a2_operator()
+            a2 = plan.a2
             e0 = energy_expectation(psi0, a1, a2)
             worst = 0.0
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):

@@ -164,7 +164,7 @@ def test_config_keys_are_the_model_only():
 
     assert len(config._KEYS) == 17
     assert {name.partition("]")[0] + "]" for name in config._KEYS} == {"[potential]", "[lattice]", "[time]", "[output]"}
-    assert [f.name for f in dataclasses.fields(PropagatorPlan)] == ["es1", "m_method", "m_size"]
+    assert [f.name for f in dataclasses.fields(PropagatorPlan)] == ["a1", "es1", "m_method", "m_size"]
 
 
 def test_cli_refuses_a_removed_key_before_any_artifact(tmp_path, capsys):
@@ -244,8 +244,8 @@ def test_config_plan_takes_a2_from_m_method(m_method, boundary):
         m_method=m_method,
     )
     plan = cfg.plan(8, 12)
-    assert plan.a2_operator().boundary == boundary
-    np.testing.assert_array_equal(plan.a1_operator().diagonal, cfg.chain_operator(8).diagonal)
+    assert plan.a2.boundary == boundary
+    np.testing.assert_array_equal(plan.a1.diagonal, cfg.chain_operator(8).diagonal)
     assert cfg.plan(1, 12).n_size == 1
 
 
@@ -821,7 +821,7 @@ def test_cli_puts_the_m_delta_in_the_middle_column(tmp_path, m_method):
     cfg.write_text(f"[lattice]\nm_method = {m_method}\n")
     args = ["--config", str(cfg), "--N", str(N), "--M", str(M), "--out"]
     assert cli.main(["convolve", *args, str(tmp_path / "c")]) == 0
-    a2 = ExperimentConfig(m_method=m_method).plan(N, M).a2_operator()
+    a2 = ExperimentConfig(m_method=m_method).plan(N, M).a2
     want = spectral_measure_1d(eigh_tridiagonal(a2), np.eye(M)[M // 2])
     got = datafiles.read_measure_csv(tmp_path / "c" / "measure_m.csv")
     np.testing.assert_allclose(got.energies, want.energies, rtol=0, atol=1e-14)
@@ -1095,6 +1095,12 @@ def test_cli_config_refusal_names_its_key(tmp_path, capsys, command, flags, text
 
 _BESSEL = "[lattice]\nm_method = bessel_kernel\n"
 _REACH_REFUSAL = "Bessel tail order at argument 2e+16: float64 tells orders apart only below 2^53"
+_DEGENERATE = "[time] times: fit window is degenerate in log <t>"
+
+
+def _early_times(scale: str) -> str:
+    """Eight times 1, ..., 8 times 10^scale: log <t> spans under 1e-9 over them."""
+    return ", ".join(f"{k}{scale}" for k in range(1, 9))
 
 
 @pytest.mark.parametrize(
@@ -1117,6 +1123,10 @@ _REACH_REFUSAL = "Bessel tail order at argument 2e+16: float64 tells orders apar
         (["decay-fit", "--N", "4", "--tmax", "1e16"], "", f"--tmax: {_REACH_REFUSAL}"),
         (["decay-fit", "--N", "4"], "[time]\ntimes = 20, 30, 40, 50, 60, 70, 80, 90, 1e16\n", f"[time] times: {_REACH_REFUSAL}"),
         (["decay-fit", "--N", "4"], "[time]\nfit_hi = 1e16\n", f"[time] fit_hi: {_REACH_REFUSAL}"),
+        *(
+            (["decay-fit", "--N", "4"], f"[time]\nfit_lo = 0\nfit_hi = 1\ntimes = {_early_times(scale)}\n", _DEGENERATE)
+            for scale in ("e-12", "e-6")  # by 8e-12 the light cone reaches no site: the default M is its floor, 2
+        ),
         (
             ["verify", "--N", "4", "--M", "4", "--amplitude", "1e200"],
             "",
@@ -1131,7 +1141,8 @@ _REACH_REFUSAL = "Bessel tail order at argument 2e+16: float64 tells orders apar
     ids=[
         "lyapunov-length", "lyapunov-count", "evolve-tmax", "decay-fit-tmax", "decay-fit-wrap", "evolve-wrap",
         "verify-wrap", "lyapunov-explicit", "evolve-tmax-reach", "decay-fit-tmax-reach", "decay-fit-times-reach",
-        "decay-fit-fit_hi-reach", "verify-amplitude-chebyshev", "lyapunov-amplitude-overflow",
+        "decay-fit-fit_hi-reach", "decay-fit-times-early-e-12", "decay-fit-times-early-e-6",
+        "verify-amplitude-chebyshev", "lyapunov-amplitude-overflow",
     ],
 )
 def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, argv, text, message):
@@ -1141,6 +1152,22 @@ def test_cli_refusal_in_a_command_leaves_no_output_directory(tmp_path, capsys, a
     out = tmp_path / "o"
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["convolve", "--M", "4"], ["evolve", "--M", "4", "--tmax", "1"], ["decay-fit", "--tmax", "40"],
+     ["verify", "--M", "4"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_an_n_ring_above_the_dense_cap_by_key(tmp_path, capsys, argv):
+    # a periodic A1 has no tridiagonal solver, and its dense one stops at DENSE_SITE_CAP = 4096 sites
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text("[lattice]\nboundary_n = periodic\n")
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--N", "5000", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [lattice] n: periodic operator")
     assert not out.exists()
 
 

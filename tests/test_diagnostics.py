@@ -14,7 +14,7 @@ from chainlab.diagnostics import (
     time_bracket,
     truncation_energies,
 )
-from chainlab.evolution import conservation_defects, evolve_2d_factorized, evolve_free_1d, make_plan
+from chainlab.evolution import M_METHODS, conservation_defects, evolve_2d_factorized, evolve_free_1d, make_plan
 from chainlab.operators import (
     PotentialSpec,
     almost_mathieu,
@@ -56,6 +56,15 @@ def test_record_decay_free_chain_matches_kernel():
     np.testing.assert_allclose(trace.l2_norms, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m_method", M_METHODS)
+def test_record_decay_starts_from_the_exact_delta(m_method):
+    # the plan's sweeps own t = 0 and run none there, so the first row is the delta's, as evolve's first snapshot is
+    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (-8, 8))), m_method, 64)
+    trace = record_decay(plan, delta_vector(16), delta_vector(64), [0.0, 1.0])
+    assert trace.sup_norms[0] == trace.mixed_norms[0] == trace.l2_norms[0] == 1.0
+    assert trace.energies[0] == trace.psi0_energy
+
+
 def test_record_decay_rejects_wrapped_grid():
     plan = make_plan(free_operator(1), "dft_multiplier", 32)
     with pytest.raises(ValueError, match=r"\d+"):
@@ -82,7 +91,7 @@ def _product_factors(N, M, rng):
 
 def _full_state_trace(plan, psi0, a1):
     """Every trace column from the full N x M state, one factorized step per time."""
-    a2 = plan.a2_operator()
+    a2 = plan.a2
     rows = []
     for t in REFERENCE_TIMES:
         psi_t = evolve_2d_factorized(psi0, plan, t)
@@ -111,7 +120,7 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
     assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
     assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0), rel=1e-14)
-    assert trace.psi0_energy == pytest.approx(energy_expectation(psi0, a1, plan.a2_operator()), rel=1e-12, abs=1e-12)
+    assert trace.psi0_energy == pytest.approx(energy_expectation(psi0, a1, plan.a2), rel=1e-12, abs=1e-12)
     columns = (trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
     names = ("sup", "l2n_supm", "supm_l2n", "l2", "energy")
     for name, got, want in zip(names, columns, _full_state_trace(plan, psi0, a1)):

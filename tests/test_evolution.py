@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,7 @@ from chainlab.operators import (
     BOUNDARIES,
     DENSE_SITE_CAP,
     Operator1D,
+    PotentialSpec,
     almost_mathieu,
     build_operator_1d,
     delta_state,
@@ -183,6 +186,67 @@ def test_ballistic_second_moment_identity():
         assert abs(second - 2.0 * t * t) < 1e-8 * 2.0 * t * t
 
 
+# V never touches m, so under e^{iHt} a delta's m-spread is the free chain's for every A1:
+# <(m - M//2)^2>(t) = sum_r r^2 J_r(2t)^2 = 2 t^2 (the ballistic law, Asch and Knauf, Nonlinearity 11, 175 (1998))
+BALLISTIC_N, BALLISTIC_M = 16, 129
+BALLISTIC_TIMES = (0.5, 2.0, 5.0)
+_WINDOW = (-(BALLISTIC_N // 2), BALLISTIC_N - BALLISTIC_N // 2)
+BALLISTIC_CHAINS = {
+    "almost_mathieu": almost_mathieu(3.0, theta=0.3),
+    "random_iid": PotentialSpec("random_iid", amplitude=2.0, seed=0),
+    "free": PotentialSpec("constant", amplitude=0.0),
+}
+
+
+def _ballistic_defect(plan: PropagatorPlan, t: float) -> float:
+    """|<(m - M//2)^2>(t) / (2 t^2) - 1| for the delta at (N // 2, M // 2), evolved by evolve_2d_factorized."""
+    N, M = plan.n_size, plan.m_size
+    psi = evolve_2d_factorized(delta_state(N, M, N // 2), plan, t)
+    mass = (np.abs(psi) ** 2).sum(axis=0)  # the m-marginal
+    return abs(float((np.arange(M) - M // 2) ** 2 @ mass) / float(mass.sum()) / (2.0 * t * t) - 1.0)
+
+
+def _ballistic_rounding_bound(N: int, M: int, t: float) -> float:
+    """A float64 bound on _ballistic_defect, u = 2^-53 (Higham, Accuracy and Stability, 2nd ed., 3.5, 24.1).
+
+    The sweeps leave an l2 error of at most e |psi|: 2 N^1.5 u from the two real length-N GEMMs
+    (|V|_F = sqrt(N)), (u + 4 sqrt(2) u) log2 L from each of at most three FFTs of at most
+    L = 2 (M + 1) sites, and 2u for the phases.  The weights (m - M//2)^2 are at most (M//2)^2,
+    so by Cauchy-Schwarz the moment moves by at most 2 (M//2) e sqrt(2 t^2) + (M//2)^2 e^2, and
+    its two positive sums add (N + M) u.  The light cone's tail past light_cone_reach(t) < M//2,
+    which bessel_kernel drops and a ring or a window folds back, has an l1 mass under TAIL_TOL,
+    so it moves the moment by less than (M//2)^2 TAIL_TOL^2 / (2 t^2) < 1e-16, under the bound.
+    """
+    u = np.finfo(float).eps / 2
+    e = (2 * N**1.5 + 3 * (1 + 4 * math.sqrt(2)) * math.log2(2 * (M + 1)) + 2) * u
+    second = 2.0 * t * t
+    return (2 * (M // 2) * e * math.sqrt(second) + (M // 2) ** 2 * e * e) / second + (N + M) * u
+
+
+def _ballistic_plan(chain: str, m_method: str) -> PropagatorPlan:
+    a1 = build_operator_1d(sample_potential(BALLISTIC_CHAINS[chain], _WINDOW))
+    return make_plan(a1, m_method, BALLISTIC_M)
+
+
+@pytest.mark.parametrize("m_method", M_METHODS)
+@pytest.mark.parametrize("chain", BALLISTIC_CHAINS)
+def test_ballistic_law_along_m_holds_for_every_chain(chain, m_method):
+    # the light cone stays inside the 129-site m-axis (reach 29 at t = 5), so every m-sweep meets the law to rounding
+    plan = _ballistic_plan(chain, m_method)
+    for t in BALLISTIC_TIMES:
+        assert _ballistic_defect(plan, t) <= _ballistic_rounding_bound(BALLISTIC_N, BALLISTIC_M, t)
+
+
+@pytest.mark.parametrize("m_method", M_METHODS)
+def test_ballistic_law_fails_an_m_sweep_run_at_a_scaled_time(monkeypatch, m_method):
+    # an m-sweep at t (1 + 1e-9) moves the moment by 2e-9 relative, which verify's propagator checks pass
+    sweep = PropagatorPlan.m_sweep
+    monkeypatch.setattr(PropagatorPlan, "m_sweep", lambda plan, a, t: sweep(plan, a, (1 + 1e-9) * t))
+    plan = _ballistic_plan("almost_mathieu", m_method)
+    for t in BALLISTIC_TIMES:
+        assert _ballistic_defect(plan, t) > _ballistic_rounding_bound(BALLISTIC_N, BALLISTIC_M, t)
+
+
 # -- method cross-agreement ------------------------------------------------------
 
 
@@ -338,7 +402,7 @@ def test_factorized_matches_dense_direct(m_method):
     pot = sample_potential(almost_mathieu(3.0), (-6, 6))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, m_method, M)
-    a2 = plan.a2_operator()
+    a2 = plan.a2
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     psi0 = amp / np.linalg.norm(amp)
     for t in (0.4, 1.0, 3.0):
@@ -373,7 +437,7 @@ def test_factorized_against_scipy_expm_oracle():
     N, M = 6, 7
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.4), (0, N)))
     plan = make_plan(a1, "dft_multiplier", M)
-    a2 = plan.a2_operator()
+    a2 = plan.a2
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     t = 1.3
     U = scipy.linalg.expm(1j * t * dense_hamiltonian(a1, a2))
@@ -499,7 +563,7 @@ def test_dense_direct_enforces_site_cap():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        PropagatorPlan(None, "nonsense", 8)
+        PropagatorPlan(None, None, "nonsense", 8)
     with pytest.raises(ValueError):
         make_plan(free_operator(1), "dft_multiplier", 1)
 

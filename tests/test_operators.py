@@ -361,7 +361,7 @@ def _array_functions(N, M):
     """Each function of a 2D state, as a call on the N x M array alone."""
     a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (0, N)))
     plan = make_plan(a1, "dft_multiplier", M)
-    a2 = plan.a2_operator()
+    a2 = plan.a2
     return {
         "apply_h2d": lambda psi: apply_h2d(psi, a1, a2),
         "energy_expectation": lambda psi: energy_expectation(psi, a1, a2),

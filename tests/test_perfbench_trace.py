@@ -2,7 +2,8 @@
 
 perfbench/traced_step.py wraps chainlab's layer functions and reads work
 counts off their bound arguments (``evolve_2d_direct``'s ``state`` and
-``method``, and each ``datafiles.write_*``'s ``path``), and
+``method``, ``evolve_1d_eigen``'s ``es`` and ``chi`` on ``make_plan``'s
+``es1``, and each ``datafiles.write_*``'s ``path``), and
 perfbench/library_step.py calls ``convolve_measures`` itself, so a rename
 in the package fails here before it breaks a benchmark run.  The steps run
 with bytecode writing off, leaving no __pycache__ beside the benchmark.
@@ -32,8 +33,10 @@ def _run_step(tmp_path, *argv: str) -> None:
 
 
 def _traced_spans(tmp_path, command: str, *args: str) -> dict:
+    # decay-fit sizes its m-ring to the light cone itself: an --M of 4 would wrap by t = 40
+    sizes = ("--N", "4") if command == "decay-fit" else ("--N", "4", "--M", "4")
     spans = tmp_path / "spans.json"
-    _run_step(tmp_path, str(TRACED_STEP), str(spans), "cli", command, "--N", "4", "--M", "4", *args, "--out", "out")
+    _run_step(tmp_path, str(TRACED_STEP), str(spans), "cli", command, *sizes, *args, "--out", "out")
     return json.loads(spans.read_text())
 
 
@@ -69,6 +72,15 @@ def test_traced_evolve_counts_the_bytes_of_its_trajectory(tmp_path, binary):
     written = [span[4]["datafiles.bytes"] for span in result["spans"] if span[0] == "datafiles.write"]
     files = ("trajectory.bin" if binary else "trajectory.csv", "conservation.json")
     assert written == [(tmp_path / "out" / name).stat().st_size for name in files]
+
+
+def test_traced_decay_fit_counts_its_n_sweep_flops(tmp_path):
+    # the dispersion workload's command: the tracer keys the n-sweep count on make_plan's .es1 and reads
+    # evolve_1d_eigen's es and chi, so a renamed field or parameter fails here
+    result = _traced_spans(tmp_path, "decay-fit", "--tmax", "40")
+    assert result["exit_code"] == 0
+    counts = [span[4] for span in result["spans"] if span[0] == "evolution.evolve_1d_eigen"]
+    assert counts and all(count["evolution.n_sweep.gflop"] > 0 for count in counts)
 
 
 def test_tracer_counts_the_dense_route_of_evolve_2d_direct(monkeypatch):

@@ -62,7 +62,6 @@ def test_eigensystem_residual_and_gram():
     es = eigh_tridiagonal(op)
     assert eigen_residual(es, op) < 1e-12 * op.norm_bound
     assert gram_defect(es) < 1e-12
-    assert es.source is op
 
 
 def test_eigensystem_sorts_on_construction():

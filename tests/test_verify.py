@@ -181,7 +181,7 @@ def _a1_eigensystem(edit):
             es = solve(a1)
             lam, vec = es.eigenvalues.copy(), es.eigenvectors.copy()
             edit(lam, vec)
-            return EigenSystem(lam, vec, es.source)
+            return EigenSystem(lam, vec)
 
         monkeypatch.setattr(evolution, "eigh_tridiagonal", faulty)
 
@@ -255,7 +255,7 @@ FAULTS = {
     "n_sweep_output": _sweep_output("n_sweep", lambda plan, out: (1 + 1e-8) * out),
     "n_sweep_output_by_2e-9": _sweep_output("n_sweep", lambda plan, out: (1 + 2e-9) * out),
     "m_sweep_output": _sweep_output("m_sweep", lambda plan, out: (1 + 1e-8) * out),
-    "m_sweep_leaks_a2": _sweep_output("m_sweep", lambda plan, out: out + 1e-9 * plan.a2_operator().apply(out.T).T),
+    "m_sweep_leaks_a2": _sweep_output("m_sweep", lambda plan, out: out + 1e-9 * plan.a2.apply(out.T).T),
     "a1_eigenvalue": _a1_eigensystem(_shift_one_eigenvalue),
     "a1_eigenvector_norms": _a1_eigensystem(_scale_two_columns),
     "a1_eigenvector_rotation": _a1_eigensystem(_rotate_two_columns(lambda vec: (0, -1), 1e-6)),

@@ -196,7 +196,8 @@ def _cmd_convolve(cfg, args) -> int:
     report["max_atom_weight_discrepancy"] = discrepancy
     report["tolerance"] = MEASURE_MATCH_TOL
     datafiles.write_json(report, _out(cfg, "report.json"))
-    oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {' and '.join(map(str, sizes))} of {N * M} sites"
+    listed = ", ".join(map(str, sizes[:-1])) + " and " * (len(sizes) > 1) + str(sizes[-1])
+    oracle = f"{'a sector' if len(sizes) == 1 else 'sectors'} of {listed} of {N * M} sites"
     print(f"convolve: max atom-weight discrepancy vs direct route {discrepancy:.3e}, dense oracle on {oracle}")
     if discrepancy > MEASURE_MATCH_TOL:
         raise CheckFailure(

@@ -340,9 +340,9 @@ def evolve_2d_direct(
     """Non-factorized e^{iHt} of an N x M state: the oracle route against which the product form is tested.
 
     The dense route is sum_s P_s V_s e^{i Lambda_s t} V_s^T P_s^T psi over
-    the sectors of H's m-axis symmetries (m_symmetries about M // 2) that
-    psi has a part in, each solved by numpy's eigh with no 1D eigenbasis
-    (see spectral._sector_solves; its cap is DENSE_SITE_CAP sites).
+    the sector rows of H's m-axis symmetries (m_symmetries about M // 2)
+    that psi has a part in, each sector solved by one numpy eigh with no 1D
+    eigenbasis (see spectral._sector_solves; its cap is DENSE_SITE_CAP sites).
     """
     if np.shape(state) != (a1.size, a2.size):
         raise ValueError(f"state shape {np.shape(state)} does not match operators ({a1.size}, {a2.size})")
@@ -351,9 +351,11 @@ def evolve_2d_direct(
         out = np.zeros(N * M, dtype=complex)
         entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2)
         for index, coeff, lam, vec, coeffs in _sector_solves(entries, N * M, np.ravel(state), symmetries):
-            on = index >= 0
-            out[on] += coeff[on] * _real_matmul(vec, np.exp(1j * t * lam) * coeffs)[index[on]]  # P V e^{i Lambda t} c
+            evolved = _real_matmul(vec, np.exp(1j * t * lam) * coeffs)  # V e^{i Lambda t} c
             del vec
+            for at, copy in zip(index, coeff):  # P evolved, one copy of the basis at a time
+                on = at >= 0
+                out[on] += copy[on] * evolved[at[on]]
         return out.reshape(N, M)
     if method == "chebyshev":
         return _chebyshev_expiht(state, a1, a2, t)

@@ -30,6 +30,11 @@ FAMILIES = ("constant", "quasiperiodic", "almost_mathieu", "random_iid", "explic
 BOUNDARIES = ("dirichlet", "periodic")
 
 DENSE_SITE_CAP = 4096  # most sites of an operator the lab solves densely (2D sectors, periodic chains)
+# Fewest ring sites per cell of the rotation m_symmetries gives the dense oracle.  Each sector block
+# then couples at least six m-sites per n, a 2D eigenproblem scattered from H's stencil.  The full
+# translation group (one site per cell) would leave blocks A1 + 2 cos k, the very convolution the
+# oracle checks, so the oracle would no longer be an independent route.
+RING_CELL_SITES = 6
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -255,11 +260,24 @@ def m_symmetries(N: int, a2: Operator1D) -> tuple[np.ndarray, ...]:
     """Maps of the N*M sites along m that carry A2's diagonal to itself, so H commutes with them.
 
     The reflection, about the middle column on a ring, m -> (2 (M // 2) - m) mod M,
-    and m -> M - 1 - m on a dirichlet window; and on a ring of even M the half-turn m -> m + M/2.
+    and m -> M - 1 - m on a dirichlet window; and on a ring of even M the rotation
+    m -> m + M/p.  p is the largest even divisor of M with M/p >= RING_CELL_SITES,
+    or 2 (the half-turn) when none is larger or the reflection is not a symmetry,
+    so the maps always generate a dihedral group D_p (spectral._symmetry_group).
     """
     M, m = a2.size, np.arange(a2.size)
-    maps = [m[::-1]] if a2.boundary == "dirichlet" else [(2 * (M // 2) - m) % M] + [(m + M // 2) % M] * (M % 2 == 0)
-    return tuple((M * np.arange(N)[:, None] + g).ravel() for g in maps if np.array_equal(a2.diagonal[g], a2.diagonal))
+
+    def even(g):  # g carries A2's diagonal to itself
+        return np.array_equal(a2.diagonal[g], a2.diagonal)
+
+    if a2.boundary == "dirichlet":
+        maps = [m[::-1]]
+    else:
+        maps = [(2 * (M // 2) - m) % M]
+        if M % 2 == 0:
+            orders = [p for p in range(4, M // RING_CELL_SITES + 1, 2) if M % p == 0] if even(maps[0]) else []
+            maps.append((m + M // max(orders, default=2)) % M)
+    return tuple((M * np.arange(N)[:, None] + g).ravel() for g in maps if even(g))
 
 
 def energy_expectation(state: np.ndarray, a1: Operator1D, a2: Operator1D) -> float:

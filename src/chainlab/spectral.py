@@ -24,6 +24,7 @@ those sectors, and evolve_2d_direct's dense propagator sums e^{iHt} over them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -168,45 +169,111 @@ def _mismatch(keys: np.ndarray, values: np.ndarray, images: np.ndarray) -> float
     return float(np.abs(values - there).max(initial=0.0))
 
 
-def _symmetry_group(symmetries, size: int) -> list[tuple[np.ndarray, int]]:
-    """The group of commuting involutions of the sites as (site map, bitmask over independent generators) pairs."""
-    sites, maps = np.arange(size), [np.asarray(sym) for sym in symmetries]
-    for k, sym in enumerate(maps):  # % size keeps the read in range; a site off it fails anyway
-        if sym.shape != (size,) or sym.dtype.kind not in "iu" or not np.array_equal(sym[sym % size], sites):
-            raise ValueError(f"symmetry {k} is not an involution of the {size} sites")
-        for j in range(k):
-            if not np.array_equal(sym[maps[j]], maps[j][sym]):
-                raise ValueError(f"symmetries {j} and {k} do not commute")
-    group = [(sites, 0)]
-    for sym in maps:
-        if not any(np.array_equal(sym, g) for g, _ in group):
-            bit = len(group)  # a power of two: the next generator's bit
-            group += [(g[sym], word | bit) for g, word in group]
-    return group
+def _symmetry_group(symmetries, size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The dihedral group D_p that symmetries (s, rho, ...) generate, as (s, rho, p).
 
-
-def _sectors(group: list[tuple[np.ndarray, int]], support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The sectors a site of support has a part in: one per sign character chi of the group trivial on its stabiliser.
-
-    For each orbit O on whose stabiliser chi is trivial, the sector holds
-    sum_t chi(g_t) e_t / sqrt|O| over t in O, g_t carrying O's least site
-    to t.  Returned per sector: each site's index in it (-1 off it), each
-    site's coefficient chi(g_t) / sqrt|O|, and its size.  e_site has
-    squared norm 1 / |O_site| in each of the |O_site| sectors it has a part in.
+    s (symmetry 0) is an involution of the sites and rho (symmetry 1) a
+    permutation of order p <= size that s inverts, s rho s = rho^-1; an
+    absent one is the identity.  A further map must already be in the group,
+    rho^k or s rho^k, and adds nothing.  Otherwise ValueError names the fault.
     """
-    maps = np.stack([g for g, _ in group])
-    fixed = maps == maps[0]  # the stabiliser of each site
-    least = maps.min(axis=0)
-    to_least = np.argmax(maps == least, axis=0)
-    norm = np.sqrt(fixed.sum(axis=0) / len(group))  # 1 / sqrt|O|
+    sites, maps = np.arange(size), [np.asarray(sym) for sym in symmetries]
+    for k, sym in enumerate(maps):
+        if sym.shape != (size,) or sym.dtype.kind not in "iu" or not np.array_equal(np.sort(sym), sites):
+            kind = "an involution" if k == 0 else "a permutation"
+            raise ValueError(f"symmetry {k} is not {kind} of the {size} sites")
+    s, rho = (maps + [sites, sites])[:2]
+    if not np.array_equal(s[s], sites):
+        raise ValueError(f"symmetry 0 is not an involution of the {size} sites")
+    power, p = rho, 1
+    while not np.array_equal(power, sites):
+        if p == size:
+            raise ValueError(f"symmetry 1 has an order above the {size} sites")
+        power, p = rho[power], p + 1
+    flip = s[rho]  # s rho, an involution exactly when s rho s = rho^-1
+    if not np.array_equal(flip[flip], sites):
+        raise ValueError("symmetries 0 and 1 do not commute" if p <= 2 else "symmetry 0 does not invert symmetry 1")
+    for k, sym in enumerate(maps[2:], 2):
+        power = sites
+        for _ in range(p):  # rho^j, and s rho^j beside it
+            if np.array_equal(sym, power) or np.array_equal(sym, s[power]):
+                break
+            power = rho[power]
+        else:
+            raise ValueError(f"symmetry {k} is not in the dihedral group of symmetries 0 and 1")
+    return s, rho, p
+
+
+def _sectors(group: tuple[np.ndarray, np.ndarray, int], support: np.ndarray) -> list:
+    """The sectors of D_p = <s, rho>'s real irreducible representations that a site of support has a part in.
+
+    Returned as (index, coeff, dim) per sector: column c of the sector's
+    basis P holds coeff[0, w, t] at each site t with index[w, t] = c (-1:
+    none; w counts a site's copies, at most two), and coeff[1], for a
+    two-dimensional representation, is the basis of its second row.  The
+    four one-dimensional representations come first, chi(s) = +-1 and
+    chi(rho) = +-1 with the sign of s changing first (chi(rho) = -1 only for
+    even p); then the two-dimensional ones, rho -> the rotation by
+    theta = 2 pi h / p and s -> diag(1, -1) for 0 < h < p/2, which hold the
+    parts of rho-frequency +-h, s-even in row one and s-odd in row two.
+
+    Each site t is g_t of its orbit's least site t0, with g_t = rho^k or
+    s rho^k.  A one-dimensional chi trivial on t's stabiliser has a column
+    per such orbit O, chi(g_t) / sqrt|O| at its sites: at p = 2 these are
+    the sign characters of the reflection and the half-turn.  A
+    two-dimensional representation lives on the orbits whose rho-cycles
+    have a length L with h L = 0 mod p: one column on an orbit that is a
+    single cycle (s t0 = rho^a t0) and two on an orbit of two cycles (a = 0
+    there).  Their entries, sqrt(2 / |O|) times cos and sin of
+    theta (k - a/2), are Serre's projections p_11 (Linear Representations of
+    Finite Groups, sections 2.7 and 5.3); row two holds their images under
+    p_21, which commutes with H, so both rows have one block P^T H P.
+    Columns follow the orbits' least sites, then the copy.
+    """
+    s, rho, p = group
+    sites = np.arange(s.size)
+    least, power = sites.copy(), sites
+    for _ in range(p - 1):  # least[t]: the least site of t's cycle under rho
+        power = rho[power]
+        np.minimum(least, power, out=least)
+    pos, power = np.zeros_like(sites), least
+    for j in range(1, p):  # pos[t]: the j with t = rho^j least[t]
+        power = rho[power]
+        pos[(power == sites) & (least != sites) & (pos == 0)] = j
+    length = np.bincount(least)[least]  # of t's cycle
+    invariant = least[s] == least  # s maps t's cycle onto itself
+    a = np.where(invariant, pos[s[least]], 0)  # s least[t] = rho^a least[t] on an s-invariant cycle
+    base = np.minimum(least, least[s])  # the least site of t's orbit
+    mirrored = least != base  # g_t = s rho^k rather than rho^k
+    k = np.where(mirrored, pos[s], pos)
+    stab = np.where(invariant, 2 * p // length, p // length)  # |stabiliser| = 2p / |O|
+
+    def sector(inside, free):
+        """(index, dim) of the sector with one column per orbit inside it, two on a free one."""
+        heads = np.flatnonzero(inside & (base == sites))
+        starts = np.concatenate([[0], np.cumsum(1 + free[heads])])
+        first = np.where(inside, starts[np.searchsorted(heads, base)], -1)
+        second = np.where(inside & free, first + 1, -1)
+        return np.stack([first, second][: 1 + (second >= 0).any()]), int(starts[-1])
+
     sectors = []
-    for character in range(len(group)):
-        chi = np.array([1 - 2 * (bin(character & word).count("1") % 2) for _, word in group])
-        inside = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+    for rho_sign in (1, -1)[: 1 + (p % 2 == 0)]:
+        for s_sign in (1, -1):
+            chi = rho_sign ** (k % 2) * np.where(mirrored, s_sign, 1)
+            fixer = rho_sign ** (a % 2) * s_sign  # chi(s rho^a), which fixes an s-invariant cycle's sites
+            inside = ((rho_sign == 1) | (length % 2 == 0)) & (~invariant | (fixer == 1))
+            if inside[support].any():
+                index, dim = sector(inside, np.zeros_like(invariant))
+                sectors.append((index, (chi * np.sqrt(stab / (2 * p)))[None, None], dim))
+    sign = np.where(mirrored, -1, 1)
+    for h in range(1, (p + 1) // 2):
+        inside = h * length % p == 0
         if inside[support].any():
-            heads = np.flatnonzero(inside & (least == maps[0]))
-            index = np.where(inside, np.searchsorted(heads, least), -1)
-            sectors.append((index, chi[to_least] * norm, heads.size))
+            phase = np.pi * (h * (2 * k - a) % (2 * p)) / p
+            cos, sin = np.sqrt(stab / p) * np.stack([np.cos(phase), np.sin(phase)])
+            index, dim = sector(inside, ~invariant)
+            rows = np.stack([np.stack([cos, sin]), np.stack([sign * sin, -sign * cos])])
+            sectors.append((index, rows[:, : len(index)], dim))
     return sectors
 
 
@@ -231,20 +298,22 @@ def _support(size: int, psi: np.ndarray) -> np.ndarray:
 
 
 def _sector_solves(entries, size: int, psi, symmetries=()):
-    """Solve H by its symmetry sectors: yields (index, coeff, eigenvalues, eigenvectors, V^T P^T psi) per sector.
+    """Solve H by its symmetry sectors: yields (index, coeff, eigenvalues, eigenvectors, V^T P^T psi) per sector row.
 
     ``entries`` is (rows, cols, values) as hamiltonian_2d_entries gives it;
     H is never formed.  ``symmetries`` (as m_symmetries gives them) are
-    certified, never assumed: finite symmetric entries, and integer
-    involutions that commute with each other and map the entries onto
-    themselves within 1e-12 max(1, max|H|), or ValueError names the fault;
-    so is a psi that is not a nonzero vector of ``size`` entries, or a size
-    above DENSE_SITE_CAP.  Only the sectors a site of psi's support has a
-    part in are solved (see _sectors: P's column for the sector coordinate
-    of orbit O holds coeff at O's sites, and index maps each site to its
-    coordinate), in the order _sectors lists them.  Each block P^T H P is
-    scattered just before its eigh and dropped after; a caller that drops
-    the eigenvectors before asking for the next sector keeps one block alive.
+    certified, never assumed: finite symmetric entries, an integer
+    involution s and a permutation rho that s inverts (see _symmetry_group),
+    each mapping the entries onto themselves within 1e-12 max(1, max|H|),
+    or ValueError names the fault; so is a psi that is not a nonzero vector
+    of ``size`` entries, or a size above DENSE_SITE_CAP.  Only the sectors
+    a site of psi's support has a part in are solved, in the order _sectors
+    lists them.  A row's basis P has column c = sum coeff[w, t] e_t over
+    index[w, t] = c.  The two rows of a two-dimensional representation
+    share one eigh of row one's block (P^T H P is the same on both) and
+    are yielded one after the other.  Each block is scattered just before
+    its eigh and dropped after; a caller that drops the eigenvectors before
+    asking for the next row keeps one block alive.
     """
     size, symmetries = operator.index(size), [np.asarray(sym) for sym in symmetries]
     if size > DENSE_SITE_CAP:
@@ -260,18 +329,25 @@ def _sector_solves(entries, size: int, psi, symmetries=()):
         if defect > bound:
             raise ValueError(f"matrix does not commute with symmetry {k} (defect {defect:.3e} above {bound:.1e})")
     for index, coeff, dim in sectors:
-        i, j = index[rows], index[cols]
-        on = (i >= 0) & (j >= 0)
-        block = np.bincount(i[on] * dim + j[on], (coeff[rows] * coeff[cols] * values)[on], dim * dim)
+        keys, weights = [], []
+        for (i, ci), (j, cj) in itertools.product(zip(index, coeff[0]), repeat=2):  # copy pairs of row one's basis
+            i, j = i[rows], j[cols]
+            on = (i >= 0) & (j >= 0)
+            keys.append(i[on] * dim + j[on])
+            weights.append((ci[rows] * cj[cols] * values)[on])
+        block = np.bincount(np.concatenate(keys), np.concatenate(weights), dim * dim)
+        del keys, weights
         lam, vec = np.linalg.eigh(block.reshape(dim, dim))
         del block
         on = index >= 0
-        part = coeff[on] * psi[on]  # P^T psi, gathered by sector coordinate
-        if np.iscomplexobj(part):
-            part = np.bincount(index[on], part.real, dim) + 1j * np.bincount(index[on], part.imag, dim)
-        else:
-            part = np.bincount(index[on], part, dim)
-        yield index, coeff, lam, vec, _real_matmul(vec.T, part)
+        at, psi_on = index[on], np.broadcast_to(psi, index.shape)[on]
+        for row in coeff:
+            part = row[on] * psi_on  # P^T psi, gathered by sector coordinate
+            if np.iscomplexobj(part):
+                part = np.bincount(at, part.real, dim) + 1j * np.bincount(at, part.imag, dim)
+            else:
+                part = np.bincount(at, part, dim)
+            yield index, row, lam, vec, _real_matmul(vec.T, part)
         del vec  # before the next block is scattered
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,18 @@ def test_readme_config_example_parses():
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(example)
     assert (cfg.potential.family, cfg.N, cfg.M, cfg.m_method) == ("almost_mathieu", 64, 256, "dft_multiplier")
+
+
+def test_readme_examples_parse():
+    # CI runs these lines through the installed console script; here each must at least parse, as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExamples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("chainlab ")]
+    assert [argv[1] for argv in lines] == ["verify", "spectrum", "evolve", "decay-fit", "lyapunov"]
+    parser = cli.build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1] and args.out == argv[-1]
 
 
 def test_bad_value_names_section_and_key():
@@ -469,6 +482,41 @@ def test_binary_trajectory_reader_rejects_a_file_of_the_wrong_length(tmp_path, c
         datafiles.read_trajectory_binary(path)
 
 
+@pytest.mark.parametrize(
+    "at, patch, message",
+    [
+        (0, b"CHAINLB0", "bad magic b'CHAINLB0'"),
+        (8, (2).to_bytes(4, "little"), "unsupported version/dtype (2, 1)"),
+        (12, (0).to_bytes(4, "little"), "unsupported version/dtype (1, 0)"),
+    ],
+    ids=["magic", "version", "dtype"],
+)
+def test_binary_trajectory_reader_rejects_a_foreign_header(tmp_path, at, patch, message):
+    path = tmp_path / "traj.bin"
+    datafiles.write_trajectory_binary([0.0], lambda t: delta_state(2, 3), (0, -1), path)
+    data = bytearray(path.read_bytes())
+    data[at : at + len(patch)] = patch
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        datafiles.read_trajectory_binary(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[output]\nbinary_snapshots = maybe\n",
+            "[output] binary_snapshots: cannot parse 'maybe' (not a boolean: 'maybe')",
+        ),
+        ("family = constant\n", "malformed config: File contains no section headers."),
+    ],
+    ids=["not-a-boolean", "no-section"],
+)
+def test_parse_config_refuses_what_it_cannot_read(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse_config(text)
+
+
 def test_write_json_is_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "x.json"
     datafiles.write_json({"b": 1, "a": 2}, path)
@@ -658,20 +706,28 @@ def _sector_bound(sizes: list[int], N: int, M: int) -> int:
     return 2 * max(sizes) ** 2 * np.dtype(float).itemsize + 64 * N * M * np.dtype(complex).itemsize
 
 
-def test_cli_convolve_solves_two_quarter_sectors_of_h_on_a_ring(tmp_path, capsys, monkeypatch):
-    """On a ring the reflection about the delta and the half-turn split H; the delta has a part in two sectors.
+@pytest.mark.parametrize(
+    "size, sectors, listed",
+    [(16, [80, 64], "80 and 64 of 256"), (48, [192, 144, 288, 288, 288], "192, 144, 288, 288 and 288 of 2304")],
+)
+def test_cli_convolve_solves_the_dihedral_sectors_of_h_on_a_ring(tmp_path, capsys, monkeypatch, size, sectors, listed):
+    """On a ring the reflection about the delta and the rotation by M/p split H; eigh sees each block alone.
 
-    Per n the 48 m-sites form 11 orbits of four, {0, 24} (the delta's) and
-    {12, 36}, which the reflection times the half-turn fixes; the two
-    sectors take 13 and 12 orbits, 624 and 576 of the 2304 sites.  Each
-    block is scattered from H's entries and solved alone: H is never formed.
+    At M = 16 the rotation is the half-turn (p = 2, since 16/4 < RING_CELL_SITES):
+    per n, 3 orbits of four and two of two, and the delta has a part in the
+    sectors of 5 and 4 orbits.  At M = 48, p = 8: per n, rho's cycles are
+    the residues mod 6, which s pairs as {1, 5} and {2, 4} and keeps 0 (the
+    delta's) and 3; the delta has a part in two of the four one-dimensional
+    sectors (4 and 3 columns per n) and in the three two-dimensional ones
+    (6 columns per n each).  No block exceeds 288 rows, and H is never formed.
     """
-    argv = ["convolve", "--N", "48", "--M", "48", "--family", "random_iid"]
+    argv = ["convolve", "--N", str(size), "--M", str(size), "--family", "random_iid"]
     peak, rows, out = _sector_run(tmp_path, monkeypatch, argv)
     assert _read_json(out / "report.json")["compared_to_direct"] is True
-    assert "dense oracle on sectors of 624 and 576 of 2304 sites" in capsys.readouterr().out
-    assert rows == [48, 624, 576]  # A1, then the two sectors; nothing of 2304 rows
-    assert peak <= _sector_bound([624, 576], 48, 48)  # 8.2 MiB
+    assert f"dense oracle on sectors of {listed} sites" in capsys.readouterr().out
+    assert rows == [size, *sectors]  # A1, then the sectors
+    assert max(rows) <= 288
+    assert peak <= _sector_bound(sectors, size, size)
 
 
 def test_cli_convolve_solves_one_sector_at_a_time_on_an_even_window(tmp_path, capsys, monkeypatch):
@@ -692,9 +748,9 @@ def test_cli_convolve_solves_one_sector_at_a_time_on_an_even_window(tmp_path, ca
     assert peak <= _sector_bound([1152, 1152], 48, 48)  # 22.5 MiB
 
 
-@pytest.mark.parametrize("size, sectors", [(32, [288, 256]), (48, [624, 576])])
+@pytest.mark.parametrize("size, sectors", [(32, [160, 128, 256]), (48, [192, 144, 288, 288, 288])])
 def test_cli_verify_solves_only_sectors_of_h(tmp_path, monkeypatch, size, sectors):
-    """verify's dense oracle is convolve's: the two sectors of H's m-axis symmetries the centre site has a part in."""
+    """verify's dense oracle is convolve's: the sectors of H's m-axis symmetries the centre site has a part in."""
     peak, rows, out = _sector_run(tmp_path, monkeypatch, ["verify", "--N", str(size), "--M", str(size)])
     checks = _read_json(out / "verify.json")["checks"]
     assert "convolution_identity" in [c["name"] for c in checks]

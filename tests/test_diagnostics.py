@@ -334,3 +334,29 @@ def test_free_spreading_is_ballistic():
     mom = spreading_moments(psi_t, origin=(0.0, M // 2))
     assert abs(mom.m_second_moment - 2.0 * t * t) < 1e-6 * t * t
     assert mom.participation_ratio > 10.0
+
+
+def _trace(times, sups) -> DecayTrace:
+    ones = np.ones(len(times))
+    return DecayTrace(np.asarray(times, dtype=float), np.asarray(sups, dtype=float), ones, ones, ones, 1.0, 1.0, 0.0)
+
+
+def test_diagnostics_refusals_name_their_fault():
+    ones = np.ones(3)
+    with pytest.raises(ValueError, match="^trace columns must share one length$"):
+        DecayTrace(ones, ones, ones[:2], ones, ones, 1.0, 1.0, 0.0)
+    plan = make_plan(free_operator(1), "dft_multiplier", 64)
+    with pytest.raises(ValueError, match="^need a nonempty 1D array of times$"):
+        record_decay(plan, delta_vector(1), delta_vector(64), [])
+    times = np.linspace(0.0, 10.0, 11)
+    for t_lo, t_hi in ((5.0, 5.0), (6.0, 5.0)):
+        with pytest.raises(ValueError, match="^need 0 <= t_lo < t_hi$"):
+            fit_decay_exponent(_trace(times, np.ones(11)), t_lo, t_hi)
+    for bad in (0.0, -1e-3):
+        sups = np.ones(11)
+        sups[5] = bad
+        with pytest.raises(ValueError, match="^sup norms must be positive on the fit window$"):
+            fit_decay_exponent(_trace(times, sups), 1.0, 10.0)
+    for energies in ([0.0, np.nan], [np.inf], -np.inf):
+        with pytest.raises(ValueError, match="^energies must be finite$"):
+            lyapunov_scan(constant_potential(0.0), energies, 1000)

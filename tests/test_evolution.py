@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from chainlab.operators import (
     almost_mathieu,
     build_operator_1d,
     delta_state,
+    delta_vector,
     free_operator,
     sample_potential,
 )
@@ -486,7 +488,9 @@ def test_chebyshev_direct_matches_dense():
       together at most 9 u (K + 1)^2 sqrt(2 (K + 1));
     - bessel_j is within BESSEL_ABS_TOL of each J_k: 2 (K + 1) BESSEL_ABS_TOL.
     The dense route solves H's symmetry sectors, each block P^T H P exact
-    to a few u (P's entries are +-1/sqrt|O|) and of at most n = N M rows.
+    to a few u (P's entries are at most sqrt(2/|O|) in size, and the
+    columns of a sector have at most two entries per site) and of at most
+    n = N M rows.
     Each solve is backward stable: V diag(lambda) V^T = P^T H P + E with
     ||E|| <= n u ||H|| moves e^{iHt} psi by at most n u r t, and V's
     departure from orthogonality, the phases and P^T, P add 4 n u.
@@ -509,7 +513,7 @@ def test_chebyshev_direct_matches_dense():
 
 
 DENSE_PROPAGATOR_LATTICES = [
-    *((M, "periodic") for M in (1, 2, 3, 4, 5, 8)),
+    *((M, "periodic") for M in (1, 2, 3, 4, 5, 8, 24, 48)),  # 24 and 48: D_4 and D_8, with two-row sectors
     *((M, "dirichlet") for M in (1, 2, 3, 5)),
 ]
 
@@ -576,3 +580,16 @@ def test_t_zero_is_identity():
     out = evolve_2d_factorized(amp, plan, 0.0)
     np.testing.assert_array_equal(out, amp)  # no sweep runs, so no rounding
     assert not np.shares_memory(out, amp)
+
+
+def test_evolution_refusals_name_their_fault():
+    for x in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {x!r}$"):
+            bessel_j(4, x)
+    with pytest.raises(ValueError, match="^state is identically zero$"):
+        check_wrap_free(np.zeros((2, 16), dtype=complex), 1.0, ring=True)
+    message = f"unknown free-propagator method 'fft', expected one of {M_METHODS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve_free_1d(delta_vector(16), 1.0, method="fft")
+    with pytest.raises(ValueError, match="^unknown method 'expm', expected 'dense' or 'chebyshev'$"):
+        evolve_2d_direct(delta_state(2, 4), free_operator(2), free_operator(4), 1.0, method="expm")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from chainlab.evolution import evolve_2d_direct, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     BOUNDARIES,
     GOLDEN_MEAN,
+    RING_CELL_SITES,
     Operator1D,
     PotentialSpec,
     almost_mathieu,
@@ -134,19 +137,27 @@ def test_explicit_window_must_fit():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        dict(family="nonsense", amplitude=1.0),
-        dict(family="random_iid", amplitude=1.0),  # seed required
-        dict(family="explicit", amplitude=1.0),  # values required
-        dict(family="quasiperiodic", amplitude=1.0, profile=(1.0, 2.0)),  # too few samples
-        dict(family="constant", amplitude=float("nan")),
-        dict(family="random_iid", amplitude=1.0, seed=2**64),  # the hash keys on 64 bits: 2^64 would alias 0
-        dict(family="random_iid", amplitude=1.0, seed=2**128 + 1),
+        (dict(family="nonsense", amplitude=1.0), "unknown potential family 'nonsense'"),
+        (dict(family="random_iid", amplitude=1.0), "random_iid needs an explicit seed"),
+        (dict(family="explicit", amplitude=1.0), "explicit potential needs a nonempty values list"),
+        (dict(family="quasiperiodic", amplitude=1.0, profile=(1.0, 2.0)), "at least 16 samples"),
+        (dict(family="constant", amplitude=float("nan")), "amplitude must be finite"),
+        # the hash keys on 64 bits: 2^64 would alias 0
+        (dict(family="random_iid", amplitude=1.0, seed=2**64), "seed must lie below 2\\^64"),
+        (dict(family="random_iid", amplitude=1.0, seed=2**128 + 1), "seed must lie below 2\\^64"),
+        (dict(family="almost_mathieu", amplitude=1.0, omega=float("inf")), "omega and theta must be finite"),
+        (
+            dict(family="quasiperiodic", amplitude=1.0, theta=float("nan"), profile=cosine_profile(16)),
+            "omega and theta must be finite",
+        ),
+        (dict(family="quasiperiodic", amplitude=1.0, profile=(float("nan"),) * 16), "profile samples must be finite"),
+        (dict(family="explicit", amplitude=1.0, values=(1.0, -np.inf)), "explicit potential values must be finite"),
     ],
 )
-def test_bad_specs_are_rejected(kwargs):
-    with pytest.raises(ValueError):
+def test_bad_specs_are_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
         PotentialSpec(**kwargs)
 
 
@@ -156,6 +167,17 @@ def test_empty_window_rejected():
 
 
 # -- 1D operators -------------------------------------------------------------
+
+
+def test_operator_1d_refusals_name_their_fault():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^operator diagonal must be finite$"):
+            Operator1D(np.array([0.0, bad]))
+    with pytest.raises(ValueError, match=re.escape(f"unknown boundary 'ring', expected one of {BOUNDARIES}")):
+        Operator1D(np.zeros(3), "ring")
+    for shape in ((3,), (5, 2)):
+        with pytest.raises(ValueError, match=f"^axis-0 length {shape[0]} does not match operator size 4$"):
+            free_operator(4).apply(np.ones(shape))
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -316,6 +338,26 @@ def test_m_symmetries_drop_the_half_turn_of_a_ring_whose_diagonal_is_not_transla
     # translation-even but not mirror-even about the middle column 3: the half-turn alone
     (half_turn,) = m_symmetries(1, Operator1D(np.array([1.0, 0.0, 2.0, 1.0, 0.0, 2.0]), "periodic"))
     assert half_turn.tolist() == [3, 4, 5, 0, 1, 2]
+
+
+@pytest.mark.parametrize("M, p", [(16, 2), (24, 4), (32, 4), (36, 6), (48, 8), (64, 8)])
+def test_m_symmetries_rotate_a_ring_by_m_over_p(M, p):
+    # p is the largest even divisor of M with M/p >= RING_CELL_SITES, or the half-turn's 2
+    assert M // p >= RING_CELL_SITES and not any(M % q == 0 and M // q >= RING_CELL_SITES for q in range(p + 2, M, 2))
+    N = 2
+    a1 = Operator1D(np.random.default_rng(M).uniform(-2.0, 2.0, N), "periodic")
+    reflection, rotation = m_symmetries(N, free_operator(M, "periodic"))
+    assert reflection.tolist() == [n * M + (2 * (M // 2) - m) % M for n in range(N) for m in range(M)]
+    assert rotation.tolist() == [n * M + (m + M // p) % M for n in range(N) for m in range(M)]
+    H = dense_hamiltonian(a1, free_operator(M, "periodic"))
+    for sym in (reflection, rotation):
+        assert np.array_equal(H[np.ix_(sym, sym)], H)
+
+
+def test_m_symmetries_keep_the_half_turn_of_a_ring_that_is_not_mirror_even():
+    # period 6 along m, but not mirror-even about the middle column: D_4 has no reflection to stand on
+    (half_turn,) = m_symmetries(1, Operator1D(np.tile([1.0, 2.0, 0.0, 0.0, 0.0, 0.0], 4), "periodic"))
+    assert half_turn.tolist() == [(m + 12) % 24 for m in range(24)]
 
 
 def test_apply_h2d_separates_on_tensor_states():

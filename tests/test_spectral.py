@@ -277,8 +277,11 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
 @pytest.mark.parametrize(
     "boundary_m, N, M, sizes",
     [
-        ("periodic", 48, 48, [624, 576]),  # reflection and half-turn: per n, 11 orbits of 4, {0, 24} and {12, 36}
-        ("periodic", 32, 32, [288, 256]),
+        # D_8, rotation by 6: per n, the delta's cycle (residue 0 mod 6) and residue 3 are s-invariant, and s
+        # pairs 1 with 5 and 2 with 4; the delta meets two one-dimensional sectors and three two-dimensional ones
+        ("periodic", 48, 48, [192, 144, 288, 288, 288]),
+        ("periodic", 32, 32, [160, 128, 256]),  # D_4, rotation by 8
+        ("periodic", 16, 16, [80, 64]),  # 16/4 < RING_CELL_SITES: the half-turn, p = 2
         ("periodic", 5, 5, [15]),  # an odd ring: the reflection alone, which fixes the site
         ("dirichlet", 48, 48, [1152, 1152]),  # the window's reflection moves every site
     ],
@@ -286,6 +289,94 @@ def test_dense_measure_on_m_symmetry_sectors_matches_full_eigh_at_every_site(N, 
 def test_sector_sizes_of_the_commands_oracle(boundary_m, N, M, sizes):
     symmetries = m_symmetries(N, free_operator(M, boundary_m))
     assert sector_sizes(N * M, unit_vector(N * M, (N // 2) * M + M // 2), symmetries) == sizes
+
+
+@pytest.mark.parametrize("boundary_n", BOUNDARIES)
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("M", [24, 48])
+def test_dense_measure_on_dihedral_sectors_matches_full_eigh(M, N, boundary_n):
+    # rings of 24 and 48 sites carry D_4 and D_8 (rotation by 6), whose two-dimensional representations
+    # solve one eigh for both rows: at every site, fixed by the reflection or not, and at a random state
+    rng = np.random.default_rng(M + N)
+    a1 = Operator1D(rng.uniform(-2.0, 2.0, N), boundary=boundary_n)
+    a2 = free_operator(M, "periodic")
+    entries, symmetries = hamiltonian_2d_entries(a1, a2), m_symmetries(N, a2)
+    assert symmetries[1][0] == 6
+    es = full_eigensystem(dense_hamiltonian(a1, a2))
+    psi = rng.standard_normal(N * M) + 1j * rng.standard_normal(N * M)
+    for vec in (psi / np.linalg.norm(psi), *np.eye(N * M)):
+        mu = dense_measure(entries, N * M, vec, symmetries=symmetries)
+        assert atom_weight_discrepancy(mu, spectral_measure_1d(es, vec)) <= 1e-12
+        assert abs(mu.total_mass() - 1.0) <= 1e-13
+
+
+def test_dense_measure_on_cycles_of_several_lengths_matches_full_eigh():
+    # a 4-ring (sites 0-3), a bond (4, 5) and a hub (6) coupled evenly to both: rho turns the ring, swaps the
+    # bond and fixes the hub, so its cycles have 4, 2 and 1 sites and the frequencies of D_4 live on some only
+    h = np.zeros((7, 7))
+    for i, j, value in [*((m, (m + 1) % 4, -1.0) for m in range(4)), (4, 5, -1.0), *((6, m, -0.5) for m in range(4))]:
+        h[i, j] = h[j, i] = value
+    h[6, 4] = h[4, 6] = h[6, 5] = h[5, 6] = -0.3
+    h[np.diag_indices(7)] = [0.2, 0.2, 0.2, 0.2, -0.7, -0.7, 1.1]
+    symmetries = [np.array([0, 3, 2, 1, 4, 5, 6]), np.array([1, 2, 3, 0, 5, 4, 6])]
+    # chi(s) = chi(rho) = 1 on the hub, ring and bond; chi(rho) = -1 on the ring and bond; h = 1 on the ring alone
+    assert sector_sizes(7, np.ones(7), symmetries) == [3, 2, 1]
+    es = full_eigensystem(h)
+    psi = np.random.default_rng(12).standard_normal(7)
+    for vec in (psi / np.linalg.norm(psi), *np.eye(7)):
+        mu = dense_measure(_entries(h), 7, vec, symmetries=symmetries)
+        assert atom_weight_discrepancy(mu, spectral_measure_1d(es, vec)) <= 1e-12
+        assert abs(mu.total_mass() - 1.0) <= 1e-13
+
+
+def _ring_maps(N: int, M: int, *images) -> list[np.ndarray]:
+    """The site maps n*M + m -> n*M + image(m) of an N x M lattice, one per image."""
+    return [np.array([n * M + image(m) % M for n in range(N) for m in range(M)]) for image in images]
+
+
+def test_dense_measure_rejects_a_bond_that_keeps_the_reflection_but_breaks_the_rotation():
+    # the n-bond at the column M // 2, which the reflection fixes, is its own mirror image; the rotation moves it
+    rows, cols, values = hamiltonian_2d_entries(free_operator(2), free_operator(24, "periodic"))
+    entries = (np.append(rows, [12, 36]), np.append(cols, [36, 12]), np.append(values, [0.5, 0.5]))
+    reflection, rotation = m_symmetries(2, free_operator(24, "periodic"))
+    assert abs(dense_measure(entries, 48, unit_vector(48, 12), symmetries=[reflection]).total_mass() - 1.0) <= 1e-13
+    with pytest.raises(ValueError, match="does not commute with symmetry 1"):
+        dense_measure(entries, 48, unit_vector(48, 12), symmetries=[reflection, rotation])
+
+
+def test_dense_measure_rejects_a_rotation_the_involution_does_not_invert():
+    # the half-turn commutes with H and with the rotation by 6, of order 4: s rho s = rho, not rho^-1
+    entries = hamiltonian_2d_entries(free_operator(2), free_operator(24, "periodic"))
+    symmetries = _ring_maps(2, 24, lambda m: m + 12, lambda m: m + 6)
+    with pytest.raises(ValueError, match="symmetry 0 does not invert symmetry 1"):
+        dense_measure(entries, 48, unit_vector(48, 12), symmetries=symmetries)
+    with pytest.raises(ValueError, match="symmetry 0 does not invert symmetry 1"):
+        sector_sizes(48, unit_vector(48, 12), symmetries)
+
+
+def test_dense_measure_takes_a_third_map_only_from_the_dihedral_group():
+    # the rotation by 2 commutes with H but lies outside D_4 = <reflection, rotation by 6>; rho^3 and s rho^2 are in it
+    a1 = Operator1D(np.random.default_rng(4).uniform(-2.0, 2.0, 2))
+    entries, delta = hamiltonian_2d_entries(a1, free_operator(24, "periodic")), unit_vector(48, 12)
+    symmetries = list(m_symmetries(2, free_operator(24, "periodic")))
+    ref = dense_measure(entries, 48, delta, symmetries=symmetries)
+    for extra in _ring_maps(2, 24, lambda m: m + 18, lambda m: 12 - m):
+        assert sector_sizes(48, delta, [*symmetries, extra]) == sector_sizes(48, delta, symmetries) == [8, 6, 12]
+        assert atom_weight_discrepancy(dense_measure(entries, 48, delta, symmetries=[*symmetries, extra]), ref) <= 1e-13
+    (outside,) = _ring_maps(2, 24, lambda m: m + 2)
+    with pytest.raises(ValueError, match="symmetry 2 is not in the dihedral group of symmetries 0 and 1"):
+        dense_measure(entries, 48, delta, symmetries=[*symmetries, outside])
+
+
+def test_dense_measure_rejects_a_rotation_that_is_not_a_permutation_of_bounded_order():
+    # on 10 sites, cycles of 2, 3 and 5 sites make a permutation of order 30
+    entries = hamiltonian_2d_entries(free_operator(1), free_operator(10, "periodic"))
+    order_30 = np.array([1, 0, 3, 4, 2, 6, 7, 8, 9, 5])
+    with pytest.raises(ValueError, match="symmetry 1 has an order above the 10 sites"):
+        dense_measure(entries, 10, unit_vector(10, 0), symmetries=[np.arange(10), order_30])
+    for bad in (np.zeros(10, dtype=int), np.arange(9), np.arange(10.0)):
+        with pytest.raises(ValueError, match="symmetry 1 is not a permutation of the 10 sites"):
+            dense_measure(entries, 10, unit_vector(10, 0), symmetries=[np.arange(10), bad])
 
 
 def test_dense_measure_ignores_a_symmetry_already_in_the_group():
@@ -521,6 +612,20 @@ def test_free_delta_measure_rejects_a_potential_and_a_site_off_the_chain():
 
 
 # -- 1D spectral measures -------------------------------------------------------
+
+
+def test_eigensystem_and_measure_refusals_name_their_fault():
+    with pytest.raises(ValueError, match="^eigenvalue/eigenvector shapes are inconsistent$"):
+        EigenSystem(np.zeros(3), np.eye(2))
+    for energies, weights in (([0.0, 1.0], [1.0]), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="^energies and weights must be 1D arrays of equal length$"):
+            SpectralMeasure(energies, weights)
+    with pytest.raises(ValueError, match="^grid_edges and density must be given together$"):
+        SpectralMeasure([0.0], [1.0], grid_edges=[0.0, 1.0])
+    with pytest.raises(ValueError, match="^need B\\+1 grid edges for B density bins$"):
+        SpectralMeasure([0.0], [1.0], grid_edges=[0.0, 1.0, 2.0], density=[1.0])
+    with pytest.raises(ValueError, match="^measure is empty$"):
+        SpectralMeasure([], []).support_bounds()
 
 
 def test_delta_measure_mass_and_positivity():

@@ -9,11 +9,8 @@ import numpy as np
 
 from chainlab.operators import (
     PotentialSpec,
-    almost_mathieu,
     apply_h2d,
     build_operator_1d,
-    constant_potential,
-    cosine_profile,
     delta_state,
     energy_expectation,
     free_operator,
@@ -24,10 +21,10 @@ rng = np.random.default_rng(0)
 
 print("== sampling the potential families ==")
 specs = {
-    "constant 1.5": constant_potential(1.5),
-    "almost-Mathieu a=3": almost_mathieu(3.0, theta=0.42),
+    "constant 1.5": PotentialSpec("constant", amplitude=1.5),
+    "almost-Mathieu a=3": PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42),
     "quasiperiodic (cosine profile)": PotentialSpec(
-        "quasiperiodic", amplitude=3.0, theta=0.42, profile=cosine_profile()
+        "quasiperiodic", amplitude=3.0, theta=0.42, profile=tuple(np.cos(2.0 * np.pi * np.arange(512) / 512))
     ),
     "iid uniform, seed 7": PotentialSpec("random_iid", amplitude=2.0, seed=7),
     "explicit barrier": PotentialSpec(
@@ -52,7 +49,7 @@ narrow = sample_potential(spec, (3, 9))
 print(f"iid window independence: {np.array_equal(narrow, wide[503:509])}")
 
 print("\n== 1D operators ==")
-pot = sample_potential(almost_mathieu(3.0), (-16, 16))
+pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-16, 16))
 a1 = build_operator_1d(pot)                       # dirichlet truncation
 a2 = free_operator(24, boundary="periodic")        # free ring along m
 print(f"A1: {a1.size} sites, norm bound {a1.norm_bound:.3f}")

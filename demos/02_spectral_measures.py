@@ -10,7 +10,7 @@ limit law.
 import numpy as np
 
 from chainlab.operators import (
-    almost_mathieu,
+    PotentialSpec,
     build_operator_1d,
     free_operator,
     hamiltonian_2d_entries,
@@ -28,7 +28,7 @@ from chainlab.spectral import (
 
 print("== 1D measures ==")
 N = 32
-pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-16, 16))
+pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (-16, 16))
 a1 = build_operator_1d(pot)
 es1 = eigh_tridiagonal(a1)
 chi = np.zeros(N)

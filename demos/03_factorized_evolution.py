@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import jv
 
 from chainlab.evolution import bessel_kernel, evolve_2d_direct, evolve_2d_factorized, evolve_free_1d, make_plan
-from chainlab.operators import almost_mathieu, build_operator_1d, delta_state, sample_potential
+from chainlab.operators import PotentialSpec, build_operator_1d, delta_state, sample_potential
 
 print("== free-chain kernel ==")
 # the infinite free chain evolves a delta into Bessel amplitudes:
@@ -38,7 +38,7 @@ print(f"  dft vs bessel: {np.abs(a - b).max():.2e}   dft vs eigen: {np.abs(a - c
 print("\n== factorization against direct routes ==")
 N, M = 32, 32
 psi0 = delta_state(N, M)  # the origin at index (N // 2, M // 2): the window starts at n = -N // 2
-pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2))
+pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (-(N // 2), N - N // 2))
 a1 = build_operator_1d(pot)
 plan = make_plan(a1, "dft_multiplier", M)
 a2 = plan.a2
@@ -66,7 +66,7 @@ print("\n== cost scaling ==")
 # the factorized route avoids the (N M)^2 dense object entirely
 for size in (32, 64, 128):
     psi0 = delta_state(size, size)
-    pot = sample_potential(almost_mathieu(3.0), (-(size // 2), size - size // 2))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-(size // 2), size - size // 2))
     plan = make_plan(build_operator_1d(pot), "dft_multiplier", size)
     tic = time.perf_counter()
     evolve_2d_factorized(psi0, plan, 10.0)

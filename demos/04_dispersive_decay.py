@@ -10,7 +10,7 @@ import numpy as np
 
 from chainlab.diagnostics import fit_decay_exponent, minimal_wrap_free_m, record_decay
 from chainlab.evolution import conservation_defects, make_plan
-from chainlab.operators import almost_mathieu, build_operator_1d, delta_vector, free_operator, sample_potential
+from chainlab.operators import PotentialSpec, build_operator_1d, delta_vector, free_operator, sample_potential
 
 T_MAX = 80.0
 FIT = (10.0, 80.0)
@@ -34,7 +34,7 @@ print(f"  log-log fit rms residual: {fit.residual:.3e}")
 
 print("\n== localized chain in n, free in m ==")
 N = 96
-spec = almost_mathieu(3.0, theta=0.42)
+spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42)
 a1 = build_operator_1d(sample_potential(spec, (-(N // 2), N - N // 2)))
 plan = make_plan(a1, "dft_multiplier", M)
 trace = record_decay(plan, delta_vector(N), delta_vector(M), TIMES)

@@ -18,7 +18,6 @@ from chainlab.diagnostics import (
 from chainlab.evolution import evolve_1d_eigen, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     PotentialSpec,
-    almost_mathieu,
     build_operator_1d,
     delta_state,
     delta_vector,
@@ -29,9 +28,17 @@ from chainlab.spectral import eigh_tridiagonal
 L = 200_000
 print(f"== transfer-matrix growth rates (length {L}) ==")
 for label, spec, target in (
-    ("cosine a = 1 (subcritical) ", almost_mathieu(1.0, theta=0.42), "0 on the spectrum"),
-    ("cosine a = 3 (supercritical)", almost_mathieu(3.0, theta=0.42), f"log(3/2) = {np.log(1.5):.4f}"),
-    ("cosine a = 3, other phase   ", almost_mathieu(3.0, theta=1.77), "same (phase-independent)"),
+    ("cosine a = 1 (subcritical) ", PotentialSpec("almost_mathieu", amplitude=1.0, theta=0.42), "0 on the spectrum"),
+    (
+        "cosine a = 3 (supercritical)",
+        PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42),
+        f"log(3/2) = {np.log(1.5):.4f}",
+    ),
+    (
+        "cosine a = 3, other phase   ",
+        PotentialSpec("almost_mathieu", amplitude=3.0, theta=1.77),
+        "same (phase-independent)",
+    ),
     ("iid uniform a = 3           ", PotentialSpec("random_iid", amplitude=3.0, seed=11), "> 0 at every energy"),
 ):
     energies = truncation_energies(spec, count=6)
@@ -42,7 +49,7 @@ for label, spec, target in (
 
 print("\n== the 1D chain at a = 3 stops spreading ==")
 N = 256
-spec = almost_mathieu(3.0, theta=0.42)
+spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42)
 es = eigh_tridiagonal(build_operator_1d(sample_potential(spec, (-N // 2, N - N // 2))))
 chi0 = np.zeros(N, dtype=complex)
 chi0[N // 2] = 1.0

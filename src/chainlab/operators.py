@@ -84,21 +84,6 @@ class PotentialSpec:
                 raise ValueError("explicit potential values must be finite")
 
 
-def cosine_profile(samples: int = 512) -> tuple[float, ...]:
-    """Samples of cos on [0, 2pi), for quasiperiodic specs."""
-    j = np.arange(samples)
-    return tuple(np.cos(2.0 * np.pi * j / samples))
-
-
-def constant_potential(c: float) -> PotentialSpec:
-    return PotentialSpec("constant", amplitude=c)
-
-
-def almost_mathieu(amplitude: float, omega: float = GOLDEN_MEAN, theta: float = 0.0) -> PotentialSpec:
-    """V_n = amplitude * cos(2 pi omega n + theta)."""
-    return PotentialSpec("almost_mathieu", amplitude=amplitude, omega=omega, theta=theta)
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place: a bijection of uint64 (Steele, Lea and Flood, 2014)."""
     z ^= z >> np.uint64(30)

@@ -11,6 +11,7 @@ No command needs the rest either, so it lives here: spectral_measure_2d is
 H's measure at a whole N x M state, n_fiber_isometry_defect compares column
 norms with and without the n-sweep, and spreading_moments reads the second
 moments of |psi|^2.  Each takes a plain N x M array and never writes to it.
+cosine_samples is the profile of a quasiperiodic spec that tests compare against almost_mathieu.
 """
 from dataclasses import dataclass
 
@@ -46,6 +47,11 @@ def norm_chain(psi) -> tuple[float, float, float, float, float]:
         float(np.linalg.norm(psi)),
         float(mod.sum()),
     )
+
+
+def cosine_samples(samples: int = 512) -> tuple[float, ...]:
+    """cos on a uniform grid of [0, 2 pi): a quasiperiodic profile whose spline is almost_mathieu's cosine."""
+    return tuple(np.cos(2.0 * np.pi * np.arange(samples) / samples))
 
 
 def unit_vector(size: int, site: int) -> np.ndarray:

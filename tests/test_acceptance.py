@@ -18,9 +18,7 @@ from chainlab.diagnostics import (
 from chainlab.evolution import conservation_defects, evolve_2d_direct, evolve_2d_factorized, make_plan
 from chainlab.operators import (
     PotentialSpec,
-    almost_mathieu,
     build_operator_1d,
-    constant_potential,
     delta_state,
     delta_vector,
     energy_expectation,
@@ -60,9 +58,9 @@ def factorization_runs():
     The row count of every eigh input is kept, to show none is all of H.
     """
     specs = {
-        "zero": constant_potential(0.0),
-        "constant": constant_potential(1.5),
-        "amo_a3": almost_mathieu(3.0, theta=0.42),
+        "zero": PotentialSpec("constant", amplitude=0.0),
+        "constant": PotentialSpec("constant", amplitude=1.5),
+        "amo_a3": PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42),
         "random": PotentialSpec("random_iid", amplitude=2.0, seed=7),
     }
     psi0 = delta_state(32, 32)  # the origin at index (16, 16)
@@ -105,7 +103,7 @@ def amo_2d_run():
     """Coupled 2D lattice: localized AMO(a=3) along n, free along m."""
     N, M = 128, 1024
     psi0 = delta_state(N, M)  # the origin at index (N // 2, M // 2)
-    pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (-(N // 2), N - N // 2))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, "dft_multiplier", M)
     trace = record_decay(plan, delta_vector(N), delta_vector(M), TRACE_TIMES)
@@ -141,7 +139,7 @@ def test_criterion_2_tensor_convolution_identity(monkeypatch):
         return vec
 
     for size in (16, 64):
-        pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-(size // 2), size // 2))
+        pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (-(size // 2), size // 2))
         a1 = build_operator_1d(pot)
         a2 = free_operator(size)
         es1, es2 = eigh_tridiagonal(a1), eigh_tridiagonal(a2)
@@ -223,7 +221,7 @@ def test_criterion_5_mixed_norm_chain(free_chain_run, amo_2d_run):
 
 def test_criterion_6_absolute_continuity_proxy():
     sizes = np.array([64, 128, 256, 512])
-    pot = sample_potential(almost_mathieu(3.0, theta=0.42), (-32, 32))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (-32, 32))
     es1 = eigh_tridiagonal(build_operator_1d(pot))
     chi = np.zeros(64)
     chi[32] = 1.0
@@ -242,8 +240,8 @@ def test_criterion_6_absolute_continuity_proxy():
 
 def test_criterion_7_localization_contrast(amo_2d_run):
     L = 10**6
-    spec_a = almost_mathieu(3.0, theta=0.42)
-    spec_b = almost_mathieu(3.0, theta=1.77)
+    spec_a = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42)
+    spec_b = PotentialSpec("almost_mathieu", amplitude=3.0, theta=1.77)
     energies = truncation_energies(spec_a, count=8)
     g_a = lyapunov_scan(spec_a, energies, L=L)
     g_b = lyapunov_scan(spec_b, energies, L=L)
@@ -252,7 +250,7 @@ def test_criterion_7_localization_contrast(amo_2d_run):
     # theory pins the on-spectrum value at log(a/2) for a > 2
     np.testing.assert_allclose(g_a, math.log(1.5), rtol=0.05)
 
-    spec_sub = almost_mathieu(1.0, theta=0.42)
+    spec_sub = PotentialSpec("almost_mathieu", amplitude=1.0, theta=0.42)
     g_sub = lyapunov_scan(spec_sub, truncation_energies(spec_sub, count=8), L=L)
     assert np.abs(g_sub).max() <= 0.02, f"subcritical |gamma| {np.abs(g_sub).max():.3e} > 0.02"
 

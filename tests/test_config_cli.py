@@ -19,10 +19,10 @@ from chainlab.config import (
     parse_config,
     write_config,
 )
-from chainlab.operators import PotentialSpec, cosine_profile, delta_state, delta_vector, free_operator, sample_potential
+from chainlab.operators import PotentialSpec, delta_state, delta_vector, free_operator, sample_potential
 from chainlab.spectral import SpectralMeasure, eigh_tridiagonal, spectral_measure_1d
 from chainlab.verify import delta_crosscheck
-from dense_reference import record_eigh_rows
+from dense_reference import cosine_samples, record_eigh_rows
 
 
 # -- config parsing -------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_write_config_text_of_the_rich_config_is_pinned():
 def test_round_trip_sets_every_key_to_a_non_default_value():
     cfg = ExperimentConfig(
         potential=PotentialSpec(
-            "quasiperiodic", amplitude=1.5, omega=0.3, theta=-0.7, profile=cosine_profile(16), seed=11,
+            "quasiperiodic", amplitude=1.5, omega=0.3, theta=-0.7, profile=cosine_samples(16), seed=11,
             values=(1.0, -2.0),
         ),
         N=12,
@@ -191,6 +191,20 @@ def test_cli_refuses_a_size_too_large_to_allocate(tmp_path, capsys, argv, size):
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: Unable to allocate {size}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_spectrum_refuses_a_tridiagonal_solve_that_does_not_converge(tmp_path, capsys, monkeypatch):
+    # a dirichlet chain past NUMPY_EIGH_SITES goes to scipy; its LinAlgError is a ValueError, named by the key
+    import scipy.linalg
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue 7 did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", diverge)
+    out = tmp_path / "d"
+    assert cli.main(["spectrum", "--N", "600", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [lattice] n: eigenvalue 7 did not converge\n"
     assert not out.exists()
 
 

@@ -17,9 +17,7 @@ from chainlab.diagnostics import (
 from chainlab.evolution import M_METHODS, conservation_defects, evolve_2d_factorized, evolve_free_1d, make_plan
 from chainlab.operators import (
     PotentialSpec,
-    almost_mathieu,
     build_operator_1d,
-    constant_potential,
     delta_state,
     delta_vector,
     energy_expectation,
@@ -59,7 +57,8 @@ def test_record_decay_free_chain_matches_kernel():
 @pytest.mark.parametrize("m_method", M_METHODS)
 def test_record_decay_starts_from_the_exact_delta(m_method):
     # the plan's sweeps own t = 0 and run none there, so the first row is the delta's, as evolve's first snapshot is
-    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (-8, 8))), m_method, 64)
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-8, 8))
+    plan = make_plan(build_operator_1d(pot), m_method, 64)
     trace = record_decay(plan, delta_vector(16), delta_vector(64), [0.0, 1.0])
     assert trace.sup_norms[0] == trace.mixed_norms[0] == trace.l2_norms[0] == 1.0
     assert trace.energies[0] == trace.psi0_energy
@@ -115,7 +114,8 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
     psi0 = np.outer(chi, phi)
     a1 = free_operator(1)
     if not free_chain:
-        a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (-(N // 2), N - N // 2)))
+        spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42)
+        a1 = build_operator_1d(sample_potential(spec, (-(N // 2), N - N // 2)))
     plan = make_plan(a1, m_method, M)
     trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
     assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
@@ -216,7 +216,7 @@ def test_free_chain_decay_exponent_near_minus_third():
 
 
 def test_n_fiber_isometry_defect_small():
-    pot = sample_potential(almost_mathieu(3.0), (-8, 8))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-8, 8))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, "dft_multiplier", 32)
     psi0 = delta_state(16, 32)
@@ -229,18 +229,18 @@ def test_n_fiber_isometry_defect_small():
 def test_free_transfer_growth_rate_closed_form():
     # outside the band the free cocycle grows like the larger root of
     # x^2 - E x + 1
-    gamma = lyapunov_scan(constant_potential(0.0), [3.0], L=100_000)[0]
+    gamma = lyapunov_scan(PotentialSpec("constant", amplitude=0.0), [3.0], L=100_000)[0]
     assert abs(gamma - FREE_GAMMA_AT_3) < 1e-3
 
 
 def test_inside_band_growth_rate_vanishes():
-    gamma = lyapunov_scan(constant_potential(0.0), [0.7], L=100_000)[0]
+    gamma = lyapunov_scan(PotentialSpec("constant", amplitude=0.0), [0.7], L=100_000)[0]
     assert abs(gamma) < 1e-3
 
 
 def test_almost_mathieu_supercritical_growth():
     # coupling a = 3 > 2: growth rate log(a/2) on the spectrum
-    spec = almost_mathieu(3.0, theta=0.31)
+    spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.31)
     energies = truncation_energies(spec, count=4)
     gammas = lyapunov_scan(spec, energies, L=100_000)
     np.testing.assert_allclose(gammas, math.log(1.5), rtol=2e-2)
@@ -249,19 +249,19 @@ def test_almost_mathieu_supercritical_growth():
 @pytest.mark.parametrize("amplitude", [1e10, 1e100])
 def test_almost_mathieu_growth_at_huge_coupling(amplitude):
     # 32 steps of size 1e10 pass the float64 maximum: the renormalization block shrinks with max|E - V_n|
-    spec = almost_mathieu(amplitude)
+    spec = PotentialSpec("almost_mathieu", amplitude=amplitude)
     gammas = lyapunov_scan(spec, truncation_energies(spec, count=2), L=1000)
     np.testing.assert_allclose(gammas, math.log(amplitude / 2.0), rtol=1e-2)
 
 
 def test_growth_rate_past_the_float_range_is_nan():
     # |E - V_n| itself overflows: no step fits, and the scan says so with NaN rather than a warning
-    assert np.isnan(lyapunov_scan(almost_mathieu(1e308), [1e308], L=1000)).all()
+    assert np.isnan(lyapunov_scan(PotentialSpec("almost_mathieu", amplitude=1e308), [1e308], L=1000)).all()
 
 
 def test_almost_mathieu_growth_is_phase_stable():
-    spec1 = almost_mathieu(3.0, theta=0.1)
-    spec2 = almost_mathieu(3.0, theta=2.0)
+    spec1 = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.1)
+    spec2 = PotentialSpec("almost_mathieu", amplitude=3.0, theta=2.0)
     e = truncation_energies(spec1, count=2)
     g1 = lyapunov_scan(spec1, e, L=200_000)
     g2 = lyapunov_scan(spec2, e, L=200_000)
@@ -269,7 +269,7 @@ def test_almost_mathieu_growth_is_phase_stable():
 
 
 def test_almost_mathieu_subcritical_no_growth():
-    spec = almost_mathieu(1.0)
+    spec = PotentialSpec("almost_mathieu", amplitude=1.0)
     energies = truncation_energies(spec, count=3)
     gammas = lyapunov_scan(spec, energies, L=100_000)
     assert np.abs(gammas).max() < 0.02
@@ -277,12 +277,12 @@ def test_almost_mathieu_subcritical_no_growth():
 
 def test_scan_requires_minimum_length():
     with pytest.raises(ValueError):
-        lyapunov_scan(constant_potential(0.0), [0.0], L=10)
+        lyapunov_scan(PotentialSpec("constant", amplitude=0.0), [0.0], L=10)
 
 
 def test_truncation_energies_sit_inside_spectrum(monkeypatch):
     monkeypatch.setattr(diagnostics, "TRUNCATION_SITES", 256)  # read at call time
-    spec = almost_mathieu(3.0)
+    spec = PotentialSpec("almost_mathieu", amplitude=3.0)
     e = truncation_energies(spec, count=8)
     assert e.shape == (8,)
     assert np.all(np.diff(e) >= 0)
@@ -294,7 +294,7 @@ def test_truncation_energies_sit_inside_spectrum(monkeypatch):
 
 def test_truncation_energies_never_repeat_an_eigenvalue():
     # 512 sites leave 512 - 2 (512 // 12) = 428 mid-spectrum eigenvalues; a count of 600 once repeated them
-    spec = almost_mathieu(3.0)
+    spec = PotentialSpec("almost_mathieu", amplitude=3.0)
     assert np.unique(truncation_energies(spec, count=428)).size == 428
     with pytest.raises(ValueError, match="count = 429 exceeds the 428 mid-spectrum eigenvalues of the 512-site"):
         truncation_energies(spec, count=429)
@@ -304,7 +304,7 @@ def test_truncation_energies_never_repeat_an_eigenvalue():
 def test_truncation_energies_refuses_a_count_below_1(count):
     # count = 0 once returned no energies and count = -1 failed in numpy's linspace
     with pytest.raises(ValueError, match=f"^count = {count} must be positive$"):
-        truncation_energies(almost_mathieu(3.0), count=count)
+        truncation_energies(PotentialSpec("almost_mathieu", amplitude=3.0), count=count)
 
 
 def test_random_potential_localizes():
@@ -359,4 +359,4 @@ def test_diagnostics_refusals_name_their_fault():
             fit_decay_exponent(_trace(times, sups), 1.0, 10.0)
     for energies in ([0.0, np.nan], [np.inf], -np.inf):
         with pytest.raises(ValueError, match="^energies must be finite$"):
-            lyapunov_scan(constant_potential(0.0), energies, 1000)
+            lyapunov_scan(PotentialSpec("constant", amplitude=0.0), energies, 1000)

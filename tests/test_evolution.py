@@ -27,7 +27,6 @@ from chainlab.operators import (
     DENSE_SITE_CAP,
     Operator1D,
     PotentialSpec,
-    almost_mathieu,
     build_operator_1d,
     delta_state,
     delta_vector,
@@ -194,7 +193,7 @@ BALLISTIC_N, BALLISTIC_M = 16, 129
 BALLISTIC_TIMES = (0.5, 2.0, 5.0)
 _WINDOW = (-(BALLISTIC_N // 2), BALLISTIC_N - BALLISTIC_N // 2)
 BALLISTIC_CHAINS = {
-    "almost_mathieu": almost_mathieu(3.0, theta=0.3),
+    "almost_mathieu": PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.3),
     "random_iid": PotentialSpec("random_iid", amplitude=2.0, seed=0),
     "free": PotentialSpec("constant", amplitude=0.0),
 }
@@ -374,7 +373,8 @@ def test_plan_builds_no_m_basis(monkeypatch, m_method):
     solved = []
     solve = evolution.eigh_tridiagonal
     monkeypatch.setattr(evolution, "eigh_tridiagonal", lambda op: solved.append(op.size) or solve(op))
-    plan = make_plan(build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 8))), m_method, 96)
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (0, 8))
+    plan = make_plan(build_operator_1d(pot), m_method, 96)
     phi = np.zeros(96, dtype=complex)
     phi[44:52] = _random_state(np.random.default_rng(9), 8)
     for t in (0.5, 1.0, 2.0):
@@ -385,7 +385,7 @@ def test_plan_builds_no_m_basis(monkeypatch, m_method):
 
 def test_evolve_1d_eigen_matches_expm_with_potential():
     rng = np.random.default_rng(2)
-    pot = sample_potential(almost_mathieu(3.0), (-8, 8))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-8, 8))
     op = build_operator_1d(pot)
     es = eigh_tridiagonal(op)
     chi = _random_state(rng, 16)
@@ -401,7 +401,7 @@ def test_evolve_1d_eigen_matches_expm_with_potential():
 def test_factorized_matches_dense_direct(m_method):
     rng = np.random.default_rng(3)
     N, M = 12, 10
-    pot = sample_potential(almost_mathieu(3.0), (-6, 6))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-6, 6))
     a1 = build_operator_1d(pot)
     plan = make_plan(a1, m_method, M)
     a2 = plan.a2
@@ -425,7 +425,7 @@ def test_factorized_state_owns_its_n_by_m_memory(m_method):
 
 def test_factorized_sweep_order_is_immaterial():
     rng = np.random.default_rng(4)
-    a1 = build_operator_1d(sample_potential(almost_mathieu(2.0), (0, 9)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=2.0), (0, 9)))
     plan = make_plan(a1, "dft_multiplier", 11)
     amp = rng.standard_normal((9, 11)) + 1j * rng.standard_normal((9, 11))
     nm = plan.m_sweep(plan.n_sweep(amp, 2.7), 2.7)
@@ -437,7 +437,7 @@ def test_factorized_against_scipy_expm_oracle():
     # third route: dense expm of the assembled 2D matrix
     rng = np.random.default_rng(5)
     N, M = 6, 7
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.4), (0, N)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.4), (0, N)))
     plan = make_plan(a1, "dft_multiplier", M)
     a2 = plan.a2
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
@@ -461,7 +461,7 @@ def test_free_chain_plan_skips_n_sweep():
 
 def test_unitarity_of_factorized_evolution():
     rng = np.random.default_rng(6)
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, 10)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (0, 10)))
     for m_method in ("dft_multiplier", "eigen"):
         plan = make_plan(a1, m_method, 12)
         amp = rng.standard_normal((10, 12)) + 1j * rng.standard_normal((10, 12))
@@ -497,7 +497,7 @@ def test_chebyshev_direct_matches_dense():
     """
     rng = np.random.default_rng(7)
     N, M = 14, 9
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (0, N)))
     a2 = free_operator(M, boundary="periodic")
     amp = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
     psi0 = amp / np.linalg.norm(amp)
@@ -544,7 +544,7 @@ def test_dense_direct_never_gives_eigh_all_of_h(monkeypatch, boundary_m):
     # {2, 6} and {1, 3, 5, 7}: four sectors of 3, 1, 2 and 2 orbits, and the delta at m = 4 has a part in
     # the two with a trivial sign on the reflection.  The window's reflection makes two sectors of 4 orbits.
     N, M = 6, 8
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (0, N)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (0, N)))
     a2 = free_operator(M, boundary=boundary_m)
     rng = np.random.default_rng(11)
     psi0 = rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
@@ -574,7 +574,7 @@ def test_plan_validation():
 
 def test_t_zero_is_identity():
     rng = np.random.default_rng(8)
-    a1 = build_operator_1d(sample_potential(almost_mathieu(1.0), (0, 5)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=1.0), (0, 5)))
     plan = make_plan(a1, "dft_multiplier", 6)
     amp = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     out = evolve_2d_factorized(amp, plan, 0.0)

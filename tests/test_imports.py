@@ -7,8 +7,13 @@ imports them where it uses them.  The free m-factor needs none of them: its
 eigenbasis is closed form and its Bessel values come from a numpy
 recurrence, so decay-fit runs on numpy alone, and the dense measure oracle
 uses numpy's eigh.
+
+The API holds what the commands run: a census runs every command in-process
+under sys.setprofile and names each public function, method or property
+that none of them entered, but for four exempt names, each with its reason.
 """
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -21,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("operators", "spectral", "evolution", "diagnostics", "config", "datafiles", "verify", "cli")
 DEFERRED = ("scipy.interpolate", "scipy.special", "scipy.linalg")
+IID = ["--family", "random_iid", "--amplitude", "2", "--seed", "7"]
 
 
 def _run(code: str, cwd) -> str:
@@ -54,26 +60,94 @@ def test_importing_the_package_loads_no_module():
     assert _run(code, ROOT) == "[]"
 
 
-def test_public_api_takes_no_tolerance_but_two():
-    # each rule reads its one module constant (spectral.ATOM_MERGE_TOL, evolution.CHEB_TOL, ...)
-    # at call time, and convolve_measures always bins on its default grid.  It keeps mass_tol, which the
-    # benchmark's library step sets to 1e-12; CheckResult.tolerance is a field of verify's report, not a setting
-    found = []
+def _public_members():
+    """(module, label, member) for each public name a module defines, and for each public attribute of such a
+    class (label Class.attr)."""
     for module in MODULES:
         mod = importlib.import_module(f"chainlab.{module}")
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
-            members = [(name, obj)]
+            yield module, name, obj
             if inspect.isclass(obj):
-                members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj) if not attr.startswith("_")]
-            for label, member in members:
-                try:
-                    params = inspect.signature(member).parameters
-                except (TypeError, ValueError):  # not callable, or a built-in exception's constructor
-                    continue
-                found += [f"{label}({p})" for p in params if "tol" in p or p in ("bins", "grid")]
+                for attr in vars(obj):
+                    if not attr.startswith("_"):
+                        yield module, f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_public_api_takes_no_tolerance_but_two():
+    # each rule reads its one module constant (spectral.ATOM_MERGE_TOL, evolution.CHEB_TOL, ...)
+    # at call time, and convolve_measures always bins on its default grid.  It keeps mass_tol, which the
+    # benchmark's library step sets to 1e-12; CheckResult.tolerance is a field of verify's report, not a setting
+    found = []
+    for _, label, member in _public_members():
+        try:
+            params = inspect.signature(member).parameters
+        except (TypeError, ValueError):  # not callable, or a built-in exception's constructor
+            continue
+        found += [f"{label}({p})" for p in params if "tol" in p or p in ("bins", "grid")]
     assert sorted(found) == ["CheckResult(tolerance)", "convolve_measures(mass_tol)"]
+
+
+# public functions that no command runs, each kept for its reason
+CENSUS_EXEMPT = {
+    "datafiles.read_potential_csv": "the documented reader of potential.csv",
+    "datafiles.read_measure_csv": "the documented reader of a measure CSV",
+    "datafiles.read_trajectory_binary": "the documented reader of trajectory.bin",
+    "config.write_config": "writes the config a run read, for its run manifest (ROADMAP item 13)",
+}
+
+
+def _code(member):
+    """The code object a call of a public function, method or property runs; None for anything else."""
+    func = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+    return getattr(inspect.unwrap(func), "__code__", None)  # unwrap: naming is a contextmanager
+
+
+def test_every_public_function_is_run_by_a_command(tmp_path, monkeypatch):
+    # the API holds what the commands run: the six commands (every m_method, both snapshot formats, a chain
+    # past NUMPY_EIGH_SITES) and the benchmark's library step between them enter every public function,
+    # method and property but the exempt ones.  A class with no public method (an exception, a record) adds none
+    from chainlab.cli import main
+    from chainlab.evolution import M_METHODS
+
+    labels = {}
+    for module, label, member in _public_members():
+        code = _code(member)
+        if code is not None and f"{module}.{label}" not in CENSUS_EXEMPT:
+            labels[code] = f"{module}.{label}"
+    monkeypatch.chdir(tmp_path)
+    configs = {method: f"[lattice]\nm_method = {method}\n" for method in M_METHODS}
+    configs["times"] = "[lattice]\nm_method = eigen\n[time]\ntimes = " + ", ".join(map(str, range(20, 70, 5))) + "\n"
+    configs["binary"] = "[output]\nbinary_snapshots = true\n"
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    runs = [
+        ["spectrum", "--N", "16"],
+        ["spectrum", "--N", "600"],  # past NUMPY_EIGH_SITES: scipy's eigh_tridiagonal
+        ["convolve", "--N", "8", "--M", "8", *IID],
+        ["evolve", "--N", "4", "--M", "8", "--tmax", "1"],
+        ["evolve", "--config", "binary.cfg", "--N", "4", "--M", "8", "--tmax", "1"],
+        *(["decay-fit", "--config", f"{m}.cfg", "--N", "8", "--tmax", "40"] for m in M_METHODS),
+        ["decay-fit", "--config", "times.cfg", "--N", "8"],
+        ["lyapunov", "--length", "1000", "--count", "2"],
+        *(["verify", "--config", f"{m}.cfg", "--N", "8", "--M", "64"] for m in M_METHODS),  # 64: wrap-free to t = 5
+    ]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # the library step imports its workloads module
+    spec = importlib.util.spec_from_file_location("library_step", ROOT / "perfbench" / "library_step.py")
+    library_step = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(library_step)
+
+    entered, previous = set(), sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+    try:
+        exits = [main([*argv, "--out", f"out{k}"]) for k, argv in enumerate(runs)]
+        library = ["--sites", "16", "--bins", "64", "--bins2", "40", "--seed", "1", "--out", "lib"]  # self-test sizes
+        exits.append(library_step.main(library))
+    finally:
+        sys.setprofile(previous)
+    assert exits == [0] * len(exits)
+    assert sorted(label for code, label in labels.items() if code not in entered) == []
 
 
 def test_no_module_imports_scipy_special():
@@ -135,8 +209,6 @@ def test_commands_without_a_decay_trace_leave_diagnostics_unloaded(tmp_path, arg
     # datafiles names DecayTrace and DecayFit in annotations only
     assert _loaded_after(argv + ["--out", "o"], tmp_path, ("chainlab.diagnostics",)) == "0 []"
 
-
-IID = ["--family", "random_iid", "--amplitude", "2", "--seed", "7"]
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,8 @@ from chainlab.operators import (
     RING_CELL_SITES,
     Operator1D,
     PotentialSpec,
-    almost_mathieu,
     apply_h2d,
     build_operator_1d,
-    constant_potential,
-    cosine_profile,
     delta_state,
     delta_vector,
     energy_expectation,
@@ -23,20 +20,20 @@ from chainlab.operators import (
     m_symmetries,
     sample_potential,
 )
-from dense_reference import dense_hamiltonian, n_fiber_isometry_defect, norm_chain, spreading_moments
+from dense_reference import cosine_samples, dense_hamiltonian, n_fiber_isometry_defect, norm_chain, spreading_moments
 
 
 # -- potential specs and sampling --------------------------------------------
 
 
 def test_constant_potential_samples():
-    pot = sample_potential(constant_potential(2.5), (-3, 4))
+    pot = sample_potential(PotentialSpec("constant", amplitude=2.5), (-3, 4))
     assert pot.shape == (7,)
     np.testing.assert_allclose(pot, 2.5)
 
 
 def test_almost_mathieu_matches_closed_form():
-    spec = almost_mathieu(3.0, theta=0.7)
+    spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.7)
     pot = sample_potential(spec, (-50, 50))
     n = np.arange(-50, 50)
     expected = 3.0 * np.cos(2.0 * np.pi * GOLDEN_MEAN * n + 0.7)
@@ -46,9 +43,9 @@ def test_almost_mathieu_matches_closed_form():
 def test_quasiperiodic_cosine_profile_matches_almost_mathieu():
     # the sampled-profile interpolation route must reproduce the closed form
     spec_q = PotentialSpec(
-        "quasiperiodic", amplitude=3.0, omega=GOLDEN_MEAN, theta=0.7, profile=cosine_profile()
+        "quasiperiodic", amplitude=3.0, omega=GOLDEN_MEAN, theta=0.7, profile=cosine_samples()
     )
-    spec_a = almost_mathieu(3.0, theta=0.7)
+    spec_a = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.7)
     vq = sample_potential(spec_q, (-200, 200))
     va = sample_potential(spec_a, (-200, 200))
     np.testing.assert_allclose(vq, va, atol=1e-9)
@@ -149,7 +146,7 @@ def test_explicit_window_must_fit():
         (dict(family="random_iid", amplitude=1.0, seed=2**128 + 1), "seed must lie below 2\\^64"),
         (dict(family="almost_mathieu", amplitude=1.0, omega=float("inf")), "omega and theta must be finite"),
         (
-            dict(family="quasiperiodic", amplitude=1.0, theta=float("nan"), profile=cosine_profile(16)),
+            dict(family="quasiperiodic", amplitude=1.0, theta=float("nan"), profile=cosine_samples(16)),
             "omega and theta must be finite",
         ),
         (dict(family="quasiperiodic", amplitude=1.0, profile=(float("nan"),) * 16), "profile samples must be finite"),
@@ -163,7 +160,7 @@ def test_bad_specs_are_rejected(kwargs, message):
 
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
-        sample_potential(constant_potential(0.0), (5, 5))
+        sample_potential(PotentialSpec("constant", amplitude=0.0), (5, 5))
 
 
 # -- 1D operators -------------------------------------------------------------
@@ -217,7 +214,7 @@ def test_free_operator_spectrum_inside_band():
 
 
 def test_norm_bound_dominates_spectral_radius():
-    pot = sample_potential(almost_mathieu(3.0), (0, 30))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (0, 30))
     op = build_operator_1d(pot)
     eig = np.linalg.eigvalsh(op.matrix())
     assert np.abs(eig).max() <= op.norm_bound + 1e-12
@@ -252,7 +249,7 @@ def test_delta_vector_refuses_an_index_off_the_window(index):
 
 def test_apply_h2d_matches_dense_matrix():
     rng = np.random.default_rng(2)
-    pot = sample_potential(almost_mathieu(3.0), (-4, 4))
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-4, 4))
     a1 = build_operator_1d(pot)
     a2 = free_operator(6, boundary="periodic")
     H = dense_hamiltonian(a1, a2)
@@ -279,7 +276,8 @@ def _column_assembly(a1, a2):
 def test_stencil_fill_equals_column_assembly(shape, boundary_n, boundary_m):
     rng = np.random.default_rng(9)
     N, M = shape
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0), (-(N // 2), N - N // 2)), boundary=boundary_n)
+    pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0), (-(N // 2), N - N // 2))
+    a1 = build_operator_1d(pot, boundary=boundary_n)
     a2 = Operator1D(rng.uniform(-1.0, 1.0, M), boundary=boundary_m)
     H = dense_hamiltonian(a1, a2)
     assert np.array_equal(H, _column_assembly(a1, a2))
@@ -362,7 +360,7 @@ def test_m_symmetries_keep_the_half_turn_of_a_ring_that_is_not_mirror_even():
 
 def test_apply_h2d_separates_on_tensor_states():
     rng = np.random.default_rng(3)
-    a1 = build_operator_1d(sample_potential(constant_potential(1.0), (0, 5)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("constant", amplitude=1.0), (0, 5)))
     a2 = free_operator(7)
     chi = rng.standard_normal(5)
     phi = rng.standard_normal(7)
@@ -393,7 +391,7 @@ def test_norm_chain_inequalities():
 
 
 def test_value_arrays_are_frozen():
-    pot = sample_potential(constant_potential(1.0), (0, 4))
+    pot = sample_potential(PotentialSpec("constant", amplitude=1.0), (0, 4))
     assert not pot.flags.writeable
     op = build_operator_1d(pot)
     assert not op.diagonal.flags.writeable
@@ -401,7 +399,7 @@ def test_value_arrays_are_frozen():
 
 def _array_functions(N, M):
     """Each function of a 2D state, as a call on the N x M array alone."""
-    a1 = build_operator_1d(sample_potential(almost_mathieu(3.0, theta=0.42), (0, N)))
+    a1 = build_operator_1d(sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42), (0, N)))
     plan = make_plan(a1, "dft_multiplier", M)
     a2 = plan.a2
     return {

@@ -18,7 +18,7 @@ TIMES = np.geomspace(2.0, T_MAX, 22)
 
 
 def wrap_free_grid(t_max):
-    need = minimal_wrap_free_m(t_max, 1)
+    need = minimal_wrap_free_m(t_max)
     return 1 << (need - 1).bit_length()
 
 
@@ -37,12 +37,13 @@ N = 96
 spec = PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.42)
 a1 = build_operator_1d(sample_potential(spec, (-(N // 2), N - N // 2)))
 plan = make_plan(a1, "dft_multiplier", M)
-trace = record_decay(plan, delta_vector(N), delta_vector(M), TIMES)
+chi, phi = delta_vector(N), delta_vector(M)
+trace = record_decay(plan, chi, phi, TIMES)
 fit = fit_decay_exponent(trace, *FIT)
 print(f"  fitted sup-norm exponent: {fit.exponent:+.4f}")
 
 bracket = np.sqrt(1.0 + trace.times**2)
-ratio = trace.sup_norms * bracket ** (1.0 / 4.0) / trace.psi0_l1
+ratio = trace.sup_norms * bracket ** (1.0 / 4.0) / (np.abs(chi).sum() * np.abs(phi).sum())  # |psi_0|_1
 print(f"  envelope constant sup_t |psi|_inf <t>^(1/4) / |psi_0|_1 = {ratio.max():.4f}")
 
 l2_drift, energy_drift = conservation_defects(trace.l2_norms, trace.energies, trace.psi0_l2, trace.psi0_energy)

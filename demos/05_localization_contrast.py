@@ -63,7 +63,7 @@ print("  (width saturates and the peak amplitude never decays)")
 
 print("\n== the 2D model with the same potential still disperses ==")
 T_MAX = 80.0
-M = 1 << (minimal_wrap_free_m(T_MAX, 1) - 1).bit_length()
+M = 1 << (minimal_wrap_free_m(T_MAX) - 1).bit_length()
 psi0 = delta_state(96, M)  # the origin at index (48, M // 2)
 a1 = build_operator_1d(sample_potential(spec, (-48, 48)))
 plan = make_plan(a1, "dft_multiplier", M)

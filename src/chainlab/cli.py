@@ -22,32 +22,23 @@ _THREAD_VARS = (
 )
 
 _COMMON_FLAGS = ("config", "out", "seed", "threads", "family", "amplitude", "omega", "theta")
-_FLAGS = {  # flag: add_argument keywords
-    "config": dict(metavar="PATH", help="experiment config file"),
-    "out": dict(metavar="DIR", help="output directory (overrides config)"),
-    "seed": dict(type=int, metavar="U64", help="seed for random potentials"),
-    "threads": dict(type=int, metavar="K", help="BLAS/OpenMP thread count"),
-    "family": dict(metavar="NAME", help="potential family: one of operators.FAMILIES but explicit"),
-    "amplitude": dict(type=float, help="potential coupling strength"),
-    "omega": dict(type=float, help="quasiperiodic frequency"),
-    "theta": dict(type=float, help="quasiperiodic phase"),
-    "N": dict(type=int, help="sites along the potential direction"),
-    "M": dict(type=int, help="sites along the free direction"),
-    "tmax": dict(type=float, help="largest evolution time, in place of [time] times"),
-    "length": dict(type=int, default=10**6, help="transfer-matrix product length"),
-    "count": dict(type=int, default=8, help="number of sampled energies"),
-}
-
-# each flag is one config key, written over the --config file's
-_FLAG_KEYS = {
-    "family": ("potential", "family"),
-    "amplitude": ("potential", "amplitude"),
-    "omega": ("potential", "omega"),
-    "theta": ("potential", "theta"),
-    "seed": ("potential", "seed"),
-    "N": ("lattice", "n"),
-    "M": ("lattice", "m"),
-    "out": ("output", "directory"),
+_FLAGS = {  # flag: (the config key it writes over the --config file's, or None; add_argument keywords)
+    "config": (None, dict(metavar="PATH", help="experiment config file")),
+    "out": (("output", "directory"), dict(metavar="DIR", help="output directory (overrides config)")),
+    "seed": (("potential", "seed"), dict(type=int, metavar="U64", help="seed for random potentials")),
+    "threads": (None, dict(type=int, metavar="K", help="BLAS/OpenMP thread count")),
+    "family": (
+        ("potential", "family"),
+        dict(metavar="NAME", help="potential family: one of operators.FAMILIES but explicit"),
+    ),
+    "amplitude": (("potential", "amplitude"), dict(type=float, help="potential coupling strength")),
+    "omega": (("potential", "omega"), dict(type=float, help="quasiperiodic frequency")),
+    "theta": (("potential", "theta"), dict(type=float, help="quasiperiodic phase")),
+    "N": (("lattice", "n"), dict(type=int, help="sites along the potential direction")),
+    "M": (("lattice", "m"), dict(type=int, help="sites along the free direction")),
+    "tmax": (None, dict(type=float, help="largest evolution time, in place of [time] times")),
+    "length": (None, dict(type=int, default=10**6, help="transfer-matrix product length")),
+    "count": (None, dict(type=int, default=8, help="number of sampled energies")),
 }
 
 DEFAULT_EVOLVE_TMAX = 10.0
@@ -89,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_line, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag in (*_COMMON_FLAGS, *flags):
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            p.add_argument(f"--{flag}", **_FLAGS[flag][1])
     return parser
 
 
@@ -125,7 +116,7 @@ def _run(args) -> int:
     from .config import parse_config, parse_config_file
 
     given = {flag: value for flag, value in vars(args).items() if value is not None}
-    flags = {key: given[flag] for flag, key in _FLAG_KEYS.items() if flag in given}
+    flags = {key: given[flag] for flag, (key, _) in _FLAGS.items() if key and flag in given}
     cfg = parse_config_file(args.config, flags) if args.config else parse_config("", flags)
     if "tmax" in given and cfg.times is not None:
         raise ValueError("--tmax cannot be combined with [time] times: give one or the other")
@@ -307,7 +298,7 @@ def _cmd_decay_fit(cfg, args) -> int:
     if cfg.M is not None:
         M = cfg.M
     else:
-        need = minimal_wrap_free_m(t_max, support_width=1)
+        need = minimal_wrap_free_m(t_max)
         M = max(2, 1 << (need - 1).bit_length())  # the floor of [lattice] m
 
     # a zero potential and no N: the free chain, run as the one-site chain

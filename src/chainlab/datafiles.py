@@ -34,14 +34,10 @@ import csv
 import json
 import os
 import struct
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .spectral import SpectralMeasure
-
-if TYPE_CHECKING:  # annotations only, so spectrum, convolve and verify never load diagnostics
-    from .diagnostics import DecayTrace
 
 MAGIC = b"CHAINLB1"
 _HEADER = struct.Struct("<8sII3Q2q")
@@ -184,7 +180,8 @@ def read_trajectory_binary(path) -> tuple[np.ndarray, list[np.ndarray], tuple[in
     return times, states, (n0, m0)
 
 
-def write_trace_csv(trace: DecayTrace, path) -> None:
+def write_trace_csv(trace, path) -> None:
+    """The columns of a diagnostics.DecayTrace, the mixed norm under both of its headers."""
     columns = (trace.times, trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
     _write_csv(path, "t,sup_norm,l2n_supm,supm_l2n,l2_norm,energy", _rows(*columns))
 

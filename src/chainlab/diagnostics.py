@@ -46,7 +46,6 @@ class DecayTrace:
     mixed_norms: np.ndarray  # sup over m of the l2 norm along n, and l2 norm along n of the sup along m
     l2_norms: np.ndarray
     energies: np.ndarray
-    psi0_l1: float
     psi0_l2: float
     psi0_energy: float
 
@@ -68,9 +67,9 @@ class DecayFit:
     n_samples: int
 
 
-def minimal_wrap_free_m(t_max: float, support_width: int) -> int:
-    """Smallest m-extent on which evolution up to t_max is faithful to the infinite lattice."""
-    return support_width + 2 * light_cone_reach(t_max)
+def minimal_wrap_free_m(t_max: float) -> int:
+    """Smallest m-extent on which a delta's evolution up to t_max is faithful to the infinite lattice."""
+    return 1 + 2 * light_cone_reach(t_max)
 
 
 def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
@@ -114,7 +113,6 @@ def record_decay(plan: PropagatorPlan, chi, phi, times) -> DecayTrace:
         mixed_norms=cols["mixed"],
         l2_norms=cols["l2"],
         energies=cols["energy"],
-        psi0_l1=float(np.abs(chi).sum() * np.abs(phi).sum()),
         psi0_l2=float(np.linalg.norm(chi) * np.linalg.norm(phi)),
         psi0_energy=float(energy(chi, phi)),
     )

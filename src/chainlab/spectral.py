@@ -44,7 +44,7 @@ BIN_BLOCK = 2**14  # convolve_measures bins at most this many pieces at once
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Eigenvalues with orthonormal eigenvector columns, in the solver's order: ascending for both solvers."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -54,9 +54,6 @@ class EigenSystem:
         vec = np.array(self.eigenvectors, dtype=float, copy=True, order="F")
         if lam.ndim != 1 or vec.ndim != 2 or vec.shape[1] != lam.size:
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if np.any(np.diff(lam) < 0):
-            order = np.argsort(lam, kind="stable")
-            lam, vec = lam[order], vec[:, order]
         object.__setattr__(self, "eigenvalues", _freeze(lam))
         object.__setattr__(self, "eigenvectors", _freeze(vec))
 
@@ -74,14 +71,11 @@ class EigenSystem:
 
 
 def _real_matmul(mat: np.ndarray, data) -> np.ndarray:
-    """mat @ data for a real mat, along axis 0 of data.
+    """mat @ data for a real mat and complex data, along axis 0 of data.
 
-    Complex data goes through one real GEMM on its interleaved float64 view,
+    The data goes through one real GEMM on its interleaved float64 view,
     (n, 2K) for K complex columns, so mat is never cast to complex.
     """
-    data = np.asarray(data)
-    if not np.iscomplexobj(data):
-        return mat @ data
     cols = np.ascontiguousarray(data, dtype=complex)
     out = mat @ cols.reshape(cols.shape[0], -1).view(np.float64)
     return out.view(complex).reshape((mat.shape[0],) + cols.shape[1:])
@@ -312,7 +306,7 @@ def _sector_solves(entries, size: int, psi, symmetries=()):
             f"{size} sites exceed the dense cap of {DENSE_SITE_CAP}; use the chebyshev route for large grids"
         )
     keys, values, bound = _certified_entries(entries, size)
-    psi = np.asarray(psi)
+    psi = np.asarray(psi, dtype=complex)
     sectors = _sectors(_symmetry_group(symmetries, size), _support(size, psi))
     rows, cols = np.divmod(keys, size)
     for k, sym in enumerate(symmetries):
@@ -334,10 +328,7 @@ def _sector_solves(entries, size: int, psi, symmetries=()):
         at, psi_on = index[on], np.broadcast_to(psi, index.shape)[on]
         for row in coeff:
             part = row[on] * psi_on  # P^T psi, gathered by sector coordinate
-            if np.iscomplexobj(part):
-                part = np.bincount(at, part.real, dim) + 1j * np.bincount(at, part.imag, dim)
-            else:
-                part = np.bincount(at, part, dim)
+            part = np.bincount(at, part.real, dim) + 1j * np.bincount(at, part.imag, dim)
             yield index, row, lam, vec, _real_matmul(vec.T, part)
         del vec  # before the next block is scattered
 
@@ -372,12 +363,24 @@ def gram_defect(es: EigenSystem) -> float:
 
 
 def _merge_sorted(energies: np.ndarray, weights: np.ndarray, tol: float):
-    """Gap-based clustering of sorted atoms; weights summed, energies averaged."""
+    """Gap-based clustering of sorted atoms; weights summed, energies averaged.
+
+    A cluster whose energy sum passes the float64 range is averaged at the
+    exact scale 2^-s and scaled back; every other mean is its plain sum over its count.
+    """
     if energies.size == 0:
         return energies, weights
     starts = np.concatenate([[0], np.flatnonzero(np.diff(energies) > tol) + 1])
     counts = np.diff(np.append(starts, energies.size))
-    return np.add.reduceat(energies, starts) / counts, np.add.reduceat(weights, starts)
+    with np.errstate(over="ignore"):
+        means = np.add.reduceat(energies, starts) / counts
+    big = np.isinf(means)
+    if big.any():
+        s = int(counts.max()).bit_length()  # 2^s passes every count, so no scaled sum overflows
+        scaled = np.ldexp(energies, -s)
+        lo, hi = scaled[starts[big]], scaled[(starts + counts - 1)[big]]  # a mean stays in its cluster
+        means[big] = np.ldexp(np.clip(np.add.reduceat(scaled, starts)[big] / counts[big], lo, hi), s)
+    return means, np.add.reduceat(weights, starts)
 
 
 def _real_values(values, name: str) -> np.ndarray:

@@ -45,7 +45,7 @@ def test_record_decay_free_chain_matches_kernel():
     plan = make_plan(free_operator(1), "dft_multiplier", M)
     times = np.array([0.0, 1.0, 5.0, 10.0])
     trace = record_decay(plan, delta_vector(1), phi, times)
-    assert trace.psi0_l1 == 1.0 and trace.psi0_l2 == 1.0
+    assert trace.psi0_l2 == 1.0
     for i, t in enumerate(times):
         out = evolve_free_1d(phi, t)
         assert abs(trace.sup_norms[i] - np.abs(out).max()) < 1e-14
@@ -118,7 +118,6 @@ def test_record_decay_matches_full_state_reference(m_method, M, free_chain):
         a1 = build_operator_1d(sample_potential(spec, (-(N // 2), N - N // 2)))
     plan = make_plan(a1, m_method, M)
     trace = record_decay(plan, chi, phi, REFERENCE_TIMES)
-    assert trace.psi0_l1 == pytest.approx(np.abs(psi0).sum(), rel=1e-14)
     assert trace.psi0_l2 == pytest.approx(np.linalg.norm(psi0), rel=1e-14)
     assert trace.psi0_energy == pytest.approx(energy_expectation(psi0, a1, plan.a2), rel=1e-12, abs=1e-12)
     columns = (trace.sup_norms, trace.mixed_norms, trace.mixed_norms, trace.l2_norms, trace.energies)
@@ -150,8 +149,8 @@ def test_record_decay_rejects_state_off_the_plan_grid():
 
 
 def test_minimal_wrap_free_m_grows_with_time():
-    m1 = minimal_wrap_free_m(10.0, 1)
-    m2 = minimal_wrap_free_m(100.0, 1)
+    m1 = minimal_wrap_free_m(10.0)
+    m2 = minimal_wrap_free_m(100.0)
     assert m2 > m1 > 2 * 2 * 10  # at least the bare light cone
 
 
@@ -162,7 +161,6 @@ def test_conservation_defects_on_flat_trace():
         mixed_norms=[1.0, 0.6],
         l2_norms=[1.0, 1.0],
         energies=[2.0, 2.0],
-        psi0_l1=1.0,
         psi0_l2=1.0,
         psi0_energy=2.0,
     )
@@ -179,7 +177,6 @@ def test_fit_recovers_exact_power_law():
         mixed_norms=sups,
         l2_norms=np.ones_like(times),
         energies=np.zeros_like(times),
-        psi0_l1=1.0,
         psi0_l2=1.0,
         psi0_energy=0.0,
     )
@@ -193,7 +190,7 @@ def test_fit_recovers_exact_power_law():
 def test_fit_needs_enough_samples():
     def fit(times):
         ones = np.ones_like(times)
-        return fit_decay_exponent(DecayTrace(times, ones, ones, ones, ones, 1.0, 1.0, 0.0), 20.0, 200.0)
+        return fit_decay_exponent(DecayTrace(times, ones, ones, ones, ones, 1.0, 0.0), 20.0, 200.0)
 
     assert diagnostics.MIN_FIT_SAMPLES == 8
     with pytest.raises(ValueError):
@@ -338,13 +335,13 @@ def test_free_spreading_is_ballistic():
 
 def _trace(times, sups) -> DecayTrace:
     ones = np.ones(len(times))
-    return DecayTrace(np.asarray(times, dtype=float), np.asarray(sups, dtype=float), ones, ones, ones, 1.0, 1.0, 0.0)
+    return DecayTrace(np.asarray(times, dtype=float), np.asarray(sups, dtype=float), ones, ones, ones, 1.0, 0.0)
 
 
 def test_diagnostics_refusals_name_their_fault():
     ones = np.ones(3)
     with pytest.raises(ValueError, match="^trace columns must share one length$"):
-        DecayTrace(ones, ones, ones[:2], ones, ones, 1.0, 1.0, 0.0)
+        DecayTrace(ones, ones, ones[:2], ones, ones, 1.0, 0.0)
     plan = make_plan(free_operator(1), "dft_multiplier", 64)
     with pytest.raises(ValueError, match="^need a nonempty 1D array of times$"):
         record_decay(plan, delta_vector(1), delta_vector(64), [])

@@ -64,15 +64,6 @@ def test_eigensystem_residual_and_gram():
     assert gram_defect(es) < 1e-12
 
 
-def test_eigensystem_sorts_on_construction():
-    lam = np.array([2.0, -1.0, 0.5])
-    vec = np.eye(3)
-    es = EigenSystem(lam, vec)
-    np.testing.assert_array_equal(es.eigenvalues, [-1.0, 0.5, 2.0])
-    # columns permuted along with their eigenvalues
-    np.testing.assert_array_equal(es.eigenvectors[:, 0], [0.0, 1.0, 0.0])
-
-
 def _entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entry list of a dense matrix: its nonzero entries, NaN included."""
     rows, cols = np.nonzero(h)
@@ -507,9 +498,9 @@ def _unit_columns(rng, shape, complex_=True):
 
 
 def test_overlaps_are_plain_transposed_products():
-    # complex data goes through a real GEMM on its float64 view; it must match
+    # the data goes through a real GEMM on its complex float64 view; it must match
     # the plain products for vectors, columns, an F-ordered block (m_sweep
-    # passes a.T) and real data
+    # passes a.T) and real data, which comes back complex with the same values
     rng = np.random.default_rng(0)
     pot = sample_potential(PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.3), (0, 64))
     es = eigh_tridiagonal(build_operator_1d(pot))
@@ -522,7 +513,7 @@ def test_overlaps_are_plain_transposed_products():
     ]
     for v in inputs:
         for got, want in ((es.overlaps(v), es.eigenvectors.T @ v), (es.combine(v), es.eigenvectors @ v)):
-            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.shape == want.shape and got.dtype == complex
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
@@ -688,6 +679,17 @@ def test_measure_merges_close_atoms():
     assert mu.atom_count == 2
     np.testing.assert_allclose(mu.weights, [0.2, 0.8])
     np.testing.assert_allclose(mu.energies[1], 1.0 + 2.5e-10)
+
+
+def test_merging_atoms_near_the_float64_maximum_does_not_overflow():
+    # eight atoms at 1e308 sum past the float64 maximum; their mean is still 1e308.  A RuntimeWarning is
+    # an error under pytest, so an overflowing sum fails here too
+    for e in (1e308, -1e308, np.finfo(float).max):
+        mu = SpectralMeasure.from_atoms(np.full(8, e), np.full(8, 0.125))
+        assert mu.energies.tolist() == [e] and mu.weights.tolist() == [1.0]
+    mu = SpectralMeasure.from_atoms([-1e308, -1e308, 0.0, 1.0, 1.0 + 5e-10, 1e308, 1e308], np.ones(7))
+    assert mu.energies.tolist() == [-1e308, 0.0, (1.0 + (1.0 + 5e-10)) / 2, 1e308]
+    assert mu.weights.tolist() == [2.0, 1.0, 2.0, 2.0]
 
 
 def test_every_measure_builder_reads_the_merge_constant_at_call_time(monkeypatch):

@@ -2,8 +2,8 @@
 whose potential is constant along one lattice direction.
 
 Import each name from the module that defines it.  Importing the package
-itself loads none of them, nor numpy, so the command-line front end can pin
-BLAS/OpenMP thread counts before the first numpy import.
+itself loads none of them, nor numpy, so the command-line front end answers
+--help and argument errors without loading numpy.
 """
 
 __version__ = "0.1.0"

@@ -227,6 +227,20 @@ def test_readme_examples_parse():
         assert args.command == argv[1] and args.out == argv[-1]
 
 
+def test_readme_names_the_flags_of_the_cli_table():
+    # the usage block names exactly the common flags, and each row of the flag table a command's own
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("```\nchainlab <command>", 1)[1].split("```", 1)[0]
+    assert re.findall(r"\[--(\w+)", usage) == list(cli._COMMON_FLAGS)
+    table = readme.split("| its own flags", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`([\w-]+)`", commands):
+            rows[command] = tuple(re.findall(r"`--(\w+)", flags))
+    assert rows == {name: flags for name, (_, flags, _) in cli._COMMANDS.items()}
+
+
 def test_bad_value_names_section_and_key():
     with pytest.raises(ConfigError, match=r"\[lattice\] n"):
         parse_config("[lattice]\nn = banana\n")
@@ -700,6 +714,17 @@ def test_cli_convolve_fails_on_impossible_tolerance(tmp_path, monkeypatch):
     assert (out / "report.json").exists()
 
 
+def test_cli_convolve_fails_a_nan_discrepancy(tmp_path, capsys, monkeypatch):
+    # one verdict rule with _conserved and CheckResult.passed: a NaN is not within the tolerance
+    from chainlab import spectral
+
+    monkeypatch.setattr(spectral, "atom_weight_discrepancy", lambda mu, nu: float("nan"))
+    out = tmp_path / "c"
+    assert cli.main(["convolve", "--N", "8", "--M", "8", "--out", str(out)]) == 2
+    assert "check failed: convolution vs direct 2D measure: discrepancy nan" in capsys.readouterr().err
+    assert (out / "report.json").exists()
+
+
 def _warm_peak(tmp_path, argv) -> tuple[int, Path]:
     """tracemalloc's peak over a second, warm run of a command, and that run's output directory.
 
@@ -854,7 +879,9 @@ def _evolve_peak_rss(tmp_path, name, time_config, *args) -> int:
     cfg.write_text(f"[output]\nbinary_snapshots = true\n[time]\n{time_config}")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    argv = ["evolve", "--threads", "1", "--config", str(cfg), "--N", "128", "--M", "2048", *args]
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    env.update(dict.fromkeys(blas, "1"))  # one BLAS thread, whichever BLAS numpy loads
+    argv = ["evolve", "--config", str(cfg), "--N", "128", "--M", "2048", *args]
     with open(tmp_path / f"{name}.err", "w+") as err:
         proc = subprocess.Popen([sys.executable, "-m", "chainlab.cli", *argv, "--out", str(tmp_path / name)],
                                 env=env, stdout=subprocess.DEVNULL, stderr=err)
@@ -1293,6 +1320,7 @@ DROPPED_FLAGS = [
     ("lyapunov", "--tmax"),
     ("lyapunov", "--N"),
     ("lyapunov", "--M"),
+    ("spectrum", "--threads"),  # no command takes it: the thread count is the environment's
 ]
 
 
@@ -1349,22 +1377,6 @@ def test_cli_family_flag_refuses_explicit(tmp_path, capsys, command):
 
 def test_cli_family_flag_takes_a_family(tmp_path):
     assert cli.main(["spectrum", "--family", "almost_mathieu", "--N", "8", "--out", str(tmp_path / "s")]) == 0
-
-
-def test_cli_threads_sets_the_five_thread_variables(tmp_path, monkeypatch):
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS")
-    for name in names:
-        monkeypatch.setenv(name, "1")  # restored after the test
-    assert cli.main(["spectrum", "--threads", "3", "--N", "8", "--out", str(tmp_path / "s")]) == 0
-    assert {name: os.environ[name] for name in names} == dict.fromkeys(names, "3")
-
-
-def test_cli_threads_below_1_is_a_validation_error(tmp_path, capsys):
-    out = tmp_path / "s"
-    assert cli.main(["spectrum", "--threads", "0", "--out", str(out)]) == 1
-    assert "error: --threads must be positive" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_cli_verify_failure_exits_2_after_writing_verify_json(tmp_path, capsys, monkeypatch):

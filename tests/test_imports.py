@@ -55,7 +55,7 @@ def test_importing_every_module_defers_slow_scipy_packages():
 
 
 def test_importing_the_package_loads_no_module():
-    # the CLI pins the BLAS thread variables before numpy first loads, so `import chainlab` loads nothing
+    # numpy loads at a command's first import, so `chainlab --help` and argument errors never load it
     code = "import sys\nimport chainlab\nprint(sorted(m for m in sys.modules if m.startswith(('chainlab.', 'numpy'))))\n"
     assert _run(code, ROOT) == "[]"
 

@@ -5,10 +5,12 @@ counts off their bound arguments (``evolve_2d_direct``'s ``state`` and
 ``method``, ``evolve_1d_eigen``'s ``es`` and ``chi`` on ``make_plan``'s
 ``es1``, and each ``datafiles.write_*``'s ``path``), and
 perfbench/library_step.py calls ``convolve_measures`` itself, so a rename
-in the package fails here before it breaks a benchmark run.  The steps run
-with bytecode writing off, leaving no __pycache__ beside the benchmark.
+in the package fails here before it breaks a benchmark run or zeroes a
+per-layer metric.  The steps run with bytecode writing off, leaving no
+__pycache__ beside the benchmark.
 """
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from chainlab import datafiles
 from chainlab.evolution import evolve_2d_direct
 from chainlab.operators import delta_state, free_operator
 
@@ -83,13 +86,46 @@ def test_traced_decay_fit_counts_its_n_sweep_flops(tmp_path):
     assert counts and all(count["evolution.n_sweep.gflop"] > 0 for count in counts)
 
 
-def test_tracer_counts_the_dense_route_of_evolve_2d_direct(monkeypatch):
-    # no command takes the dense route, so its work count is read here: _attrs binds state and method by name
+def _load_traced_step(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no __pycache__ beside the benchmark
     spec = importlib.util.spec_from_file_location("traced_step", TRACED_STEP)
     traced_step = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced_step)
-    tracer = traced_step.Tracer()
+    return traced_step
+
+
+# LAYERS names that the package no longer defines: their per-layer metrics read 0 until the tracer drops them
+RETIRED_LAYERS = {"operators.hamiltonian_2d_dense", "spectral.dense_eigensystem", "diagnostics.n_fiber_isometry_defect"}
+
+# the parameters Tracer._attrs reads off each layer's bound arguments
+READ_PARAMETERS = {
+    "evolution.evolve_2d_direct": {"state", "method"},
+    "evolution.evolve_1d_eigen": {"es", "chi"},
+    "evolution.evolve_free_1d": {"method"},
+    "spectral.convolve_measures": {"mu", "nu"},
+    "diagnostics.lyapunov_scan": {"L", "energies"},
+}
+
+
+def test_tracer_layers_and_the_parameters_it_reads_exist(monkeypatch):
+    # a renamed layer or parameter would silently zero its per-layer metric; only the three retired names miss
+    traced_step = _load_traced_step(monkeypatch)
+    missing = set()
+    for module, names in traced_step.LAYERS.items():
+        mod = importlib.import_module(f"chainlab.{module}")
+        missing |= {f"{module}.{name}" for name in names if not inspect.isfunction(getattr(mod, name, None))}
+    assert missing == RETIRED_LAYERS
+    for layer, parameters in READ_PARAMETERS.items():
+        module, name = layer.split(".")
+        fn = getattr(importlib.import_module(f"chainlab.{module}"), name)
+        assert parameters <= set(inspect.signature(fn).parameters), layer
+    writers = [getattr(datafiles, name) for name in dir(datafiles) if name.startswith("write_")]
+    assert writers and all("path" in inspect.signature(write).parameters for write in writers)
+
+
+def test_tracer_counts_the_dense_route_of_evolve_2d_direct(monkeypatch):
+    # no command takes the dense route, so its work count is read here: _attrs binds state and method by name
+    tracer = _load_traced_step(monkeypatch).Tracer()
     traced = tracer.wrap("evolution.evolve_2d_direct", evolve_2d_direct)
     traced(delta_state(4, 4), free_operator(4), free_operator(4, "periodic"), 1.0)
     traced(state=delta_state(4, 4), a1=free_operator(4), a2=free_operator(4), t=1.0, method="chebyshev")

@@ -322,3 +322,46 @@ def test_fault_screen_every_check_is_alone_to_fail_on_some_fault(screen, check):
 def test_fault_screen_unnormalized_eigenvectors_fail_eigen_gram_n_on_the_ring(screen):
     # two eigenvector columns off unit norm by 1e-9: on the 32 x 32 ring no other check sees it
     assert screen["a1_eigenvector_norms"]["dft_multiplier-32x32"] == ["eigen_gram_n"]
+
+
+# -- 40-digit truth ------------------------------------------------------------------
+#
+# The 8 x 8 delta measure of AMO a = 3, theta = 0.3 on a dirichlet n-window
+# and the M = 8 ring, from mp_reference.  Both of delta_crosscheck's routes
+# must meet it within the first-order Davis-Kahan bound
+# 2 n u (||A1|| + ||A2||) / gap: n = N M sites, u = 2^-53, the norms by
+# Gershgorin, and gap the least distance between two atoms of the truth.  A
+# backward-stable eigensolve moves H by about n u ||H||, so an eigenvector
+# turns by at most that over the gap, and a weight |<v, delta>|^2 by twice
+# that.  The bound reads 2.5e-10 here; the two routes sit at 2e-17 and 4e-16.
+# The computed error bounds of ROADMAP item 1 will tighten it.
+
+_TRUTH_CONFIG = ExperimentConfig(
+    potential=PotentialSpec("almost_mathieu", amplitude=3.0, theta=0.3), N=8, M=8, boundary_n="dirichlet"
+)
+
+
+def _truth_bound_and_routes():
+    """(Davis-Kahan bound, {route: its distance to the truth}) for delta_crosscheck at the truth config."""
+    import mp_reference  # mpmath, a test dependency, loads here
+
+    cfg = _TRUTH_CONFIG
+    plan, i = cfg.plan(cfg.N, cfg.M), cfg.origin(cfg.N)
+    truth = mp_reference.delta_measure_2d(plan.a1, i, cfg.M)
+    bound = 2 * cfg.N * cfg.M * 2.0**-53 * (plan.a1.norm_bound + plan.a2.norm_bound) / mp_reference.smallest_gap(truth)
+    _, _, conv, _, direct, _ = verify.delta_crosscheck(plan, i)
+    routes = {"convolution": conv, "dense oracle": direct}
+    return float(bound), {name: float(mp_reference.discrepancy(mu, truth)) for name, mu in routes.items()}
+
+
+def test_delta_crosscheck_meets_the_40_digit_truth():
+    bound, errors = _truth_bound_and_routes()
+    assert 2e-10 < bound < 3e-10, bound
+    assert all(error <= bound for error in errors.values()), (bound, errors)
+
+
+def test_convolution_masses_fault_misses_the_40_digit_truth(monkeypatch):
+    # the fault screen's convolution weights scaled by 1 + 1e-8: the convolution falls outside the bound
+    FAULTS["convolution_masses"](monkeypatch)
+    bound, errors = _truth_bound_and_routes()
+    assert errors["convolution"] > bound and errors["dense oracle"] <= bound, (bound, errors)
